@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint bench-smoke bench-json bench-compare ci
+.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint bench-test bench-smoke bench-json bench-compare ci
 
 all: build vet test
 
@@ -57,6 +57,12 @@ metrics-lint:
 # Static and runtime conformance: vet plus the exposition lint.
 check: vet metrics-lint
 
+# The benchmark under bench/ is a Go module of its own, so the root
+# go test ./... never reaches it: its statistics, comparison-rule,
+# BENCHMARK.json and smoke tests (about a second).
+bench-test:
+	$(GO) -C bench test ./...
+
 # Quick perf smoke: the headline day-replay benchmarks (with the
 # dense-vs-event speedup metric), the multi-day fan-out, the /metrics
 # scrape cost under load, and the surrogate-accelerated optimizer.
@@ -73,4 +79,4 @@ bench-json:
 bench-compare:
 	./scripts/bench_compare.sh
 
-ci: build vet test check bench-smoke
+ci: build vet test bench-test check bench-smoke

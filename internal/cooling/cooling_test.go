@@ -75,6 +75,50 @@ func TestStepInputValidation(t *testing.T) {
 	if err := p.Step(15, Inputs{CDUHeatW: heat}); err == nil {
 		t.Error("NaN heat should fail")
 	}
+	heat[3] = math.Inf(1)
+	if err := p.Step(15, Inputs{CDUHeatW: heat}); err == nil {
+		t.Error("+Inf heat should fail")
+	}
+	heat[3] = 0
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := p.Step(15, Inputs{CDUHeatW: heat, WetBulbC: v}); err == nil {
+			t.Errorf("wet bulb %v should fail", v)
+		}
+		if err := p.Step(15, Inputs{CDUHeatW: heat, WetBulbC: 20, ITPowerW: v}); err == nil {
+			t.Errorf("IT power %v should fail", v)
+		}
+	}
+	// Rejected steps touch nothing: the plant still stands where New left
+	// it, and a valid step from there yields a finite plant.
+	if p.Time() != 0 || p.SolverStats() != (SolverStats{}) {
+		t.Errorf("rejected steps advanced the plant: t=%v stats=%+v", p.Time(), p.SolverStats())
+	}
+	fresh, _ := New(Frontier())
+	if d := bitsFirstDiff(p.Snapshot().Vector(), fresh.Snapshot().Vector()); d >= 0 {
+		t.Errorf("rejected steps changed output %d", d)
+	}
+	if err := p.Step(15, typicalInputs()); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range p.Snapshot().Vector() {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("output %d is %v after a valid step", i, x)
+		}
+	}
+}
+
+// bitsFirstDiff returns the first index where a and b differ bit for bit,
+// or -1.
+func bitsFirstDiff(a, b []float64) int {
+	for i := range a {
+		if i >= len(b) || math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
 }
 
 func TestSteadyStateEnergyBalance(t *testing.T) {
@@ -370,17 +414,46 @@ func TestHeatDistributionAsymmetry(t *testing.T) {
 	}
 }
 
+// BenchmarkPlantStep15s times one 15 s plant step under each solver,
+// with loads alternating ±2 % step to step (enough drift that the
+// adaptive solver integrates every step instead of holding). "shared"
+// gives all 25 CDUs the same load, so they form one CDU class; "distinct"
+// gives each CDU its own, so nothing is shared and the class bookkeeping
+// is pure overhead.
 func BenchmarkPlantStep15s(b *testing.B) {
-	p, err := New(Frontier())
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := typicalInputs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Step(15, in); err != nil {
-			b.Fatal(err)
+	for _, solver := range []string{SolverRK4, SolverAdaptive} {
+		for _, loads := range []string{"shared", "distinct"} {
+			b.Run(solver+"/"+loads, func(b *testing.B) {
+				cfg := Frontier()
+				cfg.Solver = solver
+				p, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var in [2]Inputs
+				for k := range in {
+					in[k] = typicalInputs()
+					for i := range in[k].CDUHeatW {
+						scale := 1 + 0.02*float64(2*k-1)
+						if loads == "distinct" {
+							scale *= 0.8 + 0.4*float64(i)/24
+						}
+						in[k].CDUHeatW[i] *= scale
+					}
+				}
+				for i := 0; i < 40; i++ { // leave the warm-start transient
+					if err := p.Step(15, in[i%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := p.Step(15, in[i%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -130,6 +130,16 @@ type Plant struct {
 	cduUA    []float64
 	ehxUA    float64
 	towerEps float64
+
+	// CDU equivalence classes of the control period being integrated
+	// (classifyCDUs): cduRep[i] is the lowest-index CDU whose derivative
+	// inputs equal CDU i's bit for bit — i itself for a class
+	// representative, the only member whose derivatives are computed.
+	cduRep []int
+	reps   []int // representatives, ascending (classification scratch)
+	// noShare puts every CDU in a class of its own; tests set it to
+	// check that sharing changes no bit of the solution.
+	noShare bool
 }
 
 // solverParams are the resolved adaptive-solver knobs (Config fields
@@ -146,7 +156,7 @@ type solverParams struct {
 // adaptive ODE step accounting, the controller/hydraulics updates
 // actually simulated, and the simulated time fast-forwarded through
 // equilibrium holds. Zero-valued under the fixed-step reference solver
-// except ControlSteps and IntegratedSec.
+// except ControlSteps, IntegratedSec and the CDU class counts.
 type SolverStats struct {
 	// Accepted and Rejected count adaptive ODE steps.
 	Accepted int
@@ -159,6 +169,12 @@ type SolverStats struct {
 	Holds         int
 	QuiescentSec  float64
 	IntegratedSec float64
+	// CDUSolved and CDUShared split the CDUs of every simulated control
+	// period into class representatives, whose derivatives were computed,
+	// and members that copied their representative's (classifyCDUs).
+	// Their sum is ControlSteps × the CDU count.
+	CDUSolved int
+	CDUShared int
 }
 
 // QuiescentFraction returns the share of simulated time fast-forwarded
@@ -231,6 +247,11 @@ func New(cfg Config) (*Plant, error) {
 	p.stepper = ode.NewFixedStepper(thermalSystem{p: p}, ode.RK4)
 	p.branchKs = make([]float64, cfg.NumCDUs)
 	p.primFlows = make([]float64, cfg.NumCDUs)
+	p.cduRep = make([]int, cfg.NumCDUs)
+	for i := range p.cduRep {
+		p.cduRep[i] = i
+	}
+	p.reps = make([]int, 0, cfg.NumCDUs)
 	if cfg.Solver == SolverAdaptive {
 		p.solv = solverParams{
 			adaptive:    true,
@@ -270,16 +291,24 @@ func (p *Plant) Time() float64 { return p.simT }
 // subdividing into ControlDtS control periods. Under the adaptive solver
 // the control period widens (and integration is skipped entirely) as the
 // plant approaches steady state; see stepAdaptive. It returns an error
-// only for malformed inputs.
+// only for malformed inputs — a wrong CDU count, a negative or non-finite
+// heat load, a non-finite wet bulb or IT power — and then leaves the plant
+// untouched.
 func (p *Plant) Step(dt float64, in Inputs) error {
 	if len(in.CDUHeatW) != len(p.cdus) {
 		return fmt.Errorf("cooling: got %d CDU heat loads, plant has %d CDUs",
 			len(in.CDUHeatW), len(p.cdus))
 	}
 	for i, h := range in.CDUHeatW {
-		if h < 0 || math.IsNaN(h) {
+		if !(h >= 0) || math.IsInf(h, 1) {
 			return fmt.Errorf("cooling: CDU %d heat %v invalid", i, h)
 		}
+	}
+	if !finite(in.WetBulbC) {
+		return fmt.Errorf("cooling: wet bulb %v °C invalid", in.WetBulbC)
+	}
+	if !finite(in.ITPowerW) {
+		return fmt.Errorf("cooling: IT power %v W invalid", in.ITPowerW)
 	}
 	if p.solv.adaptive {
 		return p.stepAdaptive(dt, in)
@@ -293,6 +322,7 @@ func (p *Plant) Step(dt float64, in Inputs) error {
 	for s := 0; s < steps; s++ {
 		p.updateControls(h)
 		p.solveHydraulics()
+		p.classifyCDUs(in.CDUHeatW)
 		p.integrateThermal(h, in)
 		p.simT += h
 		p.stats.ControlSteps++
@@ -344,6 +374,7 @@ func (p *Plant) stepAdaptive(dt float64, in Inputs) error {
 	for s := 0; s < steps; s++ {
 		p.updateControls(h)
 		p.solveHydraulics()
+		p.classifyCDUs(in.CDUHeatW)
 		p.freezeTransferCoeffs()
 		p.integrateThermalAdaptive(h, in)
 		p.simT += h
@@ -373,6 +404,10 @@ func (p *Plant) freezeTransferCoeffs() {
 	cfg := p.cfg
 	rho := units.WaterDensity(p.htwSupply.T)
 	for i := range p.cdus {
+		if r := p.cduRep[i]; r != i {
+			p.cduUA[i] = p.cduUA[r]
+			continue
+		}
 		c := &p.cdus[i]
 		mdotSec := units.WaterDensity(c.secCold.T) * c.qSec
 		p.cduUA[i] = cfg.CDUHex.UA(mdotSec, rho*c.qPrim)
@@ -385,6 +420,48 @@ func (p *Plant) freezeTransferCoeffs() {
 	p.towerEps = cfg.Tower.Effectiveness(p.fanSpeed, mdotCTW/cells)
 	p.frozenUA = true
 }
+
+// classifyCDUs groups the CDUs into equivalence classes for the control
+// period about to be integrated, after its hydraulic solution. Two CDUs
+// share a class when every per-CDU input of the derivative sweep is equal
+// bit for bit: the two loop temperatures, the secondary and primary flows
+// and the heat load. Everything else the sweep reads is plant-wide. Their
+// derivatives are then equal too, and since every stage, accept and reject
+// update of the RK4 and Dormand–Prince steppers is elementwise, the
+// members' states stay bitwise equal to their representative's through
+// the whole period. Derivatives and freezeTransferCoeffs therefore compute
+// one CDU per class and copy it to the rest, with no change to any bit of
+// the solution. Idle CDUs and uniformly loaded ones carry identical heat,
+// which makes classes common; with none, classification costs
+// O(CDUs × classes) compares per control period.
+func (p *Plant) classifyCDUs(heat []float64) {
+	reps := p.reps[:0]
+	for i := range p.cdus {
+		c := &p.cdus[i]
+		rep := i
+		for _, r := range reps {
+			o := &p.cdus[r]
+			if sameBits(heat[i], heat[r]) &&
+				sameBits(c.qSec, o.qSec) && sameBits(c.qPrim, o.qPrim) &&
+				sameBits(c.secHot.T, o.secHot.T) && sameBits(c.secCold.T, o.secCold.T) &&
+				!p.noShare {
+				rep = r
+				break
+			}
+		}
+		if rep == i {
+			reps = append(reps, i)
+		}
+		p.cduRep[i] = rep
+	}
+	p.reps = reps
+	p.stats.CDUSolved += len(reps)
+	p.stats.CDUShared += len(p.cdus) - len(reps)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // canHold reports whether the plant may fast-forward the next dt
 // seconds: settled, no staging action pending, the hold budget covers
@@ -669,29 +746,41 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 	ctwReturnT := y[2*n+3]
 
 	rho := units.WaterDensity(htwSupplyT)
+	cpHTW := units.WaterSpecificHeat(htwSupplyT)
 	mdotHTW := rho * p.qHTW
 	mdotCTW := units.WaterDensity(ctwSupplyT) * p.qCTW
 
-	// CDU loops and their HEX coupling to the primary loop.
+	// CDU loops and their HEX coupling to the primary loop. A class
+	// member copies its representative's results (classifyCDUs); the mix
+	// sums still run over every CDU in index order.
 	var mixNum, mixDen float64
 	for i := range p.cdus {
 		c := &p.cdus[i]
+		mdotPrim := rho * c.qPrim
+		if r := p.cduRep[i]; r != i {
+			dydt[2*i], dydt[2*i+1] = dydt[2*r], dydt[2*r+1]
+			c.hexDuty, c.primOutT = p.cdus[r].hexDuty, p.cdus[r].primOutT
+			mixNum += mdotPrim * c.primOutT
+			mixDen += mdotPrim
+			continue
+		}
 		secHotT := y[2*i]
 		secColdT := y[2*i+1]
 		mdotSec := units.WaterDensity(secColdT) * c.qSec
-		mdotPrim := rho * c.qPrim
 
 		// Rack pass: the secondary stream picks up the CDU heat load.
 		hot := thermal.Volume{Mass: cfg.SecVolumeKg, T: secHotT}
 		dydt[2*i] = hot.DTdt(mdotSec, secColdT, in.CDUHeatW[i])
 
-		// HEX-1600: secondary (hot) → primary (cold).
-		var q, secOutT, primOutT float64
+		// HEX-1600: secondary (hot) → primary (cold), every CDU fed from
+		// the one HTW supply header.
+		var ua float64
 		if p.frozenUA {
-			q, secOutT, primOutT = cfg.CDUHex.TransferUA(p.cduUA[i], secHotT, mdotSec, htwSupplyT, mdotPrim)
+			ua = p.cduUA[i]
 		} else {
-			q, secOutT, primOutT = cfg.CDUHex.Transfer(secHotT, mdotSec, htwSupplyT, mdotPrim)
+			ua = cfg.CDUHex.UA(mdotSec, mdotPrim)
 		}
+		q, secOutT, primOutT := cfg.CDUHex.TransferUACp(ua, secHotT, mdotSec, htwSupplyT, mdotPrim, cpHTW)
 		cold := thermal.Volume{Mass: cfg.SecVolumeKg, T: secColdT}
 		dydt[2*i+1] = cold.DTdt(mdotSec, secOutT, 0)
 

@@ -64,5 +64,7 @@ func RegisterTwinMetrics(reg *obs.Registry, tw *Twin) {
 			emit([]string{"rejected"}, float64(st.Rejected))
 			emit([]string{"control"}, float64(st.ControlSteps))
 			emit([]string{"holds"}, float64(st.Holds))
+			emit([]string{"cdu_solved"}, float64(st.CDUSolved))
+			emit([]string{"cdu_shared"}, float64(st.CDUShared))
 		})
 }

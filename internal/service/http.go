@@ -211,10 +211,32 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// maxRequestBytes bounds the JSON body of a sweep or study submission.
+// A scenario request is a few hundred bytes of structured fields, so the
+// bound still admits tens of thousands of scenarios in one submission.
+const maxRequestBytes = 8 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBytes of it. On failure it answers 413 past the bound, 400
+// otherwise, and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", maxRequestBytes))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	var spec config.SystemSpec

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -385,5 +386,43 @@ func TestHTTPMetricsFailureAndStoreSections(t *testing.T) {
 	}
 	if m.Store == nil || m.Store.Puts != 1 || m.Store.Bytes <= 0 {
 		t.Fatalf("store section: %+v", m.Store)
+	}
+}
+
+// TestHTTPOversizedBodyIs413 checks that both submission endpoints stop
+// reading a body past maxRequestBytes and answer 413, for a single huge
+// token and for a well-formed document behind whitespace that runs past
+// the bound, while a normal submission still goes through afterwards.
+func TestHTTPOversizedBodyIs413(t *testing.T) {
+	svc := New(Options{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+
+	huge := `{"name":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	padded := strings.Repeat(" ", maxRequestBytes) +
+		`{"scenarios":[{"workload":"idle","horizon_sec":60,"tick_sec":15}]}`
+	for _, path := range []string{"/api/sweeps", "/api/optimize"} {
+		for name, body := range map[string]string{"huge": huge, "padded": padded} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			_ = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s body: status %d (%s), want 413", path, name, resp.StatusCode, eb.Error)
+			}
+		}
+	}
+	resp, err := http.Post(srv.URL+"/api/sweeps", "application/json",
+		strings.NewReader(`{"scenarios":[{"workload":"idle","horizon_sec":60,"tick_sec":15}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("normal submission after oversized ones: status %d", resp.StatusCode)
 	}
 }

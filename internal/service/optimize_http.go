@@ -69,8 +69,7 @@ func defaultOptimizeBase() ScenarioRequest {
 
 func (s *Service) handleOptimizeSubmit(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	var spec config.SystemSpec
