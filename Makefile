@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint bench-test bench-smoke bench-json bench-compare ci
+.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint fuzz bench-test bench-smoke bench-json bench-compare ci
 
 all: build vet test
 
@@ -56,6 +56,13 @@ metrics-lint:
 
 # Static and runtime conformance: vet plus the exposition lint.
 check: vet metrics-lint
+
+# Fuzz the strict exposition parser every metrics test reads counters
+# through: no panic on arbitrary bytes, and a rendered registry parses
+# back to exactly the values written. The seed corpus lives under
+# internal/obs/testdata/fuzz/FuzzParseExposition.
+fuzz:
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

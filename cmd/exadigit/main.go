@@ -1,9 +1,10 @@
 // Command exadigit runs the integrated digital twin and serves the
 // dashboard REST API (the paper's web-dashboard backend, §III-B6/III-D):
 // it simulates a scenario on the Frontier twin and then exposes
-// /api/status, /api/series, /api/cooling, /api/run and /api/experiments
-// over HTTP, so what-if experiments can be launched and recalled exactly
-// as through the paper's Kubernetes-hosted dashboard.
+// /api/status, /api/series, /api/cooling, /api/run, /api/experiments
+// and the Prometheus /metrics exposition over HTTP, so what-if
+// experiments can be launched and recalled exactly as through the
+// paper's Kubernetes-hosted dashboard.
 //
 // The serve subcommand starts the twin-as-a-service backend instead: the
 // concurrent scenario-sweep API (submit/status/cancel, content-addressed
@@ -96,14 +97,21 @@ func main() {
 	}
 	dash := exadigit.NewDashboardServer(tw)
 	dash.SetLogf(log.Printf)
+	reg := exadigit.NewMetricsRegistry()
+	dash.RegisterMetrics(reg)
+	exadigit.RegisterTwinMetrics(reg, tw)
+	exadigit.RegisterGoMetrics(reg)
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", reg.Handler())
+	mux.Handle("/", dash.Handler())
 	log.Printf("serving dashboard API on %s", *addr)
 	log.Printf("  GET  /api/status       — live status")
 	log.Printf("  GET  /api/series       — power/PUE/utilization history")
 	log.Printf("  GET  /api/cooling      — the compiled plant's output channels")
 	log.Printf("  POST /api/run          — launch a what-if (workload=, mode=, horizon_sec=, cooling=)")
 	log.Printf("  GET  /api/experiments  — recall stored what-if results")
-	log.Printf("  GET  /api/metrics      — HTTP middleware counters")
-	if err := http.ListenAndServe(*addr, dash.Handler()); err != nil {
+	log.Printf("  GET  /metrics          — Prometheus text exposition")
+	if err := http.ListenAndServe(*addr, mux); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -301,12 +309,11 @@ func serve(args []string) {
 	log.Printf("serving twin-as-a-service on %s (%d workers, cache %d entries / %d MiB)",
 		*addr, svc.Workers(), *cacheCap, *cacheBytes>>20)
 	log.Printf("  POST /api/sweeps               — submit a scenario sweep (per-scenario cooling_spec mixes plants)")
-	log.Printf("  GET  /api/sweeps               — list sweeps + cache stats")
+	log.Printf("  GET  /api/sweeps               — list sweeps")
 	log.Printf("  GET  /api/sweeps/{id}          — sweep status")
 	log.Printf("  GET  /api/sweeps/{id}/results  — completed results")
 	log.Printf("  GET  /api/sweeps/{id}/stream   — NDJSON results as they complete")
 	log.Printf("  POST /api/sweeps/{id}/cancel   — cancel queued and in-flight work (aborts mid-day)")
-	log.Printf("  GET  /api/sweeps/metrics       — JSON metrics snapshot (http/cache/failures/store)")
 	log.Printf("  GET  /api/sweeps/trace         — NDJSON scenario lifecycle spans (?limit=N)")
 	log.Printf("  POST /api/optimize             — submit a co-design study (surrogate-screened search)")
 	log.Printf("  GET  /api/optimize/{id}/stream — NDJSON per-generation progress, then the result")
@@ -369,12 +376,8 @@ func serve(args []string) {
 		}
 		_ = traceSink.Close()
 	}
-	hits, misses, entries := svc.CacheStats()
-	log.Printf("result cache: hits=%d misses=%d entries=%d", hits, misses, entries)
-	fm := svc.FailureMetricsSnapshot()
-	log.Printf("failures: retries=%d panics_recovered=%d timeouts=%d queue_rejections=%d",
-		fm.Retries, fm.PanicsRecovered, fm.Timeouts, fm.QueueRejections)
-	if sm, ok := svc.StoreMetricsSnapshot(); ok {
+	if st := svc.Store(); st != nil {
+		sm := st.Stats()
 		log.Printf("store: hits=%d misses=%d puts=%d put_errors=%d corrupt=%d entries=%d bytes=%d",
 			sm.Hits, sm.Misses, sm.Puts, sm.PutErrors, sm.CorruptQuarantined, sm.Entries, sm.Bytes)
 	}

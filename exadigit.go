@@ -357,8 +357,9 @@ type DashboardServer = viz.Server
 
 // NewDashboardServer builds the dashboard REST backend over the twin.
 // Its Handler serves /api/status, /api/series, /api/cooling, /api/run,
-// /api/experiments, and /api/metrics behind the shared middleware stack
-// (panic recovery, request metrics, optional logging via SetLogf).
+// and /api/experiments behind the shared middleware stack (panic
+// recovery, request metrics, optional logging via SetLogf); its request
+// counters reach /metrics through RegisterMetrics.
 func NewDashboardServer(tw *Twin) *DashboardServer {
 	return viz.NewServer(tw, tw.ExperimentRunner())
 }

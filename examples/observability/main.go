@@ -10,9 +10,10 @@
 //  3. pulls the per-scenario lifecycle traces from /api/sweeps/trace
 //     and prints each scenario's attempt timeline (queue wait, run
 //     time, outcome, cache tier), showing the memory-tier hits of the
-//     duplicate scenarios,
-//  4. cross-checks the JSON snapshot endpoint against the exposition —
-//     both read the same counters, so the values must match exactly.
+//     duplicate scenarios.
+//
+// /metrics is the only metrics surface: every service, store, HTTP and
+// twin counter is one of its families.
 package main
 
 import (
@@ -109,26 +110,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println()
-
-	// --- 4. JSON snapshot == exposition -------------------------------
-	rec = httptest.NewRecorder()
-	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/api/sweeps/metrics", nil))
-	var snap struct {
-		Cache struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		log.Fatal(err)
-	}
-	hits := series[`exadigit_cache_hits_total{}`]
-	misses := series[`exadigit_cache_misses_total{}`]
-	fmt.Printf("single source of truth: JSON hits=%d misses=%d, exposition hits=%g misses=%g\n",
-		snap.Cache.Hits, snap.Cache.Misses, hits, misses)
-	if float64(snap.Cache.Hits) != hits || float64(snap.Cache.Misses) != misses {
-		log.Fatal("JSON snapshot and exposition disagree")
-	}
-	fmt.Println("JSON snapshot and Prometheus exposition reconcile exactly")
 }

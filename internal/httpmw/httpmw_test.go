@@ -1,7 +1,6 @@
 package httpmw
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +9,36 @@ import (
 
 	"exadigit/internal/obs"
 )
+
+// scrape registers m under server="test" in a fresh registry and
+// returns the parsed exposition.
+func scrape(t *testing.T, m *Metrics) *obs.Exposition {
+	t.Helper()
+	reg := obs.NewRegistry()
+	m.Register(reg, "test")
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	e, err := obs.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	return e
+}
+
+// requests reads one route's status-class series from a scrape.
+func requests(e *obs.Exposition, route, code string) float64 {
+	return e.Series()[obs.ExpoSeries{Name: "exadigit_http_requests_total",
+		Labels: map[string]string{"server": "test", "route": route, "code": code}}.ID()]
+}
+
+// routeTotals sums a scrape's request series by route.
+func routeTotals(e *obs.Exposition) map[string]float64 {
+	totals := make(map[string]float64)
+	for _, s := range e.Families["exadigit_http_requests_total"].Series {
+		totals[s.Labels["route"]] += s.Value
+	}
+	return totals
+}
 
 func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 	mux := http.NewServeMux()
@@ -50,12 +79,20 @@ func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 		t.Fatalf("/boom = %d", code)
 	}
 
-	s := m.Snapshot()
-	if s.Requests != 3 || s.Status2xx != 1 || s.Status4xx != 1 || s.Status5xx != 1 || s.Panics != 1 {
-		t.Fatalf("snapshot = %+v", s)
+	e := scrape(t, m)
+	for _, c := range []struct{ route, code string }{
+		{"/ok", "2xx"}, {"/missing", "4xx"}, {"/boom", "5xx"},
+	} {
+		if got := requests(e, c.route, c.code); got != 1 {
+			t.Errorf("%s %s = %v, want 1", c.route, c.code, got)
+		}
 	}
-	if s.InFlight != 0 {
-		t.Fatalf("in-flight = %d after requests drained", s.InFlight)
+	series := e.Series()
+	if got := series[`exadigit_http_panics_total{server="test"}`]; got != 1 {
+		t.Fatalf("panics = %v, want 1", got)
+	}
+	if got, ok := series[`exadigit_http_in_flight_requests{server="test"}`]; !ok || got != 0 {
+		t.Fatalf("in-flight = %v after requests drained", got)
 	}
 	if len(logged) != 3 {
 		t.Fatalf("logged %d lines: %v", len(logged), logged)
@@ -68,26 +105,6 @@ func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 	}
 	if !foundPanic {
 		t.Fatalf("panic not logged: %v", logged)
-	}
-}
-
-func TestMetricsHandler(t *testing.T) {
-	m := &Metrics{}
-	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), nil, m)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	if _, err := srv.Client().Get(srv.URL + "/"); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/metrics", nil))
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Requests != 1 || snap.Status2xx != 1 {
-		t.Fatalf("snapshot over HTTP = %+v", snap)
 	}
 }
 
@@ -142,10 +159,10 @@ func TestRouteLabel(t *testing.T) {
 		"/api/sweeps/sw-18f3a2b4c5d6e7f8-9abc":        "/api/sweeps/{id}",
 		"/api/sweeps/sw-18f3a2b4c5d6e7f8-9abc/stream": "/api/sweeps/{id}/stream",
 		"/api/sweeps/sw-NOPE/results":                 "/api/sweeps/sw-NOPE/results", // uppercase: not an id
-		"/api/experiments/42":       "/api/experiments/{id}",
-		"/api/run/deadbeefdeadbeef": "/api/run/{id}",     // 16 hex chars
-		"/api/run/deadbeef":         "/api/run/deadbeef", // too short for a hash
-		"/metrics":                  "/metrics",
+		"/api/experiments/42":                         "/api/experiments/{id}",
+		"/api/run/deadbeefdeadbeef":                   "/api/run/{id}",     // 16 hex chars
+		"/api/run/deadbeef":                           "/api/run/deadbeef", // too short for a hash
+		"/metrics":                                    "/metrics",
 	}
 	for path, want := range cases {
 		if got := RouteLabel(path); got != want {
@@ -154,9 +171,9 @@ func TestRouteLabel(t *testing.T) {
 	}
 }
 
-// TestPerRouteSnapshot: the snapshot breaks totals down by normalized
-// route and the totals are exactly the per-route sums.
-func TestPerRouteSnapshot(t *testing.T) {
+// TestPerRouteCounters: the exposition breaks requests down by
+// normalized route and status class.
+func TestPerRouteCounters(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {})
 	mux.HandleFunc("GET /api/sweeps", func(w http.ResponseWriter, r *http.Request) {})
@@ -171,25 +188,19 @@ func TestPerRouteSnapshot(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	s := m.Snapshot()
-	if s.Requests != 4 || s.Status2xx != 3 || s.Status4xx != 1 {
-		t.Fatalf("snapshot totals = %+v", s)
+	e := scrape(t, m)
+	totals := routeTotals(e)
+	if len(totals) != 3 {
+		t.Fatalf("routes = %v, want 3", totals)
 	}
-	if rt := s.Routes["/api/sweeps/{id}"]; rt.Requests != 2 || rt.Status2xx != 2 {
-		t.Fatalf("/api/sweeps/{id} route = %+v", rt)
+	if got := requests(e, "/api/sweeps/{id}", "2xx"); got != 2 || totals["/api/sweeps/{id}"] != 2 {
+		t.Fatalf("/api/sweeps/{id} 2xx = %v of %v, want 2 of 2", got, totals["/api/sweeps/{id}"])
 	}
-	if rt := s.Routes["/api/sweeps"]; rt.Requests != 1 {
-		t.Fatalf("/api/sweeps route = %+v", rt)
+	if got := totals["/api/sweeps"]; got != 1 {
+		t.Fatalf("/api/sweeps total = %v, want 1", got)
 	}
-	if rt := s.Routes["/nope"]; rt.Status4xx != 1 {
-		t.Fatalf("/nope route = %+v", rt)
-	}
-	var sum uint64
-	for _, rt := range s.Routes {
-		sum += rt.Requests
-	}
-	if sum != s.Requests {
-		t.Fatalf("route sum %d != total %d", sum, s.Requests)
+	if got := requests(e, "/nope", "4xx"); got != 1 {
+		t.Fatalf("/nope 4xx = %v, want 1", got)
 	}
 }
 
@@ -203,22 +214,24 @@ func TestRouteOverflowLandsInOther(t *testing.T) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/scan/path-%c%d", 'a'+i%26, i), nil))
 	}
-	s := m.Snapshot()
-	if len(s.Routes) > maxRoutes+1 {
-		t.Fatalf("route map grew to %d entries (cap %d + other)", len(s.Routes), maxRoutes)
+	totals := routeTotals(scrape(t, m))
+	if len(totals) > maxRoutes+1 {
+		t.Fatalf("route map grew to %d entries (cap %d + other)", len(totals), maxRoutes)
 	}
-	other, ok := s.Routes["other"]
-	if !ok || other.Requests == 0 {
-		t.Fatalf("overflow routes not folded into other: %+v", s.Routes["other"])
+	if totals["other"] == 0 {
+		t.Fatalf("overflow routes not folded into other: %v", totals)
 	}
-	if s.Requests != maxRoutes+10 {
-		t.Fatalf("total %d, want %d", s.Requests, maxRoutes+10)
+	var sum float64
+	for _, v := range totals {
+		sum += v
+	}
+	if sum != maxRoutes+10 {
+		t.Fatalf("total %v, want %d", sum, maxRoutes+10)
 	}
 }
 
-// TestRegisterExposesSeries: Register is a view over the same storage
-// Snapshot reads — the exposition's per-route series sum to the JSON
-// totals, and two stacks share one family under distinct server labels.
+// TestRegisterExposesSeries: two stacks share one family under distinct
+// server labels, each reporting its own requests.
 func TestRegisterExposesSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	ma, mb := &Metrics{}, &Metrics{}

@@ -4,12 +4,11 @@
 // text-exposition /metrics handler, plus the per-scenario lifecycle
 // tracer the sweep service emits NDJSON span records into.
 //
-// Every counter the service previously kept in an ad-hoc snapshot
-// struct (httpmw request accounting, sweep failure/cache counters,
-// store counters, solver stats) is either an obs instrument or a
-// func-backed series read from its owner at scrape time, so the JSON
-// snapshot endpoints and the /metrics exposition cannot drift: both
-// views read the same storage.
+// Every counter the twin keeps (httpmw request accounting, sweep
+// failure/cache counters, store counters, solver stats) is either an
+// obs instrument or a func-backed series read from its owner at scrape
+// time, and the /metrics exposition is the only way any of them leaves
+// the process — one source of truth, nothing to reconcile.
 //
 // Two registration styles coexist:
 //

@@ -117,20 +117,19 @@ func TestChaosSweepSurvivesInjectedFaults(t *testing.T) {
 		t.Errorf("transient scenario attempts = %d, want 3", got)
 	}
 
-	fm := svc.FailureMetricsSnapshot()
-	if fm.PanicsRecovered != 1 {
-		t.Errorf("panics recovered = %d, want 1", fm.PanicsRecovered)
+	if got := svc.panics.Value(); got != 1 {
+		t.Errorf("panics recovered = %d, want 1", got)
 	}
-	if fm.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", fm.Timeouts)
+	if got := svc.timeouts.Value(); got != 1 {
+		t.Errorf("timeouts = %d, want 1", got)
 	}
 	// panic retry + timeout retry + two transient retries = 4 (the
 	// permanent scenario adds 2 more).
-	if fm.Retries != 6 {
-		t.Errorf("retries = %d, want 6", fm.Retries)
+	if got := svc.retries.Value(); got != 6 {
+		t.Errorf("retries = %d, want 6", got)
 	}
-	if fm.Pending != 0 {
-		t.Errorf("pending not drained after sweep: %d", fm.Pending)
+	if got := svc.pending.Load(); got != 0 {
+		t.Errorf("pending not drained after sweep: %d", got)
 	}
 	// Every success was persisted; the failure was not.
 	if st.Len() != n-1 {
@@ -163,8 +162,8 @@ func TestChaosPanicEveryAttemptIsPermanentTypedFailure(t *testing.T) {
 	if got := stat.Scenarios[0].Error; !strings.Contains(got, "panicked") || !strings.Contains(got, "poisoned") {
 		t.Fatalf("panic cause lost from reported error: %q", got)
 	}
-	if svc.FailureMetricsSnapshot().PanicsRecovered != 3 {
-		t.Fatalf("want 3 recovered panics, got %+v", svc.FailureMetricsSnapshot())
+	if got := svc.panics.Value(); got != 3 {
+		t.Fatalf("want 3 recovered panics, got %d", got)
 	}
 }
 
@@ -195,7 +194,7 @@ func TestChaosDeadlineOverrunEveryAttempt(t *testing.T) {
 	if got := stat.Scenarios[0].Error; !strings.Contains(got, "deadline") {
 		t.Fatalf("timeout not reported: %q", got)
 	}
-	if tm := svc.FailureMetricsSnapshot().Timeouts; tm != 3 {
+	if tm := svc.timeouts.Value(); tm != 3 {
 		t.Fatalf("timeouts = %d, want 3", tm)
 	}
 }
@@ -299,7 +298,7 @@ func TestChaosQueueSaturationBackpressure(t *testing.T) {
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturated queue accepted work: %v", err)
 	}
-	if rej := svc.FailureMetricsSnapshot().QueueRejections; rej != 1 {
+	if rej := svc.rejections.Value(); rej != 1 {
 		t.Fatalf("rejections = %d, want 1", rej)
 	}
 

@@ -135,37 +135,6 @@ func (h *faultHolder) set(fi *FaultInjector) {
 // recovery path deterministically.
 func (s *Service) SetFaultInjector(fi *FaultInjector) { s.faults.set(fi) }
 
-// FailureMetrics is the failure/recovery accounting served on
-// /api/sweeps/metrics — the observability an operator needs to tell a
-// healthy service from one quietly burning attempts.
-type FailureMetrics struct {
-	// Retries counts re-attempts after a transient failure (not first
-	// attempts).
-	Retries uint64 `json:"retries"`
-	// PanicsRecovered counts worker panics converted to ScenarioErrors.
-	PanicsRecovered uint64 `json:"panics_recovered"`
-	// Timeouts counts attempts that exceeded the scenario deadline.
-	Timeouts uint64 `json:"timeouts"`
-	// QueueRejections counts submissions refused with ErrSaturated.
-	QueueRejections uint64 `json:"queue_rejections"`
-	// Pending is the current queued+running scenario count across all
-	// sweeps; MaxPending is the admission bound it is checked against.
-	Pending    int64 `json:"pending"`
-	MaxPending int   `json:"max_pending"`
-}
-
-// FailureMetricsSnapshot returns the current failure/recovery counters.
-func (s *Service) FailureMetricsSnapshot() FailureMetrics {
-	return FailureMetrics{
-		Retries:         s.retries.Value(),
-		PanicsRecovered: s.panics.Value(),
-		Timeouts:        s.timeouts.Value(),
-		QueueRejections: s.rejections.Value(),
-		Pending:         s.pending.Load(),
-		MaxPending:      s.maxPending,
-	}
-}
-
 // runRecovered executes one simulation attempt inside the panic
 // isolation boundary: a panic anywhere below — the twin, the power
 // engine, the cooling solver, or an injected fault — is converted to a

@@ -16,6 +16,7 @@ import (
 	"exadigit/internal/core"
 	"exadigit/internal/fmu"
 	"exadigit/internal/job"
+	"exadigit/internal/obs"
 	"exadigit/internal/store"
 )
 
@@ -95,7 +96,7 @@ func TestHTTPSweep32SharedCompiledSpec(t *testing.T) {
 	}
 
 	// Identical re-submission: zero simulations, zero new builds.
-	_, missesBefore, _ := svc.CacheStats()
+	missesBefore := svc.misses.Value()
 	ack2 := postSweep(t, srv.URL, whatIf32())
 	if ack2.SpecHash != ack.SpecHash {
 		t.Errorf("spec hash changed across submissions")
@@ -105,7 +106,7 @@ func TestHTTPSweep32SharedCompiledSpec(t *testing.T) {
 	if st2.Cached != 32 {
 		t.Fatalf("re-submission not served from cache: %+v", st2)
 	}
-	if _, misses, _ := svc.CacheStats(); misses != missesBefore {
+	if misses := svc.misses.Value(); misses != missesBefore {
 		t.Errorf("re-submission simulated %d scenarios", misses-missesBefore)
 	}
 	if got := config.ModelBuilds() - modelsBefore; got != 1 {
@@ -215,8 +216,7 @@ func TestHTTPCancelAndStatus(t *testing.T) {
 	}
 
 	var list struct {
-		Sweeps []SweepStatus  `json:"sweeps"`
-		Cache  map[string]any `json:"cache"`
+		Sweeps []SweepStatus `json:"sweeps"`
 	}
 	lr, err := http.Get(srv.URL + "/api/sweeps")
 	if err != nil {
@@ -228,9 +228,6 @@ func TestHTTPCancelAndStatus(t *testing.T) {
 	}
 	if len(list.Sweeps) != 1 || list.Sweeps[0].ID != ack.ID {
 		t.Fatalf("bad sweep list: %+v", list.Sweeps)
-	}
-	if list.Cache == nil {
-		t.Fatal("list response missing cache stats")
 	}
 
 	// Unknown sweep → 404.
@@ -244,14 +241,11 @@ func TestHTTPCancelAndStatus(t *testing.T) {
 	}
 }
 
-// TestMetricsReportsCacheEvictions pins the /api/sweeps/metrics cache
-// block: a count-bounded cache under pressure reports evictions, live
-// entries, and capacity — the observability groundwork for the planned
-// byte-bounded persistent cache.
+// TestMetricsReportsCacheEvictions pins the cache families of the
+// exposition: a count-bounded cache under pressure reports evictions,
+// live entries, and its entry capacity.
 func TestMetricsReportsCacheEvictions(t *testing.T) {
 	svc := New(Options{Workers: 2, CacheCap: 2})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
 	var scenarios []core.Scenario
 	for i := 0; i < 4; i++ {
@@ -268,28 +262,18 @@ func TestMetricsReportsCacheEvictions(t *testing.T) {
 	}
 	<-sw.Done()
 
-	resp, err := http.Get(srv.URL + "/api/sweeps/metrics")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeExposition(t, svc.Registry())
+	if got := seriesValue(t, e, "exadigit_cache_capacity_entries"); got != 2 {
+		t.Errorf("capacity = %v, want 2", got)
 	}
-	defer resp.Body.Close()
-	var got struct {
-		Cache CacheMetrics `json:"cache"`
+	if got := seriesValue(t, e, "exadigit_cache_evictions_total"); got < 2 {
+		t.Errorf("evictions = %v, want ≥ 2 (4 results through a cap of 2)", got)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
+	if got := seriesValue(t, e, "exadigit_cache_entries"); got > 2 {
+		t.Errorf("entries = %v exceed capacity", got)
 	}
-	if got.Cache.Capacity != 2 {
-		t.Errorf("capacity = %d, want 2", got.Cache.Capacity)
-	}
-	if got.Cache.Evictions < 2 {
-		t.Errorf("evictions = %d, want ≥ 2 (4 results through a cap of 2)", got.Cache.Evictions)
-	}
-	if got.Cache.Entries > 2 {
-		t.Errorf("entries = %d exceed capacity", got.Cache.Entries)
-	}
-	if got.Cache.Misses < 4 {
-		t.Errorf("misses = %d, want ≥ 4", got.Cache.Misses)
+	if got := seriesValue(t, e, "exadigit_cache_misses_total"); got < 4 {
+		t.Errorf("misses = %v, want ≥ 4", got)
 	}
 }
 
@@ -343,9 +327,9 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}}})
 }
 
-// TestHTTPMetricsFailureAndStoreSections: /api/sweeps/metrics reports
-// the failure/recovery counters and, when a store is configured, the
-// durable-store accounting.
+// TestHTTPMetricsFailureAndStoreSections: the exposition reports the
+// failure/recovery counters of an HTTP-submitted sweep and, when a store
+// is configured, the durable-store accounting.
 func TestHTTPMetricsFailureAndStoreSections(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -368,24 +352,15 @@ func TestHTTPMetricsFailureAndStoreSections(t *testing.T) {
 	sw, _ := svc.Sweep(ack.ID)
 	waitSweep(t, sw)
 
-	resp, err := http.Get(srv.URL + "/api/sweeps/metrics")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeExposition(t, svc.Registry())
+	if p, r := seriesValue(t, e, "exadigit_sweep_panics_recovered_total"),
+		seriesValue(t, e, "exadigit_sweep_retries_total"); p != 1 || r != 1 {
+		t.Fatalf("failure families: panics_recovered=%v retries=%v, want 1 and 1", p, r)
 	}
-	defer resp.Body.Close()
-	var m struct {
-		Failures FailureMetrics `json:"failures"`
-		Store    *store.Metrics `json:"store"`
-		Cache    CacheMetrics   `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Failures.PanicsRecovered != 1 || m.Failures.Retries != 1 {
-		t.Fatalf("failure section: %+v", m.Failures)
-	}
-	if m.Store == nil || m.Store.Puts != 1 || m.Store.Bytes <= 0 {
-		t.Fatalf("store section: %+v", m.Store)
+	puts := e.Series()[obs.ExpoSeries{Name: "exadigit_store_ops_total",
+		Labels: map[string]string{"op": "put"}}.ID()]
+	if bytes := seriesValue(t, e, "exadigit_store_bytes"); puts != 1 || bytes <= 0 {
+		t.Fatalf("store families: puts=%v bytes=%v", puts, bytes)
 	}
 }
 

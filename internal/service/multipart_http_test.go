@@ -219,22 +219,10 @@ func TestResultCacheByteBound(t *testing.T) {
 		t.Fatal("oversized entry was retained")
 	}
 
-	// The byte accounting is surfaced on /api/sweeps/metrics.
+	// The byte accounting is surfaced on /metrics.
 	svc := New(Options{Workers: 1, CacheMaxBytes: 123456})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/sweeps/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Cache CacheMetrics `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Cache.CapacityBytes != 123456 {
-		t.Fatalf("capacity_bytes = %d, want 123456", doc.Cache.CapacityBytes)
+	e := scrapeExposition(t, svc.Registry())
+	if got := seriesValue(t, e, "exadigit_cache_capacity_bytes"); got != 123456 {
+		t.Fatalf("capacity_bytes = %v, want 123456", got)
 	}
 }

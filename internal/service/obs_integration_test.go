@@ -3,10 +3,9 @@ package service
 // Observability integration suite — the acceptance tests for the
 // unified metrics/tracing layer: /metrics scraped mid-sweep parses
 // under the strict exposition validator, counters never move backwards
-// between scrapes, the JSON snapshot endpoints and the Prometheus
-// exposition report identical values (single source of truth), and a
-// chaos sweep's lifecycle spans reconcile exactly with the failure
-// counters.
+// between scrapes, the exposition carries every service counter with
+// its expected value (it is the only metrics surface), and a chaos
+// sweep's lifecycle spans reconcile exactly with the failure counters.
 
 import (
 	"bufio"
@@ -110,7 +109,7 @@ func TestMetricsScrapeDuringMixedPlantSweep(t *testing.T) {
 	// Generate some HTTP traffic so the middleware families carry data,
 	// then scrape again once part of the sweep has finished — both
 	// scrapes land mid-sweep on any machine slower than the pool.
-	for _, path := range []string{"/api/sweeps", "/api/sweeps/metrics", "/api/sweeps/" + sw.ID()} {
+	for _, path := range []string{"/api/sweeps", "/api/sweeps/trace", "/api/sweeps/" + sw.ID()} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -163,16 +162,18 @@ func TestMetricsScrapeDuringMixedPlantSweep(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONMatchesExposition pins the single-source-of-truth
-// property: after a sweep with intra-sweep duplicates (cache hits) over
-// a durable store, every counter in the /api/sweeps/metrics JSON
-// snapshot equals its series in the Prometheus exposition.
-func TestMetricsJSONMatchesExposition(t *testing.T) {
+// TestExpositionCarriesServiceCounters pins that no counter is lost
+// with /metrics as the only surface: after a sweep with intra-sweep
+// duplicates (cache hits) over a durable store, every cache, failure and
+// store family is present with its expected value, including the
+// cache's entry-count bound.
+func TestExpositionCarriesServiceCounters(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Options{Workers: 4, Store: st})
+	opts := Options{Workers: 4, Store: st, CacheCap: 16, MaxPending: 64}
+	svc := New(opts)
 
 	// 4 distinct scenarios, each submitted twice: the duplicate waiters
 	// resolve from the in-memory tier and count as cache hits.
@@ -180,7 +181,7 @@ func TestMetricsJSONMatchesExposition(t *testing.T) {
 	for i := range scenarios {
 		scenarios[i] = synthScenario(int64(100+i%4), 900)
 	}
-	sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{Name: "obs-reconcile"})
+	sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{Name: "obs-counters"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,46 +190,37 @@ func TestMetricsJSONMatchesExposition(t *testing.T) {
 		t.Fatalf("sweep status: %+v", stat)
 	}
 
-	rec := httptest.NewRecorder()
-	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/sweeps/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/api/sweeps/metrics status = %d", rec.Code)
-	}
-	var body struct {
-		Cache    CacheMetrics   `json:"cache"`
-		Failures FailureMetrics `json:"failures"`
-		Store    store.Metrics  `json:"store"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Cache.Hits != 4 || body.Cache.Misses != 4 {
-		t.Fatalf("cache snapshot = %+v, want 4 hits / 4 misses", body.Cache)
-	}
-
 	e := scrapeExposition(t, svc.Registry())
 	for name, want := range map[string]float64{
-		"exadigit_cache_hits_total":             float64(body.Cache.Hits),
-		"exadigit_cache_misses_total":           float64(body.Cache.Misses),
-		"exadigit_cache_evictions_total":        float64(body.Cache.Evictions),
-		"exadigit_cache_entries":                float64(body.Cache.Entries),
-		"exadigit_cache_bytes":                  float64(body.Cache.Bytes),
-		"exadigit_sweep_retries_total":          float64(body.Failures.Retries),
-		"exadigit_sweep_panics_recovered_total": float64(body.Failures.PanicsRecovered),
-		"exadigit_sweep_timeouts_total":         float64(body.Failures.Timeouts),
-		"exadigit_sweep_queue_rejections_total": float64(body.Failures.QueueRejections),
-		"exadigit_sweep_pending_scenarios":      float64(body.Failures.Pending),
-		"exadigit_sweep_max_pending":            float64(body.Failures.MaxPending),
-		"exadigit_store_entries":                float64(body.Store.Entries),
+		"exadigit_cache_hits_total":             4,
+		"exadigit_cache_misses_total":           4,
+		"exadigit_cache_evictions_total":        0,
+		"exadigit_cache_entries":                4,
+		"exadigit_cache_capacity_entries":       float64(opts.CacheCap),
+		"exadigit_cache_capacity_bytes":         256 << 20,
+		"exadigit_sweep_retries_total":          0,
+		"exadigit_sweep_panics_recovered_total": 0,
+		"exadigit_sweep_timeouts_total":         0,
+		"exadigit_sweep_queue_rejections_total": 0,
+		"exadigit_sweep_pending_scenarios":      0,
+		"exadigit_sweep_max_pending":            float64(opts.MaxPending),
+		"exadigit_store_entries":                4,
 	} {
 		if got := seriesValue(t, e, name); got != want {
-			t.Errorf("exposition %s = %v, JSON snapshot says %v", name, got, want)
+			t.Errorf("exposition %s = %v, want %v", name, got, want)
 		}
 	}
+	if got := seriesValue(t, e, "exadigit_cache_bytes"); got <= 0 {
+		t.Errorf("exposition exadigit_cache_bytes = %v, want > 0", got)
+	}
+	if got := seriesValue(t, e, "exadigit_store_bytes"); got <= 0 {
+		t.Errorf("exposition exadigit_store_bytes = %v, want > 0", got)
+	}
 	series := e.Series()
-	for op, want := range map[string]uint64{
-		"hit": body.Store.Hits, "miss": body.Store.Misses, "put": body.Store.Puts,
-		"put_error": body.Store.PutErrors, "corrupt_quarantined": body.Store.CorruptQuarantined,
+	for op, want := range map[string]float64{
+		"hit": 0, "miss": 4, "put": 4, "put_error": 0, "corrupt_quarantined": 0,
+		"quarantine_purged": 0, "lease_acquired": 0, "lease_wait": 0, "lease_steal": 0,
+		"journal_create": 1, "journal_error": 0,
 	} {
 		id := obs.ExpoSeries{Name: "exadigit_store_ops_total",
 			Labels: map[string]string{"op": op}}.ID()
@@ -237,19 +229,19 @@ func TestMetricsJSONMatchesExposition(t *testing.T) {
 			t.Errorf("series %s not in scrape", id)
 			continue
 		}
-		if got != float64(want) {
-			t.Errorf("exposition %s = %v, JSON snapshot says %d", id, got, want)
+		if got != want {
+			t.Errorf("exposition %s = %v, want %v", id, got, want)
 		}
 	}
 }
 
-// TestChaosTraceMatchesFailureMetrics reconciles the lifecycle tracer
+// TestChaosTraceMatchesFailureCounters reconciles the lifecycle tracer
 // against the failure counters over a chaos sweep: every attempt
 // outcome recorded in a span corresponds one-to-one with a counter
-// increment — timeouts, recovered panics, and retries all match
-// FailureMetricsSnapshot exactly — and /api/sweeps/trace serves the
-// same spans as NDJSON.
-func TestChaosTraceMatchesFailureMetrics(t *testing.T) {
+// increment — timeouts, recovered panics, and retries all match the
+// exposed counters exactly — and /api/sweeps/trace serves the same
+// spans as NDJSON.
+func TestChaosTraceMatchesFailureCounters(t *testing.T) {
 	svc := New(chaosOptions(nil))
 	const (
 		panicIdx     = 3
@@ -327,15 +319,15 @@ func TestChaosTraceMatchesFailureMetrics(t *testing.T) {
 			}
 		}
 	}
-	fm := svc.FailureMetricsSnapshot()
-	if timeouts != fm.Timeouts {
-		t.Errorf("span timeout outcomes = %d, counter says %d", timeouts, fm.Timeouts)
-	}
-	if panics != fm.PanicsRecovered {
-		t.Errorf("span panic outcomes = %d, counter says %d", panics, fm.PanicsRecovered)
-	}
-	if retries != fm.Retries {
-		t.Errorf("span retries = %d, counter says %d", retries, fm.Retries)
+	e := scrapeExposition(t, svc.Registry())
+	for name, spanCount := range map[string]uint64{
+		"exadigit_sweep_timeouts_total":         timeouts,
+		"exadigit_sweep_panics_recovered_total": panics,
+		"exadigit_sweep_retries_total":          retries,
+	} {
+		if got := seriesValue(t, e, name); got != float64(spanCount) {
+			t.Errorf("spans count %d for %s, counter says %v", spanCount, name, got)
+		}
 	}
 
 	// The injected scenarios carry the expected attempt timelines.

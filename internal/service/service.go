@@ -126,8 +126,8 @@ type Service struct {
 	maxPending      int
 
 	// Cache and failure/recovery accounting. These registry instruments
-	// ARE the counters — FailureMetricsSnapshot, CacheMetricsSnapshot,
-	// and the /metrics exposition all read the same storage.
+	// ARE the counters — the /metrics exposition and the Summary
+	// heartbeat both read them.
 	hits       *obs.Counter
 	misses     *obs.Counter
 	retries    *obs.Counter
@@ -232,8 +232,8 @@ func New(opts Options) *Service {
 // hot-path counters (cache hits/misses, retries, panics, timeouts,
 // rejections) are registry instruments written directly by the workers;
 // owner-held state (pending, cache occupancy, store counters, global
-// model-build counters) is collected at scrape time. The JSON snapshot
-// endpoints read the same storage, so the two views cannot drift.
+// model-build counters) is collected at scrape time. The exposition is
+// the only way the counters leave the process.
 func (s *Service) registerMetrics() {
 	reg := s.reg
 	s.hits = reg.Counter("exadigit_cache_hits_total",
@@ -276,6 +276,12 @@ func (s *Service) registerMetrics() {
 	reg.GaugeFunc("exadigit_cache_entries",
 		"Live result-cache entries.",
 		func() float64 { return float64(s.cache.len()) })
+	reg.GaugeFunc("exadigit_cache_capacity_entries",
+		"Entry-count bound the cache evicts against.",
+		func() float64 {
+			_, _, capacity, _, _ := s.cache.stats()
+			return float64(capacity)
+		})
 	reg.GaugeFunc("exadigit_cache_bytes",
 		"Approximate resident size of cached results.",
 		func() float64 {
@@ -338,24 +344,14 @@ func (s *Service) Tracer() *obs.Tracer { return s.tracer }
 // Summary renders the service counters as one log line — the periodic
 // metrics heartbeat the server emits alongside the HTTP summary.
 func (s *Service) Summary() string {
-	f := s.FailureMetricsSnapshot()
-	c := s.CacheMetricsSnapshot()
+	ev, entries, _, bytes, _ := s.cache.stats()
 	return fmt.Sprintf("pending=%d hits=%d misses=%d evictions=%d cache_entries=%d cache_mb=%.1f retries=%d panics=%d timeouts=%d rejections=%d spans=%d",
-		f.Pending, c.Hits, c.Misses, c.Evictions, c.Entries, float64(c.Bytes)/(1<<20),
-		f.Retries, f.PanicsRecovered, f.Timeouts, f.QueueRejections, s.tracer.Total())
+		s.pending.Load(), s.hits.Value(), s.misses.Value(), ev, entries, float64(bytes)/(1<<20),
+		s.retries.Value(), s.panics.Value(), s.timeouts.Value(), s.rejections.Value(), s.tracer.Total())
 }
 
 // Store returns the durable result store, or nil when memory-only.
 func (s *Service) Store() *store.Store { return s.store }
-
-// StoreMetricsSnapshot returns the durable store's counters; the second
-// return is false when no store is configured.
-func (s *Service) StoreMetricsSnapshot() (store.Metrics, bool) {
-	if s.store == nil {
-		return store.Metrics{}, false
-	}
-	return s.store.Stats(), true
-}
 
 // Workers returns the pool capacity.
 func (s *Service) Workers() int { return s.workers }
@@ -366,42 +362,6 @@ func (s *Service) SetLogf(logf httpmw.Logf) { s.logf = logf }
 
 // Metrics exposes the HTTP middleware counters.
 func (s *Service) Metrics() *httpmw.Metrics { return s.metrics }
-
-// CacheStats reports result-cache effectiveness: served-from-cache
-// scenario count, simulated count, and live cached entries.
-func (s *Service) CacheStats() (hits, misses uint64, entries int) {
-	return s.hits.Value(), s.misses.Value(), s.cache.len()
-}
-
-// CacheMetrics is the full result-cache accounting served on
-// /api/sweeps/metrics — the observability groundwork for the planned
-// byte-bounded persistent cache (eviction pressure tells an operator
-// whether the count bound is the limiting resource).
-type CacheMetrics struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-	// Bytes is the approximate resident size of the cached results;
-	// CapacityBytes is the byte bound evictions enforce.
-	Bytes         int64 `json:"bytes"`
-	CapacityBytes int64 `json:"capacity_bytes"`
-}
-
-// CacheMetricsSnapshot returns the current result-cache counters.
-func (s *Service) CacheMetricsSnapshot() CacheMetrics {
-	ev, entries, capacity, bytes, maxBytes := s.cache.stats()
-	return CacheMetrics{
-		Hits:          s.hits.Value(),
-		Misses:        s.misses.Value(),
-		Evictions:     ev,
-		Entries:       entries,
-		Capacity:      capacity,
-		Bytes:         bytes,
-		CapacityBytes: maxBytes,
-	}
-}
 
 // compiledFor returns the shared CompiledSpec for the spec, compiling it
 // on first submission. Sweeps of the same spec — byte-identical after
@@ -1302,7 +1262,7 @@ func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error)
 	runSec := time.Since(runStart).Seconds()
 	// Outcome classification shares its branches with the failure
 	// counters — one increment per "timeout"/"panic" attempt span, so
-	// the trace and FailureMetrics reconcile exactly.
+	// the trace and the failure counters reconcile exactly.
 	outcome := ""
 	if err != nil && ctx.Err() == context.DeadlineExceeded && sw.ctx.Err() == nil {
 		// The attempt's own deadline expired (not a sweep cancel):

@@ -73,7 +73,7 @@ func TestResubmissionServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSweep(t, first)
-	_, missesBefore, _ := svc.CacheStats()
+	missesBefore := svc.misses.Value()
 
 	second, err := svc.Submit(spec, scenarios, SweepOptions{})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestResubmissionServedFromCache(t *testing.T) {
 	if st.Cached != len(scenarios) {
 		t.Fatalf("want %d cached, got %+v", len(scenarios), st)
 	}
-	_, missesAfter, _ := svc.CacheStats()
+	missesAfter := svc.misses.Value()
 	if missesAfter != missesBefore {
 		t.Fatalf("re-submission simulated: misses %d → %d", missesBefore, missesAfter)
 	}
@@ -135,7 +135,7 @@ func TestConcurrentSubmitsSingleFlight(t *testing.T) {
 			t.Fatalf("sweep %d: got a distinct result instance (extra simulation)", k)
 		}
 	}
-	hits, misses, _ := svc.CacheStats()
+	hits, misses := svc.hits.Value(), svc.misses.Value()
 	if misses != 1 {
 		t.Fatalf("want exactly 1 simulation, got %d (hits %d)", misses, hits)
 	}
@@ -339,7 +339,7 @@ func TestTelemetryToBypassesCache(t *testing.T) {
 	if first == 0 || second == 0 {
 		t.Fatalf("streaming sink received no bytes (first %d, second %d)", first, second)
 	}
-	if _, misses, _ := svc.CacheStats(); misses != 2 {
+	if misses := svc.misses.Value(); misses != 2 {
 		t.Fatalf("streaming scenarios must bypass the cache: %d simulations", misses)
 	}
 }

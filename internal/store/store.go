@@ -101,8 +101,8 @@ type Options struct {
 	QuarantineTTL time.Duration
 }
 
-// Metrics is the store's observability snapshot, served alongside the
-// in-memory cache counters on /api/sweeps/metrics.
+// Metrics is the store's observability snapshot. The sweep service
+// exposes it on /metrics as the exadigit_store_* families.
 type Metrics struct {
 	Hits               uint64 `json:"hits"`
 	Misses             uint64 `json:"misses"`

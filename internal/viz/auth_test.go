@@ -15,7 +15,7 @@ func TestDashboardBehindBearerAuth(t *testing.T) {
 	srv := httptest.NewServer(httpmw.RequireBearer("twin-token", NewServer(&fakeSource{}, nil).Handler()))
 	defer srv.Close()
 
-	for _, path := range []string{"/api/status", "/api/series", "/api/metrics"} {
+	for _, path := range []string{"/api/status", "/api/series", "/api/experiments"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
