@@ -57,12 +57,15 @@ metrics-lint:
 # Static and runtime conformance: vet plus the exposition lint.
 check: vet metrics-lint
 
-# Fuzz the strict exposition parser every metrics test reads counters
-# through: no panic on arbitrary bytes, and a rendered registry parses
-# back to exactly the values written. The seed corpus lives under
-# internal/obs/testdata/fuzz/FuzzParseExposition.
+# Fuzz two trust boundaries, 15 s each. The strict exposition parser
+# every metrics test reads counters through: no panic on arbitrary
+# bytes, and a rendered registry parses back to exactly the values
+# written. The persisted-surrogate decoder the optimizer warm-starts
+# from: no panic, and an accepted model predicts and round-trips. The
+# seed corpora live under internal/{obs,surrogate}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
+	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

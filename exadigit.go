@@ -440,25 +440,14 @@ func TrainPUESurrogate(cfg CoolingConfig, heatsMW, wetBulbsC []float64) (*PUESur
 	return surrogate.TrainPUESurrogate(cfg, heatsMW, wetBulbsC)
 }
 
-// SetpointStudy parameterizes the L5 autonomous setpoint optimization
-// (Fig. 2's autonomous-twin level).
-type SetpointStudy = optimize.Config
-
-// SetpointResult reports the optimization outcome.
-type SetpointResult = optimize.Result
-
-// OptimizeSetpoints scores candidate plant setpoints on the simulated
-// plant and returns the feasible minimum-auxiliary-power configuration.
-func OptimizeSetpoints(plantCfg CoolingConfig, study SetpointStudy) (*SetpointResult, error) {
-	return optimize.Run(plantCfg, study)
-}
-
 // Closed-loop co-design optimizer (the L5 autonomous level run against
 // the full twin): a multi-objective search over design and control
 // knobs whose outer loop evaluates candidates as sweep-service
 // scenarios and whose inner loop screens them on an online-trained,
 // conformal-gated surrogate. Submit studies programmatically via
-// SweepService.SubmitStudy or over HTTP at POST /api/optimize.
+// SweepService.SubmitStudy or over HTTP at POST /api/optimize. A
+// steady-state setpoint study searches cooling.ct_supply_set_c and
+// cooling.htw_header_set_pa with the objective aux_mw.
 type (
 	// OptimizeKnob is one search dimension (see OptimizeKnobNames).
 	OptimizeKnob = optimize.Knob

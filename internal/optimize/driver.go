@@ -1,3 +1,14 @@
+// Package optimize implements the L5 (autonomous) layer of the twin
+// taxonomy (Fig. 2): the paper's example is "training an agent to
+// perform automated setpoint control for improved cooling efficiency".
+// Here the digital twin itself is the training ground: candidate plant
+// setpoints, design quantities and scenario parameters are evaluated
+// against the simulated twin, and the feasible candidates that best meet
+// the study's objectives are selected. A steady-state setpoint study is
+// a study over the knobs cooling.ct_supply_set_c and
+// cooling.htw_header_set_pa with the objective aux_mw. Because every
+// candidate is scored on the L4 model, no physical plant is put at risk
+// (the virtual-prototyping value proposition of §I).
 package optimize
 
 import (
@@ -39,9 +50,10 @@ type StudySpec struct {
 	Objectives []Objective `json:"objectives,omitempty"`
 	// Constraints gate feasibility.
 	Constraints []Constraint `json:"constraints,omitempty"`
-	// Population is the candidates drawn per generation (default 32).
+	// Population is the candidates drawn per generation (default 32,
+	// at most 4096).
 	Population int `json:"population,omitempty"`
-	// Generations is the outer-loop count (default 6).
+	// Generations is the outer-loop count (default 6, at most 1000).
 	Generations int `json:"generations,omitempty"`
 	// InitSample bounds how many candidates are twin-evaluated blind
 	// before the surrogate first trains (default: the surrogate's
@@ -99,6 +111,15 @@ func (sp *StudySpec) withDefaults() StudySpec {
 	}
 	return out
 }
+
+// Study size bounds. A generation larger than maxPopulation can never
+// pass the sweep service's default MaxPending admission (4096 pending
+// scenarios), and both bounds keep a request from sizing the driver's
+// allocations.
+const (
+	maxPopulation  = 4096
+	maxGenerations = 1000
+)
 
 // Outcome is one candidate's full-twin evaluation result.
 type Outcome struct {
@@ -234,6 +255,12 @@ func NewDriver(spec StudySpec, base core.Scenario, basePlant config.CoolingSpec,
 		return nil, fmt.Errorf("optimize: driver needs an evaluator")
 	}
 	sp := spec.withDefaults()
+	if sp.Population > maxPopulation {
+		return nil, fmt.Errorf("optimize: population %d exceeds %d", sp.Population, maxPopulation)
+	}
+	if sp.Generations > maxGenerations {
+		return nil, fmt.Errorf("optimize: generations %d exceeds %d", sp.Generations, maxGenerations)
+	}
 	if base.CoolingSpec != nil {
 		basePlant = *base.CoolingSpec
 	}

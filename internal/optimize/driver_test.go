@@ -239,6 +239,27 @@ func TestDriverConstraints(t *testing.T) {
 	}
 }
 
+func TestNoFeasibleEvaluationReportsNone(t *testing.T) {
+	// An impossible bound leaves nothing feasible, the baseline
+	// included: the study reports no best rather than selecting an
+	// infeasible candidate.
+	zero := 0.0
+	res, _ := runSynthStudy(t, StudySpec{
+		Knobs:       synthKnobs(),
+		Constraints: []Constraint{{Metric: "energy_mwh", Max: &zero}},
+		Population:  16,
+		Generations: 2,
+		Seed:        19,
+	})
+	if res.Best != nil || len(res.Frontier) != 0 || res.BaselineFeasible {
+		t.Fatalf("nothing is feasible, got best=%v frontier=%d baselineFeasible=%v",
+			res.Best, len(res.Frontier), res.BaselineFeasible)
+	}
+	if len(res.Evaluated) == 0 {
+		t.Fatal("the study evaluated nothing")
+	}
+}
+
 func TestDriverFailedEvaluationsBecomeInfeasible(t *testing.T) {
 	eval := newSynthEval()
 	// Everything in the hot half of the range fails "in the twin".
@@ -375,6 +396,9 @@ func TestDriverRejectsBadStudies(t *testing.T) {
 		{Knobs: []Knob{{Name: "scenario.tick_sec", Min: 5, Max: 1}}}, // inverted range
 		{Knobs: synthKnobs(), Objectives: []Objective{{Metric: "bogus"}}},
 		{Knobs: synthKnobs(), Constraints: []Constraint{{Metric: "energy_mwh"}}}, // no bound
+		{Knobs: synthKnobs(), Population: maxPopulation + 1},
+		{Knobs: synthKnobs(), Population: math.MaxInt},
+		{Knobs: synthKnobs(), Generations: maxGenerations + 1},
 	}
 	for i, spec := range cases {
 		if _, err := NewDriver(spec, base, config.CoolingSpec{}, newSynthEval(), Hooks{}, nil); err == nil {

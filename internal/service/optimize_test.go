@@ -303,3 +303,105 @@ func TestStudyEvaluatorPerCandidateValidation(t *testing.T) {
 		t.Fatalf("valid candidate outcome: %+v", outs[1])
 	}
 }
+
+// TestSetpointStudyAtPartLoad: the steady-state setpoint study — tower
+// leaving-water and primary header ΔP setpoints scored on auxiliary
+// power — run as a driver study over the real twin. At part load in
+// mild weather a relaxed setpoint pair beats the plant's own.
+func TestSetpointStudyAtPartLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cooled setpoint study")
+	}
+	base := synthScenario(14, 3600)
+	base.Cooling = true
+	base.WetBulbC = 12
+	study := optimize.StudySpec{
+		Knobs: []optimize.Knob{
+			{Name: "cooling.ct_supply_set_c", Min: 22, Max: 26, Step: 2},
+			{Name: "cooling.htw_header_set_pa", Min: 100e3, Max: 140e3, Step: 40e3},
+		},
+		Objectives: []optimize.Objective{{Metric: "aux_mw"}},
+		// Twelve stratified draws under seed 1 cover all six grid points
+		// in the first generation; the surrogate is off, so every
+		// distinct draw is twin-evaluated.
+		Population:       12,
+		Generations:      1,
+		Seed:             1,
+		DisableSurrogate: true,
+	}
+	svc := New(Options{Workers: 2})
+	st, err := svc.SubmitStudy(config.Frontier(), base, study, StudyOptions{Name: "setpoints"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := waitStudy(t, st); status.State != StudyDone {
+		t.Fatalf("study state %s (%s)", status.State, status.Error)
+	}
+	res := st.Result()
+	baseline := res.BaselineObjectives["aux_mw"]
+	if !res.BaselineFeasible || baseline <= 0 {
+		t.Fatalf("baseline: feasible=%v aux=%v (%s)", res.BaselineFeasible, baseline, res.BaselineError)
+	}
+	seen := make(map[[2]float64]float64)
+	for _, c := range res.Evaluated {
+		t.Logf("gen %d: %v °C, %v Pa: aux %.12f MW", c.Generation, c.Vector[0], c.Vector[1], c.Objectives["aux_mw"])
+		seen[[2]float64{c.Vector[0], c.Vector[1]}] = c.Objectives["aux_mw"]
+	}
+	for _, ct := range []float64{22, 24, 26} {
+		for _, hdr := range []float64{100e3, 140e3} {
+			if _, ok := seen[[2]float64{ct, hdr}]; !ok {
+				t.Errorf("grid point (%v °C, %v Pa) was not twin-evaluated", ct, hdr)
+			}
+		}
+	}
+	// The plant's own setpoints, applied as a candidate override, are
+	// the baseline operating point.
+	if own, ok := seen[[2]float64{22, 140e3}]; ok && own != baseline {
+		t.Errorf("candidate at the plant's setpoints: aux %v MW, baseline %v MW", own, baseline)
+	}
+	if res.Best == nil || !res.Best.Feasible {
+		t.Fatalf("no feasible best: %+v", res.Best)
+	}
+	if got := res.Best.Objectives["aux_mw"]; got >= baseline {
+		t.Errorf("best aux %v MW does not beat the baseline %v MW", got, baseline)
+	}
+	t.Logf("baseline %.12f MW, best %.12f MW at %v", baseline, res.Best.Objectives["aux_mw"], res.Best.Params)
+}
+
+// TestStudyHTTPRejectsOversizedStudy: a population no generation could
+// ever fit through admission is refused with 400 at submission, and the
+// service keeps serving. Unbounded, it used to panic the study
+// goroutine (makeslice) and take the process down.
+func TestStudyHTTPRejectsOversizedStudy(t *testing.T) {
+	svc := New(Options{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	body := `{"base":{"name":"synth","workload":"synthetic","horizon_sec":900,"tick_sec":15},
+		"study":{"knobs":[{"name":"scenario.wetbulb_c","min":1,"max":10,"step":1}],
+		"population":9223372036854775807}}`
+	resp, err := http.Post(srv.URL+"/api/optimize", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized population: %d, want 400", resp.StatusCode)
+	}
+
+	resp, err = http.Get(srv.URL + "/api/optimize")
+	if err != nil {
+		t.Fatalf("service stopped serving: %v", err)
+	}
+	var list struct {
+		Studies []StudyStatus `json:"studies"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("list after rejection: %d %v", resp.StatusCode, err)
+	}
+	if len(list.Studies) != 0 {
+		t.Fatalf("rejected study was registered: %+v", list.Studies)
+	}
+}

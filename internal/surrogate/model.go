@@ -11,12 +11,12 @@ import (
 	"exadigit/internal/la"
 )
 
-// This file generalizes the 2-input PUE surrogate to the optimizer's
-// d-dimensional knob space: a multi-target ridge model over quadratic
-// features of an arbitrary knob vector, refit online as the optimizer's
-// own sweep results stream in, and JSON-serializable (weights +
-// feature-map spec + training-set hash) so a trained model persists in
-// the service's -store directory and survives restarts.
+// This file is the package's one regression: a multi-target ridge model
+// over quadratic features of a d-dimensional input. PUESurrogate is its
+// 2-input instance; the optimizer refits one online over its knob space
+// as its own sweep results stream in. The model is JSON-serializable
+// (weights + feature-map spec + training-set hash) so a trained model
+// persists in the service's -store directory and survives restarts.
 
 // FeatureMap normalizes a d-dimensional input by per-dimension ranges
 // and expands it to full quadratic features: [1, xᵢ, xᵢ², xᵢxⱼ (i<j)].
@@ -64,6 +64,13 @@ func (f FeatureMap) Vector(x []float64) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+func norm(v, lo, hi float64) float64 {
+	if hi <= lo {
+		return 0
+	}
+	return (v - lo) / (hi - lo)
 }
 
 // Model is a multi-target ridge regressor over quadratic knob features.
@@ -162,16 +169,51 @@ func (m *Model) Fit(X [][]float64, Y [][]float64) error {
 		for i := range Y {
 			col[i] = Y[i][t]
 		}
-		r := Ridge{Lambda: m.lambda}
-		if err := r.Fit(feats, col); err != nil {
+		w, err := ridgeFit(feats, col, m.lambda)
+		if err != nil {
 			return fmt.Errorf("surrogate: target %q: %w", m.targets[t], err)
 		}
-		weights[t] = r.Weights()
+		weights[t] = w
 	}
 	m.weights = weights
 	m.rows = len(X)
 	m.hash = hex.EncodeToString(h.Sum(nil))
 	return nil
+}
+
+// ridgeFit solves (XᵀX + λI)w = Xᵀy over the design matrix rows. The
+// intercept (feature 0) is not penalized; λ = 0 is ordinary least
+// squares.
+func ridgeFit(features [][]float64, targets []float64, lambda float64) ([]float64, error) {
+	n := len(features)
+	if n == 0 || n != len(targets) {
+		return nil, fmt.Errorf("surrogate: %d rows vs %d targets", n, len(targets))
+	}
+	p := len(features[0])
+	if p == 0 {
+		return nil, fmt.Errorf("surrogate: empty feature vectors")
+	}
+	gram := la.NewMatrix(p, p)
+	rhs := make([]float64, p)
+	for i, row := range features {
+		if len(row) != p {
+			return nil, fmt.Errorf("surrogate: row %d has %d features, want %d", i, len(row), p)
+		}
+		for a := 0; a < p; a++ {
+			for b := 0; b < p; b++ {
+				gram.Add(a, b, row[a]*row[b])
+			}
+			rhs[a] += row[a] * targets[i]
+		}
+	}
+	for a := 1; a < p; a++ {
+		gram.Add(a, a, lambda)
+	}
+	w, err := la.SolveDense(gram, rhs)
+	if err != nil {
+		return nil, fmt.Errorf("surrogate: %w", err)
+	}
+	return w, nil
 }
 
 // Predict evaluates every target at one knob vector.

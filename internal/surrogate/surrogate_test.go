@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exadigit/internal/cooling"
+	"exadigit/internal/la"
 )
 
 func TestRidgeExactOnLinearData(t *testing.T) {
@@ -17,18 +18,17 @@ func TestRidgeExactOnLinearData(t *testing.T) {
 			y = append(y, 3+2*a-b)
 		}
 	}
-	var r Ridge
-	if err := r.Fit(X, y); err != nil {
+	w, err := ridgeFit(X, y, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	w := r.Weights()
 	want := []float64{3, 2, -1}
 	for i := range want {
 		if math.Abs(w[i]-want[i]) > 1e-9 {
 			t.Errorf("w[%d] = %v, want %v", i, w[i], want[i])
 		}
 	}
-	if got := r.Predict([]float64{1, 2, 1}); math.Abs(got-6) > 1e-9 {
+	if got := la.Dot(w, []float64{1, 2, 1}); math.Abs(got-6) > 1e-9 {
 		t.Errorf("predict = %v, want 6", got)
 	}
 }
@@ -36,31 +36,30 @@ func TestRidgeExactOnLinearData(t *testing.T) {
 func TestRidgeRegularizationShrinks(t *testing.T) {
 	X := [][]float64{{1, 1}, {1, 2}, {1, 3}}
 	y := []float64{2, 4, 6}
-	var ols Ridge
-	if err := ols.Fit(X, y); err != nil {
+	ols, err := ridgeFit(X, y, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reg := Ridge{Lambda: 10}
-	if err := reg.Fit(X, y); err != nil {
+	reg, err := ridgeFit(X, y, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(reg.Weights()[1]) >= math.Abs(ols.Weights()[1]) {
-		t.Errorf("ridge slope %v should shrink below OLS %v", reg.Weights()[1], ols.Weights()[1])
+	if math.Abs(reg[1]) >= math.Abs(ols[1]) {
+		t.Errorf("ridge slope %v should shrink below OLS %v", reg[1], ols[1])
 	}
 }
 
 func TestRidgeValidation(t *testing.T) {
-	var r Ridge
-	if err := r.Fit(nil, nil); err == nil {
+	if _, err := ridgeFit(nil, nil, 0); err == nil {
 		t.Error("empty fit should fail")
 	}
-	if err := r.Fit([][]float64{{1, 2}}, []float64{1, 2}); err == nil {
+	if _, err := ridgeFit([][]float64{{1, 2}}, []float64{1, 2}, 0); err == nil {
 		t.Error("row/target mismatch should fail")
 	}
-	if err := r.Fit([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
+	if _, err := ridgeFit([][]float64{{1, 2}, {1}}, []float64{1, 2}, 0); err == nil {
 		t.Error("ragged rows should fail")
 	}
-	if err := r.Fit([][]float64{{}}, []float64{1}); err == nil {
+	if _, err := ridgeFit([][]float64{{}}, []float64{1}, 0); err == nil {
 		t.Error("zero-width features should fail")
 	}
 }
@@ -101,12 +100,21 @@ func TestPUESurrogateTrainsAndGeneralizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pinned float64 bits: the quadratic features, their normalization
+	// and the ridge solve together fix these numbers, so any change to
+	// one of them shows here first.
+	if got, want := math.Float64bits(pred), uint64(0x3ff0910ec5c4772c); got != want {
+		t.Errorf("Predict(15, 18) bits %#x, want %#x", got, want)
+	}
 	if math.Abs(pred-truth) > 0.01 {
 		t.Errorf("held-out PUE: surrogate %v vs plant %v", pred, truth)
 	}
 	aux, err := s.PredictAuxMW(15, 18)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(aux), uint64(0x3fe3ad61e4083cac); got != want {
+		t.Errorf("PredictAuxMW(15, 18) bits %#x, want %#x", got, want)
 	}
 	if math.Abs(aux-plant.AuxPowerW()/1e6) > 0.12 {
 		t.Errorf("held-out aux: surrogate %v MW vs plant %v MW", aux, plant.AuxPowerW()/1e6)
@@ -123,6 +131,11 @@ func TestPUESurrogateValidation(t *testing.T) {
 	if _, err := TrainPUESurrogate(cooling.Frontier(), []float64{10}, []float64{20}); err == nil {
 		t.Error("1×1 grid should fail")
 	}
+	// 4 points cannot determine the 6 quadratic features; the grid is
+	// rejected before any plant is settled.
+	if _, err := TrainPUESurrogate(cooling.Frontier(), []float64{10, 20}, []float64{15, 25}); err == nil {
+		t.Error("2×2 grid should fail")
+	}
 	var s PUESurrogate
 	if _, err := s.Predict(10, 20); err == nil {
 		t.Error("untrained predict should fail")
@@ -134,12 +147,26 @@ func TestPUESurrogateValidation(t *testing.T) {
 
 func BenchmarkSurrogatePredict(b *testing.B) {
 	// The L3 value proposition: inference in nanoseconds vs seconds of
-	// L4 simulation.
-	s := &PUESurrogate{feats: quadFeatures2{aLo: 5, aHi: 25, bLo: 5, bHi: 25}, trained: true}
-	s.pue.weights = []float64{1.04, 0.01, 0.02, 0.001, 0.002, 0.0005}
+	// L4 simulation. The PUESurrogate's model shape, fitted on a
+	// synthetic 4×3 response surface so no plant is settled.
+	m, err := NewModel([]float64{5, 5}, []float64{25, 25}, []string{"pue", "aux_mw"}, 1e-6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var X, Y [][]float64
+	for _, h := range []float64{5, 12, 18, 25} {
+		for _, wb := range []float64{5, 15, 25} {
+			X = append(X, []float64{h, wb})
+			Y = append(Y, []float64{1.04 + 0.0005*h + 0.001*wb, 0.3 + 0.02*h + 0.01*wb})
+		}
+	}
+	if err := m.Fit(X, Y); err != nil {
+		b.Fatal(err)
+	}
+	x := []float64{15, 18}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Predict(15, 18); err != nil {
+	for b.Loop() {
+		if _, err := m.Predict(x); err != nil {
 			b.Fatal(err)
 		}
 	}
