@@ -57,15 +57,18 @@ metrics-lint:
 # Static and runtime conformance: vet plus the exposition lint.
 check: vet metrics-lint
 
-# Fuzz two trust boundaries, 15 s each. The strict exposition parser
+# Fuzz three trust boundaries, 15 s each. The strict exposition parser
 # every metrics test reads counters through: no panic on arbitrary
 # bytes, and a rendered registry parses back to exactly the values
 # written. The persisted-surrogate decoder the optimizer warm-starts
 # from: no panic, and an accepted model predicts and round-trips. The
-# seed corpora live under internal/{obs,surrogate}/testdata/fuzz.
+# cluster wire a coordinator ships scenarios over: no panic, and a
+# scenario's wire form decodes back to the same content hash. The seed
+# corpora live under internal/{obs,surrogate,service}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzScenarioRequestRoundTrip$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

@@ -306,7 +306,7 @@ func NewDriver(spec StudySpec, base core.Scenario, basePlant config.CoolingSpec,
 		// the gate would judge today's model by yesterday's errors. The
 		// window is a few multiples of the minimum sample so the
 		// conformal rank always lands inside it.
-		win := 4 * d.calibNeed()
+		win := 4 * calibNeed(d.spec.MinCalib, d.spec.Confidence)
 		d.calibs = make([]*uq.Calibrator, len(objs.targets))
 		for i := range d.calibs {
 			c, err := uq.NewCalibrator(sp.Confidence, sp.MinCalib, win)
@@ -561,7 +561,7 @@ func (d *Driver) runGeneration(ctx context.Context, gen int, pop [][]float64) er
 			return nil
 		}
 		d.sortByPredictedRank(fresh)
-		chunk := d.calibNeed() - d.calibCount()
+		chunk := calibNeed(d.spec.MinCalib, d.spec.Confidence) - d.calibCount()
 		if chunk < trustChunk {
 			chunk = trustChunk
 		}
@@ -771,16 +771,21 @@ func (d *Driver) calibCount() int {
 }
 
 // calibNeed is the smallest residual count at which the conformal rank
-// lands inside the sample: min n ≥ MinCalib with ⌈(n+1)·conf⌉ ≤ n.
-func (d *Driver) calibNeed() int {
-	n := d.spec.MinCalib
-	for {
-		k := int(math.Ceil(float64(n+1) * d.spec.Confidence))
-		if k <= n {
-			return n
-		}
+// lands inside the sample: min n ≥ minCalib with ⌈(n+1)·conf⌉ ≤ n. In
+// exact arithmetic that is n ≥ conf/(1−conf), so it is computed in
+// closed form — counting up to it would take about conf/(1−conf) steps,
+// hours for a confidence a hair below 1. The rank check then settles
+// the floating-point rounding at the boundary.
+func calibNeed(minCalib int, conf float64) int {
+	fits := func(n int) bool { return int(math.Ceil(float64(n+1)*conf)) <= n }
+	n := max(minCalib, int(math.Ceil(conf/(1-conf))))
+	if n > minCalib && fits(n-1) {
+		n--
+	}
+	for !fits(n) {
 		n++
 	}
+	return n
 }
 
 // gateUsable reports whether the surrogate + UQ gate may screen

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"exadigit/internal/config"
 	"exadigit/internal/core"
@@ -407,5 +408,40 @@ func TestDriverRejectsBadStudies(t *testing.T) {
 	}
 	if _, err := NewDriver(StudySpec{Knobs: synthKnobs()}, base, config.CoolingSpec{}, nil, Hooks{}, nil); err == nil {
 		t.Error("nil evaluator must be rejected")
+	}
+}
+
+// TestCalibNeedClosedForm: the closed form equals its definition —
+// counting up from MinCalib to the first n whose conformal rank lands
+// inside the sample — across confidences and minimum sample counts.
+func TestCalibNeedClosedForm(t *testing.T) {
+	countUp := func(minCalib int, conf float64) int {
+		n := minCalib
+		for int(math.Ceil(float64(n+1)*conf)) > n {
+			n++
+		}
+		return n
+	}
+	for c := 1; c <= 999; c++ {
+		conf := float64(c) / 1000
+		for m := 1; m <= 64; m++ {
+			if got, want := calibNeed(m, conf), countUp(m, conf); got != want {
+				t.Fatalf("calibNeed(%d, %v) = %d, counting up gives %d", m, conf, got, want)
+			}
+		}
+	}
+}
+
+// TestNewDriverNearCertainConfidence: a confidence a hair below 1 is a
+// valid study setting and must not stall driver construction (the
+// calibration need is about 10^12 residuals there).
+func TestNewDriverNearCertainConfidence(t *testing.T) {
+	spec := StudySpec{Knobs: synthKnobs(), Confidence: 1 - 1e-12}
+	start := time.Now()
+	if _, err := NewDriver(spec, synthBase(), config.CoolingSpec{}, newSynthEval(), Hooks{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("NewDriver took %v at confidence 1-1e-12", took)
 	}
 }

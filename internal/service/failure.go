@@ -75,10 +75,9 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
-// sleepBackoff waits out the backoff for attempt, returning false if ctx
-// was cancelled first.
-func sleepBackoff(ctx context.Context, base, max time.Duration, attempt int) bool {
-	t := time.NewTimer(backoffDelay(base, max, attempt))
+// sleepCtx waits d, returning false if ctx was cancelled first.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:

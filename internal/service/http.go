@@ -217,21 +217,46 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// specFor resolves a submission's system spec: the inline spec when
+// one is given, else the named built-in ("frontier" by default).
+func specFor(name string, inline *config.SystemSpec) (config.SystemSpec, error) {
+	switch {
+	case inline != nil:
+		return *inline, nil
+	case name == "" || name == "frontier":
+		return config.Frontier(), nil
+	case name == "setonix-like":
+		return config.SetonixLike(), nil
+	}
+	return config.SystemSpec{}, fmt.Errorf("unknown spec_name %q", name)
+}
+
+// writeSubmitError answers a refused sweep or study submission.
+func (s *Service) writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrSaturated):
+		// Backpressure, not failure: tell the client when the queue
+		// is likely to have room again.
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, ErrClosed):
+		// Draining, not gone: the hint is the remaining drain window,
+		// after which a restarted instance may be accepting again.
+		w.Header().Set("Retry-After", strconv.Itoa(s.closedRetryAfterSec()))
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, http.StatusBadRequest, err)
+	}
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	var spec config.SystemSpec
-	switch {
-	case req.Spec != nil:
-		spec = *req.Spec
-	case req.SpecName == "" || req.SpecName == "frontier":
-		spec = config.Frontier()
-	case req.SpecName == "setonix-like":
-		spec = config.SetonixLike()
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown spec_name %q", req.SpecName))
+	spec, err := specFor(req.SpecName, req.Spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	scenarios := make([]core.Scenario, len(req.Scenarios))
@@ -251,20 +276,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Ephemeral:       req.Ephemeral,
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrSaturated):
-			// Backpressure, not failure: tell the client when the queue
-			// is likely to have room again.
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrClosed):
-			// Draining, not gone: the hint is the remaining drain window,
-			// after which a restarted instance may be accepting again.
-			w.Header().Set("Retry-After", strconv.Itoa(s.closedRetryAfterSec()))
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		s.writeSubmitError(w, err)
 		return
 	}
 	code := http.StatusAccepted

@@ -10,7 +10,6 @@ package service
 // local pool or fan out to cluster workers.
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/json"
 	"fmt"
@@ -162,10 +161,7 @@ func (s *Service) Recover() (RecoverStats, error) {
 	}
 	for i := range entries {
 		e := &entries[i]
-		s.mu.Lock()
-		_, exists := s.sweeps[e.Manifest.ID]
-		s.mu.Unlock()
-		if exists {
+		if _, exists := s.sweeps.get(e.Manifest.ID); exists {
 			continue
 		}
 		if e.EndDisposition != "" {
@@ -187,50 +183,30 @@ func (s *Service) Recover() (RecoverStats, error) {
 	return stats, nil
 }
 
-// recoveredShell builds the common skeleton of a journal-reconstructed
-// sweep: identity from the manifest, all bookkeeping slices sized, every
-// scenario initialized to the given state.
+// recoveredShell builds a journal-reconstructed sweep: identity from
+// the manifest, every scenario initialized to the given state.
 func (s *Service) recoveredShell(m *store.SweepManifest, initial ScenarioState) *Sweep {
-	n := len(m.ScenarioHashes)
-	ctx, cancel := context.WithCancel(context.Background())
-	sw := &Sweep{
-		id:          m.ID,
-		name:        m.Name,
-		key:         m.Key,
-		recovered:   true,
-		specHash:    m.SpecHash,
-		createdAt:   time.Unix(0, m.CreatedUnixNano),
-		hashes:      append([]string(nil), m.ScenarioHashes...),
-		spans:       make([]spanState, n),
-		svc:         s,
-		timeout:     time.Duration(m.TimeoutSec * float64(time.Second)),
-		maxAttempts: m.MaxAttempts,
-		ctx:         ctx,
-		cancel:      cancel,
-		statuses:    make([]ScenarioStatus, n),
-		results:     make([]*core.Result, n),
-		notify:      make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	if sw.timeout <= 0 {
-		sw.timeout = s.scenarioTimeout
-	}
-	if sw.maxAttempts <= 0 {
-		sw.maxAttempts = s.maxAttempts
-	}
 	// Scenario names are display-only; pull them from the wire forms
 	// without requiring a decodable spec.
 	var reqs []ScenarioRequest
 	_ = json.Unmarshal(m.ScenariosJSON, &reqs)
-	for i := range sw.statuses {
-		name := ""
+	names := make([]string, len(m.ScenarioHashes))
+	for i := range names {
 		if i < len(reqs) {
-			if name = reqs[i].Name; name == "" {
-				name = reqs[i].Workload
+			if names[i] = reqs[i].Name; names[i] == "" {
+				names[i] = reqs[i].Workload
 			}
 		}
-		sw.statuses[i] = ScenarioStatus{Index: i, Name: name, Hash: m.ScenarioHashes[i], State: initial}
 	}
+	sw := s.newSweep(SweepOptions{
+		Name:            m.Name,
+		Key:             m.Key,
+		ScenarioTimeout: time.Duration(m.TimeoutSec * float64(time.Second)),
+		MaxAttempts:     m.MaxAttempts,
+	}, m.SpecHash, append([]string(nil), m.ScenarioHashes...), names, initial)
+	sw.id = m.ID
+	sw.createdAt = time.Unix(0, m.CreatedUnixNano)
+	sw.recovered = true
 	return sw
 }
 
@@ -246,19 +222,16 @@ func applyRecord(sw *Sweep, rec store.ScenarioRecord) {
 
 // registerRecovered publishes a reconstructed sweep into the registry.
 func (s *Service) registerRecovered(sw *Sweep) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, taken := s.sweeps[sw.id]; taken {
+	holder, added, pruned := s.sweeps.add(sw, sw.key)
+	if !added && holder.ID() != sw.id {
+		// Another sweep already holds the key: it keeps the binding and
+		// this one is served by id alone.
+		holder, added, pruned = s.sweeps.add(sw, "")
+	}
+	s.dropJournals(pruned)
+	if !added {
 		return fmt.Errorf("service: sweep id %s already registered", sw.id)
 	}
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
-	if sw.key != "" {
-		if _, bound := s.keys[sw.key]; !bound {
-			s.keys[sw.key] = sw.id
-		}
-	}
-	s.pruneLocked()
 	return nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"exadigit/internal/config"
@@ -65,47 +64,20 @@ type StudyStatus struct {
 
 // Study is one running or finished optimization study.
 type Study struct {
-	id          string
-	name        string
-	specHash    string
-	createdAt   time.Time
+	lifecycle
 	warmStarted bool
-	cancel      context.CancelFunc
-	done        chan struct{}
 
-	mu       sync.Mutex
+	// Guarded by lifecycle.mu.
 	state    StudyState
 	errMsg   string
 	progress []optimize.Progress
 	result   *optimize.StudyResult
-	notify   chan struct{} // closed and replaced on every state change
 }
 
 func newStudyID() string {
 	var b [4]byte
 	_, _ = cryptorand.Read(b[:])
 	return fmt.Sprintf("opt-%x-%x", time.Now().UnixNano(), b)
-}
-
-// ID returns the study's identifier.
-func (st *Study) ID() string { return st.id }
-
-// Cancel aborts the study: the in-flight generation sweep is cancelled
-// and the driver stops at its next batch boundary. Safe to call
-// repeatedly.
-func (st *Study) Cancel() { st.cancel() }
-
-// Done returns a channel closed once the study reaches a terminal state.
-func (st *Study) Done() <-chan struct{} { return st.done }
-
-// Wait blocks until the study finishes or ctx expires.
-func (st *Study) Wait(ctx context.Context) error {
-	select {
-	case <-st.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Status snapshots the study.
@@ -142,22 +114,6 @@ func (st *Study) ProgressLog() []optimize.Progress {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([]optimize.Progress(nil), st.progress...)
-}
-
-// changed returns a channel closed at the next state change — the
-// broadcast primitive behind the streaming endpoint.
-func (st *Study) changed() <-chan struct{} {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.notify
-}
-
-func (st *Study) update(mutate func()) {
-	st.mu.Lock()
-	mutate()
-	close(st.notify)
-	st.notify = make(chan struct{})
-	st.mu.Unlock()
 }
 
 // registerOptimizeMetrics attaches the optimizer counters; called from
@@ -280,15 +236,9 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 	}
 	specHash := compiled.Hash()
 
-	st := &Study{
-		id:        newStudyID(),
-		name:      opts.Name,
-		specHash:  specHash,
-		createdAt: time.Now(),
-		state:     StudyRunning,
-		done:      make(chan struct{}),
-		notify:    make(chan struct{}),
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	st := &Study{lifecycle: newLifecycle(opts.Name, specHash, cancel), state: StudyRunning}
+	st.id = newStudyID()
 
 	// Warm start: load the persisted surrogate fit for this exact
 	// (spec, search space) when asked. A missing or unreadable blob is
@@ -305,9 +255,6 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 			}
 		}
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	st.cancel = cancel
 
 	ev := &sweepEvaluator{svc: s, spec: spec, compiled: compiled, studyID: st.id}
 	hooks := optimize.Hooks{
@@ -338,9 +285,7 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 		cancel()
 		return nil, ErrClosed
 	}
-	s.studies[st.id] = st
-	s.studyOrder = append(s.studyOrder, st.id)
-	s.pruneStudiesLocked()
+	s.studies.add(st, "") // study ids are time + random suffix, never taken
 	s.mu.Unlock()
 
 	go s.runStudy(ctx, st, drv, specHash, study)
@@ -378,96 +323,15 @@ func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver,
 	close(st.done)
 }
 
-// pruneStudiesLocked drops the oldest finished studies beyond the sweep
-// retention cap so a long-running server's study registry stays bounded.
-// Callers hold s.mu.
-func (s *Service) pruneStudiesLocked() {
-	excess := len(s.studyOrder) - s.maxSweeps
-	if excess <= 0 {
-		return
-	}
-	kept := s.studyOrder[:0]
-	for _, id := range s.studyOrder {
-		st := s.studies[id]
-		finished := false
-		if st != nil {
-			select {
-			case <-st.done:
-				finished = true
-			default:
-			}
-		}
-		if excess > 0 && (st == nil || finished) {
-			delete(s.studies, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.studyOrder = kept
-}
-
 // StudyByID resolves a study.
-func (s *Service) StudyByID(id string) (*Study, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.studies[id]
-	return st, ok
-}
+func (s *Service) StudyByID(id string) (*Study, bool) { return s.studies.get(id) }
 
 // ListStudies snapshots every retained study in submission order.
 func (s *Service) ListStudies() []StudyStatus {
-	s.mu.Lock()
-	ids := append([]string(nil), s.studyOrder...)
-	s.mu.Unlock()
-	out := make([]StudyStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, ok := s.StudyByID(id); ok {
-			out = append(out, st.Status())
-		}
+	studies := s.studies.list()
+	out := make([]StudyStatus, len(studies))
+	for i, st := range studies {
+		out[i] = st.Status()
 	}
 	return out
-}
-
-// CancelStudy aborts a study by id.
-func (s *Service) CancelStudy(id string) error {
-	st, ok := s.StudyByID(id)
-	if !ok {
-		return fmt.Errorf("service: no study %q", id)
-	}
-	st.Cancel()
-	return nil
-}
-
-// cancelAllStudies aborts every study (CancelAll's optimizer half).
-func (s *Service) cancelAllStudies() {
-	s.mu.Lock()
-	studies := make([]*Study, 0, len(s.studies))
-	for _, st := range s.studies {
-		studies = append(studies, st)
-	}
-	s.mu.Unlock()
-	for _, st := range studies {
-		st.Cancel()
-	}
-}
-
-// drainStudies blocks until every study reaches a terminal state or ctx
-// expires (Drain's optimizer half — after Close, a running study fails
-// fast at its next generation submission, so this converges).
-func (s *Service) drainStudies(ctx context.Context) error {
-	s.mu.Lock()
-	studies := make([]*Study, 0, len(s.studies))
-	for _, st := range s.studies {
-		studies = append(studies, st)
-	}
-	s.mu.Unlock()
-	for _, st := range studies {
-		select {
-		case <-st.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
 }

@@ -2,10 +2,8 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"exadigit/internal/config"
 	"exadigit/internal/optimize"
@@ -72,16 +70,9 @@ func (s *Service) handleOptimizeSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	var spec config.SystemSpec
-	switch {
-	case req.Spec != nil:
-		spec = *req.Spec
-	case req.SpecName == "" || req.SpecName == "frontier":
-		spec = config.Frontier()
-	case req.SpecName == "setonix-like":
-		spec = config.SetonixLike()
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown spec_name %q", req.SpecName))
+	spec, err := specFor(req.SpecName, req.Spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	baseReq := req.Base
@@ -94,12 +85,7 @@ func (s *Service) handleOptimizeSubmit(w http.ResponseWriter, r *http.Request) {
 		WarmStart: req.WarmStart,
 	})
 	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", strconv.Itoa(s.closedRetryAfterSec()))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		s.writeSubmitError(w, err)
 		return
 	}
 	status := st.Status()
@@ -168,39 +154,35 @@ func (s *Service) handleOptimizeStream(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	for {
 		changed := st.changed()
+		// Checked before the log snapshot: a finished study's log is
+		// complete, so the last pass sends every progress line.
+		over := finished(st)
 		progress := st.ProgressLog()
 		for ; sent < len(progress); sent++ {
-			p := progress[sent]
-			if err := enc.Encode(optimizeStreamEntry{Progress: &p}); err != nil {
+			if err := enc.Encode(optimizeStreamEntry{Progress: &progress[sent]}); err != nil {
 				return
 			}
+		}
+		if over {
+			break
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 		select {
-		case <-st.Done():
-			// Drain any progress emitted between the snapshot and done.
-			progress = st.ProgressLog()
-			for ; sent < len(progress); sent++ {
-				p := progress[sent]
-				if err := enc.Encode(optimizeStreamEntry{Progress: &p}); err != nil {
-					return
-				}
-			}
-			status := st.Status()
-			_ = enc.Encode(optimizeStreamEntry{
-				State:  status.State,
-				Error:  status.Error,
-				Result: st.Result(),
-			})
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
 		case <-changed:
+		case <-st.Done():
 		case <-r.Context().Done():
 			return
 		}
+	}
+	status := st.Status()
+	_ = enc.Encode(optimizeStreamEntry{
+		State:  status.State,
+		Error:  status.Error,
+		Result: st.Result(),
+	})
+	if flusher != nil {
+		flusher.Flush()
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"exadigit/internal/config"
 	"exadigit/internal/core"
-	"exadigit/internal/job"
 )
 
 // RunRequest identifies one scenario attempt to a ScenarioRunner. The
@@ -61,8 +60,8 @@ func ScenarioRequestFrom(sc core.Scenario) (ScenarioRequest, error) {
 	if sc.TelemetryTo != nil {
 		return ScenarioRequest{}, fmt.Errorf("service: scenarios with telemetry writers cannot be dispatched over the wire")
 	}
-	noExport, noHistory := sc.NoExport, sc.NoHistory
-	r := ScenarioRequest{
+	noExport, noHistory, gen := sc.NoExport, sc.NoHistory, sc.Generator
+	return ScenarioRequest{
 		Name:             sc.Name,
 		Workload:         string(sc.Workload),
 		HorizonSec:       sc.HorizonSec,
@@ -79,12 +78,10 @@ func ScenarioRequestFrom(sc core.Scenario) (ScenarioRequest, error) {
 		Engine:           sc.Engine,
 		NoExport:         &noExport,
 		NoHistory:        &noHistory,
-	}
-	if sc.Generator != (job.GeneratorConfig{}) {
-		g := sc.Generator
-		r.Generator = &g
-	}
-	return r, nil
+		// Always sent, even when zero: a zero test would treat a -0
+		// field as absent, and the worker's +0 would hash differently.
+		Generator: &gen,
+	}, nil
 }
 
 // leaseOwnerID derives this service's cross-node lease identity:

@@ -104,18 +104,17 @@ type Options struct {
 // Service is the sweep server. Create with New; it has no background
 // goroutines of its own until sweeps are submitted.
 type Service struct {
-	workers   int
-	maxSweeps int
-	slots     chan struct{} // global simulation-worker pool
-	cache     *resultCache
-	store     *store.Store   // durable tier; nil → memory-only
-	runner    ScenarioRunner // remote compute tier; nil → local pool
-	leaseTTL  time.Duration  // cross-node single-flight; 0 → no leasing
-	owner     string         // this service's lease identity
-	logf      httpmw.Logf
-	metrics   *httpmw.Metrics
-	reg       *obs.Registry
-	tracer    *obs.Tracer
+	workers  int
+	slots    chan struct{} // global simulation-worker pool
+	cache    *resultCache
+	store    *store.Store   // durable tier; nil → memory-only
+	runner   ScenarioRunner // remote compute tier; nil → local pool
+	leaseTTL time.Duration  // cross-node single-flight; 0 → no leasing
+	owner    string         // this service's lease identity
+	logf     httpmw.Logf
+	metrics  *httpmw.Metrics
+	reg      *obs.Registry
+	tracer   *obs.Tracer
 
 	// Failure-domain configuration (service-wide defaults; sweeps may
 	// override timeout and attempts).
@@ -153,17 +152,13 @@ type Service struct {
 
 	faults faultHolder // test-only chaos hook
 
+	sweeps  *registry[*Sweep]
+	studies *registry[*Study] // optimization studies (optimize.go)
+
 	mu        sync.Mutex
 	closed    bool
 	specs     map[string]*core.CompiledSpec // spec hash → shared compiled spec
 	specOrder []string                      // spec hashes, oldest first
-	sweeps    map[string]*Sweep
-	order     []string          // sweep ids in submission order
-	keys      map[string]string // idempotency key → sweep id
-
-	// Optimization studies (optimize.go).
-	studies    map[string]*Study
-	studyOrder []string // study ids in submission order
 }
 
 // maxCompiledSpecs bounds the compiled-spec cache: HTTP accepts
@@ -204,7 +199,6 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		workers:         opts.Workers,
-		maxSweeps:       opts.MaxSweeps,
 		slots:           make(chan struct{}, opts.Workers),
 		cache:           newResultCache(opts.CacheCap, opts.CacheMaxBytes),
 		store:           opts.Store,
@@ -219,10 +213,9 @@ func New(opts Options) *Service {
 		retryBase:       opts.RetryBaseDelay,
 		retryMax:        opts.RetryMaxDelay,
 		maxPending:      opts.MaxPending,
+		sweeps:          newRegistry[*Sweep](opts.MaxSweeps),
+		studies:         newRegistry[*Study](opts.MaxSweeps),
 		specs:           make(map[string]*core.CompiledSpec),
-		sweeps:          make(map[string]*Sweep),
-		keys:            make(map[string]string),
-		studies:         make(map[string]*Study),
 	}
 	s.registerMetrics()
 	return s
@@ -475,11 +468,8 @@ type SweepStatus struct {
 
 // Sweep is one submitted battery of scenarios working through the pool.
 type Sweep struct {
-	id         string
-	name       string
-	spec       config.SystemSpec // retained for remote dispatch (RunRequest.Spec)
-	specHash   string
-	createdAt  time.Time
+	lifecycle
+	spec       config.SystemSpec  // retained for remote dispatch (RunRequest.Spec)
 	compileSec float64            // spec-compile wall time, stamped on every span
 	compiled   *core.CompiledSpec // released when the sweep finishes
 	scenarios  []core.Scenario    // released when the sweep finishes
@@ -493,14 +483,11 @@ type Sweep struct {
 	timeout     time.Duration // per-attempt deadline (0 → none)
 	maxAttempts int
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	ctx context.Context
 
-	mu       sync.Mutex
+	// Guarded by lifecycle.mu.
 	statuses []ScenarioStatus
 	results  []*core.Result
-	notify   chan struct{} // closed and replaced on every state change
-	done     chan struct{} // closed when every scenario is terminal
 }
 
 // Cache tiers a scenario span reports (obs.Span.CacheTier).
@@ -591,7 +578,8 @@ func (s *Service) Submit(spec config.SystemSpec, scenarios []core.Scenario, opts
 // existing=true and nothing is admitted or computed. The dedup is
 // key-based only; the caller owns keeping (key → scenarios) stable.
 func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scenario, opts SweepOptions) (sw *Sweep, existing bool, err error) {
-	if prev, ok := s.sweepForKey(opts.Key); ok {
+	if prev, ok := s.sweeps.byKey(opts.Key); ok {
+		s.idemHits.Inc()
 		return prev, true, nil
 	}
 	if len(scenarios) == 0 {
@@ -604,9 +592,13 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	}
 	compileSec := time.Since(compileStart).Seconds()
 	hashes := make([]string, len(scenarios))
+	names := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		if hashes[i], err = HashScenario(sc); err != nil {
 			return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
+		}
+		if names[i] = sc.Name; names[i] == "" {
+			names[i] = string(sc.Workload)
 		}
 		// Per-partition workload lists must cover the spec's partitions,
 		// and replay — programmatic-only, never valid per partition — is
@@ -650,73 +642,26 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	if err := s.admit(len(scenarios)); err != nil {
 		return nil, false, err
 	}
-	timeout := opts.ScenarioTimeout
-	if timeout <= 0 {
-		timeout = s.scenarioTimeout
-	}
-	attempts := opts.MaxAttempts
-	if attempts <= 0 {
-		attempts = s.maxAttempts
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sw = &Sweep{
-		name:        opts.Name,
-		key:         opts.Key,
-		spec:        spec,
-		specHash:    compiled.Hash(),
-		createdAt:   time.Now(),
-		compileSec:  compileSec,
-		compiled:    compiled,
-		scenarios:   scenarios,
-		hashes:      hashes,
-		spans:       make([]spanState, len(scenarios)),
-		svc:         s,
-		timeout:     timeout,
-		maxAttempts: attempts,
-		ctx:         ctx,
-		cancel:      cancel,
-		statuses:    make([]ScenarioStatus, len(scenarios)),
-		results:     make([]*core.Result, len(scenarios)),
-		notify:      make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	for i := range sw.statuses {
-		name := scenarios[i].Name
-		if name == "" {
-			name = string(scenarios[i].Workload)
-		}
-		sw.statuses[i] = ScenarioStatus{Index: i, Name: name, Hash: hashes[i], State: StateQueued}
-	}
-
-	s.mu.Lock()
-	if opts.Key != "" {
-		// Re-check under the registry lock: a concurrent submission with
-		// the same key may have registered between our fast-path check
-		// and here. Losing the race means undoing the admission without
-		// feeding the drain estimator (nothing completed).
-		if id, ok := s.keys[opts.Key]; ok {
-			if prev := s.sweeps[id]; prev != nil {
-				s.mu.Unlock()
-				s.pending.Add(-int64(len(scenarios)))
-				cancel()
-				s.idemHits.Inc()
-				return prev, true, nil
-			}
-		}
-	}
+	sw = s.newSweep(opts, compiled.Hash(), hashes, names, StateQueued)
+	sw.spec, sw.compiled, sw.scenarios, sw.compileSec = spec, compiled, scenarios, compileSec
 	for {
 		sw.id = newSweepID()
-		if _, taken := s.sweeps[sw.id]; !taken {
+		holder, added, pruned := s.sweeps.add(sw, opts.Key)
+		s.dropJournals(pruned)
+		if added {
 			break
 		}
+		if holder.ID() != sw.id {
+			// A concurrent submission bound the same key since the
+			// fast-path check. Losing the race means undoing the
+			// admission without feeding the drain estimator (nothing
+			// completed).
+			s.pending.Add(-int64(len(scenarios)))
+			sw.cancel()
+			s.idemHits.Inc()
+			return holder, true, nil
+		}
 	}
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
-	if opts.Key != "" {
-		s.keys[opts.Key] = sw.id
-	}
-	s.pruneLocked()
-	s.mu.Unlock()
 
 	// Durability point: the manifest must be on disk before any work is
 	// admitted to the pool, so a crash from here on is recoverable. A
@@ -727,64 +672,46 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	return sw, false, nil
 }
 
-// sweepForKey resolves an idempotency key to its live sweep.
-func (s *Service) sweepForKey(key string) (*Sweep, bool) {
-	if key == "" {
-		return nil, false
+// newSweep builds a sweep's bookkeeping — the one construction shared
+// by live submission and journal recovery: every per-scenario slice
+// sized, each status initialized to state, and the attempt deadline and
+// retry budget defaulted from the service.
+func (s *Service) newSweep(opts SweepOptions, specHash string, hashes, names []string, state ScenarioState) *Sweep {
+	if opts.ScenarioTimeout <= 0 {
+		opts.ScenarioTimeout = s.scenarioTimeout
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.keys[key]
-	if !ok {
-		return nil, false
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = s.maxAttempts
 	}
-	sw, ok := s.sweeps[id]
-	if ok {
-		s.idemHits.Inc()
+	ctx, cancel := context.WithCancel(context.Background())
+	sw := &Sweep{
+		lifecycle:   newLifecycle(opts.Name, specHash, cancel),
+		hashes:      hashes,
+		spans:       make([]spanState, len(hashes)),
+		svc:         s,
+		key:         opts.Key,
+		timeout:     opts.ScenarioTimeout,
+		maxAttempts: opts.MaxAttempts,
+		ctx:         ctx,
+		statuses:    make([]ScenarioStatus, len(hashes)),
+		results:     make([]*core.Result, len(hashes)),
 	}
-	return sw, ok
+	for i := range sw.statuses {
+		sw.statuses[i] = ScenarioStatus{Index: i, Name: names[i], Hash: hashes[i], State: state}
+	}
+	return sw
 }
 
-// pruneLocked drops the oldest finished sweeps beyond the retention cap
-// so the registry (and the results each sweep pins) stays bounded.
-// Callers hold s.mu.
-func (s *Service) pruneLocked() {
-	excess := len(s.order) - s.maxSweeps
-	if excess <= 0 {
+// dropJournals deletes the journals of sweeps dropped from the registry,
+// so a pruned or removed sweep is not re-adopted at the next restart.
+// It is file I/O, so callers hold no lock.
+func (s *Service) dropJournals(sweeps []*Sweep) {
+	if s.store == nil {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		finished := false
-		if sw != nil {
-			select {
-			case <-sw.done:
-				finished = true
-			default:
-			}
-		}
-		if excess > 0 && (sw == nil || finished) {
-			delete(s.sweeps, id)
-			s.forgetLocked(id, sw)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
-}
-
-// forgetLocked releases a dropped sweep's registry side state: its
-// idempotency-key binding and its durable journal (a pruned sweep must
-// not be re-adopted at the next restart). Callers hold s.mu.
-func (s *Service) forgetLocked(id string, sw *Sweep) {
-	if sw != nil && sw.key != "" && s.keys[sw.key] == id {
-		delete(s.keys, sw.key)
-	}
-	if s.store != nil {
-		if err := s.store.RemoveJournal(id); err != nil && s.logf != nil {
-			s.logf("service: sweep %s journal remove: %v", id, err)
+	for _, sw := range sweeps {
+		if err := s.store.RemoveJournal(sw.id); err != nil && s.logf != nil {
+			s.logf("service: sweep %s journal remove: %v", sw.id, err)
 		}
 	}
 }
@@ -859,111 +786,58 @@ func (s *Service) closedRetryAfterSec() int {
 	return sec
 }
 
-// Drain blocks until every submitted sweep reaches a terminal state or
-// ctx expires — the shutdown step that lets in-flight sweeps finish (and
-// streaming clients receive their final lines) before the HTTP server
-// goes away. Call Close first so the set of sweeps being waited on
-// cannot grow.
+// Drain blocks until every submitted sweep and study reaches a terminal
+// state or ctx expires — the shutdown step that lets in-flight sweeps
+// finish (and streaming clients receive their final lines) before the
+// HTTP server goes away. Call Close first so the set of jobs being
+// waited on cannot grow; a running study then fails fast at its next
+// generation submission, so this converges.
 func (s *Service) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
+	if err := s.sweeps.wait(ctx); err != nil {
+		return err
 	}
-	s.mu.Unlock()
-	for _, sw := range sweeps {
-		select {
-		case <-sw.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	// Studies fail fast once the service is closed (their next
-	// generation submission refuses), so this converges too.
-	return s.drainStudies(ctx)
+	return s.studies.wait(ctx)
 }
 
-// CancelAll aborts every sweep — the impatient half of shutdown (second
-// SIGINT): queued scenarios become cancelled and running simulations
-// stop at their next tick boundary.
+// CancelAll aborts every sweep and study — the impatient half of
+// shutdown (second SIGINT): queued scenarios become cancelled and
+// running simulations stop at their next tick boundary.
 func (s *Service) CancelAll() {
-	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
-	}
-	s.mu.Unlock()
-	for _, sw := range sweeps {
-		sw.Cancel()
-	}
-	s.cancelAllStudies()
+	s.sweeps.cancelAll()
+	s.studies.cancelAll()
 }
 
 // Remove drops a finished sweep from the registry, releasing the
 // results it pins (cached entries stay until the result cache evicts
 // them). It refuses to remove a sweep that is still working.
 func (s *Service) Remove(id string) error {
-	sw, ok := s.Sweep(id)
+	sw, ok := s.sweeps.get(id)
 	if !ok {
 		return fmt.Errorf("service: no sweep %q", id)
 	}
-	select {
-	case <-sw.done:
-	default:
+	if !finished(sw) {
 		return fmt.Errorf("service: sweep %q still running; cancel it first", id)
 	}
-	s.mu.Lock()
-	delete(s.sweeps, id)
-	s.forgetLocked(id, sw)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if s.sweeps.remove(id) {
+		s.dropJournals([]*Sweep{sw})
 	}
-	s.mu.Unlock()
 	return nil
 }
 
 // Sweep resolves a sweep by id.
-func (s *Service) Sweep(id string) (*Sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return sw, ok
-}
+func (s *Service) Sweep(id string) (*Sweep, bool) { return s.sweeps.get(id) }
 
 // List snapshots every sweep in submission order (summary form, without
 // per-scenario detail).
 func (s *Service) List() []SweepStatus {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]SweepStatus, 0, len(ids))
-	for _, id := range ids {
-		if sw, ok := s.Sweep(id); ok {
-			st := sw.Status()
-			st.Scenarios = nil
-			out = append(out, st)
-		}
+	sweeps := s.sweeps.list()
+	out := make([]SweepStatus, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = sw.Status()
+		out[i].Scenarios = nil
 	}
 	return out
 }
-
-// Cancel aborts a sweep by id: queued scenarios become cancelled and
-// running simulations stop at their next tick boundary (mid-day). Safe
-// to call repeatedly.
-func (s *Service) Cancel(id string) error {
-	sw, ok := s.Sweep(id)
-	if !ok {
-		return fmt.Errorf("service: no sweep %q", id)
-	}
-	sw.Cancel()
-	return nil
-}
-
-// ID returns the sweep's identifier.
-func (sw *Sweep) ID() string { return sw.id }
 
 // SpecHash returns the compiled spec's content hash.
 func (sw *Sweep) SpecHash() string { return sw.specHash }
@@ -971,22 +845,6 @@ func (sw *Sweep) SpecHash() string { return sw.specHash }
 // ScenarioHashes returns the per-scenario content hashes, indexed like
 // the submitted scenarios.
 func (sw *Sweep) ScenarioHashes() []string { return append([]string(nil), sw.hashes...) }
-
-// Cancel aborts the sweep (see Service.Cancel).
-func (sw *Sweep) Cancel() { sw.cancel() }
-
-// Done returns a channel closed once every scenario is terminal.
-func (sw *Sweep) Done() <-chan struct{} { return sw.done }
-
-// Wait blocks until the sweep finishes or ctx expires.
-func (sw *Sweep) Wait(ctx context.Context) error {
-	select {
-	case <-sw.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // Status snapshots the sweep including per-scenario states.
 func (sw *Sweep) Status() SweepStatus {
@@ -1060,22 +918,6 @@ func (sw *Sweep) loadRecoveredLocked() {
 	}
 }
 
-// changed returns a channel closed at the next state change — the
-// broadcast primitive behind the streaming endpoints.
-func (sw *Sweep) changed() <-chan struct{} {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.notify
-}
-
-func (sw *Sweep) update(mutate func()) {
-	sw.mu.Lock()
-	mutate()
-	close(sw.notify)
-	sw.notify = make(chan struct{})
-	sw.mu.Unlock()
-}
-
 // run drives the sweep: spawn one bounded goroutine per scenario, each
 // gated by the per-sweep limit and the service-wide worker pool.
 func (sw *Sweep) run(maxConcurrent int) {
@@ -1107,7 +949,8 @@ loop:
 			if sem != nil {
 				defer func() { <-sem }()
 			}
-			sw.runOne(i)
+			res, tier, err := sw.resolve(i)
+			sw.record(i, res, err, tier)
 		}(i)
 	}
 	wg.Wait()
@@ -1156,43 +999,141 @@ loop:
 	close(sw.done)
 }
 
-// runOne resolves one scenario through the cache or the simulator.
-func (sw *Sweep) runOne(i int) {
+// resolve settles scenario i through the tiers in order — memory, the
+// durable store, another node's lease, compute — and reports the tier
+// that answered (tierNone on failure or cancellation).
+//
+// Only the first acquirer of a (spec, scenario) key leads; concurrent
+// duplicates wait on its memory entry, so single-flight spans every
+// tier: N concurrent submissions of one scenario cost at most one disk
+// read plus one simulation. With a shared store and a LeaseTTL it spans
+// nodes too: the leader leases the key before computing locally, so of
+// N services sharing the directory only one simulates while the others
+// poll the store for its Put.
+func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 	if sw.scenarios[i].TelemetryTo != nil {
-		// Streaming scenarios bypass the cache entirely: serving a hit
-		// (or waiting on another submitter's run) would silently skip
-		// the writer side effect the caller asked for.
-		sw.runDirect(i)
-		return
+		// Streaming scenarios bypass every cache tier: serving a hit (or
+		// waiting on another submitter's run) would silently skip the
+		// writer side effect the caller asked for.
+		res, err := sw.simulate(i)
+		return res, computeTier(err), err
 	}
+	svc, st := sw.svc, sw.svc.store
 	key := sw.specHash + ":" + sw.hashes[i]
-	for {
-		entry, leader := sw.svc.cache.acquire(key)
-		if leader {
-			sw.lead(i, key, entry)
-			return
-		}
-		// Someone else — possibly a concurrently submitted duplicate —
-		// is simulating this exact (spec, scenario); wait for it.
+	entry, leader := svc.cache.acquire(key)
+	for !leader {
 		select {
 		case <-entry.done:
 		case <-sw.ctx.Done():
-			sw.record(i, nil, sw.ctx.Err(), tierNone)
-			return
+			return nil, tierNone, sw.ctx.Err()
 		}
-		if errors.Is(entry.err, errAbandoned) {
-			continue // leader cancelled before running; take over
-		}
-		if entry.err != nil {
+		switch {
+		case errors.Is(entry.err, errAbandoned):
+			entry, leader = svc.cache.acquire(key) // leader cancelled before running; take over
+		case entry.err != nil:
 			// The leader simulated and failed; failures are not cached
 			// (complete() dropped the entry), so this is not a hit.
-			sw.record(i, nil, entry.err, tierNone)
-			return
+			return nil, tierNone, entry.err
+		default:
+			return entry.res, tierMemory, nil
 		}
-		sw.svc.hits.Inc()
-		sw.record(i, entry.res, nil, tierMemory)
-		return
 	}
+	// stored reads the durable tier, publishing a hit to the key's
+	// waiters. ErrNotFound and ErrCorrupt (quarantined) both mean
+	// compute; the recomputed result re-persists below, healing corrupt
+	// entries.
+	stored := func() (*core.Result, bool) {
+		res, err := st.Get(sw.specHash, sw.hashes[i])
+		if err != nil {
+			return nil, false
+		}
+		svc.cache.complete(key, entry, res, nil)
+		return res, true
+	}
+	var lease *store.Lease
+	if st != nil && sw.ctx.Err() == nil {
+		if res, ok := stored(); ok {
+			return res, tierDisk, nil
+		}
+		// Cross-node single-flight, local compute only: a coordinator
+		// never leases before remote dispatch (the worker that computes
+		// the key takes the lease; a coordinator holding it would
+		// deadlock them). Lease I/O failure fails open — the worst case
+		// is a duplicate compute, never a stuck scenario.
+		poll := min(max(svc.leaseTTL/10, 50*time.Millisecond), time.Second)
+		for svc.leaseTTL > 0 && svc.runner == nil {
+			l, err := st.AcquireLease(sw.specHash, sw.hashes[i], svc.owner, svc.leaseTTL)
+			if err != nil && !errors.Is(err, store.ErrLeaseHeld) {
+				if svc.logf != nil {
+					svc.logf("service: lease %s/%s: %v (computing without lease)", sw.specHash, sw.hashes[i], err)
+				}
+				break
+			}
+			if err != nil && !sleepCtx(sw.ctx, poll) {
+				svc.cache.complete(key, entry, nil, errAbandoned)
+				return nil, tierNone, sw.ctx.Err()
+			}
+			// Re-check the store before computing: the holder may have
+			// Put while we waited, or between our miss and this acquire.
+			if res, ok := stored(); ok {
+				if l != nil {
+					l.Release()
+				}
+				return res, tierDisk, nil
+			}
+			if l != nil {
+				lease = l
+				break
+			}
+		}
+	}
+	stopRenew := func() {}
+	if lease != nil {
+		var renewCtx context.Context
+		renewCtx, stopRenew = context.WithCancel(sw.ctx)
+		go sw.renewLease(renewCtx, lease)
+	}
+	res, err := sw.simulate(i)
+	stopRenew()
+	if errors.Is(err, context.Canceled) {
+		// Never got a slot, or this sweep's cancel aborted the run
+		// mid-day: release the key so another submitter can take over,
+		// rather than publishing the cancellation to unrelated waiters.
+		if lease != nil {
+			lease.Release()
+		}
+		svc.cache.complete(key, entry, nil, errAbandoned)
+		return nil, tierNone, err
+	}
+	svc.cache.complete(key, entry, res, err)
+	if err == nil && st != nil && svc.runner == nil {
+		// Persist after publishing so waiters are never delayed by disk
+		// I/O. A failed Put is an observability event (store put_errors),
+		// not a scenario failure — the result is already served from
+		// memory. Skipped in coordinator mode: the worker that computed
+		// the result persists it, so a shared store counts each key
+		// exactly once.
+		putStart := time.Now()
+		perr := st.Put(sw.specHash, sw.hashes[i], res)
+		sw.spans[i].setStoreSec(time.Since(putStart).Seconds())
+		if perr != nil && svc.logf != nil {
+			svc.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[i], perr)
+		}
+	}
+	if lease != nil {
+		// Release only after the Put: a waiter that sees the lease go
+		// away must find the result on its next store poll.
+		lease.Release()
+	}
+	return res, computeTier(err), err
+}
+
+// computeTier is the tier a computed scenario reports.
+func computeTier(err error) string {
+	if err != nil {
+		return tierNone
+	}
+	return tierCompute
 }
 
 // errAbandoned marks a cache entry whose leader was cancelled before
@@ -1205,27 +1146,27 @@ var errAbandoned = errors.New("service: scenario abandoned by cancelled sweep")
 // capped exponential backoff + jitter up to the sweep's attempt budget,
 // and what survives is wrapped in a *ScenarioError so callers see the
 // scenario's identity, attempt count, and cause. Sweep cancellation is
-// never retried; ran is false when the sweep was cancelled before a pool
-// slot freed.
-func (sw *Sweep) simulate(i int) (res *core.Result, ran bool, err error) {
+// never retried and surfaces as context.Canceled, also when the sweep
+// was cancelled before a pool slot freed.
+func (sw *Sweep) simulate(i int) (*core.Result, error) {
 	for attempt := 1; ; attempt++ {
-		res, ran, err = sw.attempt(i, attempt)
+		res, ran, err := sw.attempt(i, attempt)
 		if err == nil || !ran {
-			return res, ran, err
+			return res, err
 		}
 		if sw.ctx.Err() != nil {
 			// The sweep itself was cancelled (possibly mid-attempt);
 			// report the cancellation, not the attempt's error.
-			return nil, ran, sw.ctx.Err()
+			return nil, sw.ctx.Err()
 		}
 		if attempt >= sw.maxAttempts {
-			return nil, true, &ScenarioError{
+			return nil, &ScenarioError{
 				ScenarioHash: sw.hashes[i], Index: i, Attempts: attempt, Cause: err,
 			}
 		}
 		sw.svc.retries.Inc()
-		if !sleepBackoff(sw.ctx, sw.svc.retryBase, sw.svc.retryMax, attempt) {
-			return nil, true, sw.ctx.Err()
+		if !sleepCtx(sw.ctx, backoffDelay(sw.svc.retryBase, sw.svc.retryMax, attempt)) {
+			return nil, sw.ctx.Err()
 		}
 	}
 }
@@ -1294,163 +1235,12 @@ func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error)
 	return res, true, err
 }
 
-// runDirect simulates the scenario without cache participation (used
-// when the scenario carries runtime side effects a cached result could
-// not reproduce).
-func (sw *Sweep) runDirect(i int) {
-	res, _, err := sw.simulate(i)
-	tier := tierCompute
-	if err != nil {
-		tier = tierNone
-	}
-	sw.record(i, res, err, tier)
-}
-
-// lead resolves the scenario for every waiter on its cache key: disk
-// first (the durable tier — a restart-surviving hit costs one file read
-// and zero model builds), then simulation. Because only the key's leader
-// reaches the store, single-flight semantics extend across all three
-// tiers: N concurrent submissions of one scenario cost at most one disk
-// read plus one simulation. With a shared store and a LeaseTTL, the
-// single-flight extends across nodes too: the leader leases the key
-// before computing locally, so of N services sharing the directory only
-// one simulates while the others poll for its Put.
-func (sw *Sweep) lead(i int, key string, entry *cacheEntry) {
-	st := sw.svc.store
-	if st != nil && sw.ctx.Err() == nil {
-		if res, err := st.Get(sw.specHash, sw.hashes[i]); err == nil {
-			sw.svc.hits.Inc()
-			sw.svc.cache.complete(key, entry, res, nil)
-			sw.record(i, res, nil, tierDisk)
-			return
-		}
-		// ErrNotFound and ErrCorrupt (quarantined) both mean compute; the
-		// recomputed result re-persists below, healing corrupt entries.
-	}
-	// Cross-node single-flight, local compute only: a coordinator never
-	// leases before remote dispatch (the worker that computes the key
-	// takes the lease; a coordinator holding it would deadlock them).
-	var lease *store.Lease
-	if st != nil && sw.svc.leaseTTL > 0 && sw.svc.runner == nil {
-		var res *core.Result
-		var err error
-		lease, res, err = sw.waitLease(i)
-		if res != nil {
-			// Another node computed and persisted the key while we waited.
-			sw.svc.hits.Inc()
-			sw.svc.cache.complete(key, entry, res, nil)
-			sw.record(i, res, nil, tierDisk)
-			return
-		}
-		if err != nil {
-			sw.svc.cache.complete(key, entry, nil, errAbandoned)
-			sw.record(i, nil, err, tierNone)
-			return
-		}
-	}
-	var stopRenew chan struct{}
-	if lease != nil {
-		stopRenew = make(chan struct{})
-		go sw.renewLease(lease, stopRenew)
-	}
-	res, ran, err := sw.simulate(i)
-	if stopRenew != nil {
-		close(stopRenew)
-	}
-	if !ran || errors.Is(err, context.Canceled) {
-		// Never got a slot, or this sweep's cancel aborted the run
-		// mid-day: release the key so another submitter can take over,
-		// rather than publishing the cancellation to unrelated waiters.
-		if lease != nil {
-			lease.Release()
-		}
-		sw.svc.cache.complete(key, entry, nil, errAbandoned)
-		sw.record(i, nil, err, tierNone)
-		return
-	}
-	sw.svc.cache.complete(key, entry, res, err)
-	if err == nil {
-		if st != nil && sw.svc.runner == nil {
-			// Persist after publishing so waiters are never delayed by
-			// disk I/O. A failed Put is an observability event (store
-			// put_errors), not a scenario failure — the result is already
-			// served from memory. Skipped in coordinator mode: the worker
-			// that computed the result persists it, so a shared store
-			// counts each key exactly once.
-			putStart := time.Now()
-			perr := st.Put(sw.specHash, sw.hashes[i], res)
-			sw.spans[i].setStoreSec(time.Since(putStart).Seconds())
-			if perr != nil && sw.svc.logf != nil {
-				sw.svc.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[i], perr)
-			}
-		}
-	}
-	if lease != nil {
-		// Release only after the Put: a waiter that sees the lease go
-		// away must find the result on its next store poll.
-		lease.Release()
-	}
-	tier := tierCompute
-	if err != nil {
-		tier = tierNone
-	}
-	sw.record(i, res, err, tier)
-}
-
-// waitLease acquires the cross-node lease for scenario i, waiting out
-// (and polling the store under) any other node's live lease. It returns
-// exactly one of: a held lease (compute locally), a result another node
-// persisted while we waited, or an error (the sweep was cancelled). All
-// nil means lease I/O failed — fail open and compute without one; the
-// worst case is a duplicate compute, never a stuck scenario.
-func (sw *Sweep) waitLease(i int) (*store.Lease, *core.Result, error) {
-	st := sw.svc.store
-	ttl := sw.svc.leaseTTL
-	poll := ttl / 10
-	if poll < 50*time.Millisecond {
-		poll = 50 * time.Millisecond
-	}
-	if poll > time.Second {
-		poll = time.Second
-	}
-	for {
-		lease, err := st.AcquireLease(sw.specHash, sw.hashes[i], sw.svc.owner, ttl)
-		if err == nil {
-			// Re-check the store before computing: the previous holder may
-			// have Put between our miss and this acquire.
-			if res, gerr := st.Get(sw.specHash, sw.hashes[i]); gerr == nil {
-				lease.Release()
-				return nil, res, nil
-			}
-			return lease, nil, nil
-		}
-		if !errors.Is(err, store.ErrLeaseHeld) {
-			if sw.svc.logf != nil {
-				sw.svc.logf("service: lease %s/%s: %v (computing without lease)",
-					sw.specHash, sw.hashes[i], err)
-			}
-			return nil, nil, nil
-		}
-		t := time.NewTimer(poll)
-		select {
-		case <-t.C:
-		case <-sw.ctx.Done():
-			t.Stop()
-			return nil, nil, sw.ctx.Err()
-		}
-		t.Stop()
-		if res, gerr := st.Get(sw.specHash, sw.hashes[i]); gerr == nil {
-			return nil, res, nil
-		}
-	}
-}
-
-// renewLease extends the held lease every TTL/3 until stop closes. A
+// renewLease extends the held lease every TTL/3 until ctx ends. A
 // failed renew means a holder that overran its TTL lost the lease to a
 // stealer; the compute still finishes and publishes (Puts are atomic and
 // idempotent) — the stealer's duplicate run is the documented
 // degradation mode, so the renewer just stops.
-func (sw *Sweep) renewLease(l *store.Lease, stop <-chan struct{}) {
+func (sw *Sweep) renewLease(ctx context.Context, l *store.Lease) {
 	interval := sw.svc.leaseTTL / 3
 	if interval <= 0 {
 		interval = time.Second
@@ -1459,9 +1249,7 @@ func (sw *Sweep) renewLease(l *store.Lease, stop <-chan struct{}) {
 	defer t.Stop()
 	for {
 		select {
-		case <-stop:
-			return
-		case <-sw.ctx.Done():
+		case <-ctx.Done():
 			return
 		case <-t.C:
 			if err := l.Renew(sw.svc.leaseTTL); err != nil {
@@ -1478,6 +1266,9 @@ func (sw *Sweep) renewLease(l *store.Lease, stop <-chan struct{}) {
 func (sw *Sweep) record(i int, res *core.Result, err error, tier string) {
 	defer sw.svc.release(1)
 	cacheHit := tier == tierMemory || tier == tierDisk
+	if cacheHit {
+		sw.svc.hits.Inc()
+	}
 	var final ScenarioStatus
 	sw.update(func() {
 		st := &sw.statuses[i]

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"exadigit/internal/config"
 	"exadigit/internal/core"
 	"exadigit/internal/job"
+	"exadigit/internal/store"
 	"exadigit/internal/telemetry"
 )
 
@@ -344,19 +346,32 @@ func TestTelemetryToBypassesCache(t *testing.T) {
 	}
 }
 
-// TestSweepRetentionBounded: finished sweeps beyond MaxSweeps are
-// pruned so a long-running service does not pin results forever.
+// TestSweepRetentionBounded: finished sweeps and studies beyond
+// MaxSweeps are pruned so a long-running service does not pin results
+// forever, and a pruned sweep leaves nothing behind: its idempotency key
+// no longer dedupes and its journal is not re-adopted by a restart.
 func TestSweepRetentionBounded(t *testing.T) {
-	svc := New(Options{Workers: 2, MaxSweeps: 2})
-	var last *Sweep
-	for i := 0; i < 5; i++ {
-		sw, err := svc.Submit(config.Frontier(),
-			[]core.Scenario{synthScenario(int64(300+i), 900)}, SweepOptions{})
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{Workers: 2, MaxSweeps: 2, Store: st})
+	submit := func(i int) (*Sweep, bool) {
+		t.Helper()
+		sw, existing, err := svc.SubmitIdempotent(config.Frontier(),
+			[]core.Scenario{synthScenario(int64(300+i), 900)},
+			SweepOptions{Key: fmt.Sprintf("retain-%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitSweep(t, sw)
-		last = sw
+		return sw, existing
+	}
+	first, _ := submit(0)
+	var last *Sweep
+	for i := 1; i < 5; i++ {
+		last, _ = submit(i)
 	}
 	if n := len(svc.List()); n > 3 {
 		t.Fatalf("retained %d sweeps with MaxSweeps 2", n)
@@ -364,10 +379,57 @@ func TestSweepRetentionBounded(t *testing.T) {
 	if _, ok := svc.Sweep(last.ID()); !ok {
 		t.Error("most recent sweep must survive pruning")
 	}
+	if _, ok := svc.Sweep(first.ID()); ok {
+		t.Fatal("oldest finished sweep survived pruning")
+	}
+
+	// The pruned sweep's key is unbound: resubmitting it creates a sweep.
+	again, existing := submit(0)
+	if existing || again.ID() == first.ID() {
+		t.Fatalf("pruned sweep's key still dedupes (existing=%v id=%s)", existing, again.ID())
+	}
+
+	// Its journal is gone too: a restart over the same directory
+	// re-registers the retained sweeps but not the pruned one.
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(Options{Workers: 2, Store: st2})
+	if _, err := svc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc2.Sweep(again.ID()); !ok {
+		t.Fatal("restart did not re-register a retained sweep")
+	}
+	if _, ok := svc2.Sweep(first.ID()); ok {
+		t.Fatal("restart re-adopted a pruned sweep's journal")
+	}
+
 	if err := svc.Remove(last.ID()); err != nil {
 		t.Fatalf("Remove finished sweep: %v", err)
 	}
 	if _, ok := svc.Sweep(last.ID()); ok {
 		t.Error("removed sweep still listed")
+	}
+
+	// Studies share the retention bound.
+	svc3 := New(Options{Workers: 2, MaxSweeps: 2})
+	var newest *Study
+	for i := 0; i < 5; i++ {
+		study, err := svc3.SubmitStudy(config.Frontier(), synthScenario(int64(310+i), 900), quickStudy(), StudyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		study.Cancel()
+		waitStudy(t, study)
+		newest = study
+	}
+	studies := svc3.ListStudies()
+	if len(studies) > 3 {
+		t.Fatalf("retained %d studies with MaxSweeps 2", len(studies))
+	}
+	if studies[len(studies)-1].ID != newest.ID() {
+		t.Fatalf("newest study %s missing from %+v", newest.ID(), studies)
 	}
 }
