@@ -64,11 +64,13 @@ check: vet metrics-lint
 # from: no panic, and an accepted model predicts and round-trips. The
 # cluster wire a coordinator ships scenarios over: no panic, and a
 # scenario's wire form decodes back to the same content hash. The seed
-# corpora live under internal/{obs,surrogate,service}/testdata/fuzz.
+# corpora live under internal/{obs,surrogate,service,power}/testdata/fuzz.
+# Also the power engine: any slot-operation sequence matches Compute.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzScenarioRequestRoundTrip$$' -fuzztime 15s
+	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalMatchesCompute$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

@@ -4,14 +4,28 @@ package power
 // dense Model.Compute sweeps every node and every chassis conversion
 // chain on each call even though utilization is piecewise-constant — it
 // only changes when a job starts, ends, or crosses a 15 s trace quantum.
-// Incremental exploits that structure: per-node powers and per-chassis
-// conversion results are cached, utilization updates mark the touched
-// chassis dirty, and ComputeDelta re-evaluates only the dirty chassis
-// before re-aggregating rack/CDU/system totals in exactly the summation
-// order Compute uses. On Frontier-shaped topologies the headline fields
-// (TotalW, NodeOutW, losses, per-rack and per-CDU inputs) are
-// bit-identical to Compute; the Breakdown's CPU/GPU entries differ only
-// by hierarchical-vs-flat summation rounding (≲1e-12 relative).
+// Incremental exploits that structure: per-chassis conversion results
+// are cached, utilization updates mark the touched chassis dirty, and
+// ComputeDelta re-evaluates only the dirty chassis before re-aggregating
+// rack/CDU/system totals in exactly the summation order Compute uses. On
+// Frontier-shaped topologies the headline fields (TotalW, NodeOutW,
+// losses, per-rack and per-CDU inputs) are bit-identical to Compute; the
+// Breakdown's CPU/GPU entries differ only by hierarchical-vs-flat
+// summation rounding (≲1e-12 relative).
+//
+// State is kept per allocation, not per node. Each node holds a Slot, an
+// index into a table of values (P_S48V and the CPU/GPU contributions
+// feeding the Fig. 4 breakdown); slot 0 is the idle value every node
+// starts on. Assign moves a job's nodes onto a fresh slot and records the
+// chassis they landed in; Update rewrites that one value and marks only
+// those chassis, so a trace-quantum crossing touches a job's chassis,
+// not its nodes. A filler-free chassis whose nodes all hold one slot
+// sums to a fixed left fold of that slot's value, so each slot memoises
+// one such chassis's result and further uniform chassis copy it.
+//
+// A Slot returned by Assign is valid until its last node leaves it —
+// released to idle, or moved onto another slot by a later Assign — after
+// which the engine may hand the same Slot to a new allocation.
 //
 // The Model must not be mutated after NewIncremental — the engine caches
 // component powers and the conversion chain. Compute remains the
@@ -19,21 +33,25 @@ package power
 type Incremental struct {
 	m *Model
 
-	// Per-node caches (length Topo.NodesTotal): P_S48V and the CPU/GPU
-	// component contributions feeding the Fig. 4 breakdown.
-	nodeP    []float64
-	nodeCPUW []float64
-	nodeGPUW []float64
+	// nodeSlot maps a node index to the slot holding its value;
+	// nodeChassis maps it to its chassis.
+	nodeSlot    []Slot
+	nodeChassis []int32
+
+	// vals is the slot table, indexed by Slot; slots holds each slot's
+	// bookkeeping. They are kept apart so the node-order fold reads a
+	// dense array.
+	vals  []slotValue
+	slots []slotState
+	free  []Slot // released slots, reused before the table grows
 
 	chassis   []chassisCache
 	dirtyList []int
 
-	// nodeChassis maps a node index to its chassis.
-	nodeChassis []int32
-
-	// Idle per-node values, used for filler slots the dense loop pads
-	// incomplete final chassis with.
-	idleP, idleCPUW, idleGPUW float64
+	// chassisMark[c] == mark when chassis c is already on the chassis
+	// list of the slot being assigned.
+	chassisMark []uint64
+	mark        uint64
 
 	// Constant breakdown entries (independent of utilization), captured
 	// from the seeding reference Compute so they match it bit-for-bit.
@@ -42,18 +60,41 @@ type Incremental struct {
 	sp SystemPower
 }
 
+// Slot identifies one value in an Incremental's slot table: the
+// utilization every node of one allocation runs at.
+type Slot int32
+
+// slotValue is one node's Eq. 3 power and its CPU/GPU contributions.
+type slotValue struct{ p, cpuW, gpuW float64 }
+
+type slotState struct {
+	refs int32 // nodes holding the slot (not tracked for idle slot 0)
+	// chassis lists, once each, every chassis a node landed in when the
+	// slot was assigned; Update marks exactly these dirty.
+	chassis []int32
+	// memo is one full uniform chassis's result at the slot's value,
+	// valid while memoOK; cleared when the value changes or the slot is
+	// reused.
+	memo   chassisSum
+	memoOK bool
+}
+
+// chassisSum is one chassis's evaluation: Σ P_S48V over its nodes, the
+// breakdown contributions, and the conversion-chain result.
+type chassisSum struct {
+	out, cpuW, gpuW float64
+	res             ChassisResult
+}
+
 // chassisCache holds one chassis's cached evaluation. start/end bound the
-// chassis's real node slots; filler counts the idle padding slots the
-// dense loop processes for topologies whose node count is not a multiple
-// of the chassis size (the cache replicates Compute's iteration exactly).
+// chassis's real nodes; filler counts the idle padding entries the dense
+// loop processes for topologies whose node count is not a multiple of
+// the chassis size (the cache replicates Compute's iteration exactly).
 type chassisCache struct {
 	start, end int
 	filler     int
 	dirty      bool
-
-	out        float64 // Σ P_S48V over the chassis's nodes
-	cpuW, gpuW float64 // breakdown contributions
-	res        ChassisResult
+	chassisSum
 }
 
 // NewIncremental builds the engine with every node idle and the cached
@@ -64,15 +105,13 @@ func (m *Model) NewIncremental() *Incremental {
 	numChassis := t.NumRacks() * t.ChassisPerRack
 	inc := &Incremental{
 		m:           m,
-		nodeP:       make([]float64, total),
-		nodeCPUW:    make([]float64, total),
-		nodeGPUW:    make([]float64, total),
-		chassis:     make([]chassisCache, numChassis),
+		nodeSlot:    make([]Slot, total),
 		nodeChassis: make([]int32, total),
-		idleP:       m.Spec.NodePower(0, 0),
-		idleCPUW:    m.Spec.CPUIdle,
-		idleGPUW:    float64(m.Spec.GPUsPerNode) * m.Spec.GPUIdle,
+		chassis:     make([]chassisCache, numChassis),
+		chassisMark: make([]uint64, numChassis),
 	}
+	inc.vals = []slotValue{inc.value(0, 0)}
+	inc.slots = make([]slotState, 1)
 
 	// Replicate Compute's slot iteration so chassis boundaries — including
 	// the padded tail when NodesTotal is not chassis-aligned — match the
@@ -103,12 +142,6 @@ func (m *Model) NewIncremental() *Incremental {
 			inc.nodeChassis[n] = int32(c)
 		}
 	}
-
-	for i := range inc.nodeP {
-		inc.nodeP[i] = inc.idleP
-		inc.nodeCPUW[i] = inc.idleCPUW
-		inc.nodeGPUW[i] = inc.idleGPUW
-	}
 	for c := range inc.chassis {
 		inc.refreshChassis(c)
 	}
@@ -132,32 +165,124 @@ func (inc *Incremental) Power() *SystemPower { return &inc.sp }
 // Dirty reports whether any utilization change is pending aggregation.
 func (inc *Incremental) Dirty() bool { return len(inc.dirtyList) > 0 }
 
-// SetNodes applies one utilization pair to a set of nodes — a job's
-// allocation, where every node runs at the job's current trace sample —
-// evaluating the Eq. 3 node power once for the whole set. Nodes whose
-// cached power is unchanged are skipped without dirtying their chassis.
-func (inc *Incremental) SetNodes(nodes []int, cpuUtil, gpuUtil float64) {
+// value evaluates Eq. 3 and the breakdown contributions for one
+// utilization pair.
+func (inc *Incremental) value(cpuUtil, gpuUtil float64) slotValue {
 	s := inc.m.Spec
-	p := s.NodePower(cpuUtil, gpuUtil)
 	cu, gu := clamp01(cpuUtil), clamp01(gpuUtil)
-	cpuW := s.CPUIdle + cu*(s.CPUMax-s.CPUIdle)
-	gpuW := float64(s.GPUsPerNode) * (s.GPUIdle + gu*(s.GPUMax-s.GPUIdle))
-	for _, n := range nodes {
-		if n < 0 || n >= len(inc.nodeP) {
-			continue
-		}
-		if inc.nodeP[n] == p && inc.nodeCPUW[n] == cpuW && inc.nodeGPUW[n] == gpuW {
-			continue
-		}
-		inc.nodeP[n] = p
-		inc.nodeCPUW[n] = cpuW
-		inc.nodeGPUW[n] = gpuW
-		inc.markDirty(int(inc.nodeChassis[n]))
+	return slotValue{
+		p:    s.NodePower(cpuUtil, gpuUtil),
+		cpuW: s.CPUIdle + cu*(s.CPUMax-s.CPUIdle),
+		gpuW: float64(s.GPUsPerNode) * (s.GPUIdle + gu*(s.GPUMax-s.GPUIdle)),
 	}
 }
 
-// SetNodesIdle resets a released allocation to idle.
-func (inc *Incremental) SetNodesIdle(nodes []int) { inc.SetNodes(nodes, 0, 0) }
+// Assign moves a set of nodes — a job's allocation, where every node runs
+// at the job's current trace sample — onto a fresh slot holding one
+// utilization pair, evaluating Eq. 3 once for the whole set. A chassis is
+// dirtied only where a node's value actually changes, once per run of
+// nodes in it. Out-of-range and repeated indices are ignored; when no
+// index is in range Assign returns the idle slot 0, which Update ignores.
+func (inc *Incremental) Assign(nodes []int, cpuUtil, gpuUtil float64) Slot {
+	s := inc.alloc(inc.value(cpuUtil, gpuUtil))
+	inc.move(nodes, s)
+	if inc.slots[s].refs == 0 {
+		inc.release(s)
+		return 0
+	}
+	return s
+}
+
+// Update sets slot s — every node still holding it — to a new utilization
+// pair, marking only the chassis its nodes landed in. It touches no node.
+// An unchanged value and the idle slot 0 are no-ops; a released slot has
+// no chassis, so updating it marks nothing.
+func (inc *Incremental) Update(s Slot, cpuUtil, gpuUtil float64) {
+	if s == 0 {
+		return
+	}
+	v := inc.value(cpuUtil, gpuUtil)
+	if inc.vals[s] == v {
+		return
+	}
+	inc.vals[s] = v
+	sl := &inc.slots[s]
+	sl.memoOK = false
+	for _, c := range sl.chassis {
+		inc.markDirty(int(c))
+	}
+}
+
+// NodePower returns the Eq. 3 per-node power of slot s's current value.
+func (inc *Incremental) NodePower(s Slot) float64 { return inc.vals[s].p }
+
+// SetNodes applies one utilization pair to a set of nodes: Assign with the
+// handle dropped.
+func (inc *Incremental) SetNodes(nodes []int, cpuUtil, gpuUtil float64) {
+	inc.Assign(nodes, cpuUtil, gpuUtil)
+}
+
+// SetNodesIdle resets a released allocation to idle (slot 0).
+func (inc *Incremental) SetNodesIdle(nodes []int) { inc.move(nodes, 0) }
+
+// alloc takes a slot from the free list, or grows the table, and sets
+// its value.
+func (inc *Incremental) alloc(v slotValue) Slot {
+	var s Slot
+	if k := len(inc.free); k > 0 {
+		s = inc.free[k-1]
+		inc.free = inc.free[:k-1]
+	} else {
+		s = Slot(len(inc.slots))
+		inc.vals = append(inc.vals, slotValue{})
+		inc.slots = append(inc.slots, slotState{})
+	}
+	inc.vals[s] = v
+	return s
+}
+
+// release returns a slot no node holds to the free list.
+func (inc *Incremental) release(s Slot) {
+	sl := &inc.slots[s]
+	sl.chassis = sl.chassis[:0]
+	sl.memoOK = false
+	inc.free = append(inc.free, s)
+}
+
+// move puts nodes on slot s, releasing every slot its last node leaves,
+// and records on s's chassis list each chassis a node lands in.
+func (inc *Incremental) move(nodes []int, s Slot) {
+	inc.mark++
+	to := &inc.slots[s]
+	lastDirty := int32(-1)
+	for _, n := range nodes {
+		if n < 0 || n >= len(inc.nodeSlot) {
+			continue
+		}
+		from := inc.nodeSlot[n]
+		if from == s {
+			continue
+		}
+		inc.nodeSlot[n] = s
+		c := inc.nodeChassis[n]
+		if c != lastDirty && inc.vals[from] != inc.vals[s] {
+			inc.markDirty(int(c))
+			lastDirty = c
+		}
+		if from != 0 {
+			if inc.slots[from].refs--; inc.slots[from].refs == 0 {
+				inc.release(from)
+			}
+		}
+		if s != 0 {
+			to.refs++
+			if inc.chassisMark[c] != inc.mark {
+				inc.chassisMark[c] = inc.mark
+				to.chassis = append(to.chassis, c)
+			}
+		}
+	}
+}
 
 func (inc *Incremental) markDirty(c int) {
 	if !inc.chassis[c].dirty {
@@ -182,24 +307,57 @@ func (inc *Incremental) ComputeDelta() *SystemPower {
 	return &inc.sp
 }
 
-// refreshChassis re-sums the chassis's cached node powers (in node order,
-// matching Compute) and re-evaluates its conversion chain.
+// refreshChassis re-evaluates one chassis. A filler-free chassis whose
+// nodes all hold one slot copies that slot's memo (filling it if empty);
+// any other chassis is folded node by node.
 func (inc *Incremental) refreshChassis(c int) {
 	cc := &inc.chassis[c]
-	var out, cpuW, gpuW float64
-	for i := cc.start; i < cc.end; i++ {
-		out += inc.nodeP[i]
-		cpuW += inc.nodeCPUW[i]
-		gpuW += inc.nodeGPUW[i]
-	}
-	for k := 0; k < cc.filler; k++ {
-		out += inc.idleP
-		cpuW += inc.idleCPUW
-		gpuW += inc.idleGPUW
-	}
-	cc.out, cc.cpuW, cc.gpuW = out, cpuW, gpuW
-	cc.res = inc.m.Chain.Chassis(out)
 	cc.dirty = false
+	nodes := inc.nodeSlot[cc.start:cc.end]
+	if cc.filler == 0 && uniform(nodes) {
+		sl := &inc.slots[nodes[0]]
+		if !sl.memoOK {
+			inc.fold(&sl.memo, nodes, 0)
+			sl.memoOK = true
+		}
+		cc.chassisSum = sl.memo
+		return
+	}
+	inc.fold(&cc.chassisSum, nodes, cc.filler)
+}
+
+// uniform reports whether a non-empty run of nodes all hold one slot.
+func uniform(nodes []Slot) bool {
+	if len(nodes) == 0 {
+		return false
+	}
+	for _, s := range nodes[1:] {
+		if s != nodes[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// fold sums the nodes' values in node order, then filler idle values —
+// Compute's left fold — and evaluates the conversion chain.
+func (inc *Incremental) fold(dst *chassisSum, nodes []Slot, filler int) {
+	vals := inc.vals
+	var out, cpuW, gpuW float64
+	for _, s := range nodes {
+		v := &vals[s]
+		out += v.p
+		cpuW += v.cpuW
+		gpuW += v.gpuW
+	}
+	idle := &vals[0]
+	for k := 0; k < filler; k++ {
+		out += idle.p
+		cpuW += idle.cpuW
+		gpuW += idle.gpuW
+	}
+	dst.out, dst.cpuW, dst.gpuW = out, cpuW, gpuW
+	dst.res = inc.m.Chain.Chassis(out)
 }
 
 // resum rebuilds every aggregate from the per-chassis caches in the same

@@ -23,8 +23,8 @@ type JobEnergy struct {
 
 // trackJobEnergy accumulates one partition's per-job node-level energy
 // each tick; called from Tick with the current utilizations already
-// applied. Under the event engine the per-node power is already cached
-// per job for the current trace quantum, so the Eq. 3 re-evaluation is
+// applied. Under the event engine the per-node power is read from the
+// job's value slot in the power engine, so the Eq. 3 re-evaluation is
 // skipped.
 func (s *Simulation) trackJobEnergy(pt *partSim, dt float64) {
 	if pt.jobEnergyJ == nil {
@@ -33,7 +33,7 @@ func (s *Simulation) trackJobEnergy(pt *partSim, dt float64) {
 	for _, r := range pt.sch.Running() {
 		var p float64
 		if rs, ok := pt.runStates[r.ID]; ok {
-			p = rs.nodeP * float64(r.NodeCount)
+			p = pt.inc.NodePower(rs.slot) * float64(r.NodeCount)
 		} else {
 			cu, gu := r.UtilAt(s.now - r.StartTime)
 			p = pt.model.Spec.NodePower(cu, gu) * float64(r.NodeCount)

@@ -205,15 +205,15 @@ type Report struct {
 }
 
 // runState caches the event-engine view of one running job: its current
-// trace quantum, the per-node power at that quantum, and the node
+// trace quantum, its value slot in the partition's power engine (which
+// also holds the per-node power at that quantum), and the node
 // allocation (retained past Reap, which nils the job's own slice).
 type runState struct {
 	j      *job.Job
 	nodes  []int
-	idx    int // current trace-quantum index
-	cu, gu float64
-	nodeP  float64 // Eq. 3 per-node power at (cu, gu)
-	frozen bool    // utilization can no longer change
+	slot   power.Slot
+	idx    int  // current trace-quantum index
+	frozen bool // utilization can no longer change
 	// constFrom is the first index of the traces' constant suffix
 	// (computed once at job start): once idx reaches it the remaining
 	// samples are all equal, so the job is frozen early — FlatTrace jobs
@@ -648,12 +648,11 @@ func (s *Simulation) applyDeltas(pt *partSim, done, started []*job.Job) {
 		idx := int(t / job.TraceQuantaSec)
 		cu, gu := j.UtilAt(t)
 		rs := &runState{
-			j: j, nodes: j.Nodes, idx: idx, cu: cu, gu: gu,
-			nodeP:     pt.model.Spec.NodePower(cu, gu),
+			j: j, nodes: j.Nodes, idx: idx,
+			slot:      pt.inc.Assign(j.Nodes, cu, gu),
 			constFrom: j.TraceConstSuffix(),
 		}
 		rs.frozen = rs.freezeAt(idx)
-		pt.inc.SetNodes(rs.nodes, cu, gu)
 		pt.runStates[j.ID] = rs
 	}
 	for _, j := range pt.sch.Running() {
@@ -669,11 +668,7 @@ func (s *Simulation) applyDeltas(pt *partSim, done, started []*job.Job) {
 		rs.idx = idx
 		rs.frozen = rs.freezeAt(idx)
 		cu, gu := j.UtilAt(t)
-		if cu != rs.cu || gu != rs.gu {
-			rs.cu, rs.gu = cu, gu
-			rs.nodeP = pt.model.Spec.NodePower(cu, gu)
-			pt.inc.SetNodes(rs.nodes, cu, gu)
-		}
+		pt.inc.Update(rs.slot, cu, gu)
 	}
 	if pt.inc.Dirty() {
 		s.heatValid = false
@@ -809,7 +804,7 @@ func (s *Simulation) advanceQuiet(k int) {
 				pt.jobEnergyJ = make(map[int]float64)
 			}
 			for id, rs := range pt.runStates {
-				pt.jobEnergyJ[id] += rs.nodeP * float64(rs.j.NodeCount) * gap
+				pt.jobEnergyJ[id] += pt.inc.NodePower(rs.slot) * float64(rs.j.NodeCount) * gap
 			}
 		}
 	}

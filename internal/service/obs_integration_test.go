@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -108,13 +109,20 @@ func TestMetricsScrapeDuringMixedPlantSweep(t *testing.T) {
 
 	// Generate some HTTP traffic so the middleware families carry data,
 	// then scrape again once part of the sweep has finished — both
-	// scrapes land mid-sweep on any machine slower than the pool.
+	// scrapes land mid-sweep on any machine slower than the pool. Each
+	// body is read to EOF: net/http writes the end of a response after
+	// the handler's deferred calls, so the middleware has observed the
+	// request by then (headers alone can arrive first).
 	for _, path := range []string{"/api/sweeps", "/api/sweeps/trace", "/api/sweeps/" + sw.ID()} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, err = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
