@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint fuzz bench-test bench-smoke bench-json bench-compare ci
+.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint fuzz bench-test ci
 
 all: build vet test
 
@@ -78,20 +78,4 @@ fuzz:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Quick perf smoke: the headline day-replay benchmarks (with the
-# dense-vs-event speedup metric), the multi-day fan-out, the /metrics
-# scrape cost under load, and the surrogate-accelerated optimizer.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'TwinDay|TableIV|RunBatchDays|SweepService|SweepWarmRestart|CoolingVariantSweep|MidDayCancel|MetricsScrapeUnderLoad|CoordinatorSweep|Optimize$$' -benchtime 1x .
-
-# Emit the benchmark series as JSON (BENCH_PR10.json) so the perf
-# trajectory is tracked PR over PR.
-bench-json:
-	./scripts/bench_json.sh BENCH_PR10.json
-
-# Diff the two most recent BENCH_PR*.json series benchmark by benchmark
-# (ns/op old vs new and the speedup ratio).
-bench-compare:
-	./scripts/bench_compare.sh
-
-ci: build vet test bench-test check bench-smoke
+ci: build vet test bench-test check

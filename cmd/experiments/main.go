@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (§IV): Tables I-IV, Figs. 4 and 7-9, and the two §IV-3
-// what-if studies. Each experiment prints in the paper's format;
-// EXPERIMENTS.md records a full run next to the published values.
+// what-if studies. Each experiment prints its result in the paper's
+// format.
 //
 // Usage:
 //

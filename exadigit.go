@@ -32,8 +32,7 @@
 //		res.Report.AvgPowerMW, res.Report.AvgPUE)
 //
 // Every table and figure of the paper's evaluation can be regenerated
-// with cmd/experiments; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// with cmd/experiments, which prints each result in the paper's format.
 package exadigit
 
 import (

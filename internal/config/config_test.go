@@ -3,6 +3,7 @@ package config
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"exadigit/internal/cooling"
@@ -21,8 +22,12 @@ func TestFrontierSpecValidatesAndMatchesBuiltIn(t *testing.T) {
 	if len(models) != 1 {
 		t.Fatalf("%d models", len(models))
 	}
-	// The config-built model must agree with the hand-built one.
+	// The config-built model must agree with the hand-built one, field
+	// for field (spec, conversion chain, topology, cooling efficiency).
 	ref := power.NewFrontierModel()
+	if !reflect.DeepEqual(*models[0], *ref) {
+		t.Errorf("config model %+v differs from built-in %+v", *models[0], *ref)
+	}
 	var got, want power.SystemPower
 	models[0].ComputeUniform(1, 1, 9472, &got)
 	ref.ComputeUniform(1, 1, 9472, &want)

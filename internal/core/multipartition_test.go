@@ -186,3 +186,39 @@ func TestDefaultWorkloadReplicatesAcrossPartitions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTwinDaySetonix measures the multi-partition twin: one full
+// cooled day of a Setonix-like system — synthetic jobs on the CPU
+// partition, a pinned-peak GPU partition — with both partitions' heat
+// coupled into the shared plant. The per-partition power split rides
+// along as cpuMW/gpuMW.
+func BenchmarkTwinDaySetonix(b *testing.B) {
+	spec := config.SetonixLike()
+	gen := job.DefaultGeneratorConfig()
+	gen.Seed = 99
+	day := Scenario{
+		HorizonSec: 86400, TickSec: 15,
+		Cooling: true, WetBulbC: 21, NoExport: true,
+		Partitions: []PartitionScenario{
+			{Workload: WorkloadSynthetic, Generator: gen},
+			{Workload: WorkloadPeak},
+		},
+	}
+	for i := 0; i < b.N; i++ {
+		tw, err := NewFromSpec(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := tw.Run(day)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep := res.Report
+		if len(rep.Partitions) != 2 {
+			b.Fatalf("expected 2 partition reports, got %d", len(rep.Partitions))
+		}
+		b.ReportMetric(rep.AvgPUE, "pue")
+		b.ReportMetric(rep.Partitions[0].AvgPowerMW, "cpuMW")
+		b.ReportMetric(rep.Partitions[1].AvgPowerMW, "gpuMW")
+	}
+}

@@ -5,8 +5,7 @@
 // Fig. 9 24-hour replay, and the two §IV-3 what-if studies (smart
 // load-sharing rectifiers and 380 V DC distribution). Each experiment
 // returns a Table that prints like the paper's artifact plus the raw
-// series for further analysis; cmd/experiments drives them all and
-// bench_test.go wraps each in a benchmark.
+// series for further analysis; cmd/experiments drives them all.
 package exp
 
 import (

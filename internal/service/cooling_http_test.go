@@ -223,6 +223,34 @@ func TestHTTPCancelAbortsMidDay(t *testing.T) {
 	}
 }
 
+// BenchmarkMidDayCancel measures the cancel-to-stop latency of an
+// in-flight cooled multi-day simulation: the tick-boundary abort that
+// TestHTTPCancelAbortsMidDay bounds, without the HTTP round trip.
+func BenchmarkMidDayCancel(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		svc := New(Options{Workers: 1})
+		sw, err := svc.Submit(config.Frontier(), []core.Scenario{{
+			Workload: core.WorkloadSynthetic, HorizonSec: 14 * 86400, TickSec: 1,
+			Cooling: true, WetBulbC: 20, NoExport: true, NoHistory: true,
+		}}, SweepOptions{Name: "long-day"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for sw.Status().Running == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		// Let it get a few simulated hours in before pulling the plug.
+		time.Sleep(50 * time.Millisecond)
+		start := time.Now()
+		sw.Cancel()
+		<-sw.Done()
+		b.ReportMetric(float64(time.Since(start).Microseconds())/1e3, "cancel_ms")
+		if st := sw.Status(); st.Cancelled != 1 {
+			b.Fatalf("sweep status %+v", st)
+		}
+	}
+}
+
 // TestHTTPStructuredFeasibilityError pins the structured 400 body: an
 // AutoCSM-infeasible plant rejection names the offending field and a
 // suggested fix instead of leaking sizing internals as free text.

@@ -3,8 +3,7 @@
 // with a web dashboard; here the same insights — spatial heat maps of the
 // machine room, time-series of power/PUE/temperatures, and launching
 // what-if simulations — are provided as terminal renderings and an
-// HTTP/JSON API (see server.go). The substitution is documented in
-// DESIGN.md §3.
+// HTTP/JSON API (see server.go).
 package viz
 
 import (
