@@ -18,11 +18,14 @@ test-short:
 
 # Race-detector pass over the concurrent layers (sweep service, durable
 # result store, cluster coordinator, metric registry/tracer) — the
-# packages whose invariants are all about shared state under load.
+# packages whose invariants are all about shared state under load — and
+# the twin and dashboard, whose viz readers poll a Twin while a library
+# caller runs it (TestVizReadsDuringRunAreRaceFree).
 test-race:
 	$(GO) test -race ./internal/service/... ./internal/store/... \
 		./internal/cluster/... ./internal/obs/... \
-		./internal/optimize/... ./internal/surrogate/... ./internal/uq/...
+		./internal/optimize/... ./internal/surrogate/... ./internal/uq/... \
+		./internal/core/... ./internal/viz/...
 
 # Distributed-sweep fabric suite under the race detector: wire
 # round-trip hash stability, rendezvous sharding, worker health and

@@ -1,17 +1,17 @@
-// Command exadigit runs the integrated digital twin and serves the
-// dashboard REST API (the paper's web-dashboard backend, §III-B6/III-D):
-// it simulates a scenario on the Frontier twin and then exposes
-// /api/status, /api/series, /api/cooling, /api/run, /api/experiments
-// and the Prometheus /metrics exposition over HTTP, so what-if
-// experiments can be launched and recalled exactly as through the
-// paper's Kubernetes-hosted dashboard.
+// Command exadigit runs the integrated digital twin and serves it over
+// HTTP (the paper's web-dashboard backend, §III-B6/III-D): it simulates
+// a scenario on the Frontier twin, then serves the dashboard's
+// /api/status, /api/series and /api/cooling, the scenario-sweep API and
+// the Prometheus /metrics exposition. What-if experiments are launched
+// and recalled as sweeps (POST /api/sweeps, NDJSON result streaming), as
+// through the paper's Kubernetes-hosted dashboard.
 //
-// The serve subcommand starts the twin-as-a-service backend instead: the
-// concurrent scenario-sweep API (submit/status/cancel, content-addressed
-// result cache, NDJSON result streaming) mounted alongside the dashboard
-// endpoints. Passing worker URLs instead of a worker count turns the
-// instance into a cluster coordinator that fans sweeps out to those
-// workers over the same API (see README "Distributed sweeps").
+// The serve subcommand starts the twin-as-a-service backend: the same
+// handler tree over a sweep service with production knobs (worker pool,
+// admission bound, timeouts, durable store, auth, pprof). Passing worker
+// URLs instead of a worker count turns the instance into a cluster
+// coordinator that fans sweeps out to those workers over the same API
+// (see README "Distributed sweeps").
 //
 // Usage:
 //
@@ -95,29 +95,76 @@ func main() {
 	if *once {
 		return
 	}
-	dash := exadigit.NewDashboardServer(tw)
-	dash.SetLogf(log.Printf)
-	reg := exadigit.NewMetricsRegistry()
-	dash.RegisterMetrics(reg)
-	exadigit.RegisterTwinMetrics(reg, tw)
-	exadigit.RegisterGoMetrics(reg)
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("/", dash.Handler())
-	log.Printf("serving dashboard API on %s", *addr)
-	log.Printf("  GET  /api/status       — live status")
-	log.Printf("  GET  /api/series       — power/PUE/utilization history")
-	log.Printf("  GET  /api/cooling      — the compiled plant's output channels")
-	log.Printf("  POST /api/run          — launch a what-if (workload=, mode=, horizon_sec=, cooling=)")
-	log.Printf("  GET  /api/experiments  — recall stored what-if results")
-	log.Printf("  GET  /metrics          — Prometheus text exposition")
-	if err := http.ListenAndServe(*addr, mux); err != nil {
+	// What-ifs go through an in-memory sweep service with default
+	// options: the same admission, worker slots and cache as serve.
+	h, _ := handler(exadigit.NewSweepService(exadigit.SweepServiceOptions{}), tw, log.Printf, false)
+	log.Printf("serving dashboard and sweep API on %s", *addr)
+	logRoutes(false)
+	if err := http.ListenAndServe(*addr, h); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// serve runs the twin-as-a-service mode: the sweep API plus the
-// dashboard endpoints on one listener.
+// handler builds the one handler tree every mode serves: the sweep and
+// optimize API, the dashboard over tw, GET /metrics and, with pprofOn,
+// /debug/pprof. The dashboard's request counters, the twin's gauges and
+// the Go runtime join the service's registry, so /metrics covers every
+// subsystem. logf (nil for none) logs requests on both stacks and the
+// service's journal events.
+func handler(svc *exadigit.SweepService, tw *exadigit.Twin, logf func(string, ...any), pprofOn bool) (http.Handler, *exadigit.DashboardServer) {
+	svc.SetLogf(logf)
+	dash := exadigit.NewDashboardServer(tw)
+	dash.SetLogf(logf)
+	reg := svc.Registry()
+	dash.RegisterMetrics(reg)
+	exadigit.RegisterTwinMetrics(reg, tw)
+	exadigit.RegisterGoMetrics(reg)
+
+	mux := http.NewServeMux()
+	sweepAPI := svc.Handler()
+	for _, pattern := range []string{"/api/sweeps", "/api/sweeps/", "/api/optimize", "/api/optimize/"} {
+		mux.Handle(pattern, sweepAPI)
+	}
+	mux.Handle("GET /metrics", reg.Handler())
+	if pprofOn {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	mux.Handle("/", dash.Handler())
+	return mux, dash
+}
+
+// logRoutes lists the handler tree's endpoints at startup.
+func logRoutes(pprofOn bool) {
+	routes := []string{
+		"GET  /api/status               — live status of the dashboard twin",
+		"GET  /api/series               — power/PUE/utilization history",
+		"GET  /api/cooling              — the compiled plant's output channels",
+		"POST /api/sweeps               — submit a what-if sweep (per-scenario cooling_spec mixes plants)",
+		"GET  /api/sweeps               — list sweeps",
+		"GET  /api/sweeps/{id}          — sweep status",
+		"GET  /api/sweeps/{id}/results  — completed results",
+		"GET  /api/sweeps/{id}/stream   — NDJSON results as they complete",
+		"POST /api/sweeps/{id}/cancel   — cancel queued and in-flight work (aborts mid-day)",
+		"GET  /api/sweeps/trace         — NDJSON scenario lifecycle spans (?limit=N)",
+		"POST /api/optimize             — submit a co-design study (surrogate-screened search)",
+		"GET  /api/optimize/{id}/stream — NDJSON per-generation progress, then the result",
+		"GET  /metrics                  — Prometheus text exposition",
+	}
+	if pprofOn {
+		routes = append(routes, "GET  /debug/pprof/             — runtime profiling (heap, cpu, goroutines)")
+	}
+	for _, r := range routes {
+		log.Printf("  %s", r)
+	}
+}
+
+// serve runs the twin-as-a-service mode: the shared handler tree over a
+// sweep service configured from the flags, behind optional bearer-token
+// auth, with a graceful drain on shutdown.
 func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
@@ -238,7 +285,7 @@ func serve(args []string) {
 			len(workerURLs), workerURLs, *shardStall)
 	}
 	svc := exadigit.NewSweepService(svcOpts)
-	svc.SetLogf(log.Printf)
+	h, dash := handler(svc, tw, log.Printf, *pprofOn)
 	if *resume && resultStore != nil {
 		// Recovery must precede serving: a request for a journaled sweep
 		// id races the re-adoption otherwise.
@@ -250,12 +297,6 @@ func serve(args []string) {
 				stats.Adopted, stats.Terminal, stats.Requeued, stats.Finished)
 		}
 	}
-	dash := exadigit.NewDashboardServer(tw)
-	dash.SetLogf(log.Printf)
-	dash.RegisterMetrics(reg)
-	exadigit.RegisterTwinMetrics(reg, tw)
-	exadigit.RegisterGoMetrics(reg)
-
 	var traceSink *os.File
 	if *traceFile != "" {
 		var err error
@@ -267,22 +308,7 @@ func serve(args []string) {
 		log.Printf("appending scenario lifecycle spans to %s", *traceFile)
 	}
 
-	mux := http.NewServeMux()
-	sweepAPI := svc.Handler()
-	mux.Handle("/api/sweeps", sweepAPI)
-	mux.Handle("/api/sweeps/", sweepAPI)
-	mux.Handle("/api/optimize", sweepAPI)
-	mux.Handle("/api/optimize/", sweepAPI)
-	mux.Handle("GET /metrics", reg.Handler())
-	if *pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	mux.Handle("/", dash.Handler())
-	handler := exadigit.RequireBearerToken(*token, mux)
+	h = exadigit.RequireBearerToken(*token, h)
 	if *token != "" {
 		log.Printf("bearer-token auth enabled (every request needs Authorization: Bearer <token>)")
 	}
@@ -308,22 +334,9 @@ func serve(args []string) {
 
 	log.Printf("serving twin-as-a-service on %s (%d workers, cache %d entries / %d MiB)",
 		*addr, svc.Workers(), *cacheCap, *cacheBytes>>20)
-	log.Printf("  POST /api/sweeps               — submit a scenario sweep (per-scenario cooling_spec mixes plants)")
-	log.Printf("  GET  /api/sweeps               — list sweeps")
-	log.Printf("  GET  /api/sweeps/{id}          — sweep status")
-	log.Printf("  GET  /api/sweeps/{id}/results  — completed results")
-	log.Printf("  GET  /api/sweeps/{id}/stream   — NDJSON results as they complete")
-	log.Printf("  POST /api/sweeps/{id}/cancel   — cancel queued and in-flight work (aborts mid-day)")
-	log.Printf("  GET  /api/sweeps/trace         — NDJSON scenario lifecycle spans (?limit=N)")
-	log.Printf("  POST /api/optimize             — submit a co-design study (surrogate-screened search)")
-	log.Printf("  GET  /api/optimize/{id}/stream — NDJSON per-generation progress, then the result")
-	log.Printf("  GET  /metrics                  — Prometheus text exposition")
-	if *pprofOn {
-		log.Printf("  GET  /debug/pprof/             — runtime profiling (heap, cpu, goroutines)")
-	}
-	log.Printf("  (dashboard endpoints /api/status, /api/series, /api/cooling, /api/run remain mounted)")
+	logRoutes(*pprofOn)
 
-	server := &http.Server{Addr: *addr, Handler: handler}
+	server := &http.Server{Addr: *addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- server.ListenAndServe() }()
 
@@ -384,11 +397,12 @@ func serve(args []string) {
 	log.Printf("shutdown complete")
 }
 
-// metricsExposition wires the full serve-mode registry (sweep service,
-// dashboard stack, twin gauges, Go runtime), exercises it with one tiny
-// sweep and a couple of requests so the labeled families carry series,
-// and either prints the exposition (dump=true) or runs the strict
-// format validator plus the naming-convention lint over it — the engine
+// metricsExposition wires the full serve-mode registry through the
+// shared handler tree (sweep service, dashboard stack, twin gauges, Go
+// runtime), exercises it with one tiny sweep and a couple of requests so
+// the labeled families carry series, and either prints the exposition
+// (dump=true) or runs the strict format validator plus the
+// naming-convention lint over it — the engine
 // behind scripts/metrics_lint.sh and `make check`.
 func metricsExposition(dump bool) {
 	tw, err := exadigit.NewFrontierTwin()
@@ -397,10 +411,7 @@ func metricsExposition(dump bool) {
 	}
 	svc := exadigit.NewSweepService(exadigit.SweepServiceOptions{Workers: 2})
 	reg := svc.Registry()
-	dash := exadigit.NewDashboardServer(tw)
-	dash.RegisterMetrics(reg)
-	exadigit.RegisterTwinMetrics(reg, tw)
-	exadigit.RegisterGoMetrics(reg)
+	h, _ := handler(svc, tw, nil, false)
 
 	sw, err := svc.Submit(exadigit.FrontierSpec(), []exadigit.Scenario{
 		{Workload: exadigit.WorkloadSynthetic, HorizonSec: 60, TickSec: 15, NoExport: true, NoHistory: true},
@@ -413,16 +424,8 @@ func metricsExposition(dump bool) {
 	if err := sw.Wait(ctx); err != nil {
 		log.Fatal(err)
 	}
-	for _, target := range []struct {
-		h    http.Handler
-		path string
-	}{
-		{svc.Handler(), "/api/sweeps"},
-		{svc.Handler(), "/api/sweeps/" + sw.ID()},
-		{dash.Handler(), "/api/status"},
-	} {
-		rec := httptest.NewRecorder()
-		target.h.ServeHTTP(rec, httptest.NewRequest("GET", target.path, nil))
+	for _, path := range []string{"/api/sweeps", "/api/sweeps/" + sw.ID(), "/api/status"} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
 	}
 
 	// Coordinator families: run one shard through an in-process worker
@@ -446,7 +449,7 @@ func metricsExposition(dump bool) {
 	}
 
 	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.Bytes()
 	if dump {
 		os.Stdout.Write(body)

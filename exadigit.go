@@ -355,17 +355,18 @@ func NewCoolingFMU(cfg CoolingConfig) (*FMU, error) { return fmu.Instantiate(cfg
 type DashboardServer = viz.Server
 
 // NewDashboardServer builds the dashboard REST backend over the twin.
-// Its Handler serves /api/status, /api/series, /api/cooling, /api/run,
-// and /api/experiments behind the shared middleware stack (panic
-// recovery, request metrics, optional logging via SetLogf); its request
-// counters reach /metrics through RegisterMetrics.
+// Its Handler serves the read-only /api/status, /api/series and
+// /api/cooling behind the shared middleware stack (panic recovery,
+// request metrics, optional logging via SetLogf); its request counters
+// reach /metrics through RegisterMetrics. What-if experiments are
+// sweeps: submit them to a SweepService.
 func NewDashboardServer(tw *Twin) *DashboardServer {
-	return viz.NewServer(tw, tw.ExperimentRunner())
+	return viz.NewServer(tw)
 }
 
 // DashboardHandler returns the HTTP handler serving the twin's REST API
-// (/api/status, /api/series, /api/cooling, /api/run, /api/experiments) —
-// the data source the paper's web dashboard consumes.
+// (/api/status, /api/series, /api/cooling) — the data source the
+// paper's web dashboard consumes.
 func DashboardHandler(tw *Twin) http.Handler {
 	return NewDashboardServer(tw).Handler()
 }

@@ -1,6 +1,7 @@
 // Dashboard: serve the twin's REST API and poke it like the paper's web
 // dashboard does (§III-B6): read live status, pull the power series, and
-// launch a what-if run over HTTP, then recall the stored result.
+// read the cooling plant's output channels. What-if runs are sweeps;
+// examples/sweep-service launches and recalls them over HTTP.
 package main
 
 import (
@@ -10,7 +11,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 
 	"exadigit"
 )
@@ -64,21 +64,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("GET /api/cooling → %d channels\n", len(coolingOut))
-
-	// Launch a what-if over HTTP: a 10-minute idle run under 380 V DC.
-	resp, err := http.PostForm(srv.URL+"/api/run", url.Values{
-		"workload":    {"idle"},
-		"mode":        {"dc380"},
-		"horizon_sec": {"600"},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("POST /api/run (dc380 idle what-if) →\n  %s\n", body)
-	fmt.Printf("GET /api/experiments → %s\n", get("/api/experiments"))
+	fmt.Println("\nWhat-if runs are sweeps (POST /api/sweeps): go run ./examples/sweep-service")
 }

@@ -203,9 +203,9 @@ func TestCoolingOutputsFollowSpec(t *testing.T) {
 }
 
 // TestVizReadsDuringRunAreRaceFree exercises the dashboard pattern —
-// /api/cooling and /api/status polling while /api/run drives a new run
-// on the same Twin — so `go test -race` guards the shared run-artifact
-// snapshot.
+// /api/cooling and /api/status polling while a library caller drives a
+// new run on the same Twin — so `go test -race` (make test-race) guards
+// the shared run-artifact snapshot.
 func TestVizReadsDuringRunAreRaceFree(t *testing.T) {
 	tw, err := NewFrontier()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -122,6 +123,24 @@ type Scenario struct {
 	TelemetryTo io.Writer
 }
 
+// Validate checks the scenario fields every run path depends on: a
+// finite positive horizon, a finite non-negative tick (0 keeps the
+// default), and a known engine. The sweep service calls it at submit,
+// so a bad scenario is refused before it is queued.
+func (sc *Scenario) Validate() error {
+	if !(sc.HorizonSec > 0) || math.IsInf(sc.HorizonSec, 1) {
+		return fmt.Errorf("core: scenario horizon_sec must be finite and positive, got %v", sc.HorizonSec)
+	}
+	if !(sc.TickSec >= 0) || math.IsInf(sc.TickSec, 1) {
+		return fmt.Errorf("core: scenario tick_sec must be finite and non-negative, got %v", sc.TickSec)
+	}
+	switch sc.Engine {
+	case "", "event", "dense":
+		return nil
+	}
+	return fmt.Errorf("core: unknown engine %q (want \"event\" or \"dense\")", sc.Engine)
+}
+
 // Result carries everything a scenario produced.
 type Result struct {
 	Scenario Scenario
@@ -141,9 +160,9 @@ type Twin struct {
 	compiled *CompiledSpec
 
 	// mu guards the most-recent-run artifacts below: the dashboard's viz
-	// endpoints read them from HTTP goroutines while /api/run drives a
-	// new run on the same Twin, and the cooling names must stay paired
-	// with the simulation they label.
+	// endpoints read them from HTTP goroutines while a library caller may
+	// drive a new run on the same Twin, and the cooling names must stay
+	// paired with the simulation they label.
 	mu         sync.Mutex
 	sim        *raps.Simulation
 	lastDesign *fmu.Design // cooling design of the most recent cooled run
@@ -342,8 +361,8 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if sc.HorizonSec <= 0 {
-		return nil, fmt.Errorf("core: scenario horizon must be positive")
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	models, err := tw.buildModels(sc.PowerMode)
@@ -361,13 +380,9 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if sc.Policy != "" {
 		rcfg.Policy = sc.Policy
 	}
-	switch sc.Engine {
-	case "", "event":
-		rcfg.Engine = raps.EngineEvent
-	case "dense":
+	rcfg.Engine = raps.EngineEvent
+	if sc.Engine == "dense" {
 		rcfg.Engine = raps.EngineDense
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want \"event\" or \"dense\")", sc.Engine)
 	}
 	rcfg.NoHistory = sc.NoHistory
 	rcfg.EnableCooling = sc.Cooling || sc.CoolingSpec != nil
@@ -570,33 +585,4 @@ func (tw *Twin) CoolingOutputs() map[string]float64 {
 		out[n] = vec[i]
 	}
 	return out
-}
-
-// ExperimentRunner returns a viz.ExperimentRunner that launches scenarios
-// from HTTP parameters (workload, horizon_sec, mode, cooling). The
-// request context is threaded into the run, so a client disconnect
-// aborts the what-if at the next tick boundary.
-func (tw *Twin) ExperimentRunner() viz.ExperimentRunner {
-	return func(ctx context.Context, params map[string]string) (any, error) {
-		sc := Scenario{
-			Workload:   WorkloadKind(params["workload"]),
-			HorizonSec: 900,
-			TickSec:    15,
-		}
-		if sc.Workload == "" {
-			sc.Workload = WorkloadSynthetic
-		}
-		if h := params["horizon_sec"]; h != "" {
-			if _, err := fmt.Sscanf(h, "%f", &sc.HorizonSec); err != nil {
-				return nil, fmt.Errorf("core: bad horizon_sec %q", h)
-			}
-		}
-		sc.PowerMode = params["mode"]
-		sc.Cooling = params["cooling"] == "true"
-		res, err := tw.RunContext(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		return res.Report, nil
-	}
 }

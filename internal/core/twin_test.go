@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -180,24 +179,46 @@ func TestVizSourceIntegration(t *testing.T) {
 	}
 }
 
-func TestExperimentRunner(t *testing.T) {
+// TestScenarioValidate pins the one scenario check every run path
+// shares: RunContext and the sweep service's submit both refuse what
+// Validate refuses, so a NaN or infinite horizon can no longer finish
+// "successfully" with an empty report.
+func TestScenarioValidate(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		ok   bool
+	}{
+		{"minimal", Scenario{HorizonSec: 60}, true},
+		{"dense engine", Scenario{HorizonSec: 60, TickSec: 15, Engine: "dense"}, true},
+		{"event engine", Scenario{HorizonSec: 60, Engine: "event"}, true},
+		{"zero horizon", Scenario{}, false},
+		{"negative horizon", Scenario{HorizonSec: -1}, false},
+		{"NaN horizon", Scenario{HorizonSec: nan}, false},
+		{"infinite horizon", Scenario{HorizonSec: inf}, false},
+		{"negative tick", Scenario{HorizonSec: 60, TickSec: -15}, false},
+		{"NaN tick", Scenario{HorizonSec: 60, TickSec: nan}, false},
+		{"infinite tick", Scenario{HorizonSec: 60, TickSec: inf}, false},
+		{"unknown engine", Scenario{HorizonSec: 60, Engine: "sparse"}, false},
+	} {
+		if err := tc.sc.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+
 	tw, err := NewFrontier()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := tw.ExperimentRunner()
-	res, err := run(context.Background(), map[string]string{"workload": "idle", "horizon_sec": "60"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil {
-		t.Fatal("nil result")
-	}
-	if _, err := run(context.Background(), map[string]string{"workload": "bogus"}); err == nil {
-		t.Error("bad workload should fail")
-	}
-	if _, err := run(context.Background(), map[string]string{"horizon_sec": "xyz"}); err == nil {
-		t.Error("bad horizon should fail")
+	for _, sc := range []Scenario{
+		{Workload: WorkloadIdle, HorizonSec: nan},
+		{Workload: WorkloadIdle, HorizonSec: inf},
+		{Workload: WorkloadIdle, HorizonSec: 60, TickSec: inf},
+	} {
+		if res, err := tw.Run(sc); err == nil {
+			t.Errorf("Run(horizon %v, tick %v) = %+v, want an error", sc.HorizonSec, sc.TickSec, res.Report)
+		}
 	}
 }
 

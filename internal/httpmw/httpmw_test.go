@@ -159,9 +159,9 @@ func TestRouteLabel(t *testing.T) {
 		"/api/sweeps/sw-18f3a2b4c5d6e7f8-9abc":        "/api/sweeps/{id}",
 		"/api/sweeps/sw-18f3a2b4c5d6e7f8-9abc/stream": "/api/sweeps/{id}/stream",
 		"/api/sweeps/sw-NOPE/results":                 "/api/sweeps/sw-NOPE/results", // uppercase: not an id
-		"/api/experiments/42":                         "/api/experiments/{id}",
-		"/api/run/deadbeefdeadbeef":                   "/api/run/{id}",     // 16 hex chars
-		"/api/run/deadbeef":                           "/api/run/deadbeef", // too short for a hash
+		"/api/optimize/42":                            "/api/optimize/{id}",
+		"/api/scenarios/deadbeefdeadbeef":             "/api/scenarios/{id}",     // 16 hex chars
+		"/api/scenarios/deadbeef":                     "/api/scenarios/deadbeef", // too short for a hash
 		"/metrics":                                    "/metrics",
 	}
 	for path, want := range cases {

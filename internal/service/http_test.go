@@ -401,3 +401,39 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 		t.Errorf("normal submission after oversized ones: status %d", resp.StatusCode)
 	}
 }
+
+// TestHTTPRejectsInvalidScenario pins Scenario.Validate at the submit
+// boundary: a zero horizon, a negative tick or an unknown engine is a
+// 400 naming the field, and no sweep is registered — not a sweep that
+// is accepted and then fails every attempt on a worker.
+func TestHTTPRejectsInvalidScenario(t *testing.T) {
+	svc := New(Options{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+
+	for name, tc := range map[string]struct {
+		sc   string
+		want string
+	}{
+		"zero horizon":   {`{"workload":"idle","horizon_sec":0}`, "horizon_sec"},
+		"negative tick":  {`{"workload":"idle","horizon_sec":60,"tick_sec":-15}`, "tick_sec"},
+		"unknown engine": {`{"workload":"idle","horizon_sec":60,"engine":"sparse"}`, "engine"},
+	} {
+		body := `{"scenarios":[{"workload":"idle","horizon_sec":60},` + tc.sc + `]}`
+		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, tc.want) ||
+			!strings.Contains(eb.Error, "scenario 1") {
+			t.Errorf("%s: status %d (%q), want 400 naming scenario 1's %s", name, resp.StatusCode, eb.Error, tc.want)
+		}
+	}
+	if n := len(svc.List()); n != 0 {
+		t.Errorf("%d sweeps registered after refused submissions, want 0", n)
+	}
+}

@@ -594,6 +594,9 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	hashes := make([]string, len(scenarios))
 	names := make([]string, len(scenarios))
 	for i, sc := range scenarios {
+		if err := sc.Validate(); err != nil {
+			return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
+		}
 		if hashes[i], err = HashScenario(sc); err != nil {
 			return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
 		}

@@ -12,10 +12,10 @@ import (
 // dashboard mount: every viz endpoint behind httpmw.RequireBearer is a
 // 401 without the token and serves normally with it.
 func TestDashboardBehindBearerAuth(t *testing.T) {
-	srv := httptest.NewServer(httpmw.RequireBearer("twin-token", NewServer(&fakeSource{}, nil).Handler()))
+	srv := httptest.NewServer(httpmw.RequireBearer("twin-token", NewServer(&fakeSource{}).Handler()))
 	defer srv.Close()
 
-	for _, path := range []string{"/api/status", "/api/series", "/api/experiments"} {
+	for _, path := range []string{"/api/status", "/api/series", "/api/cooling"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,15 +1,10 @@
 package viz
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"sort"
-	"sync"
 
-	"exadigit/internal/config"
 	"exadigit/internal/httpmw"
 	"exadigit/internal/obs"
 )
@@ -51,32 +46,18 @@ type Source interface {
 	CoolingOutputs() map[string]float64
 }
 
-// ExperimentRunner launches a named what-if scenario with parameters and
-// returns a JSON-serializable result. It stands in for the paper's
-// Kubernetes-pod-per-experiment deployment (§III-B6). The context is the
-// request's: a client disconnect aborts the experiment mid-run.
-type ExperimentRunner func(ctx context.Context, params map[string]string) (any, error)
-
-// Server is the REST API backend (the dashboard's data source).
+// Server is the REST API backend (the dashboard's data source): the
+// read-only view of one twin's most recent run. What-if experiments are
+// sweeps, served by the sweep service alongside it.
 type Server struct {
 	src     Source
-	runner  ExperimentRunner
 	logf    httpmw.Logf
 	metrics *httpmw.Metrics
-
-	mu      sync.Mutex
-	results map[int]any
-	nextID  int
 }
 
-// NewServer builds a Server over the source. runner may be nil to
-// disable /api/run.
-func NewServer(src Source, runner ExperimentRunner) *Server {
-	return &Server{
-		src: src, runner: runner,
-		metrics: &httpmw.Metrics{},
-		results: make(map[int]any), nextID: 1,
-	}
+// NewServer builds a Server over the source.
+func NewServer(src Source) *Server {
+	return &Server{src: src, metrics: &httpmw.Metrics{}}
 }
 
 // SetLogf enables request logging through the shared middleware stack
@@ -100,8 +81,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/status", s.handleStatus)
 	mux.HandleFunc("GET /api/series", s.handleSeries)
 	mux.HandleFunc("GET /api/cooling", s.handleCooling)
-	mux.HandleFunc("POST /api/run", s.handleRun)
-	mux.HandleFunc("GET /api/experiments", s.handleExperiments)
 	return httpmw.Wrap(mux, s.logf, s.metrics)
 }
 
@@ -109,23 +88,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeRunError renders a what-if launch failure. Spec validation and
-// AutoCSM feasibility errors carry a structured field/constraint/
-// suggestion triple (config.FieldError); the dashboard surfaces it as
-// JSON fields instead of a free-text message with sizing internals.
-func writeRunError(w http.ResponseWriter, err error) {
-	body := map[string]string{"error": err.Error()}
-	var fe *config.FieldError
-	if errors.As(err, &fe) {
-		body["field"] = fe.Field
-		body["constraint"] = fe.Constraint
-		if fe.Suggestion != "" {
-			body["suggestion"] = fe.Suggestion
-		}
-	}
-	writeJSON(w, http.StatusBadRequest, body)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -153,57 +115,4 @@ func (s *Server) handleCooling(w http.ResponseWriter, r *http.Request) {
 		ordered = append(ordered, map[string]float64{k: out[k]})
 	}
 	writeJSON(w, http.StatusOK, ordered)
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if s.runner == nil {
-		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "no experiment runner configured"})
-		return
-	}
-	params := map[string]string{}
-	if err := r.ParseForm(); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	for k, vs := range r.Form {
-		if len(vs) > 0 {
-			params[k] = vs[0]
-		}
-	}
-	result, err := s.runner(r.Context(), params)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.results[id] = result
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "result": result})
-}
-
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]int, 0, len(s.results))
-	for id := range s.results {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]map[string]any, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, map[string]any{"id": id, "result": s.results[id]})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// Result fetches a stored experiment result by id.
-func (s *Server) Result(id int) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.results[id]; ok {
-		return r, nil
-	}
-	return nil, fmt.Errorf("viz: no experiment %d", id)
 }

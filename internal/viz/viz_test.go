@@ -1,12 +1,9 @@
 package viz
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -123,7 +120,7 @@ func (f *fakeSource) Series() []SeriesPoint {
 func (f *fakeSource) CoolingOutputs() map[string]float64 { return f.cooling }
 
 func TestServerStatusAndSeries(t *testing.T) {
-	srv := httptest.NewServer(NewServer(&fakeSource{}, nil).Handler())
+	srv := httptest.NewServer(NewServer(&fakeSource{}).Handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/api/status")
@@ -155,7 +152,7 @@ func TestServerStatusAndSeries(t *testing.T) {
 
 func TestServerCooling(t *testing.T) {
 	// Without cooling: 404.
-	srv := httptest.NewServer(NewServer(&fakeSource{}, nil).Handler())
+	srv := httptest.NewServer(NewServer(&fakeSource{}).Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/api/cooling")
 	if err != nil {
@@ -166,7 +163,7 @@ func TestServerCooling(t *testing.T) {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
 	// With cooling: 200 + values.
-	srv2 := httptest.NewServer(NewServer(&fakeSource{cooling: map[string]float64{"pue": 1.05}}, nil).Handler())
+	srv2 := httptest.NewServer(NewServer(&fakeSource{cooling: map[string]float64{"pue": 1.05}}).Handler())
 	defer srv2.Close()
 	resp2, err := http.Get(srv2.URL + "/api/cooling")
 	if err != nil {
@@ -175,77 +172,5 @@ func TestServerCooling(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("status = %d", resp2.StatusCode)
-	}
-}
-
-func TestServerRunAndExperiments(t *testing.T) {
-	runner := func(_ context.Context, params map[string]string) (any, error) {
-		if params["mode"] == "bad" {
-			return nil, errors.New("boom")
-		}
-		return map[string]string{"mode": params["mode"]}, nil
-	}
-	s := NewServer(&fakeSource{}, runner)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := http.PostForm(srv.URL+"/api/run", url.Values{"mode": {"dc380"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run status = %d", resp.StatusCode)
-	}
-	var out struct {
-		ID     int               `json:"id"`
-		Result map[string]string `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != 1 || out.Result["mode"] != "dc380" {
-		t.Errorf("run = %+v", out)
-	}
-	// Stored result is retrievable (the Druid-recall workflow).
-	if _, err := s.Result(1); err != nil {
-		t.Error(err)
-	}
-	if _, err := s.Result(99); err == nil {
-		t.Error("missing result should error")
-	}
-	resp2, err := http.Get(srv.URL + "/api/experiments")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var list []map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 1 {
-		t.Errorf("experiments = %+v", list)
-	}
-	// Failing run returns 400.
-	resp3, err := http.PostForm(srv.URL+"/api/run", url.Values{"mode": {"bad"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad run status = %d", resp3.StatusCode)
-	}
-}
-
-func TestServerRunWithoutRunner(t *testing.T) {
-	srv := httptest.NewServer(NewServer(&fakeSource{}, nil).Handler())
-	defer srv.Close()
-	resp, err := http.PostForm(srv.URL+"/api/run", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("status = %d", resp.StatusCode)
 	}
 }
