@@ -57,23 +57,30 @@ multihost-smoke: build
 metrics-lint:
 	./scripts/metrics_lint.sh
 
-# Static and runtime conformance: vet plus the exposition lint.
+# Static and runtime conformance: vet, the exposition lint, and
+# formatting (gofmt lists no file).
 check: vet metrics-lint
+	test -z "$$(gofmt -l .)"
 
-# Fuzz three trust boundaries, 15 s each. The strict exposition parser
-# every metrics test reads counters through: no panic on arbitrary
-# bytes, and a rendered registry parses back to exactly the values
-# written. The persisted-surrogate decoder the optimizer warm-starts
-# from: no panic, and an accepted model predicts and round-trips. The
-# cluster wire a coordinator ships scenarios over: no panic, and a
-# scenario's wire form decodes back to the same content hash. The seed
-# corpora live under internal/{obs,surrogate,service,power}/testdata/fuzz.
-# Also the power engine: any slot-operation sequence matches Compute.
+# Fuzz four trust boundaries and the power engine, 15 s each:
+#   - the strict exposition parser every metrics test reads counters
+#     through: no panic on arbitrary bytes, and a rendered registry
+#     parses back to exactly the values written;
+#   - the persisted-surrogate decoder the optimizer warm-starts from: no
+#     panic, and an accepted model predicts and round-trips;
+#   - the cluster wire a coordinator ships scenarios over: no panic, and
+#     a scenario's wire form decodes back to the same content hash;
+#   - the power engine: any slot-operation sequence matches Compute;
+#   - the sweep-journal scanner: no panic, an unreadable header is
+#     quarantined, and every kept record fits its manifest.
+# The seed corpora live under
+# internal/{obs,surrogate,service,power,store}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzScenarioRequestRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalMatchesCompute$$' -fuzztime 15s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

@@ -39,8 +39,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 	e := mustParse(t, mustWrite(t, r))
 	series := e.Series()
 	checks := map[string]float64{
-		`exadigit_test_events_total{}`: 3,
-		`exadigit_test_depth{}`:        2.5,
+		`exadigit_test_events_total{}`:                               3,
+		`exadigit_test_depth{}`:                                      2.5,
 		`exadigit_test_routed_total{code="2xx",route="/api/sweeps"}`: 7,
 		`exadigit_test_routed_total{code="5xx",route="/api/sweeps"}`: 1,
 	}

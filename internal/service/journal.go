@@ -38,7 +38,7 @@ func newSweepID() string {
 // metric) when the sweep cannot be journaled — scenarios that cannot
 // cross a process boundary (replay datasets, telemetry writers) or a
 // failing disk never fail a submission that would have worked in memory.
-func (s *Service) journalSweep(sw *Sweep, opts SweepOptions) {
+func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 	if s.store == nil || opts.Ephemeral {
 		return
 	}
@@ -64,6 +64,7 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions) {
 				Name:            sw.name,
 				SpecHash:        sw.specHash,
 				ScenarioHashes:  sw.hashes,
+				Names:           names,
 				SpecJSON:        specJSON,
 				ScenariosJSON:   scenJSON,
 				MaxConcurrent:   opts.MaxConcurrent,
@@ -185,11 +186,34 @@ func (s *Service) Recover() (RecoverStats, error) {
 
 // recoveredShell builds a journal-reconstructed sweep: identity from
 // the manifest, every scenario initialized to the given state.
-func (s *Service) recoveredShell(m *store.SweepManifest, initial ScenarioState) *Sweep {
-	// Scenario names are display-only; pull them from the wire forms
-	// without requiring a decodable spec.
+func (s *Service) recoveredShell(e *store.JournalEntry, initial ScenarioState) *Sweep {
+	m := &e.Manifest
+	sw := s.newSweep(SweepOptions{
+		Name:            m.Name,
+		Key:             m.Key,
+		ScenarioTimeout: time.Duration(m.TimeoutSec * float64(time.Second)),
+		MaxAttempts:     m.MaxAttempts,
+	}, m.SpecHash, append([]string(nil), m.ScenarioHashes...), journalNames(e), initial)
+	sw.id = m.ID
+	sw.createdAt = time.Unix(0, m.CreatedUnixNano)
+	sw.recovered = true
+	return sw
+}
+
+// journalNames returns the scenarios' display names from the header. A
+// journal written before the header carried them falls back to the
+// payload's wire forms, named as submission names them (the scenario's
+// name, else its workload); names are display-only, so an undecodable
+// payload leaves them blank rather than failing recovery.
+func journalNames(e *store.JournalEntry) []string {
+	m := &e.Manifest
+	if len(m.Names) == len(m.ScenarioHashes) {
+		return m.Names
+	}
 	var reqs []ScenarioRequest
-	_ = json.Unmarshal(m.ScenariosJSON, &reqs)
+	if _, scenJSON, err := e.Payload(); err == nil {
+		_ = json.Unmarshal(scenJSON, &reqs)
+	}
 	names := make([]string, len(m.ScenarioHashes))
 	for i := range names {
 		if i < len(reqs) {
@@ -198,16 +222,7 @@ func (s *Service) recoveredShell(m *store.SweepManifest, initial ScenarioState) 
 			}
 		}
 	}
-	sw := s.newSweep(SweepOptions{
-		Name:            m.Name,
-		Key:             m.Key,
-		ScenarioTimeout: time.Duration(m.TimeoutSec * float64(time.Second)),
-		MaxAttempts:     m.MaxAttempts,
-	}, m.SpecHash, append([]string(nil), m.ScenarioHashes...), names, initial)
-	sw.id = m.ID
-	sw.createdAt = time.Unix(0, m.CreatedUnixNano)
-	sw.recovered = true
-	return sw
+	return names
 }
 
 // applyRecord restores one journal record onto the shell's status slot.
@@ -236,14 +251,13 @@ func (s *Service) registerRecovered(sw *Sweep) error {
 }
 
 // adoptFinished re-registers a completed sweep for status and result
-// serving — no compile, no admission, no goroutines; scenarios without a
-// record were cancelled (cancellations are never journaled).
+// serving — no compile, no admission, no goroutines, and no payload
+// decode; scenarios without a record were cancelled (cancellations are
+// never journaled). The scan has already dropped records that do not
+// fit the manifest.
 func (s *Service) adoptFinished(e *store.JournalEntry) {
-	sw := s.recoveredShell(&e.Manifest, StateCancelled)
+	sw := s.recoveredShell(e, StateCancelled)
 	for _, rec := range e.Records {
-		if rec.Index < 0 || rec.Index >= len(sw.statuses) {
-			continue
-		}
 		applyRecord(sw, rec)
 	}
 	sw.cancel()
@@ -262,15 +276,21 @@ func (s *Service) adoptFinished(e *store.JournalEntry) {
 // different code version must recompute, not serve stale keys), restore
 // journal-terminal scenarios whose results the store still holds, and
 // re-enqueue the rest through run() — the same dispatch loop a live
-// submission uses, runner seam and all.
+// submission uses, runner seam and all. It is the one recovery path
+// that decodes the journal's payload; a payload that does not decode
+// rejects the journal rather than resume from partial data.
 func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int, err error) {
 	m := &e.Manifest
+	specJSON, scenJSON, err := e.Payload()
+	if err != nil {
+		return 0, 0, err
+	}
 	var spec config.SystemSpec
-	if err := json.Unmarshal(m.SpecJSON, &spec); err != nil {
+	if err := json.Unmarshal(specJSON, &spec); err != nil {
 		return 0, 0, fmt.Errorf("manifest spec: %w", err)
 	}
 	var reqs []ScenarioRequest
-	if err := json.Unmarshal(m.ScenariosJSON, &reqs); err != nil {
+	if err := json.Unmarshal(scenJSON, &reqs); err != nil {
 		return 0, 0, fmt.Errorf("manifest scenarios: %w", err)
 	}
 	if len(reqs) != len(m.ScenarioHashes) {
@@ -286,7 +306,7 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 		return 0, 0, fmt.Errorf("spec recompile: %w", err)
 	}
 
-	sw := s.recoveredShell(m, StateQueued)
+	sw := s.recoveredShell(e, StateQueued)
 	sw.spec = spec
 	sw.compiled = compiled
 	sw.scenarios = scenarios
@@ -317,7 +337,7 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	}
 	var restored []ScenarioStatus
 	for _, rec := range e.Records {
-		if rec.Index < 0 || rec.Index >= len(sw.statuses) || !hashOK[rec.Index] {
+		if !hashOK[rec.Index] {
 			continue
 		}
 		switch ScenarioState(rec.State) {

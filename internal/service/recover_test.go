@@ -1,0 +1,344 @@
+package service
+
+// Recovery over the journal's header/payload layout: scenario names
+// served from the header alone, journals written before the split (the
+// committed testdata/parent-journals fixture) recovering finished and
+// resuming incomplete, a bad payload rejecting only the resume that
+// needs it, and the restart-cost benchmark.
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"exadigit/internal/config"
+	"exadigit/internal/core"
+	"exadigit/internal/store"
+)
+
+// scenarioNames lists a status's per-scenario display names.
+func scenarioNames(st SweepStatus) []string {
+	names := make([]string, len(st.Scenarios))
+	for i, sc := range st.Scenarios {
+		names[i] = sc.Name
+	}
+	return names
+}
+
+// blockScenario installs a fault injector that holds every attempt of
+// the scenario with the given hash until release is closed or the
+// attempt is cancelled — the scenario a fabricated kill leaves unfinished.
+func blockScenario(svc *Service, hash string, release <-chan struct{}) {
+	svc.SetFaultInjector(&FaultInjector{
+		BeforeRun: func(ctx context.Context, f Fault) error {
+			if f.ScenarioHash != hash {
+				return nil
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return ctx.Err()
+		},
+	})
+}
+
+// TestRecoverKeepsScenarioNames: a sweep's scenario names, including the
+// workload fallback of an unnamed scenario, are identical before and
+// after a restart, for a finished sweep (served from the journal header
+// without decoding the payload) and for a resumed one.
+func TestRecoverKeepsScenarioNames(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := New(chaosOptions(st1))
+	named := func(seed int64, name string) core.Scenario {
+		sc := synthScenario(seed, 900)
+		sc.Name = name
+		return sc
+	}
+	finished, err := svc1.Submit(config.Frontier(),
+		[]core.Scenario{named(611, "alpha"), named(612, ""), named(613, "gamma")}, SweepOptions{Name: "names"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]string{finished.ID(): scenarioNames(waitSweep(t, finished))}
+	if got := strings.Join(before[finished.ID()], ","); got != "alpha,synthetic,gamma" {
+		t.Fatalf("live names = %q", got)
+	}
+
+	stuck := named(623, "")
+	stuckHash, err := HashScenario(stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	blockScenario(svc1, stuckHash, release)
+	killed, err := svc1.Submit(config.Frontier(),
+		[]core.Scenario{named(621, "delta"), stuck}, SweepOptions{Name: "names-killed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before[killed.ID()] = scenarioNames(killed.Status())
+	killed.DetachJournal()
+	svc1.CancelAll()
+	close(release)
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	stats, err := svc2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Finished != 1 || stats.Adopted != 1 {
+		t.Fatalf("recover stats %+v, want 1 finished + 1 adopted", stats)
+	}
+	for id, want := range before {
+		sw, ok := svc2.Sweep(id)
+		if !ok {
+			t.Fatalf("sweep %s not recovered", id)
+		}
+		if got := scenarioNames(waitSweep(t, sw)); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("sweep %s names %q after restart, want %q", id, got, want)
+		}
+	}
+}
+
+// copyParentJournals installs the committed journals written by a build
+// from before the header/payload split into a fresh store directory.
+func copyParentJournals(t *testing.T, dir string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "parent-journals", "*.journal"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("parent journal fixture: %v, %d files", err, len(files))
+	}
+	sweeps := filepath.Join(dir, "sweeps")
+	if err := os.MkdirAll(sweeps, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(sweeps, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverParentFormatJournals: journals from a build that kept spec
+// and scenarios inline in the manifest (and wrote no names) still
+// recover. The finished sweep — custom names and one unnamed scenario —
+// re-registers with its names, states and key. The incomplete one —
+// killed with scenario 0 failed, 1 done but its result not in this
+// store, 2 unfinished — resumes: the failure is restored and 1 and 2
+// recompute. Once it finishes, its journal (parent header, records
+// appended by this build) recovers as finished.
+//
+// The fixture's hashes are this build's: a change to spec or scenario
+// hashing makes recovery recompute the failed scenario instead, and
+// this test then fails on the terminal count.
+func TestRecoverParentFormatJournals(t *testing.T) {
+	const finishedID, incompleteID = "sw-18df5631a8508fc1-71e2867b", "sw-18df5631a8922485-1484b418"
+	dir := t.TempDir()
+	copyParentJournals(t, dir)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(chaosOptions(st))
+	stats, err := svc.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Finished != 1 || stats.Adopted != 1 || stats.Terminal != 1 || stats.Requeued != 2 {
+		t.Fatalf("recover stats %+v, want 1 finished, 1 adopted, 1 terminal, 2 requeued", stats)
+	}
+
+	fin, ok := svc.Sweep(finishedID)
+	if !ok {
+		t.Fatalf("finished parent sweep %s not served", finishedID)
+	}
+	fs := fin.Status()
+	if !fs.Finished || !fs.Recovered || fs.Done != 3 || fs.Key != "parent-finished" {
+		t.Fatalf("finished parent sweep status %+v", fs)
+	}
+	if got := strings.Join(scenarioNames(fs), ","); got != "baseline-fcfs,synthetic,hot-day" {
+		t.Fatalf("finished parent sweep names %q", got)
+	}
+
+	inc, ok := svc.Sweep(incompleteID)
+	if !ok {
+		t.Fatalf("incomplete parent sweep %s not adopted", incompleteID)
+	}
+	is := waitSweep(t, inc)
+	if is.Done+is.Cached != 2 || is.Failed != 1 || is.Key != "parent-incomplete" {
+		t.Fatalf("resumed parent sweep status %+v", is)
+	}
+	if !strings.Contains(is.Scenarios[0].Error, "injected permanent failure") {
+		t.Fatalf("restored failure lost: %+v", is.Scenarios[0])
+	}
+	if got := strings.Join(scenarioNames(is), ","); got != "doomed,synthetic,stuck" {
+		t.Fatalf("resumed parent sweep names %q", got)
+	}
+	if p := st.Stats().Puts; p != 2 {
+		t.Fatalf("resume computed %d scenarios, want 2", p)
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err = New(chaosOptions(st2)).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Finished != 2 || stats.Adopted != 0 {
+		t.Fatalf("second restart stats %+v, want 2 finished", stats)
+	}
+}
+
+// corruptPayload garbles the payload line of a sweep's journal.
+func corruptPayload(t *testing.T, dir, id string) {
+	t.Helper()
+	path := filepath.Join(dir, "sweeps", id+".journal")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	if len(lines) < 2 || !bytes.HasPrefix(lines[1], []byte(`{"type":"payload",`)) {
+		t.Fatalf("journal %s has no payload line", id)
+	}
+	lines[1] = []byte("{\"type\":\"payload\",\"payload\":{\"spec\":{\"na\n")
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverBadPayload: a payload line that does not decode fails the
+// journal closed, and only where it is read. The incomplete sweep is
+// not resumed — logged, journal left in place — while the finished
+// sweep, whose payload recovery never reads, re-registers intact.
+func TestRecoverBadPayload(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := New(chaosOptions(st1))
+	finished, err := svc1.Submit(config.Frontier(),
+		[]core.Scenario{synthScenario(631, 900), synthScenario(632, 900)}, SweepOptions{Name: "bad-payload-done"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, finished)
+	stuck := synthScenario(642, 900)
+	stuckHash, err := HashScenario(stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	blockScenario(svc1, stuckHash, release)
+	killed, err := svc1.Submit(config.Frontier(),
+		[]core.Scenario{synthScenario(641, 900), stuck}, SweepOptions{Name: "bad-payload-killed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed.DetachJournal()
+	svc1.CancelAll()
+	close(release)
+	corruptPayload(t, dir, finished.ID())
+	corruptPayload(t, dir, killed.ID())
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	var mu sync.Mutex
+	var logs []string
+	svc2.SetLogf(func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	stats, err := svc2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Finished != 1 || stats.Adopted != 0 {
+		t.Fatalf("recover stats %+v, want the finished sweep only", stats)
+	}
+	if fs, ok := svc2.Sweep(finished.ID()); !ok || fs.Status().Done != 2 {
+		t.Fatalf("finished sweep with a bad payload not re-registered intact (found %v)", ok)
+	}
+	if _, ok := svc2.Sweep(killed.ID()); ok {
+		t.Fatal("sweep with a bad payload resumed")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sweeps", killed.ID()+".journal")); err != nil {
+		t.Fatalf("rejected journal not left in place: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logs) != 1 || !strings.Contains(logs[0], killed.ID()) || !strings.Contains(logs[0], "payload") {
+		t.Fatalf("logs = %q, want one payload rejection for %s", logs, killed.ID())
+	}
+}
+
+// BenchmarkRecover times a restart over a full sweep registry:
+// store.Open + New + Recover over 256 finished 8-scenario sweeps
+// journaled by the submit path (the default MaxSweeps retains exactly
+// that many).
+func BenchmarkRecover(b *testing.B) {
+	dir := b.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := New(Options{Workers: 2, Store: st})
+	scenarios := make([]core.Scenario, 8)
+	for i := range scenarios {
+		scenarios[i] = synthScenario(int64(500+i), 900)
+	}
+	for i := 0; i < 256; i++ {
+		sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{Name: fmt.Sprintf("bench-%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err = sw.Wait(ctx)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		svc := New(Options{Workers: 2, Store: st})
+		stats, err := svc.Recover()
+		if err != nil || stats.Finished != 256 {
+			b.Fatalf("recover: %+v, %v", stats, err)
+		}
+		b.StopTimer()
+		svc.Close()
+		b.StartTimer()
+	}
+}

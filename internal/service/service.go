@@ -670,7 +670,7 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	// admitted to the pool, so a crash from here on is recoverable. A
 	// journal that cannot be created degrades to today's in-memory-only
 	// sweep (logged + counted), never a failed submission.
-	s.journalSweep(sw, opts)
+	s.journalSweep(sw, opts, names)
 	go sw.run(opts.MaxConcurrent)
 	return sw, false, nil
 }

@@ -14,19 +14,29 @@ package store
 // directory name is not a hex hash, so the result-entry startup scan
 // never confuses it for a spec directory. Each journal is NDJSON:
 //
-//	{"type":"sweep","sweep":{…manifest…}}
+//	{"type":"sweep","sweep":{…header…}}                            // id, key, hashes, names, options
+//	{"type":"payload","payload":{"spec":{…},"scenarios":[…]}}      // what a resume needs to recompute
 //	{"type":"scenario","scenario":{"index":3,"state":"done",…}}   // 0+ lines, appended as scenarios land
 //	{"type":"end","disposition":"complete"}                        // only once every scenario is terminal
 //
-// The manifest line is written with the store's temp-file + fsync +
-// atomic-rename discipline, so a journal is visible with its manifest
-// complete or not at all. Records are appended with per-line fsync; a
-// crash can therefore leave at most one torn trailing line, which the
-// scan tolerates (everything before it is kept). A journal without the
-// end line is an incomplete sweep — exactly the crash evidence recovery
-// looks for.
+// The header and payload lines are written together with the store's
+// temp-file + fsync + atomic-rename discipline, so a journal is visible
+// with both complete or not at all. Records are appended with per-line
+// fsync; a crash can therefore leave at most one torn trailing line,
+// which the scan tolerates (everything before it is kept). A journal
+// without the end line is an incomplete sweep — exactly the crash
+// evidence recovery looks for.
+//
+// The payload — the spec and the scenario list, most of a journal's
+// bytes — sits on a line of its own so the scan can keep it as raw
+// bytes: a finished sweep is served from the header and records alone,
+// and only resuming an incomplete sweep decodes the payload
+// (JournalEntry.Payload). Journals written before the split carry spec
+// and scenarios inline in the header and no names; they still read, the
+// inline fields serving as the payload.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,15 +63,28 @@ type SweepManifest struct {
 	// SpecHash and ScenarioHashes are the content-addressed result-store
 	// keys; recovery verifies recomputed hashes against them before
 	// trusting any journal record.
-	SpecHash       string          `json:"spec_hash"`
-	ScenarioHashes []string        `json:"scenario_hashes"`
-	SpecJSON       json.RawMessage `json:"spec"`
-	ScenariosJSON  json.RawMessage `json:"scenarios"`
+	SpecHash       string   `json:"spec_hash"`
+	ScenarioHashes []string `json:"scenario_hashes"`
+	// Names are the scenarios' display names, one per hash: all a
+	// finished sweep's status needs of its scenarios.
+	Names []string `json:"names,omitempty"`
+	// SpecJSON and ScenariosJSON are the payload. CreateJournal writes
+	// them on the payload line, not in the header, so a scanned manifest
+	// carries them only from a journal written before the split; read
+	// them through JournalEntry.Payload.
+	SpecJSON      json.RawMessage `json:"spec,omitempty"`
+	ScenariosJSON json.RawMessage `json:"scenarios,omitempty"`
 	// Sweep options needed to resume with the same behavior.
 	MaxConcurrent   int     `json:"max_concurrent,omitempty"`
 	TimeoutSec      float64 `json:"timeout_sec,omitempty"`
 	MaxAttempts     int     `json:"max_attempts,omitempty"`
 	CreatedUnixNano int64   `json:"created_unix_nano"`
+}
+
+// sweepPayload is the payload line's body.
+type sweepPayload struct {
+	Spec      json.RawMessage `json:"spec"`
+	Scenarios json.RawMessage `json:"scenarios"`
 }
 
 // ScenarioRecord is one scenario's terminal outcome. Failures are
@@ -81,8 +104,9 @@ type ScenarioRecord struct {
 
 // journalLine is the NDJSON envelope of every journal line.
 type journalLine struct {
-	Type        string          `json:"type"` // sweep | scenario | end
+	Type        string          `json:"type"` // sweep | payload | scenario | end
 	Sweep       *SweepManifest  `json:"sweep,omitempty"`
+	Payload     *sweepPayload   `json:"payload,omitempty"`
 	Scenario    *ScenarioRecord `json:"scenario,omitempty"`
 	Disposition string          `json:"disposition,omitempty"` // end: complete | cancelled
 }
@@ -123,10 +147,10 @@ func (s *Store) journalPath(id string) string {
 	return filepath.Join(s.dir, journalDirName, id+journalSuffix)
 }
 
-// CreateJournal durably writes the sweep's manifest and returns the
-// open journal for record appends. The manifest is written to a temp
-// file, fsynced, and renamed into place — a journal is never visible
-// half-written — and only then reopened for appending.
+// CreateJournal durably writes the sweep's header and payload lines and
+// returns the open journal for record appends. Both lines are written
+// to a temp file, fsynced, and renamed into place — a journal is never
+// visible half-written — and only then reopened for appending.
 func (s *Store) CreateJournal(m *SweepManifest) (*SweepJournal, error) {
 	j, err := s.createJournal(m)
 	s.mu.Lock()
@@ -157,7 +181,14 @@ func (s *Store) createJournal(m *SweepManifest) (*SweepJournal, error) {
 			_ = os.Remove(tmp.Name())
 		}
 	}()
-	if err := json.NewEncoder(tmp).Encode(journalLine{Type: "sweep", Sweep: m}); err != nil {
+	hdr := *m
+	hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
+	enc := json.NewEncoder(tmp)
+	err = enc.Encode(journalLine{Type: "sweep", Sweep: &hdr})
+	if err == nil {
+		err = enc.Encode(journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
+	}
+	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -294,13 +325,39 @@ func (s *Store) RemoveJournal(id string) error {
 }
 
 // JournalEntry is one scanned journal: the manifest, the surviving
-// records (last record per index wins), and the end disposition ("" for
-// an incomplete sweep — the ones recovery re-adopts).
+// records (last record per index wins; each has an index within the
+// manifest's scenarios and the manifest's hash for it), and the end
+// disposition ("" for an incomplete sweep — the ones recovery
+// re-adopts).
 type JournalEntry struct {
 	Manifest       SweepManifest
 	Records        []ScenarioRecord
 	EndDisposition string
 	Path           string
+
+	payload []byte // the raw payload line; nil for a pre-split journal
+}
+
+// Payload decodes the sweep's spec and scenarios JSON: from the payload
+// line, or from the header of a journal written before the split. The
+// scan never decodes it, so a malformed payload surfaces here, as an
+// error, and only to the caller that needs it.
+func (e *JournalEntry) Payload() (spec, scenarios json.RawMessage, err error) {
+	if e.payload == nil {
+		m := &e.Manifest
+		if len(m.SpecJSON) == 0 && len(m.ScenariosJSON) == 0 {
+			return nil, nil, errors.New("store: journal: no payload line")
+		}
+		return m.SpecJSON, m.ScenariosJSON, nil
+	}
+	var line journalLine
+	if err := json.Unmarshal(e.payload, &line); err != nil {
+		return nil, nil, fmt.Errorf("store: journal payload: %w", err)
+	}
+	if line.Type != "payload" || line.Payload == nil {
+		return nil, nil, fmt.Errorf("store: journal payload: type %q", line.Type)
+	}
+	return line.Payload.Spec, line.Payload.Scenarios, nil
 }
 
 // ScanJournals reads every journal under the store, oldest first
@@ -343,46 +400,64 @@ func (s *Store) ScanJournals() ([]JournalEntry, error) {
 	return out, nil
 }
 
-// readJournal decodes one journal file. Only a missing or malformed
-// manifest line is an error; any later undecodable line is treated as
-// the torn tail of a crash and reading stops there, keeping what came
-// before.
+// readJournal reads one journal file in a single read and parses it.
 func readJournal(path string) (*JournalEntry, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
+	e, err := parseJournal(b)
+	if err != nil {
+		return nil, err
+	}
+	e.Path = path
+	return e, nil
+}
+
+var newline = []byte{'\n'}
+
+// parseJournal decodes a journal's header and records, keeping the
+// payload line undecoded. Only a missing or malformed header is an
+// error; any later undecodable line is treated as the torn tail of a
+// crash and parsing stops there, keeping what came before. A record
+// whose index is outside the header's scenarios, or whose hash is not
+// the header's hash for that index, is dropped: it cannot describe this
+// sweep.
+func parseJournal(b []byte) (*JournalEntry, error) {
+	line, rest, _ := bytes.Cut(b, newline)
 	var first journalLine
-	if err := dec.Decode(&first); err != nil {
+	if err := json.Unmarshal(line, &first); err != nil {
 		return nil, fmt.Errorf("manifest line: %w", err)
 	}
 	if first.Type != "sweep" || first.Sweep == nil {
 		return nil, fmt.Errorf("manifest line: type %q", first.Type)
 	}
-	e := &JournalEntry{Manifest: *first.Sweep, Path: path}
+	e := &JournalEntry{Manifest: *first.Sweep}
+	hashes := e.Manifest.ScenarioHashes
+	if len(e.Manifest.SpecJSON) == 0 && len(e.Manifest.ScenariosJSON) == 0 {
+		e.payload, rest, _ = bytes.Cut(rest, newline)
+	}
 	latest := make(map[int]int) // scenario index → position in e.Records
-	for {
-		var line journalLine
-		if err := dec.Decode(&line); err != nil {
-			// io.EOF is a clean end; anything else is the torn tail.
-			break
+	for len(rest) > 0 {
+		line, rest, _ = bytes.Cut(rest, newline)
+		var l journalLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			break // the torn tail
 		}
-		switch line.Type {
+		switch l.Type {
 		case "scenario":
-			if line.Scenario == nil {
+			rec := l.Scenario
+			if rec == nil || rec.Index < 0 || rec.Index >= len(hashes) || rec.Hash != hashes[rec.Index] {
 				continue
 			}
-			rec := *line.Scenario
 			if pos, ok := latest[rec.Index]; ok {
-				e.Records[pos] = rec
+				e.Records[pos] = *rec
 				continue
 			}
 			latest[rec.Index] = len(e.Records)
-			e.Records = append(e.Records, rec)
+			e.Records = append(e.Records, *rec)
 		case "end":
-			e.EndDisposition = line.Disposition
+			e.EndDisposition = l.Disposition
 			if e.EndDisposition == "" {
 				e.EndDisposition = "complete"
 			}

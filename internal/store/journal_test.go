@@ -2,9 +2,10 @@ package store
 
 // Tests for the durable sweep journal: manifest round-trip, append /
 // end semantics, crash artifacts (torn trailing lines), corrupt-manifest
-// quarantine, last-record-per-index resolution, and the isolation
-// invariant that the sweeps/ directory never leaks into the result-entry
-// scan.
+// quarantine, last-record-per-index resolution, the header/payload
+// layout and pre-split journals, records that do not fit the manifest,
+// and the isolation invariant that the sweeps/ directory never leaks
+// into the result-entry scan.
 
 import (
 	"encoding/json"
@@ -64,8 +65,15 @@ func TestJournalRoundTrip(t *testing.T) {
 	if e.Manifest.ID != m.ID || e.Manifest.Key != m.Key || e.Manifest.SpecHash != m.SpecHash {
 		t.Fatalf("manifest mismatch: %+v", e.Manifest)
 	}
-	if string(e.Manifest.SpecJSON) != string(m.SpecJSON) {
-		t.Fatalf("spec JSON mismatch: %s", e.Manifest.SpecJSON)
+	spec, scenarios, err := e.Payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(spec) != string(m.SpecJSON) {
+		t.Fatalf("spec JSON mismatch: %s", spec)
+	}
+	if string(scenarios) != string(m.ScenariosJSON) {
+		t.Fatalf("scenarios JSON mismatch: %s", scenarios)
 	}
 	if e.EndDisposition != "complete" {
 		t.Fatalf("disposition = %q, want complete", e.EndDisposition)
@@ -351,6 +359,132 @@ func TestValidSweepID(t *testing.T) {
 	for _, id := range bad {
 		if ValidSweepID(id) {
 			t.Errorf("ValidSweepID(%q) = true, want false", id)
+		}
+	}
+}
+
+// TestJournalHeaderCarriesNoPayload: CreateJournal writes a lean header
+// (names included, no spec or scenarios) and the payload on the second
+// line; the scan keeps the payload undecoded until Payload is called.
+func TestJournalHeaderCarriesNoPayload(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sampleManifest("sw-7e-57")
+	m.Names = []string{"a", "synthetic"}
+	j, err := s.CreateJournal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Detach()
+	b, err := os.ReadFile(s.journalPath(m.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("journal has %d lines, want header + payload:\n%s", len(lines), b)
+	}
+	var hdr struct {
+		Type  string                     `json:"type"`
+		Sweep map[string]json.RawMessage `json:"sweep"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Type != "sweep" {
+		t.Fatalf("header line %q: %v", lines[0], err)
+	}
+	for _, k := range []string{"spec", "scenarios"} {
+		if _, ok := hdr.Sweep[k]; ok {
+			t.Fatalf("header carries the payload field %q", k)
+		}
+	}
+	if !strings.HasPrefix(lines[1], `{"type":"payload",`) {
+		t.Fatalf("second line is not the payload: %s", lines[1])
+	}
+
+	entries, err := s.ScanJournals()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("scan: %v, %d entries", err, len(entries))
+	}
+	e := entries[0]
+	if len(e.Manifest.SpecJSON) != 0 || len(e.Manifest.ScenariosJSON) != 0 {
+		t.Fatal("scan decoded the payload into the manifest")
+	}
+	if got := strings.Join(e.Manifest.Names, ","); got != "a,synthetic" {
+		t.Fatalf("names = %q", got)
+	}
+	if e.payload == nil {
+		t.Fatal("payload line not kept")
+	}
+}
+
+// TestJournalDropsRecordsOutsideManifest: the scan fails closed on
+// records that cannot describe the sweep — an index outside the
+// manifest's scenarios, or a hash other than the manifest's for that
+// index — and keeps the rest.
+func TestJournalDropsRecordsOutsideManifest(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.CreateJournal(sampleManifest("sw-ba-d0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []ScenarioRecord{
+		{Index: 0, Hash: scenA, State: "done"},
+		{Index: 1, Hash: scenA, State: "done"}, // index 1's hash is scenB
+		{Index: 2, Hash: scenB, State: "done"}, // two scenarios only
+		{Index: -1, Hash: scenA, State: "done"},
+		{Index: 0, Hash: "ffff0000", State: "failed"}, // must not override index 0
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Detach()
+	entries, err := s.ScanJournals()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("scan: %v, %d entries", err, len(entries))
+	}
+	recs := entries[0].Records
+	if len(recs) != 1 || recs[0].Index != 0 || recs[0].State != "done" {
+		t.Fatalf("records = %+v, want only index 0 done", recs)
+	}
+}
+
+// TestJournalPayload: Payload returns the spec and scenarios of a
+// journal written before the header/payload split from its header, and
+// fails — without failing the scan, which never decodes the payload — on
+// a payload line that does not decode, on a line of another type in its
+// place, and when the payload line is missing.
+func TestJournalPayload(t *testing.T) {
+	old := `{"type":"sweep","sweep":{"id":"sw-0d-0e","spec_hash":"aaaa1111","scenario_hashes":["bbbb2222"],"spec":{"preset":"frontier"},"scenarios":[{"name":"a"}],"created_unix_nano":7}}` + "\n"
+	e, err := parseJournal([]byte(old + `{"type":"end","disposition":"complete"}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, scenarios, err := e.Payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(spec) != `{"preset":"frontier"}` || string(scenarios) != `[{"name":"a"}]` || e.EndDisposition != "complete" {
+		t.Fatalf("pre-split journal: payload %s / %s, disposition %q", spec, scenarios, e.EndDisposition)
+	}
+
+	hdr := `{"type":"sweep","sweep":{"id":"sw-1","spec_hash":"aaaa1111","scenario_hashes":["bbbb2222"],"names":["a"],"created_unix_nano":1}}`
+	for name, body := range map[string]string{
+		"garbled":    hdr + "\n{\"type\":\"payload\",\"payl\n{\"type\":\"end\"}\n",
+		"wrong_type": hdr + "\n{\"type\":\"scenario\",\"scenario\":{\"index\":0,\"hash\":\"bbbb2222\",\"state\":\"done\"}}\n",
+		"no_line":    hdr + "\n",
+		"no_newline": hdr,
+	} {
+		e, err := parseJournal([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: scan rejected the journal: %v", name, err)
+		}
+		if _, _, err := e.Payload(); err == nil {
+			t.Fatalf("%s: Payload accepted a bad payload line", name)
 		}
 	}
 }
