@@ -62,7 +62,7 @@ metrics-lint:
 check: vet metrics-lint
 	test -z "$$(gofmt -l .)"
 
-# Fuzz four trust boundaries and the power engine, 15 s each:
+# Fuzz six trust boundaries and the power engine, 15 s each:
 #   - the strict exposition parser every metrics test reads counters
 #     through: no panic on arbitrary bytes, and a rendered registry
 #     parses back to exactly the values written;
@@ -72,7 +72,12 @@ check: vet metrics-lint
 #     a scenario's wire form decodes back to the same content hash;
 #   - the power engine: any slot-operation sequence matches Compute;
 #   - the sweep-journal scanner: no panic, an unreadable header is
-#     quarantined, and every kept record fits its manifest.
+#     quarantined, and every kept record fits its manifest;
+#   - the result-entry reader: no panic, and an accepted entry starts
+#     with its result header, carries the requested key and ends with
+#     the trailer;
+#   - the lease-record parse: no panic, and an accepted record names a
+#     non-empty owner.
 # The seed corpora live under
 # internal/{obs,surrogate,service,power,store}/testdata/fuzz.
 fuzz:
@@ -81,6 +86,8 @@ fuzz:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzScenarioRequestRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalMatchesCompute$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 15s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 15s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadLease$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

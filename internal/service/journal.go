@@ -33,11 +33,14 @@ func newSweepID() string {
 	return fmt.Sprintf("sw-%x-%x", time.Now().UnixNano(), b)
 }
 
-// journalSweep durably writes the sweep's manifest, arming per-scenario
-// record appends. No-ops without a store; degrades (log + journal_error
-// metric) when the sweep cannot be journaled — scenarios that cannot
-// cross a process boundary (replay datasets, telemetry writers) or a
-// failing disk never fail a submission that would have worked in memory.
+// journalSweep durably writes the sweep's manifest together with the
+// records of scenarios already terminal (hits settled at submit),
+// arming per-scenario record appends for the rest; a sweep settled in
+// full is sealed by the create. No-ops without a store; degrades (log +
+// journal_error metric) when the sweep cannot be journaled — scenarios
+// that cannot cross a process boundary (replay datasets, telemetry
+// writers) or a failing disk never fail a submission that would have
+// worked in memory.
 func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 	if s.store == nil || opts.Ephemeral {
 		return
@@ -57,6 +60,14 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 	if err == nil {
 		var scenJSON []byte
 		if scenJSON, err = json.Marshal(reqs); err == nil {
+			var recs []store.ScenarioRecord
+			sw.mu.Lock()
+			for _, st := range sw.statuses {
+				if rec, ok := journalRecord(st); ok {
+					recs = append(recs, rec)
+				}
+			}
+			sw.mu.Unlock()
 			var j *store.SweepJournal
 			j, err = s.store.CreateJournal(&store.SweepManifest{
 				ID:              sw.id,
@@ -71,7 +82,7 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 				TimeoutSec:      sw.timeout.Seconds(),
 				MaxAttempts:     sw.maxAttempts,
 				CreatedUnixNano: sw.createdAt.UnixNano(),
-			})
+			}, recs...)
 			if err == nil {
 				sw.journal = j
 				return
@@ -83,21 +94,17 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 	}
 }
 
-// appendJournal records one terminal scenario into the sweep's journal.
-// Cancellations are skipped on purpose: a cancelled scenario is work the
-// sweep still owes after a restart, which is exactly what re-adoption
-// recomputes.
-func (sw *Sweep) appendJournal(st ScenarioStatus) {
-	j := sw.journal
-	if j == nil {
-		return
-	}
+// journalRecord is st's journal record, if st is a fact the journal
+// keeps. Cancellations are skipped on purpose: a cancelled scenario is
+// work the sweep still owes after a restart, which is exactly what
+// re-adoption recomputes.
+func journalRecord(st ScenarioStatus) (store.ScenarioRecord, bool) {
 	switch st.State {
 	case StateDone, StateCached, StateFailed:
 	default:
-		return
+		return store.ScenarioRecord{}, false
 	}
-	err := j.Append(store.ScenarioRecord{
+	return store.ScenarioRecord{
 		Index:    st.Index,
 		Hash:     st.Hash,
 		State:    string(st.State),
@@ -105,8 +112,20 @@ func (sw *Sweep) appendJournal(st ScenarioStatus) {
 		Attempts: st.Attempts,
 		WallSec:  st.WallSec,
 		CacheHit: st.CacheHit,
-	})
-	if err != nil && sw.svc.logf != nil {
+	}, true
+}
+
+// appendJournal records one terminal scenario into the sweep's journal.
+func (sw *Sweep) appendJournal(st ScenarioStatus) {
+	j := sw.journal
+	if j == nil {
+		return
+	}
+	rec, ok := journalRecord(st)
+	if !ok {
+		return
+	}
+	if err := j.Append(rec); err != nil && sw.svc.logf != nil {
 		sw.svc.logf("service: sweep %s journal append: %v (continuing in-memory)", sw.id, err)
 	}
 }

@@ -666,13 +666,34 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 		}
 	}
 
-	// Durability point: the manifest must be on disk before any work is
-	// admitted to the pool, so a crash from here on is recoverable. A
-	// journal that cannot be created degrades to today's in-memory-only
-	// sweep (logged + counted), never a failed submission.
+	// Memory-tier hits settle here, before the journal exists, so their
+	// records ride in its create instead of costing an fsync each.
+	sw.settleCached()
+	// Durability point: the manifest, and the records of the hits just
+	// settled, must be on disk before any work is admitted to the pool,
+	// so a crash from here on is recoverable and no settled outcome is
+	// lost. A fully cached sweep is sealed by this one create. A journal
+	// that cannot be created degrades to an in-memory-only sweep
+	// (logged + counted), never a failed submission.
 	s.journalSweep(sw, opts, names)
 	go sw.run(opts.MaxConcurrent)
 	return sw, false, nil
+}
+
+// settleCached records every scenario whose result the memory tier
+// already holds, completed and successful, through the same record path
+// resolve's hits take. The lookup neither leads nor waits: keys still in
+// flight, and TelemetryTo scenarios (which bypass every cache tier), are
+// left to resolve.
+func (sw *Sweep) settleCached() {
+	for i := range sw.scenarios {
+		if sw.scenarios[i].TelemetryTo != nil {
+			continue
+		}
+		if res, ok := sw.svc.cache.peek(sw.specHash + ":" + sw.hashes[i]); ok {
+			sw.record(i, res, nil, tierMemory)
+		}
+	}
 }
 
 // newSweep builds a sweep's bookkeeping — the one construction shared
@@ -932,9 +953,10 @@ func (sw *Sweep) run(maxConcurrent int) {
 loop:
 	for i := range sw.scenarios {
 		if sw.terminalAt(i) {
-			// Journal-restored terminal state (recovered sweep): the
-			// outcome is already recorded and its reservation was never
-			// re-admitted — nothing to dispatch.
+			// Settled at submit (a memory-tier hit) or restored from the
+			// journal (recovered sweep): the outcome is already recorded
+			// and its reservation already released or never re-admitted —
+			// nothing to dispatch.
 			continue
 		}
 		if sem != nil {
@@ -1298,8 +1320,9 @@ func (sw *Sweep) record(i int, res *core.Result, err error, tier string) {
 	sw.emitSpan(i, final, tier)
 }
 
-// terminalAt reports whether scenario i is already terminal — true only
-// for journal-restored states on a recovered sweep at dispatch time.
+// terminalAt reports whether scenario i is already terminal — at
+// dispatch time true only for hits settled at submit and for
+// journal-restored states on a recovered sweep.
 func (sw *Sweep) terminalAt(i int) bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -1386,6 +1409,24 @@ func (c *resultCache) acquire(key string) (*cacheEntry, bool) {
 	e := &cacheEntry{done: make(chan struct{})}
 	c.entries[key] = e
 	return e, true
+}
+
+// peek returns key's result when its entry is completed and successful,
+// without taking leadership or waiting: a missing, in-flight or failed
+// entry reports false.
+func (c *resultCache) peek(key string) (*core.Result, bool) {
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		return e.res, e.err == nil
+	default:
+		return nil, false
+	}
 }
 
 // complete publishes the leader's outcome. Failed and abandoned runs are

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,5 +62,68 @@ func FuzzReadJournal(f *testing.F) {
 			seen[rec.Index] = true
 		}
 		_, _, _ = e.Payload()
+	})
+}
+
+// The key FuzzReadEntry asks the reader for; the seed corpus's entries
+// are keyed by it, or deliberately not.
+const (
+	fuzzSpecHash = "aaaa1111"
+	fuzzScenHash = "bbbb2222"
+)
+
+// FuzzReadEntry fuzzes the result-entry reader on arbitrary bytes: it
+// never panics, and an entry it accepts has the result header, keyed
+// as requested, as its first line and the end trailer as its last. The
+// seed corpus lives under testdata/fuzz.
+func FuzzReadEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodeEntry(bytes.NewReader(data), fuzzSpecHash, fuzzScenHash)
+		if err != nil {
+			return
+		}
+		if res == nil {
+			t.Fatal("accepted entry decoded to a nil result")
+		}
+		var lines []json.RawMessage
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for {
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("accepted entry does not split into JSON lines: %v", err)
+			}
+			lines = append(lines, raw)
+		}
+		if len(lines) < 2 {
+			t.Fatalf("accepted entry has %d lines", len(lines))
+		}
+		var head resultLine
+		if err := json.Unmarshal(lines[0], &head); err != nil || head.Type != "result" {
+			t.Fatalf("accepted entry's first line is not the result header: %s", lines[0])
+		}
+		if head.SpecHash != fuzzSpecHash || head.ScenarioHash != fuzzScenHash {
+			t.Fatalf("accepted entry keyed %s/%s, asked for %s/%s",
+				head.SpecHash, head.ScenarioHash, fuzzSpecHash, fuzzScenHash)
+		}
+		var tail struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(lines[len(lines)-1], &tail); err != nil || tail.Type != "end" {
+			t.Fatalf("accepted entry's last line is not the end trailer: %s", lines[len(lines)-1])
+		}
+	})
+}
+
+// FuzzReadLease fuzzes the lease-record parse on arbitrary bytes: it
+// never panics, and a record it accepts names a non-empty owner. The
+// seed corpus lives under testdata/fuzz.
+func FuzzReadLease(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := parseLease(data)
+		if err == nil && rec.Owner == "" {
+			t.Fatalf("accepted lease %q has no owner", data)
+		}
 	})
 }

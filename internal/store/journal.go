@@ -16,16 +16,19 @@ package store
 //
 //	{"type":"sweep","sweep":{…header…}}                            // id, key, hashes, names, options
 //	{"type":"payload","payload":{"spec":{…},"scenarios":[…]}}      // what a resume needs to recompute
-//	{"type":"scenario","scenario":{"index":3,"state":"done",…}}   // 0+ lines, appended as scenarios land
+//	{"type":"scenario","scenario":{"index":3,"state":"done",…}}   // 0+ lines, in the create or appended as scenarios land
 //	{"type":"end","disposition":"complete"}                        // only once every scenario is terminal
 //
 // The header and payload lines are written together with the store's
 // temp-file + fsync + atomic-rename discipline, so a journal is visible
-// with both complete or not at all. Records are appended with per-line
-// fsync; a crash can therefore leave at most one torn trailing line,
-// which the scan tolerates (everything before it is kept). A journal
-// without the end line is an incomplete sweep — exactly the crash
-// evidence recovery looks for.
+// with both complete or not at all. Records of scenarios already final
+// at submission (memory-cache hits) may come in that same create, and
+// when they cover every scenario so does the end line: such a journal
+// is sealed at create and takes no appends. Later records are appended
+// with per-line fsync; a crash can therefore leave at most one torn
+// trailing line, which the scan tolerates (everything before it is
+// kept). A journal without the end line is an incomplete sweep —
+// exactly the crash evidence recovery looks for.
 //
 // The payload — the spec and the scenario list, most of a journal's
 // bytes — sits on a line of its own so the scan can keep it as raw
@@ -117,14 +120,18 @@ type journalLine struct {
 // degrades to a counted no-op — journaling must never fail a sweep that
 // would have succeeded in memory.
 type SweepJournal struct {
-	s    *Store
-	path string
+	s      *Store
+	path   string
+	sealed bool // the end line came in the create: no file is held open
 
 	mu       sync.Mutex
 	f        *os.File
 	err      error
 	detached bool
 }
+
+// ErrJournalSealed is returned by Append on a journal sealed at create.
+var ErrJournalSealed = errors.New("store: journal sealed at create")
 
 // ValidSweepID accepts the journal's id alphabet: the "sw-" prefix
 // followed by lowercase hex and dashes. Everything else (path
@@ -147,12 +154,16 @@ func (s *Store) journalPath(id string) string {
 	return filepath.Join(s.dir, journalDirName, id+journalSuffix)
 }
 
-// CreateJournal durably writes the sweep's header and payload lines and
-// returns the open journal for record appends. Both lines are written
-// to a temp file, fsynced, and renamed into place — a journal is never
-// visible half-written — and only then reopened for appending.
-func (s *Store) CreateJournal(m *SweepManifest) (*SweepJournal, error) {
-	j, err := s.createJournal(m)
+// CreateJournal durably writes the sweep's header and payload lines,
+// then recs — outcomes already final at submission — and returns the
+// open journal for later record appends. Everything is written to a
+// temp file, fsynced, and renamed into place — a journal is never
+// visible half-written — and only then reopened for appending. When recs
+// cover every scenario the create also writes the "complete" end line:
+// the journal is sealed, nothing is reopened, Append refuses and End is
+// a no-op.
+func (s *Store) CreateJournal(m *SweepManifest, recs ...ScenarioRecord) (*SweepJournal, error) {
+	j, err := s.createJournal(m, recs)
 	s.mu.Lock()
 	if err != nil {
 		s.journalErrs++
@@ -163,7 +174,7 @@ func (s *Store) CreateJournal(m *SweepManifest) (*SweepJournal, error) {
 	return j, err
 }
 
-func (s *Store) createJournal(m *SweepManifest) (*SweepJournal, error) {
+func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJournal, error) {
 	if m == nil || !ValidSweepID(m.ID) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", idOf(m))
 	}
@@ -188,6 +199,13 @@ func (s *Store) createJournal(m *SweepManifest) (*SweepJournal, error) {
 	if err == nil {
 		err = enc.Encode(journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
 	}
+	for i := 0; i < len(recs) && err == nil; i++ {
+		err = enc.Encode(journalLine{Type: "scenario", Scenario: &recs[i]})
+	}
+	sealed := coversAll(m.ScenarioHashes, recs)
+	if sealed && err == nil {
+		err = enc.Encode(journalLine{Type: "end", Disposition: "complete"})
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
 	}
@@ -202,7 +220,27 @@ func (s *Store) createJournal(m *SweepManifest) (*SweepJournal, error) {
 		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
 	}
 	tmp = nil
+	if sealed {
+		return &SweepJournal{s: s, path: path, sealed: true}, nil
+	}
 	return s.openJournalAppend(path)
+}
+
+// coversAll reports whether recs hold, for every scenario hash, a
+// record the scan would keep: its index and that index's hash.
+func coversAll(hashes []string, recs []ScenarioRecord) bool {
+	if len(hashes) == 0 || len(recs) < len(hashes) {
+		return false
+	}
+	seen := make([]bool, len(hashes))
+	left := len(hashes)
+	for _, r := range recs {
+		if r.Index >= 0 && r.Index < len(hashes) && r.Hash == hashes[r.Index] && !seen[r.Index] {
+			seen[r.Index] = true
+			left--
+		}
+	}
+	return left == 0
 }
 
 func idOf(m *SweepManifest) string {
@@ -238,15 +276,23 @@ func (s *Store) openJournalAppend(path string) (*SweepJournal, error) {
 // Append durably records one scenario's terminal outcome. Errors are
 // sticky and degrade the journal to a no-op (see SweepJournal); the
 // returned error is for logging only — the sweep proceeds regardless.
+// A journal sealed at create already holds every outcome and refuses
+// with ErrJournalSealed.
 func (j *SweepJournal) Append(rec ScenarioRecord) error {
+	if j.sealed {
+		return ErrJournalSealed
+	}
 	return j.append(journalLine{Type: "scenario", Scenario: &rec})
 }
 
 // End records the sweep's disposition ("complete" or "cancelled") and
 // closes the journal. A journal without an end line is what recovery
 // re-adopts, so End must only be called once every scenario is
-// terminal.
+// terminal. On a journal sealed at create End is a silent no-op.
 func (j *SweepJournal) End(disposition string) error {
+	if j.sealed {
+		return nil
+	}
 	err := j.append(journalLine{Type: "end", Disposition: disposition})
 	j.mu.Lock()
 	if j.f != nil {

@@ -4,13 +4,16 @@ package store
 // end semantics, crash artifacts (torn trailing lines), corrupt-manifest
 // quarantine, last-record-per-index resolution, the header/payload
 // layout and pre-split journals, records that do not fit the manifest,
-// and the isolation invariant that the sweeps/ directory never leaks
+// records written in the create (and a journal sealed there), and the
+// isolation invariant that the sweeps/ directory never leaks
 // into the result-entry scan.
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -486,5 +489,130 @@ func TestJournalPayload(t *testing.T) {
 		if _, _, err := e.Payload(); err == nil {
 			t.Fatalf("%s: Payload accepted a bad payload line", name)
 		}
+	}
+}
+
+// scanOne scans a store that holds exactly one journal.
+func scanOne(t *testing.T, s *Store) JournalEntry {
+	t.Helper()
+	entries, err := s.ScanJournals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("ScanJournals returned %d entries, want 1", len(entries))
+	}
+	return entries[0]
+}
+
+// recordsByIndex keys a scan's records by scenario index.
+func recordsByIndex(recs []ScenarioRecord) map[int]ScenarioRecord {
+	out := make(map[int]ScenarioRecord, len(recs))
+	for _, r := range recs {
+		out[r.Index] = r
+	}
+	return out
+}
+
+// TestJournalSealedAtCreate: records covering every scenario make the
+// create write the end line too — one create, no append — and the
+// sealed journal refuses appends, takes End as a no-op, and scans to
+// the same manifest, records and disposition as a journal that got the
+// same outcomes by appending.
+func TestJournalSealedAtCreate(t *testing.T) {
+	recs := []ScenarioRecord{
+		{Index: 0, Hash: scenA, State: "cached", WallSec: 0.5, CacheHit: true},
+		{Index: 1, Hash: scenB, State: "cached", WallSec: 0.25, CacheHit: true},
+	}
+	sealedStore, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sampleManifest("sw-5ea1-0001")
+	j, err := sealedStore.CreateJournal(m, recs[1], recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(ScenarioRecord{Index: 0, Hash: scenA, State: "failed"}); !errors.Is(err, ErrJournalSealed) {
+		t.Fatalf("Append on a sealed journal: %v, want ErrJournalSealed", err)
+	}
+	if err := j.End("cancelled"); err != nil {
+		t.Fatalf("End on a sealed journal: %v", err)
+	}
+	b, err := os.ReadFile(sealedStore.journalPath(m.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n"); len(lines) != 5 ||
+		!strings.Contains(lines[4], `"disposition":"complete"`) {
+		t.Fatalf("sealed journal lines:\n%s", b)
+	}
+	if st := sealedStore.Stats(); st.JournalCreates != 1 || st.JournalAppends != 0 || st.JournalErrors != 0 {
+		t.Fatalf("metrics = creates %d appends %d errors %d", st.JournalCreates, st.JournalAppends, st.JournalErrors)
+	}
+
+	appendedStore, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := appendedStore.CreateJournal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := a.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.End("complete"); err != nil {
+		t.Fatal(err)
+	}
+
+	sealed, appended := scanOne(t, sealedStore), scanOne(t, appendedStore)
+	if !reflect.DeepEqual(sealed.Manifest, appended.Manifest) {
+		t.Fatalf("manifest %+v, appended journal has %+v", sealed.Manifest, appended.Manifest)
+	}
+	if !reflect.DeepEqual(recordsByIndex(sealed.Records), recordsByIndex(appended.Records)) {
+		t.Fatalf("records %+v, appended journal has %+v", sealed.Records, appended.Records)
+	}
+	if sealed.EndDisposition != "complete" || appended.EndDisposition != "complete" {
+		t.Fatalf("dispositions %q / %q, want complete", sealed.EndDisposition, appended.EndDisposition)
+	}
+}
+
+// TestJournalRecordsInCreate: records covering only some scenarios ride
+// in the create without sealing it — the journal stays incomplete and
+// appendable, and the scan keeps create-time and appended records alike.
+func TestJournalRecordsInCreate(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sampleManifest("sw-5ea1-0002")
+	// A duplicate record for one index does not cover the other, nor
+	// does a record carrying another index's hash (the scan drops it).
+	j, err := s.CreateJournal(m,
+		ScenarioRecord{Index: 0, Hash: scenA, State: "cached", CacheHit: true},
+		ScenarioRecord{Index: 0, Hash: scenA, State: "cached", CacheHit: true},
+		ScenarioRecord{Index: 1, Hash: scenA, State: "cached", CacheHit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := scanOne(t, s); e.EndDisposition != "" || len(e.Records) != 1 || e.Records[0].State != "cached" {
+		t.Fatalf("after create: disposition %q records %+v", e.EndDisposition, e.Records)
+	}
+	if err := j.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "done", Attempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.End("complete"); err != nil {
+		t.Fatal(err)
+	}
+	e := scanOne(t, s)
+	got := recordsByIndex(e.Records)
+	if e.EndDisposition != "complete" || len(got) != 2 || got[0].State != "cached" || got[1].State != "done" {
+		t.Fatalf("after end: disposition %q records %+v", e.EndDisposition, e.Records)
+	}
+	if st := s.Stats(); st.JournalCreates != 1 || st.JournalAppends != 2 {
+		t.Fatalf("metrics = creates %d appends %d", st.JournalCreates, st.JournalAppends)
 	}
 }

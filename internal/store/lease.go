@@ -222,11 +222,17 @@ func overwriteLease(path, owner string, ttl time.Duration) error {
 }
 
 func readLease(path string) (leaseRecord, error) {
-	var rec leaseRecord
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return rec, err
+		return leaseRecord{}, err
 	}
+	return parseLease(data)
+}
+
+// parseLease decodes a lease file's content; a record without an owner
+// is rejected, so an accepted lease always names its holder.
+func parseLease(data []byte) (leaseRecord, error) {
+	var rec leaseRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return rec, err
 	}

@@ -484,17 +484,22 @@ func (s *Store) Get(specHash, scenHash string) (*core.Result, error) {
 	return res, nil
 }
 
-// readEntry decodes one entry file back into a Result. The NDJSON lines
-// are free of ordering assumptions except that the result header must
-// come first and the end trailer must be present (its absence is how
-// truncation past the last complete line is caught).
+// readEntry decodes one entry file back into a Result.
 func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
+	return decodeEntry(f, specHash, scenHash)
+}
+
+// decodeEntry decodes an entry's NDJSON lines. They are free of ordering
+// assumptions except that the result header, keyed (specHash, scenHash),
+// must come first and the end trailer must come last (its absence is how
+// truncation past the last complete line is caught).
+func decodeEntry(r io.Reader, specHash, scenHash string) (*core.Result, error) {
+	dec := json.NewDecoder(r)
 	var res *core.Result
 	var ds *telemetry.Dataset
 	ended := false
