@@ -57,12 +57,14 @@ multihost-smoke: build
 metrics-lint:
 	./scripts/metrics_lint.sh
 
-# Static and runtime conformance: vet, the exposition lint, and
-# formatting (gofmt lists no file).
+# Static and runtime conformance: vet of both modules (bench/ builds
+# against the internal packages but sits outside ./...), the exposition
+# lint, and formatting (gofmt lists no file).
 check: vet metrics-lint
+	$(GO) -C bench vet ./...
 	test -z "$$(gofmt -l .)"
 
-# Fuzz six trust boundaries and the power engine, 15 s each:
+# Fuzz seven trust boundaries and the power engine, 15 s each:
 #   - the strict exposition parser every metrics test reads counters
 #     through: no panic on arbitrary bytes, and a rendered registry
 #     parses back to exactly the values written;
@@ -77,9 +79,11 @@ check: vet metrics-lint
 #     with its result header, carries the requested key and ends with
 #     the trailer;
 #   - the lease-record parse: no panic, and an accepted record names a
-#     non-empty owner.
+#     non-empty owner;
+#   - the NDJSON telemetry-stream reader: no panic, and an accepted
+#     dataset survives WriteStream then ReadStream unchanged.
 # The seed corpora live under
-# internal/{obs,surrogate,service,power,store}/testdata/fuzz.
+# internal/{obs,surrogate,service,power,store,telemetry}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
@@ -88,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadLease$$' -fuzztime 15s
+	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

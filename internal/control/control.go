@@ -2,9 +2,9 @@
 // cooling model reproduces from Frontier's physical plant (§III-C5):
 // PID regulators for CDU pump speed and control valves, first-order lags
 // and transport delays (the "delay transfer function" coupling the
-// primary-pump and cooling-tower loops), hysteresis comparators, rate
-// limiters, and the stage-up/stage-down controllers that sequence pumps,
-// heat exchangers, and cooling towers.
+// primary-pump and cooling-tower loops), rate limiters, and the
+// stage-up/stage-down controllers that sequence pumps, heat exchangers,
+// and cooling towers.
 package control
 
 import "math"
@@ -128,17 +128,13 @@ func NewTransportDelay(delaySec, dtSec float64) *TransportDelay {
 	return &TransportDelay{buf: make([]float64, n)}
 }
 
-// Update pushes u and returns the value from delaySec ago. Before the
-// buffer has filled at least once it returns the first pushed value.
-func (d *TransportDelay) Update(u float64) float64 {
-	return d.UpdateN(u, 1)
-}
-
 // UpdateN pushes u n times — one sample per design sampling period — and
-// returns the delayed value after the final push. Callers advancing the
-// plant with a coarser step than the delay's design period use it to
-// keep the delay line on its design time base (n = step/period) without
-// n separate calls; n ≥ len(buf) degenerates to filling the line with u.
+// returns the delayed value after the final push: with n = 1, the value
+// from delaySec ago, or the first pushed value until the buffer has
+// filled once. Callers advancing the plant with a coarser step than the
+// delay's design period keep the delay line on its design time base
+// (n = step/period) in one call; n ≥ len(buf) degenerates to filling the
+// line with u.
 func (d *TransportDelay) UpdateN(u float64, n int) float64 {
 	if !d.init {
 		for i := range d.buf {
@@ -216,26 +212,6 @@ func (r *RateLimiter) Update(u, dt float64) float64 {
 // Value returns the limiter's current output.
 func (r *RateLimiter) Value() float64 { return r.y }
 
-// Hysteresis is a two-threshold comparator: output turns on above High
-// and off below Low, holding its state in between.
-type Hysteresis struct {
-	Low, High float64
-	on        bool
-}
-
-// Update evaluates the comparator for input v.
-func (h *Hysteresis) Update(v float64) bool {
-	if v >= h.High {
-		h.on = true
-	} else if v <= h.Low {
-		h.on = false
-	}
-	return h.on
-}
-
-// On reports the current comparator state.
-func (h *Hysteresis) On() bool { return h.on }
-
 // Stager sequences discrete equipment (pumps, cooling-tower cells, heat
 // exchangers) up and down based on a continuous loading signal, with
 // minimum dwell times to prevent short-cycling — mirroring Frontier's CEP
@@ -296,13 +272,6 @@ func (s *Stager) Update(signal, dt float64) int {
 // A quiescent plant must not freeze a stager mid-dwell — under a held
 // (constant) signal the dwell would elapse and the stage count change.
 func (s *Stager) Pending() bool { return s.upTimer > 0 || s.downTimer > 0 }
-
-// Force sets the stage count directly (clamped), clearing dwell timers.
-func (s *Stager) Force(n int) {
-	s.count = clampInt(n, s.Min, s.Max)
-	s.upTimer = 0
-	s.downTimer = 0
-}
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {

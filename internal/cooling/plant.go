@@ -244,7 +244,7 @@ func New(cfg Config) (*Plant, error) {
 		p.secFouling[i] = 1
 	}
 	p.state = make([]float64, p.Dim())
-	p.stepper = ode.NewFixedStepper(thermalSystem{p: p}, ode.RK4)
+	p.stepper = ode.NewFixedStepper(thermalSystem{p: p})
 	p.branchKs = make([]float64, cfg.NumCDUs)
 	p.primFlows = make([]float64, cfg.NumCDUs)
 	p.cduRep = make([]int, cfg.NumCDUs)
@@ -260,7 +260,7 @@ func New(cfg Config) (*Plant, error) {
 			wbTol:       defaultNZ(cfg.WetBulbTolC, 0.25),
 			maxHold:     defaultNZ(cfg.MaxHoldS, 900),
 		}
-		p.adaptive = ode.NewAdaptiveStepper(thermalSystem{p: p}, ode.DOPRI5, ode.AdaptiveConfig{
+		p.adaptive = ode.NewAdaptiveStepper(thermalSystem{p: p}, ode.AdaptiveConfig{
 			RelTol: defaultNZ(cfg.RelTol, 1e-4),
 			AbsTol: defaultNZ(cfg.AbsTol, 1e-3),
 		})

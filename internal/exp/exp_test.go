@@ -5,11 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"exadigit/internal/job"
-	"exadigit/internal/power"
-	"exadigit/internal/raps"
 	"exadigit/internal/stats"
-	"exadigit/internal/telemetry"
 )
 
 func TestTableI(t *testing.T) {
@@ -270,44 +266,6 @@ func TestWhatIfShapes(t *testing.T) {
 	// saving (paper: ≈4.5×).
 	if ratio := dc.YearlySavingUSD / math.Max(smart.YearlySavingUSD, 1); ratio < 2 {
 		t.Errorf("DC380/smart saving ratio = %v, want ≳2", ratio)
-	}
-}
-
-func TestReplayDatasetErrors(t *testing.T) {
-	// A dataset without a series cannot be replayed against.
-	if _, _, err := ReplayDataset(&telemetry.Dataset{}, 15); err == nil {
-		t.Error("empty dataset should fail")
-	}
-}
-
-func TestReplayDatasetRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replay run")
-	}
-	// Build a short day, export, replay: MAPE should be tiny (no noise).
-	gen := job.DefaultGeneratorConfig()
-	gen.Seed = 3
-	gen.ArrivalMeanSec = 200
-	jobs := job.NewGenerator(gen).GenerateHorizon(1800)
-	rcfg := raps.DefaultConfig()
-	rcfg.TickSec = 15
-	sim, err := raps.New(rcfg, power.NewFrontierModel(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(3600); err != nil {
-		t.Fatal(err)
-	}
-	ds := sim.ExportTelemetry("short-day")
-	rep, mape, err := ReplayDataset(ds, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.JobsCompleted == 0 {
-		t.Error("replay completed no jobs")
-	}
-	if mape > 1.5 {
-		t.Errorf("noise-free replay MAPE = %v %%", mape)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"exadigit/internal/power"
 	"exadigit/internal/raps"
 	"exadigit/internal/stats"
-	"exadigit/internal/telemetry"
 )
 
 // Fig9Config parameterizes the 24-hour replay validation.
@@ -128,47 +127,4 @@ func Fig9(cfg Fig9Config) (*Table, *Fig9Data, error) {
 	t.AddRow("Avg utilization", f3(stats.Mean(data.Utilization)))
 	t.AddRow("Pred vs measured MAPE (%)", f2(data.MAPEPercent))
 	return t, data, nil
-}
-
-// ReplayDataset replays a stored telemetry dataset through RAPS and
-// compares against its measured power channel — the general §IV "replay
-// system telemetry at multiple levels" verb.
-func ReplayDataset(ds *telemetry.Dataset, tickSec float64) (*raps.Report, float64, error) {
-	if tickSec <= 0 {
-		tickSec = 15
-	}
-	model := power.NewFrontierModel()
-	jobs := raps.JobsFromDataset(ds, model.Spec)
-	rcfg := raps.DefaultConfig()
-	rcfg.TickSec = tickSec
-	sim, err := raps.New(rcfg, model, jobs)
-	if err != nil {
-		return nil, 0, err
-	}
-	horizon := 0.0
-	if n := len(ds.Series); n > 0 {
-		horizon = ds.Series[n-1].TimeSec
-	}
-	if horizon <= 0 {
-		return nil, 0, fmt.Errorf("exp: dataset has no series to replay against")
-	}
-	rep, err := sim.Run(horizon)
-	if err != nil {
-		return nil, 0, err
-	}
-	pred := make([]float64, 0, len(sim.History()))
-	meas := make([]float64, 0, len(ds.Series))
-	n := len(sim.History())
-	if len(ds.Series) < n {
-		n = len(ds.Series)
-	}
-	for i := 0; i < n; i++ {
-		pred = append(pred, sim.History()[i].PowerW)
-		meas = append(meas, ds.Series[i].MeasuredPowerW)
-	}
-	mape, err := stats.MAPE(pred, meas)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, mape, nil
 }

@@ -80,49 +80,11 @@ type Resistance struct {
 	K float64 // Pa/(m³/s)²
 }
 
-// NewResistanceFromPoint builds a resistance passing qRated at dpRated.
-func NewResistanceFromPoint(dpRatedPa, qRated float64) Resistance {
-	return Resistance{K: dpRatedPa / (qRated * qRated)}
-}
-
 // Drop returns the pressure drop at flow q (signed).
 func (r Resistance) Drop(q float64) float64 { return r.K * q * math.Abs(q) }
 
-// FlowAtDrop inverts the resistance for a non-negative drop.
-func (r Resistance) FlowAtDrop(dp float64) float64 {
-	if dp <= 0 || r.K <= 0 {
-		return 0
-	}
-	return math.Sqrt(dp / r.K)
-}
-
-// Series combines resistances in series (K adds).
-func Series(rs ...Resistance) Resistance {
-	var k float64
-	for _, r := range rs {
-		k += r.K
-	}
-	return Resistance{K: k}
-}
-
-// Parallel combines resistances in parallel
-// (1/√K_total = Σ 1/√K_i for quadratic resistances).
-func Parallel(rs ...Resistance) Resistance {
-	var s float64
-	for _, r := range rs {
-		if r.K > 0 {
-			s += 1 / math.Sqrt(r.K)
-		}
-	}
-	if s == 0 {
-		return Resistance{K: math.Inf(1)}
-	}
-	return Resistance{K: 1 / (s * s)}
-}
-
 // ParallelK combines quadratic resistances given as raw K coefficients in
-// parallel — the allocation-free form of Parallel for hot loops that
-// already carry a K slice.
+// parallel (1/√K_total = Σ 1/√K_i); non-positive entries are skipped.
 func ParallelK(ks []float64) Resistance {
 	var s float64
 	for _, k := range ks {
@@ -206,14 +168,6 @@ func (b PumpBank) Power(h float64) float64 {
 	return float64(b.N) * b.Curve.Power(q, b.Speed)
 }
 
-// PerPumpFlow returns the flow through each staged pump at head h.
-func (b PumpBank) PerPumpFlow(h float64) float64 {
-	if b.N <= 0 {
-		return 0
-	}
-	return b.Flow(h) / float64(b.N)
-}
-
 // SolveLoop finds the operating point of a pump bank pushing flow around a
 // closed loop whose total pressure drop is given by systemDrop(Q). It
 // returns the loop flow and the matching head. systemDrop must be
@@ -282,19 +236,11 @@ func SolveQuadLoop(bank PumpBank, K float64) (q, head float64) {
 	return q, K * q * q
 }
 
-// SplitParallel distributes total flow qTot across parallel branches with
-// resistances ks, returning per-branch flows and the common pressure drop.
-// Branches with non-positive K take no flow unless all are non-positive,
-// in which case the flow is split evenly.
-func SplitParallel(qTot float64, ks []float64) (flows []float64, dp float64) {
-	flows = make([]float64, len(ks))
-	dp = SplitParallelInto(qTot, ks, flows)
-	return flows, dp
-}
-
-// SplitParallelInto is the allocation-free variant of SplitParallel:
-// per-branch flows are written into flows (len(flows) must equal
-// len(ks)) and the common pressure drop is returned.
+// SplitParallelInto distributes total flow qTot across parallel branches
+// with resistances ks, writing per-branch flows into flows (len(flows)
+// must equal len(ks)) and returning the common pressure drop. Branches
+// with non-positive K take no flow unless all are non-positive, in which
+// case the flow is split evenly.
 func SplitParallelInto(qTot float64, ks, flows []float64) (dp float64) {
 	for i := range flows {
 		flows[i] = 0

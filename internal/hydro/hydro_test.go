@@ -62,34 +62,22 @@ func TestPumpPower(t *testing.T) {
 }
 
 func TestResistance(t *testing.T) {
-	r := NewResistanceFromPoint(200e3, 0.4)
+	r := Resistance{K: 200e3 / (0.4 * 0.4)}
 	if got := r.Drop(0.4); math.Abs(got-200e3) > 1e-6 {
 		t.Errorf("rated drop = %v", got)
 	}
 	if got := r.Drop(-0.4); math.Abs(got+200e3) > 1e-6 {
 		t.Errorf("reverse drop should be negative: %v", got)
 	}
-	if got := r.FlowAtDrop(200e3); math.Abs(got-0.4) > 1e-9 {
-		t.Errorf("inverse = %v", got)
-	}
-	if r.FlowAtDrop(-5) != 0 {
-		t.Error("negative drop yields zero flow")
-	}
 }
 
 func TestSeriesParallelComposition(t *testing.T) {
-	a := Resistance{K: 100}
-	b := Resistance{K: 100}
-	s := Series(a, b)
-	if s.K != 200 {
-		t.Errorf("series K = %v", s.K)
-	}
-	p := Parallel(a, b)
+	p := ParallelK([]float64{100, 100})
 	// Two equal branches: total flow doubles at same dp → K/4.
 	if math.Abs(p.K-25) > 1e-9 {
 		t.Errorf("parallel K = %v, want 25", p.K)
 	}
-	empty := Parallel()
+	empty := ParallelK(nil)
 	if !math.IsInf(empty.K, 1) {
 		t.Errorf("empty parallel should block flow")
 	}
@@ -208,7 +196,8 @@ func TestSplitParallelConservation(t *testing.T) {
 			ks[i] = 1e5 * (0.2 + rng.Float64())
 		}
 		qTot := 0.05 + rng.Float64()
-		flows, dp := SplitParallel(qTot, ks)
+		flows := make([]float64, n)
+		dp := SplitParallelInto(qTot, ks, flows)
 		var sum float64
 		for i, q := range flows {
 			sum += q
@@ -224,15 +213,16 @@ func TestSplitParallelConservation(t *testing.T) {
 }
 
 func TestSplitParallelEdge(t *testing.T) {
-	flows, dp := SplitParallel(0, []float64{1, 2})
+	flows := []float64{9, 9}
+	dp := SplitParallelInto(0, []float64{1, 2}, flows)
 	if dp != 0 || flows[0] != 0 || flows[1] != 0 {
 		t.Error("zero flow should split to zeros")
 	}
-	flows, dp = SplitParallel(1, []float64{0, 0})
+	dp = SplitParallelInto(1, []float64{0, 0}, flows)
 	if dp != 0 || flows[0] != 0.5 || flows[1] != 0.5 {
 		t.Errorf("degenerate Ks should split evenly: %v", flows)
 	}
-	flows, _ = SplitParallel(1, []float64{0, 1e5})
+	SplitParallelInto(1, []float64{0, 1e5}, flows)
 	if flows[0] != 0 {
 		t.Error("non-positive-K branch should take no flow when others exist")
 	}
@@ -242,14 +232,14 @@ func TestPumpBankHelpers(t *testing.T) {
 	curve := NewPumpCurve(450e3, 0.35, 300e3, 0.78)
 	b := PumpBank{Curve: curve, N: 3, Speed: 1}
 	h := 300e3
-	if got := b.PerPumpFlow(h); math.Abs(got-b.Flow(h)/3) > 1e-12 {
-		t.Errorf("per-pump flow = %v", got)
+	if got := b.Flow(h); math.Abs(got-3*curve.FlowAtHead(h, 1)) > 1e-12 {
+		t.Errorf("bank flow = %v", got)
 	}
 	if b.Power(h) <= 0 {
 		t.Error("bank power should be positive")
 	}
 	off := PumpBank{Curve: curve, N: 0, Speed: 1}
-	if off.Flow(h) != 0 || off.Power(h) != 0 || off.PerPumpFlow(h) != 0 {
+	if off.Flow(h) != 0 || off.Power(h) != 0 {
 		t.Error("empty bank should be inert")
 	}
 }

@@ -285,14 +285,6 @@ func NewGenerator(cfg GeneratorConfig) *Generator {
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), nextID: 1}
 }
 
-// Next draws the next job; successive calls advance the arrival clock by
-// exponentially distributed gaps (Eq. 5).
-func (g *Generator) Next() *Job {
-	g.clock += dist.Exponential(g.rng, g.cfg.ArrivalMeanSec)
-	j := g.buildJob(g.clock)
-	return j
-}
-
 // GenerateHorizon returns every job arriving in [0, horizonSec). A
 // non-positive arrival mean yields no jobs (the exponential gap would
 // never advance the clock).

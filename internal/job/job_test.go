@@ -190,10 +190,14 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestGeneratorNextContinuesClock(t *testing.T) {
 	g := NewGenerator(DefaultGeneratorConfig())
-	j1 := g.Next()
-	j2 := g.Next()
+	first := g.GenerateHorizon(3600)
+	next := g.GenerateHorizon(7200)
+	if len(first) == 0 || len(next) == 0 {
+		t.Fatalf("empty batches: %d then %d jobs", len(first), len(next))
+	}
+	j1, j2 := first[len(first)-1], next[0]
 	if j2.SubmitTime <= j1.SubmitTime {
-		t.Error("Next must advance the arrival clock")
+		t.Error("the next batch must continue the arrival clock")
 	}
 	if j1.ID == j2.ID {
 		t.Error("IDs must be unique")

@@ -1,9 +1,9 @@
-// Package la implements the small dense linear-algebra kernels needed by
-// the ODE integrators and the hydraulic network solver: LU factorization
-// with partial pivoting, tridiagonal (Thomas) solves, and basic vector
-// operations. Systems in this codebase are tiny (tens of unknowns), so the
-// implementation favours clarity and numerical robustness over blocking or
-// parallelism.
+// Package la implements the small dense linear-algebra kernels the ODE
+// integrators and the surrogate's ridge regression need: a dense matrix,
+// LU factorization with partial pivoting, and the dot and AXPY vector
+// operations. Systems in this codebase are tiny (tens of unknowns), so
+// the implementation favours clarity and numerical robustness over
+// blocking or parallelism.
 package la
 
 import (
@@ -30,50 +30,17 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Zero resets all elements to zero, retaining the allocation.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// MulVec computes y = M·x. y must have length Rows and x length Cols.
-func (m *Matrix) MulVec(x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("la: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, xv := range x {
-			s += row[j] * xv
-		}
-		y[i] = s
-	}
-}
-
 // LU holds an LU factorization with partial pivoting (PA = LU).
 type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diagonal implied) and U
-	piv  []int
-	sign int
+	n   int
+	lu  []float64 // packed L (unit diagonal implied) and U
+	piv []int
 }
 
 // Factorize computes the LU decomposition of square matrix a with partial
@@ -83,7 +50,7 @@ func Factorize(a *Matrix) (*LU, error) {
 		return nil, fmt.Errorf("la: Factorize requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, a.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -104,7 +71,6 @@ func Factorize(a *Matrix) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -157,15 +123,6 @@ func (f *LU) Solve(b, x []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
 // SolveDense is a convenience wrapper: factorize a and solve a·x = b.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factorize(a)
@@ -175,40 +132,6 @@ func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	x := make([]float64, len(b))
 	if err := f.Solve(b, x); err != nil {
 		return nil, err
-	}
-	return x, nil
-}
-
-// SolveTridiag solves a tridiagonal system using the Thomas algorithm.
-// sub, diag, sup are the sub-, main and super-diagonals (len(sub) and
-// len(sup) are n-1). The right-hand side b and solution share length n.
-// Inputs are not modified.
-func SolveTridiag(sub, diag, sup, b []float64) ([]float64, error) {
-	n := len(diag)
-	if len(b) != n || len(sub) != n-1 || len(sup) != n-1 {
-		return nil, fmt.Errorf("la: SolveTridiag dimension mismatch")
-	}
-	c := make([]float64, n-1)
-	d := make([]float64, n)
-	if diag[0] == 0 {
-		return nil, ErrSingular
-	}
-	c[0] = sup[0] / diag[0]
-	d[0] = b[0] / diag[0]
-	for i := 1; i < n; i++ {
-		den := diag[i] - sub[i-1]*c[i-1]
-		if den == 0 || math.IsNaN(den) {
-			return nil, ErrSingular
-		}
-		if i < n-1 {
-			c[i] = sup[i] / den
-		}
-		d[i] = (b[i] - sub[i-1]*d[i-1]) / den
-	}
-	x := make([]float64, n)
-	x[n-1] = d[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = d[i] - c[i]*x[i+1]
 	}
 	return x, nil
 }
@@ -227,26 +150,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum-magnitude norm of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // AXPY computes y ← a·x + y element-wise.
 func AXPY(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -254,12 +157,5 @@ func AXPY(a float64, x, y []float64) {
 	}
 	for i, xv := range x {
 		y[i] += a * xv
-	}
-}
-
-// Scale multiplies every element of v by a in place.
-func Scale(a float64, v []float64) {
-	for i := range v {
-		v[i] *= a
 	}
 }

@@ -7,82 +7,19 @@ import (
 	"exadigit/internal/la"
 )
 
-// AdaptiveMethod names an embedded Runge–Kutta pair.
-type AdaptiveMethod int
-
-const (
-	// DOPRI5 is the Dormand–Prince 5(4) pair (7 stages; ode45's method).
-	DOPRI5 AdaptiveMethod = iota
-	// RKF45 is Fehlberg's classic 4(5) pair (6 stages).
-	RKF45
-)
-
-// String returns the method name.
-func (m AdaptiveMethod) String() string {
-	switch m {
-	case DOPRI5:
-		return "dopri5"
-	case RKF45:
-		return "rkf45"
-	}
-	return fmt.Sprintf("adaptive(%d)", int(m))
-}
-
-// rkPair is one embedded pair's Butcher tableau in slice form: the
-// higher-order weights propagate the solution, the lower-order weights
-// supply the error estimate.
-type rkPair struct {
-	stages     int
-	a          []float64
-	b          [][]float64
-	cHigh, cLo []float64
-}
-
-var (
-	pairRKF45 = &rkPair{
-		stages: 6,
-		a:      rkfA[:],
-		b: [][]float64{
-			rkfB[0][:], rkfB[1][:], rkfB[2][:],
-			rkfB[3][:], rkfB[4][:], rkfB[5][:],
-		},
-		cHigh: rkfC5[:],
-		cLo:   rkfC4[:],
-	}
-	pairDOPRI5 = &rkPair{
-		stages: 7,
-		a:      dpA[:],
-		b: [][]float64{
-			dpB[0][:], dpB[1][:], dpB[2][:], dpB[3][:],
-			dpB[4][:], dpB[5][:], dpB[6][:],
-		},
-		cHigh: dpC5[:],
-		cLo:   dpC4[:],
-	}
-)
-
-func pairFor(m AdaptiveMethod) *rkPair {
-	if m == RKF45 {
-		return pairRKF45
-	}
-	return pairDOPRI5
-}
-
-// AdaptiveStepper advances a System with an embedded Runge–Kutta pair
-// under mixed absolute/relative error control. Unlike the standalone
-// IntegrateAdaptive/IntegrateDormandPrince entry points, the stepper is
-// persistent: its stage buffers are allocated once at construction and
-// the accepted step size is carried (warm-started) across Integrate
+// AdaptiveStepper advances a System with the Dormand–Prince 5(4)
+// embedded pair under mixed absolute/relative error control. The stepper
+// is persistent: its stage buffers are allocated once at construction
+// and the accepted step size is carried (warm-started) across Integrate
 // calls, so a hot loop that repeatedly integrates short spans — the
 // cooling plant's control periods — performs no per-call allocation and
 // no per-call step-size rediscovery.
 type AdaptiveStepper struct {
-	sys  System
-	pair *rkPair
-	cfg  AdaptiveConfig
+	sys System
+	cfg AdaptiveConfig
 
 	// stage and state scratch, sized to sys.Dim() at construction
-	k          [][]float64
+	k          [len(dpA)][]float64
 	ytmp       []float64
 	yhi, ylo   []float64
 	h          float64 // warm-started step suggestion; 0 until first use
@@ -91,13 +28,11 @@ type AdaptiveStepper struct {
 
 // NewAdaptiveStepper builds a persistent stepper for sys. The config's
 // zero fields are defaulted per Integrate call relative to that call's
-// span, exactly as the standalone entry points default them.
-func NewAdaptiveStepper(sys System, method AdaptiveMethod, cfg AdaptiveConfig) *AdaptiveStepper {
+// span.
+func NewAdaptiveStepper(sys System, cfg AdaptiveConfig) *AdaptiveStepper {
 	n := sys.Dim()
-	p := pairFor(method)
 	s := &AdaptiveStepper{
-		sys: sys, pair: p, cfg: cfg,
-		k:    make([][]float64, p.stages),
+		sys: sys, cfg: cfg,
 		ytmp: make([]float64, n),
 		yhi:  make([]float64, n),
 		ylo:  make([]float64, n),
@@ -109,14 +44,8 @@ func NewAdaptiveStepper(sys System, method AdaptiveMethod, cfg AdaptiveConfig) *
 }
 
 // Stats returns the cumulative step accounting across every Integrate
-// call since construction (or the last Reset).
+// call since construction.
 func (s *AdaptiveStepper) Stats() AdaptiveStats { return s.cumulative }
-
-// Reset clears the warm-started step size and the cumulative stats.
-func (s *AdaptiveStepper) Reset() {
-	s.h = 0
-	s.cumulative = AdaptiveStats{}
-}
 
 // Integrate advances y in place from t0 to t1 and returns this call's
 // step accounting. The accepted step size is retained as the warm start
@@ -138,7 +67,6 @@ func (s *AdaptiveStepper) Integrate(t0, t1 float64, y []float64) (AdaptiveStats,
 	}
 	hSug = math.Max(cfg.HMin, math.Min(hSug, cfg.HMax))
 
-	p := s.pair
 	t := t0
 	for t < t1 {
 		if st.Accepted+st.Rejected > cfg.MaxSteps {
@@ -149,18 +77,18 @@ func (s *AdaptiveStepper) Integrate(t0, t1 float64, y []float64) (AdaptiveStats,
 		if t+h > t1 {
 			h = t1 - t
 		}
-		for stage := 0; stage < p.stages; stage++ {
+		for stage := range dpA {
 			copy(s.ytmp, y)
 			for j := 0; j < stage; j++ {
-				la.AXPY(h*p.b[stage][j], s.k[j], s.ytmp)
+				la.AXPY(h*dpB[stage][j], s.k[j], s.ytmp)
 			}
-			s.sys.Derivatives(t+p.a[stage]*h, s.ytmp, s.k[stage])
+			s.sys.Derivatives(t+dpA[stage]*h, s.ytmp, s.k[stage])
 		}
 		copy(s.yhi, y)
 		copy(s.ylo, y)
-		for stage := 0; stage < p.stages; stage++ {
-			la.AXPY(h*p.cHigh[stage], s.k[stage], s.yhi)
-			la.AXPY(h*p.cLo[stage], s.k[stage], s.ylo)
+		for stage := range dpA {
+			la.AXPY(h*dpC5[stage], s.k[stage], s.yhi)
+			la.AXPY(h*dpC4[stage], s.k[stage], s.ylo)
 		}
 		// Error estimate scaled by mixed absolute/relative tolerance.
 		errNorm := 0.0

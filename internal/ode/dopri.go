@@ -18,13 +18,3 @@ var (
 	dpC5 = [7]float64{35.0 / 384, 0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84, 0}
 	dpC4 = [7]float64{5179.0 / 57600, 0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200, 187.0 / 2100, 1.0 / 40}
 )
-
-// IntegrateDormandPrince advances y from t0 to t1 with the Dormand–Prince
-// 5(4) embedded pair under the same tolerance control as
-// IntegrateAdaptive. It is one order higher than RKF45 per step and is
-// provided for accuracy cross-checks of the cooling model's transients.
-// It is a convenience wrapper over a one-shot AdaptiveStepper; hot loops
-// that integrate repeatedly should hold a persistent stepper instead.
-func IntegrateDormandPrince(sys System, t0, t1 float64, y []float64, cfg AdaptiveConfig) (AdaptiveStats, error) {
-	return NewAdaptiveStepper(sys, DOPRI5, cfg).Integrate(t0, t1, y)
-}

@@ -1,9 +1,7 @@
 // Package stats implements the descriptive statistics and error metrics
-// used in the paper's verification-and-validation section (§IV): RMSE and
-// MAE between model predictions and telemetry (Fig. 7), min/avg/max/std
-// summaries (Table IV), percentiles, correlation, and time-series
-// resampling helpers for aligning series recorded at different telemetry
-// resolutions (Table II lists cadences from 1 s to 10 min).
+// used in the paper's verification-and-validation section (§IV): RMSE,
+// MAE and MAPE between model predictions and telemetry (Fig. 7),
+// min/avg/max/std and percentile summaries (Table IV), and correlation.
 package stats
 
 import (
@@ -71,32 +69,8 @@ func Mean(vals []float64) float64 {
 	return s / float64(len(vals))
 }
 
-// Std returns the population standard deviation, or 0 for fewer than two
-// samples.
-func Std(vals []float64) float64 {
-	if len(vals) < 2 {
-		return 0
-	}
-	m := Mean(vals)
-	s := 0.0
-	for _, v := range vals {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(vals)))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation
-// between order statistics.
-func Quantile(vals []float64, q float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
+// quantileSorted returns the q-quantile (0 ≤ q ≤ 1) of sorted with linear
+// interpolation between order statistics.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
@@ -190,106 +164,3 @@ func Pearson(x, y []float64) (float64, error) {
 	}
 	return sxy / den, nil
 }
-
-// Resample converts a series sampled at srcDt seconds to dstDt seconds by
-// averaging (downsampling, dstDt > srcDt) or sample-and-hold
-// (upsampling). Both periods must be positive; for downsampling dstDt
-// must be an integer multiple of srcDt.
-func Resample(vals []float64, srcDt, dstDt float64) ([]float64, error) {
-	if srcDt <= 0 || dstDt <= 0 {
-		return nil, errors.New("stats: non-positive period")
-	}
-	if len(vals) == 0 {
-		return nil, ErrEmpty
-	}
-	if dstDt == srcDt {
-		return append([]float64(nil), vals...), nil
-	}
-	if dstDt > srcDt {
-		ratio := dstDt / srcDt
-		k := int(math.Round(ratio))
-		if math.Abs(ratio-float64(k)) > 1e-9 {
-			return nil, errors.New("stats: downsample ratio must be integral")
-		}
-		out := make([]float64, 0, (len(vals)+k-1)/k)
-		for i := 0; i < len(vals); i += k {
-			end := i + k
-			if end > len(vals) {
-				end = len(vals)
-			}
-			out = append(out, Mean(vals[i:end]))
-		}
-		return out, nil
-	}
-	// Upsample by sample-and-hold.
-	ratio := srcDt / dstDt
-	k := int(math.Round(ratio))
-	if math.Abs(ratio-float64(k)) > 1e-9 {
-		return nil, errors.New("stats: upsample ratio must be integral")
-	}
-	out := make([]float64, 0, len(vals)*k)
-	for _, v := range vals {
-		for j := 0; j < k; j++ {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
-// Rolling is an O(1)-update rolling accumulator for streaming series
-// (used by the live dashboard and the RAPS per-tick statistics).
-type Rolling struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
-}
-
-// Push adds a sample.
-func (r *Rolling) Push(v float64) {
-	if r.n == 0 {
-		r.min, r.max = v, v
-	} else {
-		if v < r.min {
-			r.min = v
-		}
-		if v > r.max {
-			r.max = v
-		}
-	}
-	r.n++
-	r.sum += v
-	r.sumSq += v * v
-}
-
-// N returns the number of samples pushed.
-func (r *Rolling) N() int { return r.n }
-
-// Mean returns the running mean (0 if empty).
-func (r *Rolling) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Std returns the running population standard deviation (0 if < 2 samples).
-func (r *Rolling) Std() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	m := r.Mean()
-	v := r.sumSq/float64(r.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the minimum pushed value (0 if empty).
-func (r *Rolling) Min() float64 { return r.min }
-
-// Max returns the maximum pushed value (0 if empty).
-func (r *Rolling) Max() float64 { return r.max }
-
-// Sum returns the sum of pushed values.
-func (r *Rolling) Sum() float64 { return r.sum }

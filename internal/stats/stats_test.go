@@ -62,16 +62,9 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
 	}
 	for _, tc := range cases {
-		got, err := Quantile(vals, tc.q)
-		if err != nil {
-			t.Fatal(err)
+		if got := quantileSorted(vals, tc.q); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("quantileSorted(%v) = %v, want %v", tc.q, got, tc.want)
 		}
-		if math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Error("want ErrEmpty")
 	}
 }
 
@@ -164,102 +157,5 @@ func TestPearson(t *testing.T) {
 	}
 	if _, err := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); err == nil {
 		t.Error("zero variance should error")
-	}
-}
-
-func TestResampleDown(t *testing.T) {
-	// 1 s → 15 s cadence, as RAPS does for the cooling-model coupling.
-	in := make([]float64, 30)
-	for i := range in {
-		in[i] = float64(i)
-	}
-	out, err := Resample(in, 1, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("len = %d, want 2", len(out))
-	}
-	if out[0] != 7 || out[1] != 22 {
-		t.Errorf("out = %v, want [7 22]", out)
-	}
-}
-
-func TestResampleUp(t *testing.T) {
-	out, err := Resample([]float64{1, 2}, 15, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 1, 2, 2, 2}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-}
-
-func TestResampleIdentityAndErrors(t *testing.T) {
-	out, err := Resample([]float64{1, 2, 3}, 5, 5)
-	if err != nil || len(out) != 3 {
-		t.Fatal("identity resample failed")
-	}
-	out[0] = 99 // must be a copy
-	if o2, _ := Resample([]float64{1, 2, 3}, 5, 5); o2[0] != 1 {
-		t.Error("identity resample should copy")
-	}
-	if _, err := Resample([]float64{1}, 0, 5); err == nil {
-		t.Error("zero src period")
-	}
-	if _, err := Resample([]float64{1}, 2, 5); err == nil {
-		t.Error("non-integral ratio should error")
-	}
-	if _, err := Resample(nil, 1, 5); err != ErrEmpty {
-		t.Error("empty input")
-	}
-}
-
-func TestResamplePartialTailWindow(t *testing.T) {
-	out, err := Resample([]float64{1, 2, 3, 4, 5}, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[2] != 5 {
-		t.Errorf("tail window: %v", out)
-	}
-}
-
-func TestRollingMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var r Rolling
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()*5 + 17
-		r.Push(vals[i])
-	}
-	s, _ := Summarize(vals)
-	if r.N() != s.N {
-		t.Errorf("N = %d vs %d", r.N(), s.N)
-	}
-	if math.Abs(r.Mean()-s.Mean) > 1e-9 {
-		t.Errorf("Mean = %v vs %v", r.Mean(), s.Mean)
-	}
-	if math.Abs(r.Std()-s.Std) > 1e-9 {
-		t.Errorf("Std = %v vs %v", r.Std(), s.Std)
-	}
-	if r.Min() != s.Min || r.Max() != s.Max {
-		t.Errorf("Min/Max mismatch")
-	}
-	if math.Abs(r.Sum()-s.Sum) > 1e-9 {
-		t.Errorf("Sum mismatch")
-	}
-}
-
-func TestRollingEmpty(t *testing.T) {
-	var r Rolling
-	if r.Mean() != 0 || r.Std() != 0 || r.N() != 0 {
-		t.Error("zero-value Rolling should report zeros")
 	}
 }

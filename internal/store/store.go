@@ -545,40 +545,16 @@ func decodeEntry(r io.Reader, specHash, scenHash string) (*core.Result, error) {
 				return nil, fmt.Errorf("line %d: %w", line, err)
 			}
 			res.History = append(res.History, sl.Sample)
-		case "meta":
-			var m struct {
-				Epoch       string  `json:"epoch"`
-				SeriesDtSec float64 `json:"series_dt_sec"`
-			}
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if ds == nil {
-				ds = &telemetry.Dataset{}
-			}
-			ds.Epoch, ds.SeriesDtSec = m.Epoch, m.SeriesDtSec
-		case "series":
-			var p telemetry.SeriesPoint
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if ds == nil {
-				ds = &telemetry.Dataset{}
-			}
-			ds.Series = append(ds.Series, p)
-		case "job":
-			var j telemetry.JobRecord
-			if err := json.Unmarshal(raw, &j); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if ds == nil {
-				ds = &telemetry.Dataset{}
-			}
-			ds.Jobs = append(ds.Jobs, j)
 		case "end":
 			ended = true
 		default:
-			return nil, fmt.Errorf("line %d: unknown type %q", line, probe.Type)
+			// meta, series and job lines are the telemetry stream's.
+			if ds == nil {
+				ds = &telemetry.Dataset{}
+			}
+			if err := ds.DecodeStreamLine(probe.Type, raw); err != nil {
+				return nil, fmt.Errorf("line %d: %w", line, err)
+			}
 		}
 	}
 	if !ended {

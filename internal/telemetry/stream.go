@@ -119,30 +119,50 @@ func ReadStream(r io.Reader) (*Dataset, error) {
 		if err := json.Unmarshal(raw, &probe); err != nil {
 			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
 		}
-		switch probe.Type {
-		case "meta":
-			var m streamMeta
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-			}
-			if line != 0 {
-				return nil, fmt.Errorf("telemetry: stream line %d: meta not first", line)
-			}
-			d.Epoch, d.SeriesDtSec = m.Epoch, m.SeriesDtSec
-		case "series":
-			var p streamSeries
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-			}
-			d.Series = append(d.Series, p.SeriesPoint)
-		case "job":
-			var j streamJob
-			if err := json.Unmarshal(raw, &j); err != nil {
-				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-			}
-			d.Jobs = append(d.Jobs, j.JobRecord)
-		default:
-			return nil, fmt.Errorf("telemetry: stream line %d: unknown type %q", line, probe.Type)
+		if probe.Type == "meta" && line != 0 {
+			return nil, fmt.Errorf("telemetry: stream line %d: meta not first", line)
+		}
+		if err := d.DecodeStreamLine(probe.Type, raw); err != nil {
+			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
 		}
 	}
+}
+
+// DecodeStreamLine applies one stream line of the given type — meta,
+// series or job — to d; any other type is an error. A job line is held
+// to ReadJobsJSONL's bound. Line-order rules are the caller's: ReadStream
+// wants meta first, and the result store embeds these lines in its own
+// framing.
+func (d *Dataset) DecodeStreamLine(typ string, raw []byte) error {
+	switch typ {
+	case "meta":
+		var m streamMeta
+		if err := json.Unmarshal(raw, &m); err != nil {
+			return err
+		}
+		d.Epoch, d.SeriesDtSec = m.Epoch, m.SeriesDtSec
+	case "series":
+		var p SeriesPoint
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return err
+		}
+		// The writer omits an empty split, so an explicit empty one reads
+		// as absent and the dataset round-trips.
+		if len(p.PartPowerW) == 0 {
+			p.PartPowerW = nil
+		}
+		d.Series = append(d.Series, p)
+	case "job":
+		var j JobRecord
+		if err := json.Unmarshal(raw, &j); err != nil {
+			return err
+		}
+		if err := j.validate(); err != nil {
+			return err
+		}
+		d.Jobs = append(d.Jobs, j)
+	default:
+		return fmt.Errorf("unknown type %q", typ)
+	}
+	return nil
 }

@@ -2,11 +2,10 @@
 // verification and validation (§IV): job records carrying 15 s CPU/GPU
 // power traces, system-level measured-power series, per-CDU cooling
 // series, and wet-bulb weather series. It provides JSONL/CSV persistence,
-// a pluggable loader registry (the paper's "pluggable architecture ...
-// for reading different types of bespoke telemetry datasets", §V), and
-// the power↔utilization conversion RAPS relies on (footnote 1: "Since our
-// system telemetry lacks CPU/GPU utilization, we linearly interpolate
-// power to utilization").
+// the NDJSON stream format (stream.go) that live runs and the result
+// store write, and the power↔utilization conversion RAPS relies on
+// (footnote 1: "Since our system telemetry lacks CPU/GPU utilization, we
+// linearly interpolate power to utilization").
 //
 // ORNL's production telemetry is not public; datasets here are emitted by
 // the simulator itself (optionally with sensor noise) and replayed
@@ -43,6 +42,14 @@ type JobRecord struct {
 	// reports them.
 	CPUPowerW []float64 `json:"cpu_power"`
 	GPUPowerW []float64 `json:"gpu_power"`
+}
+
+// validate applies the bound every job-record reader holds a record to.
+func (r *JobRecord) validate() error {
+	if r.NodeCount <= 0 {
+		return fmt.Errorf("non-positive node count %d", r.NodeCount)
+	}
+	return nil
 }
 
 // SeriesPoint is one sample of the system-level validation series. The
@@ -232,8 +239,8 @@ func ReadJobsJSONL(r io.Reader) ([]JobRecord, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("telemetry: job record %d: %w", len(jobs), err)
 		}
-		if rec.NodeCount <= 0 {
-			return nil, fmt.Errorf("telemetry: job record %d: non-positive node count", len(jobs))
+		if err := rec.validate(); err != nil {
+			return nil, fmt.Errorf("telemetry: job record %d: %w", len(jobs), err)
 		}
 		jobs = append(jobs, rec)
 	}

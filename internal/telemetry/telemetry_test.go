@@ -186,136 +186,6 @@ func TestAddSensorNoise(t *testing.T) {
 	}
 }
 
-func TestLoaderRegistry(t *testing.T) {
-	names := LoaderNames()
-	found := map[string]bool{}
-	for _, n := range names {
-		found[n] = true
-	}
-	if !found["exadigit-jsonl"] || !found["pm100-csv"] {
-		t.Fatalf("built-in loaders missing: %v", names)
-	}
-	if _, err := LoaderByName("nope"); err == nil {
-		t.Error("unknown loader should error")
-	}
-	l, err := LoaderByName("exadigit-jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := l.LoadJobs(strings.NewReader(`{"job_name":"a","job_id":1,"node_count":2,"wall_time":30}` + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 {
-		t.Errorf("jsonl loader returned %d jobs", len(jobs))
-	}
-}
-
-func TestPM100Loader(t *testing.T) {
-	l, err := LoaderByName("pm100-csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvData := "job_id,nodes,submit,start,duration,avg_cpu_power,avg_gpu_power\n" +
-		"7,16,0,30,120,150,400\n"
-	jobs, err := l.LoadJobs(strings.NewReader(csvData))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 {
-		t.Fatalf("%d jobs", len(jobs))
-	}
-	j := jobs[0]
-	if j.JobID != 7 || j.NodeCount != 16 || j.StartTime != 30 || j.WallTime != 120 {
-		t.Errorf("job = %+v", j)
-	}
-	// Constant traces covering the duration.
-	if len(j.CPUPowerW) != 9 {
-		t.Errorf("trace length = %d, want 9 (120 s / 15 s + 1)", len(j.CPUPowerW))
-	}
-	for _, p := range j.CPUPowerW {
-		if p != 150 {
-			t.Fatal("cpu trace not constant")
-		}
-	}
-	// Malformed rows.
-	if _, err := l.LoadJobs(strings.NewReader("h\nbad")); err == nil {
-		t.Error("bad pm100 should fail")
-	}
-	if _, err := l.LoadJobs(strings.NewReader("")); err == nil {
-		t.Error("empty pm100 should fail")
-	}
-	if _, err := l.LoadJobs(strings.NewReader("h1,h2,h3,h4,h5,h6,h7\n1,0,0,0,1,1,1\n")); err == nil {
-		t.Error("zero nodes should fail")
-	}
-}
-
-func TestSWFLoader(t *testing.T) {
-	l, err := LoaderByName("swf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := `; Parallel Workloads Archive style header
-; GPUPowerW: 460.9
-1  0    30  120  16  60  -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1
-2  100  0   600  128 600 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1
-3  200  10  -1   4   10  -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1
-`
-	jobs, err := l.LoadJobs(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Job 3 has run time -1 (cancelled) and is skipped.
-	if len(jobs) != 2 {
-		t.Fatalf("%d jobs, want 2", len(jobs))
-	}
-	j := jobs[0]
-	if j.JobID != 1 || j.NodeCount != 16 || j.SubmitTime != 0 || j.StartTime != 30 || j.WallTime != 120 {
-		t.Errorf("job 1 = %+v", j)
-	}
-	// Utilization 60/120 = 0.5 → CPU power 90+0.5·190 = 185 W.
-	if math.Abs(j.CPUPowerW[0]-185) > 1e-9 {
-		t.Errorf("cpu power = %v, want 185", j.CPUPowerW[0])
-	}
-	// GPU power from the header annotation.
-	if j.GPUPowerW[0] != 460.9 {
-		t.Errorf("gpu power = %v, want 460.9 (annotated)", j.GPUPowerW[0])
-	}
-	// Job 2: fully busy CPU (600/600 → clamped 1.0 → 280 W).
-	if jobs[1].CPUPowerW[0] != 280 {
-		t.Errorf("job 2 cpu power = %v", jobs[1].CPUPowerW[0])
-	}
-	// Errors.
-	if _, err := l.LoadJobs(strings.NewReader("")); err == nil {
-		t.Error("empty swf should fail")
-	}
-	if _, err := l.LoadJobs(strings.NewReader("1 2 3\n")); err == nil {
-		t.Error("short row should fail")
-	}
-	if _, err := l.LoadJobs(strings.NewReader("x 0 0 10 4 5 0 0 0 0 0\n")); err == nil {
-		t.Error("bad id should fail")
-	}
-}
-
-func TestSWFRoundTripThroughRAPSSchema(t *testing.T) {
-	l, _ := LoaderByName("swf")
-	jobs, err := l.LoadJobs(strings.NewReader("7 50 25 300 64 150 0 0 0 0 0\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := jobs[0].ToJob(90, 280, 88, 560)
-	if j.ReplayStart != 75 {
-		t.Errorf("replay start = %v, want submit+wait = 75", j.ReplayStart)
-	}
-	cu, gu := j.UtilAt(0)
-	if math.Abs(cu-0.5) > 1e-9 {
-		t.Errorf("cpu util = %v, want 0.5", cu)
-	}
-	if gu != 0 {
-		t.Errorf("gpu util = %v, want 0 (idle default)", gu)
-	}
-}
-
 func TestJobsJSONLRoundTripProperty(t *testing.T) {
 	// Arbitrary job records survive the JSONL round trip bit-exactly.
 	f := func(id int, nodes uint8, submit, wall float64, cpu, gpu []float64) bool {

@@ -171,13 +171,6 @@ func (c CoolingTower) OutletEff(eps, tIn, tWb float64) float64 {
 	return tIn - eps*(tIn-tWb)
 }
 
-// HeatRejected returns the heat rejected (W) by one cell.
-func (c CoolingTower) HeatRejected(tIn, tWb, fanSpeed, mdot float64) float64 {
-	tOut := c.Outlet(tIn, tWb, fanSpeed, mdot)
-	cp := units.WaterSpecificHeat(tIn)
-	return mdot * cp * (tIn - tOut)
-}
-
 // FanPower returns the fan power (W) at the given speed using the cube
 // law plus a small parasitic floor while running.
 func (c CoolingTower) FanPower(fanSpeed float64) float64 {
@@ -209,19 +202,4 @@ func (p ColdPlate) Rth(q float64) float64 {
 // into coolant at tCoolant with flow q.
 func (p ColdPlate) DeviceTemp(powerW, tCoolant, q float64) float64 {
 	return tCoolant + p.Rth(q)*powerW
-}
-
-// Throttles reports whether the device exceeds limit °C at the given
-// operating point — the early thermal-throttling detection use case.
-func (p ColdPlate) Throttles(powerW, tCoolant, q, limit float64) bool {
-	return p.DeviceTemp(powerW, tCoolant, q) > limit
-}
-
-// MixStreams returns the temperature of the mixture of two water streams.
-func MixStreams(mdot1, t1, mdot2, t2 float64) float64 {
-	total := mdot1 + mdot2
-	if total <= 0 {
-		return (t1 + t2) / 2
-	}
-	return (mdot1*t1 + mdot2*t2) / total
 }

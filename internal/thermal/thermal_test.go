@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"exadigit/internal/units"
 )
 
 func TestVolumeEquilibrium(t *testing.T) {
@@ -179,7 +181,8 @@ func TestCoolingTowerCannotBeatWetBulb(t *testing.T) {
 
 func TestCoolingTowerHeatAndFanPower(t *testing.T) {
 	ct := CoolingTower{EpsNominal: 0.7, MdotNominal: 120, FanExp: 0.4, LoadExp: 0.35, FanPowerMax: 30e3}
-	q := ct.HeatRejected(35, 20, 1.0, 120)
+	// Heat rejected by the cell: ṁ·c·(T_in − T_out).
+	q := 120 * units.WaterSpecificHeat(35) * (35 - ct.Outlet(35, 20, 1.0, 120))
 	if q <= 0 {
 		t.Errorf("heat rejected = %v", q)
 	}
@@ -213,26 +216,14 @@ func TestColdPlate(t *testing.T) {
 	if blocked <= tDev {
 		t.Errorf("blocked plate should run hotter: %v vs %v", blocked, tDev)
 	}
-	if !p.Throttles(560, 32, 0.05e-5, 95) {
+	if p.DeviceTemp(560, 32, 0.05e-5) <= 95 {
 		t.Error("severe blockage should throttle")
 	}
-	if p.Throttles(560, 32, 1.2e-5, 95) {
+	if p.DeviceTemp(560, 32, 1.2e-5) > 95 {
 		t.Error("nominal conditions should not throttle")
 	}
 	if p.Rth(0) <= p.Rth(1e-5) {
 		t.Error("stagnant flow must have much higher resistance")
-	}
-}
-
-func TestMixStreams(t *testing.T) {
-	if got := MixStreams(1, 10, 1, 30); got != 20 {
-		t.Errorf("equal mix = %v", got)
-	}
-	if got := MixStreams(3, 10, 1, 30); got != 15 {
-		t.Errorf("3:1 mix = %v", got)
-	}
-	if got := MixStreams(0, 10, 0, 30); got != 20 {
-		t.Errorf("degenerate mix = %v", got)
 	}
 }
 

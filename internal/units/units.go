@@ -2,10 +2,8 @@
 // temperature-dependent water properties used throughout the cooling and
 // power models. All internal computation is SI (kg, m, s, W, Pa, K or °C
 // where noted); these helpers exist so that configuration files and
-// reports can speak the plant's native units (gpm, psi, MW, °F).
+// reports can speak the plant's native units (gpm, psi, MW).
 package units
-
-import "math"
 
 // General conversion factors.
 const (
@@ -35,20 +33,8 @@ const (
 // WToMW converts watts to megawatts.
 func WToMW(w float64) float64 { return w / Mega }
 
-// MWToW converts megawatts to watts.
-func MWToW(mw float64) float64 { return mw * Mega }
-
 // CToK converts Celsius to Kelvin.
 func CToK(c float64) float64 { return c + 273.15 }
-
-// KToC converts Kelvin to Celsius.
-func KToC(k float64) float64 { return k - 273.15 }
-
-// FToC converts Fahrenheit to Celsius.
-func FToC(f float64) float64 { return (f - 32.0) * 5.0 / 9.0 }
-
-// CToF converts Celsius to Fahrenheit.
-func CToF(c float64) float64 { return c*9.0/5.0 + 32.0 }
 
 // Water properties. The cooling loops run roughly 15–45 °C, well within
 // the validity of these single-phase liquid tables (IAPWS-IF97 at 1 atm),
@@ -95,23 +81,9 @@ func WaterSpecificHeat(tC float64) float64 {
 	return interpTable(tC, waterCpTable)
 }
 
-// WaterViscosity returns the dynamic viscosity of liquid water in Pa·s at
-// temperature tC in °C using the Vogel equation. Valid 0–100 °C.
-func WaterViscosity(tC float64) float64 {
-	tK := CToK(tC)
-	return 1e-3 * math.Exp(-3.7188+578.919/(tK-137.546))
-}
-
-// HeatExtracted implements Eq. 7 of the paper: H = ρ·Q·ΔT·c, where q is the
-// volumetric flow rate in m³/s, dT the temperature rise in °C, and tC the
-// bulk temperature at which the properties are evaluated. The result is in
-// watts.
-func HeatExtracted(q, dT, tC float64) float64 {
-	return WaterDensity(tC) * q * dT * WaterSpecificHeat(tC)
-}
-
-// FlowForHeat inverts Eq. 7: the volumetric flow rate in m³/s required to
-// carry heat h (W) across temperature rise dT (°C) at bulk temperature tC.
+// FlowForHeat inverts Eq. 7 of the paper, H = ρ·Q·ΔT·c: the volumetric
+// flow rate in m³/s required to carry heat h (W) across temperature rise
+// dT (°C) at bulk temperature tC.
 func FlowForHeat(h, dT, tC float64) float64 {
 	if dT == 0 {
 		return 0
@@ -133,6 +105,3 @@ func Clamp(v, lo, hi float64) float64 {
 // Lerp linearly interpolates between a (at t=0) and b (at t=1). t is not
 // clamped.
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// LerpClamped linearly interpolates between a and b with t clamped to [0,1].
-func LerpClamped(a, b, t float64) float64 { return Lerp(a, b, Clamp(t, 0, 1)) }

@@ -37,22 +37,8 @@ func TestPressureConversions(t *testing.T) {
 }
 
 func TestTemperatureConversions(t *testing.T) {
-	cases := []struct{ c, f float64 }{
-		{0, 32}, {100, 212}, {-40, -40}, {37, 98.6},
-	}
-	for _, tc := range cases {
-		if !almostEqual(CToF(tc.c), tc.f, 1e-9) {
-			t.Errorf("CToF(%v) = %v, want %v", tc.c, CToF(tc.c), tc.f)
-		}
-		if !almostEqual(FToC(tc.f), tc.c, 1e-9) {
-			t.Errorf("FToC(%v) = %v, want %v", tc.f, FToC(tc.f), tc.c)
-		}
-	}
 	if !almostEqual(CToK(25), 298.15, 1e-12) {
 		t.Errorf("CToK(25) = %v", CToK(25))
-	}
-	if !almostEqual(KToC(CToK(25)), 25, 1e-12) {
-		t.Errorf("K/C round trip failed")
 	}
 }
 
@@ -97,22 +83,14 @@ func TestWaterSpecificHeat(t *testing.T) {
 	}
 }
 
-func TestWaterViscosity(t *testing.T) {
-	// Reference: 1.0016 mPa·s at 20 °C, 0.6527 at 40 °C.
-	if got := WaterViscosity(20); !almostEqual(got, 1.0016e-3, 3e-5) {
-		t.Errorf("WaterViscosity(20) = %v", got)
-	}
-	if got := WaterViscosity(40); !almostEqual(got, 0.6527e-3, 3e-5) {
-		t.Errorf("WaterViscosity(40) = %v", got)
-	}
-}
-
 func TestHeatExtractedRoundTrip(t *testing.T) {
 	f := func(h, dT float64) bool {
 		h = 1e3 + math.Mod(math.Abs(h), 1e6) // 1 kW .. 1 GW-ish
 		dT = 1 + math.Mod(math.Abs(dT), 20)  // 1..21 °C
 		q := FlowForHeat(h, dT, 30)
-		return almostEqual(HeatExtracted(q, dT, 30), h, 1e-6*h)
+		// Eq. 7 forward: H = ρ·Q·ΔT·c.
+		back := WaterDensity(30) * q * dT * WaterSpecificHeat(30)
+		return almostEqual(back, h, 1e-6*h)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -152,19 +130,10 @@ func TestLerp(t *testing.T) {
 	if got := Lerp(10, 20, 2); got != 30 {
 		t.Errorf("Lerp extrapolates: %v", got)
 	}
-	if got := LerpClamped(10, 20, 2); got != 20 {
-		t.Errorf("LerpClamped clamps: %v", got)
-	}
-	if got := LerpClamped(10, 20, -1); got != 10 {
-		t.Errorf("LerpClamped clamps low: %v", got)
-	}
 }
 
 func TestWToMW(t *testing.T) {
 	if WToMW(28.2e6) != 28.2 {
 		t.Errorf("WToMW failed")
-	}
-	if MWToW(28.2) != 28.2e6 {
-		t.Errorf("MWToW failed")
 	}
 }

@@ -87,13 +87,3 @@ func (g *Generator) Series(start time.Time, n int, dtSec float64) []float64 {
 	}
 	return out
 }
-
-// Constant returns a generator-compatible flat series, useful for
-// controlled verification experiments.
-func Constant(value float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = value
-	}
-	return out
-}

@@ -93,15 +93,3 @@ func TestPhysicalRange(t *testing.T) {
 		}
 	}
 }
-
-func TestConstant(t *testing.T) {
-	s := Constant(21.5, 5)
-	if len(s) != 5 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, v := range s {
-		if v != 21.5 {
-			t.Fatal("Constant must be flat")
-		}
-	}
-}
