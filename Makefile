@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint fuzz bench-test ci
+.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke replay-smoke check metrics-lint fuzz bench-test ci
 
 all: build vet test
 
@@ -52,6 +52,12 @@ chaos:
 multihost-smoke: build
 	./scripts/multihost_smoke.sh
 
+# Export-then-replay smoke: a cooled 2 h raps run writes its telemetry
+# dataset with -export-dir, and a -replay-dir run must load it and
+# complete the same jobs (Dataset.Save and telemetry.Load end to end).
+replay-smoke:
+	./scripts/replay_smoke.sh
+
 # Lint the live /metrics exposition of a fully wired server against the
 # strict format parser and the naming conventions.
 metrics-lint:
@@ -64,7 +70,7 @@ check: vet metrics-lint
 	$(GO) -C bench vet ./...
 	test -z "$$(gofmt -l .)"
 
-# Fuzz seven trust boundaries and the power engine, 15 s each:
+# Fuzz eight trust boundaries and the power engine, 15 s each:
 #   - the strict exposition parser every metrics test reads counters
 #     through: no panic on arbitrary bytes, and a rendered registry
 #     parses back to exactly the values written;
@@ -81,9 +87,12 @@ check: vet metrics-lint
 #   - the lease-record parse: no panic, and an accepted record names a
 #     non-empty owner;
 #   - the NDJSON telemetry-stream reader: no panic, and an accepted
-#     dataset survives WriteStream then ReadStream unchanged.
+#     dataset survives WriteStream then ReadStream unchanged;
+#   - the study-spec decode behind POST /api/optimize: no panic, an
+#     accepted study is bounded, and every first-population candidate
+#     is finite and inside its knob's range.
 # The seed corpora live under
-# internal/{obs,surrogate,service,power,store,telemetry}/testdata/fuzz.
+# internal/{obs,surrogate,service,power,store,telemetry,optimize}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
@@ -93,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadLease$$' -fuzztime 15s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 15s
+	$(GO) test ./internal/optimize/ -run '^$$' -fuzz '^FuzzStudySpec$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

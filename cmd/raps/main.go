@@ -2,7 +2,9 @@
 // terminal — the paper's primary console interface (§III-B, Fig. 6
 // top-right). It simulates synthetic or benchmark workloads on the
 // Frontier twin, optionally coupled to the cooling model, and prints the
-// §III-B5 statistics report.
+// §III-B5 statistics report. -export-dir writes the run's telemetry
+// dataset as DIR/dataset.ndjson (the NDJSON stream format);
+// -replay-dir replays a directory written that way.
 //
 // Usage:
 //

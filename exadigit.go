@@ -248,7 +248,7 @@ func SetonixLikeSpec() SystemSpec { return config.SetonixLike() }
 func LoadSpec(path string) (*SystemSpec, error) { return config.LoadFile(path) }
 
 // LoadTelemetry reads a telemetry dataset directory written by
-// Dataset.Save.
+// Dataset.Save: one dataset.ndjson file in the NDJSON stream format.
 func LoadTelemetry(dir string) (*Dataset, error) { return telemetry.Load(dir) }
 
 // DefaultGeneratorConfig returns the Table IV-calibrated synthetic

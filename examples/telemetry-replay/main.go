@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("captured: %d jobs, %.2f MW avg\n",
 		captured.Report.JobsCompleted, captured.Report.AvgPowerMW)
 
-	// 2. Persist and reload the dataset (jobs.jsonl + series.csv).
+	// 2. Persist and reload the dataset (one dataset.ndjson file).
 	dir := filepath.Join(os.TempDir(), "exadigit-replay-demo")
 	if err := captured.Dataset.Save(dir); err != nil {
 		log.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -24,10 +25,8 @@ func TestStreamedTelemetryMatchesExport(t *testing.T) {
 		HorizonSec: 2 * 3600,
 		TickSec:    15,
 		Generator:  gen,
-		// WetBulbC deliberately unset: the synthetic weather generator is
-		// stateful (noise advances per query), the hardest case for
-		// stream/export agreement — the export must reuse the streamed
-		// points rather than re-sampling.
+		// WetBulbC deliberately unset: the stream and the export each
+		// evaluate the seasonal weather series at every sample.
 		WeatherSeed: 3,
 		TelemetryTo: &buf,
 	}
@@ -76,9 +75,9 @@ func TestStreamedTelemetryMatchesExport(t *testing.T) {
 }
 
 // TestTelemetrySinkDoesNotPerturbResults: attaching a streaming sink
-// must be invisible to the simulation — in particular the sink must not
-// advance the run's stateful wet-bulb source, which the cooling
-// coupling samples (a shared closure would change PUE and the report).
+// must be invisible to the simulation — in particular the sink's
+// wet-bulb queries must not move what the cooling coupling reads from
+// the same weather series (that would change PUE and the report).
 func TestTelemetrySinkDoesNotPerturbResults(t *testing.T) {
 	run := func(streamed bool) *Result {
 		gen := job.DefaultGeneratorConfig()
@@ -109,6 +108,89 @@ func TestTelemetrySinkDoesNotPerturbResults(t *testing.T) {
 	if plain.Report.AvgPUE != streamed.Report.AvgPUE {
 		t.Errorf("PUE changed by attaching a sink: %v vs %v",
 			plain.Report.AvgPUE, streamed.Report.AvgPUE)
+	}
+}
+
+// TestCooledExportMatchesStream: under the seasonal weather series, a
+// cooled run's exported series is the streamed one bit for bit — also
+// when the run exports without a stream, where the export evaluates the
+// weather after the plant has queried it through the whole run.
+func TestCooledExportMatchesStream(t *testing.T) {
+	run := func(to *bytes.Buffer) *Result {
+		gen := job.DefaultGeneratorConfig()
+		gen.Seed = 4
+		sc := Scenario{
+			Workload: WorkloadSynthetic, HorizonSec: 3600, TickSec: 15,
+			Generator: gen, Cooling: true, WeatherSeed: 7,
+		}
+		if to != nil {
+			sc.TelemetryTo = to
+		}
+		tw, err := NewFromSpec(config.Frontier())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tw.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var buf bytes.Buffer
+	streamedRun := run(&buf)
+	streamed, err := telemetry.ReadStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed.Series) != 240 {
+		t.Fatalf("streamed %d samples, want 240", len(streamed.Series))
+	}
+	for name, res := range map[string]*Result{"with stream": streamedRun, "without stream": run(nil)} {
+		if !reflect.DeepEqual(res.Dataset.Series, streamed.Series) {
+			diff := 0
+			for i := range streamed.Series {
+				if i >= len(res.Dataset.Series) || !reflect.DeepEqual(res.Dataset.Series[i], streamed.Series[i]) {
+					diff++
+				}
+			}
+			t.Errorf("%s: %d of %d exported samples differ from the stream", name, diff, len(streamed.Series))
+		}
+	}
+}
+
+// TestSetonixExportSaveLoadRoundTrip: a two-partition export, per-
+// partition power split included, survives Save then Load unchanged.
+func TestSetonixExportSaveLoadRoundTrip(t *testing.T) {
+	tw, err := NewFromSpec(config.SetonixLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := job.DefaultGeneratorConfig()
+	gen.Seed = 11
+	res, err := tw.Run(Scenario{
+		HorizonSec: 1800, TickSec: 15,
+		Partitions: []PartitionScenario{
+			{Workload: WorkloadSynthetic, Generator: gen},
+			{Workload: WorkloadPeak},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Dataset.Series) == 0 || len(res.Dataset.Series[0].PartPowerW) != 2 {
+		t.Fatal("export carries no per-partition split; the test needs one")
+	}
+	dir := filepath.Join(t.TempDir(), "setonix")
+	if err := res.Dataset.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := telemetry.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, res.Dataset) {
+		t.Errorf("Save then Load changed the dataset: first sample %+v, was %+v",
+			back.Series[0], res.Dataset.Series[0])
 	}
 }
 

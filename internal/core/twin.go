@@ -98,7 +98,8 @@ type Scenario struct {
 	// BenchmarkWallSec is the duration of HPL/OpenMxP jobs (default 2 h).
 	BenchmarkWallSec float64
 	// WetBulbC fixes the outdoor wet bulb; 0 uses the seasonal weather
-	// generator starting at WeatherStart.
+	// series (weather.Source, seeded by WeatherSeed) starting at
+	// WeatherStart.
 	WetBulbC     float64
 	WeatherStart time.Time
 	WeatherSeed  int64
@@ -112,14 +113,15 @@ type Scenario struct {
 	// NoHistory additionally skips storing the recorded series, so the
 	// Result carries only the report — huge sweeps stop pinning ~0.6 MB
 	// of samples per simulated day in result caches. Combine with
-	// NoExport (an export after a NoHistory run has no series);
-	// TelemetryTo still streams every sample.
+	// NoExport: an export after a NoHistory run has no series, with or
+	// without TelemetryTo, which still streams every sample.
 	NoHistory bool
 	// TelemetryTo, when non-nil, streams the run's telemetry as NDJSON
 	// to the writer incrementally — series samples as they are recorded
-	// during the run, job records at the end — instead of (or alongside)
-	// materializing the Result.Dataset export. Combine with NoExport for
-	// long replays that should never hold the dense export in memory.
+	// during the run, job records at the end. Without NoHistory the
+	// stream reads back (telemetry.ReadStream) as exactly the run's
+	// Result.Dataset. Combine with NoExport for long replays that should
+	// never hold the dense export in memory.
 	TelemetryTo io.Writer
 }
 
@@ -404,31 +406,16 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	// Streaming sink: series samples leave through the writer as the run
 	// records them; job records follow once the run is over. The sink
-	// samples its own wet-bulb closure — never the simulation's, whose
-	// state the cooling coupling depends on (the synthetic weather
-	// generator advances noise per query, so sharing it would make
-	// attaching a sink change the run's results). The points are also
-	// captured for the in-memory export (when requested), so stream and
-	// export stay bit-for-bit identical.
+	// and ExportTelemetry convert samples through the same
+	// SeriesPointAt, so stream and export agree bit for bit.
 	var stream *telemetry.StreamWriter
-	var captured []telemetry.SeriesPoint
+	var sim *raps.Simulation
 	if sc.TelemetryTo != nil {
 		stream = telemetry.NewStreamWriter(sc.TelemetryTo, name, rcfg.HistoryDtSec)
-		capture := !sc.NoExport
-		streamWB := tw.wetBulbFunc(&sc)
-		rcfg.OnSample = func(smp raps.Sample) {
-			p := telemetry.SeriesPoint{
-				TimeSec: smp.TimeSec, MeasuredPowerW: smp.PowerW, WetBulbC: streamWB(smp.TimeSec),
-				PartPowerW: smp.PartPowerW,
-			}
-			stream.Series(p)
-			if capture {
-				captured = append(captured, p)
-			}
-		}
+		rcfg.OnSample = func(smp raps.Sample) { stream.Series(sim.SeriesPointAt(smp)) }
 	}
 
-	sim, err := raps.NewMulti(rcfg, parts)
+	sim, err = raps.NewMulti(rcfg, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -452,17 +439,7 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 		History:  sim.History(),
 	}
 	if !sc.NoExport {
-		if stream != nil {
-			// Reuse the streamed points rather than re-querying the
-			// wet-bulb source (see the capture comment above).
-			d := &telemetry.Dataset{
-				Epoch: name, SeriesDtSec: rcfg.HistoryDtSec, Series: captured,
-			}
-			sim.ForEachJobRecord(func(r telemetry.JobRecord) { d.Jobs = append(d.Jobs, r) })
-			res.Dataset = d
-		} else {
-			res.Dataset = sim.ExportTelemetry(name)
-		}
+		res.Dataset = sim.ExportTelemetry(name)
 	}
 	res.WallSec = time.Since(start).Seconds()
 	return res, nil
@@ -481,13 +458,7 @@ func (tw *Twin) wetBulbFunc(sc *Scenario) func(float64) float64 {
 	if sc.WeatherSeed != 0 {
 		wcfg.Seed = sc.WeatherSeed
 	}
-	gen := weather.NewGenerator(wcfg)
-	lastT := 0.0
-	return func(t float64) float64 {
-		dt := t - lastT
-		lastT = t
-		return gen.At(start.Add(time.Duration(t*float64(time.Second))), dt)
-	}
+	return weather.NewSource(wcfg, start).At
 }
 
 // Simulation exposes the most recent run's simulation (nil before any

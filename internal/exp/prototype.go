@@ -122,18 +122,14 @@ func WeatherCorrelation(days int, seed int64) (*Table, float64, error) {
 
 	// Heavy steady load so the CDU valves run near saturation and the
 	// blade coolant genuinely feels the weather. The weather is
-	// noise-free (pure seasonal + diurnal), making the provider a pure
-	// function of time that can be re-evaluated for the correlation.
+	// noise-free (pure seasonal + diurnal).
 	j := job.New(1, "steady", 9000, horizon+1, 0)
 	j.CPUTrace = job.FlatTrace(0.6, 3600)
 	j.GPUTrace = job.FlatTrace(0.92, 3600)
 	wcfg := weather.DefaultConfig()
 	wcfg.Seed = seed
 	wcfg.NoiseStdC = 0
-	start := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
-	wb := func(t float64) float64 {
-		return weather.NewGenerator(wcfg).At(start.Add(time.Duration(t*float64(time.Second))), 0)
-	}
+	wb := weather.NewSource(wcfg, time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)).At
 
 	rcfg := raps.DefaultConfig()
 	rcfg.TickSec = 15

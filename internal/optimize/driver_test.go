@@ -400,11 +400,26 @@ func TestDriverRejectsBadStudies(t *testing.T) {
 		{Knobs: synthKnobs(), Population: maxPopulation + 1},
 		{Knobs: synthKnobs(), Population: math.MaxInt},
 		{Knobs: synthKnobs(), Generations: maxGenerations + 1},
+		// Non-finite ranges: [−1e308, 1e308] overflows its width to
+		// +Inf, and sampling it snapped every candidate onto a bound.
+		{Knobs: []Knob{{Name: "scenario.wetbulb_c", Min: -1e308, Max: 1e308}}},
+		{Knobs: []Knob{{Name: "scenario.wetbulb_c", Min: math.Inf(-1), Max: 10}}},
+		{Knobs: []Knob{{Name: "scenario.wetbulb_c", Min: 0, Max: math.Inf(1)}}},
+		{Knobs: []Knob{{Name: "scenario.wetbulb_c", Min: 0, Max: 10, Step: math.Inf(1)}}},
+		{Knobs: []Knob{{Name: "scenario.wetbulb_c", Min: 0, Max: 10, Step: math.NaN()}}},
+		// Integer knobs with fractional bounds round candidates outside
+		// them: to 0 or 1, and up to 4.
+		{Knobs: []Knob{{Name: "cooling.num_towers", Min: 0.2, Max: 0.7}}},
+		{Knobs: []Knob{{Name: "cooling.num_towers", Min: 1, Max: 3.5}}},
 	}
 	for i, spec := range cases {
 		if _, err := NewDriver(spec, base, config.CoolingSpec{}, newSynthEval(), Hooks{}, nil); err == nil {
 			t.Errorf("case %d: expected an error", i)
 		}
+	}
+	wide := StudySpec{Knobs: []Knob{{Name: "scenario.wetbulb_c", Min: -1e307, Max: 1e307}}}
+	if _, err := NewDriver(wide, base, config.CoolingSpec{}, newSynthEval(), Hooks{}, nil); err != nil {
+		t.Errorf("a wide finite range is valid: %v", err)
 	}
 	if _, err := NewDriver(StudySpec{Knobs: synthKnobs()}, base, config.CoolingSpec{}, nil, Hooks{}, nil); err == nil {
 		t.Error("nil evaluator must be rejected")

@@ -144,8 +144,18 @@ func NewSpace(knobs []Knob, basePlant config.CoolingSpec) (*Space, error) {
 		if !(k.Min < k.Max) {
 			return nil, fmt.Errorf("optimize: knob %q: min %v must be below max %v", k.Name, k.Min, k.Max)
 		}
+		// An infinite width would spread every sample to ±Inf before
+		// Snap clamps it onto a bound.
+		if math.IsInf(k.Max-k.Min, 0) || math.IsInf(k.Step, 0) || math.IsNaN(k.Step) {
+			return nil, fmt.Errorf("optimize: knob %q: min, max, step and max−min must be finite", k.Name)
+		}
 		if k.Step < 0 {
 			return nil, fmt.Errorf("optimize: knob %q: step must be non-negative", k.Name)
+		}
+		// Snap rounds an integer knob last; only whole bounds keep the
+		// rounded value inside them.
+		if def.integer && (k.Min != math.Trunc(k.Min) || k.Max != math.Trunc(k.Max)) {
+			return nil, fmt.Errorf("optimize: knob %q counts whole units: min %v and max %v must be integers", k.Name, k.Min, k.Max)
 		}
 		if def.design && basePlant.Preset != "" {
 			return nil, fmt.Errorf("optimize: knob %q resizes the plant, but the base plant is the hand-calibrated preset %q — clear the preset and supply design quantities to search sizing",

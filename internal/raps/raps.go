@@ -78,7 +78,9 @@ type Config struct {
 	// the event-driven incremental engine.
 	Engine Engine
 	// WetBulbC supplies the outdoor wet-bulb temperature over simulation
-	// time; nil means a constant 20 °C.
+	// time; nil means a constant 20 °C. It must be a pure function of
+	// time: the cooling coupling, an OnSample sink and ExportTelemetry
+	// each query it, in no fixed order (core passes a weather.Source).
 	WetBulbC func(tSec float64) float64
 	// ElectricityUSDPerMWh prices energy for the cost report. The
 	// default 91.5 $/MWh reproduces the paper's ≈$900k/yr for 1.14 MW of
@@ -1118,7 +1120,8 @@ func (s *Simulation) ForEachJobRecord(fn func(telemetry.JobRecord)) {
 
 // SeriesPointAt converts one recorded sample into the system-level
 // telemetry series schema, evaluating the run's wet-bulb source at the
-// sample time.
+// sample time — the one conversion behind ExportTelemetry and core's
+// streaming sink.
 func (s *Simulation) SeriesPointAt(smp Sample) telemetry.SeriesPoint {
 	wb := 20.0
 	if s.cfg.WetBulbC != nil {

@@ -369,27 +369,31 @@ func TestSetpointStudyAtPartLoad(t *testing.T) {
 }
 
 // TestStudyHTTPRejectsOversizedStudy: a population no generation could
-// ever fit through admission is refused with 400 at submission, and the
-// service keeps serving. Unbounded, it used to panic the study
-// goroutine (makeslice) and take the process down.
+// ever fit through admission, or a knob range whose width overflows
+// float64, is refused with 400 at submission, and the service keeps
+// serving. Unbounded, the population used to panic the study goroutine
+// (makeslice) and take the process down.
 func TestStudyHTTPRejectsOversizedStudy(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	body := `{"base":{"name":"synth","workload":"synthetic","horizon_sec":900,"tick_sec":15},
-		"study":{"knobs":[{"name":"scenario.wetbulb_c","min":1,"max":10,"step":1}],
-		"population":9223372036854775807}}`
-	resp, err := http.Post(srv.URL+"/api/optimize", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized population: %d, want 400", resp.StatusCode)
+	for name, study := range map[string]string{
+		"oversized population":   `{"knobs":[{"name":"scenario.wetbulb_c","min":1,"max":10,"step":1}],"population":9223372036854775807}`,
+		"overflowing knob range": `{"knobs":[{"name":"scenario.wetbulb_c","min":-1e308,"max":1e308}],"population":8}`,
+	} {
+		body := `{"base":{"name":"synth","workload":"synthetic","horizon_sec":900,"tick_sec":15},"study":` + study + `}`
+		resp, err := http.Post(srv.URL+"/api/optimize", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400", name, resp.StatusCode)
+		}
 	}
 
-	resp, err = http.Get(srv.URL + "/api/optimize")
+	resp, err := http.Get(srv.URL + "/api/optimize")
 	if err != nil {
 		t.Fatalf("service stopped serving: %v", err)
 	}

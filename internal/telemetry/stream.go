@@ -14,11 +14,13 @@ import (
 //	{"type":"series","time_sec":15,"measured_power_w":8.1e6,"wetbulb_c":20}
 //	{"type":"job","job_name":"...","job_id":1,...}
 //
-// Unlike Dataset.Save, a StreamWriter emits samples incrementally while
-// a simulation is still running, so long replays and sweep services
-// never materialize the dense export slices; ReadStream reassembles the
-// stream into the same Dataset the in-memory ExportTelemetry produces
-// (bit-for-bit — Go's JSON float encoding round-trips float64 exactly).
+// It is the only encoding of a Dataset: Dataset.Save writes one whole
+// dataset with WriteStream, while a StreamWriter emits samples
+// incrementally as a simulation runs, so long replays and sweep
+// services never materialize the dense export slices. ReadStream
+// reassembles either into the same Dataset the in-memory
+// ExportTelemetry produces (bit-for-bit — Go's JSON float encoding
+// round-trips float64 exactly).
 
 // StreamWriter emits a telemetry dataset as NDJSON, incrementally.
 // Errors are sticky: the first write failure is retained and returned by
@@ -73,9 +75,6 @@ func (s *StreamWriter) Job(r JobRecord) error {
 	return s.encode(streamJob{Type: "job", JobRecord: r})
 }
 
-// Err returns the first error the stream hit, if any.
-func (s *StreamWriter) Err() error { return s.err }
-
 // Flush drains the buffer and returns the stream's sticky error state.
 func (s *StreamWriter) Flush() error {
 	if s.err != nil {
@@ -86,8 +85,7 @@ func (s *StreamWriter) Flush() error {
 }
 
 // WriteStream emits a whole in-memory dataset in the NDJSON format —
-// the non-incremental convenience used for persisted datasets and round-
-// trip tests.
+// the non-incremental form Dataset.Save writes.
 func WriteStream(w io.Writer, d *Dataset) error {
 	s := NewStreamWriter(w, d.Epoch, d.SeriesDtSec)
 	for i := range d.Jobs {
@@ -129,10 +127,10 @@ func ReadStream(r io.Reader) (*Dataset, error) {
 }
 
 // DecodeStreamLine applies one stream line of the given type — meta,
-// series or job — to d; any other type is an error. A job line is held
-// to ReadJobsJSONL's bound. Line-order rules are the caller's: ReadStream
-// wants meta first, and the result store embeds these lines in its own
-// framing.
+// series or job — to d; any other type is an error. A job line must
+// carry a positive node count. Line-order rules are the caller's:
+// ReadStream wants meta first, and the result store embeds these lines
+// in its own framing.
 func (d *Dataset) DecodeStreamLine(typ string, raw []byte) error {
 	switch typ {
 	case "meta":
@@ -157,8 +155,8 @@ func (d *Dataset) DecodeStreamLine(typ string, raw []byte) error {
 		if err := json.Unmarshal(raw, &j); err != nil {
 			return err
 		}
-		if err := j.validate(); err != nil {
-			return err
+		if j.NodeCount <= 0 {
+			return fmt.Errorf("non-positive node count %d", j.NodeCount)
 		}
 		d.Jobs = append(d.Jobs, j)
 	default:

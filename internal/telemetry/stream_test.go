@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestReadStreamRejectsNonPositiveNodeCount holds stream job lines to the
-// bound ReadJobsJSONL applies.
+// TestReadStreamRejectsNonPositiveNodeCount: a job line must carry a
+// positive node count.
 func TestReadStreamRejectsNonPositiveNodeCount(t *testing.T) {
 	for _, n := range []string{"0", "-5"} {
 		stream := `{"type":"meta","epoch":"e","series_dt_sec":15}` + "\n" +

@@ -1,11 +1,12 @@
 // Package telemetry implements the Table II data schemas used for
 // verification and validation (§IV): job records carrying 15 s CPU/GPU
 // power traces, system-level measured-power series, per-CDU cooling
-// series, and wet-bulb weather series. It provides JSONL/CSV persistence,
-// the NDJSON stream format (stream.go) that live runs and the result
-// store write, and the power↔utilization conversion RAPS relies on
-// (footnote 1: "Since our system telemetry lacks CPU/GPU utilization, we
-// linearly interpolate power to utilization").
+// series, and wet-bulb weather series. A dataset has one encoding, the
+// NDJSON stream format (stream.go): live runs stream it, the result
+// store embeds its lines, and Save/Load keep it as one file. The package
+// also holds the power↔utilization conversion RAPS relies on (footnote
+// 1: "Since our system telemetry lacks CPU/GPU utilization, we linearly
+// interpolate power to utilization").
 //
 // ORNL's production telemetry is not public; datasets here are emitted by
 // the simulator itself (optionally with sensor noise) and replayed
@@ -13,15 +14,9 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"exadigit/internal/job"
 )
@@ -42,14 +37,6 @@ type JobRecord struct {
 	// reports them.
 	CPUPowerW []float64 `json:"cpu_power"`
 	GPUPowerW []float64 `json:"gpu_power"`
-}
-
-// validate applies the bound every job-record reader holds a record to.
-func (r *JobRecord) validate() error {
-	if r.NodeCount <= 0 {
-		return fmt.Errorf("non-positive node count %d", r.NodeCount)
-	}
-	return nil
 }
 
 // SeriesPoint is one sample of the system-level validation series. The
@@ -152,145 +139,32 @@ func (d *Dataset) AddSensorNoise(relSigma float64, seed int64) {
 	}
 }
 
-// Save writes the dataset to dir as jobs.jsonl + series.csv + meta.json.
+// datasetFile is the one file a saved dataset directory holds.
+const datasetFile = "dataset.ndjson"
+
+// Save writes the dataset to dir/dataset.ndjson in the NDJSON stream
+// format (stream.go), creating dir if needed.
 func (d *Dataset) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	jf, err := os.Create(filepath.Join(dir, "jobs.jsonl"))
+	f, err := os.Create(filepath.Join(dir, datasetFile))
 	if err != nil {
 		return err
 	}
-	defer jf.Close()
-	if err := WriteJobsJSONL(jf, d.Jobs); err != nil {
+	if err := WriteStream(f, d); err != nil {
+		f.Close()
 		return err
 	}
-	sf, err := os.Create(filepath.Join(dir, "series.csv"))
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	if err := WriteSeriesCSV(sf, d.Series); err != nil {
-		return err
-	}
-	meta := map[string]any{"epoch": d.Epoch, "series_dt_sec": d.SeriesDtSec}
-	mb, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "meta.json"), mb, 0o644)
+	return f.Close()
 }
 
 // Load reads a dataset saved by Save.
 func Load(dir string) (*Dataset, error) {
-	d := &Dataset{}
-	mb, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	f, err := os.Open(filepath.Join(dir, datasetFile))
 	if err != nil {
 		return nil, err
 	}
-	var meta struct {
-		Epoch       string  `json:"epoch"`
-		SeriesDtSec float64 `json:"series_dt_sec"`
-	}
-	if err := json.Unmarshal(mb, &meta); err != nil {
-		return nil, fmt.Errorf("telemetry: bad meta.json: %w", err)
-	}
-	d.Epoch, d.SeriesDtSec = meta.Epoch, meta.SeriesDtSec
-
-	jf, err := os.Open(filepath.Join(dir, "jobs.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	defer jf.Close()
-	if d.Jobs, err = ReadJobsJSONL(jf); err != nil {
-		return nil, err
-	}
-	sf, err := os.Open(filepath.Join(dir, "series.csv"))
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	if d.Series, err = ReadSeriesCSV(sf); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// WriteJobsJSONL streams job records as one JSON object per line.
-func WriteJobsJSONL(w io.Writer, jobs []JobRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range jobs {
-		if err := enc.Encode(&jobs[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJobsJSONL parses a JSONL job stream.
-func ReadJobsJSONL(r io.Reader) ([]JobRecord, error) {
-	var jobs []JobRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec JobRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return jobs, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("telemetry: job record %d: %w", len(jobs), err)
-		}
-		if err := rec.validate(); err != nil {
-			return nil, fmt.Errorf("telemetry: job record %d: %w", len(jobs), err)
-		}
-		jobs = append(jobs, rec)
-	}
-}
-
-// WriteSeriesCSV writes the series with a header row.
-func WriteSeriesCSV(w io.Writer, pts []SeriesPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_sec", "measured_power_w", "wetbulb_c"}); err != nil {
-		return err
-	}
-	row := make([]string, 3)
-	for _, p := range pts {
-		row[0] = strconv.FormatFloat(p.TimeSec, 'g', -1, 64)
-		row[1] = strconv.FormatFloat(p.MeasuredPowerW, 'g', -1, 64)
-		row[2] = strconv.FormatFloat(p.WetBulbC, 'g', -1, 64)
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadSeriesCSV parses a series written by WriteSeriesCSV.
-func ReadSeriesCSV(r io.Reader) ([]SeriesPoint, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("telemetry: empty series file")
-	}
-	var pts []SeriesPoint
-	for i, row := range rows[1:] {
-		if len(row) != 3 {
-			return nil, fmt.Errorf("telemetry: series row %d has %d columns", i+1, len(row))
-		}
-		var p SeriesPoint
-		if p.TimeSec, err = strconv.ParseFloat(row[0], 64); err != nil {
-			return nil, fmt.Errorf("telemetry: series row %d time: %w", i+1, err)
-		}
-		if p.MeasuredPowerW, err = strconv.ParseFloat(row[1], 64); err != nil {
-			return nil, fmt.Errorf("telemetry: series row %d power: %w", i+1, err)
-		}
-		if p.WetBulbC, err = strconv.ParseFloat(row[2], 64); err != nil {
-			return nil, fmt.Errorf("telemetry: series row %d wetbulb: %w", i+1, err)
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
+	defer f.Close()
+	return ReadStream(f)
 }

@@ -1,10 +1,10 @@
 package telemetry
 
 import (
-	"bytes"
 	"math"
+	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -63,65 +63,45 @@ func TestJobRecordConversionRoundTrip(t *testing.T) {
 	}
 }
 
+// saveLoad round-trips a dataset through Save and Load in a fresh
+// directory.
+func saveLoad(t *testing.T, d *Dataset) (*Dataset, error) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "capture")
+	if err := d.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return Load(dir)
+}
+
 func TestJobsJSONLRoundTrip(t *testing.T) {
-	jobs := []JobRecord{
+	d := &Dataset{Jobs: []JobRecord{
 		{JobName: "a", JobID: 1, NodeCount: 4, SubmitTime: 0, StartTime: 5, WallTime: 60,
 			CPUPowerW: []float64{100, 150}, GPUPowerW: []float64{200, 300}},
 		{JobName: "b", JobID: 2, NodeCount: 9216, SubmitTime: 10, StartTime: 20, WallTime: 120,
 			CPUPowerW: []float64{152.7}, GPUPowerW: []float64{460.9}},
-	}
-	var buf bytes.Buffer
-	if err := WriteJobsJSONL(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJobsJSONL(&buf)
+	}}
+	got, err := saveLoad(t, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].JobName != "a" || got[1].NodeCount != 9216 {
-		t.Errorf("round trip = %+v", got)
-	}
-	if got[1].GPUPowerW[0] != 460.9 {
-		t.Errorf("trace lost: %v", got[1].GPUPowerW)
+	if !reflect.DeepEqual(got.Jobs, d.Jobs) {
+		t.Errorf("round trip = %+v", got.Jobs)
 	}
 }
 
-func TestReadJobsJSONLRejectsBadRecords(t *testing.T) {
-	if _, err := ReadJobsJSONL(strings.NewReader(`{"job_id":1,"node_count":0}`)); err == nil {
-		t.Error("zero node count should fail")
-	}
-	if _, err := ReadJobsJSONL(strings.NewReader(`{garbage`)); err == nil {
-		t.Error("malformed JSON should fail")
-	}
-}
-
-func TestSeriesCSVRoundTrip(t *testing.T) {
-	pts := []SeriesPoint{
-		{TimeSec: 0, MeasuredPowerW: 17e6, WetBulbC: 18.5},
-		{TimeSec: 15, MeasuredPowerW: 17.2e6, WetBulbC: 18.6},
-	}
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSeriesCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].MeasuredPowerW != 17.2e6 || got[0].WetBulbC != 18.5 {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
-func TestSeriesCSVErrors(t *testing.T) {
-	if _, err := ReadSeriesCSV(strings.NewReader("")); err == nil {
-		t.Error("empty file should fail")
-	}
-	if _, err := ReadSeriesCSV(strings.NewReader("h1,h2,h3\nx,1,2\n")); err == nil {
-		t.Error("non-numeric time should fail")
-	}
-	if _, err := ReadSeriesCSV(strings.NewReader("h1,h2\n1,2\n")); err == nil {
-		t.Error("wrong column count should fail")
+func TestLoadRejectsBadRecords(t *testing.T) {
+	for name, body := range map[string]string{
+		"zero node count": `{"type":"job","job_id":1,"node_count":0}`,
+		"malformed JSON":  `{garbage`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, datasetFile), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -132,7 +112,10 @@ func TestDatasetSaveLoad(t *testing.T) {
 		SeriesDtSec: 15,
 		Jobs: []JobRecord{{JobName: "x", JobID: 1, NodeCount: 2, WallTime: 30,
 			CPUPowerW: []float64{100}, GPUPowerW: []float64{200}}},
-		Series: []SeriesPoint{{TimeSec: 0, MeasuredPowerW: 1e6, WetBulbC: 20}},
+		Series: []SeriesPoint{
+			{TimeSec: 0, MeasuredPowerW: 17e6, WetBulbC: 18.5},
+			{TimeSec: 15, MeasuredPowerW: 17.2e6, WetBulbC: 18.6, PartPowerW: []float64{5e6, 12.2e6}},
+		},
 	}
 	if err := d.Save(dir); err != nil {
 		t.Fatal(err)
@@ -141,11 +124,8 @@ func TestDatasetSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != "2024-01-18" || got.SeriesDtSec != 15 {
-		t.Errorf("meta = %+v", got)
-	}
-	if len(got.Jobs) != 1 || len(got.Series) != 1 {
-		t.Errorf("content lost: %d jobs, %d series", len(got.Jobs), len(got.Series))
+	if !reflect.DeepEqual(got, d) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", got, d)
 	}
 	if _, err := Load(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing dir should fail")
@@ -187,7 +167,7 @@ func TestAddSensorNoise(t *testing.T) {
 }
 
 func TestJobsJSONLRoundTripProperty(t *testing.T) {
-	// Arbitrary job records survive the JSONL round trip bit-exactly.
+	// Arbitrary job records survive Save then Load bit-exactly.
 	f := func(id int, nodes uint8, submit, wall float64, cpu, gpu []float64) bool {
 		rec := JobRecord{
 			JobName:    "prop",
@@ -198,28 +178,8 @@ func TestJobsJSONLRoundTripProperty(t *testing.T) {
 			CPUPowerW:  sanitize(cpu),
 			GPUPowerW:  sanitize(gpu),
 		}
-		var buf bytes.Buffer
-		if err := WriteJobsJSONL(&buf, []JobRecord{rec}); err != nil {
-			return false
-		}
-		got, err := ReadJobsJSONL(&buf)
-		if err != nil || len(got) != 1 {
-			return false
-		}
-		g := got[0]
-		if g.JobID != rec.JobID || g.NodeCount != rec.NodeCount ||
-			g.SubmitTime != rec.SubmitTime || g.WallTime != rec.WallTime {
-			return false
-		}
-		if len(g.CPUPowerW) != len(rec.CPUPowerW) || len(g.GPUPowerW) != len(rec.GPUPowerW) {
-			return false
-		}
-		for i := range rec.CPUPowerW {
-			if g.CPUPowerW[i] != rec.CPUPowerW[i] {
-				return false
-			}
-		}
-		return true
+		got, err := saveLoad(t, &Dataset{Jobs: []JobRecord{rec}})
+		return err == nil && len(got.Jobs) == 1 && reflect.DeepEqual(got.Jobs[0], rec)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

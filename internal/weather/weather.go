@@ -5,6 +5,8 @@
 // not public, we synthesize a statistically plausible East-Tennessee
 // series: a seasonal sinusoid, a diurnal cycle, and mean-reverting
 // (Ornstein–Uhlenbeck) weather noise, all reproducible from a seed.
+// Source serves that series as a pure function of simulation time, the
+// form a twin run reads it in.
 package weather
 
 import (
@@ -67,6 +69,13 @@ func (g *Generator) deterministic(t time.Time) float64 {
 // process by dt seconds from the previous call. The very first call
 // initializes the noise at its stationary distribution.
 func (g *Generator) At(t time.Time, dtSec float64) float64 {
+	g.advance(dtSec)
+	return g.deterministic(t) + g.noise
+}
+
+// advance draws the noise dtSec seconds on from the previous draw; the
+// first draw is stationary.
+func (g *Generator) advance(dtSec float64) {
 	if !g.init {
 		g.noise = g.cfg.NoiseStdC * g.rng.NormFloat64()
 		g.init = true
@@ -76,7 +85,6 @@ func (g *Generator) At(t time.Time, dtSec float64) float64 {
 		// Exact OU discretization preserves the stationary variance.
 		g.noise = a*g.noise + g.cfg.NoiseStdC*math.Sqrt(1-a*a)*g.rng.NormFloat64()
 	}
-	return g.deterministic(t) + g.noise
 }
 
 // Series produces n samples spaced dtSec apart starting at start.
@@ -86,4 +94,59 @@ func (g *Generator) Series(start time.Time, n int, dtSec float64) []float64 {
 		out[i] = g.At(start.Add(time.Duration(float64(i)*dtSec*float64(time.Second))), dtSec)
 	}
 	return out
+}
+
+const (
+	// stepSec is Source's noise grid: one OU draw per 15 s step, the
+	// cooling coupling's period.
+	stepSec = 15.0
+	// epochSteps bounds what one query costs: every 2^21 steps (about
+	// 364 days) the noise restarts from a stationary draw under a seed
+	// derived from the epoch, so a cursor never walks past one epoch.
+	epochSteps = 1 << 21
+)
+
+// Source is a scenario's wet-bulb series as a pure function of
+// simulation time: every reader — the cooling coupling, a telemetry
+// stream, an export after the run — sees the same value at t, in any
+// query order. Step k (covering [15k, 15k+15) s) carries the k-th noise
+// draw of a Generator stepped 15 s at a time, so queries at 15, 30, …
+// return exactly what a Generator queried in order at those times
+// returns. Times before 15 s read step 1, the stationary first draw. A
+// forward cursor holds the current draw; a query behind it replays its
+// epoch from the seed, so memory stays O(1). A Source is not safe for
+// concurrent use.
+type Source struct {
+	cfg   Config
+	start time.Time
+	gen   *Generator
+	epoch int64 // epoch gen draws for
+	drawn int64 // draws gen has taken in its epoch
+}
+
+// NewSource builds the wet-bulb series of cfg with simulation time 0 at
+// start.
+func NewSource(cfg Config, start time.Time) *Source {
+	return &Source{cfg: cfg, start: start}
+}
+
+// At returns the wet-bulb temperature (°C) tSec seconds after start.
+func (s *Source) At(tSec float64) float64 {
+	// The microsecond slack keeps a simulation clock summed from
+	// fractional ticks on the grid step it means.
+	k := math.Floor((tSec + 1e-6) / stepSec)
+	if !(k >= 1) {
+		k = 1
+	}
+	n := int64(math.Min(k, 1<<62)) - 1
+	epoch, draws := n/epochSteps, n%epochSteps+1
+	if s.gen == nil || epoch != s.epoch || draws < s.drawn {
+		cfg := s.cfg
+		cfg.Seed += epoch * 0x5851F42D4C957F2D
+		s.gen, s.epoch, s.drawn = NewGenerator(cfg), epoch, 0
+	}
+	for ; s.drawn < draws; s.drawn++ {
+		s.gen.advance(stepSec)
+	}
+	return s.gen.deterministic(s.start.Add(time.Duration(tSec*float64(time.Second)))) + s.gen.noise
 }

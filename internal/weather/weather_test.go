@@ -2,6 +2,7 @@ package weather
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -90,6 +91,67 @@ func TestPhysicalRange(t *testing.T) {
 	for i, v := range series {
 		if v < -25 || v > 40 {
 			t.Fatalf("sample %d = %v °C outside plausible wet-bulb range", i, v)
+		}
+	}
+}
+
+// TestSourceIsPureAndMatchesGenerator: a Source returns the same value
+// at t whatever the query order, with repeats and backward jumps, and on
+// the 15 s grid it equals a Generator queried in order from t = 15 s.
+func TestSourceIsPureAndMatchesGenerator(t *testing.T) {
+	start := time.Date(2024, 4, 7, 0, 0, 0, 0, time.UTC)
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		rng := rand.New(rand.NewSource(seed))
+		const steps = 400
+		gen := NewGenerator(cfg)
+		want := make(map[float64]float64)
+		for k := 1; k <= steps; k++ {
+			tSec := float64(k) * stepSec
+			want[tSec] = gen.At(start.Add(time.Duration(tSec*float64(time.Second))), stepSec)
+		}
+		// Off-grid times and the span before the first step, taken in
+		// order from a fresh Source.
+		times := make([]float64, 0, 2*steps)
+		for tSec := range want {
+			times = append(times, tSec)
+		}
+		for i := 0; i < steps; i++ {
+			times = append(times, rng.Float64()*steps*stepSec)
+		}
+		ref := NewSource(cfg, start)
+		for _, tSec := range times {
+			if _, ok := want[tSec]; !ok {
+				want[tSec] = NewSource(cfg, start).At(tSec)
+			}
+			if got := ref.At(tSec); got != want[tSec] {
+				t.Fatalf("seed %d: At(%v) = %v, want %v", seed, tSec, got, want[tSec])
+			}
+		}
+		// Shuffled, with repeats, on one cursor.
+		src := NewSource(cfg, start)
+		for i := 0; i < 3*len(times); i++ {
+			tSec := times[rng.Intn(len(times))]
+			if got := src.At(tSec); got != want[tSec] {
+				t.Fatalf("seed %d: query %d At(%v) = %v, want %v", seed, i, tSec, got, want[tSec])
+			}
+		}
+	}
+}
+
+// TestSourceFarQueryIsBounded: a query years into the run walks at most
+// one noise epoch, and stays pure across the epoch boundary.
+func TestSourceFarQueryIsBounded(t *testing.T) {
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	src := NewSource(DefaultConfig(), start)
+	for _, tSec := range []float64{1e15, 5e9, epochSteps * stepSec, epochSteps*stepSec + stepSec, 15} {
+		got := src.At(tSec)
+		if want := NewSource(DefaultConfig(), start).At(tSec); got != want {
+			t.Fatalf("At(%v) = %v, fresh source says %v", tSec, got, want)
+		}
+		if math.IsNaN(got) {
+			t.Fatalf("At(%v) is NaN", tSec)
 		}
 	}
 }
