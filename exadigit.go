@@ -215,7 +215,8 @@ type (
 	// the sweep service's ScenarioRunner dispatch seam.
 	ClusterPool = cluster.Pool
 	// ClusterOptions configures a ClusterPool (worker URLs, bearer
-	// token, health probing, backpressure bounds).
+	// token, shared store, health probing); the backpressure bounds
+	// are fixed.
 	ClusterOptions = cluster.Options
 )
 
@@ -412,9 +413,12 @@ type AnomalyDetector = anomaly.Detector
 // AnomalyAlarm is one detected condition.
 type AnomalyAlarm = anomaly.Alarm
 
-// NewAnomalyDetector builds a detector with Frontier-appropriate
-// thresholds.
-func NewAnomalyDetector() *AnomalyDetector { return anomaly.NewDetector(anomaly.DefaultConfig()) }
+// NewAnomalyDetector builds a detector with fixed Frontier-appropriate
+// thresholds: a CDU's secondary flow 15 % below its peers' median, a
+// secondary supply 2 °C over its 32 °C setpoint for 8 consecutive
+// steps, a PUE above 1.10, and a device estimate within 5 °C of its
+// 95 °C throttling limit. The thresholds are not configurable.
+func NewAnomalyDetector() *AnomalyDetector { return anomaly.NewDetector() }
 
 // UQConfig parameterizes an uncertainty-quantification ensemble (§IV's
 // VVUQ requirement).

@@ -58,7 +58,7 @@ func main() {
 	if err := plant.Step(600, in); err != nil {
 		log.Fatal(err)
 	}
-	det := anomaly.NewDetector(anomaly.DefaultConfig())
+	det := anomaly.NewDetector()
 	for _, a := range det.CheckCooling(plant.Snapshot(), plant.Time()) {
 		fmt.Printf("  ALARM %s\n", a)
 	}

@@ -9,7 +9,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"path/filepath"
 
 	"exadigit"
 )
@@ -39,16 +38,10 @@ func main() {
 		captured.Report.JobsCompleted, captured.Report.AvgPowerMW)
 
 	// 2. Persist and reload the dataset (one dataset.ndjson file).
-	dir := filepath.Join(os.TempDir(), "exadigit-replay-demo")
-	if err := captured.Dataset.Save(dir); err != nil {
-		log.Fatal(err)
-	}
-	ds, err := exadigit.LoadTelemetry(dir)
+	ds, err := saveAndLoad(captured.Dataset)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("persisted to %s and reloaded: %d job records, %d series samples\n",
-		dir, len(ds.Jobs), len(ds.Series))
 
 	// 3. Replay through the twin with pinned start times.
 	replayed, err := tw.Run(exadigit.Scenario{
@@ -66,4 +59,24 @@ func main() {
 	fmt.Printf("replayed: %d jobs, %.2f MW avg (Δ %.3f MW vs capture, %.2f %%)\n",
 		replayed.Report.JobsCompleted, replayed.Report.AvgPowerMW,
 		diff, 100*diff/captured.Report.AvgPowerMW)
+}
+
+// saveAndLoad persists the dataset to a fresh temporary directory,
+// reads it back, and removes the directory again.
+func saveAndLoad(d *exadigit.Dataset) (*exadigit.Dataset, error) {
+	dir, err := os.MkdirTemp("", "exadigit-replay-demo-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	if err := d.Save(dir); err != nil {
+		return nil, err
+	}
+	ds, err := exadigit.LoadTelemetry(dir)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("persisted to %s and reloaded: %d job records, %d series samples\n",
+		dir, len(ds.Jobs), len(ds.Series))
+	return ds, nil
 }

@@ -49,61 +49,40 @@ func (a Alarm) String() string {
 		a.Kind, a.Subject, a.Value, a.Threshold, a.TimeSec)
 }
 
-// Config holds the detector thresholds.
-type Config struct {
-	// FlowDeviationFrac flags a CDU whose secondary flow is below
-	// (1 − frac) × the peer median (default 0.15).
-	FlowDeviationFrac float64
-	// SupplyTempMarginC above setpoint that trips the temperature rule
-	// (default 2 °C) after SupplyTempHoldSteps consecutive violations.
-	SupplyTempMarginC   float64
-	SupplyTempHoldSteps int
-	// SupplySetpointC is the secondary supply setpoint (32 °C).
-	SupplySetpointC float64
-	// PUELimit trips the facility-efficiency rule (default 1.10).
-	PUELimit float64
-	// ThrottleLimitC is the device junction limit (default 95 °C) and
-	// ThrottleMarginC the early-warning margin below it (default 5 °C).
-	ThrottleLimitC  float64
-	ThrottleMarginC float64
-	// Plate is the cold-plate conduction model used for device-
-	// temperature estimates.
-	Plate thermal.ColdPlate
-	// PlateFlowM3s is the per-device coolant allocation at design.
-	PlateFlowM3s float64
-}
+// Frontier-appropriate detector thresholds.
+const (
+	// flowDeviationFrac flags a CDU whose secondary flow is below
+	// (1 − frac) × the peer median.
+	flowDeviationFrac = 0.15
+	// supplySetpointC is the secondary supply setpoint; a supply
+	// supplyTempMarginC above it trips the temperature rule after
+	// supplyTempHoldSteps consecutive violations (2 min at the 15 s
+	// step).
+	supplySetpointC     = 32.0
+	supplyTempMarginC   = 2.0
+	supplyTempHoldSteps = 8
+	// pueLimit trips the facility-efficiency rule.
+	pueLimit = 1.10
+	// throttleLimitC is the device junction limit and throttleMarginC
+	// the early-warning margin below it.
+	throttleLimitC  = 95.0
+	throttleMarginC = 5.0
+	// plateFlowM3s is the per-device coolant allocation at design.
+	plateFlowM3s = 1.2e-5
+)
 
-// DefaultConfig returns Frontier-appropriate thresholds.
-func DefaultConfig() Config {
-	return Config{
-		FlowDeviationFrac:   0.15,
-		SupplyTempMarginC:   2.0,
-		SupplyTempHoldSteps: 8, // 2 min at the 15 s step
-		SupplySetpointC:     32,
-		PUELimit:            1.10,
-		ThrottleLimitC:      95,
-		ThrottleMarginC:     5,
-		Plate:               thermal.ColdPlate{RConduction: 0.010, RConvNom: 0.012, QNominal: 1.2e-5},
-		PlateFlowM3s:        1.2e-5,
-	}
-}
+// plate is the cold-plate conduction model used for device-temperature
+// estimates.
+var plate = thermal.ColdPlate{RConduction: 0.010, RConvNom: 0.012, QNominal: 1.2e-5}
 
-// Detector evaluates the rules over successive cooling snapshots.
+// Detector evaluates the rules over successive cooling snapshots with
+// fixed Frontier-appropriate thresholds.
 type Detector struct {
-	cfg       Config
 	tempHolds []int // consecutive over-temperature steps per CDU
 }
 
-// NewDetector builds a detector with the given thresholds.
-func NewDetector(cfg Config) *Detector {
-	if cfg.FlowDeviationFrac <= 0 {
-		cfg.FlowDeviationFrac = 0.15
-	}
-	if cfg.SupplyTempHoldSteps <= 0 {
-		cfg.SupplyTempHoldSteps = 8
-	}
-	return &Detector{cfg: cfg}
-}
+// NewDetector builds a detector.
+func NewDetector() *Detector { return &Detector{} }
 
 // CheckCooling evaluates the flow, temperature, and PUE rules against one
 // cooling snapshot taken at simulation time tSec.
@@ -124,7 +103,7 @@ func (d *Detector) CheckCooling(o *cooling.Outputs, tSec float64) []Alarm {
 	med := median(flows)
 	if med > 0 {
 		for i, q := range flows {
-			limit := med * (1 - d.cfg.FlowDeviationFrac)
+			limit := med * (1 - flowDeviationFrac)
 			if q < limit {
 				alarms = append(alarms, Alarm{
 					Kind: KindFlowLow, Subject: fmt.Sprintf("cdu[%d]", i+1),
@@ -136,26 +115,26 @@ func (d *Detector) CheckCooling(o *cooling.Outputs, tSec float64) []Alarm {
 
 	// Rule 2 — sustained secondary-supply temperature excursion.
 	for i := range o.CDUs {
-		if o.CDUs[i].SecSupplyTempC > d.cfg.SupplySetpointC+d.cfg.SupplyTempMarginC {
+		if o.CDUs[i].SecSupplyTempC > supplySetpointC+supplyTempMarginC {
 			d.tempHolds[i]++
 		} else {
 			d.tempHolds[i] = 0
 		}
-		if d.tempHolds[i] == d.cfg.SupplyTempHoldSteps {
+		if d.tempHolds[i] == supplyTempHoldSteps {
 			alarms = append(alarms, Alarm{
 				Kind: KindSupplyTempHigh, Subject: fmt.Sprintf("cdu[%d]", i+1),
 				Value:     o.CDUs[i].SecSupplyTempC,
-				Threshold: d.cfg.SupplySetpointC + d.cfg.SupplyTempMarginC,
+				Threshold: supplySetpointC + supplyTempMarginC,
 				TimeSec:   tSec,
 			})
 		}
 	}
 
 	// Rule 3 — facility efficiency.
-	if o.PUE > d.cfg.PUELimit {
+	if o.PUE > pueLimit {
 		alarms = append(alarms, Alarm{
 			Kind: KindPUEHigh, Subject: "facility",
-			Value: o.PUE, Threshold: d.cfg.PUELimit, TimeSec: tSec,
+			Value: o.PUE, Threshold: pueLimit, TimeSec: tSec,
 		})
 	}
 	return alarms
@@ -166,10 +145,10 @@ func (d *Detector) CheckCooling(o *cooling.Outputs, tSec float64) []Alarm {
 // (≤0 uses the design allocation) and flags throttle risk.
 func (d *Detector) CheckThrottle(subject string, powerW, coolantC, flowM3s, tSec float64) (Alarm, bool) {
 	if flowM3s <= 0 {
-		flowM3s = d.cfg.PlateFlowM3s
+		flowM3s = plateFlowM3s
 	}
-	tDev := d.cfg.Plate.DeviceTemp(powerW, coolantC, flowM3s)
-	warn := d.cfg.ThrottleLimitC - d.cfg.ThrottleMarginC
+	tDev := plate.DeviceTemp(powerW, coolantC, flowM3s)
+	warn := throttleLimitC - throttleMarginC
 	if tDev >= warn {
 		return Alarm{
 			Kind: KindThrottleRisk, Subject: subject,

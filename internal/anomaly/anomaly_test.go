@@ -29,7 +29,7 @@ func settledPlant(t *testing.T) *cooling.Plant {
 
 func TestHealthyPlantRaisesNoAlarms(t *testing.T) {
 	p := settledPlant(t)
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	for i := 0; i < 20; i++ {
 		if err := p.Step(15, typicalInputs()); err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestBlockageDetection(t *testing.T) {
 	if err := p.Step(600, typicalInputs()); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	alarms := d.CheckCooling(p.Snapshot(), p.Time())
 	var flowAlarms []Alarm
 	for _, a := range alarms {
@@ -111,7 +111,7 @@ func TestBlockageThermalConsequences(t *testing.T) {
 	}
 	// Blade-level: per-device flow scales with the CDU flow ratio; the
 	// starved blades trip the throttle early warning at full GPU power.
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	flowRatio := blocked.SecondaryFlowM3s / cleanFlow
 	if flowRatio > 0.6 {
 		t.Fatalf("fouling barely reduced flow: ratio %v", flowRatio)
@@ -119,17 +119,17 @@ func TestBlockageThermalConsequences(t *testing.T) {
 	// Blockage concentrates in specific blades (§III-A: "blockage to
 	// specific nodes"); the worst blade sees a small fraction of the
 	// already-reduced CDU flow.
-	perDevice := d.cfg.PlateFlowM3s * flowRatio * 0.12
+	perDevice := plateFlowM3s * flowRatio * 0.12
 	a, hit := d.CheckThrottle("cdu[4]/blade[12]/gpu[2]", 560, blocked.SecSupplyTempC, perDevice, p.Time())
 	if !hit {
 		t.Errorf("starved blade should be at throttle risk (flow ratio %v)", flowRatio)
-	} else if a.Value <= d.cfg.ThrottleLimitC-d.cfg.ThrottleMarginC {
+	} else if a.Value <= throttleLimitC-throttleMarginC {
 		t.Errorf("alarm value %v below warning line", a.Value)
 	}
 }
 
 func TestSupplyTempRuleRequiresPersistence(t *testing.T) {
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	o := &cooling.Outputs{CDUs: make([]cooling.CDUOutputs, 2)}
 	for i := range o.CDUs {
 		o.CDUs[i].SecondaryFlowM3s = 0.029
@@ -161,7 +161,7 @@ func TestSupplyTempRuleRequiresPersistence(t *testing.T) {
 }
 
 func TestPUERule(t *testing.T) {
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	o := &cooling.Outputs{CDUs: make([]cooling.CDUOutputs, 1), PUE: 1.15}
 	o.CDUs[0].SecondaryFlowM3s = 0.029
 	o.CDUs[0].SecSupplyTempC = 32
@@ -177,7 +177,7 @@ func TestPUERule(t *testing.T) {
 }
 
 func TestThrottleDetection(t *testing.T) {
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	// Nominal GPU: 560 W at 32 °C coolant, design flow → no risk.
 	if _, hit := d.CheckThrottle("gpu[0]", 560, 32, 0, 0); hit {
 		t.Error("nominal GPU should not be at risk")

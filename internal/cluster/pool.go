@@ -44,17 +44,30 @@ import (
 	"exadigit/internal/store"
 )
 
-// Options configures a Pool.
+// Backpressure bounds for one shard on one worker.
+const (
+	// maxThrottleWaits bounds how many 429 Retry-After waits the pool
+	// spends on one worker per shard before moving to the next
+	// candidate.
+	maxThrottleWaits = 4
+	// maxRetryAfter caps a single honored Retry-After delay, so one
+	// overloaded worker cannot stall a shard for a minute when a
+	// sibling is idle.
+	maxRetryAfter = 10 * time.Second
+)
+
+// Options configures a Pool: the workers, their token, the shared
+// store, metrics, health probing and diagnostics. Submits and result
+// streams go through http.DefaultClient, which has no overall timeout
+// (streams are long-lived; per-shard bounds come from StallTimeout).
+// A worker's 429 backpressure is honored for at most 4 Retry-After
+// waits per shard, each capped at 10 s, before the shard moves on.
 type Options struct {
 	// Workers are the worker base URLs (e.g. "http://host:8080"); at
 	// least one is required.
 	Workers []string
 	// Token is the bearer token the workers require, if any.
 	Token string
-	// Client is the HTTP client used for submits and result streams.
-	// nil → a default client with no overall timeout (streams are
-	// long-lived; per-shard bounds come from StallTimeout).
-	Client *http.Client
 	// Registry receives the coordinator metric families
 	// (exadigit_cluster_*). nil → a private registry.
 	Registry *obs.Registry
@@ -72,14 +85,6 @@ type Options struct {
 	// ProbeAfter is how long an unhealthy worker sits out before the
 	// pool risks a shard on it again (0 → 5s).
 	ProbeAfter time.Duration
-	// MaxThrottleWaits bounds how many 429 Retry-After waits the pool
-	// spends on one worker per shard before moving to the next
-	// candidate (0 → 4).
-	MaxThrottleWaits int
-	// MaxRetryAfter caps a single honored Retry-After delay, so one
-	// overloaded worker cannot stall a shard for a minute when a
-	// sibling is idle (0 → 10s).
-	MaxRetryAfter time.Duration
 	// Logf receives dispatch diagnostics (log.Printf-shaped; nil → off).
 	Logf func(format string, args ...any)
 }
@@ -108,15 +113,12 @@ func (w *worker) markUnhealthy(now time.Time) {
 // Pool is the coordinator's worker client pool. It is safe for
 // concurrent use by every sweep goroutine of the coordinating Service.
 type Pool struct {
-	workers          []*worker
-	client           *http.Client
-	token            string
-	store            *store.Store
-	stallTimeout     time.Duration
-	probeAfter       time.Duration
-	maxThrottleWaits int
-	maxRetryAfter    time.Duration
-	logf             func(string, ...any)
+	workers      []*worker
+	token        string
+	store        *store.Store
+	stallTimeout time.Duration
+	probeAfter   time.Duration
+	logf         func(string, ...any)
 
 	specMu    sync.Mutex
 	specJSON  map[string]json.RawMessage // spec hash → marshaled spec
@@ -137,32 +139,20 @@ func New(opts Options) (*Pool, error) {
 	if len(opts.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: at least one worker URL required")
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
-	}
 	if opts.ProbeAfter <= 0 {
 		opts.ProbeAfter = 5 * time.Second
-	}
-	if opts.MaxThrottleWaits <= 0 {
-		opts.MaxThrottleWaits = 4
-	}
-	if opts.MaxRetryAfter <= 0 {
-		opts.MaxRetryAfter = 10 * time.Second
 	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	p := &Pool{
-		client:           opts.Client,
-		token:            opts.Token,
-		store:            opts.Store,
-		stallTimeout:     opts.StallTimeout,
-		probeAfter:       opts.ProbeAfter,
-		maxThrottleWaits: opts.MaxThrottleWaits,
-		maxRetryAfter:    opts.MaxRetryAfter,
-		logf:             opts.Logf,
-		specJSON:         make(map[string]json.RawMessage),
+		token:        opts.Token,
+		store:        opts.Store,
+		stallTimeout: opts.StallTimeout,
+		probeAfter:   opts.ProbeAfter,
+		logf:         opts.Logf,
+		specJSON:     make(map[string]json.RawMessage),
 	}
 	seen := make(map[string]bool)
 	for _, u := range opts.Workers {
@@ -395,7 +385,7 @@ func (p *Pool) submit(ctx context.Context, w *worker, req service.RunRequest, bo
 		if p.token != "" {
 			hreq.Header.Set("Authorization", "Bearer "+p.token)
 		}
-		resp, err := p.client.Do(hreq)
+		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			w.markUnhealthy(time.Now())
 			return nil, fmt.Errorf("cluster: submit: %w", err)
@@ -432,7 +422,7 @@ func (p *Pool) submit(ctx context.Context, w *worker, req service.RunRequest, bo
 			drainBody(resp)
 			throttles++
 			p.throttled.With(w.url).Inc()
-			if throttles > p.maxThrottleWaits {
+			if throttles > maxThrottleWaits {
 				return nil, fmt.Errorf("cluster: %s still saturated after %d Retry-After waits", w.url, throttles-1)
 			}
 			if err := sleepCtx(ctx, p.retryDelay(resp)); err != nil {
@@ -463,8 +453,8 @@ func (p *Pool) retryDelay(resp *http.Response) time.Duration {
 			d = time.Duration(sec) * time.Second
 		}
 	}
-	if d > p.maxRetryAfter {
-		d = p.maxRetryAfter
+	if d > maxRetryAfter {
+		d = maxRetryAfter
 	}
 	return time.Duration((0.8 + 0.4*rand.Float64()) * float64(d))
 }
@@ -482,7 +472,7 @@ func (p *Pool) streamResult(ctx context.Context, w *worker, req service.RunReque
 	if p.token != "" {
 		hreq.Header.Set("Authorization", "Bearer "+p.token)
 	}
-	resp, err := p.client.Do(hreq)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		w.markUnhealthy(time.Now())
 		return nil, fmt.Errorf("cluster: stream: %w", err)
@@ -558,7 +548,7 @@ func (p *Pool) cancelShard(w *worker, sweepID string) {
 	if p.token != "" {
 		hreq.Header.Set("Authorization", "Bearer "+p.token)
 	}
-	if resp, err := p.client.Do(hreq); err == nil {
+	if resp, err := http.DefaultClient.Do(hreq); err == nil {
 		drainBody(resp)
 	}
 }

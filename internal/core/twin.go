@@ -66,7 +66,7 @@ type PartitionScenario struct {
 type Scenario struct {
 	Name     string
 	Workload WorkloadKind
-	// HorizonSec is the simulated duration.
+	// HorizonSec is the simulated duration (at most a century).
 	HorizonSec float64
 	// TickSec overrides the simulation tick (default 1 s; 15 s is a
 	// faithful speed-up).
@@ -125,13 +125,18 @@ type Scenario struct {
 	TelemetryTo io.Writer
 }
 
+// maxHorizonSec bounds a scenario's horizon at one Julian century. Far
+// past it the weather calendar time (start + t, in nanoseconds) would
+// wrap, near 9.2e9 s.
+const maxHorizonSec = 100 * 365.25 * 86400
+
 // Validate checks the scenario fields every run path depends on: a
-// finite positive horizon, a finite non-negative tick (0 keeps the
-// default), and a known engine. The sweep service calls it at submit,
-// so a bad scenario is refused before it is queued.
+// positive horizon of at most a century, a finite non-negative tick (0
+// keeps the default), and a known engine. The sweep service calls it at
+// submit, so a bad scenario is refused before it is queued.
 func (sc *Scenario) Validate() error {
-	if !(sc.HorizonSec > 0) || math.IsInf(sc.HorizonSec, 1) {
-		return fmt.Errorf("core: scenario horizon_sec must be finite and positive, got %v", sc.HorizonSec)
+	if !(sc.HorizonSec > 0 && sc.HorizonSec <= maxHorizonSec) {
+		return fmt.Errorf("core: scenario horizon_sec must be positive and at most %g (a century), got %v", float64(maxHorizonSec), sc.HorizonSec)
 	}
 	if !(sc.TickSec >= 0) || math.IsInf(sc.TickSec, 1) {
 		return fmt.Errorf("core: scenario tick_sec must be finite and non-negative, got %v", sc.TickSec)
@@ -411,7 +416,7 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	var stream *telemetry.StreamWriter
 	var sim *raps.Simulation
 	if sc.TelemetryTo != nil {
-		stream = telemetry.NewStreamWriter(sc.TelemetryTo, name, rcfg.HistoryDtSec)
+		stream = telemetry.NewStreamWriter(sc.TelemetryTo, name, raps.HistoryDtSec)
 		rcfg.OnSample = func(smp raps.Sample) { stream.Series(sim.SeriesPointAt(smp)) }
 	}
 

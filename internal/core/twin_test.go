@@ -197,6 +197,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative horizon", Scenario{HorizonSec: -1}, false},
 		{"NaN horizon", Scenario{HorizonSec: nan}, false},
 		{"infinite horizon", Scenario{HorizonSec: inf}, false},
+		{"one century", Scenario{HorizonSec: maxHorizonSec}, true},
+		{"past a century", Scenario{HorizonSec: 1e15, TickSec: 1e14}, false},
 		{"negative tick", Scenario{HorizonSec: 60, TickSec: -15}, false},
 		{"NaN tick", Scenario{HorizonSec: 60, TickSec: nan}, false},
 		{"infinite tick", Scenario{HorizonSec: 60, TickSec: inf}, false},

@@ -55,10 +55,6 @@ type StudySpec struct {
 	Population int `json:"population,omitempty"`
 	// Generations is the outer-loop count (default 6, at most 1000).
 	Generations int `json:"generations,omitempty"`
-	// InitSample bounds how many candidates are twin-evaluated blind
-	// before the surrogate first trains (default: the surrogate's
-	// minimum training size; capped at Population).
-	InitSample int `json:"init_sample,omitempty"`
 	// PromoteTopK is how many surrogate-screened candidates are promoted
 	// to full-twin evaluation per generation on predicted rank, on top
 	// of predicted-frontier members and UQ fallbacks (default 4).
@@ -71,19 +67,6 @@ type StudySpec struct {
 	// DisableSurrogate forces every candidate to a full-twin evaluation
 	// — the baseline arm of the screening-throughput benchmark.
 	DisableSurrogate bool `json:"disable_surrogate,omitempty"`
-	// Confidence is the conformal coverage level of the UQ gate
-	// (default 0.9).
-	Confidence float64 `json:"confidence,omitempty"`
-	// GateRelWidth is the trust predicate: the surrogate may screen only
-	// while every target's conformal interval radius stays below
-	// GateRelWidth × that target's observed spread (default 0.2).
-	GateRelWidth float64 `json:"gate_rel_width,omitempty"`
-	// MinCalib is the residual count before the gate can open
-	// (default 8; raised automatically until the conformal rank lands
-	// inside the sample at the configured confidence).
-	MinCalib int `json:"min_calib,omitempty"`
-	// Lambda is the surrogate's ridge regularization (default 1e-6).
-	Lambda float64 `json:"lambda,omitempty"`
 }
 
 func (sp *StudySpec) withDefaults() StudySpec {
@@ -97,20 +80,23 @@ func (sp *StudySpec) withDefaults() StudySpec {
 	if out.PromoteTopK <= 0 {
 		out.PromoteTopK = 4
 	}
-	if out.Confidence <= 0 || out.Confidence >= 1 {
-		out.Confidence = 0.9
-	}
-	if out.GateRelWidth <= 0 {
-		out.GateRelWidth = 0.2
-	}
-	if out.MinCalib <= 0 {
-		out.MinCalib = 8
-	}
-	if out.Lambda <= 0 {
-		out.Lambda = 1e-6
-	}
 	return out
 }
+
+// The surrogate and UQ-gate settings every study runs with.
+const (
+	// confidence is the conformal coverage level of the UQ gate.
+	confidence = 0.9
+	// gateRelWidth is the trust predicate: the surrogate may screen only
+	// while every target's conformal interval radius stays below
+	// gateRelWidth × that target's observed spread.
+	gateRelWidth = 0.2
+	// minCalib is the residual count before the gate can open (raised
+	// by calibNeed until the conformal rank lands inside the sample).
+	minCalib = 8
+	// lambda is the surrogate's ridge regularization.
+	lambda = 1e-6
+)
 
 // Study size bounds. A generation larger than maxPopulation can never
 // pass the sweep service's default MaxPending admission (4096 pending
@@ -295,7 +281,7 @@ func NewDriver(spec StudySpec, base core.Scenario, basePlant config.CoolingSpec,
 			d.model = model
 		} else {
 			lo, hi := space.Bounds()
-			m, err := surrogate.NewModel(lo, hi, objs.targets, sp.Lambda)
+			m, err := surrogate.NewModel(lo, hi, objs.targets, lambda)
 			if err != nil {
 				return nil, err
 			}
@@ -306,10 +292,10 @@ func NewDriver(spec StudySpec, base core.Scenario, basePlant config.CoolingSpec,
 		// the gate would judge today's model by yesterday's errors. The
 		// window is a few multiples of the minimum sample so the
 		// conformal rank always lands inside it.
-		win := 4 * calibNeed(d.spec.MinCalib, d.spec.Confidence)
+		win := 4 * calibNeed(minCalib, confidence)
 		d.calibs = make([]*uq.Calibrator, len(objs.targets))
 		for i := range d.calibs {
-			c, err := uq.NewCalibrator(sp.Confidence, sp.MinCalib, win)
+			c, err := uq.NewCalibrator(confidence, minCalib, win)
 			if err != nil {
 				return nil, err
 			}
@@ -321,15 +307,6 @@ func NewDriver(spec StudySpec, base core.Scenario, basePlant config.CoolingSpec,
 			d.spreadLo[i] = math.Inf(1)
 			d.spreadHi[i] = math.Inf(-1)
 		}
-	}
-	if d.spec.InitSample <= 0 {
-		d.spec.InitSample = 0
-		if d.model != nil {
-			d.spec.InitSample = d.model.MinTrainRows()
-		}
-	}
-	if d.spec.InitSample > d.spec.Population {
-		d.spec.InitSample = d.spec.Population
 	}
 	return d, nil
 }
@@ -512,12 +489,10 @@ func (d *Driver) runGeneration(ctx context.Context, gen int, pop [][]float64) er
 	}
 
 	// Blind phase: until the model first trains, twin-evaluate up to
-	// InitSample candidates with no prediction attached.
+	// the surrogate's minimum training size (capped at the population)
+	// with no prediction attached.
 	if !d.model.Trained() {
-		blind := len(fresh)
-		if d.spec.InitSample > 0 && blind > d.spec.InitSample {
-			blind = d.spec.InitSample
-		}
+		blind := min(len(fresh), d.model.MinTrainRows(), d.spec.Population)
 		if err := d.evaluateBatch(ctx, gen, fresh[:blind], false); err != nil {
 			return err
 		}
@@ -526,9 +501,9 @@ func (d *Driver) runGeneration(ctx context.Context, gen int, pop [][]float64) er
 			return nil
 		}
 		if !d.model.Trained() {
-			// Still too little data (InitSample below the training
-			// minimum): the rest of the generation runs blind too, and
-			// training catches up as batches accumulate.
+			// Still too little usable data (failed evaluations do not
+			// train the model): the rest of the generation runs blind
+			// too, and training catches up as batches accumulate.
 			return d.evaluateBatch(ctx, gen, fresh, false)
 		}
 	}
@@ -561,7 +536,7 @@ func (d *Driver) runGeneration(ctx context.Context, gen int, pop [][]float64) er
 			return nil
 		}
 		d.sortByPredictedRank(fresh)
-		chunk := calibNeed(d.spec.MinCalib, d.spec.Confidence) - d.calibCount()
+		chunk := calibNeed(minCalib, confidence) - d.calibCount()
 		if chunk < trustChunk {
 			chunk = trustChunk
 		}
@@ -801,7 +776,7 @@ func (d *Driver) gateUsable() bool {
 		if spread <= 0 || math.IsInf(spread, 0) {
 			return false
 		}
-		if d.calibs[i].Radius() > d.spec.GateRelWidth*spread {
+		if d.calibs[i].Radius() > gateRelWidth*spread {
 			return false
 		}
 	}

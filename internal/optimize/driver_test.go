@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"exadigit/internal/config"
 	"exadigit/internal/core"
@@ -444,19 +443,5 @@ func TestCalibNeedClosedForm(t *testing.T) {
 				t.Fatalf("calibNeed(%d, %v) = %d, counting up gives %d", m, conf, got, want)
 			}
 		}
-	}
-}
-
-// TestNewDriverNearCertainConfidence: a confidence a hair below 1 is a
-// valid study setting and must not stall driver construction (the
-// calibration need is about 10^12 residuals there).
-func TestNewDriverNearCertainConfidence(t *testing.T) {
-	spec := StudySpec{Knobs: synthKnobs(), Confidence: 1 - 1e-12}
-	start := time.Now()
-	if _, err := NewDriver(spec, synthBase(), config.CoolingSpec{}, newSynthEval(), Hooks{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("NewDriver took %v at confidence 1-1e-12", took)
 	}
 }

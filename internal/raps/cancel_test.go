@@ -11,8 +11,8 @@ import (
 
 // TestRunContextStopsWithinOneTick pins the abort granularity in
 // simulation time: a cancel issued at simulated time T (from inside the
-// per-tick emission-intensity sampler) stops a cooled run within one
-// tick boundary of T — not at the end of the horizon.
+// OnSample hook, which fires every 15 s tick here) stops a cooled run
+// within one tick boundary of T — not at the end of the horizon.
 func TestRunContextStopsWithinOneTick(t *testing.T) {
 	const tick = 15.0
 	const cancelAt = 3600.0
@@ -23,11 +23,10 @@ func TestRunContextStopsWithinOneTick(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TickSec = tick
 	cfg.EnableCooling = true // cooling boundaries cap analytic gaps at one tick here
-	cfg.EmissionIntensityFn = func(tSec float64) float64 {
-		if tSec >= cancelAt {
+	cfg.OnSample = func(smp Sample) {
+		if smp.TimeSec >= cancelAt {
 			cancel()
 		}
-		return 852.3
 	}
 	sim, err := New(cfg, power.NewFrontierModel(), []*job.Job{job.NewHPL(1, 0, 24*3600)})
 	if err != nil {
@@ -37,7 +36,7 @@ func TestRunContextStopsWithinOneTick(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// The EI sampler fires during the tick that reaches cancelAt; the
+	// The sample hook fires during the tick that reaches cancelAt; the
 	// loop observes the cancel before the next tick. Two ticks of slack
 	// covers the sampling tick itself.
 	if now := sim.Now(); now < cancelAt || now > cancelAt+2*tick {

@@ -162,8 +162,7 @@ func TestEventEngineMatchesDenseCooled(t *testing.T) {
 }
 
 // TestEventEngineMatchesDenseReplayPinned covers replay-pinned starts
-// (ReplayStart) and a time-varying emission intensity, both of which
-// must be treated as events / per-tick samples by the skip logic.
+// (ReplayStart), which the skip logic must treat as events.
 func TestEventEngineMatchesDenseReplayPinned(t *testing.T) {
 	mkJobs := func() []*job.Job {
 		a := job.New(1, "pinned-a", 4000, 3600, 0)
@@ -178,12 +177,6 @@ func TestEventEngineMatchesDenseReplayPinned(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.TickSec = 15
-	cfg.EmissionIntensityFn = func(t float64) float64 {
-		if math.Mod(t/3600, 24) < 6 {
-			return 400
-		}
-		return 1100
-	}
 	dense, event := runEngines(t, cfg, mkJobs, 6*3600)
 	assertReportsClose(t, dense.ReportNow(), event.ReportNow(), 1e-9)
 	assertHistoriesClose(t, dense.History(), event.History(), 1e-9)

@@ -57,7 +57,7 @@ func (s *Simulation) JobEnergyReport() []JobEnergy {
 	if s.convInJ > 0 {
 		eta := s.nodeOutJ / s.convInJ
 		if eta > 0 {
-			ef = s.cfg.EmissionIntensity / 2204.6 / eta
+			ef = emissionIntensity / 2204.6 / eta
 		}
 	}
 	var out []JobEnergy
@@ -79,7 +79,7 @@ func (s *Simulation) JobEnergyReport() []JobEnergy {
 					NodeEnergyMWh:     mwh,
 					FacilityEnergyMWh: fac,
 					CO2Tons:           fac * ef,
-					CostUSD:           fac * s.cfg.ElectricityUSDPerMWh,
+					CostUSD:           fac * electricityUSDPerMWh,
 				})
 			}
 		}

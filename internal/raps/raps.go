@@ -57,7 +57,25 @@ const (
 	EngineDense
 )
 
-// Config parameterizes a simulation run.
+// HistoryDtSec is the sampling period of the recorded series (15 s):
+// History, OnSample and ExportTelemetry all see one sample per period.
+const HistoryDtSec = 15.0
+
+// The run's fixed physical and economic settings.
+const (
+	// coolingDtSec is the cooling-model coupling period (15 s, §III-B).
+	coolingDtSec = 15.0
+	// emissionIntensity is EI in Eq. 6, lb CO₂ per MWh.
+	emissionIntensity float64 = 852.3
+	// electricityUSDPerMWh prices energy for the cost report; 91.5 $/MWh
+	// reproduces the paper's ≈$900k/yr for 1.14 MW of losses.
+	electricityUSDPerMWh float64 = 91.5
+)
+
+// Config parameterizes a simulation run: the scheduling policy, the
+// tick, the engine, the cooling coupling and the telemetry hooks. The
+// coupling and sampling periods (15 s), the Eq. 6 emission intensity
+// and the electricity price are fixed constants of the model.
 type Config struct {
 	// Policy names the scheduling policy ("fcfs", "sjf", "easy").
 	Policy string
@@ -65,8 +83,6 @@ type Config struct {
 	// faithful speed-up because utilization traces advance at 15 s
 	// quanta anyway).
 	TickSec float64
-	// CoolingDtSec is the cooling-model coupling period (15 s, §III-B).
-	CoolingDtSec float64
 	// EnableCooling couples the cooling FMU (≈3× slower, §IV-3).
 	EnableCooling bool
 	// CoolingDesign, when set, supplies the precompiled FMU design to
@@ -82,21 +98,6 @@ type Config struct {
 	// time: the cooling coupling, an OnSample sink and ExportTelemetry
 	// each query it, in no fixed order (core passes a weather.Source).
 	WetBulbC func(tSec float64) float64
-	// ElectricityUSDPerMWh prices energy for the cost report. The
-	// default 91.5 $/MWh reproduces the paper's ≈$900k/yr for 1.14 MW of
-	// losses.
-	ElectricityUSDPerMWh float64
-	// EmissionIntensity is EI in Eq. 6, lb CO₂ per MWh (852.3).
-	EmissionIntensity float64
-	// EmissionIntensityFn optionally supplies a time-varying EI
-	// (lb CO₂/MWh) — the paper notes the grid's intensity "can vary
-	// regionally and even hourly". When set it overrides
-	// EmissionIntensity and enables carbon-aware what-if studies. It is
-	// still sampled at every tick inside skipped gaps, so event skipping
-	// does not coarsen the carbon integral.
-	EmissionIntensityFn func(tSec float64) float64
-	// HistoryDtSec is the sampling period of the recorded series (15 s).
-	HistoryDtSec float64
 	// NoHistory skips storing the recorded series in memory — the lean
 	// mode for huge sweeps and streamed long replays where only the
 	// report (and any OnSample sink) matters. OnSample still fires per
@@ -120,13 +121,8 @@ type Config struct {
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		Policy:               "fcfs",
-		TickSec:              1,
-		CoolingDtSec:         15,
-		EnableCooling:        false,
-		ElectricityUSDPerMWh: 91.5,
-		EmissionIntensity:    852.3,
-		HistoryDtSec:         15,
+		Policy:  "fcfs",
+		TickSec: 1,
 	}
 }
 
@@ -320,8 +316,8 @@ type Simulation struct {
 	minPowerW    float64
 	maxLossW     float64
 	lastHistoryT float64
-	// weightedEIJ integrates P·EI·dt for time-varying-EI carbon
-	// accounting (J·lb/MWh).
+	// weightedEIJ integrates P·EI·dt for the Eq. 6 carbon accounting
+	// (J·lb/MWh).
 	weightedEIJ float64
 }
 
@@ -346,18 +342,6 @@ func NewMulti(cfg Config, partitions []Partition) (*Simulation, error) {
 	}
 	if len(partitions) == 0 {
 		return nil, fmt.Errorf("raps: at least one partition required")
-	}
-	if cfg.CoolingDtSec <= 0 {
-		cfg.CoolingDtSec = 15
-	}
-	if cfg.HistoryDtSec <= 0 {
-		cfg.HistoryDtSec = 15
-	}
-	if cfg.ElectricityUSDPerMWh == 0 {
-		cfg.ElectricityUSDPerMWh = 91.5
-	}
-	if cfg.EmissionIntensity == 0 {
-		cfg.EmissionIntensity = 852.3
 	}
 	policy, err := sched.PolicyByName(cfg.Policy)
 	if err != nil {
@@ -607,12 +591,12 @@ func (s *Simulation) Tick() error {
 	}
 
 	// Couple the cooling model every 15 s (lines 23-26).
-	if s.cool != nil && s.onBoundary(s.cfg.CoolingDtSec) {
+	if s.cool != nil && s.onBoundary(coolingDtSec) {
 		if err := s.stepCooling(); err != nil {
 			return err
 		}
 	}
-	if s.now-s.lastHistoryT >= s.cfg.HistoryDtSec-1e-9 {
+	if s.now-s.lastHistoryT >= HistoryDtSec-1e-9 {
 		s.recordSample()
 		s.lastHistoryT = s.now
 	}
@@ -713,7 +697,7 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 		}
 	}
 	if s.cool != nil {
-		period := s.cfg.CoolingDtSec
+		period := coolingDtSec
 		next := (math.Floor((s.now+1e-6)/period) + 1) * period
 		if s.coolCoastS > 0 {
 			if limit := s.lastCoolT + s.coolCoastS; limit > next && s.cool.Plant().CanCoast(s.cduHeat()) {
@@ -749,15 +733,12 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 // per-tick model sweep and scheduler pass are elided; the accumulator
 // arithmetic is kept per-tick-identical to Tick so results match the
 // dense path. History samples falling inside the gap are still recorded
-// at their exact times (from the cached power state), and a time-varying
-// emission intensity is still sampled every tick.
+// at their exact times (from the cached power state).
 func (s *Simulation) advanceQuiet(k int) {
 	dt := s.cfg.TickSec
 	a := s.aggregate()
 	p, loss, nodeOut := a.totalW, a.lossW(), a.nodeOutW
 	util := a.util()
-	ei := s.cfg.EmissionIntensity
-	fn := s.cfg.EmissionIntensityFn
 	pue := 0.0
 	if s.cool != nil {
 		pue = s.cool.Plant().PUE()
@@ -766,10 +747,7 @@ func (s *Simulation) advanceQuiet(k int) {
 		s.now += dt
 		e := p * dt
 		s.energyJ += e
-		if fn != nil {
-			ei = fn(s.now)
-		}
-		s.weightedEIJ += e * ei
+		s.weightedEIJ += e * emissionIntensity
 		s.lossJ += loss * dt
 		s.nodeOutJ += nodeOut * dt
 		s.convInJ += (nodeOut + loss) * dt
@@ -778,7 +756,7 @@ func (s *Simulation) advanceQuiet(k int) {
 			s.pueSum += pue
 			s.pueCount++
 		}
-		if s.now-s.lastHistoryT >= s.cfg.HistoryDtSec-1e-9 {
+		if s.now-s.lastHistoryT >= HistoryDtSec-1e-9 {
 			s.recordSample()
 			s.lastHistoryT = s.now
 		}
@@ -891,7 +869,7 @@ func (s *Simulation) cduHeat() []float64 {
 // — and only the final coupling interval sees the fresh inputs, so a
 // coast never back-applies a new transient over held time.
 func (s *Simulation) stepCooling() error {
-	period := s.cfg.CoolingDtSec
+	period := coolingDtSec
 	dt := s.now - s.lastCoolT
 	if dt <= 0 {
 		return nil
@@ -933,11 +911,7 @@ func (s *Simulation) accumulate(dt float64) {
 		}
 	}
 	s.energyJ += p * dt
-	ei := s.cfg.EmissionIntensity
-	if s.cfg.EmissionIntensityFn != nil {
-		ei = s.cfg.EmissionIntensityFn(s.now)
-	}
-	s.weightedEIJ += p * dt * ei
+	s.weightedEIJ += p * dt * emissionIntensity
 	s.lossJ += loss * dt
 	s.nodeOutJ += nodeOut * dt
 	s.convInJ += (nodeOut + loss) * dt
@@ -1036,14 +1010,14 @@ func (s *Simulation) ReportNow() *Report {
 	if s.convInJ > 0 {
 		r.EtaSystem = s.nodeOutJ / s.convInJ
 	}
-	// Eq. 6: Ef = EI × (1 ton / 2204.6 lb) × 1/η_system, with EI taken
-	// as the energy-weighted average when a time-varying profile is set.
+	// Eq. 6: Ef = EI × (1 ton / 2204.6 lb) × 1/η_system, with EI the
+	// energy-weighted average of the accumulated P·EI·dt.
 	if r.EtaSystem > 0 && s.energyJ > 0 {
 		avgEI := s.weightedEIJ / s.energyJ
 		ef := avgEI * units.LbToMetricTon / r.EtaSystem
 		r.CO2Tons = r.EnergyMWh * ef
 	}
-	r.CostUSD = r.EnergyMWh * s.cfg.ElectricityUSDPerMWh
+	r.CostUSD = r.EnergyMWh * electricityUSDPerMWh
 	r.AvgUtilization = s.utilSum / s.now
 	if s.pueCount > 0 {
 		r.AvgPUE = s.pueSum / float64(s.pueCount)
@@ -1138,7 +1112,7 @@ func (s *Simulation) SeriesPointAt(smp Sample) telemetry.SeriesPoint {
 // traces, plus the predicted power series as the "measured" channel (our
 // substitute for production telemetry).
 func (s *Simulation) ExportTelemetry(epoch string) *telemetry.Dataset {
-	d := &telemetry.Dataset{Epoch: epoch, SeriesDtSec: s.cfg.HistoryDtSec}
+	d := &telemetry.Dataset{Epoch: epoch, SeriesDtSec: HistoryDtSec}
 	s.ForEachJobRecord(func(r telemetry.JobRecord) { d.Jobs = append(d.Jobs, r) })
 	for _, smp := range s.history {
 		d.Series = append(d.Series, s.SeriesPointAt(smp))

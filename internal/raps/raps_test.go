@@ -157,7 +157,6 @@ func TestEtaSystemInPublishedRange(t *testing.T) {
 func TestHistorySampling(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TickSec = 1
-	cfg.HistoryDtSec = 15
 	sim, err := New(cfg, frontierModel(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -418,50 +417,11 @@ func TestJobEnergyIncludesRunningJobs(t *testing.T) {
 	}
 }
 
-func TestTimeVaryingEmissionIntensity(t *testing.T) {
-	// A job running in a low-carbon window must be charged less CO2 than
-	// the same job in a high-carbon window — the carbon-aware-scheduling
-	// what-if enabled by hourly grid intensity.
-	diurnalEI := func(tSec float64) float64 {
-		hour := math.Mod(tSec/3600, 24)
-		if hour < 12 {
-			return 400 // clean half-day (lb CO2/MWh)
-		}
-		return 1200 // dirty half-day
-	}
-	runAt := func(startSec float64) *Report {
-		j := job.New(1, "shiftable", 6000, 3600, startSec)
-		j.ReplayStart = startSec
-		j.CPUTrace = job.FlatTrace(0.9, 3600)
-		j.GPUTrace = job.FlatTrace(0.9, 3600)
-		cfg := DefaultConfig()
-		cfg.TickSec = 15
-		cfg.EmissionIntensityFn = diurnalEI
-		sim, err := New(cfg, frontierModel(), []*job.Job{j})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sim.Run(24 * 3600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	clean := runAt(2 * 3600)  // runs 02:00-03:00 in the clean window
-	dirty := runAt(14 * 3600) // runs 14:00-15:00 in the dirty window
-	if math.Abs(clean.EnergyMWh-dirty.EnergyMWh)/clean.EnergyMWh > 0.001 {
-		t.Fatalf("energy should match: %v vs %v", clean.EnergyMWh, dirty.EnergyMWh)
-	}
-	if dirty.CO2Tons <= clean.CO2Tons*1.05 {
-		t.Errorf("dirty-window CO2 %v should clearly exceed clean-window %v",
-			dirty.CO2Tons, clean.CO2Tons)
-	}
-}
-
 func TestConstantEIFallback(t *testing.T) {
-	// Without a profile the Eq. 6 constant-EI formula is reproduced
-	// exactly (already asserted in TestEnergyAccounting; this pins the
-	// weighted-average path to the same result).
+	// The energy-weighted EI accumulator reproduces the Eq. 6
+	// constant-EI formula exactly (already asserted in
+	// TestEnergyAccounting; this pins the weighted-average path to the
+	// same result).
 	sim, err := New(DefaultConfig(), frontierModel(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ type ScenarioRequest struct {
 	Name       string  `json:"name,omitempty"`
 	Workload   string  `json:"workload"`
 	HorizonSec float64 `json:"horizon_sec"`
-	TickSec    float64 `json:"tick_sec,omitempty"`
+	TickSec    float64 `json:"tick_sec"`
 	Policy     string  `json:"policy,omitempty"`
 	Cooling    bool    `json:"cooling,omitempty"`
 	// CoolingSpec overrides the system spec's plant for this scenario
@@ -51,8 +51,8 @@ type ScenarioRequest struct {
 	Partitions []core.PartitionScenario `json:"partitions,omitempty"`
 	// Generator tunes synthetic workloads; omitted → defaults.
 	Generator        *job.GeneratorConfig `json:"generator,omitempty"`
-	BenchmarkWallSec float64              `json:"benchmark_wall_sec,omitempty"`
-	WetBulbC         float64              `json:"wetbulb_c,omitempty"`
+	BenchmarkWallSec float64              `json:"benchmark_wall_sec"`
+	WetBulbC         float64              `json:"wetbulb_c"`
 	WeatherStart     time.Time            `json:"weather_start,omitempty"`
 	WeatherSeed      int64                `json:"weather_seed,omitempty"`
 	Engine           string               `json:"engine,omitempty"`

@@ -403,8 +403,8 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 }
 
 // TestHTTPRejectsInvalidScenario pins Scenario.Validate at the submit
-// boundary: a zero horizon, a negative tick or an unknown engine is a
-// 400 naming the field, and no sweep is registered — not a sweep that
+// boundary: a zero horizon, a horizon past a century, a negative tick or
+// an unknown engine is a 400 naming the field, and no sweep is registered — not a sweep that
 // is accepted and then fails every attempt on a worker.
 func TestHTTPRejectsInvalidScenario(t *testing.T) {
 	svc := New(Options{Workers: 1})
@@ -419,6 +419,8 @@ func TestHTTPRejectsInvalidScenario(t *testing.T) {
 		"zero horizon":   {`{"workload":"idle","horizon_sec":0}`, "horizon_sec"},
 		"negative tick":  {`{"workload":"idle","horizon_sec":60,"tick_sec":-15}`, "tick_sec"},
 		"unknown engine": {`{"workload":"idle","horizon_sec":60,"engine":"sparse"}`, "engine"},
+		// Past a century the weather calendar time would wrap.
+		"horizon past a century": {`{"workload":"idle","horizon_sec":1e15,"tick_sec":1e14}`, "horizon_sec"},
 	} {
 		body := `{"scenarios":[{"workload":"idle","horizon_sec":60},` + tc.sc + `]}`
 		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(body))

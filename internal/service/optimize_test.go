@@ -280,6 +280,69 @@ func TestStudyHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStudyHTTPIgnoresRetiredGateKeys: a study body that still carries
+// the retired gate and surrogate settings (init_sample, confidence,
+// gate_rel_width, min_calib, lambda) is accepted, and the keys are
+// ignored: it produces the same result as the same study without them,
+// so clients written against the older body keep working.
+func TestStudyHTTPIgnoresRetiredGateKeys(t *testing.T) {
+	study := quickStudy()
+	study.Population = 8
+	plain, err := json.Marshal(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withKeys map[string]any
+	if err := json.Unmarshal(plain, &withKeys); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]any{
+		"init_sample": 3, "confidence": 0.5, "gate_rel_width": 0.9, "min_calib": 2, "lambda": 1,
+	} {
+		withKeys[k] = v
+	}
+	retired, err := json.Marshal(withKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each body runs on a fresh service, so neither study is served from
+	// the other's cache and the accounting compares too.
+	run := func(studyJSON []byte) []byte {
+		svc := New(Options{Workers: 2})
+		defer svc.Close()
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		body := `{"base":{"name":"synth","workload":"synthetic","horizon_sec":900,"tick_sec":15},"study":` + string(studyJSON) + `}`
+		resp, err := http.Post(srv.URL+"/api/optimize", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack OptimizeResponse
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("submit: %d %v", resp.StatusCode, err)
+		}
+		st, ok := svc.StudyByID(ack.ID)
+		if !ok {
+			t.Fatalf("study %s not registered", ack.ID)
+		}
+		if status := waitStudy(t, st); status.State != StudyDone {
+			t.Fatalf("study state %s", status.State)
+		}
+		out, err := json.Marshal(st.Result())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := run(plain), run(retired)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("retired keys changed the study result:\nwithout: %s\nwith:    %s", want, got)
+	}
+}
+
 // TestStudyEvaluatorPerCandidateValidation: an invalid candidate plant
 // becomes that candidate's infeasibility, not a study-fatal error.
 func TestStudyEvaluatorPerCandidateValidation(t *testing.T) {
