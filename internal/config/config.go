@@ -274,6 +274,14 @@ func (s *SystemSpec) Validate() error {
 	return s.Cooling.Validate()
 }
 
+// maxPlantUnits bounds every unit count of an AutoCSM plant — CDU
+// loops, towers, cells per tower, fan channels, pumps and exchangers —
+// at 40× Frontier's 25 CDU loops. Cooling specs arrive over HTTP:
+// compiling a design costs about 7 KB and 22 µs per CDU loop, so 1e7
+// loops from one request would exhaust memory, and an unbounded tower
+// × cell product overflows int and crashes the plant's first step.
+const maxPlantUnits = 1000
+
 // Validate checks the cooling spec for structural consistency — the same
 // checks the sweep service applies at its HTTP boundary, so malformed
 // plants (non-positive flows, CDU counts, inverted temperature ladders)
@@ -314,6 +322,20 @@ func (c *CoolingSpec) Validate() error {
 			Field: "num_htwps", Constraint: "pump/EHX counts must be positive",
 			Suggestion: "set num_htwps, num_ctwps, and num_ehx ≥ 1",
 		})
+	}
+	for _, u := range []struct {
+		field string
+		n     int
+	}{
+		{"num_cdus", c.NumCDUs}, {"num_towers", c.NumTowers}, {"cells_per_tower", c.CellsPerTower},
+		{"num_fan_channels", c.NumFanChannels}, {"num_htwps", c.NumHTWPs}, {"num_ctwps", c.NumCTWPs}, {"num_ehx", c.NumEHX},
+	} {
+		if u.n > maxPlantUnits {
+			return fmt.Errorf("config: %w", &FieldError{
+				Field: u.field, Constraint: fmt.Sprintf("at most %d", maxPlantUnits),
+				Suggestion: "model fewer, larger units",
+			})
+		}
 	}
 	if c.DesignHeatMW <= 0 {
 		return fmt.Errorf("config: %w", &FieldError{
@@ -493,19 +515,6 @@ func (p *PartitionSpec) BuildModel() (*power.Model, error) {
 		Topo:       topo,
 		CoolingEff: p.Power.CoolingEfficiency,
 	}, nil
-}
-
-// BuildModels assembles every partition's power model.
-func (s *SystemSpec) BuildModels() ([]*power.Model, error) {
-	models := make([]*power.Model, 0, len(s.Partitions))
-	for i := range s.Partitions {
-		m, err := s.Partitions[i].BuildModel()
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-	}
-	return models, nil
 }
 
 func modeByName(name string) (power.Mode, error) {

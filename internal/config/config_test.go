@@ -10,15 +10,26 @@ import (
 	"exadigit/internal/power"
 )
 
+// buildModels assembles every partition's power model.
+func buildModels(t *testing.T, s *SystemSpec) []*power.Model {
+	t.Helper()
+	models := make([]*power.Model, len(s.Partitions))
+	for i := range s.Partitions {
+		m, err := s.Partitions[i].BuildModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	return models
+}
+
 func TestFrontierSpecValidatesAndMatchesBuiltIn(t *testing.T) {
 	s := Frontier()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	models, err := s.BuildModels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := buildModels(t, &s)
 	if len(models) != 1 {
 		t.Fatalf("%d models", len(models))
 	}
@@ -46,10 +57,7 @@ func TestSetonixLikeMultiPartition(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	models, err := s.BuildModels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := buildModels(t, &s)
 	if len(models) != 2 {
 		t.Fatalf("%d partitions, want 2", len(models))
 	}
@@ -119,7 +127,14 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"no tower flow": func(s *SystemSpec) { s.Cooling.Preset = ""; s.Cooling.TowerFlowGPM = -1 },
 		"no towers":     func(s *SystemSpec) { s.Cooling.Preset = ""; s.Cooling.NumTowers = 0 },
 		"no pumps":      func(s *SystemSpec) { s.Cooling.Preset = ""; s.Cooling.NumHTWPs = 0 },
-		"bad preset":    func(s *SystemSpec) { s.Cooling.Preset = "chiller-9000" },
+		// Past the unit cap: 2000 CDU loops, or a tower × cell product
+		// that overflows int (it used to crash the plant's first step).
+		"cdus past cap": func(s *SystemSpec) { s.Cooling.Preset = ""; s.Cooling.NumCDUs = 2000 },
+		"cell overflow": func(s *SystemSpec) {
+			s.Cooling.Preset = ""
+			s.Cooling.NumTowers, s.Cooling.CellsPerTower = 3037000500, 3037000500
+		},
+		"bad preset": func(s *SystemSpec) { s.Cooling.Preset = "chiller-9000" },
 	}
 	for name, mutate := range cases {
 		s := Frontier()

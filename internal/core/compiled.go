@@ -10,7 +10,9 @@ import (
 	"exadigit/internal/autocsm"
 	"exadigit/internal/config"
 	"exadigit/internal/fmu"
+	"exadigit/internal/job"
 	"exadigit/internal/power"
+	"exadigit/internal/sched"
 )
 
 // CompiledSpec is a validated SystemSpec with its expensive derived
@@ -165,6 +167,97 @@ func (cs *CompiledSpec) CoolingDesignFor(spec config.CoolingSpec) (*fmu.Design, 
 		cs.coolOrder = cs.coolOrder[1:]
 	}
 	return d, nil
+}
+
+// maxSyntheticJobs bounds the jobs a synthetic workload may imply over
+// its horizon (horizon / arrival mean): the sweep service takes
+// generators over HTTP, and a near-zero mean would otherwise generate
+// horizon/mean jobs and exhaust memory in one request.
+const maxSyntheticJobs = 1_000_000
+
+// Check decides whether sc can run on this spec. It holds every
+// deterministic refusal of a run: Scenario.Validate, the partition list,
+// the workload kinds (replay only at scenario level, with a dataset),
+// the synthetic generator's arrival mean and job cap, the scheduler
+// policy, the power mode and the cooling plant (CoolingSpec.Validate,
+// then the design resolve, cached for the run). Sweep and study submit,
+// optimizer candidates, journal recovery and Twin.RunContext all refuse
+// through it, so a scenario is refused the same way everywhere and never
+// retried: a scenario Check accepts fails, if at all, only for reasons a
+// retry might change.
+func (cs *CompiledSpec) Check(sc *Scenario) error {
+	_, err := cs.check(sc)
+	return err
+}
+
+// check is Check returning the cooling design it resolved (nil for an
+// uncooled scenario), so a run resolves its plant once.
+func (cs *CompiledSpec) check(sc *Scenario) (*fmu.Design, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	n := len(cs.spec.Partitions)
+	if k := len(sc.Partitions); k != 0 && k != n {
+		return nil, fmt.Errorf("core: scenario lists %d partition workloads but spec %q has %d partitions",
+			k, cs.spec.Name, n)
+	}
+	for i, ps := range partitionWorkloads(sc, n) {
+		if err := checkWorkload(sc, &ps); err != nil {
+			return nil, fmt.Errorf("core: partition %q: %w", cs.spec.Partitions[i].Name, err)
+		}
+	}
+	if _, err := sched.PolicyByName(sc.Policy); err != nil {
+		return nil, err
+	}
+	// "" keeps each partition's own mode, which Compile validated; an
+	// explicit mode is checked by building (once) the models a run uses.
+	if sc.PowerMode != "" {
+		if _, err := cs.Models(sc.PowerMode); err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case sc.CoolingSpec != nil:
+		if err := sc.CoolingSpec.Validate(); err != nil {
+			return nil, err
+		}
+		return cs.CoolingDesignFor(*sc.CoolingSpec)
+	case sc.Cooling:
+		return cs.CoolingDesign()
+	}
+	return nil, nil
+}
+
+// checkWorkload refuses a partition workload no run can realize.
+func checkWorkload(sc *Scenario, ps *PartitionScenario) error {
+	switch ps.Workload {
+	case "", WorkloadIdle, WorkloadPeak, WorkloadHPL, WorkloadOpenMxP:
+		return nil
+	case WorkloadReplay:
+		if len(sc.Partitions) != 0 {
+			return fmt.Errorf("replay is not a per-partition workload (set Scenario.Workload)")
+		}
+		if sc.Dataset == nil {
+			return fmt.Errorf("replay workload needs a dataset")
+		}
+		return nil
+	case WorkloadSynthetic:
+		// A negative (or NaN) mean would stall the Poisson clock; 0
+		// selects the default generator.
+		mean := ps.Generator.ArrivalMeanSec
+		if !(mean >= 0) {
+			return fmt.Errorf("generator arrival_mean_sec must be positive (0 = defaults), got %v", mean)
+		}
+		if mean == 0 {
+			mean = job.DefaultGeneratorConfig().ArrivalMeanSec
+		}
+		if expected := sc.HorizonSec / mean; expected > maxSyntheticJobs {
+			return fmt.Errorf("horizon %.0fs at arrival mean %.3gs implies ~%.2g jobs (cap %d); raise arrival_mean_sec",
+				sc.HorizonSec, mean, expected, maxSyntheticJobs)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown workload %q", ps.Workload)
 }
 
 // Twin returns a fresh Twin bound to the compiled spec. Twins are cheap

@@ -130,10 +130,11 @@ type Scenario struct {
 // wrap, near 9.2e9 s.
 const maxHorizonSec = 100 * 365.25 * 86400
 
-// Validate checks the scenario fields every run path depends on: a
-// positive horizon of at most a century, a finite non-negative tick (0
-// keeps the default), and a known engine. The sweep service calls it at
-// submit, so a bad scenario is refused before it is queued.
+// Validate checks the scenario's own bounds, the part of
+// CompiledSpec.Check that needs no spec: a positive horizon of at most a
+// century, a finite non-negative tick (0 keeps the default), and a known
+// engine. Callers that hold a compiled spec call Check, which runs
+// Validate first.
 func (sc *Scenario) Validate() error {
 	if !(sc.HorizonSec > 0 && sc.HorizonSec <= maxHorizonSec) {
 		return fmt.Errorf("core: scenario horizon_sec must be positive and at most %g (a century), got %v", float64(maxHorizonSec), sc.HorizonSec)
@@ -208,70 +209,45 @@ func NewFromSpec(spec config.SystemSpec) (*Twin, error) {
 	return cs.Twin(), nil
 }
 
-// buildModels returns every partition's power model with the scenario's
-// power mode applied, served from the compiled spec's shared cache.
-func (tw *Twin) buildModels(mode string) ([]*power.Model, error) {
-	if tw.compiled == nil {
-		// Twin built as a literal rather than through NewFromSpec /
-		// CompiledSpec.Twin: compile its spec on first use.
-		cs, err := Compile(tw.Spec)
-		if err != nil {
-			return nil, err
-		}
-		tw.compiled = cs
-	}
-	return tw.compiled.Models(mode)
-}
-
 // partIDStride separates the job-ID namespaces of different partitions
 // in merged telemetry: partition i's generated jobs are offset by
 // i·partIDStride (partition 0 keeps its IDs, so single-partition runs
 // are unchanged).
 const partIDStride = 10_000_000
 
-// partitionWorkloads resolves the scenario to one workload config per
-// spec partition. An explicit Scenario.Partitions list must cover every
-// partition; an empty list replicates the scenario-level workload onto
-// all of them (replay runs on the first partition only — a dataset
-// describes one machine's job stream).
-func (tw *Twin) partitionWorkloads(sc *Scenario) ([]PartitionScenario, error) {
-	n := len(tw.Spec.Partitions)
-	if len(sc.Partitions) == 0 {
-		ps := make([]PartitionScenario, n)
-		for i := range ps {
-			ps[i] = PartitionScenario{
-				Workload:         sc.Workload,
-				Generator:        sc.Generator,
-				BenchmarkWallSec: sc.BenchmarkWallSec,
-			}
-			if sc.Workload == WorkloadReplay && i > 0 {
-				ps[i].Workload = WorkloadIdle
-			}
+// partitionWorkloads resolves the scenario to one workload config for
+// each of n spec partitions. An explicit Scenario.Partitions list is used
+// as given (CompiledSpec.Check has matched its length to the spec); an
+// empty list replicates the scenario-level workload onto all of them
+// (replay runs on the first partition only — a dataset describes one
+// machine's job stream).
+func partitionWorkloads(sc *Scenario, n int) []PartitionScenario {
+	if len(sc.Partitions) != 0 {
+		return sc.Partitions
+	}
+	ps := make([]PartitionScenario, n)
+	for i := range ps {
+		ps[i] = PartitionScenario{
+			Workload:         sc.Workload,
+			Generator:        sc.Generator,
+			BenchmarkWallSec: sc.BenchmarkWallSec,
 		}
-		return ps, nil
-	}
-	if len(sc.Partitions) != n {
-		return nil, fmt.Errorf("core: scenario lists %d partition workloads but spec %q has %d partitions",
-			len(sc.Partitions), tw.Spec.Name, n)
-	}
-	for i := range sc.Partitions {
-		if sc.Partitions[i].Workload == WorkloadReplay {
-			return nil, fmt.Errorf("core: partition %d: replay is not a per-partition workload (set Scenario.Workload)", i)
+		if sc.Workload == WorkloadReplay && i > 0 {
+			ps[i].Workload = WorkloadIdle
 		}
 	}
-	return sc.Partitions, nil
+	return ps
 }
 
-// buildJobs realizes one partition's workload.
-func (tw *Twin) buildJobs(sc *Scenario, ps *PartitionScenario, model *power.Model) ([]*job.Job, error) {
+// buildJobs realizes one partition's workload, which CompiledSpec.Check
+// has accepted.
+func buildJobs(sc *Scenario, ps *PartitionScenario, model *power.Model) ([]*job.Job, error) {
 	wall := ps.BenchmarkWallSec
 	if wall <= 0 {
 		wall = 2 * 3600
 	}
 	var jobs []*job.Job
 	switch ps.Workload {
-	case WorkloadIdle, "":
-		return nil, nil
 	case WorkloadPeak:
 		j := job.New(1, "peak", model.Topo.NodesTotal, sc.HorizonSec+1, 0)
 		if err := j.ApplyFingerprint(job.FPMax); err != nil {
@@ -284,12 +260,6 @@ func (tw *Twin) buildJobs(sc *Scenario, ps *PartitionScenario, model *power.Mode
 		jobs = []*job.Job{job.NewOpenMxP(1, 0, wall)}
 	case WorkloadSynthetic:
 		cfg := ps.Generator
-		if cfg.ArrivalMeanSec < 0 {
-			// A non-positive mean would stall the Poisson clock; reject
-			// rather than looping (this path is reachable from the sweep
-			// service's HTTP submissions).
-			return nil, fmt.Errorf("core: generator arrival_mean_sec must be positive")
-		}
 		if cfg.ArrivalMeanSec == 0 {
 			cfg = job.DefaultGeneratorConfig()
 		}
@@ -302,22 +272,9 @@ func (tw *Twin) buildJobs(sc *Scenario, ps *PartitionScenario, model *power.Mode
 		if cfg.MaxNodes <= 0 || cfg.MaxNodes > model.Topo.NodesTotal {
 			cfg.MaxNodes = model.Topo.NodesTotal
 		}
-		// Runaway bound, also HTTP-reachable: a near-zero mean would
-		// generate horizon/mean jobs and exhaust memory in one request.
-		const maxSyntheticJobs = 1_000_000
-		if expected := sc.HorizonSec / cfg.ArrivalMeanSec; expected > maxSyntheticJobs {
-			return nil, fmt.Errorf(
-				"core: horizon %.0fs at arrival mean %.3gs implies ~%.2g jobs (cap %d); raise arrival_mean_sec",
-				sc.HorizonSec, cfg.ArrivalMeanSec, expected, maxSyntheticJobs)
-		}
 		jobs = job.NewGenerator(cfg).GenerateHorizon(sc.HorizonSec)
 	case WorkloadReplay:
-		if sc.Dataset == nil {
-			return nil, fmt.Errorf("core: replay scenario needs a dataset")
-		}
 		jobs = raps.JobsFromDataset(sc.Dataset, model.Spec)
-	default:
-		return nil, fmt.Errorf("core: unknown workload %q", ps.Workload)
 	}
 	if ps.MaxJobs > 0 && len(jobs) > ps.MaxJobs {
 		jobs = jobs[:ps.MaxJobs]
@@ -330,13 +287,10 @@ func (tw *Twin) buildJobs(sc *Scenario, ps *PartitionScenario, model *power.Mode
 // Generated job IDs of partition i > 0 are offset into their own
 // namespace so merged telemetry stays unambiguous.
 func (tw *Twin) buildPartitions(sc *Scenario, models []*power.Model) ([]raps.Partition, error) {
-	workloads, err := tw.partitionWorkloads(sc)
-	if err != nil {
-		return nil, err
-	}
+	workloads := partitionWorkloads(sc, len(models))
 	parts := make([]raps.Partition, len(models))
 	for i := range models {
-		jobs, err := tw.buildJobs(sc, &workloads[i], models[i])
+		jobs, err := buildJobs(sc, &workloads[i], models[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %q: %w", tw.Spec.Partitions[i].Name, err)
 		}
@@ -363,16 +317,27 @@ func (tw *Twin) Run(sc Scenario) (*Result, error) {
 // the simulation at the next tick boundary (mid-day, not between
 // scenarios) and returns the context's error. This is the run path the
 // sweep service drives, so a cancelled sweep stops paying for its
-// in-flight days.
+// in-flight days. A scenario CompiledSpec.Check refuses fails before any
+// work, with Check's error.
 func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
+	if tw.compiled == nil {
+		// Twin built as a literal rather than through NewFromSpec /
+		// CompiledSpec.Twin: compile its spec on first use.
+		cs, err := Compile(tw.Spec)
+		if err != nil {
+			return nil, err
+		}
+		tw.compiled = cs
 	}
 	start := time.Now()
-	models, err := tw.buildModels(sc.PowerMode)
+	design, err := tw.compiled.check(&sc)
+	if err != nil {
+		return nil, err
+	}
+	models, err := tw.compiled.Models(sc.PowerMode)
 	if err != nil {
 		return nil, err
 	}
@@ -392,17 +357,8 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 		rcfg.Engine = raps.EngineDense
 	}
 	rcfg.NoHistory = sc.NoHistory
-	rcfg.EnableCooling = sc.Cooling || sc.CoolingSpec != nil
-	if rcfg.EnableCooling {
-		if sc.CoolingSpec != nil {
-			rcfg.CoolingDesign, err = tw.compiled.CoolingDesignFor(*sc.CoolingSpec)
-		} else {
-			rcfg.CoolingDesign, err = tw.compiled.CoolingDesign()
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	rcfg.EnableCooling = design != nil
+	rcfg.CoolingDesign = design
 	rcfg.WetBulbC = tw.wetBulbFunc(&sc)
 
 	name := sc.Name

@@ -2,22 +2,47 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
+
+	"exadigit/internal/autocsm"
+	"exadigit/internal/config"
+	"exadigit/internal/core"
 )
 
 // FuzzScenarioRequestRoundTrip fuzzes the cluster wire: arbitrary bytes
-// decode to a ScenarioRequest, convert to a scenario, and hash. Whenever
+// decode to a ScenarioRequest, convert to a scenario, pass through
+// core.CompiledSpec.Check on Frontier, and hash. Whenever
 // ScenarioRequestFrom accepts that scenario, re-encoding its wire form
-// and decoding it again must hash identically — a coordinator and its
-// workers would otherwise key the shared store differently — and no
-// step may panic. The seed corpus lives under testdata/fuzz.
+// and decoding it again must hash identically and get the same Check
+// verdict — a coordinator and its workers would otherwise key the shared
+// store differently, or disagree on admission. Every float of an
+// accepted cooling_spec's resolved plant must be finite, and no step may
+// panic. The seed corpus lives under testdata/fuzz, with one entry per
+// class of Check refusal.
 func FuzzScenarioRequestRoundTrip(f *testing.F) {
+	cs, err := core.Compile(config.Frontier())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req ScenarioRequest
 		if err := json.Unmarshal(data, &req); err != nil {
 			return
 		}
 		sc := req.Scenario()
+		verdict := cs.Check(&sc)
+		if verdict == nil && sc.CoolingSpec != nil {
+			cfg, err := autocsm.Compile(*sc.CoolingSpec)
+			if err != nil {
+				t.Fatalf("accepted cooling_spec does not resolve: %v\n%s", err, data)
+			}
+			if field := nonFinite(reflect.ValueOf(cfg), "cooling.Config"); field != "" {
+				t.Fatalf("accepted cooling_spec resolves to a non-finite %s\n%s", field, data)
+			}
+		}
 		want, err := HashScenario(sc)
 		if err != nil {
 			return
@@ -34,12 +59,44 @@ func FuzzScenarioRequestRoundTrip(f *testing.F) {
 		if err := json.Unmarshal(enc, &back); err != nil {
 			t.Fatalf("encoded wire form rejected: %v\n%s", err, enc)
 		}
-		got, err := HashScenario(back.Scenario())
+		backSc := back.Scenario()
+		got, err := HashScenario(backSc)
 		if err != nil {
 			t.Fatalf("round-tripped scenario does not hash: %v\n%s", err, enc)
 		}
 		if got != want {
 			t.Fatalf("wire round trip changed the scenario hash\nin:  %s\nout: %s", data, enc)
 		}
+		if backVerdict := cs.Check(&backSc); (backVerdict == nil) != (verdict == nil) {
+			t.Fatalf("wire round trip changed the Check verdict: %v -> %v\nin:  %s\nout: %s", verdict, backVerdict, data, enc)
+		}
 	})
+}
+
+// nonFinite walks v and returns the path of its first NaN or infinite
+// float, or "" when every float is finite.
+func nonFinite(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return path
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := nonFinite(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := nonFinite(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			return nonFinite(v.Elem(), path)
+		}
+	}
+	return ""
 }

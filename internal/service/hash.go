@@ -77,7 +77,7 @@ func HashScenario(sc core.Scenario) (string, error) {
 	}
 	if len(sc.Partitions) > 0 {
 		// An explicit per-partition list makes the twin ignore the
-		// scenario-level workload knobs (core.Twin.partitionWorkloads),
+		// scenario-level workload knobs (core's partitionWorkloads),
 		// so normalize them out of the hash — spellings differing only
 		// in an ignored field share one cache entry, matching the
 		// implied-cooling normalization above. The replay dataset is

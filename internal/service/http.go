@@ -26,8 +26,10 @@ import (
 //	GET    /api/sweeps/{id}/stream  NDJSON: results streamed as they complete
 //	POST   /api/sweeps/{id}/cancel  cancel queued work
 //
-// Replay-dataset scenarios are not accepted over the wire (datasets are
-// submitted programmatically via Service.Submit).
+// Replay-dataset scenarios are not accepted over the wire: datasets are
+// submitted programmatically via Service.Submit, so a replay scenario
+// arriving here has none and core.CompiledSpec.Check refuses it with a
+// 400, like every other scenario no run could complete.
 
 // ScenarioRequest is the wire form of one scenario.
 type ScenarioRequest struct {
@@ -109,7 +111,8 @@ type SubmitRequest struct {
 	// are retried; a scenario that keeps overrunning is reported failed,
 	// not left running forever.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// MaxAttempts overrides the server's retry budget for this sweep.
+	// MaxAttempts lowers the server's retry budget for this sweep; a
+	// value above the server's own (-max-attempts) is a 400.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// SweepKey is the idempotency key (the Idempotency-Key header takes
 	// precedence): a resubmission carrying a key already bound to a

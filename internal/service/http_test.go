@@ -402,10 +402,12 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsInvalidScenario pins Scenario.Validate at the submit
-// boundary: a zero horizon, a horizon past a century, a negative tick or
-// an unknown engine is a 400 naming the field, and no sweep is registered — not a sweep that
-// is accepted and then fails every attempt on a worker.
+// TestHTTPRejectsInvalidScenario pins core.CompiledSpec.Check at the
+// submit boundary: a zero horizon, a horizon past a century, a negative
+// tick, an unknown engine, workload, policy or power mode, a hostile
+// generator, replay without a dataset, or a plant past the CDU-loop cap
+// is a 400 naming the field, and no sweep is registered — not a sweep
+// that is accepted and then fails every attempt on a worker.
 func TestHTTPRejectsInvalidScenario(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	srv := httptest.NewServer(svc.Handler())
@@ -421,6 +423,21 @@ func TestHTTPRejectsInvalidScenario(t *testing.T) {
 		"unknown engine": {`{"workload":"idle","horizon_sec":60,"engine":"sparse"}`, "engine"},
 		// Past a century the weather calendar time would wrap.
 		"horizon past a century": {`{"workload":"idle","horizon_sec":1e15,"tick_sec":1e14}`, "horizon_sec"},
+		"unknown workload":       {`{"workload":"foo","horizon_sec":60}`, "workload"},
+		"unknown partition workload": {
+			`{"workload":"idle","horizon_sec":60,"partitions":[{"workload":"foo"}]}`, "workload"},
+		"unknown policy":        {`{"workload":"idle","horizon_sec":60,"policy":"xyz"}`, "policy"},
+		"unknown power mode":    {`{"workload":"idle","horizon_sec":60,"power_mode":"bogus"}`, "power mode"},
+		"negative arrival mean": {`{"workload":"synthetic","horizon_sec":60,"generator":{"arrival_mean_sec":-1}}`, "arrival_mean_sec"},
+		// 86400 s at a 1e-4 s mean implies 8.6e8 jobs, past the 1e6 cap.
+		"runaway job count": {`{"workload":"synthetic","horizon_sec":86400,"generator":{"arrival_mean_sec":1e-4}}`, "arrival_mean_sec"},
+		// Datasets never cross the wire, so a wire replay has none.
+		"replay without dataset": {`{"workload":"replay","horizon_sec":60}`, "dataset"},
+		// Frontier's own design quantities, at 80× its 25 loops: a
+		// feasible plant, refused only by the loop cap.
+		"cdu loops past the cap": {`{"workload":"idle","horizon_sec":60,"cooling_spec":{"num_cdus":2000,"num_towers":5,` +
+			`"cells_per_tower":4,"num_fan_channels":16,"num_htwps":4,"num_ctwps":4,"num_ehx":5,"design_heat_mw":16,` +
+			`"design_wetbulb_c":20,"secondary_supply_c":32,"ct_supply_c":22,"primary_flow_gpm":5200,"tower_flow_gpm":9500}}`, "num_cdus"},
 	} {
 		body := `{"scenarios":[{"workload":"idle","horizon_sec":60},` + tc.sc + `]}`
 		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(body))
@@ -438,4 +455,40 @@ func TestHTTPRejectsInvalidScenario(t *testing.T) {
 	if n := len(svc.List()); n != 0 {
 		t.Errorf("%d sweeps registered after refused submissions, want 0", n)
 	}
+}
+
+// TestHTTPRejectsMaxAttemptsAboveBudget: a sweep may lower the server's
+// retry budget but not raise it — a huge max_attempts with a short
+// timeout would otherwise retry one scenario almost forever.
+func TestHTTPRejectsMaxAttemptsAboveBudget(t *testing.T) {
+	svc := New(Options{Workers: 1, MaxAttempts: 3})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+
+	for _, attempts := range []int{4, 2000000000} {
+		body := fmt.Sprintf(`{"max_attempts":%d,"scenarios":[{"workload":"idle","horizon_sec":60}]}`, attempts)
+		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "max_attempts") {
+			t.Errorf("max_attempts %d: status %d (%q), want 400 naming max_attempts", attempts, resp.StatusCode, eb.Error)
+		}
+	}
+	if n := len(svc.List()); n != 0 {
+		t.Fatalf("%d sweeps registered after refused submissions, want 0", n)
+	}
+	sw, err := svc.Submit(config.Frontier(), []core.Scenario{{Workload: core.WorkloadIdle, HorizonSec: 60}},
+		SweepOptions{MaxAttempts: 2})
+	if err != nil {
+		t.Fatalf("a budget below the server's was refused: %v", err)
+	}
+	if sw.maxAttempts != 2 {
+		t.Fatalf("sweep budget %d, want 2", sw.maxAttempts)
+	}
+	waitSweep(t, sw)
 }

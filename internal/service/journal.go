@@ -151,9 +151,10 @@ type RecoverStats struct {
 	// counts completed sweeps re-registered for status/results serving.
 	Adopted  int `json:"adopted"`
 	Finished int `json:"finished"`
-	// Terminal counts scenarios restored from journal records (plus the
-	// result store) without recompute; Requeued counts scenarios
-	// re-enqueued through the runner seam.
+	// Terminal counts scenarios settled without recompute: restored
+	// from journal records (plus the result store), or refused by
+	// core.CompiledSpec.Check and recorded failed; Requeued counts
+	// scenarios re-enqueued through the runner seam.
 	Terminal int `json:"terminal"`
 	Requeued int `json:"requeued"`
 }
@@ -293,11 +294,13 @@ func (s *Service) adoptFinished(e *store.JournalEntry) {
 // adoptIncomplete resumes a sweep the previous process died holding:
 // verify the manifest's hashes against a fresh compile (a journal from a
 // different code version must recompute, not serve stale keys), restore
-// journal-terminal scenarios whose results the store still holds, and
-// re-enqueue the rest through run() — the same dispatch loop a live
-// submission uses, runner seam and all. It is the one recovery path
-// that decodes the journal's payload; a payload that does not decode
-// rejects the journal rather than resume from partial data.
+// journal-terminal scenarios whose results the store still holds,
+// settle as failed (journaled, no attempt) any scenario the compiled
+// spec's Check refuses, and re-enqueue the rest through run() — the
+// same dispatch loop a live submission uses, runner seam and all. It is
+// the one recovery path that decodes the journal's payload; a payload
+// that does not decode rejects the journal rather than resume from
+// partial data.
 func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int, err error) {
 	m := &e.Manifest
 	specJSON, scenJSON, err := e.Payload()
@@ -373,14 +376,25 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 		}
 		applyRecord(sw, rec)
 	}
+	var refused []ScenarioStatus
 	for i := range sw.statuses {
-		if sw.statuses[i].Terminal() {
-			terminal++
-			restored = append(restored, sw.statuses[i])
-		} else {
-			requeued++
+		st := &sw.statuses[i]
+		if st.Terminal() {
+			restored = append(restored, *st)
+			continue
 		}
+		if err := compiled.Check(&scenarios[i]); err != nil {
+			// A scenario no run can complete (journaled by an older
+			// build, or edited on disk) settles failed here with no
+			// attempt: requeueing it would only spend its retry budget.
+			st.State = StateFailed
+			st.Error = fmt.Sprintf("service: scenario %d: %v", i, err)
+			refused = append(refused, *st)
+			continue
+		}
+		requeued++
 	}
+	terminal = len(restored) + len(refused)
 
 	// Re-enqueued scenarios bypass the MaxPending gate — shedding
 	// journaled work at startup would turn a restart into data loss —
@@ -403,6 +417,10 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 		// The restored scenarios' lifecycle spans re-emit with the
 		// journal tier so the trace explains why no compute happened.
 		sw.emitSpan(st.Index, st, tierJournal)
+	}
+	for _, st := range refused {
+		sw.appendJournal(st)
+		sw.emitSpan(st.Index, st, tierNone)
 	}
 	go sw.run(m.MaxConcurrent)
 	return requeued, terminal, nil

@@ -148,27 +148,21 @@ type sweepEvaluator struct {
 	studyID  string
 }
 
-// Evaluate runs one candidate batch. Per-candidate plant validation
-// happens here (Submit fails a whole sweep on one invalid CoolingSpec)
-// so an infeasible AutoCSM sizing becomes that candidate's infeasibility
-// verdict, not a study-fatal error.
+// Evaluate runs one candidate batch. A candidate the compiled spec's
+// Check refuses (an infeasible AutoCSM sizing, say) becomes that
+// candidate's infeasibility verdict, not a study-fatal error: Submit
+// fails a whole sweep on one refused scenario.
 func (e *sweepEvaluator) Evaluate(ctx context.Context, gen int, scenarios []core.Scenario) ([]optimize.Outcome, error) {
 	outs := make([]optimize.Outcome, len(scenarios))
 	valid := make([]int, 0, len(scenarios))
 	batch := make([]core.Scenario, 0, len(scenarios))
-	for i, sc := range scenarios {
-		if sc.CoolingSpec != nil {
-			if err := sc.CoolingSpec.Validate(); err != nil {
-				outs[i].Err = err.Error()
-				continue
-			}
-			if _, err := e.compiled.CoolingDesignFor(*sc.CoolingSpec); err != nil {
-				outs[i].Err = err.Error()
-				continue
-			}
+	for i := range scenarios {
+		if err := e.compiled.Check(&scenarios[i]); err != nil {
+			outs[i].Err = err.Error()
+			continue
 		}
 		valid = append(valid, i)
-		batch = append(batch, sc)
+		batch = append(batch, scenarios[i])
 	}
 	if len(batch) == 0 {
 		return outs, nil
@@ -233,6 +227,11 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 	compiled, err := s.compiledFor(spec)
 	if err != nil {
 		return nil, err
+	}
+	// Every candidate derives from the base, so a base no run can
+	// complete refuses the study instead of failing it later.
+	if err := compiled.Check(&base); err != nil {
+		return nil, fmt.Errorf("service: study base: %w", err)
 	}
 	specHash := compiled.Hash()
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -343,8 +344,10 @@ func TestStudyHTTPIgnoresRetiredGateKeys(t *testing.T) {
 	}
 }
 
-// TestStudyEvaluatorPerCandidateValidation: an invalid candidate plant
-// becomes that candidate's infeasibility, not a study-fatal error.
+// TestStudyEvaluatorPerCandidateValidation: a candidate the compiled
+// spec's Check refuses — an invalid plant, an unknown policy — becomes
+// that candidate's infeasibility, not a study-fatal error, and is never
+// simulated.
 func TestStudyEvaluatorPerCandidateValidation(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	compiled, err := core.Compile(config.Frontier())
@@ -354,16 +357,24 @@ func TestStudyEvaluatorPerCandidateValidation(t *testing.T) {
 	ev := &sweepEvaluator{svc: svc, spec: config.Frontier(), compiled: compiled, studyID: "opt-test"}
 	bad := synthScenario(9, 900)
 	bad.CoolingSpec = &config.CoolingSpec{NumCDUs: -1}
+	badPolicy := synthScenario(9, 900)
+	badPolicy.Policy = "xyz"
 	good := synthScenario(9, 900)
-	outs, err := ev.Evaluate(context.Background(), 0, []core.Scenario{bad, good})
+	outs, err := ev.Evaluate(context.Background(), 0, []core.Scenario{bad, badPolicy, good})
 	if err != nil {
 		t.Fatalf("batch failed wholesale: %v", err)
 	}
-	if outs[0].Err == "" || outs[0].Report != nil {
-		t.Fatalf("invalid candidate outcome: %+v", outs[0])
+	for i, want := range []string{"num_cdus", "policy"} {
+		if !strings.Contains(outs[i].Err, want) || outs[i].Report != nil {
+			t.Fatalf("invalid candidate %d outcome: %+v, want an error naming %s", i, outs[i], want)
+		}
 	}
-	if outs[1].Err != "" || outs[1].Report == nil {
-		t.Fatalf("valid candidate outcome: %+v", outs[1])
+	if outs[2].Err != "" || outs[2].Report == nil {
+		t.Fatalf("valid candidate outcome: %+v", outs[2])
+	}
+	// Refused candidates never reach the pool: one attempt in all.
+	if m := svc.misses.Value(); m != 1 {
+		t.Fatalf("%d simulation attempts, want 1 (the valid candidate)", m)
 	}
 }
 
@@ -429,6 +440,39 @@ func TestSetpointStudyAtPartLoad(t *testing.T) {
 		t.Errorf("best aux %v MW does not beat the baseline %v MW", got, baseline)
 	}
 	t.Logf("baseline %.12f MW, best %.12f MW at %v", baseline, res.Best.Objectives["aux_mw"], res.Best.Params)
+}
+
+// TestStudyHTTPRejectsInvalidBase: a base scenario no run can complete
+// — a zero horizon, or a partition list that does not match the spec —
+// refuses the study with 400 at submission, as POST /api/sweeps refuses
+// the same scenario, instead of accepting a study that then fails.
+func TestStudyHTTPRejectsInvalidBase(t *testing.T) {
+	svc := New(Options{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	study := `{"knobs":[{"name":"scenario.wetbulb_c","min":1,"max":10,"step":1}],"population":4,"generations":1}`
+	for name, tc := range map[string]struct{ base, want string }{
+		"zero horizon": {`{"workload":"idle","horizon_sec":0}`, "horizon_sec"},
+		"three partitions on frontier": {
+			`{"workload":"idle","horizon_sec":900,"partitions":[{"workload":"idle"},{"workload":"idle"},{"workload":"idle"}]}`,
+			"partition"},
+	} {
+		body := `{"base":` + tc.base + `,"study":` + study + `}`
+		resp, err := http.Post(srv.URL+"/api/optimize", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, tc.want) {
+			t.Errorf("%s: status %d (%q), want 400 naming %s", name, resp.StatusCode, eb.Error, tc.want)
+		}
+	}
+	if n := len(svc.ListStudies()); n != 0 {
+		t.Fatalf("%d studies registered after refused submissions, want 0", n)
+	}
 }
 
 // TestStudyHTTPRejectsOversizedStudy: a population no generation could

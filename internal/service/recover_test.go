@@ -9,6 +9,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,6 +22,120 @@ import (
 	"exadigit/internal/core"
 	"exadigit/internal/store"
 )
+
+// journalRefusedSweep writes, straight into the store, the journal of
+// an incomplete Frontier sweep over scenarios, as a build that admitted
+// them would have left it when killed before any finished. It returns
+// the sweep id.
+func journalRefusedSweep(t *testing.T, st *store.Store, scenarios []core.Scenario, maxAttempts int) string {
+	t.Helper()
+	spec := config.Frontier()
+	specHash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]ScenarioRequest, len(scenarios))
+	hashes := make([]string, len(scenarios))
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		if reqs[i], err = ScenarioRequestFrom(sc); err != nil {
+			t.Fatal(err)
+		}
+		if hashes[i], err = HashScenario(sc); err != nil {
+			t.Fatal(err)
+		}
+		names[i] = sc.Name
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenJSON, err := json.Marshal(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := newSweepID()
+	j, err := st.CreateJournal(&store.SweepManifest{
+		ID: id, Name: "refused", SpecHash: specHash, ScenarioHashes: hashes, Names: names,
+		SpecJSON: specJSON, ScenariosJSON: scenJSON, MaxAttempts: maxAttempts,
+		CreatedUnixNano: time.Now().UnixNano(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Detach()
+	return id
+}
+
+// TestRecoverSettlesRefusedScenario: an incomplete journaled sweep that
+// holds a scenario the compiled spec's Check refuses (a zero horizon,
+// journaled by an older build or edited on disk) resumes with that
+// scenario failed at recovery — no attempt, no cache miss, no retry —
+// while the rest finish; the failure is journaled, so a second restart
+// still reads it. The manifest's oversized retry budget is clamped to
+// the server's.
+func TestRecoverSettlesRefusedScenario(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := synthScenario(953, 900)
+	bad.Name, bad.HorizonSec = "zero-horizon", 0
+	scenarios := []core.Scenario{synthScenario(951, 900), bad, synthScenario(952, 900)}
+	scenarios[2].Name = "synth-2"
+	id := journalRefusedSweep(t, st1, scenarios, 2000000000)
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	stats, err := svc2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Adopted != 1 || stats.Terminal != 1 || stats.Requeued != 2 {
+		t.Fatalf("recover stats %+v, want 1 adopted with 1 terminal and 2 requeued", stats)
+	}
+	sw, ok := svc2.Sweep(id)
+	if !ok {
+		t.Fatalf("sweep %s not recovered", id)
+	}
+	if sw.maxAttempts != 3 {
+		t.Fatalf("recovered retry budget %d, want the server's 3", sw.maxAttempts)
+	}
+	final := waitSweep(t, sw)
+	refused := final.Scenarios[1]
+	if refused.State != StateFailed || refused.Attempts != 0 || !strings.Contains(refused.Error, "horizon_sec") {
+		t.Fatalf("refused scenario after recovery: %+v, want failed with 0 attempts naming horizon_sec", refused)
+	}
+	if final.Done != 2 || final.Failed != 1 {
+		t.Fatalf("resumed sweep final status %+v, want 2 done + 1 failed", final)
+	}
+	if m, r := svc2.misses.Value(), svc2.retries.Value(); m != 2 || r != 0 {
+		t.Fatalf("cache misses %d, retries %d after recovery; want 2 and 0 (the refused scenario never ran)", m, r)
+	}
+
+	st3, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc3 := New(chaosOptions(st3))
+	if stats, err := svc3.Recover(); err != nil || stats.Finished != 1 {
+		t.Fatalf("second restart: stats %+v, err %v; want the sweep recovered finished", stats, err)
+	}
+	sw3, ok := svc3.Sweep(id)
+	if !ok {
+		t.Fatalf("sweep %s not recovered after the second restart", id)
+	}
+	if got := sw3.Status().Scenarios[1]; got.State != StateFailed || got.Attempts != 0 || got.Error != refused.Error {
+		t.Fatalf("refused scenario after the second restart: %+v, want %+v", got, refused)
+	}
+	if m := svc3.misses.Value(); m != 0 {
+		t.Fatalf("second restart ran %d attempts", m)
+	}
+}
 
 // scenarioNames lists a status's per-scenario display names.
 func scenarioNames(st SweepStatus) []string {

@@ -392,8 +392,8 @@ type SweepOptions struct {
 	// ScenarioTimeout overrides the service's per-attempt deadline for
 	// this sweep (0 → Options.ScenarioTimeout).
 	ScenarioTimeout time.Duration
-	// MaxAttempts overrides the service's retry budget for this sweep
-	// (0 → Options.MaxAttempts).
+	// MaxAttempts lowers the service's retry budget for this sweep
+	// (0 → Options.MaxAttempts; a value above it is refused at submit).
 	MaxAttempts int
 	// Key is a client-supplied idempotency key: a submission carrying a
 	// key already bound to a live or journaled sweep returns that sweep
@@ -585,6 +585,10 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	if len(scenarios) == 0 {
 		return nil, false, fmt.Errorf("service: sweep needs at least one scenario")
 	}
+	if opts.MaxAttempts > s.maxAttempts {
+		return nil, false, fmt.Errorf("service: max_attempts %d exceeds the server's retry budget of %d",
+			opts.MaxAttempts, s.maxAttempts)
+	}
 	compileStart := time.Now()
 	compiled, err := s.compiledFor(spec)
 	if err != nil {
@@ -593,49 +597,21 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	compileSec := time.Since(compileStart).Seconds()
 	hashes := make([]string, len(scenarios))
 	names := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		if err := sc.Validate(); err != nil {
+	for i := range scenarios {
+		sc := &scenarios[i]
+		if err := compiled.Check(sc); err != nil {
 			return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
 		}
-		if hashes[i], err = HashScenario(sc); err != nil {
+		// A coordinator cannot ship a replay dataset (every replay
+		// scenario Check accepts carries one) to a remote worker.
+		if s.runner != nil && sc.Dataset != nil {
+			return nil, false, fmt.Errorf("service: scenario %d: replay scenarios cannot be dispatched to remote workers", i)
+		}
+		if hashes[i], err = HashScenario(*sc); err != nil {
 			return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
 		}
 		if names[i] = sc.Name; names[i] == "" {
 			names[i] = string(sc.Workload)
-		}
-		// Per-partition workload lists must cover the spec's partitions,
-		// and replay — programmatic-only, never valid per partition — is
-		// knowable now; catching both here fails the submission instead
-		// of a worker mid-sweep.
-		if n := len(sc.Partitions); n != 0 && n != len(spec.Partitions) {
-			return nil, false, fmt.Errorf("service: scenario %d: %d partition workloads for a %d-partition spec",
-				i, n, len(spec.Partitions))
-		}
-		for p := range sc.Partitions {
-			if sc.Partitions[p].Workload == core.WorkloadReplay {
-				return nil, false, fmt.Errorf("service: scenario %d: partition %d: replay is not a per-partition workload", i, p)
-			}
-		}
-		// A coordinator cannot ship replay datasets to a remote worker
-		// (they are programmatic-only and never cross the wire), so the
-		// rejection belongs here, not mid-sweep on a worker.
-		if s.runner != nil && (sc.Dataset != nil || sc.Workload == core.WorkloadReplay) {
-			return nil, false, fmt.Errorf("service: scenario %d: replay scenarios cannot be dispatched to remote workers", i)
-		}
-		// Resolve each cooled scenario's plant design up front (they are
-		// cached and shared with the run), so an invalid or infeasible
-		// CoolingSpec fails the submission instead of a worker mid-sweep.
-		if sc.CoolingSpec != nil {
-			if err := sc.CoolingSpec.Validate(); err != nil {
-				return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
-			}
-			if _, err := compiled.CoolingDesignFor(*sc.CoolingSpec); err != nil {
-				return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
-			}
-		} else if sc.Cooling {
-			if _, err := compiled.CoolingDesign(); err != nil {
-				return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
-			}
 		}
 	}
 	// Admission control: an overloaded queue refuses the sweep up front
@@ -704,7 +680,9 @@ func (s *Service) newSweep(opts SweepOptions, specHash string, hashes, names []s
 	if opts.ScenarioTimeout <= 0 {
 		opts.ScenarioTimeout = s.scenarioTimeout
 	}
-	if opts.MaxAttempts <= 0 {
+	if opts.MaxAttempts <= 0 || opts.MaxAttempts > s.maxAttempts {
+		// Submission refuses a budget above the server's; a recovered
+		// manifest's is clamped to it.
 		opts.MaxAttempts = s.maxAttempts
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -301,19 +302,21 @@ func TestPerSweepConcurrencyLimit(t *testing.T) {
 }
 
 // TestNegativeArrivalMeanFailsFast: a hostile generator config submitted
-// through the service must fail the scenario, not hang a pool worker in
-// an unbounded generation loop.
+// through the service is refused at submit — no sweep is registered and
+// no pool worker ever runs (or retries) the unbounded generation loop.
 func TestNegativeArrivalMeanFailsFast(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	sc := synthScenario(1, 3600)
 	sc.Generator.ArrivalMeanSec = -1
-	sw, err := svc.Submit(config.Frontier(), []core.Scenario{sc}, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
+	_, err := svc.Submit(config.Frontier(), []core.Scenario{sc}, SweepOptions{})
+	if err == nil || !strings.Contains(err.Error(), "arrival_mean_sec") {
+		t.Fatalf("negative arrival mean: Submit error %v, want a refusal naming arrival_mean_sec", err)
 	}
-	st := waitSweep(t, sw)
-	if st.Failed != 1 {
-		t.Fatalf("negative arrival mean should fail the scenario: %+v", st)
+	if n := len(svc.List()); n != 0 {
+		t.Fatalf("%d sweeps registered after a refused submission", n)
+	}
+	if m := svc.misses.Value(); m != 0 {
+		t.Fatalf("refused scenario ran %v attempts", m)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // Blobs live under dir/models/ — "models" is not a hex string, so the
 // startup entry scan (which only descends into validKey directories)
 // never confuses the blob area with spec-hash result directories.
-// Writes use the same atomic idiom as result entries: temp file in the
-// destination directory, fsync, rename.
+// Writes go through writeAtomic, as result entries and journals do.
 
 // blobDir is the subdirectory blobs live in.
 const blobDir = "models"
@@ -53,33 +52,13 @@ func (s *Store) PutBlob(name string, data []byte) error {
 	if !validBlobName(name) {
 		return fmt.Errorf("store: put blob: invalid name %q", name)
 	}
-	dir := filepath.Join(s.dir, blobDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: put blob: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
+	err := writeAtomic(s.BlobPath(name), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: put blob: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
 		return fmt.Errorf("store: put blob %s: %w", name, err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: put blob %s: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: put blob %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), s.BlobPath(name)); err != nil {
-		return fmt.Errorf("store: put blob %s: %w", name, err)
-	}
-	tmp = nil // renamed away; skip the cleanup defer
 	return nil
 }
 

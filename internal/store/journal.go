@@ -178,48 +178,27 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 	if m == nil || !ValidSweepID(m.ID) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", idOf(m))
 	}
-	dir := filepath.Join(s.dir, journalDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+m.ID+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	hdr := *m
-	hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
-	enc := json.NewEncoder(tmp)
-	err = enc.Encode(journalLine{Type: "sweep", Sweep: &hdr})
-	if err == nil {
-		err = enc.Encode(journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
-	}
-	for i := 0; i < len(recs) && err == nil; i++ {
-		err = enc.Encode(journalLine{Type: "scenario", Scenario: &recs[i]})
-	}
-	sealed := coversAll(m.ScenarioHashes, recs)
-	if sealed && err == nil {
-		err = enc.Encode(journalLine{Type: "end", Disposition: "complete"})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
 	path := s.journalPath(m.ID)
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	sealed := coversAll(m.ScenarioHashes, recs)
+	err := writeAtomic(path, func(f *os.File) error {
+		hdr := *m
+		hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
+		enc := json.NewEncoder(f)
+		err := enc.Encode(journalLine{Type: "sweep", Sweep: &hdr})
+		if err == nil {
+			err = enc.Encode(journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
+		}
+		for i := 0; i < len(recs) && err == nil; i++ {
+			err = enc.Encode(journalLine{Type: "scenario", Scenario: &recs[i]})
+		}
+		if sealed && err == nil {
+			err = enc.Encode(journalLine{Type: "end", Disposition: "complete"})
+		}
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
 	}
-	tmp = nil
 	if sealed {
 		return &SweepJournal{s: s, path: path, sealed: true}, nil
 	}

@@ -349,43 +349,25 @@ func (s *Store) put(specHash, scenHash string, res *core.Result) error {
 	if res == nil {
 		return fmt.Errorf("store: put: nil result")
 	}
-	specDir := filepath.Join(s.dir, specHash)
-	if err := os.MkdirAll(specDir, 0o755); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	tmp, err := os.CreateTemp(specDir, "."+scenHash+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
+	var size int64
+	err := writeAtomic(s.EntryPath(specHash, scenHash), func(f *os.File) error {
+		bw := bufio.NewWriter(f)
+		if err := writeEntry(bw, specHash, scenHash, res); err != nil {
+			return err
 		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	if err := writeEntry(bw, specHash, scenHash, res); err != nil {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		size = fi.Size()
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("store: put %s/%s: %w", specHash, scenHash, err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	size := fi.Size()
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	path := s.EntryPath(specHash, scenHash)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	tmp = nil // renamed away; skip the cleanup defer
 
 	key := specHash + "/" + scenHash
 	s.mu.Lock()
@@ -396,6 +378,35 @@ func (s *Store) put(specHash, scenHash string, res *core.Result) error {
 	s.bytes += size
 	s.mu.Unlock()
 	return nil
+}
+
+// writeAtomic replaces path's content with what write puts in the file
+// it is handed, in full or not at all: a temp file in path's directory
+// (created if missing) is written, fsynced, closed and renamed over
+// path, and removed on any failure.
+func writeAtomic(path string, write func(f *os.File) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
 }
 
 func writeEntry(w io.Writer, specHash, scenHash string, res *core.Result) error {

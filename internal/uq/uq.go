@@ -10,7 +10,6 @@ package uq
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -19,6 +18,7 @@ import (
 	"exadigit/internal/job"
 	"exadigit/internal/power"
 	"exadigit/internal/raps"
+	"exadigit/internal/stats"
 )
 
 // Perturbation bounds one model parameter's relative uncertainty.
@@ -175,43 +175,16 @@ func runMember(cfg Config, perts []Perturbation, factors []float64, baseJobs fun
 	return sim.Run(cfg.HorizonSec)
 }
 
+// interval summarizes one report metric over the ensemble. The values
+// are sorted first, so the mean sums them in ascending order.
 func interval(reports []*raps.Report, f func(*raps.Report) float64) Interval {
 	vals := make([]float64, len(reports))
 	for i, r := range reports {
 		vals[i] = f(r)
 	}
 	sort.Float64s(vals)
-	var iv Interval
-	n := float64(len(vals))
-	for _, v := range vals {
-		iv.Mean += v
-	}
-	iv.Mean /= n
-	for _, v := range vals {
-		d := v - iv.Mean
-		iv.Std += d * d
-	}
-	if len(vals) > 1 {
-		iv.Std = math.Sqrt(iv.Std / n)
-	} else {
-		iv.Std = 0
-	}
-	iv.P05 = quantile(vals, 0.05)
-	iv.P95 = quantile(vals, 0.95)
-	return iv
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	s, _ := stats.Summarize(vals) // Run has at least one member
+	return Interval{Mean: s.Mean, Std: s.Std, P05: s.P05, P95: s.P95}
 }
 
 func clamp01(v float64) float64 {

@@ -133,3 +133,48 @@ func TestIntervalQuantiles(t *testing.T) {
 		t.Error("quantiles out of order")
 	}
 }
+
+// TestEnsembleIntervalsPinned pins seeded ensemble intervals bit for bit
+// (a loaded 8-member and an idle 5-member ensemble): the interval
+// statistics come from stats.Summarize over the sorted member values,
+// and any change to their arithmetic or summation order shows here.
+func TestEnsembleIntervalsPinned(t *testing.T) {
+	load := func() []*job.Job {
+		j := job.New(1, "load", 8000, 600, 0)
+		j.CPUTrace = job.FlatTrace(0.8, 600)
+		j.GPUTrace = job.FlatTrace(0.8, 600)
+		return []*job.Job{j}
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		jobs func() []*job.Job
+		want [5][4]uint64 // power, energy, loss, eta, CO2: mean, std, p05, p95
+	}{
+		{Config{Members: 8, Seed: 3, HorizonSec: 300, TickSec: 15}, load, [5][4]uint64{
+			{0x403548d98efd4c64, 0x3fc5bea69132b536, 0x40350bd72941f58b, 0x403586ebdea5ee15},
+			{0x3ffc612213fc65dc, 0x3f8cfe336c439c11, 0x3ffc0fc98c57f210, 0x3ffcb3e528dd3d72},
+			{0x3ff3dd6bdba08d44, 0x3fc5d839c99d7cb9, 0x3feffd17df4cb550, 0x3ff7b04760c4b872},
+			{0x3fee0f9a50ee07df, 0x3f800dac96155dbd, 0x3fedb66ba2bc414a, 0x3fee6b444c232424},
+			{0x3fe75c91f529a30a, 0x3f88620d6bea881c, 0x3fe6d3525bd05fc3, 0x3fe7e6f4d6da728e},
+		}},
+		{Config{Members: 5, Seed: 11, HorizonSec: 300, TickSec: 15}, nil, [5][4]uint64{
+			{0x401cea4a1666bc96, 0x3f93cd79e472cc39, 0x401cd9315b5e0ba8, 0x401d0800799524be},
+			{0x3fe346dc0eef2865, 0x3f5a674d30990f98, 0x3fe33b763ce95d1c, 0x3fe35aaafbb8c329},
+			{0x3fdef97194cd30d2, 0x3f9d3de060a27ddf, 0x3fdc3da46e44a442, 0x3fe061abb0da7a3a},
+			{0x3fed962835b31833, 0x3f71b307c24c3f9e, 0x3fed74cafa594163, 0x3fedcb89e0f94b38},
+			{0x3fd01f005bd4be65, 0x3f598b7027f887c2, 0x3fcffcbf9aa87cca, 0x3fd03f817616a399},
+		}},
+	} {
+		res, err := Run(tc.cfg, tc.jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, iv := range []Interval{res.PowerMW, res.EnergyMWh, res.LossMW, res.EtaSystem, res.CO2Tons} {
+			got := [4]uint64{math.Float64bits(iv.Mean), math.Float64bits(iv.Std),
+				math.Float64bits(iv.P05), math.Float64bits(iv.P95)}
+			if got != tc.want[k] {
+				t.Errorf("%d members, seed %d, interval %d: %#x, want %#x", tc.cfg.Members, tc.cfg.Seed, k, got, tc.want[k])
+			}
+		}
+	}
+}
