@@ -70,7 +70,7 @@ check: vet metrics-lint
 	$(GO) -C bench vet ./...
 	test -z "$$(gofmt -l .)"
 
-# Fuzz eight trust boundaries and the power engine, 15 s each:
+# Fuzz nine trust boundaries and the power engine, 15 s each:
 #   - the strict exposition parser every metrics test reads counters
 #     through: no panic on arbitrary bytes, and a rendered registry
 #     parses back to exactly the values written;
@@ -78,7 +78,8 @@ check: vet metrics-lint
 #     panic, and an accepted model predicts and round-trips;
 #   - the cluster wire a coordinator ships scenarios over: no panic, and
 #     a scenario's wire form decodes back to the same content hash;
-#   - the power engine: any slot-operation sequence matches Compute;
+#   - the power engine: any slot-operation sequence matches Compute,
+#     with one conversion chain and with several in lockstep;
 #   - the sweep-journal scanner: no panic, an unreadable header is
 #     quarantined, and every kept record fits its manifest;
 #   - the result-entry reader: no panic, and an accepted entry starts
@@ -90,19 +91,23 @@ check: vet metrics-lint
 #     dataset survives WriteStream then ReadStream unchanged;
 #   - the study-spec decode behind POST /api/optimize: no panic, an
 #     accepted study is bounded, and every first-population candidate
-#     is finite and inside its knob's range.
+#     is finite and inside its knob's range;
+#   - a scenario's cooling spec through AutoCSM to the plant: no panic,
+#     and an accepted spec steps its plant to finite outputs.
 # The seed corpora live under
-# internal/{obs,surrogate,service,power,store,telemetry,optimize}/testdata/fuzz.
+# internal/{obs,surrogate,service,power,store,telemetry,optimize,autocsm}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzScenarioRequestRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalMatchesCompute$$' -fuzztime 15s
+	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalChainsMatchCompute$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadLease$$' -fuzztime 15s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 15s
 	$(GO) test ./internal/optimize/ -run '^$$' -fuzz '^FuzzStudySpec$$' -fuzztime 15s
+	$(GO) test ./internal/autocsm/ -run '^$$' -fuzz '^FuzzCoolingSpec$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

@@ -131,6 +131,9 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	cfg.SecLoopK = secLoopK
 	cfg.SecDPSetPa = secDPSetPa
 	cfg.SecVolumeKg = math.Max(200, 600*heatPerCDU/640e3)
+	if err := sized(&cfg, "design_heat_mw"); err != nil {
+		return cfg, err
+	}
 
 	// Temperatures at the design point.
 	mdotPrimPerCDU := rho * qPrimTotal / float64(spec.NumCDUs)
@@ -176,6 +179,9 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	cfg.HTWHeaderSetPa = htwHeaderDPPa
 	cfg.HTWLoopK = htwPipeK
 	cfg.HTWVolumeKg = math.Max(5000, 25000*spec.DesignHeatMW/16)
+	if err := sized(&cfg, "primary_flow_gpm"); err != nil {
+		return cfg, err
+	}
 
 	// EHX bank: HTW return (hot) against CTW supply (cold).
 	mdotHTWPerEHX := rho * qPrimTotal / float64(spec.NumEHX)
@@ -220,6 +226,9 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 		LoadExp:     0.35,
 		FanPowerMax: 30e3 * (mdotPerCell / 30),
 	}
+	if err := sized(&cfg, "tower_flow_gpm"); err != nil {
+		return cfg, err
+	}
 	cfg.CTSupplySetC = spec.CTSupplyC
 	cfg.StaticPressPa = 170e3
 
@@ -244,6 +253,21 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	cfg.ControlDtS = 1
 
 	return cfg, cfg.Validate()
+}
+
+// sized refuses the sizing step just taken when it left a plant value
+// non-finite: field, the design quantity the step sizes from, is finite
+// but extreme (a 1e-300 MW heat load sizes an infinite loop resistance,
+// a 1e308 gpm tower flow an infinite fan power).
+func sized(cfg *cooling.Config, field string) error {
+	if bad := cfg.NonFinite(); bad != "" {
+		return fmt.Errorf("autocsm: %w", &config.FieldError{
+			Field:      field,
+			Constraint: fmt.Sprintf("out of range: the plant sized from it has a non-finite %s", bad),
+			Suggestion: "use a value within the plant's physical range",
+		})
+	}
+	return nil
 }
 
 // sizeCounterflowUA returns the UA (W/°C) a counterflow exchanger needs to

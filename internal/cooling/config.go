@@ -17,7 +17,9 @@ package cooling
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -351,7 +353,36 @@ func (c Config) Validate() error {
 		c.HeatTolFrac < 0 || c.WetBulbTolC < 0 || c.MaxHoldS < 0 {
 		return fmt.Errorf("cooling: solver tolerances must be non-negative")
 	}
+	if field := c.NonFinite(); field != "" {
+		return fmt.Errorf("cooling: %s must be finite", field)
+	}
 	return nil
+}
+
+// NonFinite names the first field of the config, nested fields dotted
+// (e.g. "Tower.FanPowerMax"), that holds NaN or ±Inf, or returns "".
+func (c Config) NonFinite() string {
+	return nonFinite(reflect.ValueOf(c), "")
+}
+
+func nonFinite(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Float64:
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return path
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			if p := nonFinite(v.Field(i), name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 // TotalCells returns the number of independent tower cells.

@@ -2,6 +2,7 @@ package cooling
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"exadigit/internal/units"
@@ -55,6 +56,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(bad); err == nil {
 		t.Error("New must reject invalid config")
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: every float of the config,
+// nested ones included, must be finite, and the refusal names the field.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	for field, set := range map[string]func(*Config){
+		"SecLoopK":          func(c *Config) { c.SecLoopK = math.Inf(1) },
+		"Tower.FanPowerMax": func(c *Config) { c.Tower.FanPowerMax = math.Inf(1) },
+		"SecPump.H2":        func(c *Config) { c.SecPump.H2 = math.NaN() },
+		"MaxHoldS":          func(c *Config) { c.MaxHoldS = math.Inf(1) },
+	} {
+		c := Frontier()
+		set(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Validate = %v, want a refusal naming the field", field, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sync"
 	"time"
 
@@ -318,8 +319,48 @@ func (tw *Twin) Run(sc Scenario) (*Result, error) {
 // scenarios) and returns the context's error. This is the run path the
 // sweep service drives, so a cancelled sweep stops paying for its
 // in-flight days. A scenario CompiledSpec.Check refuses fails before any
-// work, with Check's error.
+// work, with Check's error. It is RunLockstep of the one scenario.
 func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
+	res, err := tw.RunLockstep(ctx, []Scenario{sc})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// CanLockstep reports whether sc may share a lockstep run with its
+// power-mode siblings: an uncooled event-engine scenario with no
+// telemetry writer whose result is its report alone (NoExport and
+// NoHistory). The plant's heat, the samples and the export differ by
+// power mode, and the dense engine is the reference path.
+func (sc *Scenario) CanLockstep() bool {
+	return !sc.Cooling && sc.CoolingSpec == nil && sc.Engine != "dense" &&
+		sc.TelemetryTo == nil && sc.NoExport && sc.NoHistory
+}
+
+// ModeSiblings reports whether a and b can run in lockstep: both
+// CanLockstep and they differ at most in power mode and name, which
+// labels a result but does not change the run.
+func ModeSiblings(a, b *Scenario) bool {
+	if !a.CanLockstep() || !b.CanLockstep() {
+		return false
+	}
+	x, y := *a, *b
+	x.Name, x.PowerMode = "", ""
+	y.Name, y.PowerMode = "", ""
+	return reflect.DeepEqual(x, y)
+}
+
+// RunLockstep executes scenarios that are ModeSiblings of the first as
+// one run: one job stream, one schedule and one event loop, with each
+// scenario's power mode evaluated as its own conversion chain over the
+// shared power slots. It returns one Result per scenario, in order, each
+// with the Report its own RunContext would give bit for bit; WallSec is
+// the whole run's. Cancellation and refusals are as for RunContext.
+func (tw *Twin) RunLockstep(ctx context.Context, scs []Scenario) ([]*Result, error) {
+	if len(scs) == 0 {
+		return nil, fmt.Errorf("core: lockstep run needs a scenario")
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -333,7 +374,8 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 		tw.compiled = cs
 	}
 	start := time.Now()
-	design, err := tw.compiled.check(&sc)
+	sc := &scs[0]
+	design, err := tw.compiled.check(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -341,9 +383,24 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts, err := tw.buildPartitions(&sc, models)
+	parts, err := tw.buildPartitions(sc, models)
 	if err != nil {
 		return nil, err
+	}
+	for k := 1; k < len(scs); k++ {
+		if !ModeSiblings(sc, &scs[k]) {
+			return nil, fmt.Errorf("core: lockstep scenario %d is not a power-mode sibling of scenario 0", k)
+		}
+		mk, err := tw.compiled.Models(scs[k].PowerMode)
+		if err != nil {
+			return nil, err
+		}
+		for p := range parts {
+			if k == 1 {
+				parts[p].Chains = []power.ConversionChain{models[p].Chain}
+			}
+			parts[p].Chains = append(parts[p].Chains, mk[p].Chain)
+		}
 	}
 	rcfg := raps.DefaultConfig()
 	if sc.TickSec > 0 {
@@ -359,7 +416,7 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	rcfg.NoHistory = sc.NoHistory
 	rcfg.EnableCooling = design != nil
 	rcfg.CoolingDesign = design
-	rcfg.WetBulbC = tw.wetBulbFunc(&sc)
+	rcfg.WetBulbC = tw.wetBulbFunc(sc)
 
 	name := sc.Name
 	if name == "" {
@@ -380,7 +437,7 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sim.RunContext(ctx, sc.HorizonSec)
+	_, err = sim.RunContext(ctx, sc.HorizonSec)
 	// Publish after the tick loop stops (even on error/abort): the
 	// dashboard serves the most recent settled run, and partial state of
 	// an aborted run stays inspectable via Simulation().
@@ -394,16 +451,19 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 			return nil, fmt.Errorf("core: telemetry stream: %w", err)
 		}
 	}
-	res := &Result{
-		Scenario: sc,
-		Report:   rep,
-		History:  sim.History(),
+	reports := sim.Reports()
+	out := make([]*Result, len(scs))
+	for k := range scs {
+		out[k] = &Result{Scenario: scs[k], Report: reports[k], History: sim.History()}
 	}
 	if !sc.NoExport {
-		res.Dataset = sim.ExportTelemetry(name)
+		out[0].Dataset = sim.ExportTelemetry(name)
 	}
-	res.WallSec = time.Since(start).Seconds()
-	return res, nil
+	wall := time.Since(start).Seconds()
+	for _, res := range out {
+		res.WallSec = wall
+	}
+	return out, nil
 }
 
 func (tw *Twin) wetBulbFunc(sc *Scenario) func(float64) float64 {

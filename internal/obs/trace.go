@@ -29,6 +29,10 @@ type AttemptSpan struct {
 	Outcome string `json:"outcome"`
 	// Error carries the attempt's failure message for non-ok outcomes.
 	Error string `json:"error,omitempty"`
+	// Lockstep is the size of the lockstep group this attempt ran in —
+	// power-mode siblings simulated as one run, so RunSec covers all of
+	// them; omitted for a scenario that ran alone.
+	Lockstep int `json:"lockstep,omitempty"`
 }
 
 // Span is one scenario's recorded lifecycle.

@@ -38,3 +38,26 @@ func FuzzIncrementalMatchesCompute(f *testing.F) {
 		h.check()
 	})
 }
+
+// FuzzIncrementalChainsMatchCompute is FuzzIncrementalMatchesCompute
+// for an engine evaluating one to three conversion chains in lockstep
+// (modes drawn from the input, repeats allowed): every chain must match
+// Compute under its own mode's model after the operations. The seed
+// corpus under testdata/fuzz holds recorded sequences on both small
+// machines with two and three chains, and the empty input.
+func FuzzIncrementalChainsMatchCompute(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := byteChoices(data)
+		topos := slotTopologies()[1:]
+		topo := topos[c.intn(len(topos))]
+		modes := make([]Mode, 1+c.intn(3))
+		for k := range modes {
+			modes[k] = Mode(c.intn(3))
+		}
+		h := newSlotHarness(t, topo, modes...)
+		for i := 0; i < 64 && len(c) > 0; i++ {
+			h.step(&c)
+		}
+		h.check()
+	})
+}

@@ -23,6 +23,14 @@ package power
 // sums to a fixed left fold of that slot's value, so each slot memoises
 // one such chassis's result and further uniform chassis copy it.
 //
+// The engine can evaluate several conversion chains in lockstep over
+// the same slots (NewIncrementalChains): the slot values, dirty list,
+// node-order folds and uniform memo sums are shared, and only the
+// per-chassis conversion result, the re-aggregation and the SystemPower
+// are kept per chain. Each chain's SystemPower is bit-identical to an
+// engine built for that chain alone; NewIncremental is the one-chain
+// case.
+//
 // A Slot returned by Assign is valid until its last node leaves it —
 // released to idle, or moved onto another slot by a later Assign — after
 // which the engine may hand the same Slot to a new allocation.
@@ -32,6 +40,9 @@ package power
 // reference implementation; the equivalence is pinned by tests.
 type Incremental struct {
 	m *Model
+	// chains are the conversion chains evaluated over the shared slots;
+	// chain k's aggregates are sp[k].
+	chains []ConversionChain
 
 	// nodeSlot maps a node index to the slot holding its value;
 	// nodeChassis maps it to its chassis.
@@ -47,6 +58,12 @@ type Incremental struct {
 
 	chassis   []chassisCache
 	dirtyList []int
+	// The first chain's conversion results live in the chassis caches
+	// and slot memos; more holds every further chain's, chassis-major
+	// (more[c*(K-1)+k-1] for chain k of K), and memoMore the slot memos'
+	// the same way. A one-chain engine keeps both empty.
+	more     []ChassisResult
+	memoMore []ChassisResult
 
 	// chassisMark[c] == mark when chassis c is already on the chassis
 	// list of the slot being assigned.
@@ -57,7 +74,7 @@ type Incremental struct {
 	// from the seeding reference Compute so they match it bit-for-bit.
 	ramW, nvmeW, nicW float64
 
-	sp SystemPower
+	sp []SystemPower
 }
 
 // Slot identifies one value in an Incremental's slot table: the
@@ -72,15 +89,15 @@ type slotState struct {
 	// chassis lists, once each, every chassis a node landed in when the
 	// slot was assigned; Update marks exactly these dirty.
 	chassis []int32
-	// memo is one full uniform chassis's result at the slot's value,
-	// valid while memoOK; cleared when the value changes or the slot is
-	// reused.
+	// memo is one full uniform chassis's result at the slot's value
+	// (further chains' in Incremental.memoMore), valid while memoOK;
+	// cleared when the value changes or the slot is reused.
 	memo   chassisSum
 	memoOK bool
 }
 
 // chassisSum is one chassis's evaluation: Σ P_S48V over its nodes, the
-// breakdown contributions, and the conversion-chain result.
+// breakdown contributions, and the first chain's conversion result.
 type chassisSum struct {
 	out, cpuW, gpuW float64
 	res             ChassisResult
@@ -97,18 +114,36 @@ type chassisCache struct {
 	chassisSum
 }
 
-// NewIncremental builds the engine with every node idle and the cached
-// state seeded from a reference Compute call.
+// NewIncremental builds the engine for the model's own conversion
+// chain, with every node idle and the cached state seeded from a
+// reference Compute call.
 func (m *Model) NewIncremental() *Incremental {
+	return m.NewIncrementalChains([]ConversionChain{m.Chain})
+}
+
+// NewIncrementalChains builds the engine evaluating every chain in
+// chains (at least one) over the model's components and topology; chain
+// k's aggregates are PowerOf(k), each bit-identical to an engine of a
+// model with that chain alone. The model's own Chain is used only when
+// chains is empty.
+func (m *Model) NewIncrementalChains(chains []ConversionChain) *Incremental {
+	if len(chains) == 0 {
+		chains = []ConversionChain{m.Chain}
+	}
 	t := m.Topo
 	total := t.NodesTotal
 	numChassis := t.NumRacks() * t.ChassisPerRack
+	k := len(chains)
 	inc := &Incremental{
 		m:           m,
+		chains:      append([]ConversionChain(nil), chains...),
 		nodeSlot:    make([]Slot, total),
 		nodeChassis: make([]int32, total),
 		chassis:     make([]chassisCache, numChassis),
 		chassisMark: make([]uint64, numChassis),
+		more:        make([]ChassisResult, numChassis*(k-1)),
+		memoMore:    make([]ChassisResult, k-1),
+		sp:          make([]SystemPower, k),
 	}
 	inc.vals = []slotValue{inc.value(0, 0)}
 	inc.slots = make([]slotState, 1)
@@ -146,21 +181,25 @@ func (m *Model) NewIncremental() *Incremental {
 		inc.refreshChassis(c)
 	}
 
-	// Seed sp (and the constant breakdown entries) from the reference
-	// implementation, then overwrite with the incremental aggregation so
-	// subsequent deltas are self-consistent.
+	// Seed the constant breakdown entries from the reference
+	// implementation (they do not depend on the chain), then aggregate
+	// incrementally so subsequent deltas are self-consistent.
 	zero := make([]float64, total)
-	m.Compute(zero, zero, &inc.sp)
-	inc.ramW = inc.sp.Breakdown.RAM
-	inc.nvmeW = inc.sp.Breakdown.NVMe
-	inc.nicW = inc.sp.Breakdown.NIC
+	m.Compute(zero, zero, &inc.sp[0])
+	inc.ramW = inc.sp[0].Breakdown.RAM
+	inc.nvmeW = inc.sp[0].Breakdown.NVMe
+	inc.nicW = inc.sp[0].Breakdown.NIC
 	inc.resum()
 	return inc
 }
 
-// Power returns the engine's live SystemPower. The pointer stays valid
-// across ComputeDelta calls; slices within are reused, not reallocated.
-func (inc *Incremental) Power() *SystemPower { return &inc.sp }
+// Power returns the first chain's live SystemPower. The pointer stays
+// valid across ComputeDelta calls; slices within are reused, not
+// reallocated.
+func (inc *Incremental) Power() *SystemPower { return &inc.sp[0] }
+
+// PowerOf returns chain k's live SystemPower, like Power.
+func (inc *Incremental) PowerOf(k int) *SystemPower { return &inc.sp[k] }
 
 // Dirty reports whether any utilization change is pending aggregation.
 func (inc *Incremental) Dirty() bool { return len(inc.dirtyList) > 0 }
@@ -236,6 +275,7 @@ func (inc *Incremental) alloc(v slotValue) Slot {
 		s = Slot(len(inc.slots))
 		inc.vals = append(inc.vals, slotValue{})
 		inc.slots = append(inc.slots, slotState{})
+		inc.memoMore = append(inc.memoMore, make([]ChassisResult, len(inc.chains)-1)...)
 	}
 	inc.vals[s] = v
 	return s
@@ -291,20 +331,20 @@ func (inc *Incremental) markDirty(c int) {
 	}
 }
 
-// ComputeDelta re-evaluates the dirty chassis and refreshes the
-// aggregates, returning the live SystemPower. With no pending changes it
-// returns the cached result untouched — the O(1) fast path for ticks
-// where utilization did not move.
+// ComputeDelta re-evaluates the dirty chassis and refreshes every
+// chain's aggregates, returning the first chain's live SystemPower. With
+// no pending changes it returns the cached result untouched — the O(1)
+// fast path for ticks where utilization did not move.
 func (inc *Incremental) ComputeDelta() *SystemPower {
 	if len(inc.dirtyList) == 0 {
-		return &inc.sp
+		return &inc.sp[0]
 	}
 	for _, c := range inc.dirtyList {
 		inc.refreshChassis(c)
 	}
 	inc.dirtyList = inc.dirtyList[:0]
 	inc.resum()
-	return &inc.sp
+	return &inc.sp[0]
 }
 
 // refreshChassis re-evaluates one chassis. A filler-free chassis whose
@@ -316,14 +356,40 @@ func (inc *Incremental) refreshChassis(c int) {
 	nodes := inc.nodeSlot[cc.start:cc.end]
 	if cc.filler == 0 && uniform(nodes) {
 		sl := &inc.slots[nodes[0]]
-		if !sl.memoOK {
+		fresh := !sl.memoOK
+		if fresh {
 			inc.fold(&sl.memo, nodes, 0)
 			sl.memoOK = true
 		}
 		cc.chassisSum = sl.memo
+		if len(inc.chains) > 1 {
+			inc.memoMoreTo(c, int(nodes[0]), fresh)
+		}
 		return
 	}
 	inc.fold(&cc.chassisSum, nodes, cc.filler)
+	if nm := len(inc.chains) - 1; nm > 0 {
+		inc.convertMore(inc.more[c*nm:c*nm+nm], cc.out)
+	}
+}
+
+// memoMoreTo copies slot s's further-chain memo results to chassis c,
+// evaluating them first when the memo was just filled.
+func (inc *Incremental) memoMoreTo(c, s int, fresh bool) {
+	nm := len(inc.chains) - 1
+	memo := inc.memoMore[s*nm : s*nm+nm]
+	if fresh {
+		inc.convertMore(memo, inc.slots[s].memo.out)
+	}
+	copy(inc.more[c*nm:c*nm+nm], memo)
+}
+
+// convertMore evaluates every chain after the first on one chassis's
+// node output.
+func (inc *Incremental) convertMore(dst []ChassisResult, out float64) {
+	for k := range dst {
+		dst[k] = inc.chains[k+1].Chassis(out)
+	}
 }
 
 // uniform reports whether a non-empty run of nodes all hold one slot.
@@ -340,7 +406,7 @@ func uniform(nodes []Slot) bool {
 }
 
 // fold sums the nodes' values in node order, then filler idle values —
-// Compute's left fold — and evaluates the conversion chain.
+// Compute's left fold — and evaluates the first chain.
 func (inc *Incremental) fold(dst *chassisSum, nodes []Slot, filler int) {
 	vals := inc.vals
 	var out, cpuW, gpuW float64
@@ -357,58 +423,93 @@ func (inc *Incremental) fold(dst *chassisSum, nodes []Slot, filler int) {
 		gpuW += idle.gpuW
 	}
 	dst.out, dst.cpuW, dst.gpuW = out, cpuW, gpuW
-	dst.res = inc.m.Chain.Chassis(out)
+	dst.res = inc.chains[0].Chassis(out)
 }
 
-// resum rebuilds every aggregate from the per-chassis caches in the same
-// rack-major order Compute uses, so rack, CDU, and system totals carry
-// identical rounding to the dense sweep.
+// resum rebuilds every chain's aggregates from the per-chassis caches
+// in one pass, in the same rack-major order Compute uses, so each
+// chain's rack, CDU, and system totals carry identical rounding to the
+// dense sweep under that chain. The chain-independent sums (node
+// output, switches, CPU/GPU) are taken once and shared.
 func (inc *Incremental) resum() {
 	m := inc.m
 	t := m.Topo
 	numRacks := t.NumRacks()
-	out := &inc.sp
-	if cap(out.PerCDUInputW) < t.NumCDUs {
-		out.PerCDUInputW = make([]float64, t.NumCDUs)
+	for k := range inc.sp {
+		out := &inc.sp[k]
+		if cap(out.PerCDUInputW) < t.NumCDUs {
+			out.PerCDUInputW = make([]float64, t.NumCDUs)
+		}
+		out.PerCDUInputW = out.PerCDUInputW[:t.NumCDUs]
+		for i := range out.PerCDUInputW {
+			out.PerCDUInputW[i] = 0
+		}
+		if cap(out.PerRackInputW) < numRacks {
+			out.PerRackInputW = make([]float64, numRacks)
+		}
+		out.PerRackInputW = out.PerRackInputW[:numRacks]
+		out.TotalW, out.RectLossW, out.SivocLossW = 0, 0, 0
 	}
-	out.PerCDUInputW = out.PerCDUInputW[:t.NumCDUs]
-	for i := range out.PerCDUInputW {
-		out.PerCDUInputW[i] = 0
-	}
-	if cap(out.PerRackInputW) < numRacks {
-		out.PerRackInputW = make([]float64, numRacks)
-	}
-	out.PerRackInputW = out.PerRackInputW[:numRacks]
-	out.TotalW, out.NodeOutW, out.RectLossW, out.SivocLossW, out.SwitchW = 0, 0, 0, 0, 0
 
-	var cpuW, gpuW float64
+	// The shared sums and the first chain accumulate chassis by chassis;
+	// each further chain then sums the rack's chassis on its own, in the
+	// same order.
+	first := &inc.sp[0]
+	rest := inc.sp[1:]
+	nm := len(rest)
+	var nodeOut, switchW, cpuW, gpuW float64
+	var rect, sivoc, total float64
 	ci := 0
 	for rack := 0; rack < numRacks; rack++ {
 		rackInput := 0.0
+		ci0 := ci
 		for ch := 0; ch < t.ChassisPerRack; ch++ {
 			cc := &inc.chassis[ci]
-			ci++
-			out.NodeOutW += cc.out
-			out.RectLossW += cc.res.RectLossW
-			out.SivocLossW += cc.res.SivocLossW
+			nodeOut += cc.out
+			rect += cc.res.RectLossW
+			sivoc += cc.res.SivocLossW
 			rackInput += cc.res.InputW
 			cpuW += cc.cpuW
 			gpuW += cc.gpuW
+			ci++
 		}
 		sw := float64(t.SwitchesPerRack) * m.Spec.Switch
+		switchW += sw
+		cdu := t.CDUOfRack(rack)
 		rackInput += sw
-		out.SwitchW += sw
-		out.PerRackInputW[rack] = rackInput
-		out.PerCDUInputW[t.CDUOfRack(rack)] += rackInput
-		out.TotalW += rackInput
+		first.PerRackInputW[rack] = rackInput
+		first.PerCDUInputW[cdu] += rackInput
+		total += rackInput
+		for k := range rest {
+			out := &rest[k]
+			rl, sl, in := out.RectLossW, out.SivocLossW, 0.0
+			for c := ci0; c < ci; c++ {
+				r := &inc.more[c*nm+k]
+				rl += r.RectLossW
+				sl += r.SivocLossW
+				in += r.InputW
+			}
+			in += sw
+			out.RectLossW, out.SivocLossW = rl, sl
+			out.PerRackInputW[rack] = in
+			out.PerCDUInputW[cdu] += in
+			out.TotalW += in
+		}
 	}
-	out.CDUPumpW = float64(t.NumCDUs) * m.Spec.CDUPump
-	out.TotalW += out.CDUPumpW
-	out.Breakdown = Breakdown{
-		CPU: cpuW, GPU: gpuW,
-		RAM: inc.ramW, NVMe: inc.nvmeW, NIC: inc.nicW,
-		Switches: out.SwitchW,
-		RectLoss: out.RectLossW, SivocLoss: out.SivocLossW,
-		CDUPumps: out.CDUPumpW,
+	first.TotalW, first.RectLossW, first.SivocLossW = total, rect, sivoc
+	pumps := float64(t.NumCDUs) * m.Spec.CDUPump
+	for k := range inc.sp {
+		out := &inc.sp[k]
+		out.NodeOutW = nodeOut
+		out.SwitchW = switchW
+		out.CDUPumpW = pumps
+		out.TotalW += pumps
+		out.Breakdown = Breakdown{
+			CPU: cpuW, GPU: gpuW,
+			RAM: inc.ramW, NVMe: inc.nvmeW, NIC: inc.nicW,
+			Switches: switchW,
+			RectLoss: out.RectLossW, SivocLoss: out.SivocLossW,
+			CDUPumps: pumps,
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -225,8 +226,11 @@ type slotHandle struct {
 // utilization vector through the same operations and checks the engine
 // against Compute on that vector.
 type slotHarness struct {
-	t        testing.TB
-	m        *Model
+	t testing.TB
+	m *Model
+	// models holds one model per chain the engine evaluates, each the
+	// reference Compute runs under for that chain.
+	models   []*Model
 	inc      *Incremental
 	cpu, gpu []float64
 	owner    []int        // per node: index into handles, 0 = idle
@@ -237,16 +241,30 @@ type slotHarness struct {
 	live, peak int
 }
 
-func newSlotHarness(t testing.TB, topo Topology, mode Mode) *slotHarness {
-	m := NewFrontierModel()
-	m.Topo = topo
-	m.Chain.Mode = mode
+// newSlotHarness builds the harness for an engine evaluating one chain
+// per mode in modes, in lockstep; one mode is the plain NewIncremental
+// engine.
+func newSlotHarness(t testing.TB, topo Topology, modes ...Mode) *slotHarness {
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	var models []*Model
+	var chains []ConversionChain
+	for _, mode := range modes {
+		m := NewFrontierModel()
+		m.Topo = topo
+		m.Chain.Mode = mode
+		models = append(models, m)
+		chains = append(chains, m.Chain)
+	}
+	m := models[0]
+	inc := m.NewIncremental()
+	if len(modes) > 1 {
+		inc = m.NewIncrementalChains(chains)
+	}
 	n := topo.NodesTotal
 	return &slotHarness{
-		t: t, m: m, inc: m.NewIncremental(),
+		t: t, m: m, models: models, inc: inc,
 		cpu: make([]float64, n), gpu: make([]float64, n),
 		owner: make([]int, n), handles: make([]slotHandle, 1),
 	}
@@ -392,26 +410,38 @@ func (h *slotHarness) step(c choices) {
 	}
 }
 
-// check compares the engine with Compute on the reference vector and
-// checks the slot table's bookkeeping.
+// check compares every chain of the engine with Compute under that
+// chain's model on the reference vector and checks the slot table's
+// bookkeeping.
 func (h *slotHarness) check() {
 	t, inc := h.t, h.inc
-	got := inc.ComputeDelta()
+	if got := inc.ComputeDelta(); got != inc.Power() {
+		t.Fatalf("step %d: ComputeDelta returned another SystemPower than Power", h.steps)
+	}
 	if inc.Dirty() {
 		t.Fatalf("step %d: engine still dirty after ComputeDelta", h.steps)
 	}
-	h.m.Compute(h.cpu, h.gpu, &h.ref)
-	want := &h.ref
+	for k, m := range h.models {
+		m.Compute(h.cpu, h.gpu, &h.ref)
+		h.checkChain(k, &h.ref, inc.PowerOf(k))
+	}
+	h.checkSlots()
+}
+
+// checkChain compares chain k's aggregates with the reference: the
+// headline fields bit for bit, the CPU/GPU breakdown to 1e-9 relative.
+func (h *slotHarness) checkChain(k int, want, got *SystemPower) {
+	t := h.t
 	within := func(name string, a, b, tol float64) {
 		t.Helper()
 		if relDiff(a, b) > tol {
-			t.Fatalf("step %d: %s: dense %v vs incremental %v", h.steps, name, a, b)
+			t.Fatalf("step %d: chain %d: %s: dense %v vs incremental %v", h.steps, k, name, a, b)
 		}
 	}
 	exact := func(name string, a, b float64) {
 		t.Helper()
 		if a != b {
-			t.Fatalf("step %d: %s: dense %v vs incremental %v", h.steps, name, a, b)
+			t.Fatalf("step %d: chain %d: %s: dense %v vs incremental %v", h.steps, k, name, a, b)
 		}
 	}
 	exact("TotalW", want.TotalW, got.TotalW)
@@ -428,6 +458,14 @@ func (h *slotHarness) check() {
 	}
 	within("Breakdown.CPU", want.Breakdown.CPU, got.Breakdown.CPU, 1e-9)
 	within("Breakdown.GPU", want.Breakdown.GPU, got.Breakdown.GPU, 1e-9)
+	exact("Breakdown.RectLoss", want.Breakdown.RectLoss, got.Breakdown.RectLoss)
+	exact("Breakdown.SivocLoss", want.Breakdown.SivocLoss, got.Breakdown.SivocLoss)
+}
+
+// checkSlots checks the slot table's bookkeeping against the harness's
+// allocations.
+func (h *slotHarness) checkSlots() {
+	t, inc := h.t, h.inc
 
 	// Every live allocation owns a distinct slot carrying its Eq. 3
 	// power. The table holds exactly the live slots plus released ones
@@ -492,6 +530,33 @@ func TestIncrementalSlotsMatchCompute(t *testing.T) {
 	}
 }
 
+// TestIncrementalChainsMatchCompute drives the same random operation
+// sequences through engines that evaluate several conversion chains in
+// lockstep — all three modes, two, and a repeated mode — and checks
+// every chain against Compute under its own model, as the one-chain
+// property test does.
+func TestIncrementalChainsMatchCompute(t *testing.T) {
+	steps := 200
+	if testing.Short() {
+		steps = 40
+	}
+	sets := [][]Mode{
+		{ACBaseline, SmartRectifier, DC380},
+		{DC380, ACBaseline},
+		{SmartRectifier, SmartRectifier, ACBaseline},
+	}
+	for ti, topo := range slotTopologies() {
+		for si, modes := range sets {
+			h := newSlotHarness(t, topo, modes...)
+			c := randChoices{rand.New(rand.NewSource(int64(31*ti + si)))}
+			for i := 0; i < steps; i++ {
+				h.step(c)
+			}
+			h.check()
+		}
+	}
+}
+
 func BenchmarkDenseCompute(b *testing.B) {
 	m := NewFrontierModel()
 	n := m.Topo.NodesTotal
@@ -509,21 +574,38 @@ func BenchmarkDenseCompute(b *testing.B) {
 }
 
 // BenchmarkIncrementalDelta measures a representative event tick: one
-// 268-node job (the Table IV average) crosses a trace quantum.
+// 268-node job (the Table IV average) crosses a trace quantum. chains=1
+// is the engine of one power mode; chains=3 evaluates the three modes in
+// lockstep over the same slots, the case to compare with three solo
+// deltas.
 func BenchmarkIncrementalDelta(b *testing.B) {
-	m := NewFrontierModel()
-	inc := m.NewIncremental()
-	nodes := make([]int, 268)
-	for i := range nodes {
-		nodes[i] = i
+	for _, k := range []int{1, 3} {
+		b.Run(fmt.Sprintf("chains=%d", k), func(b *testing.B) {
+			m := NewFrontierModel()
+			inc := m.NewIncrementalChains(modeChains(m.Chain)[:k])
+			nodes := make([]int, 268)
+			for i := range nodes {
+				nodes[i] = i
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := 0.3 + 0.4*float64(i%2)
+				inc.SetNodes(nodes, u, u)
+				inc.ComputeDelta()
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := 0.3 + 0.4*float64(i%2)
-		inc.SetNodes(nodes, u, u)
-		inc.ComputeDelta()
+}
+
+// modeChains returns chain under each Mode, in Mode order.
+func modeChains(chain ConversionChain) []ConversionChain {
+	var out []ConversionChain
+	for _, mode := range []Mode{ACBaseline, SmartRectifier, DC380} {
+		chain.Mode = mode
+		out = append(out, chain)
 	}
+	return out
 }
 
 // BenchmarkIncrementalUpdate measures the same tick through the slot

@@ -43,19 +43,21 @@ func (s *Simulation) trackJobEnergy(pt *partSim, dt float64) {
 }
 
 // JobEnergyReport returns every started job's attributed energy across
-// all partitions, sorted by facility share descending. The facility
-// multiplier is the run-wide total energy divided by node-output energy,
-// so per-job facility shares sum to the total minus the idle floor. Job
+// all partitions, sorted by facility share descending, under the run's
+// own conversion chain (view 0). The facility multiplier is the run-wide
+// total energy divided by node-output energy, so per-job facility
+// shares sum to the total minus the idle floor. Job
 // IDs are per-partition namespaces; the twin layer offsets generated IDs
 // so multi-partition reports stay unambiguous.
 func (s *Simulation) JobEnergyReport() []JobEnergy {
+	w := &s.views[0]
 	mult := 1.0
-	if s.nodeOutJ > 0 {
-		mult = s.energyJ / s.nodeOutJ
+	if w.nodeOutJ > 0 {
+		mult = w.energyJ / w.nodeOutJ
 	}
 	ef := 0.0
-	if s.convInJ > 0 {
-		eta := s.nodeOutJ / s.convInJ
+	if w.convInJ > 0 {
+		eta := w.nodeOutJ / w.convInJ
 		if eta > 0 {
 			ef = emissionIntensity / 2204.6 / eta
 		}

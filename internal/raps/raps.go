@@ -16,6 +16,13 @@
 // in the plant coupling. Single-partition callers use New; NewMulti
 // takes the explicit partition list.
 //
+// A run can also evaluate several conversion chains — the power modes of
+// §IV-3 — in lockstep over its one job stream and schedule
+// (Partition.Chains): the jobs, the scheduler, the event loop and the
+// per-job energy are shared, and each chain keeps its own report
+// accumulators, a view whose Report is bit-identical to a run under
+// that chain alone (Reports).
+//
 // Utilization is piecewise-constant — it changes only when a job starts,
 // ends, or crosses a 15 s trace quantum — so the default EngineEvent
 // evaluates power incrementally (power.Incremental dirty-chassis deltas)
@@ -140,6 +147,13 @@ type Partition struct {
 	Model *power.Model
 	// Jobs is the partition's workload.
 	Jobs []*job.Job
+	// Chains, when set, are the conversion chains the run evaluates in
+	// lockstep, one report view each (Reports); view 0 is the run's own
+	// (ReportNow, history, cooling). Empty evaluates Model.Chain alone.
+	// Every partition must list the same number of chains, and a run of
+	// more than one needs the event engine, no cooling and no sample
+	// consumer: the plant's heat and the samples are per chain.
+	Chains []power.ConversionChain
 }
 
 // Sample is one entry of the recorded history (Fig. 9's plotted series).
@@ -245,7 +259,9 @@ type partSim struct {
 	inc       *power.Incremental
 	runStates map[int]*runState
 
-	sp        *power.SystemPower
+	// sps holds the partition's power under each view's chain; sps[0]
+	// is the run's own.
+	sps       []*power.SystemPower
 	completed []*job.Job
 
 	// cduOff is the partition's first CDU index in the shared plant
@@ -254,11 +270,9 @@ type partSim struct {
 
 	jobEnergyJ map[int]float64
 
-	// Per-partition report accumulators (the aggregate accumulators on
-	// Simulation remain the authoritative, bit-stable report inputs).
-	energyJ   float64
-	utilSum   float64
-	maxPowerW float64
+	// utilSum accumulates the partition's utilization for its report;
+	// its energy and peak power are per view.
+	utilSum float64
 }
 
 // util returns the partition's node utilization.
@@ -302,23 +316,34 @@ type Simulation struct {
 	heatSum   float64
 	heatValid bool
 
-	// accumulators
-	energyJ      float64
-	lossJ        float64
-	nodeOutJ     float64
-	convInJ      float64
+	// views holds each conversion chain's power accumulators; the rest
+	// are shared by every view.
+	views        []view
 	utilSum      float64
 	pueSum       float64
 	pueCount     int
 	ticks        int
 	quietTicks   int
-	maxPowerW    float64
-	minPowerW    float64
-	maxLossW     float64
 	lastHistoryT float64
+}
+
+// view is one conversion chain's report accumulators. Everything here
+// depends on the chain; a one-chain run has a single view.
+type view struct {
+	energyJ   float64
+	lossJ     float64
+	nodeOutJ  float64
+	convInJ   float64
+	maxPowerW float64
+	minPowerW float64
+	maxLossW  float64
 	// weightedEIJ integrates P·EI·dt for the Eq. 6 carbon accounting
 	// (J·lb/MWh).
 	weightedEIJ float64
+	// partEnergyJ and partMaxW are each partition's energy and peak
+	// power, indexed like the partitions.
+	partEnergyJ []float64
+	partMaxW    []float64
 }
 
 // New builds a single-partition simulation over the given power model —
@@ -347,9 +372,17 @@ func NewMulti(cfg Config, partitions []Partition) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{
-		cfg:       cfg,
-		minPowerW: math.Inf(1),
+	k := max(1, len(partitions[0].Chains))
+	if k > 1 && (cfg.Engine != EngineEvent || cfg.EnableCooling || !cfg.NoHistory || cfg.OnSample != nil || cfg.RecordCDUHeat) {
+		return nil, fmt.Errorf("raps: a run of %d conversion chains needs the event engine, no cooling and no history or sample hook", k)
+	}
+	s := &Simulation{cfg: cfg, views: make([]view, k)}
+	for v := range s.views {
+		s.views[v] = view{
+			minPowerW:   math.Inf(1),
+			partEnergyJ: make([]float64, len(partitions)),
+			partMaxW:    make([]float64, len(partitions)),
+		}
 	}
 	for i := range partitions {
 		p := &partitions[i]
@@ -358,6 +391,9 @@ func NewMulti(cfg Config, partitions []Partition) (*Simulation, error) {
 		}
 		if err := p.Model.Topo.Validate(); err != nil {
 			return nil, err
+		}
+		if max(1, len(p.Chains)) != k {
+			return nil, fmt.Errorf("raps: partition %d lists %d conversion chains, partition 0 %d", i, len(p.Chains), k)
 		}
 		pt := &partSim{
 			name:   p.Name,
@@ -368,10 +404,12 @@ func NewMulti(cfg Config, partitions []Partition) (*Simulation, error) {
 		if cfg.Engine == EngineDense {
 			pt.nodeCPU = make([]float64, p.Model.Topo.NodesTotal)
 			pt.nodeGPU = make([]float64, p.Model.Topo.NodesTotal)
-			pt.sp = &power.SystemPower{}
+			pt.sps = []*power.SystemPower{{}}
 		} else {
-			pt.inc = p.Model.NewIncremental()
-			pt.sp = pt.inc.Power()
+			pt.inc = p.Model.NewIncrementalChains(p.Chains)
+			for v := 0; v < k; v++ {
+				pt.sps = append(pt.sps, pt.inc.PowerOf(v))
+			}
 			pt.runStates = make(map[int]*runState)
 		}
 		pt.pending = append(pt.pending, p.Jobs...)
@@ -477,7 +515,7 @@ func (s *Simulation) PartitionNames() []string {
 func (s *Simulation) PartitionPowerW() []float64 {
 	out := make([]float64, len(s.parts))
 	for i, pt := range s.parts {
-		out[i] = pt.sp.TotalW
+		out[i] = pt.sps[0].TotalW
 	}
 	return out
 }
@@ -490,11 +528,11 @@ func (s *Simulation) PartitionPowerW() []float64 {
 // a settled run stay race-free.
 func (s *Simulation) PerRackPowerW() []float64 {
 	if len(s.parts) == 1 {
-		return s.parts[0].sp.PerRackInputW
+		return s.parts[0].sps[0].PerRackInputW
 	}
 	var out []float64
 	for _, pt := range s.parts {
-		out = append(out, pt.sp.PerRackInputW...)
+		out = append(out, pt.sps[0].PerRackInputW...)
 	}
 	return out
 }
@@ -581,7 +619,7 @@ func (s *Simulation) Tick() error {
 			s.applyDeltas(pt, done, started)
 		} else {
 			pt.denseRefresh(s.now)
-			pt.model.Compute(pt.nodeCPU, pt.nodeGPU, pt.sp)
+			pt.model.Compute(pt.nodeCPU, pt.nodeGPU, pt.sps[0])
 			s.heatValid = false
 		}
 	}
@@ -736,21 +774,20 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 // at their exact times (from the cached power state).
 func (s *Simulation) advanceQuiet(k int) {
 	dt := s.cfg.TickSec
-	a := s.aggregate()
-	p, loss, nodeOut := a.totalW, a.lossW(), a.nodeOutW
+	a := s.aggregate(0)
 	util := a.util()
+	for v := range s.views {
+		if v > 0 {
+			a = s.aggregate(v)
+		}
+		s.views[v].add(a, s.parts, v, k, dt)
+	}
 	pue := 0.0
 	if s.cool != nil {
 		pue = s.cool.Plant().PUE()
 	}
 	for i := 0; i < k; i++ {
 		s.now += dt
-		e := p * dt
-		s.energyJ += e
-		s.weightedEIJ += e * emissionIntensity
-		s.lossJ += loss * dt
-		s.nodeOutJ += nodeOut * dt
-		s.convInJ += (nodeOut + loss) * dt
 		s.utilSum += util * dt
 		if s.cool != nil && pue > 0 {
 			s.pueSum += pue
@@ -763,22 +800,9 @@ func (s *Simulation) advanceQuiet(k int) {
 		s.ticks++
 		s.quietTicks++
 	}
-	if p > s.maxPowerW {
-		s.maxPowerW = p
-	}
-	if p < s.minPowerW {
-		s.minPowerW = p
-	}
-	if loss > s.maxLossW {
-		s.maxLossW = loss
-	}
 	gap := dt * float64(k)
 	for _, pt := range s.parts {
-		pt.energyJ += pt.sp.TotalW * gap
 		pt.utilSum += pt.util() * gap
-		if pt.sp.TotalW > pt.maxPowerW {
-			pt.maxPowerW = pt.sp.TotalW
-		}
 		if len(pt.runStates) > 0 {
 			if pt.jobEnergyJ == nil {
 				pt.jobEnergyJ = make(map[int]float64)
@@ -790,11 +814,48 @@ func (s *Simulation) advanceQuiet(k int) {
 	}
 }
 
-// agg is the cross-partition power/scheduler aggregate. Every summation
-// starts at zero and adds in partition order, so a single-partition
-// aggregate is bit-identical to that partition's own accounting — the
-// invariant the dense/event and tick/quiet-gap equivalences (and the
-// single-partition telemetry goldens) rest on. All four consumers
+// add accumulates k ticks of dt at view v's power a — one simulated
+// tick, or an event-free gap integrated per tick so it matches ticking
+// bit for bit.
+func (w *view) add(a agg, parts []*partSim, v, k int, dt float64) {
+	p, loss, nodeOut := a.totalW, a.lossW(), a.nodeOutW
+	for i := 0; i < k; i++ {
+		e := p * dt
+		w.energyJ += e
+		w.weightedEIJ += e * emissionIntensity
+		w.lossJ += loss * dt
+		w.nodeOutJ += nodeOut * dt
+		w.convInJ += (nodeOut + loss) * dt
+	}
+	w.peak(p, loss)
+	gap := dt * float64(k)
+	for i, pt := range parts {
+		tw := pt.sps[v].TotalW
+		w.partEnergyJ[i] += tw * gap
+		if tw > w.partMaxW[i] {
+			w.partMaxW[i] = tw
+		}
+	}
+}
+
+// peak folds a power and loss reading into the view's extremes.
+func (w *view) peak(p, loss float64) {
+	if p > w.maxPowerW {
+		w.maxPowerW = p
+	}
+	if p < w.minPowerW {
+		w.minPowerW = p
+	}
+	if loss > w.maxLossW {
+		w.maxLossW = loss
+	}
+}
+
+// agg is the cross-partition power/scheduler aggregate of one view.
+// Every summation starts at zero and adds in partition order, so a
+// single-partition aggregate is bit-identical to that partition's own
+// accounting — the invariant the dense/event and tick/quiet-gap
+// equivalences (and the single-partition telemetry goldens) rest on. All four consumers
 // (accumulate, advanceQuiet, recordSample, stepCooling) share this one
 // implementation so the arithmetic cannot drift between them.
 type agg struct {
@@ -803,13 +864,14 @@ type agg struct {
 	running, pending                int
 }
 
-func (s *Simulation) aggregate() agg {
+func (s *Simulation) aggregate(v int) agg {
 	var a agg
 	for _, pt := range s.parts {
-		a.totalW += pt.sp.TotalW
-		a.rectW += pt.sp.RectLossW
-		a.sivocW += pt.sp.SivocLossW
-		a.nodeOutW += pt.sp.NodeOutW
+		sp := pt.sps[v]
+		a.totalW += sp.TotalW
+		a.rectW += sp.RectLossW
+		a.sivocW += sp.SivocLossW
+		a.nodeOutW += sp.NodeOutW
 		a.inUse += pt.sch.Pool.InUse()
 		a.total += pt.sch.Pool.Total()
 		a.running += len(pt.sch.Running())
@@ -851,7 +913,7 @@ func (s *Simulation) cduHeat() []float64 {
 		for _, pt := range s.parts {
 			n := pt.model.Topo.NumCDUs
 			seg := s.heatBuf[pt.cduOff : pt.cduOff+n : pt.cduOff+n]
-			pt.model.CDUHeatInto(pt.sp, seg)
+			pt.model.CDUHeatInto(pt.sps[0], seg)
 		}
 		s.heatSum = 0
 		for _, h := range s.heatBuf {
@@ -889,7 +951,7 @@ func (s *Simulation) stepCooling() error {
 		wb = s.cfg.WetBulbC(s.now)
 	}
 	s.coolVals[n] = wb
-	s.coolVals[n+1] = s.aggregate().totalW
+	s.coolVals[n+1] = s.aggregate(0).totalW
 	if err := s.cool.SetReal(s.coolRefs, s.coolVals); err != nil {
 		return err
 	}
@@ -901,29 +963,16 @@ func (s *Simulation) stepCooling() error {
 }
 
 func (s *Simulation) accumulate(dt float64) {
-	a := s.aggregate()
-	p, loss, nodeOut := a.totalW, a.lossW(), a.nodeOutW
-	for _, pt := range s.parts {
-		pt.energyJ += pt.sp.TotalW * dt
-		pt.utilSum += pt.util() * dt
-		if pt.sp.TotalW > pt.maxPowerW {
-			pt.maxPowerW = pt.sp.TotalW
-		}
-	}
-	s.energyJ += p * dt
-	s.weightedEIJ += p * dt * emissionIntensity
-	s.lossJ += loss * dt
-	s.nodeOutJ += nodeOut * dt
-	s.convInJ += (nodeOut + loss) * dt
+	a := s.aggregate(0)
 	s.utilSum += a.util() * dt
-	if p > s.maxPowerW {
-		s.maxPowerW = p
+	for v := range s.views {
+		if v > 0 {
+			a = s.aggregate(v)
+		}
+		s.views[v].add(a, s.parts, v, 1, dt)
 	}
-	if p < s.minPowerW {
-		s.minPowerW = p
-	}
-	if loss > s.maxLossW {
-		s.maxLossW = loss
+	for _, pt := range s.parts {
+		pt.utilSum += pt.util() * dt
 	}
 	if s.cool != nil {
 		if pue := s.cool.Plant().PUE(); pue > 0 {
@@ -937,7 +986,7 @@ func (s *Simulation) recordSample() {
 	if s.cfg.NoHistory && s.cfg.OnSample == nil {
 		return // no consumer: skip building the sample entirely
 	}
-	a := s.aggregate()
+	a := s.aggregate(0)
 	p := a.totalW
 	smp := Sample{
 		TimeSec:     s.now,
@@ -951,7 +1000,7 @@ func (s *Simulation) recordSample() {
 	if len(s.parts) > 1 {
 		smp.PartPowerW = make([]float64, len(s.parts))
 		for i, pt := range s.parts {
-			smp.PartPowerW[i] = pt.sp.TotalW
+			smp.PartPowerW[i] = pt.sps[0].TotalW
 		}
 	}
 	if p > 0 {
@@ -981,8 +1030,24 @@ func (s *Simulation) recordSample() {
 	}
 }
 
-// ReportNow summarizes the run so far (§III-B5's output statistics).
-func (s *Simulation) ReportNow() *Report {
+// ReportNow summarizes the run so far (§III-B5's output statistics)
+// under its own conversion chain, view 0.
+func (s *Simulation) ReportNow() *Report { return s.report(0) }
+
+// Reports summarizes the run so far under every conversion chain, one
+// Report per view in Partition.Chains order; a one-chain run returns
+// ReportNow's alone.
+func (s *Simulation) Reports() []*Report {
+	out := make([]*Report, len(s.views))
+	for v := range out {
+		out[v] = s.report(v)
+	}
+	return out
+}
+
+// report summarizes view v.
+func (s *Simulation) report(v int) *Report {
+	w := &s.views[v]
 	completed := 0
 	for _, pt := range s.parts {
 		completed += len(pt.completed)
@@ -996,24 +1061,24 @@ func (s *Simulation) ReportNow() *Report {
 	}
 	hours := s.now / 3600
 	r.ThroughputPerHr = float64(r.JobsCompleted) / hours
-	r.AvgPowerMW = units.WToMW(s.energyJ / s.now)
-	r.MaxPowerMW = units.WToMW(s.maxPowerW)
-	if !math.IsInf(s.minPowerW, 1) {
-		r.MinPowerMW = units.WToMW(s.minPowerW)
+	r.AvgPowerMW = units.WToMW(w.energyJ / s.now)
+	r.MaxPowerMW = units.WToMW(w.maxPowerW)
+	if !math.IsInf(w.minPowerW, 1) {
+		r.MinPowerMW = units.WToMW(w.minPowerW)
 	}
-	r.EnergyMWh = s.energyJ / 3.6e9
-	r.AvgLossMW = units.WToMW(s.lossJ / s.now)
-	r.MaxLossMW = units.WToMW(s.maxLossW)
+	r.EnergyMWh = w.energyJ / 3.6e9
+	r.AvgLossMW = units.WToMW(w.lossJ / s.now)
+	r.MaxLossMW = units.WToMW(w.maxLossW)
 	if r.AvgPowerMW > 0 {
 		r.LossPercent = 100 * r.AvgLossMW / r.AvgPowerMW
 	}
-	if s.convInJ > 0 {
-		r.EtaSystem = s.nodeOutJ / s.convInJ
+	if w.convInJ > 0 {
+		r.EtaSystem = w.nodeOutJ / w.convInJ
 	}
 	// Eq. 6: Ef = EI × (1 ton / 2204.6 lb) × 1/η_system, with EI the
 	// energy-weighted average of the accumulated P·EI·dt.
-	if r.EtaSystem > 0 && s.energyJ > 0 {
-		avgEI := s.weightedEIJ / s.energyJ
+	if r.EtaSystem > 0 && w.energyJ > 0 {
+		avgEI := w.weightedEIJ / w.energyJ
 		ef := avgEI * units.LbToMetricTon / r.EtaSystem
 		r.CO2Tons = r.EnergyMWh * ef
 	}
@@ -1061,9 +1126,9 @@ func (s *Simulation) ReportNow() *Report {
 			r.Partitions[i] = PartitionReport{
 				Name:           pt.name,
 				JobsCompleted:  len(pt.completed),
-				AvgPowerMW:     units.WToMW(pt.energyJ / s.now),
-				MaxPowerMW:     units.WToMW(pt.maxPowerW),
-				EnergyMWh:      pt.energyJ / 3.6e9,
+				AvgPowerMW:     units.WToMW(w.partEnergyJ[i] / s.now),
+				MaxPowerMW:     units.WToMW(w.partMaxW[i]),
+				EnergyMWh:      w.partEnergyJ[i] / 3.6e9,
 				AvgUtilization: pt.utilSum / s.now,
 			}
 		}

@@ -134,26 +134,29 @@ func (h *faultHolder) set(fi *FaultInjector) {
 // recovery path deterministically.
 func (s *Service) SetFaultInjector(fi *FaultInjector) { s.faults.set(fi) }
 
-// runRecovered executes one simulation attempt inside the panic
-// isolation boundary: a panic anywhere below — the twin, the power
-// engine, the cooling solver, or an injected fault — is converted to a
-// *PanicError instead of unwinding the worker goroutine and killing the
-// process.
-func (sw *Sweep) runRecovered(ctx context.Context, i, attempt int) (res *core.Result, err error) {
+// runRecovered executes one simulation attempt of the member scenarios
+// inside the panic isolation boundary: a panic anywhere below — the
+// twin, the power engine, the cooling solver, or an injected fault — is
+// converted to a *PanicError instead of unwinding the worker goroutine
+// and killing the process. It is counted once per member, as each
+// member's span records the attempt.
+func (sw *Sweep) runRecovered(ctx context.Context, members []int, attempt int) (res []*core.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			sw.svc.panics.Inc()
+			sw.svc.panics.Add(uint64(len(members)))
 			res, err = nil, &PanicError{Value: rec, Stack: string(debug.Stack())}
 		}
 	}()
 	if fi := sw.svc.faults.get(); fi != nil && fi.BeforeRun != nil {
-		if err := fi.BeforeRun(ctx, Fault{
-			SpecHash:     sw.specHash,
-			ScenarioHash: sw.hashes[i],
-			Index:        i,
-			Attempt:      attempt,
-		}); err != nil {
-			return nil, err
+		for _, i := range members {
+			if err := fi.BeforeRun(ctx, Fault{
+				SpecHash:     sw.specHash,
+				ScenarioHash: sw.hashes[i],
+				Index:        i,
+				Attempt:      attempt,
+			}); err != nil {
+				return nil, err
+			}
 		}
 		// An injected delay may have consumed the whole deadline; surface
 		// that exactly like a slow simulation would.
@@ -161,18 +164,27 @@ func (sw *Sweep) runRecovered(ctx context.Context, i, attempt int) (res *core.Re
 			return nil, ctx.Err()
 		}
 	}
-	// Coordinator mode: hand the attempt to the remote compute tier.
-	// Telemetry-writer scenarios stay local — their side effect cannot
-	// cross the wire, and the coordinator holds the compiled spec anyway.
-	if r := sw.svc.runner; r != nil && sw.scenarios[i].TelemetryTo == nil {
-		return r.RunScenario(ctx, RunRequest{
+	scs := make([]core.Scenario, len(members))
+	for k, i := range members {
+		scs[k] = sw.scenarios[i]
+	}
+	// Coordinator mode: hand the attempt to the remote compute tier,
+	// which never gets a group. Telemetry-writer scenarios stay local —
+	// their side effect cannot cross the wire, and the coordinator holds
+	// the compiled spec anyway.
+	if r := sw.svc.runner; r != nil && scs[0].TelemetryTo == nil {
+		res, err := r.RunScenario(ctx, RunRequest{
 			Spec:         sw.spec,
 			SpecHash:     sw.specHash,
-			Scenario:     sw.scenarios[i],
-			ScenarioHash: sw.hashes[i],
-			Index:        i,
+			Scenario:     scs[0],
+			ScenarioHash: sw.hashes[members[0]],
+			Index:        members[0],
 			Attempt:      attempt,
 		})
+		if err != nil {
+			return nil, err
+		}
+		return []*core.Result{res}, nil
 	}
-	return sw.compiled.Twin().RunContext(ctx, sw.scenarios[i])
+	return sw.compiled.Twin().RunLockstep(ctx, scs)
 }

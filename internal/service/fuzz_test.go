@@ -2,9 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
-	"reflect"
 	"testing"
 
 	"exadigit/internal/autocsm"
@@ -39,7 +36,7 @@ func FuzzScenarioRequestRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted cooling_spec does not resolve: %v\n%s", err, data)
 			}
-			if field := nonFinite(reflect.ValueOf(cfg), "cooling.Config"); field != "" {
+			if field := cfg.NonFinite(); field != "" {
 				t.Fatalf("accepted cooling_spec resolves to a non-finite %s\n%s", field, data)
 			}
 		}
@@ -71,32 +68,4 @@ func FuzzScenarioRequestRoundTrip(f *testing.F) {
 			t.Fatalf("wire round trip changed the Check verdict: %v -> %v\nin:  %s\nout: %s", verdict, backVerdict, data, enc)
 		}
 	})
-}
-
-// nonFinite walks v and returns the path of its first NaN or infinite
-// float, or "" when every float is finite.
-func nonFinite(v reflect.Value, path string) string {
-	switch v.Kind() {
-	case reflect.Float32, reflect.Float64:
-		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
-			return path
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if p := nonFinite(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
-				return p
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if p := nonFinite(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
-				return p
-			}
-		}
-	case reflect.Pointer, reflect.Interface:
-		if !v.IsNil() {
-			return nonFinite(v.Elem(), path)
-		}
-	}
-	return ""
 }

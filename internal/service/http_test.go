@@ -438,6 +438,14 @@ func TestHTTPRejectsInvalidScenario(t *testing.T) {
 		"cdu loops past the cap": {`{"workload":"idle","horizon_sec":60,"cooling_spec":{"num_cdus":2000,"num_towers":5,` +
 			`"cells_per_tower":4,"num_fan_channels":16,"num_htwps":4,"num_ctwps":4,"num_ehx":5,"design_heat_mw":16,` +
 			`"design_wetbulb_c":20,"secondary_supply_c":32,"ct_supply_c":22,"primary_flow_gpm":5200,"tower_flow_gpm":9500}}`, "num_cdus"},
+		// Finite but extreme design quantities size non-finite plant
+		// values; the refusal names the quantity.
+		"design heat near zero": {`{"workload":"idle","horizon_sec":60,"cooling_spec":{"num_cdus":25,"num_towers":5,` +
+			`"cells_per_tower":4,"num_fan_channels":16,"num_htwps":4,"num_ctwps":4,"num_ehx":5,"design_heat_mw":1e-300,` +
+			`"design_wetbulb_c":20,"secondary_supply_c":32,"ct_supply_c":22,"primary_flow_gpm":5200,"tower_flow_gpm":9500}}`, "design_heat_mw"},
+		"tower flow near overflow": {`{"workload":"idle","horizon_sec":60,"cooling_spec":{"num_cdus":25,"num_towers":5,` +
+			`"cells_per_tower":4,"num_fan_channels":16,"num_htwps":4,"num_ctwps":4,"num_ehx":5,"design_heat_mw":16,` +
+			`"design_wetbulb_c":20,"secondary_supply_c":32,"ct_supply_c":22,"primary_flow_gpm":5200,"tower_flow_gpm":1e308}}`, "tower_flow_gpm"},
 	} {
 		body := `{"scenarios":[{"workload":"idle","horizon_sec":60},` + tc.sc + `]}`
 		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(body))

@@ -53,7 +53,8 @@ type Options struct {
 	Store *store.Store
 	// ScenarioTimeout bounds each scenario attempt's wall time, enforced
 	// via context so a runaway attempt aborts at its next tick boundary
-	// (0 → no deadline). Overridable per sweep.
+	// (0 → no deadline); a lockstep group's attempt gets it times the
+	// group size. Overridable per sweep.
 	ScenarioTimeout time.Duration
 	// MaxAttempts is how many times a failing scenario is tried before
 	// its failure is reported as permanent. Panics, deadline overruns,
@@ -386,8 +387,9 @@ func (s *Service) compiledFor(spec config.SystemSpec) (*core.CompiledSpec, error
 type SweepOptions struct {
 	// Name labels the sweep in listings.
 	Name string
-	// MaxConcurrent caps this sweep's in-flight scenarios on top of the
-	// global pool (0 → no per-sweep cap).
+	// MaxConcurrent caps this sweep's in-flight dispatches — a scenario,
+	// or a lockstep group of power-mode siblings — on top of the global
+	// pool (0 → no per-sweep cap).
 	MaxConcurrent int
 	// ScenarioTimeout overrides the service's per-attempt deadline for
 	// this sweep (0 → Options.ScenarioTimeout).
@@ -920,21 +922,27 @@ func (sw *Sweep) loadRecoveredLocked() {
 	}
 }
 
-// run drives the sweep: spawn one bounded goroutine per scenario, each
-// gated by the per-sweep limit and the service-wide worker pool.
+// run drives the sweep: spawn one bounded goroutine per dispatch, each
+// gated by the per-sweep limit and the service-wide worker pool. The
+// first dispatch is one scenario, so grouping never delays the first
+// result; every later one takes the scenario's still-queued power-mode
+// siblings with it as a lockstep group (lockstepSiblings), which holds
+// one per-sweep slot.
 func (sw *Sweep) run(maxConcurrent int) {
 	var sem chan struct{}
 	if maxConcurrent > 0 {
 		sem = make(chan struct{}, maxConcurrent)
 	}
+	var siblings [][]int // found once the first dispatch is under way
+	claimed := make([]bool, len(sw.scenarios))
+	first := true
 	var wg sync.WaitGroup
 loop:
 	for i := range sw.scenarios {
-		if sw.terminalAt(i) {
-			// Settled at submit (a memory-tier hit) or restored from the
-			// journal (recovered sweep): the outcome is already recorded
-			// and its reservation already released or never re-admitted —
-			// nothing to dispatch.
+		if claimed[i] || sw.terminalAt(i) {
+			// Dispatched with an earlier lockstep group, settled at
+			// submit (a memory-tier hit) or restored from the journal
+			// (recovered sweep): nothing to dispatch.
 			continue
 		}
 		if sem != nil {
@@ -946,15 +954,32 @@ loop:
 		} else if sw.ctx.Err() != nil {
 			break loop
 		}
+		group := []int{i}
+		if !first {
+			if siblings == nil {
+				siblings = sw.lockstepSiblings()
+			}
+			for _, j := range siblings[i] {
+				if j > i && !claimed[j] && !sw.terminalAt(j) && core.ModeSiblings(&sw.scenarios[i], &sw.scenarios[j]) {
+					claimed[j] = true
+					group = append(group, j)
+				}
+			}
+		}
+		first = false
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if sem != nil {
 				defer func() { <-sem }()
 			}
+			if len(group) > 1 {
+				sw.resolveGroup(group)
+				return
+			}
 			res, tier, err := sw.resolve(i)
 			sw.record(i, res, err, tier)
-		}(i)
+		}()
 	}
 	wg.Wait()
 	// Anything never dispatched (cancel hit the dispatch loop) is
@@ -1021,14 +1046,46 @@ func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 		res, err := sw.simulate(i)
 		return res, computeTier(err), err
 	}
+	c, res, tier, err := sw.lead(i, true)
+	if c == nil {
+		return res, tier, err
+	}
+	res, err = sw.simulate(i)
+	return sw.settle(c, res, err)
+}
+
+// claim is a scenario key this sweep leads to compute: its memory-tier
+// entry and, when leasing, the cross-node lease, renewed until settle.
+type claim struct {
+	i         int
+	key       string
+	entry     *cacheEntry
+	lease     *store.Lease
+	stopRenew context.CancelFunc
+}
+
+// errBusy reports that a lockstep group member cannot lead its key at
+// once; the member leaves the group and resolves alone.
+var errBusy = errors.New("service: scenario key held elsewhere")
+
+// lead takes scenario i's key for computing: it leads the key's memory
+// entry, misses the durable store and, when leasing, holds the lease. A
+// scenario another tier answers settles instead: lead returns a nil
+// claim with the result, tier and error. Without wait, lead gives up
+// with errBusy, holding nothing, where it would otherwise wait for
+// another submitter's run or another node's lease.
+func (sw *Sweep) lead(i int, wait bool) (*claim, *core.Result, string, error) {
 	svc, st := sw.svc, sw.svc.store
 	key := sw.specHash + ":" + sw.hashes[i]
 	entry, leader := svc.cache.acquire(key)
 	for !leader {
+		if !wait {
+			return nil, nil, "", errBusy
+		}
 		select {
 		case <-entry.done:
 		case <-sw.ctx.Done():
-			return nil, tierNone, sw.ctx.Err()
+			return nil, nil, tierNone, sw.ctx.Err()
 		}
 		switch {
 		case errors.Is(entry.err, errAbandoned):
@@ -1036,15 +1093,15 @@ func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 		case entry.err != nil:
 			// The leader simulated and failed; failures are not cached
 			// (complete() dropped the entry), so this is not a hit.
-			return nil, tierNone, entry.err
+			return nil, nil, tierNone, entry.err
 		default:
-			return entry.res, tierMemory, nil
+			return nil, entry.res, tierMemory, nil
 		}
 	}
 	// stored reads the durable tier, publishing a hit to the key's
 	// waiters. ErrNotFound and ErrCorrupt (quarantined) both mean
-	// compute; the recomputed result re-persists below, healing corrupt
-	// entries.
+	// compute; the recomputed result re-persists in settle, healing
+	// corrupt entries.
 	stored := func() (*core.Result, bool) {
 		res, err := st.Get(sw.specHash, sw.hashes[i])
 		if err != nil {
@@ -1053,10 +1110,10 @@ func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 		svc.cache.complete(key, entry, res, nil)
 		return res, true
 	}
-	var lease *store.Lease
+	c := &claim{i: i, key: key, entry: entry, stopRenew: func() {}}
 	if st != nil && sw.ctx.Err() == nil {
 		if res, ok := stored(); ok {
-			return res, tierDisk, nil
+			return nil, res, tierDisk, nil
 		}
 		// Cross-node single-flight, local compute only: a coordinator
 		// never leases before remote dispatch (the worker that computes
@@ -1072,9 +1129,13 @@ func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 				}
 				break
 			}
+			if err != nil && !wait {
+				svc.cache.complete(key, entry, nil, errAbandoned)
+				return nil, nil, "", errBusy
+			}
 			if err != nil && !sleepCtx(sw.ctx, poll) {
 				svc.cache.complete(key, entry, nil, errAbandoned)
-				return nil, tierNone, sw.ctx.Err()
+				return nil, nil, tierNone, sw.ctx.Err()
 			}
 			// Re-check the store before computing: the holder may have
 			// Put while we waited, or between our miss and this acquire.
@@ -1082,33 +1143,38 @@ func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 				if l != nil {
 					l.Release()
 				}
-				return res, tierDisk, nil
+				return nil, res, tierDisk, nil
 			}
 			if l != nil {
-				lease = l
+				c.lease = l
 				break
 			}
 		}
 	}
-	stopRenew := func() {}
-	if lease != nil {
+	if c.lease != nil {
 		var renewCtx context.Context
-		renewCtx, stopRenew = context.WithCancel(sw.ctx)
-		go sw.renewLease(renewCtx, lease)
+		renewCtx, c.stopRenew = context.WithCancel(sw.ctx)
+		go sw.renewLease(renewCtx, c.lease)
 	}
-	res, err := sw.simulate(i)
-	stopRenew()
+	return c, nil, "", nil
+}
+
+// settle publishes a claimed key's computed outcome: to its memory
+// entry's waiters, then to the durable store, then it gives the lease
+// back. A cancelled run publishes nothing: the key is released so
+// another submitter can take over, rather than the cancellation reaching
+// unrelated waiters.
+func (sw *Sweep) settle(c *claim, res *core.Result, err error) (*core.Result, string, error) {
+	svc, st := sw.svc, sw.svc.store
+	c.stopRenew()
 	if errors.Is(err, context.Canceled) {
-		// Never got a slot, or this sweep's cancel aborted the run
-		// mid-day: release the key so another submitter can take over,
-		// rather than publishing the cancellation to unrelated waiters.
-		if lease != nil {
-			lease.Release()
+		if c.lease != nil {
+			c.lease.Release()
 		}
-		svc.cache.complete(key, entry, nil, errAbandoned)
+		svc.cache.complete(c.key, c.entry, nil, errAbandoned)
 		return nil, tierNone, err
 	}
-	svc.cache.complete(key, entry, res, err)
+	svc.cache.complete(c.key, c.entry, res, err)
 	if err == nil && st != nil && svc.runner == nil {
 		// Persist after publishing so waiters are never delayed by disk
 		// I/O. A failed Put is an observability event (store put_errors),
@@ -1117,18 +1183,118 @@ func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 		// the result persists it, so a shared store counts each key
 		// exactly once.
 		putStart := time.Now()
-		perr := st.Put(sw.specHash, sw.hashes[i], res)
-		sw.spans[i].setStoreSec(time.Since(putStart).Seconds())
+		perr := st.Put(sw.specHash, sw.hashes[c.i], res)
+		sw.spans[c.i].setStoreSec(time.Since(putStart).Seconds())
 		if perr != nil && svc.logf != nil {
-			svc.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[i], perr)
+			svc.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[c.i], perr)
 		}
 	}
-	if lease != nil {
+	if c.lease != nil {
 		// Release only after the Put: a waiter that sees the lease go
 		// away must find the result on its next store poll.
-		lease.Release()
+		c.lease.Release()
 	}
 	return res, computeTier(err), err
+}
+
+// lockstepSiblings returns, for each scenario, the indices of every
+// scenario sharing its lockKey — its candidate power-mode siblings, which
+// run confirms with core.ModeSiblings — or nil. Nothing groups under a
+// remote runner, which dispatches one scenario at a time, or under a
+// one-attempt budget, which would leave a member no attempt of its own
+// after a failed group attempt.
+func (sw *Sweep) lockstepSiblings() [][]int {
+	out := make([][]int, len(sw.scenarios))
+	if sw.svc.runner != nil || sw.maxAttempts < 2 {
+		return out
+	}
+	keys := make([]string, len(sw.scenarios))
+	buckets := make(map[string][]int)
+	for i := range sw.scenarios {
+		if sw.terminalAt(i) {
+			continue
+		}
+		if keys[i] = sw.lockKey(i); keys[i] != "" {
+			buckets[keys[i]] = append(buckets[keys[i]], i)
+		}
+	}
+	for i, k := range keys {
+		if k != "" {
+			out[i] = buckets[k]
+		}
+	}
+	return out
+}
+
+// lockKey is the hash of scenario i with its name and power mode
+// cleared — equal for power-mode siblings — or "" when it cannot run in
+// lockstep. The replay dataset is left out of the key (ModeSiblings
+// compares it).
+func (sw *Sweep) lockKey(i int) string {
+	sc := sw.scenarios[i]
+	if !sc.CanLockstep() {
+		return ""
+	}
+	sc.Name, sc.PowerMode, sc.Dataset = "", "", nil
+	key, err := HashScenario(sc)
+	if err != nil {
+		return ""
+	}
+	return key
+}
+
+// resolveGroup settles a lockstep group: power-mode siblings simulated
+// as one run. Each member takes its own key as resolve would. One that
+// cannot lead at once — another submitter's key or another node's
+// lease — leaves the group and resolves alone; a memory or disk hit
+// settles in place. The rest run one lockstep attempt, and each settles
+// and records under its own key. When that attempt fails, each member
+// continues alone in its ordinary retry loop. The group's goroutine
+// returns once every member is recorded.
+func (sw *Sweep) resolveGroup(group []int) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	var claims []*claim
+	for _, i := range group {
+		c, res, tier, err := sw.lead(i, false)
+		switch {
+		case c != nil:
+			claims = append(claims, c)
+		case errors.Is(err, errBusy):
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, tier, err := sw.resolve(i)
+				sw.record(i, res, err, tier)
+			}()
+		default:
+			sw.record(i, res, err, tier)
+		}
+	}
+	if len(claims) == 0 {
+		return
+	}
+	members := make([]int, len(claims))
+	for k, c := range claims {
+		members[k] = c.i
+	}
+	results, ran, err := sw.attempt(members, 1)
+	for k, c := range claims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var res *core.Result
+			err := err
+			switch {
+			case err == nil:
+				res = results[k]
+			case ran:
+				res, err = sw.retry(c.i, 1, err)
+			}
+			res, tier, err := sw.settle(c, res, err)
+			sw.record(c.i, res, err, tier)
+		}()
+	}
 }
 
 // computeTier is the tier a computed scenario reports.
@@ -1151,36 +1317,50 @@ var errAbandoned = errors.New("service: scenario abandoned by cancelled sweep")
 // scenario's identity, attempt count, and cause. Sweep cancellation is
 // never retried and surfaces as context.Canceled, also when the sweep
 // was cancelled before a pool slot freed.
-func (sw *Sweep) simulate(i int) (*core.Result, error) {
-	for attempt := 1; ; attempt++ {
-		res, ran, err := sw.attempt(i, attempt)
-		if err == nil || !ran {
-			return res, err
-		}
-		if sw.ctx.Err() != nil {
-			// The sweep itself was cancelled (possibly mid-attempt);
-			// report the cancellation, not the attempt's error.
-			return nil, sw.ctx.Err()
-		}
-		if attempt >= sw.maxAttempts {
-			return nil, &ScenarioError{
-				ScenarioHash: sw.hashes[i], Index: i, Attempts: attempt, Cause: err,
+func (sw *Sweep) simulate(i int) (*core.Result, error) { return sw.retry(i, 0, nil) }
+
+// retry runs scenario i's retry loop alone after its attempt number
+// attempt (0: none yet; a lockstep group's) failed with err.
+func (sw *Sweep) retry(i, attempt int, err error) (*core.Result, error) {
+	for {
+		if attempt > 0 {
+			if sw.ctx.Err() != nil {
+				// The sweep itself was cancelled (possibly mid-attempt);
+				// report the cancellation, not the attempt's error.
+				return nil, sw.ctx.Err()
+			}
+			if attempt >= sw.maxAttempts {
+				return nil, &ScenarioError{
+					ScenarioHash: sw.hashes[i], Index: i, Attempts: attempt, Cause: err,
+				}
+			}
+			sw.svc.retries.Inc()
+			if !sleepCtx(sw.ctx, backoffDelay(sw.svc.retryBase, sw.svc.retryMax, attempt)) {
+				return nil, sw.ctx.Err()
 			}
 		}
-		sw.svc.retries.Inc()
-		if !sleepCtx(sw.ctx, backoffDelay(sw.svc.retryBase, sw.svc.retryMax, attempt)) {
-			return nil, sw.ctx.Err()
+		attempt++
+		res, ran, aerr := sw.attempt([]int{i}, attempt)
+		if aerr == nil {
+			return res[0], nil
 		}
+		if !ran {
+			return nil, aerr
+		}
+		err = aerr
 	}
 }
 
-// attempt acquires a pool slot and runs scenario i once — the single run
-// sequence shared by the cached and direct paths. The sweep context is
-// threaded through the run, so a cancel aborts an in-flight simulation
-// at its next tick boundary (mid-day); the per-attempt deadline, when
-// configured, is layered on top and reported as a timeout rather than a
-// cancellation.
-func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error) {
+// attempt acquires a pool slot and runs the member scenarios once — one
+// scenario, or a lockstep group of power-mode siblings as one run — and
+// returns their results in member order. It is the single run sequence
+// of the cached and direct paths. The sweep context is threaded through
+// the run, so a cancel aborts an in-flight simulation at its next tick
+// boundary (mid-day); the per-attempt deadline, when configured, is
+// layered on top (times the group size, since a group does every
+// member's run) and reported as a timeout rather than a cancellation.
+// Every member's span records the attempt, with the group size.
+func (sw *Sweep) attempt(members []int, attempt int) (res []*core.Result, ran bool, err error) {
 	waitStart := time.Now()
 	select {
 	case sw.svc.slots <- struct{}{}:
@@ -1189,20 +1369,26 @@ func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error)
 	}
 	defer func() { <-sw.svc.slots }()
 	waitSec := time.Since(waitStart).Seconds()
-	sw.spans[i].firstSlot(sw.createdAt)
+	for _, i := range members {
+		sw.spans[i].firstSlot(sw.createdAt)
+	}
 	sw.update(func() {
-		sw.statuses[i].State = StateRunning
-		sw.statuses[i].Attempts = attempt
+		for _, i := range members {
+			sw.statuses[i].State = StateRunning
+			sw.statuses[i].Attempts = attempt
+		}
 	})
-	sw.svc.misses.Inc()
+	n := uint64(len(members))
+	sw.svc.misses.Add(n)
 	ctx := sw.ctx
-	if sw.timeout > 0 {
+	deadline := sw.timeout * time.Duration(len(members))
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sw.timeout)
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
 	runStart := time.Now()
-	res, err = sw.runRecovered(ctx, i, attempt)
+	res, err = sw.runRecovered(ctx, members, attempt)
 	runSec := time.Since(runStart).Seconds()
 	// Outcome classification shares its branches with the failure
 	// counters — one increment per "timeout"/"panic" attempt span, so
@@ -1212,10 +1398,10 @@ func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error)
 		// The attempt's own deadline expired (not a sweep cancel):
 		// normalize whatever surfaced — the context error itself or a
 		// mid-tick wrap of it — into a typed, retriable timeout.
-		sw.svc.timeouts.Inc()
+		sw.svc.timeouts.Add(n)
 		outcome = "timeout"
 		err = fmt.Errorf("service: scenario deadline %v exceeded: %w",
-			sw.timeout, context.DeadlineExceeded)
+			deadline, context.DeadlineExceeded)
 	}
 	if outcome == "" {
 		var pe *PanicError
@@ -1234,7 +1420,12 @@ func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error)
 	if err != nil {
 		span.Error = err.Error()
 	}
-	sw.spans[i].addAttempt(span)
+	if len(members) > 1 {
+		span.Lockstep = len(members)
+	}
+	for _, i := range members {
+		sw.spans[i].addAttempt(span)
+	}
 	return res, true, err
 }
 
