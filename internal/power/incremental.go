@@ -58,12 +58,10 @@ type Incremental struct {
 
 	chassis   []chassisCache
 	dirtyList []int
-	// The first chain's conversion results live in the chassis caches
-	// and slot memos; more holds every further chain's, chassis-major
-	// (more[c*(K-1)+k-1] for chain k of K), and memoMore the slot memos'
-	// the same way. A one-chain engine keeps both empty.
-	more     []ChassisResult
-	memoMore []ChassisResult
+	// res[k][c] is chassis c's conversion result under chain k, and
+	// memoRes[k][s] slot s's memo result under it.
+	res     [][]ChassisResult
+	memoRes [][]ChassisResult
 
 	// chassisMark[c] == mark when chassis c is already on the chassis
 	// list of the slot being assigned.
@@ -89,19 +87,16 @@ type slotState struct {
 	// chassis lists, once each, every chassis a node landed in when the
 	// slot was assigned; Update marks exactly these dirty.
 	chassis []int32
-	// memo is one full uniform chassis's result at the slot's value
-	// (further chains' in Incremental.memoMore), valid while memoOK;
+	// memo is one full uniform chassis's sums at the slot's value (its
+	// conversion results in Incremental.memoRes), valid while memoOK;
 	// cleared when the value changes or the slot is reused.
 	memo   chassisSum
 	memoOK bool
 }
 
-// chassisSum is one chassis's evaluation: Σ P_S48V over its nodes, the
-// breakdown contributions, and the first chain's conversion result.
-type chassisSum struct {
-	out, cpuW, gpuW float64
-	res             ChassisResult
-}
+// chassisSum is one chassis's chain-independent evaluation: Σ P_S48V
+// over its nodes and the breakdown contributions.
+type chassisSum struct{ out, cpuW, gpuW float64 }
 
 // chassisCache holds one chassis's cached evaluation. start/end bound the
 // chassis's real nodes; filler counts the idle padding entries the dense
@@ -141,9 +136,13 @@ func (m *Model) NewIncrementalChains(chains []ConversionChain) *Incremental {
 		nodeChassis: make([]int32, total),
 		chassis:     make([]chassisCache, numChassis),
 		chassisMark: make([]uint64, numChassis),
-		more:        make([]ChassisResult, numChassis*(k-1)),
-		memoMore:    make([]ChassisResult, k-1),
+		res:         make([][]ChassisResult, k),
+		memoRes:     make([][]ChassisResult, k),
 		sp:          make([]SystemPower, k),
+	}
+	for j := range chains {
+		inc.res[j] = make([]ChassisResult, numChassis)
+		inc.memoRes[j] = make([]ChassisResult, 1)
 	}
 	inc.vals = []slotValue{inc.value(0, 0)}
 	inc.slots = make([]slotState, 1)
@@ -275,7 +274,9 @@ func (inc *Incremental) alloc(v slotValue) Slot {
 		s = Slot(len(inc.slots))
 		inc.vals = append(inc.vals, slotValue{})
 		inc.slots = append(inc.slots, slotState{})
-		inc.memoMore = append(inc.memoMore, make([]ChassisResult, len(inc.chains)-1)...)
+		for k := range inc.memoRes {
+			inc.memoRes[k] = append(inc.memoRes[k], ChassisResult{})
+		}
 	}
 	inc.vals[s] = v
 	return s
@@ -355,40 +356,24 @@ func (inc *Incremental) refreshChassis(c int) {
 	cc.dirty = false
 	nodes := inc.nodeSlot[cc.start:cc.end]
 	if cc.filler == 0 && uniform(nodes) {
-		sl := &inc.slots[nodes[0]]
-		fresh := !sl.memoOK
-		if fresh {
-			inc.fold(&sl.memo, nodes, 0)
+		s := nodes[0]
+		sl := &inc.slots[s]
+		if !sl.memoOK {
+			sl.memo = inc.fold(nodes, 0)
+			for k := range inc.chains {
+				inc.memoRes[k][s] = inc.chains[k].Chassis(sl.memo.out)
+			}
 			sl.memoOK = true
 		}
 		cc.chassisSum = sl.memo
-		if len(inc.chains) > 1 {
-			inc.memoMoreTo(c, int(nodes[0]), fresh)
+		for k, memo := range inc.memoRes {
+			inc.res[k][c] = memo[s]
 		}
 		return
 	}
-	inc.fold(&cc.chassisSum, nodes, cc.filler)
-	if nm := len(inc.chains) - 1; nm > 0 {
-		inc.convertMore(inc.more[c*nm:c*nm+nm], cc.out)
-	}
-}
-
-// memoMoreTo copies slot s's further-chain memo results to chassis c,
-// evaluating them first when the memo was just filled.
-func (inc *Incremental) memoMoreTo(c, s int, fresh bool) {
-	nm := len(inc.chains) - 1
-	memo := inc.memoMore[s*nm : s*nm+nm]
-	if fresh {
-		inc.convertMore(memo, inc.slots[s].memo.out)
-	}
-	copy(inc.more[c*nm:c*nm+nm], memo)
-}
-
-// convertMore evaluates every chain after the first on one chassis's
-// node output.
-func (inc *Incremental) convertMore(dst []ChassisResult, out float64) {
-	for k := range dst {
-		dst[k] = inc.chains[k+1].Chassis(out)
+	cc.chassisSum = inc.fold(nodes, cc.filler)
+	for k := range inc.chains {
+		inc.res[k][c] = inc.chains[k].Chassis(cc.out)
 	}
 }
 
@@ -406,8 +391,8 @@ func uniform(nodes []Slot) bool {
 }
 
 // fold sums the nodes' values in node order, then filler idle values —
-// Compute's left fold — and evaluates the first chain.
-func (inc *Incremental) fold(dst *chassisSum, nodes []Slot, filler int) {
+// Compute's left fold.
+func (inc *Incremental) fold(nodes []Slot, filler int) chassisSum {
 	vals := inc.vals
 	var out, cpuW, gpuW float64
 	for _, s := range nodes {
@@ -422,8 +407,7 @@ func (inc *Incremental) fold(dst *chassisSum, nodes []Slot, filler int) {
 		cpuW += idle.cpuW
 		gpuW += idle.gpuW
 	}
-	dst.out, dst.cpuW, dst.gpuW = out, cpuW, gpuW
-	dst.res = inc.chains[0].Chassis(out)
+	return chassisSum{out, cpuW, gpuW}
 }
 
 // resum rebuilds every chain's aggregates from the per-chassis caches
@@ -448,67 +432,49 @@ func (inc *Incremental) resum() {
 			out.PerRackInputW = make([]float64, numRacks)
 		}
 		out.PerRackInputW = out.PerRackInputW[:numRacks]
-		out.TotalW, out.RectLossW, out.SivocLossW = 0, 0, 0
 	}
 
-	// The shared sums and the first chain accumulate chassis by chassis;
-	// each further chain then sums the rack's chassis on its own, in the
-	// same order.
-	first := &inc.sp[0]
-	rest := inc.sp[1:]
-	nm := len(rest)
+	// Each chain sums in Compute's rack-major order, so it rounds as
+	// Compute does under that chain. The chain-independent sums ride on
+	// the first chain's pass: a pass of their own would add its own chain
+	// of dependent additions, slowing the one-chain engine.
+	sw := float64(t.SwitchesPerRack) * m.Spec.Switch
+	cpr := t.ChassisPerRack
 	var nodeOut, switchW, cpuW, gpuW float64
-	var rect, sivoc, total float64
-	ci := 0
-	for rack := 0; rack < numRacks; rack++ {
-		rackInput := 0.0
-		ci0 := ci
-		for ch := 0; ch < t.ChassisPerRack; ch++ {
-			cc := &inc.chassis[ci]
-			nodeOut += cc.out
-			rect += cc.res.RectLossW
-			sivoc += cc.res.SivocLossW
-			rackInput += cc.res.InputW
-			cpuW += cc.cpuW
-			gpuW += cc.gpuW
-			ci++
-		}
-		sw := float64(t.SwitchesPerRack) * m.Spec.Switch
-		switchW += sw
-		cdu := t.CDUOfRack(rack)
-		rackInput += sw
-		first.PerRackInputW[rack] = rackInput
-		first.PerCDUInputW[cdu] += rackInput
-		total += rackInput
-		for k := range rest {
-			out := &rest[k]
-			rl, sl, in := out.RectLossW, out.SivocLossW, 0.0
-			for c := ci0; c < ci; c++ {
-				r := &inc.more[c*nm+k]
-				rl += r.RectLossW
-				sl += r.SivocLossW
-				in += r.InputW
+	for j := range inc.sp {
+		out, chassis, res := &inc.sp[j], inc.chassis, inc.res[j]
+		var rect, sivoc, total float64
+		for rack := 0; rack < numRacks; rack++ {
+			rc, rr := chassis[rack*cpr:rack*cpr+cpr], res[rack*cpr:rack*cpr+cpr]
+			rackInput := 0.0
+			for c := range rc {
+				if j == 0 {
+					cc := &rc[c]
+					nodeOut += cc.out
+					cpuW += cc.cpuW
+					gpuW += cc.gpuW
+				}
+				r := &rr[c]
+				rect += r.RectLossW
+				sivoc += r.SivocLossW
+				rackInput += r.InputW
 			}
-			in += sw
-			out.RectLossW, out.SivocLossW = rl, sl
-			out.PerRackInputW[rack] = in
-			out.PerCDUInputW[cdu] += in
-			out.TotalW += in
+			rackInput += sw
+			if j == 0 {
+				switchW += sw
+			}
+			out.PerRackInputW[rack] = rackInput
+			out.PerCDUInputW[t.CDUOfRack(rack)] += rackInput
+			total += rackInput
 		}
-	}
-	first.TotalW, first.RectLossW, first.SivocLossW = total, rect, sivoc
-	pumps := float64(t.NumCDUs) * m.Spec.CDUPump
-	for k := range inc.sp {
-		out := &inc.sp[k]
-		out.NodeOutW = nodeOut
-		out.SwitchW = switchW
-		out.CDUPumpW = pumps
-		out.TotalW += pumps
+		pumps := float64(t.NumCDUs) * m.Spec.CDUPump
+		out.NodeOutW, out.SwitchW, out.CDUPumpW = nodeOut, switchW, pumps
+		out.TotalW, out.RectLossW, out.SivocLossW = total+pumps, rect, sivoc
 		out.Breakdown = Breakdown{
 			CPU: cpuW, GPU: gpuW,
 			RAM: inc.ramW, NVMe: inc.nvmeW, NIC: inc.nicW,
 			Switches: switchW,
-			RectLoss: out.RectLossW, SivocLoss: out.SivocLossW,
+			RectLoss: rect, SivocLoss: sivoc,
 			CDUPumps: pumps,
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,48 +97,60 @@ func sameSizes(a, b []int) bool {
 }
 
 // TestSweepRunsModeSiblingsInLockstep: the first dispatch runs alone;
-// every later one takes its still-queued power-mode siblings along, and
+// every later one takes its still-queued power-mode siblings along while
+// the sweep has more scenarios left than slots it could use — under a
+// max_concurrent of one, and with more workers than processors — and
 // each member still resolves, caches and stores under its own key with
 // its solo report.
 func TestSweepRunsModeSiblingsInLockstep(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := New(Options{Workers: 1, Store: st})
-	scs := modeScenarios(5, "fcfs", "easy")
-	sw, err := svc.Submit(config.Frontier(), scs, SweepOptions{MaxConcurrent: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stat := waitSweep(t, sw)
-	if stat.Done != len(scs) {
-		t.Fatalf("final status: %+v", stat)
-	}
-	assertSoloReports(t, scs, sw.Results())
-	spans := sweepSpans(svc, sw.ID())
-	want := []int{0, 2, 2, 3, 3, 3}
-	for i, size := range want {
-		if got := lockstepSizes(spans[i]); !sameSizes(got, []int{size}) {
-			t.Errorf("scenario %d ran in groups %v, want [%d]", i, got, size)
-		}
-		if spans[i].CacheTier != tierCompute {
-			t.Errorf("scenario %d tier %q", i, spans[i].CacheTier)
-		}
-	}
-	if st.Len() != len(scs) {
-		t.Errorf("store holds %d entries, want %d", st.Len(), len(scs))
-	}
-	if got := svc.misses.Value(); got != uint64(len(scs)) {
-		t.Errorf("misses = %d, want one per scenario", got)
-	}
-	// Every member is cached under its own key: resubmitting is all hits.
-	again, err := svc.Submit(config.Frontier(), scs, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitSweep(t, again); st.Cached != len(scs) {
-		t.Fatalf("resubmission not served from cache: %+v", st)
+	for name, tc := range map[string]struct {
+		workers, procs, maxConcurrent int
+	}{
+		"max_concurrent": {workers: 1, procs: runtime.GOMAXPROCS(0), maxConcurrent: 1},
+		"oversubscribed": {workers: 6, procs: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc := New(Options{Workers: tc.workers, Store: st})
+			scs := modeScenarios(5, "fcfs", "easy")
+			sw, err := svc.Submit(config.Frontier(), scs, SweepOptions{MaxConcurrent: tc.maxConcurrent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stat := waitSweep(t, sw)
+			if stat.Done != len(scs) {
+				t.Fatalf("final status: %+v", stat)
+			}
+			assertSoloReports(t, scs, sw.Results())
+			spans := sweepSpans(svc, sw.ID())
+			want := []int{0, 2, 2, 3, 3, 3}
+			for i, size := range want {
+				if got := lockstepSizes(spans[i]); !sameSizes(got, []int{size}) {
+					t.Errorf("scenario %d ran in groups %v, want [%d]", i, got, size)
+				}
+				if spans[i].CacheTier != tierCompute {
+					t.Errorf("scenario %d tier %q", i, spans[i].CacheTier)
+				}
+			}
+			if st.Len() != len(scs) {
+				t.Errorf("store holds %d entries, want %d", st.Len(), len(scs))
+			}
+			if got := svc.misses.Value(); got != uint64(len(scs)) {
+				t.Errorf("misses = %d, want one per scenario", got)
+			}
+			// Every member is cached under its own key: resubmitting is all hits.
+			again, err := svc.Submit(config.Frontier(), scs, SweepOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitSweep(t, again); st.Cached != len(scs) {
+				t.Fatalf("resubmission not served from cache: %+v", st)
+			}
+		})
 	}
 }
 
@@ -257,6 +271,8 @@ func TestLockstepMemberLeavesGroup(t *testing.T) {
 // group attempt is attempt 1 of every member, and each member then
 // continues alone in its ordinary retry loop, ending with its solo
 // report. The failure counters count the attempt once per member span.
+// The fallback keeps the sweep's max_concurrent: with a limit of one,
+// no two attempts ever run at once.
 func TestLockstepGroupFailureFallsBack(t *testing.T) {
 	for _, kind := range []string{"error", "panic", "timeout"} {
 		t.Run(kind, func(t *testing.T) {
@@ -266,7 +282,13 @@ func TestLockstepGroupFailureFallsBack(t *testing.T) {
 			}
 			svc := New(chaosOptions(st))
 			scs := append([]core.Scenario{synthScenario(99, 900)}, modeScenarios(3, "fcfs")...)
+			var running, most atomic.Int32
 			svc.SetFaultInjector(&FaultInjector{BeforeRun: func(ctx context.Context, f Fault) error {
+				n := running.Add(1)
+				defer running.Add(-1)
+				for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+				}
+				time.Sleep(5 * time.Millisecond) // widen the window an overlap would show in
 				if f.Index != 2 || f.Attempt != 1 {
 					return nil
 				}
@@ -279,13 +301,16 @@ func TestLockstepGroupFailureFallsBack(t *testing.T) {
 				}
 				return errors.New("lockstep: injected failure")
 			}})
-			sw, err := svc.Submit(config.Frontier(), scs, SweepOptions{ScenarioTimeout: time.Second})
+			sw, err := svc.Submit(config.Frontier(), scs, SweepOptions{ScenarioTimeout: time.Second, MaxConcurrent: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			stat := waitSweep(t, sw)
 			if stat.Done != len(scs) {
 				t.Fatalf("final status: %+v", stat)
+			}
+			if m := most.Load(); m != 1 {
+				t.Errorf("%d attempts ran at once under max_concurrent 1", m)
 			}
 			assertSoloReports(t, scs, sw.Results())
 			spans := sweepSpans(svc, sw.ID())
@@ -330,7 +355,7 @@ func TestLockstepCancelDiscardsMembers(t *testing.T) {
 		}
 		return nil
 	}})
-	sw, err := svc.Submit(config.Frontier(), scs, SweepOptions{})
+	sw, err := svc.Submit(config.Frontier(), scs, SweepOptions{MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +395,15 @@ func (r *localRunner) RunScenario(ctx context.Context, req RunRequest) (*core.Re
 }
 
 // TestLockstepNotUnderRunnerOrSingleAttempt: a remote runner keeps
-// per-scenario dispatch, and a one-attempt budget never groups.
+// per-scenario dispatch, a one-attempt budget never groups, and neither
+// do siblings that each have an idle worker slot and processor.
 func TestLockstepNotUnderRunnerOrSingleAttempt(t *testing.T) {
+	scs := modeScenarios(6, "fcfs", "sjf")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(len(scs)))
 	cs, err := core.Compile(config.Frontier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scs := modeScenarios(6, "fcfs", "sjf")
 	run := &localRunner{cs: cs}
 	for name, tc := range map[string]struct {
 		opts  Options
@@ -384,6 +411,7 @@ func TestLockstepNotUnderRunnerOrSingleAttempt(t *testing.T) {
 	}{
 		"runner":         {Options{Workers: 2, Runner: run}, SweepOptions{}},
 		"single attempt": {Options{Workers: 2}, SweepOptions{MaxAttempts: 1}},
+		"idle workers":   {Options{Workers: len(scs)}, SweepOptions{}},
 	} {
 		svc := New(tc.opts)
 		sw, err := svc.Submit(config.Frontier(), scs, tc.sweep)

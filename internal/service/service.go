@@ -387,9 +387,9 @@ func (s *Service) compiledFor(spec config.SystemSpec) (*core.CompiledSpec, error
 type SweepOptions struct {
 	// Name labels the sweep in listings.
 	Name string
-	// MaxConcurrent caps this sweep's in-flight dispatches — a scenario,
-	// or a lockstep group of power-mode siblings — on top of the global
-	// pool (0 → no per-sweep cap).
+	// MaxConcurrent caps how many of this sweep's simulations run at
+	// once — a lockstep group of power-mode siblings is one — on top of
+	// the global pool (0 → no per-sweep cap).
 	MaxConcurrent int
 	// ScenarioTimeout overrides the service's per-attempt deadline for
 	// this sweep (0 → Options.ScenarioTimeout).
@@ -925,9 +925,11 @@ func (sw *Sweep) loadRecoveredLocked() {
 // run drives the sweep: spawn one bounded goroutine per dispatch, each
 // gated by the per-sweep limit and the service-wide worker pool. The
 // first dispatch is one scenario, so grouping never delays the first
-// result; every later one takes the scenario's still-queued power-mode
-// siblings with it as a lockstep group (lockstepSiblings), which holds
-// one per-sweep slot.
+// result. A later one takes the scenario's still-queued power-mode
+// siblings with it as a lockstep group (lockstepSiblings) when the sweep
+// has more undispatched scenarios than worker slots it could use now
+// (freeSlots): siblings that could each have a slot and a processor of
+// their own run apart.
 func (sw *Sweep) run(maxConcurrent int) {
 	var sem chan struct{}
 	if maxConcurrent > 0 {
@@ -935,6 +937,13 @@ func (sw *Sweep) run(maxConcurrent int) {
 	}
 	var siblings [][]int // found once the first dispatch is under way
 	claimed := make([]bool, len(sw.scenarios))
+	remaining := 0 // scenarios still to dispatch
+	for i := range sw.scenarios {
+		if !sw.terminalAt(i) {
+			remaining++
+		}
+	}
+	var active atomic.Int64 // dispatches under way
 	first := true
 	var wg sync.WaitGroup
 loop:
@@ -955,7 +964,7 @@ loop:
 			break loop
 		}
 		group := []int{i}
-		if !first {
+		if !first && remaining > sw.freeSlots(sem, int(active.Load())) {
 			if siblings == nil {
 				siblings = sw.lockstepSiblings()
 			}
@@ -967,18 +976,16 @@ loop:
 			}
 		}
 		first = false
+		remaining -= len(group)
+		active.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if sem != nil {
 				defer func() { <-sem }()
 			}
-			if len(group) > 1 {
-				sw.resolveGroup(group)
-				return
-			}
-			res, tier, err := sw.resolve(i)
-			sw.record(i, res, err, tier)
+			defer active.Add(-1)
+			sw.resolveMembers(group)
 		}()
 	}
 	wg.Wait()
@@ -1027,9 +1034,26 @@ loop:
 	close(sw.done)
 }
 
-// resolve settles scenario i through the tiers in order — memory, the
-// durable store, another node's lease, compute — and reports the tier
-// that answered (tierNone on failure or cancellation).
+// freeSlots is how many worker slots the dispatch about to start could
+// use now: the pool's free slots and, under a per-sweep limit, the
+// sweep's own, with active of its dispatches under way. A dispatch
+// counts as busy from its start, before its goroutine takes a pool slot.
+// A run is one goroutine, so slots beyond GOMAXPROCS add no throughput
+// and do not count as free.
+func (sw *Sweep) freeSlots(sem chan struct{}, active int) int {
+	slots := sw.svc.slots
+	free := min(cap(slots), runtime.GOMAXPROCS(0)) - max(len(slots), active)
+	if sem != nil {
+		free = min(free, cap(sem)-active)
+	}
+	return free
+}
+
+// resolveMembers settles one dispatch — a scenario, or a lockstep group
+// of its power-mode siblings simulated as one run — and records each
+// member. Every member goes through the tiers in order — memory, the
+// durable store, another node's lease, compute — under its own key, and
+// reports the tier that answered (tierNone on failure or cancellation).
 //
 // Only the first acquirer of a (spec, scenario) key leads; concurrent
 // duplicates wait on its memory entry, so single-flight spans every
@@ -1038,24 +1062,55 @@ loop:
 // nodes too: the leader leases the key before computing locally, so of
 // N services sharing the directory only one simulates while the others
 // poll the store for its Put.
-func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
-	if sw.scenarios[i].TelemetryTo != nil {
-		// Streaming scenarios bypass every cache tier: serving a hit (or
-		// waiting on another submitter's run) would silently skip the
-		// writer side effect the caller asked for.
-		res, err := sw.simulate(i)
-		return res, computeTier(err), err
+//
+// A group member that cannot lead at once — another submitter's key or
+// another node's lease — leaves the group and resolves alone after it; a
+// memory or disk hit settles in place. The members that lead run one
+// attempt together, and when it fails each continues alone in its
+// ordinary retry loop. Everything runs one after another on the
+// dispatch's goroutine, so a dispatch never computes more than one run
+// at a time and the per-sweep limit holds.
+func (sw *Sweep) resolveMembers(members []int) {
+	var claims []*claim
+	var left []int
+	for _, i := range members {
+		c, res, tier, err := sw.lead(i, len(members) == 1)
+		switch {
+		case c != nil:
+			claims = append(claims, c)
+		case errors.Is(err, errBusy):
+			left = append(left, i)
+		default:
+			sw.record(i, res, err, tier)
+		}
 	}
-	c, res, tier, err := sw.lead(i, true)
-	if c == nil {
-		return res, tier, err
+	if len(claims) > 0 {
+		run := make([]int, len(claims))
+		for k, c := range claims {
+			run[k] = c.i
+		}
+		results, ran, err := sw.attempt(run, 1)
+		for k, c := range claims {
+			var res *core.Result
+			err := err
+			switch {
+			case err == nil:
+				res = results[k]
+			case ran:
+				res, err = sw.retry(c.i, err)
+			}
+			res, tier, err := sw.settle(c, res, err)
+			sw.record(c.i, res, err, tier)
+		}
 	}
-	res, err = sw.simulate(i)
-	return sw.settle(c, res, err)
+	for _, i := range left {
+		sw.resolveMembers([]int{i})
+	}
 }
 
 // claim is a scenario key this sweep leads to compute: its memory-tier
-// entry and, when leasing, the cross-node lease, renewed until settle.
+// entry and, when leasing, the cross-node lease, renewed until settle. A
+// streaming scenario's claim holds no key.
 type claim struct {
 	i         int
 	key       string
@@ -1075,6 +1130,12 @@ var errBusy = errors.New("service: scenario key held elsewhere")
 // with errBusy, holding nothing, where it would otherwise wait for
 // another submitter's run or another node's lease.
 func (sw *Sweep) lead(i int, wait bool) (*claim, *core.Result, string, error) {
+	if sw.scenarios[i].TelemetryTo != nil {
+		// Streaming scenarios bypass every cache tier: serving a hit (or
+		// waiting on another submitter's run) would silently skip the
+		// writer side effect the caller asked for.
+		return &claim{i: i, stopRenew: func() {}}, nil, "", nil
+	}
 	svc, st := sw.svc, sw.svc.store
 	key := sw.specHash + ":" + sw.hashes[i]
 	entry, leader := svc.cache.acquire(key)
@@ -1167,6 +1228,9 @@ func (sw *Sweep) lead(i int, wait bool) (*claim, *core.Result, string, error) {
 func (sw *Sweep) settle(c *claim, res *core.Result, err error) (*core.Result, string, error) {
 	svc, st := sw.svc, sw.svc.store
 	c.stopRenew()
+	if c.entry == nil {
+		return res, computeTier(err), err
+	}
 	if errors.Is(err, context.Canceled) {
 		if c.lease != nil {
 			c.lease.Release()
@@ -1243,60 +1307,6 @@ func (sw *Sweep) lockKey(i int) string {
 	return key
 }
 
-// resolveGroup settles a lockstep group: power-mode siblings simulated
-// as one run. Each member takes its own key as resolve would. One that
-// cannot lead at once — another submitter's key or another node's
-// lease — leaves the group and resolves alone; a memory or disk hit
-// settles in place. The rest run one lockstep attempt, and each settles
-// and records under its own key. When that attempt fails, each member
-// continues alone in its ordinary retry loop. The group's goroutine
-// returns once every member is recorded.
-func (sw *Sweep) resolveGroup(group []int) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	var claims []*claim
-	for _, i := range group {
-		c, res, tier, err := sw.lead(i, false)
-		switch {
-		case c != nil:
-			claims = append(claims, c)
-		case errors.Is(err, errBusy):
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, tier, err := sw.resolve(i)
-				sw.record(i, res, err, tier)
-			}()
-		default:
-			sw.record(i, res, err, tier)
-		}
-	}
-	if len(claims) == 0 {
-		return
-	}
-	members := make([]int, len(claims))
-	for k, c := range claims {
-		members[k] = c.i
-	}
-	results, ran, err := sw.attempt(members, 1)
-	for k, c := range claims {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var res *core.Result
-			err := err
-			switch {
-			case err == nil:
-				res = results[k]
-			case ran:
-				res, err = sw.retry(c.i, 1, err)
-			}
-			res, tier, err := sw.settle(c, res, err)
-			sw.record(c.i, res, err, tier)
-		}()
-	}
-}
-
 // computeTier is the tier a computed scenario reports.
 func computeTier(err error) string {
 	if err != nil {
@@ -1309,35 +1319,30 @@ func computeTier(err error) string {
 // producing a result; waiters retry leadership instead of failing.
 var errAbandoned = errors.New("service: scenario abandoned by cancelled sweep")
 
-// simulate drives scenario i through the retry loop: each attempt runs
-// inside the panic-isolation and deadline scope, transient failures —
-// recovered panics, deadline overruns, simulation errors — retry with
+// retry continues scenario i's retry loop alone after its first attempt
+// — alone or in a lockstep group — ran and failed with err. Each attempt
+// runs inside the panic-isolation and deadline scope, transient failures
+// — recovered panics, deadline overruns, simulation errors — retry with
 // capped exponential backoff + jitter up to the sweep's attempt budget,
 // and what survives is wrapped in a *ScenarioError so callers see the
 // scenario's identity, attempt count, and cause. Sweep cancellation is
 // never retried and surfaces as context.Canceled, also when the sweep
 // was cancelled before a pool slot freed.
-func (sw *Sweep) simulate(i int) (*core.Result, error) { return sw.retry(i, 0, nil) }
-
-// retry runs scenario i's retry loop alone after its attempt number
-// attempt (0: none yet; a lockstep group's) failed with err.
-func (sw *Sweep) retry(i, attempt int, err error) (*core.Result, error) {
-	for {
-		if attempt > 0 {
-			if sw.ctx.Err() != nil {
-				// The sweep itself was cancelled (possibly mid-attempt);
-				// report the cancellation, not the attempt's error.
-				return nil, sw.ctx.Err()
+func (sw *Sweep) retry(i int, err error) (*core.Result, error) {
+	for attempt := 1; ; {
+		if sw.ctx.Err() != nil {
+			// The sweep itself was cancelled (possibly mid-attempt);
+			// report the cancellation, not the attempt's error.
+			return nil, sw.ctx.Err()
+		}
+		if attempt >= sw.maxAttempts {
+			return nil, &ScenarioError{
+				ScenarioHash: sw.hashes[i], Index: i, Attempts: attempt, Cause: err,
 			}
-			if attempt >= sw.maxAttempts {
-				return nil, &ScenarioError{
-					ScenarioHash: sw.hashes[i], Index: i, Attempts: attempt, Cause: err,
-				}
-			}
-			sw.svc.retries.Inc()
-			if !sleepCtx(sw.ctx, backoffDelay(sw.svc.retryBase, sw.svc.retryMax, attempt)) {
-				return nil, sw.ctx.Err()
-			}
+		}
+		sw.svc.retries.Inc()
+		if !sleepCtx(sw.ctx, backoffDelay(sw.svc.retryBase, sw.svc.retryMax, attempt)) {
+			return nil, sw.ctx.Err()
 		}
 		attempt++
 		res, ran, aerr := sw.attempt([]int{i}, attempt)
