@@ -28,6 +28,12 @@ const (
 	htwHeaderDPPa    = 140e3 // primary header dp at design
 	pumpShutoffRatio = 1.5   // shutoff head / design head
 	pumpEta          = 0.78
+	// minLoopTurnoverS is the shortest time in which the HTW or CTW loop
+	// may circulate its water volume at design flow: 5× the 1 s control
+	// period the fixed-step solver integrates at. A generated Frontier
+	// plant whose tower loop turned over in 0.5 s went non-finite within
+	// minutes under that solver, while Frontier's loops take 77 and 101 s.
+	minLoopTurnoverS = 5
 )
 
 // Compile resolves a config.CoolingSpec to a full plant configuration —
@@ -146,7 +152,7 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	if htwReturnC >= secReturnC {
 		return cfg, fmt.Errorf("autocsm: %w", &config.FieldError{
 			Field: "primary_flow_gpm",
-			Constraint: fmt.Sprintf("infeasible sizing: HTW return %.1f °C would not stay below the secondary return %.1f °C",
+			Constraint: fmt.Sprintf("infeasible sizing: HTW return %.3g °C would not stay below the secondary return %.3g °C",
 				htwReturnC, secReturnC),
 			Suggestion: "increase primary_flow_gpm (or reduce design_heat_mw) so the primary loop carries the heat at a lower temperature rise",
 		})
@@ -182,6 +188,9 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	if err := sized(&cfg, "primary_flow_gpm"); err != nil {
 		return cfg, err
 	}
+	if err := turnsOver("HTW", cfg.HTWVolumeKg, rho*qPrimTotal, "primary_flow_gpm"); err != nil {
+		return cfg, err
+	}
 
 	// EHX bank: HTW return (hot) against CTW supply (cold).
 	mdotHTWPerEHX := rho * qPrimTotal / float64(spec.NumEHX)
@@ -205,6 +214,9 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	cfg.CTWLoopK = 0.78 * ctwHead / (qCTWTotal * qCTWTotal)
 	cfg.CTWHeaderSetPa = 170e3 + 0.85*ctwHead
 	cfg.CTWVolumeKg = math.Max(10000, 60000*spec.DesignHeatMW/16)
+	if err := turnsOver("CTW", cfg.CTWVolumeKg, rho*qCTWTotal, "tower_flow_gpm"); err != nil {
+		return cfg, err
+	}
 
 	// Tower cells: effectiveness from the design approach at 90 % fan.
 	cells := spec.NumTowers * spec.CellsPerTower
@@ -215,7 +227,7 @@ func Generate(spec config.CoolingSpec) (cooling.Config, error) {
 	if epsDesign >= 0.95 {
 		return cfg, fmt.Errorf("autocsm: %w", &config.FieldError{
 			Field:      "tower_flow_gpm",
-			Constraint: fmt.Sprintf("required tower effectiveness %.2f is infeasible (≥ 0.95)", epsDesign),
+			Constraint: fmt.Sprintf("required tower effectiveness %.3g is infeasible (≥ 0.95)", epsDesign),
 			Suggestion: "raise tower_flow_gpm or ct_supply_c so each cell rejects heat across a wider approach",
 		})
 	}
@@ -270,12 +282,27 @@ func sized(cfg *cooling.Config, field string) error {
 	return nil
 }
 
+// turnsOver refuses a loop that would circulate its volumeKg of water in
+// under minLoopTurnoverS at design flow mdot: the fixed-step solver cannot
+// integrate it. field is the design flow the loop is sized from.
+func turnsOver(loop string, volumeKg, mdot float64, field string) error {
+	if t := volumeKg / mdot; !(t >= minLoopTurnoverS) {
+		return fmt.Errorf("autocsm: %w", &config.FieldError{
+			Field: field,
+			Constraint: fmt.Sprintf("the %s loop would circulate its %.3g kg in %.3g s, under the %v s the plant can integrate",
+				loop, volumeKg, t, minLoopTurnoverS),
+			Suggestion: fmt.Sprintf("lower %s, or raise design_heat_mw, which sizes the loop volume", field),
+		})
+	}
+	return nil
+}
+
 // sizeCounterflowUA returns the UA (W/°C) a counterflow exchanger needs to
 // move dutyW from a hot stream (tHotIn, mdotHot) to a cold stream
 // (tColdIn, mdotCold).
 func sizeCounterflowUA(dutyW, tHotIn, mdotHot, tColdIn, mdotCold, cp float64) (float64, error) {
 	if tHotIn <= tColdIn {
-		return 0, fmt.Errorf("hot inlet %.2f °C not above cold inlet %.2f °C", tHotIn, tColdIn)
+		return 0, fmt.Errorf("hot inlet %.3g °C not above cold inlet %.3g °C", tHotIn, tColdIn)
 	}
 	cHot := mdotHot * cp
 	cCold := mdotCold * cp
@@ -285,7 +312,7 @@ func sizeCounterflowUA(dutyW, tHotIn, mdotHot, tColdIn, mdotCold, cp float64) (f
 	}
 	eps := dutyW / (cMin * (tHotIn - tColdIn))
 	if eps >= 0.98 {
-		return 0, fmt.Errorf("required effectiveness %.3f infeasible — increase flows or temperature gap", eps)
+		return 0, fmt.Errorf("required effectiveness %.3g infeasible — increase flows or temperature gap", eps)
 	}
 	if eps <= 0 {
 		return 0, fmt.Errorf("non-positive duty")

@@ -134,6 +134,9 @@ func TestGenerateRejectsInfeasibleSpecs(t *testing.T) {
 		"zero pumps":      func(s *config.CoolingSpec) { s.NumHTWPs = 0 },
 		"starved primary": func(s *config.CoolingSpec) { s.PrimaryFlowGPM = 800 },
 		"starved towers":  func(s *config.CoolingSpec) { s.TowerFlowGPM = 1500 },
+		// A tower loop that turns its volume over in 0.5 s, which the
+		// fixed-step solver cannot integrate.
+		"flooded towers": func(s *config.CoolingSpec) { s.TowerFlowGPM = 9500 * 200 },
 	}
 	for name, mutate := range cases {
 		spec := base

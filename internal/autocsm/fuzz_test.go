@@ -19,15 +19,27 @@ import (
 // cheap; unit counts are bounded by Validate, not by the fuzzer. The
 // seed corpus under testdata/fuzz holds one spec per refusal class, the
 // two finite-but-extreme design quantities that once sized an infinite
-// plant value, and accepted preset and generated plants.
+// plant value, and accepted preset and generated plants. A refusal's
+// message goes back to the client in a 400, so it must stay under
+// maxRefusalBytes whatever values the spec holds.
 func FuzzCoolingSpec(f *testing.F) {
+	const maxRefusalBytes = 512
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec config.CoolingSpec
-		if json.Unmarshal(data, &spec) != nil || spec.Validate() != nil {
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			if n := len(err.Error()); n > maxRefusalBytes {
+				t.Fatalf("Validate refusal of %d bytes: %.120s…", n, err)
+			}
 			return
 		}
 		cfg, err := Compile(spec)
 		if err != nil {
+			if n := len(err.Error()); n > maxRefusalBytes {
+				t.Fatalf("Compile refusal of %d bytes: %.120s…", n, err)
+			}
 			return
 		}
 		if err := cfg.Validate(); err != nil {

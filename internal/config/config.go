@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 
@@ -253,10 +254,24 @@ func (s *SystemSpec) Validate() error {
 	if len(s.Partitions) == 0 {
 		return fmt.Errorf("config: at least one partition required")
 	}
+	if len(s.Partitions) > maxPartitions {
+		return fmt.Errorf("config: %w", &FieldError{
+			Field: "partitions", Constraint: fmt.Sprintf("at most %d", maxPartitions),
+			Suggestion: "merge partitions that share a node type",
+		})
+	}
+	nodes := 0
 	for i := range s.Partitions {
 		p := &s.Partitions[i]
 		if p.Name == "" {
 			return fmt.Errorf("config: partition %d needs a name", i)
+		}
+		if err := p.validateSize(i, nodes); err != nil {
+			return err
+		}
+		nodes += p.NodesTotal
+		if err := p.validatePowers(i); err != nil {
+			return err
 		}
 		if _, err := p.Topology(); err != nil {
 			return fmt.Errorf("config: partition %q: %w", p.Name, err)
@@ -272,6 +287,74 @@ func (s *SystemSpec) Validate() error {
 		}
 	}
 	return s.Cooling.Validate()
+}
+
+// maxSystemNodes bounds a system's nodes, summed over its partitions, at
+// 100× Frontier's 9,472. Specs arrive inline over HTTP and a run
+// allocates scheduler and power state per node: a spec of 1e9 nodes died
+// allocating an 8 GB node pool, a fatal error that no recover catches.
+const maxSystemNodes = 100 * 9472
+
+// maxRackSlots bounds a partition's num_cdus × racks_per_cdu at 100×
+// Frontier's 25 × 3.
+const maxRackSlots = 100 * 25 * 3
+
+// maxPartitions bounds a system's partition count at 32× the two of
+// SetonixLike, the built-in spec with the most.
+const maxPartitions = 64
+
+// validateSize checks partition i's node count, with nodesBefore nodes
+// in the partitions ahead of it, and its CDU × rack product against the
+// bounds above. Non-positive counts are left to the topology check.
+func (p *PartitionSpec) validateSize(i, nodesBefore int) error {
+	if p.NodesTotal > maxSystemNodes-nodesBefore {
+		return fmt.Errorf("config: %w", &FieldError{
+			Field:      fmt.Sprintf("partitions[%d].nodes_total", i),
+			Constraint: fmt.Sprintf("at most %d nodes over all partitions", maxSystemNodes),
+			Suggestion: "model a smaller system",
+		})
+	}
+	// Divide rather than multiply: the product of two large counts
+	// overflows int.
+	if p.NumCDUs > 0 && p.RacksPerCDU > maxRackSlots/p.NumCDUs {
+		return fmt.Errorf("config: %w", &FieldError{
+			Field:      fmt.Sprintf("partitions[%d].racks_per_cdu", i),
+			Constraint: fmt.Sprintf("num_cdus × racks_per_cdu at most %d", maxRackSlots),
+			Suggestion: "size num_cdus and racks_per_cdu to the racks the nodes fill",
+		})
+	}
+	return nil
+}
+
+// validatePowers checks that partition i's component powers are finite
+// and non-negative, and that no idle power exceeds its max.
+func (p *PartitionSpec) validatePowers(i int) error {
+	for _, c := range []struct {
+		field string
+		w     float64
+	}{
+		{"cpu_idle_w", p.CPUIdleW}, {"cpu_max_w", p.CPUMaxW}, {"gpu_idle_w", p.GPUIdleW}, {"gpu_max_w", p.GPUMaxW},
+		{"ram_w", p.RAMW}, {"nvme_w", p.NVMeW}, {"nic_w", p.NICW}, {"switch_w", p.SwitchW}, {"cdu_pump_w", p.CDUPumpW},
+	} {
+		if !(c.w >= 0) || math.IsInf(c.w, 1) {
+			return fmt.Errorf("config: %w", &FieldError{
+				Field:      fmt.Sprintf("partitions[%d].%s", i, c.field),
+				Constraint: fmt.Sprintf("%v W must be finite and non-negative", c.w),
+			})
+		}
+	}
+	for _, c := range []struct {
+		field     string
+		idle, max float64
+	}{{"cpu_idle_w", p.CPUIdleW, p.CPUMaxW}, {"gpu_idle_w", p.GPUIdleW, p.GPUMaxW}} {
+		if c.idle > c.max {
+			return fmt.Errorf("config: %w", &FieldError{
+				Field:      fmt.Sprintf("partitions[%d].%s", i, c.field),
+				Constraint: fmt.Sprintf("idle %v W exceeds max %v W", c.idle, c.max),
+			})
+		}
+	}
+	return nil
 }
 
 // maxPlantUnits bounds every unit count of an AutoCSM plant — CDU

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -148,6 +149,56 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"name":"x"}`)); err == nil {
 		t.Error("incomplete spec should fail validation")
+	}
+}
+
+// TestValidateBoundsSystemSpec: an inline spec's sizes are bounded and
+// its component powers checked, each refusal a FieldError naming the
+// field, while both built-in specs still validate.
+func TestValidateBoundsSystemSpec(t *testing.T) {
+	for _, s := range []SystemSpec{Frontier(), SetonixLike()} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	cases := map[string]struct {
+		mutate func(*SystemSpec)
+		field  string
+	}{
+		"a billion nodes": {func(s *SystemSpec) {
+			p := &s.Partitions[0]
+			p.NodesTotal, p.NumCDUs = 1_000_000_000, 1_000_000_000/(128*3)+1
+		}, "partitions[0].nodes_total"},
+		// Each partition is within the bound, their sum is not.
+		"nodes summed over partitions": {func(s *SystemSpec) {
+			p := s.Partitions[0]
+			p.NodesTotal, p.NumCDUs = 4700*128, 1567
+			p.Name = "second"
+			s.Partitions[0].NodesTotal, s.Partitions[0].NumCDUs = 4700*128, 1567
+			s.Partitions = append(s.Partitions, p)
+		}, "partitions[1].nodes_total"},
+		"cdu × rack product": {func(s *SystemSpec) { s.Partitions[0].RacksPerCDU = 301 }, "partitions[0].racks_per_cdu"},
+		// The product would wrap int and read as small.
+		"cdu × rack overflow": {func(s *SystemSpec) {
+			s.Partitions[0].NumCDUs, s.Partitions[0].RacksPerCDU = 1<<32, 1<<32
+		}, "partitions[0].racks_per_cdu"},
+		"partition count": {func(s *SystemSpec) {
+			for len(s.Partitions) <= maxPartitions {
+				s.Partitions = append(s.Partitions, s.Partitions[0])
+			}
+		}, "partitions"},
+		"negative idle power": {func(s *SystemSpec) { s.Partitions[0].CPUIdleW = -1e308 }, "partitions[0].cpu_idle_w"},
+		"NaN ram power":       {func(s *SystemSpec) { s.Partitions[0].RAMW = math.NaN() }, "partitions[0].ram_w"},
+		"infinite gpu power":  {func(s *SystemSpec) { s.Partitions[0].GPUMaxW = math.Inf(1) }, "partitions[0].gpu_max_w"},
+		"idle above max":      {func(s *SystemSpec) { s.Partitions[0].GPUIdleW = 600 }, "partitions[0].gpu_idle_w"},
+	}
+	for name, tc := range cases {
+		s := Frontier()
+		tc.mutate(&s)
+		var fe *FieldError
+		if err := s.Validate(); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: Validate() = %v, want a FieldError on %s", name, err, tc.field)
+		}
 	}
 }
 

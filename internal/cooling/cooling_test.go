@@ -437,7 +437,9 @@ func TestHeatDistributionAsymmetry(t *testing.T) {
 // adaptive solver integrates every step instead of holding). "shared"
 // gives all 25 CDUs the same load, so they form one CDU class; "distinct"
 // gives each CDU its own, so nothing is shared and the class bookkeeping
-// is pure overhead.
+// is pure overhead. The ±2 % alternation is not a cooled day's load
+// profile, so this benchmark's profile is not a cooled run's either; for
+// that, profile core's BenchmarkCooledRun.
 func BenchmarkPlantStep15s(b *testing.B) {
 	for _, solver := range []string{SolverRK4, SolverAdaptive} {
 		for _, loads := range []string{"shared", "distinct"} {

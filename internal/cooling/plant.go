@@ -81,6 +81,7 @@ type Plant struct {
 	htwpPowerW float64 // total across staged pumps
 	ctwpPowerW float64
 	fanPowerW  float64 // total across staged cells
+	fanTerm    float64 // Tower.FanTerm(fanSpeed)
 	ehxStaged  int
 	ehxDutyW   float64
 	towerRejW  float64
@@ -401,7 +402,7 @@ func (p *Plant) stepAdaptive(dt float64, in Inputs) error {
 // depend on is held fixed across the period anyway; their residual
 // temperature sensitivity (through water density) is ~0.1 %.
 func (p *Plant) freezeTransferCoeffs() {
-	cfg := p.cfg
+	cfg := &p.cfg
 	rho := units.WaterDensity(p.htwSupply.T)
 	for i := range p.cdus {
 		if r := p.cduRep[i]; r != i {
@@ -417,7 +418,7 @@ func (p *Plant) freezeTransferCoeffs() {
 	nEHX := float64(p.ehxStaged)
 	p.ehxUA = cfg.EHX.UA(mdotHTW/nEHX, mdotCTW/nEHX)
 	cells := float64(p.cellStager.Count())
-	p.towerEps = cfg.Tower.Effectiveness(p.fanSpeed, mdotCTW/cells)
+	p.towerEps = cfg.Tower.Effectiveness(p.fanSpeed, p.fanTerm, mdotCTW/cells)
 	p.frozenUA = true
 }
 
@@ -636,7 +637,7 @@ func (p *Plant) CoastWindowS() float64 {
 
 // updateControls advances every PID and stager one control period.
 func (p *Plant) updateControls(dt float64) {
-	cfg := p.cfg
+	cfg := &p.cfg
 	for i := range p.cdus {
 		c := &p.cdus[i]
 		dpMeas := cfg.SecLoopK * p.secFouling[i] * c.qSec * c.qSec
@@ -680,7 +681,7 @@ func (p *Plant) updateControls(dt float64) {
 // than bracketing/bisection — this runs 27× per control period and used
 // to be a third of the cooled-day cost.
 func (p *Plant) solveHydraulics() {
-	cfg := p.cfg
+	cfg := &p.cfg
 
 	// Secondary loops: each CDU pump against its rack-loop curve, with
 	// any injected fouling raising the loop resistance.
@@ -717,8 +718,11 @@ func (p *Plant) solveHydraulics() {
 	p.qCTW, p.ctwHeadPa = qCTW, ctwHead
 	p.ctwpPowerW = ctwBank.Power(ctwHead)
 
+	// Tower fans: their power, and the effectiveness factor that depends
+	// on fan speed alone, both fixed until the next control period.
 	cells := p.cellStager.Count()
 	p.fanPowerW = float64(cells) * cfg.Tower.FanPower(p.fanSpeed)
+	p.fanTerm = cfg.Tower.FanTerm(p.fanSpeed)
 }
 
 // thermalSystem adapts the plant's energy balance to ode.System with the
@@ -737,7 +741,7 @@ func (s thermalSystem) Dim() int { return s.p.Dim() }
 func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 	p := s.p
 	in := &p.thermalIn
-	cfg := p.cfg
+	cfg := &p.cfg
 	n := len(p.cdus)
 
 	htwSupplyT := y[2*n]
@@ -745,10 +749,14 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 	ctwSupplyT := y[2*n+2]
 	ctwReturnT := y[2*n+3]
 
-	rho := units.WaterDensity(htwSupplyT)
-	cpHTW := units.WaterSpecificHeat(htwSupplyT)
+	// Each state temperature's water properties, looked up once for every
+	// term of the sweep that reads them.
+	rho, cpHTWSupply := units.WaterProps(htwSupplyT)
+	cpHTWReturn := units.WaterSpecificHeat(htwReturnT)
+	rhoCTW, cpCTWSupply := units.WaterProps(ctwSupplyT)
+	cpCTWReturn := units.WaterSpecificHeat(ctwReturnT)
 	mdotHTW := rho * p.qHTW
-	mdotCTW := units.WaterDensity(ctwSupplyT) * p.qCTW
+	mdotCTW := rhoCTW * p.qCTW
 
 	// CDU loops and their HEX coupling to the primary loop. A class
 	// member copies its representative's results (classifyCDUs); the mix
@@ -766,11 +774,13 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 		}
 		secHotT := y[2*i]
 		secColdT := y[2*i+1]
-		mdotSec := units.WaterDensity(secColdT) * c.qSec
+		rhoSecCold, cpSecCold := units.WaterProps(secColdT)
+		cpSecHot := units.WaterSpecificHeat(secHotT)
+		mdotSec := rhoSecCold * c.qSec
 
 		// Rack pass: the secondary stream picks up the CDU heat load.
 		hot := thermal.Volume{Mass: cfg.SecVolumeKg, T: secHotT}
-		dydt[2*i] = hot.DTdt(mdotSec, secColdT, in.CDUHeatW[i])
+		dydt[2*i] = hot.DTdt(mdotSec, secColdT, in.CDUHeatW[i], cpSecHot)
 
 		// HEX-1600: secondary (hot) → primary (cold), every CDU fed from
 		// the one HTW supply header.
@@ -780,9 +790,10 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 		} else {
 			ua = cfg.CDUHex.UA(mdotSec, mdotPrim)
 		}
-		q, secOutT, primOutT := cfg.CDUHex.TransferUACp(ua, secHotT, mdotSec, htwSupplyT, mdotPrim, cpHTW)
+		q, secOutT, primOutT := cfg.CDUHex.TransferUACp(ua, secHotT, mdotSec, htwSupplyT, mdotPrim,
+			cpSecHot, cpHTWSupply)
 		cold := thermal.Volume{Mass: cfg.SecVolumeKg, T: secColdT}
-		dydt[2*i+1] = cold.DTdt(mdotSec, secOutT, 0)
+		dydt[2*i+1] = cold.DTdt(mdotSec, secOutT, 0, cpSecCold)
 
 		c.hexDuty = q
 		c.primOutT = primOutT
@@ -796,35 +807,31 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 
 	// Intermediate EHX bank: HTW return (hot) → CTW (cold), per unit.
 	nEHX := float64(p.ehxStaged)
-	var qEHX, htwOutT, ctwOutT float64
-	if p.frozenUA {
-		qEHX, htwOutT, ctwOutT = cfg.EHX.TransferUA(p.ehxUA,
-			htwReturnT, mdotHTW/nEHX, ctwSupplyT, mdotCTW/nEHX)
-	} else {
-		qEHX, htwOutT, ctwOutT = cfg.EHX.Transfer(
-			htwReturnT, mdotHTW/nEHX, ctwSupplyT, mdotCTW/nEHX)
+	ehxUA := p.ehxUA
+	if !p.frozenUA {
+		ehxUA = cfg.EHX.UA(mdotHTW/nEHX, mdotCTW/nEHX)
 	}
+	qEHX, htwOutT, ctwOutT := cfg.EHX.TransferUACp(ehxUA,
+		htwReturnT, mdotHTW/nEHX, ctwSupplyT, mdotCTW/nEHX, cpHTWReturn, cpCTWSupply)
 	p.ehxDutyW = qEHX * nEHX
 
 	// Cooling-tower cells reject to the wet bulb.
-	cells := p.cellStager.Count()
-	perCell := mdotCTW / float64(cells)
-	var cellOutT float64
-	if p.frozenUA {
-		cellOutT = cfg.Tower.OutletEff(p.towerEps, ctwReturnT, in.WetBulbC)
-	} else {
-		cellOutT = cfg.Tower.Outlet(ctwReturnT, in.WetBulbC, p.fanSpeed, perCell)
+	eps := p.towerEps
+	if !p.frozenUA {
+		perCell := mdotCTW / float64(p.cellStager.Count())
+		eps = cfg.Tower.Effectiveness(p.fanSpeed, p.fanTerm, perCell)
 	}
-	p.towerRejW = mdotCTW * units.WaterSpecificHeat(ctwReturnT) * (ctwReturnT - cellOutT)
+	cellOutT := cfg.Tower.OutletEff(eps, ctwReturnT, in.WetBulbC)
+	p.towerRejW = mdotCTW * cpCTWReturn * (ctwReturnT - cellOutT)
 
 	hs := thermal.Volume{Mass: cfg.HTWVolumeKg, T: htwSupplyT}
-	dydt[2*n] = hs.DTdt(mdotHTW, htwOutT, 0)
+	dydt[2*n] = hs.DTdt(mdotHTW, htwOutT, 0, cpHTWSupply)
 	hr := thermal.Volume{Mass: cfg.HTWVolumeKg, T: htwReturnT}
-	dydt[2*n+1] = hr.DTdt(mdotHTW, mixT, 0)
+	dydt[2*n+1] = hr.DTdt(mdotHTW, mixT, 0, cpHTWReturn)
 	cs := thermal.Volume{Mass: cfg.CTWVolumeKg, T: ctwSupplyT}
-	dydt[2*n+2] = cs.DTdt(mdotCTW, cellOutT, 0)
+	dydt[2*n+2] = cs.DTdt(mdotCTW, cellOutT, 0, cpCTWSupply)
 	cr := thermal.Volume{Mass: cfg.CTWVolumeKg, T: ctwReturnT}
-	dydt[2*n+3] = cr.DTdt(mdotCTW, ctwOutT, 0)
+	dydt[2*n+3] = cr.DTdt(mdotCTW, ctwOutT, 0, cpCTWReturn)
 }
 
 func (p *Plant) integrateThermal(dt float64, in Inputs) {

@@ -343,3 +343,51 @@ func TestAdaptiveSolverMatchesFixedAcrossPlants(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkCooledRun times one 6 h synthetic Frontier run at a 15 s tick
+// under each plant of bench/'s cooled-sweep workload: the Frontier preset
+// under fixed-step RK4, the same preset under the adaptive solver, and an
+// AutoCSM plant generated from Frontier's design quantities under the
+// adaptive solver. NoExport, NoHistory and a fixed wet bulb leave the twin
+// run alone, without the HTTP service around it, so the plant layer can be
+// profiled in-package:
+//
+//	go test ./internal/core/ -run '^$' -bench CooledRun/rk4 -cpuprofile cpu.out
+func BenchmarkCooledRun(b *testing.B) {
+	tw, err := NewFrontier()
+	if err != nil {
+		b.Fatal(err)
+	}
+	adaptive := config.Frontier().Cooling
+	adaptive.Solver = cooling.SolverAdaptive
+	auto := adaptive
+	auto.Preset = ""
+	gen := job.DefaultGeneratorConfig()
+	gen.Seed = 3
+	for _, pl := range []struct {
+		name string
+		spec *config.CoolingSpec
+	}{{"rk4", nil}, {"adaptive", &adaptive}, {"autocsm", &auto}} {
+		b.Run(pl.name, func(b *testing.B) {
+			sc := Scenario{
+				Workload: WorkloadSynthetic, Generator: gen,
+				HorizonSec: 6 * 3600, TickSec: 15,
+				Cooling: true, CoolingSpec: pl.spec, WetBulbC: 18,
+				NoExport: true, NoHistory: true,
+			}
+			// The first run compiles the plant design, which the twin
+			// then serves from its cache; keep it out of the timing.
+			if _, err := tw.Run(sc); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := tw.Run(sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.Report.AvgPUE, "pue")
+			}
+		})
+	}
+}

@@ -107,13 +107,72 @@ type Valve struct {
 	KMax         float64 // leakage-limited resistance when closed
 
 	pos float64
+	pow basePow // Rangeability's share of math.Pow(Rangeability, y)
 }
 
 // NewValve builds an equal-percentage valve sized to pass qRated at
 // dpRated when fully open, with the given rangeability.
 func NewValve(dpRatedPa, qRated, rangeability float64) *Valve {
 	k := dpRatedPa / (qRated * qRated)
-	return &Valve{KOpen: k, Rangeability: rangeability, KMax: k * math.Pow(rangeability, 2), pos: 1}
+	return &Valve{KOpen: k, Rangeability: rangeability, KMax: k * math.Pow(rangeability, 2), pos: 1,
+		pow: newBasePow(rangeability)}
+}
+
+// basePow holds the part of math.Pow(x, y) that depends on x alone, for
+// one finite x > 1: Log x, and x¹ and x² as Frexp mantissa and power of
+// two. The zero value holds nothing, and then at defers to math.Pow.
+type basePow struct {
+	x     float64
+	logX  float64
+	frac  [3]float64 // x^yi's mantissa for yi = 0, 1, 2
+	scale [3]float64 // x^yi's power of two, 2^exp
+}
+
+func newBasePow(x float64) basePow {
+	if !(x > 1) || math.IsInf(x, 1) {
+		return basePow{}
+	}
+	frac, exp := [3]float64{1}, [3]int{}
+	frac[1], exp[1] = math.Frexp(x)
+	// math.Pow's repeated squaring, one step.
+	frac[2], exp[2] = frac[1]*frac[1], exp[1]<<1
+	if frac[2] < .5 {
+		frac[2] += frac[2]
+		exp[2]--
+	}
+	if exp[2] > 1023 { // 2^exp would not be a normal float64
+		return basePow{}
+	}
+	b := basePow{x: x, logX: math.Log(x), frac: frac}
+	for i, e := range exp {
+		b.scale[i] = math.Float64frombits(uint64(e+1023) << 52)
+	}
+	return b
+}
+
+// at returns math.Pow(x, y) bit for bit. For 0 < y ≤ 2 other than ½ and
+// 1, math.Pow performs exactly these operations after special-case tests
+// that never match: y splits into yi + yf with |yf| ≤ ½, then x^yf comes
+// from Exp(yf·Log x) and x^yi from the mantissa and power of two held
+// here. math.Pow's closing Ldexp by that power is a multiplication here:
+// x^y lies between 1 and x², both normal, and scaling by a power of two
+// within the normal range is exact. Every other y, and any x the value
+// does not hold, takes math.Pow itself.
+func (b *basePow) at(x, y float64) float64 {
+	if x != b.x || !(y > 0 && y <= 2) || y == 0.5 || y == 1 {
+		return math.Pow(x, y)
+	}
+	yi, yf := math.Modf(y)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	a := 1.0
+	if yf != 0 {
+		a = math.Exp(yf * b.logX)
+	}
+	i := int(yi)
+	return a * b.frac[i] * b.scale[i]
 }
 
 // SetPosition commands the valve to pos ∈ [0, 1].
@@ -136,7 +195,7 @@ func (v *Valve) Resistance() Resistance {
 	if r <= 1 {
 		r = 1
 	}
-	k := v.KOpen * math.Pow(r, 2*(1-v.pos))
+	k := v.KOpen * v.pow.at(r, 2*(1-v.pos))
 	if v.KMax > 0 && k > v.KMax {
 		k = v.KMax
 	}

@@ -446,6 +446,11 @@ func TestHTTPRejectsInvalidScenario(t *testing.T) {
 		"tower flow near overflow": {`{"workload":"idle","horizon_sec":60,"cooling_spec":{"num_cdus":25,"num_towers":5,` +
 			`"cells_per_tower":4,"num_fan_channels":16,"num_htwps":4,"num_ctwps":4,"num_ehx":5,"design_heat_mw":16,` +
 			`"design_wetbulb_c":20,"secondary_supply_c":32,"ct_supply_c":22,"primary_flow_gpm":5200,"tower_flow_gpm":1e308}}`, "tower_flow_gpm"},
+		// The HTW return it implies is a 303-digit temperature, which
+		// the refusal must not spell out.
+		"primary flow near zero": {`{"workload":"idle","horizon_sec":60,"cooling_spec":{"num_cdus":25,"num_towers":5,` +
+			`"cells_per_tower":4,"num_fan_channels":16,"num_htwps":4,"num_ctwps":4,"num_ehx":5,"design_heat_mw":16,` +
+			`"design_wetbulb_c":20,"secondary_supply_c":32,"ct_supply_c":22,"primary_flow_gpm":1e-300,"tower_flow_gpm":9500}}`, "primary_flow_gpm"},
 	} {
 		body := `{"scenarios":[{"workload":"idle","horizon_sec":60},` + tc.sc + `]}`
 		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(body))
@@ -459,9 +464,64 @@ func TestHTTPRejectsInvalidScenario(t *testing.T) {
 			!strings.Contains(eb.Error, "scenario 1") {
 			t.Errorf("%s: status %d (%q), want 400 naming scenario 1's %s", name, resp.StatusCode, eb.Error, tc.want)
 		}
+		if len(eb.Error) >= 300 {
+			t.Errorf("%s: a refusal of %d bytes, want under 300: %.120s…", name, len(eb.Error), eb.Error)
+		}
 	}
 	if n := len(svc.List()); n != 0 {
 		t.Errorf("%d sweeps registered after refused submissions, want 0", n)
+	}
+}
+
+// TestHTTPRejectsInvalidSystemSpec is the sweep-level sibling of
+// TestHTTPRejectsInvalidScenario: an inline spec past a size bound or
+// with an impossible component power is a 400 naming the field, and
+// leaves neither a sweep nor a journal behind. The billion-node body is
+// the one that, unbounded, died allocating an 8 GB node pool.
+func TestHTTPRejectsInvalidSystemSpec(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{Workers: 1, Store: st})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+
+	for name, tc := range map[string]struct {
+		mutate func(*config.PartitionSpec)
+		field  string
+	}{
+		"a billion nodes": {func(p *config.PartitionSpec) {
+			// Enough CDUs that, unbounded, the topology would pass.
+			p.NodesTotal, p.NumCDUs = 1_000_000_000, 1_000_000_000/(128*3)+1
+		}, "partitions[0].nodes_total"},
+		"extreme component powers": {func(p *config.PartitionSpec) {
+			p.CPUIdleW, p.GPUMaxW = -1e308, 1e308
+		}, "partitions[0].cpu_idle_w"},
+	} {
+		spec := config.Frontier()
+		tc.mutate(&spec.Partitions[0])
+		body, err := json.Marshal(SubmitRequest{Spec: &spec, Scenarios: []ScenarioRequest{{Workload: "idle", HorizonSec: 60}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || eb.Field != tc.field {
+			t.Errorf("%s: status %d (%+v), want 400 on %s", name, resp.StatusCode, eb, tc.field)
+		}
+	}
+	if n := len(svc.List()); n != 0 {
+		t.Errorf("%d sweeps registered after refused submissions, want 0", n)
+	}
+	if n := st.JournalCount(); n != 0 {
+		t.Errorf("%d journals written for refused submissions, want 0", n)
 	}
 }
 

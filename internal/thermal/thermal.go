@@ -23,12 +23,14 @@ type Volume struct {
 }
 
 // DTdt returns dT/dt for inlet flow mdot (kg/s) at temperature tIn with
-// additional heat input qHeat (W, positive heats the volume).
-func (v *Volume) DTdt(mdot, tIn, qHeat float64) float64 {
+// additional heat input qHeat (W, positive heats the volume). cp is the
+// water's specific heat at the volume's temperature,
+// units.WaterSpecificHeat(v.T), which the caller usually has at hand for
+// other terms at that temperature.
+func (v *Volume) DTdt(mdot, tIn, qHeat, cp float64) float64 {
 	if v.Mass <= 0 {
 		return 0
 	}
-	cp := units.WaterSpecificHeat(v.T)
 	return (mdot*cp*(tIn-v.T) + qHeat) / (v.Mass * cp)
 }
 
@@ -60,19 +62,28 @@ func (h HeatExchanger) UA(mdotHot, mdotCold float64) float64 {
 // float64 nearest −0.2 that the constant expression 0.8 − 1 would give.
 const pow08Frac = -0.19999999999999996
 
-// pow08 returns math.Pow(x, 0.8) bit for bit, at about two thirds of its
+// pow08 returns math.Pow(x, 0.8) bit for bit, at a little over half its
 // cost. For finite x > 0 math.Pow performs exactly these operations —
 // x^(0.8−1) through Exp∘Log, times x^1 as Frexp's mantissa and exponent —
 // after a chain of special-case tests that never match here; the Dittus–
 // Boelter film scaling calls it twice per HEX evaluation, the largest
 // single cost of the cooling model's derivative sweep. Zero, negative,
 // infinite and NaN arguments take math.Pow itself.
+//
+// math.Pow's last step, Ldexp(m, exp), is a multiplication by 2^exp here
+// when that power of two is a normal float64. x^0.8 is then normal too,
+// and scaling a float by a power of two without leaving the normal range
+// is exact, so the two agree bit for bit.
 func pow08(x float64) float64 {
 	if !(x > 0) || math.IsInf(x, 1) {
 		return math.Pow(x, 0.8)
 	}
 	frac, exp := math.Frexp(x)
-	return math.Ldexp(math.Exp(pow08Frac*math.Log(x))*frac, exp)
+	m := math.Exp(pow08Frac*math.Log(x)) * frac
+	if exp < -1022 || exp > 1023 {
+		return math.Ldexp(m, exp)
+	}
+	return m * math.Float64frombits(uint64(exp+1023)<<52)
 }
 
 // Effectiveness returns the counterflow ε for the given capacity rates.
@@ -94,29 +105,23 @@ func Effectiveness(ntu, cr float64) float64 {
 // inlet temperatures and mass flows, plus the two outlet temperatures.
 // Zero flow on either side transfers nothing.
 func (h HeatExchanger) Transfer(tHotIn, mdotHot, tColdIn, mdotCold float64) (q, tHotOut, tColdOut float64) {
-	return h.TransferUA(h.UA(mdotHot, mdotCold), tHotIn, mdotHot, tColdIn, mdotCold)
+	return h.TransferUACp(h.UA(mdotHot, mdotCold), tHotIn, mdotHot, tColdIn, mdotCold,
+		units.WaterSpecificHeat(tHotIn), units.WaterSpecificHeat(tColdIn))
 }
 
-// TransferUA is Transfer with the overall conductance supplied by the
-// caller. UA depends only on the mass flows (not on temperature), so a
-// hot loop whose hydraulic solution is frozen across an integration
-// period can evaluate UA once and skip its two Pow calls per stage
-// evaluation — the dominant cost of the cooling model's derivative
-// sweep. TransferUA(h.UA(mh, mc), ...) is exactly Transfer(...).
-func (h HeatExchanger) TransferUA(ua, tHotIn, mdotHot, tColdIn, mdotCold float64) (q, tHotOut, tColdOut float64) {
-	return h.TransferUACp(ua, tHotIn, mdotHot, tColdIn, mdotCold, units.WaterSpecificHeat(tColdIn))
-}
-
-// TransferUACp is TransferUA with the cold inlet's specific heat cpC
-// (units.WaterSpecificHeat(tColdIn)) supplied by the caller as well, for
-// exchangers that share one cold supply header and so one cold inlet
-// temperature.
-func (h HeatExchanger) TransferUACp(ua, tHotIn, mdotHot, tColdIn, mdotCold, cpC float64) (q, tHotOut, tColdOut float64) {
+// TransferUACp is Transfer with the overall conductance ua and the inlet
+// specific heats cpH and cpC (units.WaterSpecificHeat of tHotIn and
+// tColdIn) supplied by the caller. UA depends only on the mass flows, so
+// a loop whose hydraulic solution is frozen across an integration period
+// can evaluate it once and skip its two Pow calls per stage evaluation,
+// the dominant cost of the cooling model's derivative sweep. The inlet
+// temperatures are the plant's state temperatures, whose water
+// properties the derivative sweep looks up once for every term.
+func (h HeatExchanger) TransferUACp(ua, tHotIn, mdotHot, tColdIn, mdotCold, cpH, cpC float64) (q, tHotOut, tColdOut float64) {
 	tHotOut, tColdOut = tHotIn, tColdIn
 	if mdotHot <= 0 || mdotCold <= 0 || tHotIn <= tColdIn {
 		return 0, tHotOut, tColdOut
 	}
-	cpH := units.WaterSpecificHeat(tHotIn)
 	cHot := mdotHot * cpH
 	cCold := mdotCold * cpC
 	cMin, cMax := cHot, cCold
@@ -141,13 +146,20 @@ type CoolingTower struct {
 	FanPowerMax float64 // fan power per cell at full speed, W
 }
 
-// Effectiveness returns the cell effectiveness for fan speed (0..1) and
-// water flow mdot.
-func (c CoolingTower) Effectiveness(fanSpeed, mdot float64) float64 {
+// FanTerm returns EpsNominal·fanSpeed^FanExp, the factor of the cell
+// effectiveness that depends on fan speed alone. The plant holds fan speed
+// across a control period, so it evaluates this once per period.
+func (c CoolingTower) FanTerm(fanSpeed float64) float64 {
+	return c.EpsNominal * math.Pow(fanSpeed, c.FanExp)
+}
+
+// Effectiveness returns the cell effectiveness for fan speed (0..1), its
+// FanTerm fanTerm, and water flow mdot.
+func (c CoolingTower) Effectiveness(fanSpeed, fanTerm, mdot float64) float64 {
 	if fanSpeed <= 0 || mdot <= 0 {
 		return 0.05 // natural-draft trickle
 	}
-	eps := c.EpsNominal * math.Pow(fanSpeed, c.FanExp) * math.Pow(c.MdotNominal/mdot, c.LoadExp)
+	eps := fanTerm * math.Pow(c.MdotNominal/mdot, c.LoadExp)
 	return units.Clamp(eps, 0.05, 0.98)
 }
 
@@ -157,13 +169,12 @@ func (c CoolingTower) Outlet(tIn, tWb, fanSpeed, mdot float64) float64 {
 	if tIn <= tWb {
 		return tIn
 	}
-	return c.OutletEff(c.Effectiveness(fanSpeed, mdot), tIn, tWb)
+	return c.OutletEff(c.Effectiveness(fanSpeed, c.FanTerm(fanSpeed), mdot), tIn, tWb)
 }
 
 // OutletEff is Outlet with the cell effectiveness supplied by the
-// caller (see HeatExchanger.TransferUA for the precomputation rationale:
-// effectiveness depends on fan speed and flow, both frozen across an
-// integration period).
+// caller: it depends on fan speed and flow, both frozen across an
+// integration period under the adaptive solver.
 func (c CoolingTower) OutletEff(eps, tIn, tWb float64) float64 {
 	if tIn <= tWb {
 		return tIn

@@ -12,22 +12,22 @@ import (
 func TestVolumeEquilibrium(t *testing.T) {
 	v := &Volume{Mass: 100, T: 20}
 	// Steady inlet at 30 °C, no heat: derivative pushes toward 30.
-	if d := v.DTdt(5, 30, 0); d <= 0 {
+	if d := v.DTdt(5, 30, 0, units.WaterSpecificHeat(v.T)); d <= 0 {
 		t.Errorf("dT/dt = %v, want positive toward inlet temp", d)
 	}
 	v.T = 30
-	if d := v.DTdt(5, 30, 0); math.Abs(d) > 1e-12 {
+	if d := v.DTdt(5, 30, 0, units.WaterSpecificHeat(v.T)); math.Abs(d) > 1e-12 {
 		t.Errorf("at equilibrium dT/dt = %v, want 0", d)
 	}
 	// Heat input raises temperature even at equilibrium flow.
-	if d := v.DTdt(5, 30, 50e3); d <= 0 {
+	if d := v.DTdt(5, 30, 50e3, units.WaterSpecificHeat(v.T)); d <= 0 {
 		t.Errorf("heated volume dT/dt = %v, want positive", d)
 	}
 }
 
 func TestVolumeZeroMass(t *testing.T) {
 	v := &Volume{Mass: 0, T: 20}
-	if d := v.DTdt(5, 30, 1000); d != 0 {
+	if d := v.DTdt(5, 30, 1000, units.WaterSpecificHeat(v.T)); d != 0 {
 		t.Errorf("zero-mass volume should be inert, got %v", d)
 	}
 }
@@ -39,7 +39,7 @@ func TestVolumeFirstOrderResponse(t *testing.T) {
 	dt := 0.01
 	steps := int(50.0 / mdot / dt) // t = m/ṁ = 10 s
 	for i := 0; i < steps; i++ {
-		v.T += dt * v.DTdt(mdot, 40, 0)
+		v.T += dt * v.DTdt(mdot, 40, 0, units.WaterSpecificHeat(v.T))
 	}
 	want := 40 + (20-40)*math.Exp(-1)
 	if math.Abs(v.T-want) > 0.05 {

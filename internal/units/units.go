@@ -40,45 +40,72 @@ func CToK(c float64) float64 { return c + 273.15 }
 // the validity of these single-phase liquid tables (IAPWS-IF97 at 1 atm),
 // which are linearly interpolated.
 
-var waterTempGrid = []float64{0, 10, 20, 25, 30, 40, 50, 60, 70, 80}
+var waterTempGrid = [...]float64{0, 10, 20, 25, 30, 40, 50, 60, 70, 80}
 
-var waterDensityTable = []float64{
+var waterDensityTable = [...]float64{
 	999.84, 999.70, 998.21, 997.05, 995.65, 992.22, 988.03, 983.20, 977.76, 971.79,
 }
 
-var waterCpTable = []float64{
+var waterCpTable = [...]float64{
 	4217.6, 4192.1, 4181.8, 4179.6, 4178.4, 4178.5, 4180.6, 4184.5, 4189.8, 4196.5,
 }
 
-// interpTable linearly interpolates y(x) over the shared waterTempGrid,
-// clamping outside the tabulated range.
-func interpTable(x float64, ys []float64) float64 {
-	g := waterTempGrid
-	if x <= g[0] {
-		return ys[0]
-	}
-	if x >= g[len(g)-1] {
-		return ys[len(ys)-1]
-	}
-	for i := 1; i < len(g); i++ {
-		if x <= g[i] {
-			t := (x - g[i-1]) / (g[i] - g[i-1])
-			return Lerp(ys[i-1], ys[i], t)
+// waterSegOfDegree[d], for each whole degree d of the grid's 0–80 °C span,
+// is the grid segment i, g[i-1] ≤ d < g[i], that holds the open degree
+// (d, d+1). The grid points are whole degrees, so no segment boundary
+// falls inside a degree.
+var waterSegOfDegree = func() (seg [80]uint8) {
+	i := 1
+	for d := range seg {
+		for float64(d) >= waterTempGrid[i] {
+			i++
 		}
+		seg[d] = uint8(i)
 	}
-	return ys[len(ys)-1]
+	return seg
+}()
+
+// WaterProps returns the density (kg/m³) and isobaric specific heat
+// (J/(kg·°C)) of liquid water at temperature tC in °C, from one lookup of
+// the temperature's grid segment. Table interpolation, valid 0–80 °C and
+// clamped outside; NaN reads the 80 °C values. A temperature on a grid
+// point g[i] interpolates segment i at t = 1, not segment i+1 at t = 0:
+// the two can differ in the last bit.
+func WaterProps(tC float64) (rho, cp float64) {
+	g := &waterTempGrid
+	if tC <= g[0] {
+		return waterDensityTable[0], waterCpTable[0]
+	}
+	if !(tC < g[len(g)-1]) {
+		return waterDensityTable[len(g)-1], waterCpTable[len(g)-1]
+	}
+	i, t := waterSegment(tC)
+	return Lerp(waterDensityTable[i-1], waterDensityTable[i], t),
+		Lerp(waterCpTable[i-1], waterCpTable[i], t)
 }
 
-// WaterDensity returns the density of liquid water in kg/m³ at temperature
-// tC in °C. Table interpolation, valid 0–80 °C (clamped outside).
+// waterSegment returns the grid segment i of a temperature inside the
+// grid, g[0] < tC < g[len(g)-1], and its fraction t ∈ (0, 1] of the way
+// from g[i-1] to g[i].
+func waterSegment(tC float64) (i int, t float64) {
+	g := &waterTempGrid
+	i = int(waterSegOfDegree[int(tC)])
+	if tC <= g[i-1] { // tC is the grid point g[i-1] itself
+		i--
+	}
+	return i, (tC - g[i-1]) / (g[i] - g[i-1])
+}
+
+// WaterDensity returns WaterProps' density alone.
 func WaterDensity(tC float64) float64 {
-	return interpTable(tC, waterDensityTable)
+	rho, _ := WaterProps(tC)
+	return rho
 }
 
-// WaterSpecificHeat returns the isobaric specific heat capacity of liquid
-// water in J/(kg·°C) at temperature tC in °C. Valid 0–80 °C (clamped).
+// WaterSpecificHeat returns WaterProps' specific heat alone.
 func WaterSpecificHeat(tC float64) float64 {
-	return interpTable(tC, waterCpTable)
+	_, cp := WaterProps(tC)
+	return cp
 }
 
 // FlowForHeat inverts Eq. 7 of the paper, H = ρ·Q·ΔT·c: the volumetric

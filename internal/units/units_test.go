@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -135,5 +136,71 @@ func TestLerp(t *testing.T) {
 func TestWToMW(t *testing.T) {
 	if WToMW(28.2e6) != 28.2 {
 		t.Errorf("WToMW failed")
+	}
+}
+
+// scanSegment is the linear grid scan WaterProps replaced, kept here as
+// its reference: the first segment i whose upper grid point is ≥ x, and
+// the fraction t of x within it. ok is false outside the grid and for NaN.
+func scanSegment(x float64) (i int, t float64, ok bool) {
+	g := waterTempGrid[:]
+	if x <= g[0] || x >= g[len(g)-1] {
+		return 0, 0, false
+	}
+	for i := 1; i < len(g); i++ {
+		if x <= g[i] {
+			return i, (x - g[i-1]) / (g[i] - g[i-1]), true
+		}
+	}
+	return 0, 0, false
+}
+
+// scanTable interpolates ys as the scan did: clamped outside the grid,
+// and the last table value for NaN, where no comparison holds.
+func scanTable(x float64, ys []float64) float64 {
+	if x <= waterTempGrid[0] {
+		return ys[0]
+	}
+	i, t, ok := scanSegment(x)
+	if !ok {
+		return ys[len(ys)-1]
+	}
+	return Lerp(ys[i-1], ys[i], t)
+}
+
+// TestWaterPropsMatchTable pins WaterProps, WaterDensity and
+// WaterSpecificHeat bit for bit to the grid scan: on every grid point and
+// one ulp either side, over random temperatures, and at ±Inf, −0 and NaN.
+// Inside the grid it also pins the segment and fraction themselves. On a
+// grid point g[i] segment i at t = 1 and segment i+1 at t = 0 give equal
+// bits for today's tables, whose neighbouring entries differ exactly, but
+// need not for others.
+func TestWaterPropsMatchTable(t *testing.T) {
+	xs := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.NaN()}
+	for _, g := range waterTempGrid {
+		xs = append(xs, g, math.Nextafter(g, math.Inf(-1)), math.Nextafter(g, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1e6; i++ {
+		xs = append(xs, -10+100*rng.Float64())
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, x := range xs {
+		wantRho, wantCp := scanTable(x, waterDensityTable[:]), scanTable(x, waterCpTable[:])
+		if wi, wt, ok := scanSegment(x); ok {
+			if i, frac := waterSegment(x); i != wi || !same(frac, wt) {
+				t.Fatalf("waterSegment(%v) = (%d, %v), want (%d, %v)", x, i, frac, wi, wt)
+			}
+		}
+		rho, cp := WaterProps(x)
+		if !same(rho, wantRho) || !same(cp, wantCp) {
+			t.Fatalf("WaterProps(%v) = (%v, %v), want (%v, %v)", x, rho, cp, wantRho, wantCp)
+		}
+		if d := WaterDensity(x); !same(d, wantRho) {
+			t.Fatalf("WaterDensity(%v) = %v, want %v", x, d, wantRho)
+		}
+		if c := WaterSpecificHeat(x); !same(c, wantCp) {
+			t.Fatalf("WaterSpecificHeat(%v) = %v, want %v", x, c, wantCp)
+		}
 	}
 }
