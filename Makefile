@@ -70,7 +70,7 @@ check: vet metrics-lint
 	$(GO) -C bench vet ./...
 	test -z "$$(gofmt -l .)"
 
-# Fuzz nine trust boundaries and the power engine, 15 s each:
+# Fuzz the trust boundaries and the power engine, 15 s each:
 #   - the strict exposition parser every metrics test reads counters
 #     through: no panic on arbitrary bytes, and a rendered registry
 #     parses back to exactly the values written;
@@ -93,9 +93,16 @@ check: vet metrics-lint
 #     accepted study is bounded, and every first-population candidate
 #     is finite and inside its knob's range;
 #   - a scenario's cooling spec through AutoCSM to the plant: no panic,
-#     and an accepted spec steps its plant to finite outputs.
+#     and an accepted spec steps its plant to finite outputs;
+#   - the inline system spec through Validate, Compile and Check to a
+#     60 s HPL run: no panic, and an accepted spec reports finite,
+#     non-negative energy, power and loss;
+#   - the operator's -presets file loader: no panic, a refused file
+#     registers nothing, and an accepted one registers exactly its plants;
+#   - the coordinator's read of a worker's result stream: no panic, and
+#     a result only from a done or cached line.
 # The seed corpora live under
-# internal/{obs,surrogate,service,power,store,telemetry,optimize,autocsm}/testdata/fuzz.
+# internal/{obs,surrogate,service,power,store,telemetry,optimize,autocsm,core,cooling,cluster}/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
@@ -108,6 +115,9 @@ fuzz:
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 15s
 	$(GO) test ./internal/optimize/ -run '^$$' -fuzz '^FuzzStudySpec$$' -fuzztime 15s
 	$(GO) test ./internal/autocsm/ -run '^$$' -fuzz '^FuzzCoolingSpec$$' -fuzztime 15s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzSystemSpec$$' -fuzztime 15s
+	$(GO) test ./internal/cooling/ -run '^$$' -fuzz '^FuzzRegisterPresetsFromJSON$$' -fuzztime 15s
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzStreamResult$$' -fuzztime 15s
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # go test ./... never reaches it: its statistics, comparison-rule,

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync/atomic"
 
@@ -285,6 +284,9 @@ func (s *SystemSpec) Validate() error {
 		if p.Power.CoolingEfficiency <= 0 || p.Power.CoolingEfficiency > 1 {
 			return fmt.Errorf("config: partition %q: cooling_efficiency out of (0,1]", p.Name)
 		}
+		if err := p.validateChain(i); err != nil {
+			return err
+		}
 	}
 	return s.Cooling.Validate()
 }
@@ -326,20 +328,34 @@ func (p *PartitionSpec) validateSize(i, nodesBefore int) error {
 	return nil
 }
 
-// validatePowers checks that partition i's component powers are finite
-// and non-negative, and that no idle power exceeds its max.
+// maxComponentW bounds each node part's power (a CPU, a GPU, the RAM, an
+// NVMe drive, a NIC) at 10× the largest part in the GPU presets of
+// the co-design studies the twin serves: GB300, 1,400 W TDP. A finite but
+// huge part (a 1e308 W GPU) overflowed a run's power sums to NaN energy.
+const maxComponentW = 10 * 1400
+
+// maxFacilityW bounds a switch's and a CDU pump's power at 100× Frontier's
+// 8.7 kW CDU pump, its largest facility part; a 1e308 W pump reported
+// infinite energy.
+const maxFacilityW = 100 * 8700
+
+// validatePowers checks that partition i's component powers are
+// non-negative and at most their ceilings above, and that no idle power
+// exceeds its max.
 func (p *PartitionSpec) validatePowers(i int) error {
 	for _, c := range []struct {
-		field string
-		w     float64
+		field  string
+		w, max float64
 	}{
-		{"cpu_idle_w", p.CPUIdleW}, {"cpu_max_w", p.CPUMaxW}, {"gpu_idle_w", p.GPUIdleW}, {"gpu_max_w", p.GPUMaxW},
-		{"ram_w", p.RAMW}, {"nvme_w", p.NVMeW}, {"nic_w", p.NICW}, {"switch_w", p.SwitchW}, {"cdu_pump_w", p.CDUPumpW},
+		{"cpu_idle_w", p.CPUIdleW, maxComponentW}, {"cpu_max_w", p.CPUMaxW, maxComponentW},
+		{"gpu_idle_w", p.GPUIdleW, maxComponentW}, {"gpu_max_w", p.GPUMaxW, maxComponentW},
+		{"ram_w", p.RAMW, maxComponentW}, {"nvme_w", p.NVMeW, maxComponentW}, {"nic_w", p.NICW, maxComponentW},
+		{"switch_w", p.SwitchW, maxFacilityW}, {"cdu_pump_w", p.CDUPumpW, maxFacilityW},
 	} {
-		if !(c.w >= 0) || math.IsInf(c.w, 1) {
+		if !(c.w >= 0 && c.w <= c.max) {
 			return fmt.Errorf("config: %w", &FieldError{
 				Field:      fmt.Sprintf("partitions[%d].%s", i, c.field),
-				Constraint: fmt.Sprintf("%v W must be finite and non-negative", c.w),
+				Constraint: fmt.Sprintf("%v W must be within [0, %v] W", c.w, c.max),
 			})
 		}
 	}
@@ -353,6 +369,68 @@ func (p *PartitionSpec) validatePowers(i int) error {
 				Constraint: fmt.Sprintf("idle %v W exceeds max %v W", c.idle, c.max),
 			})
 		}
+	}
+	return nil
+}
+
+// maxPartCount bounds a node's GPUs, NICs and NVMe drives and a rack's
+// switches, each at 8× Frontier's 32 switches per rack, its largest count.
+const maxPartCount = 8 * 32
+
+// maxRectPerChassis bounds a chassis's rectifiers at 16× Frontier's 4;
+// smart-rectifier staging tries every count at every chassis update.
+const maxRectPerChassis = 16 * 4
+
+// maxRectifierW bounds a rectifier's continuous rating at 100× Frontier's
+// 15 kW.
+const maxRectifierW = 100 * 15000
+
+// validateChain checks partition i's part counts and its conversion
+// chain: efficiencies in (0, 1], a rectifier curve that stays positive
+// from no load to its rating, and a chassis at full load within its
+// rectifiers' rating. Past the rating the quadratic curve turns negative,
+// so an overloaded chassis reported negative power and energy.
+func (p *PartitionSpec) validateChain(i int) error {
+	refuse := func(field, constraint string) error {
+		return fmt.Errorf("config: %w", &FieldError{
+			Field:      fmt.Sprintf("partitions[%d].%s", i, field),
+			Constraint: constraint,
+		})
+	}
+	for _, c := range []struct {
+		field string
+		n     int
+	}{
+		{"gpus_per_node", p.GPUsPerNode}, {"nics_per_node", p.NICsPerNode},
+		{"nvme_per_node", p.NVMePerNode}, {"switches_per_rack", p.SwitchesPerRack},
+	} {
+		if c.n < 0 || c.n > maxPartCount {
+			return refuse(c.field, fmt.Sprintf("%d must be within [0, %d]", c.n, maxPartCount))
+		}
+	}
+	pw, rect := &p.Power, p.rectifier()
+	switch {
+	case !(pw.RectEtaMax > 0 && pw.RectEtaMax <= 1):
+		return refuse("power.rect_eta_max", fmt.Sprintf("%v must be within (0, 1]", pw.RectEtaMax))
+	case !(pw.DCDistEta > 0 && pw.DCDistEta <= 1):
+		return refuse("power.dc_dist_eta", fmt.Sprintf("%v must be within (0, 1]", pw.DCDistEta))
+	case pw.RectPerChassis < 1 || pw.RectPerChassis > maxRectPerChassis:
+		return refuse("power.rect_per_chassis", fmt.Sprintf("%d must be within [1, %d]", pw.RectPerChassis, maxRectPerChassis))
+	case !(pw.RectPMaxW > 0 && pw.RectPMaxW <= maxRectifierW):
+		return refuse("power.rect_p_max_w", fmt.Sprintf("%v W must be within (0, %v] W", pw.RectPMaxW, maxRectifierW))
+	case !(pw.RectPOptW > 0 && pw.RectPOptW <= pw.RectPMaxW):
+		return refuse("power.rect_p_opt_w", fmt.Sprintf("%v W must be within (0, rect_p_max_w]", pw.RectPOptW))
+	case !(pw.RectLowDroop >= 0 && rect.Eta(0) > 0):
+		return refuse("power.rect_low_droop", fmt.Sprintf("%v must be non-negative and below rect_eta_max", pw.RectLowDroop))
+	case !(pw.RectHighDroop >= 0 && rect.Eta(rect.PMaxW) > 0):
+		return refuse("power.rect_high_droop", fmt.Sprintf("%v must be non-negative and keep efficiency positive up to rect_p_max_w", pw.RectHighDroop))
+	}
+	if perRect := float64(p.NodesPerChassis) * p.components().NodePeak() / pw.SivocEta / float64(pw.RectPerChassis); perRect > pw.RectPMaxW {
+		return fmt.Errorf("config: %w", &FieldError{
+			Field:      fmt.Sprintf("partitions[%d].power.rect_p_max_w", i),
+			Constraint: fmt.Sprintf("a chassis at full load puts %.0f W on each rectifier, over its %v W rating", perRect, pw.RectPMaxW),
+			Suggestion: "add rectifiers per chassis, raise their rating, or lower the node parts' powers",
+		})
 	}
 	return nil
 }
@@ -577,19 +655,9 @@ func (p *PartitionSpec) BuildModel() (*power.Model, error) {
 		return nil, err
 	}
 	return &power.Model{
-		Spec: power.ComponentSpec{
-			CPUIdle: p.CPUIdleW, CPUMax: p.CPUMaxW,
-			GPUIdle: p.GPUIdleW, GPUMax: p.GPUMaxW,
-			RAM: p.RAMW, NVMe: p.NVMeW, NIC: p.NICW,
-			Switch: p.SwitchW, CDUPump: p.CDUPumpW,
-			GPUsPerNode: p.GPUsPerNode, NICsPerNode: p.NICsPerNode, NVMePerNode: p.NVMePerNode,
-		},
+		Spec: p.components(),
 		Chain: power.ConversionChain{
-			Rect: power.RectifierCurve{
-				EtaMax: p.Power.RectEtaMax, LowDroop: p.Power.RectLowDroop,
-				HighDroop: p.Power.RectHighDroop, POptW: p.Power.RectPOptW,
-				PMaxW: p.Power.RectPMaxW,
-			},
+			Rect:              p.rectifier(),
 			EtaSIVOC:          p.Power.SivocEta,
 			EtaDCDistribution: p.Power.DCDistEta,
 			RectPerChassis:    p.Power.RectPerChassis,
@@ -598,6 +666,24 @@ func (p *PartitionSpec) BuildModel() (*power.Model, error) {
 		Topo:       topo,
 		CoolingEff: p.Power.CoolingEfficiency,
 	}, nil
+}
+
+func (p *PartitionSpec) components() power.ComponentSpec {
+	return power.ComponentSpec{
+		CPUIdle: p.CPUIdleW, CPUMax: p.CPUMaxW,
+		GPUIdle: p.GPUIdleW, GPUMax: p.GPUMaxW,
+		RAM: p.RAMW, NVMe: p.NVMeW, NIC: p.NICW,
+		Switch: p.SwitchW, CDUPump: p.CDUPumpW,
+		GPUsPerNode: p.GPUsPerNode, NICsPerNode: p.NICsPerNode, NVMePerNode: p.NVMePerNode,
+	}
+}
+
+func (p *PartitionSpec) rectifier() power.RectifierCurve {
+	return power.RectifierCurve{
+		EtaMax: p.Power.RectEtaMax, LowDroop: p.Power.RectLowDroop,
+		HighDroop: p.Power.RectHighDroop, POptW: p.Power.RectPOptW,
+		PMaxW: p.Power.RectPMaxW,
+	}
 }
 
 func modeByName(name string) (power.Mode, error) {

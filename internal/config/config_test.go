@@ -191,6 +191,17 @@ func TestValidateBoundsSystemSpec(t *testing.T) {
 		"NaN ram power":       {func(s *SystemSpec) { s.Partitions[0].RAMW = math.NaN() }, "partitions[0].ram_w"},
 		"infinite gpu power":  {func(s *SystemSpec) { s.Partitions[0].GPUMaxW = math.Inf(1) }, "partitions[0].gpu_max_w"},
 		"idle above max":      {func(s *SystemSpec) { s.Partitions[0].GPUIdleW = 600 }, "partitions[0].gpu_idle_w"},
+		"1e308 W GPU":         {func(s *SystemSpec) { s.Partitions[0].GPUMaxW = 1e308 }, "partitions[0].gpu_max_w"},
+		"1e308 W CDU pump":    {func(s *SystemSpec) { s.Partitions[0].CDUPumpW = 1e308 }, "partitions[0].cdu_pump_w"},
+		"negative GPU count":  {func(s *SystemSpec) { s.Partitions[0].GPUsPerNode = -1 }, "partitions[0].gpus_per_node"},
+		"no rectifiers":       {func(s *SystemSpec) { s.Partitions[0].Power.RectPerChassis = 0 }, "partitions[0].power.rect_per_chassis"},
+		"zero optimum load":   {func(s *SystemSpec) { s.Partitions[0].Power.RectPOptW = 0 }, "partitions[0].power.rect_p_opt_w"},
+		"curve negative at rating": {func(s *SystemSpec) {
+			s.Partitions[0].Power.RectHighDroop = 10
+		}, "partitions[0].power.rect_high_droop"},
+		// 14 kW GPUs fit the per-part ceiling, but a full chassis then
+		// loads each rectifier far past its 15 kW rating.
+		"overloaded chassis": {func(s *SystemSpec) { s.Partitions[0].GPUMaxW = 14000 }, "partitions[0].power.rect_p_max_w"},
 	}
 	for name, tc := range cases {
 		s := Frontier()

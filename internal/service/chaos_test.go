@@ -117,15 +117,15 @@ func TestChaosSweepSurvivesInjectedFaults(t *testing.T) {
 		t.Errorf("transient scenario attempts = %d, want 3", got)
 	}
 
-	if got := svc.panics.Value(); got != 1 {
+	if got := svc.res.panics.Value(); got != 1 {
 		t.Errorf("panics recovered = %d, want 1", got)
 	}
-	if got := svc.timeouts.Value(); got != 1 {
+	if got := svc.res.timeouts.Value(); got != 1 {
 		t.Errorf("timeouts = %d, want 1", got)
 	}
 	// panic retry + timeout retry + two transient retries = 4 (the
 	// permanent scenario adds 2 more).
-	if got := svc.retries.Value(); got != 6 {
+	if got := svc.res.retries.Value(); got != 6 {
 		t.Errorf("retries = %d, want 6", got)
 	}
 	if got := svc.pending.Load(); got != 0 {
@@ -162,7 +162,7 @@ func TestChaosPanicEveryAttemptIsPermanentTypedFailure(t *testing.T) {
 	if got := stat.Scenarios[0].Error; !strings.Contains(got, "panicked") || !strings.Contains(got, "poisoned") {
 		t.Fatalf("panic cause lost from reported error: %q", got)
 	}
-	if got := svc.panics.Value(); got != 3 {
+	if got := svc.res.panics.Value(); got != 3 {
 		t.Fatalf("want 3 recovered panics, got %d", got)
 	}
 }
@@ -194,7 +194,7 @@ func TestChaosDeadlineOverrunEveryAttempt(t *testing.T) {
 	if got := stat.Scenarios[0].Error; !strings.Contains(got, "deadline") {
 		t.Fatalf("timeout not reported: %q", got)
 	}
-	if tm := svc.timeouts.Value(); tm != 3 {
+	if tm := svc.res.timeouts.Value(); tm != 3 {
 		t.Fatalf("timeouts = %d, want 3", tm)
 	}
 }

@@ -7,18 +7,15 @@ package service
 // capped exponential backoff + jitter, and what survives MaxAttempts is
 // reported per-scenario as a ScenarioError in sweep status and NDJSON
 // output. The FaultInjector hook at the bottom is the test-only chaos
-// harness that pins every one of these recovery paths.
+// harness that pins every one of these recovery paths; resolve.go runs
+// the attempts, retries and hook.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
-	"sync"
 	"time"
-
-	"exadigit/internal/core"
 )
 
 // Submission errors.
@@ -109,82 +106,4 @@ type Fault struct {
 // atomic load per attempt.
 type FaultInjector struct {
 	BeforeRun func(ctx context.Context, f Fault) error
-}
-
-// faultHolder wraps the injector for atomic publication.
-type faultHolder struct {
-	mu sync.RWMutex
-	fi *FaultInjector
-}
-
-func (h *faultHolder) get() *FaultInjector {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.fi
-}
-
-func (h *faultHolder) set(fi *FaultInjector) {
-	h.mu.Lock()
-	h.fi = fi
-	h.mu.Unlock()
-}
-
-// SetFaultInjector installs (or, with nil, removes) the chaos hook.
-// Test-only: it exists so the fault-injection suite can drive every
-// recovery path deterministically.
-func (s *Service) SetFaultInjector(fi *FaultInjector) { s.faults.set(fi) }
-
-// runRecovered executes one simulation attempt of the member scenarios
-// inside the panic isolation boundary: a panic anywhere below — the
-// twin, the power engine, the cooling solver, or an injected fault — is
-// converted to a *PanicError instead of unwinding the worker goroutine
-// and killing the process. It is counted once per member, as each
-// member's span records the attempt.
-func (sw *Sweep) runRecovered(ctx context.Context, members []int, attempt int) (res []*core.Result, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			sw.svc.panics.Add(uint64(len(members)))
-			res, err = nil, &PanicError{Value: rec, Stack: string(debug.Stack())}
-		}
-	}()
-	if fi := sw.svc.faults.get(); fi != nil && fi.BeforeRun != nil {
-		for _, i := range members {
-			if err := fi.BeforeRun(ctx, Fault{
-				SpecHash:     sw.specHash,
-				ScenarioHash: sw.hashes[i],
-				Index:        i,
-				Attempt:      attempt,
-			}); err != nil {
-				return nil, err
-			}
-		}
-		// An injected delay may have consumed the whole deadline; surface
-		// that exactly like a slow simulation would.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	scs := make([]core.Scenario, len(members))
-	for k, i := range members {
-		scs[k] = sw.scenarios[i]
-	}
-	// Coordinator mode: hand the attempt to the remote compute tier,
-	// which never gets a group. Telemetry-writer scenarios stay local —
-	// their side effect cannot cross the wire, and the coordinator holds
-	// the compiled spec anyway.
-	if r := sw.svc.runner; r != nil && scs[0].TelemetryTo == nil {
-		res, err := r.RunScenario(ctx, RunRequest{
-			Spec:         sw.spec,
-			SpecHash:     sw.specHash,
-			Scenario:     scs[0],
-			ScenarioHash: sw.hashes[members[0]],
-			Index:        members[0],
-			Attempt:      attempt,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return []*core.Result{res}, nil
-	}
-	return sw.compiled.Twin().RunLockstep(ctx, scs)
 }

@@ -296,24 +296,25 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sweeps": s.List()})
 }
 
-func (s *Service) sweepFor(w http.ResponseWriter, r *http.Request) (*Sweep, bool) {
+// lookup resolves the request's {id} in jobs, answering 404 when it
+// names no kind of job there.
+func lookup[T tracked](w http.ResponseWriter, r *http.Request, jobs *registry[T], kind string) (T, bool) {
 	id := r.PathValue("id")
-	sw, ok := s.Sweep(id)
+	job, ok := jobs.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
-		return nil, false
+		writeError(w, http.StatusNotFound, fmt.Errorf("no %s %q", kind, id))
 	}
-	return sw, true
+	return job, ok
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if sw, ok := s.sweepFor(w, r); ok {
+	if sw, ok := lookup(w, r, s.sweeps, "sweep"); ok {
 		writeJSON(w, http.StatusOK, sw.Status())
 	}
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if sw, ok := s.sweepFor(w, r); ok {
+	if sw, ok := lookup(w, r, s.sweeps, "sweep"); ok {
 		sw.Cancel()
 		writeJSON(w, http.StatusOK, sw.Status())
 	}
@@ -335,7 +336,7 @@ func resultEntry(st ScenarioStatus, res *core.Result) ResultEntry {
 }
 
 func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFor(w, r)
+	sw, ok := lookup(w, r, s.sweeps, "sweep")
 	if !ok {
 		return
 	}
@@ -351,22 +352,16 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream writes one NDJSON ResultEntry per scenario as each
-// reaches a terminal state, flushing after every line, and returns once
+// reaches a terminal state, flushing after every pass, and returns once
 // the sweep finishes or the client disconnects — the live feed a
 // dashboard or CLI tails while a sweep works through the pool.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFor(w, r)
+	sw, ok := lookup(w, r, s.sweeps, "sweep")
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
 	sent := make([]bool, len(sw.hashes))
-	for {
-		changed := sw.changed()
+	streamNDJSON(w, r, &sw.lifecycle, func(enc *json.Encoder) (bool, error) {
 		st := sw.Status()
 		results := sw.Results()
 		for i, sc := range st.Scenarios {
@@ -374,19 +369,38 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if err := enc.Encode(resultEntry(sc, results[i])); err != nil {
-				return
+				return false, err
 			}
 			sent[i] = true
+		}
+		return st.Finished, nil
+	})
+}
+
+// streamNDJSON is the loop behind both NDJSON streams: each pass encodes
+// the job's new lines and is flushed, then the loop waits for the job's
+// next change, until a pass reports the job over, a write fails, or the
+// client disconnects.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, job *lifecycle, pass func(*json.Encoder) (over bool, err error)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	for {
+		changed := job.changed()
+		over, err := pass(enc)
+		if err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if st.Finished {
+		if over {
 			return
 		}
 		select {
 		case <-changed:
-		case <-sw.Done():
+		case <-job.done:
 		case <-r.Context().Done():
 			return
 		}

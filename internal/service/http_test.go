@@ -96,7 +96,7 @@ func TestHTTPSweep32SharedCompiledSpec(t *testing.T) {
 	}
 
 	// Identical re-submission: zero simulations, zero new builds.
-	missesBefore := svc.misses.Value()
+	missesBefore := svc.res.misses.Value()
 	ack2 := postSweep(t, srv.URL, whatIf32())
 	if ack2.SpecHash != ack.SpecHash {
 		t.Errorf("spec hash changed across submissions")
@@ -106,7 +106,7 @@ func TestHTTPSweep32SharedCompiledSpec(t *testing.T) {
 	if st2.Cached != 32 {
 		t.Fatalf("re-submission not served from cache: %+v", st2)
 	}
-	if misses := svc.misses.Value(); misses != missesBefore {
+	if misses := svc.res.misses.Value(); misses != missesBefore {
 		t.Errorf("re-submission simulated %d scenarios", misses-missesBefore)
 	}
 	if got := config.ModelBuilds() - modelsBefore; got != 1 {
@@ -499,6 +499,9 @@ func TestHTTPRejectsInvalidSystemSpec(t *testing.T) {
 		"extreme component powers": {func(p *config.PartitionSpec) {
 			p.CPUIdleW, p.GPUMaxW = -1e308, 1e308
 		}, "partitions[0].cpu_idle_w"},
+		"1e308 W GPU": {func(p *config.PartitionSpec) {
+			p.GPUMaxW = 1e308
+		}, "partitions[0].gpu_max_w"},
 	} {
 		spec := config.Frontier()
 		tc.mutate(&spec.Partitions[0])

@@ -49,9 +49,7 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 	for i, sc := range sw.scenarios {
 		r, err := ScenarioRequestFrom(sc)
 		if err != nil {
-			if s.logf != nil {
-				s.logf("service: sweep %s not journaled (scenario %d: %v)", sw.id, i, err)
-			}
+			s.printf("service: sweep %s not journaled (scenario %d: %v)", sw.id, i, err)
 			return
 		}
 		reqs[i] = r
@@ -89,9 +87,7 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 			}
 		}
 	}
-	if s.logf != nil {
-		s.logf("service: sweep %s journal create: %v (continuing in-memory)", sw.id, err)
-	}
+	s.printf("service: sweep %s journal create: %v (continuing in-memory)", sw.id, err)
 }
 
 // journalRecord is st's journal record, if st is a fact the journal
@@ -125,8 +121,8 @@ func (sw *Sweep) appendJournal(st ScenarioStatus) {
 	if !ok {
 		return
 	}
-	if err := j.Append(rec); err != nil && sw.svc.logf != nil {
-		sw.svc.logf("service: sweep %s journal append: %v (continuing in-memory)", sw.id, err)
+	if err := j.Append(rec); err != nil {
+		sw.svc.printf("service: sweep %s journal append: %v (continuing in-memory)", sw.id, err)
 	}
 }
 
@@ -192,9 +188,7 @@ func (s *Service) Recover() (RecoverStats, error) {
 		}
 		requeued, terminal, err := s.adoptIncomplete(e)
 		if err != nil {
-			if s.logf != nil {
-				s.logf("service: recover %s: %v (journal left in place)", e.Manifest.ID, err)
-			}
+			s.printf("service: recover %s: %v (journal left in place)", e.Manifest.ID, err)
 			continue
 		}
 		stats.Adopted++
@@ -283,9 +277,7 @@ func (s *Service) adoptFinished(e *store.JournalEntry) {
 	sw.cancel()
 	close(sw.done)
 	if err := s.registerRecovered(sw); err != nil {
-		if s.logf != nil {
-			s.logf("service: recover %s: %v", sw.id, err)
-		}
+		s.printf("service: recover %s: %v", sw.id, err)
 		return
 	}
 	s.recFinished.Inc()
@@ -342,10 +334,8 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	specOK := compiled.Hash() == m.SpecHash
 	if !specOK {
 		sw.specHash = compiled.Hash()
-		if s.logf != nil {
-			s.logf("service: recover %s: spec hash drifted %s -> %s; recomputing all scenarios",
-				sw.id, m.SpecHash, sw.specHash)
-		}
+		s.printf("service: recover %s: spec hash drifted %s -> %s; recomputing all scenarios",
+			sw.id, m.SpecHash, sw.specHash)
 	}
 	hashOK := make([]bool, len(scenarios))
 	for i, sc := range scenarios {
@@ -404,8 +394,8 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	s.pending.Add(int64(requeued))
 	if j, jerr := s.store.OpenJournal(sw.id); jerr == nil {
 		sw.journal = j
-	} else if s.logf != nil {
-		s.logf("service: recover %s: journal reopen: %v (resuming without journaling)", sw.id, jerr)
+	} else {
+		s.printf("service: recover %s: journal reopen: %v (resuming without journaling)", sw.id, jerr)
 	}
 	if err := s.registerRecovered(sw); err != nil {
 		s.pending.Add(-int64(requeued))
@@ -416,11 +406,11 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	for _, st := range restored {
 		// The restored scenarios' lifecycle spans re-emit with the
 		// journal tier so the trace explains why no compute happened.
-		sw.emitSpan(st.Index, st, tierJournal)
+		sw.emitSpan(st, outcome{tier: tierJournal})
 	}
 	for _, st := range refused {
 		sw.appendJournal(st)
-		sw.emitSpan(st.Index, st, tierNone)
+		sw.emitSpan(st, outcome{tier: tierNone})
 	}
 	go sw.run(m.MaxConcurrent)
 	return requeued, terminal, nil

@@ -139,7 +139,7 @@ func TestSweepRunsModeSiblingsInLockstep(t *testing.T) {
 			if st.Len() != len(scs) {
 				t.Errorf("store holds %d entries, want %d", st.Len(), len(scs))
 			}
-			if got := svc.misses.Value(); got != uint64(len(scs)) {
+			if got := svc.res.misses.Value(); got != uint64(len(scs)) {
 				t.Errorf("misses = %d, want one per scenario", got)
 			}
 			// Every member is cached under its own key: resubmitting is all hits.
@@ -323,11 +323,11 @@ func TestLockstepGroupFailureFallsBack(t *testing.T) {
 					t.Errorf("member %d outcomes %q, %q; want %q, ok", i, sp.Attempts[0].Outcome, sp.Attempts[1].Outcome, kind)
 				}
 			}
-			counter := map[string]*obs.Counter{"panic": svc.panics, "timeout": svc.timeouts}[kind]
+			counter := map[string]*obs.Counter{"panic": svc.res.panics, "timeout": svc.res.timeouts}[kind]
 			if counter != nil && counter.Value() != 3 {
 				t.Errorf("%s counter = %d, want 3 (one per member span)", kind, counter.Value())
 			}
-			if got := svc.retries.Value(); got != 3 {
+			if got := svc.res.retries.Value(); got != 3 {
 				t.Errorf("retries = %d, want 3", got)
 			}
 			if st.Len() != len(scs) {
@@ -367,7 +367,7 @@ func TestLockstepCancelDiscardsMembers(t *testing.T) {
 		if stat.Scenarios[i].State != StateCancelled || results[i] != nil {
 			t.Fatalf("member %d: %+v", i, stat.Scenarios[i])
 		}
-		if _, ok := svc.cache.peek(sw.SpecHash() + ":" + sw.ScenarioHashes()[i]); ok {
+		if _, ok := svc.res.cache.peek(sw.SpecHash() + ":" + sw.ScenarioHashes()[i]); ok {
 			t.Errorf("member %d cached after cancel", i)
 		}
 		if _, err := st.Get(sw.SpecHash(), sw.ScenarioHashes()[i]); err == nil {

@@ -185,7 +185,8 @@ func TestResultCacheByteBound(t *testing.T) {
 	}
 	insert("a", 10)
 	insert("b", 10)
-	ev, entries, _, bytes, maxBytes := c.stats()
+	cs := c.stats()
+	ev, entries, bytes, maxBytes := cs.evictions, cs.entries, cs.bytes, c.maxBytes
 	if maxBytes != 10_000 {
 		t.Fatalf("maxBytes = %d", maxBytes)
 	}
@@ -195,7 +196,8 @@ func TestResultCacheByteBound(t *testing.T) {
 	// A large result pushes the total over the byte bound: the oldest
 	// entries go first.
 	insert("big", 40)
-	ev, entries, _, bytes, _ = c.stats()
+	cs = c.stats()
+	ev, entries, bytes = cs.evictions, cs.entries, cs.bytes
 	if ev == 0 {
 		t.Fatal("byte bound triggered no evictions")
 	}
@@ -209,9 +211,9 @@ func TestResultCacheByteBound(t *testing.T) {
 
 	// An entry larger than the whole byte bound is dropped alone —
 	// never by flushing the warm entries around it.
-	_, entriesBefore, _, _, _ := c.stats()
+	entriesBefore := c.stats().entries
 	insert("huge", 10_000) // ≫ the 10 kB bound
-	_, entriesAfter, _, _, _ := c.stats()
+	entriesAfter := c.stats().entries
 	if entriesAfter < entriesBefore {
 		t.Fatalf("oversized insert flushed warm entries: %d -> %d", entriesBefore, entriesAfter)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"exadigit/internal/config"
 	"exadigit/internal/core"
+	"exadigit/internal/obs"
 	"exadigit/internal/optimize"
 	"exadigit/internal/surrogate"
 )
@@ -116,23 +117,29 @@ func (st *Study) ProgressLog() []optimize.Progress {
 	return append([]optimize.Progress(nil), st.progress...)
 }
 
-// registerOptimizeMetrics attaches the optimizer counters; called from
-// registerMetrics. The evaluation tiers are pre-touched so the
-// exposition carries all three series from the first scrape.
-func (s *Service) registerOptimizeMetrics() {
-	reg := s.reg
-	s.optEvals = reg.CounterVec("exadigit_optimize_evaluations_total",
+// studyMetrics are the optimizer's instruments, shared by every study.
+// All three evaluation tiers are resolved at registration, so the
+// exposition carries every series from the first scrape.
+type studyMetrics struct {
+	twin, cached, screened, fallbacks, generations *obs.Counter
+	frontier                                       *obs.Gauge
+}
+
+func newStudyMetrics(reg *obs.Registry) studyMetrics {
+	evals := reg.CounterVec("exadigit_optimize_evaluations_total",
 		"Optimizer candidate evaluations by tier: full twin, served from a cache tier, or screened on the surrogate alone.",
 		"tier")
-	for _, tier := range []string{"twin", "cached", "surrogate"} {
-		s.optEvals.With(tier)
+	return studyMetrics{
+		twin:     evals.With("twin"),
+		cached:   evals.With("cached"),
+		screened: evals.With("surrogate"),
+		fallbacks: reg.Counter("exadigit_optimize_fallbacks_total",
+			"Candidates the surrogate wanted to screen but the UQ gate sent to the full twin instead."),
+		generations: reg.Counter("exadigit_optimize_generations_total",
+			"Optimizer generations completed across all studies."),
+		frontier: reg.Gauge("exadigit_optimize_frontier_size",
+			"Pareto-frontier size of the most recently progressed study."),
 	}
-	s.optFallbacks = reg.Counter("exadigit_optimize_fallbacks_total",
-		"Candidates the surrogate wanted to screen but the UQ gate sent to the full twin instead.")
-	s.optGenerations = reg.Counter("exadigit_optimize_generations_total",
-		"Optimizer generations completed across all studies.")
-	s.optFrontier = reg.Gauge("exadigit_optimize_frontier_size",
-		"Pareto-frontier size of the most recently progressed study.")
 }
 
 // sweepEvaluator implements optimize.Evaluator by submitting each
@@ -249,8 +256,8 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 			if jerr := json.Unmarshal(data, m); jerr == nil {
 				warmModel = m
 				st.warmStarted = true
-			} else if s.logf != nil {
-				s.logf("service: study %s: warm-start blob unreadable: %v", st.id, jerr)
+			} else {
+				s.printf("service: study %s: warm-start blob unreadable: %v", st.id, jerr)
 			}
 		}
 	}
@@ -259,16 +266,16 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 	hooks := optimize.Hooks{
 		OnTwinEval: func(cached bool) {
 			if cached {
-				s.optEvals.With("cached").Inc()
+				s.study.cached.Inc()
 			} else {
-				s.optEvals.With("twin").Inc()
+				s.study.twin.Inc()
 			}
 		},
-		OnScreened:   func() { s.optEvals.With("surrogate").Inc() },
-		OnFallback:   func() { s.optFallbacks.Inc() },
-		OnGeneration: func() { s.optGenerations.Inc() },
+		OnScreened:   s.study.screened.Inc,
+		OnFallback:   s.study.fallbacks.Inc,
+		OnGeneration: s.study.generations.Inc,
 		OnProgress: func(p optimize.Progress) {
-			s.optFrontier.Set(float64(p.FrontierSize))
+			s.study.frontier.Set(float64(p.FrontierSize))
 			st.update(func() { st.progress = append(st.progress, p) })
 		},
 	}
@@ -310,8 +317,8 @@ func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver,
 	}
 	if res.Model != nil && s.store != nil {
 		if data, merr := json.Marshal(res.Model); merr == nil {
-			if perr := s.store.PutBlob(optimizeModelBlobName(specHash, study), data); perr != nil && s.logf != nil {
-				s.logf("service: study %s: persist surrogate: %v", st.id, perr)
+			if perr := s.store.PutBlob(optimizeModelBlobName(specHash, study), data); perr != nil {
+				s.printf("service: study %s: persist surrogate: %v", st.id, perr)
 			}
 		}
 	}

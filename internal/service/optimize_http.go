@@ -98,31 +98,21 @@ func (s *Service) handleOptimizeList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"studies": s.ListStudies()})
 }
 
-func (s *Service) studyFor(w http.ResponseWriter, r *http.Request) (*Study, bool) {
-	id := r.PathValue("id")
-	st, ok := s.StudyByID(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no study %q", id))
-		return nil, false
-	}
-	return st, true
-}
-
 func (s *Service) handleOptimizeStatus(w http.ResponseWriter, r *http.Request) {
-	if st, ok := s.studyFor(w, r); ok {
+	if st, ok := lookup(w, r, s.studies, "study"); ok {
 		writeJSON(w, http.StatusOK, st.Status())
 	}
 }
 
 func (s *Service) handleOptimizeCancel(w http.ResponseWriter, r *http.Request) {
-	if st, ok := s.studyFor(w, r); ok {
+	if st, ok := lookup(w, r, s.studies, "study"); ok {
 		st.Cancel()
 		writeJSON(w, http.StatusOK, st.Status())
 	}
 }
 
 func (s *Service) handleOptimizeResult(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.studyFor(w, r)
+	st, ok := lookup(w, r, s.studies, "study")
 	if !ok {
 		return
 	}
@@ -142,47 +132,29 @@ func (s *Service) handleOptimizeResult(w http.ResponseWriter, r *http.Request) {
 // state (and the StudyResult when the study completed) — the live feed
 // a CLI tails while the optimizer works.
 func (s *Service) handleOptimizeStream(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.studyFor(w, r)
+	st, ok := lookup(w, r, s.studies, "study")
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
 	sent := 0
-	for {
-		changed := st.changed()
+	streamNDJSON(w, r, &st.lifecycle, func(enc *json.Encoder) (bool, error) {
 		// Checked before the log snapshot: a finished study's log is
 		// complete, so the last pass sends every progress line.
 		over := finished(st)
 		progress := st.ProgressLog()
 		for ; sent < len(progress); sent++ {
 			if err := enc.Encode(optimizeStreamEntry{Progress: &progress[sent]}); err != nil {
-				return
+				return false, err
 			}
 		}
-		if over {
-			break
+		if !over {
+			return false, nil
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		select {
-		case <-changed:
-		case <-st.Done():
-		case <-r.Context().Done():
-			return
-		}
-	}
-	status := st.Status()
-	_ = enc.Encode(optimizeStreamEntry{
-		State:  status.State,
-		Error:  status.Error,
-		Result: st.Result(),
+		status := st.Status()
+		return true, enc.Encode(optimizeStreamEntry{
+			State:  status.State,
+			Error:  status.Error,
+			Result: st.Result(),
+		})
 	})
-	if flusher != nil {
-		flusher.Flush()
-	}
 }

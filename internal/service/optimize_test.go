@@ -373,7 +373,7 @@ func TestStudyEvaluatorPerCandidateValidation(t *testing.T) {
 		t.Fatalf("valid candidate outcome: %+v", outs[2])
 	}
 	// Refused candidates never reach the pool: one attempt in all.
-	if m := svc.misses.Value(); m != 1 {
+	if m := svc.res.misses.Value(); m != 1 {
 		t.Fatalf("%d simulation attempts, want 1 (the valid candidate)", m)
 	}
 }

@@ -113,7 +113,7 @@ func TestRecoverSettlesRefusedScenario(t *testing.T) {
 	if final.Done != 2 || final.Failed != 1 {
 		t.Fatalf("resumed sweep final status %+v, want 2 done + 1 failed", final)
 	}
-	if m, r := svc2.misses.Value(), svc2.retries.Value(); m != 2 || r != 0 {
+	if m, r := svc2.res.misses.Value(), svc2.res.retries.Value(); m != 2 || r != 0 {
 		t.Fatalf("cache misses %d, retries %d after recovery; want 2 and 0 (the refused scenario never ran)", m, r)
 	}
 
@@ -132,7 +132,7 @@ func TestRecoverSettlesRefusedScenario(t *testing.T) {
 	if got := sw3.Status().Scenarios[1]; got.State != StateFailed || got.Attempts != 0 || got.Error != refused.Error {
 		t.Fatalf("refused scenario after the second restart: %+v, want %+v", got, refused)
 	}
-	if m := svc3.misses.Value(); m != 0 {
+	if m := svc3.res.misses.Value(); m != 0 {
 		t.Fatalf("second restart ran %d attempts", m)
 	}
 }

@@ -76,7 +76,7 @@ func TestResubmissionServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSweep(t, first)
-	missesBefore := svc.misses.Value()
+	missesBefore := svc.res.misses.Value()
 
 	second, err := svc.Submit(spec, scenarios, SweepOptions{})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestResubmissionServedFromCache(t *testing.T) {
 	if st.Cached != len(scenarios) {
 		t.Fatalf("want %d cached, got %+v", len(scenarios), st)
 	}
-	missesAfter := svc.misses.Value()
+	missesAfter := svc.res.misses.Value()
 	if missesAfter != missesBefore {
 		t.Fatalf("re-submission simulated: misses %d → %d", missesBefore, missesAfter)
 	}
@@ -138,7 +138,7 @@ func TestConcurrentSubmitsSingleFlight(t *testing.T) {
 			t.Fatalf("sweep %d: got a distinct result instance (extra simulation)", k)
 		}
 	}
-	hits, misses := svc.hits.Value(), svc.misses.Value()
+	hits, misses := svc.res.hits.Value(), svc.res.misses.Value()
 	if misses != 1 {
 		t.Fatalf("want exactly 1 simulation, got %d (hits %d)", misses, hits)
 	}
@@ -315,7 +315,7 @@ func TestNegativeArrivalMeanFailsFast(t *testing.T) {
 	if n := len(svc.List()); n != 0 {
 		t.Fatalf("%d sweeps registered after a refused submission", n)
 	}
-	if m := svc.misses.Value(); m != 0 {
+	if m := svc.res.misses.Value(); m != 0 {
 		t.Fatalf("refused scenario ran %v attempts", m)
 	}
 }
@@ -344,7 +344,7 @@ func TestTelemetryToBypassesCache(t *testing.T) {
 	if first == 0 || second == 0 {
 		t.Fatalf("streaming sink received no bytes (first %d, second %d)", first, second)
 	}
-	if misses := svc.misses.Value(); misses != 2 {
+	if misses := svc.res.misses.Value(); misses != 2 {
 		t.Fatalf("streaming scenarios must bypass the cache: %d simulations", misses)
 	}
 }
