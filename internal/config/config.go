@@ -387,9 +387,8 @@ const maxRectifierW = 100 * 15000
 
 // validateChain checks partition i's part counts and its conversion
 // chain: efficiencies in (0, 1], a rectifier curve that stays positive
-// from no load to its rating, and a chassis at full load within its
-// rectifiers' rating. Past the rating the quadratic curve turns negative,
-// so an overloaded chassis reported negative power and energy.
+// from no load to its rating, and, unless the partition runs dc380, a
+// curve still positive at a full chassis's load (see chassisLoadFault).
 func (p *PartitionSpec) validateChain(i int) error {
 	refuse := func(field, constraint string) error {
 		return fmt.Errorf("config: %w", &FieldError{
@@ -425,14 +424,32 @@ func (p *PartitionSpec) validateChain(i int) error {
 	case !(pw.RectHighDroop >= 0 && rect.Eta(rect.PMaxW) > 0):
 		return refuse("power.rect_high_droop", fmt.Sprintf("%v must be non-negative and keep efficiency positive up to rect_p_max_w", pw.RectHighDroop))
 	}
-	if perRect := float64(p.NodesPerChassis) * p.components().NodePeak() / pw.SivocEta / float64(pw.RectPerChassis); perRect > pw.RectPMaxW {
-		return fmt.Errorf("config: %w", &FieldError{
-			Field:      fmt.Sprintf("partitions[%d].power.rect_p_max_w", i),
-			Constraint: fmt.Sprintf("a chassis at full load puts %.0f W on each rectifier, over its %v W rating", perRect, pw.RectPMaxW),
-			Suggestion: "add rectifiers per chassis, raise their rating, or lower the node parts' powers",
-		})
+	if pw.Mode != "dc380" {
+		if fault := p.chassisLoadFault(); fault != "" {
+			return fmt.Errorf("config: %w", &FieldError{
+				Field:      fmt.Sprintf("partitions[%d].power.rect_per_chassis", i),
+				Constraint: fault,
+				Suggestion: "add rectifiers per chassis, lower rect_high_droop, or lower the node parts' powers",
+			})
+		}
 	}
 	return nil
+}
+
+// chassisLoadFault describes why the rectifier curve cannot carry a
+// chassis of nodes at peak, or returns "". That load, spread over every
+// rectifier, is the most any rectifier mode puts on one (smart-rectifier
+// stages all of them in once fewer would exceed the rating), and the
+// chain divides by the curve's efficiency there: 14 kW GPUs on
+// Frontier's curve put about 230 kW on each rectifier, where the curve
+// is negative, and reported negative energy. A load past the rating
+// alone is no fault — Frontier's curve stays positive to about 44 kW.
+func (p *PartitionSpec) chassisLoadFault() string {
+	load := float64(p.NodesPerChassis) * p.components().NodePeak() / p.Power.SivocEta / float64(p.Power.RectPerChassis)
+	if eta := p.rectifier().Eta(load); !(eta > 0) {
+		return fmt.Sprintf("a chassis at full load puts %.0f W on each rectifier, where its efficiency is %.3g", load, eta)
+	}
+	return ""
 }
 
 // maxPlantUnits bounds every unit count of an AutoCSM plant — CDU
@@ -653,6 +670,13 @@ func (p *PartitionSpec) BuildModel() (*power.Model, error) {
 	mode, err := modeByName(p.Power.Mode)
 	if err != nil {
 		return nil, err
+	}
+	// Validate skips this check for a dc380 partition; a scenario that
+	// runs one in a rectifier mode meets it here.
+	if mode != power.DC380 {
+		if fault := p.chassisLoadFault(); fault != "" {
+			return nil, fmt.Errorf("config: partition %q: %s", p.Name, fault)
+		}
 	}
 	return &power.Model{
 		Spec: p.components(),

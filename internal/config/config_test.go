@@ -200,8 +200,8 @@ func TestValidateBoundsSystemSpec(t *testing.T) {
 			s.Partitions[0].Power.RectHighDroop = 10
 		}, "partitions[0].power.rect_high_droop"},
 		// 14 kW GPUs fit the per-part ceiling, but a full chassis then
-		// loads each rectifier far past its 15 kW rating.
-		"overloaded chassis": {func(s *SystemSpec) { s.Partitions[0].GPUMaxW = 14000 }, "partitions[0].power.rect_p_max_w"},
+		// loads each rectifier where its efficiency curve is negative.
+		"overloaded chassis": {func(s *SystemSpec) { s.Partitions[0].GPUMaxW = 14000 }, "partitions[0].power.rect_per_chassis"},
 	}
 	for name, tc := range cases {
 		s := Frontier()
@@ -210,6 +210,38 @@ func TestValidateBoundsSystemSpec(t *testing.T) {
 		if err := s.Validate(); !errors.As(err, &fe) || fe.Field != tc.field {
 			t.Errorf("%s: Validate() = %v, want a FieldError on %s", name, err, tc.field)
 		}
+	}
+}
+
+// TestValidateAcceptsCoDesignGPUs pins that the chassis-load check
+// refuses only a curve that is not positive at full load: B200 (1,000 W)
+// and GB300 (1,400 W) GPUs load Frontier's rectifiers past their 15 kW
+// rating at peak and still convert at an efficiency of 0.75 or more. A
+// dc380 partition bypasses the rectifiers, so 14 kW GPUs validate there;
+// building its model in a rectifier mode refuses them.
+func TestValidateAcceptsCoDesignGPUs(t *testing.T) {
+	for _, w := range []float64{1000, 1400} {
+		s := Frontier()
+		s.Partitions[0].GPUMaxW = w
+		if err := s.Validate(); err != nil {
+			t.Errorf("%v W GPUs: Validate() = %v", w, err)
+		}
+		if _, err := s.Partitions[0].BuildModel(); err != nil {
+			t.Errorf("%v W GPUs: BuildModel() = %v", w, err)
+		}
+	}
+	s := Frontier()
+	s.Partitions[0].GPUMaxW = 14000
+	s.Partitions[0].Power.Mode = "dc380"
+	if err := s.Validate(); err != nil {
+		t.Errorf("dc380 with 14 kW GPUs: Validate() = %v", err)
+	}
+	if _, err := s.Partitions[0].BuildModel(); err != nil {
+		t.Errorf("dc380 with 14 kW GPUs: BuildModel() = %v", err)
+	}
+	s.Partitions[0].Power.Mode = "smart-rectifier"
+	if _, err := s.Partitions[0].BuildModel(); err == nil {
+		t.Error("smart-rectifier with 14 kW GPUs: BuildModel() accepted a negative efficiency")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // FuzzSystemSpec decodes arbitrary bytes as the inline system spec of
 // POST /api/sweeps and runs the path a submitted spec takes:
 // SystemSpec.Validate, Compile, CompiledSpec.Check of a 60 s HPL
-// scenario, and the run. HPL drives every CPU and GPU to its max power,
+// scenario in the spec's own power mode and in each explicit one, and
+// the runs. HPL drives every CPU and GPU to its max power,
 // where an oversized part once overflowed the report to NaN; an idle run
 // would not have shown it. The path must never panic, a scenario Check
 // accepts must run, and its report must be finite — it encodes as JSON,
@@ -19,7 +20,8 @@ import (
 // keep an execution cheap; size is bounded by Validate, not by the
 // fuzzer. The seed corpus under testdata/fuzz holds both built-in specs,
 // one spec per refusal class, both probe bodies that once passed Validate
-// (a billion nodes; ±1e308 W parts) and a 1e308 W GPU.
+// (a billion nodes; ±1e308 W parts), a 1e308 W GPU, 1.4 kW GPUs and a
+// dc380 spec with 14 kW GPUs.
 func FuzzSystemSpec(f *testing.F) {
 	const maxFuzzNodes = 2 * 9472
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -38,20 +40,22 @@ func FuzzSystemSpec(f *testing.F) {
 		if nodes > maxFuzzNodes {
 			return
 		}
-		sc := Scenario{Workload: WorkloadHPL, HorizonSec: 60, TickSec: 15, NoExport: true, NoHistory: true}
-		if cs.Check(&sc) != nil {
-			return
-		}
-		res, err := cs.Twin().Run(sc)
-		if err != nil {
-			t.Fatalf("a spec Validate accepts failed its run: %v", err)
-		}
-		r := res.Report
-		if _, err := json.Marshal(r); err != nil {
-			t.Fatalf("report is not finite: %v (%+v)", err, *r)
-		}
-		if r.EnergyMWh < 0 || r.MinPowerMW < 0 || r.AvgLossMW < 0 {
-			t.Fatalf("negative energy, power or loss: %+v", *r)
+		for _, mode := range []string{"", "ac-baseline", "smart-rectifier", "dc380"} {
+			sc := Scenario{Workload: WorkloadHPL, HorizonSec: 60, TickSec: 15, NoExport: true, NoHistory: true, PowerMode: mode}
+			if cs.Check(&sc) != nil {
+				continue
+			}
+			res, err := cs.Twin().Run(sc)
+			if err != nil {
+				t.Fatalf("mode %q: a scenario Check accepts failed its run: %v", mode, err)
+			}
+			r := res.Report
+			if _, err := json.Marshal(r); err != nil {
+				t.Fatalf("mode %q: report is not finite: %v (%+v)", mode, err, *r)
+			}
+			if r.EnergyMWh < 0 || r.MinPowerMW < 0 || r.AvgLossMW < 0 {
+				t.Fatalf("mode %q: negative energy, power or loss: %+v", mode, *r)
+			}
 		}
 	})
 }

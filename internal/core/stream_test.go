@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -291,5 +292,31 @@ func TestCompiledSpecSharesModelsAcrossModes(t *testing.T) {
 	}
 	if len(cs.Hash()) != 64 {
 		t.Errorf("bad spec hash %q", cs.Hash())
+	}
+}
+
+// TestCheckRefusesRectifierModeOnOverloadedDC380Spec pins where the
+// chassis-load refusal meets a dc380 spec: the spec validates and runs
+// finite in its own mode, and a scenario that switches it to a rectifier
+// mode, whose curve is negative at that load, is refused by Check.
+func TestCheckRefusesRectifierModeOnOverloadedDC380Spec(t *testing.T) {
+	spec := config.Frontier()
+	spec.Partitions[0].GPUMaxW = 14000
+	spec.Partitions[0].Power.Mode = "dc380"
+	cs, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Workload: WorkloadHPL, HorizonSec: 60, TickSec: 15, NoExport: true, NoHistory: true}
+	res, err := cs.Twin().Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.Report; !(r.EnergyMWh > 0) || math.IsInf(r.EnergyMWh, 0) {
+		t.Errorf("dc380 energy = %v MWh, want positive and finite", r.EnergyMWh)
+	}
+	sc.PowerMode = "ac-baseline"
+	if err := cs.Check(&sc); err == nil {
+		t.Error("Check accepted ac-baseline on a chassis load where the rectifier curve is negative")
 	}
 }

@@ -12,6 +12,7 @@ package service
 import (
 	cryptorand "crypto/rand"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -55,36 +56,34 @@ func (s *Service) journalSweep(sw *Sweep, opts SweepOptions, names []string) {
 		reqs[i] = r
 	}
 	specJSON, err := json.Marshal(sw.spec)
-	if err == nil {
-		var scenJSON []byte
-		if scenJSON, err = json.Marshal(reqs); err == nil {
-			var recs []store.ScenarioRecord
-			sw.mu.Lock()
-			for _, st := range sw.statuses {
-				if rec, ok := journalRecord(st); ok {
-					recs = append(recs, rec)
-				}
+	scenJSON, serr := json.Marshal(reqs)
+	if err = errors.Join(err, serr); err == nil {
+		var recs []store.ScenarioRecord
+		sw.mu.Lock()
+		for _, st := range sw.statuses {
+			if rec, ok := journalRecord(st); ok {
+				recs = append(recs, rec)
 			}
-			sw.mu.Unlock()
-			var j *store.SweepJournal
-			j, err = s.store.CreateJournal(&store.SweepManifest{
-				ID:              sw.id,
-				Key:             sw.key,
-				Name:            sw.name,
-				SpecHash:        sw.specHash,
-				ScenarioHashes:  sw.hashes,
-				Names:           names,
-				SpecJSON:        specJSON,
-				ScenariosJSON:   scenJSON,
-				MaxConcurrent:   opts.MaxConcurrent,
-				TimeoutSec:      sw.timeout.Seconds(),
-				MaxAttempts:     sw.maxAttempts,
-				CreatedUnixNano: sw.createdAt.UnixNano(),
-			}, recs...)
-			if err == nil {
-				sw.journal = j
-				return
-			}
+		}
+		sw.mu.Unlock()
+		var j *store.SweepJournal
+		j, err = s.store.CreateJournal(&store.SweepManifest{
+			ID:              sw.id,
+			Key:             sw.key,
+			Name:            sw.name,
+			SpecHash:        sw.specHash,
+			ScenarioHashes:  sw.hashes,
+			Names:           names,
+			SpecJSON:        specJSON,
+			ScenariosJSON:   scenJSON,
+			MaxConcurrent:   opts.MaxConcurrent,
+			TimeoutSec:      sw.timeout.Seconds(),
+			MaxAttempts:     sw.maxAttempts,
+			CreatedUnixNano: sw.createdAt.UnixNano(),
+		}, recs...)
+		if err == nil {
+			sw.journal = j
+			return
 		}
 	}
 	s.printf("service: sweep %s journal create: %v (continuing in-memory)", sw.id, err)
@@ -321,10 +320,7 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	}
 
 	sw := s.recoveredShell(e, StateQueued)
-	sw.spec = spec
-	sw.compiled = compiled
-	sw.scenarios = scenarios
-	sw.compileSec = time.Since(compileStart).Seconds()
+	sw.spec, sw.compiled, sw.scenarios, sw.compileSec = spec, compiled, scenarios, time.Since(compileStart).Seconds()
 
 	// Trust journal records only where the content-addressed identity
 	// still checks out: same spec hash and, per scenario, the same

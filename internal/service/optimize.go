@@ -66,6 +66,7 @@ type StudyStatus struct {
 // Study is one running or finished optimization study.
 type Study struct {
 	lifecycle
+	specHash    string
 	warmStarted bool
 
 	// Guarded by lifecycle.mu.
@@ -243,7 +244,7 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 	specHash := compiled.Hash()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	st := &Study{lifecycle: newLifecycle(opts.Name, specHash, cancel), state: StudyRunning}
+	st := &Study{lifecycle: newLifecycle(opts.Name, cancel), specHash: specHash, state: StudyRunning}
 	st.id = newStudyID()
 
 	// Warm start: load the persisted surrogate fit for this exact
@@ -302,6 +303,7 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 // trained surrogate.
 func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver, specHash string, study optimize.StudySpec) {
 	defer st.cancel()
+	defer close(st.done)
 	res, err := drv.Run(ctx)
 	if err != nil {
 		state := StudyFailed
@@ -312,7 +314,6 @@ func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver,
 			st.state = state
 			st.errMsg = err.Error()
 		})
-		close(st.done)
 		return
 	}
 	if res.Model != nil && s.store != nil {
@@ -326,7 +327,6 @@ func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver,
 		st.state = StudyDone
 		st.result = res
 	})
-	close(st.done)
 }
 
 // StudyByID resolves a study.

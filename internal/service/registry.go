@@ -13,7 +13,6 @@ import (
 type lifecycle struct {
 	id        string
 	name      string
-	specHash  string
 	createdAt time.Time
 	cancel    context.CancelFunc
 	done      chan struct{} // closed once the job is terminal
@@ -22,10 +21,9 @@ type lifecycle struct {
 	notify chan struct{} // closed and replaced on every state change
 }
 
-func newLifecycle(name, specHash string, cancel context.CancelFunc) lifecycle {
+func newLifecycle(name string, cancel context.CancelFunc) lifecycle {
 	return lifecycle{
 		name:      name,
-		specHash:  specHash,
 		createdAt: time.Now(),
 		cancel:    cancel,
 		done:      make(chan struct{}),

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"exadigit/internal/config"
 	"exadigit/internal/core"
 	"exadigit/internal/httpmw"
 	"exadigit/internal/obs"
@@ -46,16 +47,33 @@ type resolver struct {
 	timeouts *obs.Counter
 }
 
+// batch is what the resolver reads of the scenarios it settles, a
+// sweep's (Sweep embeds it): the spec and the scenarios' keys, the
+// attempt budget and deadline, the context that cancels them, and the
+// two reports back — a member's attempt starting and its outcome.
+type batch struct {
+	ctx         context.Context
+	spec        config.SystemSpec // retained for remote dispatch (RunRequest.Spec)
+	specHash    string
+	compiled    *core.CompiledSpec // released when the sweep finishes
+	scenarios   []core.Scenario    // released when the sweep finishes
+	hashes      []string
+	timeout     time.Duration // per-attempt deadline (0 → none)
+	maxAttempts int
+	onRunning   func(members []int, attempt int)
+	onSettled   func(outcome) // exactly once per member handed to resolve
+}
+
 // outcome is how one scenario resolved. tier is the cache tier that
-// answered (tierNone on failure or cancellation); queueSec, the submit →
-// first-slot wait, is set once an attempt got a slot.
+// answered (tierNone on failure or cancellation); began, when the
+// first attempt started waiting for a slot, is set once it got one.
 type outcome struct {
 	i        int
 	res      *core.Result
 	err      error
 	tier     string
 	attempts []obs.AttemptSpan
-	queueSec float64
+	began    time.Time
 	storeSec float64
 }
 
@@ -127,16 +145,16 @@ func (r *resolver) freeSlots(active int) int {
 // settles hits before the journal exists) and lead. Streaming scenarios
 // never hit: serving one would skip the writer side effect the caller
 // asked for.
-func (r *resolver) memoryHit(sw *Sweep, i int) (*core.Result, bool) {
-	if sw.scenarios[i].TelemetryTo != nil {
+func (r *resolver) memoryHit(b *batch, i int) (*core.Result, bool) {
+	if b.scenarios[i].TelemetryTo != nil {
 		return nil, false
 	}
-	return r.cache.peek(sw.specHash + ":" + sw.hashes[i])
+	return r.cache.peek(b.specHash + ":" + b.hashes[i])
 }
 
 // resolve settles one dispatch — a scenario, or a lockstep group of its
 // power-mode siblings simulated as one run — and hands each member's
-// outcome to sw.record as it settles.
+// outcome to b.onSettled as it settles.
 //
 // Only the first acquirer of a (spec, scenario) key leads; concurrent
 // duplicates wait on its memory entry, so single-flight spans every
@@ -153,44 +171,40 @@ func (r *resolver) memoryHit(sw *Sweep, i int) (*core.Result, bool) {
 // ordinary retry loop. Everything runs one after another on the
 // dispatch's goroutine, so a dispatch never computes more than one run
 // at a time and the per-sweep limit holds.
-func (r *resolver) resolve(sw *Sweep, members []int) {
+func (r *resolver) resolve(b *batch, members []int) {
 	var claims []*claim
-	var left []int
+	var run, left []int // run: the claims' members
 	for _, i := range members {
-		c, o := r.lead(sw, i, len(members) == 1)
+		c, o := r.lead(b, i, len(members) == 1)
 		switch {
 		case c != nil:
-			claims = append(claims, c)
+			claims, run = append(claims, c), append(run, i)
 		case errors.Is(o.err, errBusy):
 			left = append(left, i)
 		default:
-			sw.record(o)
+			b.onSettled(o)
 		}
 	}
 	if len(claims) > 0 {
-		run := make([]int, len(claims))
-		for k, c := range claims {
-			run[k] = c.i
-		}
 		began := time.Now()
-		results, span, err := r.attempt(sw, run, 1)
+		results, span, err := r.attempt(b, run, 1)
 		for k, c := range claims {
 			o := outcome{i: c.i, err: err}
 			if span != nil { // no span: cancelled before a slot freed
-				o.queueSec = began.Sub(sw.createdAt).Seconds() + span.WaitSec
+				o.began = began
 				o.attempts = []obs.AttemptSpan{*span}
 				if err == nil {
 					o.res = results[k]
 				} else {
-					r.retry(sw, &o)
+					r.retry(b, &o)
 				}
 			}
-			r.settle(sw, c, &o)
-			sw.record(o)
+			r.settle(b, c, &o)
+			b.onSettled(o)
 		}
 	}
 	for _, i := range left {
-		r.resolve(sw, []int{i})
+		r.resolve(b, []int{i})
 	}
 }
 
@@ -219,18 +233,18 @@ var errAbandoned = errors.New("service: scenario abandoned by cancelled sweep")
 // claim with the outcome. Without wait, lead gives up with errBusy,
 // holding nothing, where it would otherwise wait for another
 // submitter's run or another node's lease.
-func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
+func (r *resolver) lead(b *batch, i int, wait bool) (*claim, outcome) {
 	o := outcome{i: i, tier: tierNone}
-	if res, ok := r.memoryHit(sw, i); ok {
+	if res, ok := r.memoryHit(b, i); ok {
 		o.res, o.tier = res, tierMemory
 		return nil, o
 	}
-	if sw.scenarios[i].TelemetryTo != nil {
+	if b.scenarios[i].TelemetryTo != nil {
 		// Streaming scenarios bypass every cache tier, and so does
 		// waiting on another submitter's run.
 		return &claim{i: i, stopRenew: func() {}}, o
 	}
-	key := sw.specHash + ":" + sw.hashes[i]
+	key := b.specHash + ":" + b.hashes[i]
 	entry, leader := r.cache.acquire(key)
 	for !leader {
 		if !wait {
@@ -239,8 +253,8 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 		}
 		select {
 		case <-entry.done:
-		case <-sw.ctx.Done():
-			o.err = sw.ctx.Err()
+		case <-b.ctx.Done():
+			o.err = b.ctx.Err()
 			return nil, o
 		}
 		switch {
@@ -261,7 +275,7 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 	// compute; the recomputed result re-persists in settle, healing
 	// corrupt entries.
 	stored := func() bool {
-		res, err := r.store.Get(sw.specHash, sw.hashes[i])
+		res, err := r.store.Get(b.specHash, b.hashes[i])
 		if err != nil {
 			return false
 		}
@@ -270,7 +284,7 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 		return true
 	}
 	c := &claim{i: i, key: key, entry: entry, stopRenew: func() {}}
-	if r.store != nil && sw.ctx.Err() == nil {
+	if r.store != nil && b.ctx.Err() == nil {
 		if stored() {
 			return nil, o
 		}
@@ -281,9 +295,9 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 		// is a duplicate compute, never a stuck scenario.
 		poll := min(max(r.leaseTTL/10, 50*time.Millisecond), time.Second)
 		for r.leaseTTL > 0 && r.runner == nil {
-			l, err := r.store.AcquireLease(sw.specHash, sw.hashes[i], r.owner, r.leaseTTL)
+			l, err := r.store.AcquireLease(b.specHash, b.hashes[i], r.owner, r.leaseTTL)
 			if err != nil && !errors.Is(err, store.ErrLeaseHeld) {
-				r.logf("service: lease %s/%s: %v (computing without lease)", sw.specHash, sw.hashes[i], err)
+				r.logf("service: lease %s/%s: %v (computing without lease)", b.specHash, b.hashes[i], err)
 				break
 			}
 			if err != nil && !wait {
@@ -291,9 +305,9 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 				o.err = errBusy
 				return nil, o
 			}
-			if err != nil && !sleepCtx(sw.ctx, poll) {
+			if err != nil && !sleepCtx(b.ctx, poll) {
 				r.cache.complete(key, entry, nil, errAbandoned)
-				o.err = sw.ctx.Err()
+				o.err = b.ctx.Err()
 				return nil, o
 			}
 			// Re-check the store before computing: the holder may have
@@ -312,7 +326,7 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 	}
 	if c.lease != nil {
 		var renewCtx context.Context
-		renewCtx, c.stopRenew = context.WithCancel(sw.ctx)
+		renewCtx, c.stopRenew = context.WithCancel(b.ctx)
 		go r.renewLease(renewCtx, c.lease)
 	}
 	return c, o
@@ -323,7 +337,7 @@ func (r *resolver) lead(sw *Sweep, i int, wait bool) (*claim, outcome) {
 // back. A cancelled run publishes nothing: the key is released so
 // another submitter can take over, rather than the cancellation reaching
 // unrelated waiters.
-func (r *resolver) settle(sw *Sweep, c *claim, o *outcome) {
+func (r *resolver) settle(b *batch, c *claim, o *outcome) {
 	c.stopRenew()
 	o.tier = tierCompute
 	if o.err != nil {
@@ -348,10 +362,10 @@ func (r *resolver) settle(sw *Sweep, c *claim, o *outcome) {
 		// the result persists it, so a shared store counts each key
 		// exactly once.
 		putStart := time.Now()
-		err := r.store.Put(sw.specHash, sw.hashes[c.i], o.res)
+		err := r.store.Put(b.specHash, b.hashes[c.i], o.res)
 		o.storeSec = time.Since(putStart).Seconds()
 		if err != nil {
-			r.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[c.i], err)
+			r.logf("service: store put %s/%s: %v", b.specHash, b.hashes[c.i], err)
 		}
 	}
 	if c.lease != nil {
@@ -369,27 +383,27 @@ func (r *resolver) settle(sw *Sweep, c *claim, o *outcome) {
 // scenario's identity, attempt count, and cause. Sweep cancellation is
 // never retried and surfaces as context.Canceled, also when the sweep
 // was cancelled before a pool slot freed.
-func (r *resolver) retry(sw *Sweep, o *outcome) {
+func (r *resolver) retry(b *batch, o *outcome) {
 	for attempt := 1; ; {
-		if sw.ctx.Err() != nil {
+		if b.ctx.Err() != nil {
 			// The sweep itself was cancelled (possibly mid-attempt);
 			// report the cancellation, not the attempt's error.
-			o.err = sw.ctx.Err()
+			o.err = b.ctx.Err()
 			return
 		}
-		if attempt >= sw.maxAttempts {
+		if attempt >= b.maxAttempts {
 			o.err = &ScenarioError{
-				ScenarioHash: sw.hashes[o.i], Index: o.i, Attempts: attempt, Cause: o.err,
+				ScenarioHash: b.hashes[o.i], Index: o.i, Attempts: attempt, Cause: o.err,
 			}
 			return
 		}
 		r.retries.Inc()
-		if !sleepCtx(sw.ctx, backoffDelay(r.retryBase, r.retryMax, attempt)) {
-			o.err = sw.ctx.Err()
+		if !sleepCtx(b.ctx, backoffDelay(r.retryBase, r.retryMax, attempt)) {
+			o.err = b.ctx.Err()
 			return
 		}
 		attempt++
-		res, span, err := r.attempt(sw, []int{o.i}, attempt)
+		res, span, err := r.attempt(b, []int{o.i}, attempt)
 		o.err = err
 		if span == nil {
 			return
@@ -411,34 +425,34 @@ func (r *resolver) retry(sw *Sweep, o *outcome) {
 // configured, is layered on top (times the group size, since a group
 // does every member's run) and reported as a timeout rather than a
 // cancellation.
-func (r *resolver) attempt(sw *Sweep, members []int, attempt int) ([]*core.Result, *obs.AttemptSpan, error) {
+func (r *resolver) attempt(b *batch, members []int, attempt int) ([]*core.Result, *obs.AttemptSpan, error) {
 	waitStart := time.Now()
 	select {
 	case r.slots <- struct{}{}:
-	case <-sw.ctx.Done():
-		return nil, nil, sw.ctx.Err()
+	case <-b.ctx.Done():
+		return nil, nil, b.ctx.Err()
 	}
 	defer func() { <-r.slots }()
 	span := &obs.AttemptSpan{Attempt: attempt, WaitSec: time.Since(waitStart).Seconds()}
-	sw.running(members, attempt)
+	b.onRunning(members, attempt)
 	n := uint64(len(members))
 	r.misses.Add(n)
-	ctx := sw.ctx
-	deadline := sw.timeout * time.Duration(len(members))
+	ctx := b.ctx
+	deadline := b.timeout * time.Duration(len(members))
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
 	runStart := time.Now()
-	res, err := r.run(ctx, sw, members, attempt)
+	res, err := r.run(ctx, b, members, attempt)
 	span.RunSec = time.Since(runStart).Seconds()
 	// Outcome classification shares its branches with the failure
 	// counters — one increment per "timeout"/"panic" attempt span, so
 	// the trace and the failure counters reconcile exactly.
 	var pe *PanicError
 	switch {
-	case err != nil && ctx.Err() == context.DeadlineExceeded && sw.ctx.Err() == nil:
+	case err != nil && ctx.Err() == context.DeadlineExceeded && b.ctx.Err() == nil:
 		// The attempt's own deadline expired (not a sweep cancel):
 		// normalize whatever surfaced — the context error itself or a
 		// mid-tick wrap of it — into a typed, retriable timeout.
@@ -470,7 +484,7 @@ func (r *resolver) attempt(sw *Sweep, members []int, attempt int) ([]*core.Resul
 // *PanicError instead of unwinding the worker goroutine and killing the
 // process. It is counted once per member, as each member's span records
 // the attempt.
-func (r *resolver) run(ctx context.Context, sw *Sweep, members []int, attempt int) (res []*core.Result, err error) {
+func (r *resolver) run(ctx context.Context, b *batch, members []int, attempt int) (res []*core.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.panics.Add(uint64(len(members)))
@@ -480,8 +494,8 @@ func (r *resolver) run(ctx context.Context, sw *Sweep, members []int, attempt in
 	if fi := r.faults.Load(); fi != nil && fi.BeforeRun != nil {
 		for _, i := range members {
 			if err := fi.BeforeRun(ctx, Fault{
-				SpecHash:     sw.specHash,
-				ScenarioHash: sw.hashes[i],
+				SpecHash:     b.specHash,
+				ScenarioHash: b.hashes[i],
 				Index:        i,
 				Attempt:      attempt,
 			}); err != nil {
@@ -496,7 +510,7 @@ func (r *resolver) run(ctx context.Context, sw *Sweep, members []int, attempt in
 	}
 	scs := make([]core.Scenario, len(members))
 	for k, i := range members {
-		scs[k] = sw.scenarios[i]
+		scs[k] = b.scenarios[i]
 	}
 	// Coordinator mode: hand the attempt to the remote compute tier,
 	// which never gets a group. Telemetry-writer scenarios stay local —
@@ -504,10 +518,10 @@ func (r *resolver) run(ctx context.Context, sw *Sweep, members []int, attempt in
 	// the compiled spec anyway.
 	if r.runner != nil && scs[0].TelemetryTo == nil {
 		res, err := r.runner.RunScenario(ctx, RunRequest{
-			Spec:         sw.spec,
-			SpecHash:     sw.specHash,
+			Spec:         b.spec,
+			SpecHash:     b.specHash,
 			Scenario:     scs[0],
-			ScenarioHash: sw.hashes[members[0]],
+			ScenarioHash: b.hashes[members[0]],
 			Index:        members[0],
 			Attempt:      attempt,
 		})
@@ -516,7 +530,7 @@ func (r *resolver) run(ctx context.Context, sw *Sweep, members []int, attempt in
 		}
 		return []*core.Result{res}, nil
 	}
-	return sw.compiled.Twin().RunLockstep(ctx, scs)
+	return b.compiled.Twin().RunLockstep(ctx, scs)
 }
 
 // renewLease extends the held lease every TTL/3 until ctx ends. A

@@ -436,7 +436,7 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	// Memory-tier hits settle here, before the journal exists, so their
 	// records ride in its create instead of costing an fsync each.
 	for i := range scenarios {
-		if res, ok := s.res.memoryHit(sw, i); ok {
+		if res, ok := s.res.memoryHit(&sw.batch, i); ok {
 			sw.record(outcome{i: i, res: res, tier: tierMemory})
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exadigit/internal/config"
 	"exadigit/internal/core"
 	"exadigit/internal/obs"
 	"exadigit/internal/store"
@@ -74,20 +73,12 @@ type SweepStatus struct {
 // Sweep is one submitted battery of scenarios working through the pool.
 type Sweep struct {
 	lifecycle
-	spec       config.SystemSpec  // retained for remote dispatch (RunRequest.Spec)
-	compileSec float64            // spec-compile wall time, stamped on every span
-	compiled   *core.CompiledSpec // released when the sweep finishes
-	scenarios  []core.Scenario    // released when the sweep finishes
-	hashes     []string
+	batch
+	compileSec float64 // spec-compile wall time, stamped on every span
 	svc        *Service
 	key        string              // idempotency key ("" = none)
 	recovered  bool                // reconstructed from the journal after a restart
 	journal    *store.SweepJournal // durable manifest + terminal records; nil = not journaled
-
-	timeout     time.Duration // per-attempt deadline (0 → none)
-	maxAttempts int
-
-	ctx context.Context
 
 	// Guarded by lifecycle.mu.
 	statuses []ScenarioStatus
@@ -121,16 +112,20 @@ func (s *Service) newSweep(opts SweepOptions, specHash string, hashes, names []s
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sw := &Sweep{
-		lifecycle:   newLifecycle(opts.Name, specHash, cancel),
-		hashes:      hashes,
-		svc:         s,
-		key:         opts.Key,
-		timeout:     opts.ScenarioTimeout,
-		maxAttempts: opts.MaxAttempts,
-		ctx:         ctx,
-		statuses:    make([]ScenarioStatus, len(hashes)),
-		results:     make([]*core.Result, len(hashes)),
+		lifecycle: newLifecycle(opts.Name, cancel),
+		batch: batch{
+			ctx:         ctx,
+			specHash:    specHash,
+			hashes:      hashes,
+			timeout:     opts.ScenarioTimeout,
+			maxAttempts: opts.MaxAttempts,
+		},
+		svc:      s,
+		key:      opts.Key,
+		statuses: make([]ScenarioStatus, len(hashes)),
+		results:  make([]*core.Result, len(hashes)),
 	}
+	sw.onRunning, sw.onSettled = sw.running, sw.record
 	for i := range sw.statuses {
 		sw.statuses[i] = ScenarioStatus{Index: i, Name: names[i], Hash: hashes[i], State: state}
 	}
@@ -152,13 +147,13 @@ func (sw *Sweep) emitSpan(st ScenarioStatus, o outcome) {
 		Error:         st.Error,
 		Recovered:     sw.recovered,
 		CompileSec:    sw.compileSec,
-		QueueSec:      o.queueSec,
 		TotalSec:      time.Since(sw.createdAt).Seconds(),
 		StoreWriteSec: o.storeSec,
 		Attempts:      o.attempts,
 	}
-	if len(o.attempts) == 0 {
-		// No attempt ever got a slot: the whole lifetime was queueing.
+	if len(o.attempts) > 0 { // submit → first slot
+		span.QueueSec = o.began.Sub(sw.createdAt).Seconds() + o.attempts[0].WaitSec
+	} else { // no attempt ever got a slot: the whole lifetime was queueing
 		span.QueueSec = span.TotalSec
 	}
 	sw.svc.tracer.Emit(span)
@@ -311,7 +306,7 @@ loop:
 				defer func() { <-sem }()
 			}
 			defer active.Add(-1)
-			sw.svc.res.resolve(sw, group)
+			sw.svc.res.resolve(&sw.batch, group)
 		}()
 	}
 	wg.Wait()
