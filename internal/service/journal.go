@@ -320,7 +320,10 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	}
 
 	sw := s.recoveredShell(e, StateQueued)
-	sw.spec, sw.compiled, sw.scenarios, sw.compileSec = spec, compiled, scenarios, time.Since(compileStart).Seconds()
+	sw.spec = spec
+	sw.compiled = compiled
+	sw.scenarios = scenarios
+	sw.compileSec = time.Since(compileStart).Seconds()
 
 	// Trust journal records only where the content-addressed identity
 	// still checks out: same spec hash and, per scenario, the same

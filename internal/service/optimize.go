@@ -295,13 +295,13 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 	s.studies.add(st, "") // study ids are time + random suffix, never taken
 	s.mu.Unlock()
 
-	go s.runStudy(ctx, st, drv, specHash, study)
+	go s.runStudy(ctx, st, drv, study)
 	return st, nil
 }
 
 // runStudy drives one study to a terminal state and persists the
 // trained surrogate.
-func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver, specHash string, study optimize.StudySpec) {
+func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver, study optimize.StudySpec) {
 	defer st.cancel()
 	defer close(st.done)
 	res, err := drv.Run(ctx)
@@ -318,7 +318,7 @@ func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver,
 	}
 	if res.Model != nil && s.store != nil {
 		if data, merr := json.Marshal(res.Model); merr == nil {
-			if perr := s.store.PutBlob(optimizeModelBlobName(specHash, study), data); perr != nil {
+			if perr := s.store.PutBlob(optimizeModelBlobName(st.specHash, study), data); perr != nil {
 				s.printf("service: study %s: persist surrogate: %v", st.id, perr)
 			}
 		}

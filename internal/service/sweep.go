@@ -151,9 +151,11 @@ func (sw *Sweep) emitSpan(st ScenarioStatus, o outcome) {
 		StoreWriteSec: o.storeSec,
 		Attempts:      o.attempts,
 	}
-	if len(o.attempts) > 0 { // submit → first slot
+	if len(o.attempts) > 0 {
+		// Submit → first slot.
 		span.QueueSec = o.began.Sub(sw.createdAt).Seconds() + o.attempts[0].WaitSec
-	} else { // no attempt ever got a slot: the whole lifetime was queueing
+	} else {
+		// No attempt ever got a slot: the whole lifetime was queueing.
 		span.QueueSec = span.TotalSec
 	}
 	sw.svc.tracer.Emit(span)
