@@ -98,7 +98,8 @@ check: vet metrics-lint
 #     60 s HPL run: no panic, and an accepted spec reports finite,
 #     non-negative energy, power and loss;
 #   - the operator's -presets file loader: no panic, a refused file
-#     registers nothing, and an accepted one registers exactly its plants;
+#     registers nothing, and an accepted one registers exactly its
+#     plants, each of which steps to finite outputs;
 #   - the coordinator's read of a worker's result stream: no panic, and
 #     a result only from a done or cached line.
 # The seed corpora live under

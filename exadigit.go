@@ -12,8 +12,9 @@
 //     conversion-loss chain;
 //   - a transient thermo-fluid model of the cooling plant (25 CDU loops,
 //     the primary high-temperature-water loop, and the cooling-tower
-//     loop with its PID + staging control system), wrapped behind an
-//     FMI-style co-simulation interface and stepped every 15 s;
+//     loop with its PID + staging control system), which RAPS steps
+//     directly every 15 s and which outside co-simulation drivers reach
+//     through an FMI-style interface (NewCoolingFMU);
 //   - telemetry and visual analytics: Table II-schema datasets for
 //     replay-based verification and validation, an ASCII dashboard, and
 //     an HTTP/JSON API.
@@ -124,7 +125,9 @@ func FlatTrace(util, wallSec float64) []float64 { return job.FlatTrace(util, wal
 
 // FMU co-simulation types (§III-C6).
 type (
-	// FMU is the cooling model behind the FMI-style interface.
+	// FMU is the cooling model behind the FMI-style interface, for
+	// co-simulation drivers outside the twin (RAPS steps the plant
+	// directly).
 	FMU = fmu.Instance
 	// ValueRef identifies an FMU variable.
 	ValueRef = fmu.ValueRef
@@ -348,7 +351,9 @@ func RequireBearerToken(token string, h http.Handler) http.Handler {
 }
 
 // NewCoolingFMU instantiates the cooling model behind the FMI-style
-// co-simulation interface (SetReal / DoStep / GetReal).
+// co-simulation interface (SetReal / DoStep / GetReal). It is the
+// public co-simulation surface: its DoStep advances the same plant, under
+// the same inputs, that a cooled twin run steps at each 15 s coupling.
 func NewCoolingFMU(cfg CoolingConfig) (*FMU, error) { return fmu.Instantiate(cfg) }
 
 // DashboardServer is the viz REST backend; expose it (rather than just

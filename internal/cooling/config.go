@@ -337,8 +337,11 @@ func (c Config) Validate() error {
 	if c.NumHTWPs <= 0 || c.NumCTWPs <= 0 || c.NumEHX <= 0 {
 		return fmt.Errorf("cooling: pump/EHX counts must be positive")
 	}
-	if c.ControlDtS <= 0 {
-		return fmt.Errorf("cooling: ControlDtS must be positive")
+	if !(c.ControlDtS >= minControlDtS) {
+		return fmt.Errorf("cooling: ControlDtS must be at least %v s", minControlDtS)
+	}
+	if c.LoopDelayS > maxDelaySamples*c.ControlDtS {
+		return fmt.Errorf("cooling: LoopDelayS must span at most %v control periods", maxDelaySamples)
 	}
 	if c.SecVolumeKg <= 0 || c.HTWVolumeKg <= 0 || c.CTWVolumeKg <= 0 {
 		return fmt.Errorf("cooling: volumes must be positive")
@@ -356,7 +359,73 @@ func (c Config) Validate() error {
 	if field := c.NonFinite(); field != "" {
 		return fmt.Errorf("cooling: %s must be finite", field)
 	}
+	if field := c.degenerate(); field != "" {
+		return fmt.Errorf("cooling: %s must be positive", field)
+	}
+	if field, t := c.fastLoop(); field != "" {
+		return fmt.Errorf("cooling: %s turns over in %.3g s at the loop's largest flow, under the %v s ControlDtS", field, t, c.ControlDtS)
+	}
 	return nil
+}
+
+// Bounds on the control period: a shorter one multiplies the control
+// steps per coupling without bound, and the cross-loop delay line holds
+// one sample per period.
+const (
+	minControlDtS   = 0.01
+	maxDelaySamples = 1e5
+)
+
+// degenerate names the first term the loops or exchangers divide by, or
+// need above zero to carry flow, that is not positive, or returns "". A
+// zero one gives an infinite branch resistance or a zero shutoff head,
+// and the first step's pressures come out NaN.
+func (c Config) degenerate() string {
+	for _, t := range []struct {
+		name string
+		v    float64
+	}{
+		{"SecPump.H0", c.SecPump.H0}, {"SecPump.H2", c.SecPump.H2}, {"SecLoopK", c.SecLoopK},
+		{"CDUHex.UANominal", c.CDUHex.UANominal}, {"CDUHex.MdotHotN", c.CDUHex.MdotHotN}, {"CDUHex.MdotColdN", c.CDUHex.MdotColdN},
+		{"PrimValveDPPa", c.PrimValveDPPa}, {"PrimBranchQ", c.PrimBranchQ},
+		{"HTWPump.H0", c.HTWPump.H0}, {"HTWPump.H2", c.HTWPump.H2}, {"HTWLoopK", c.HTWLoopK},
+		{"EHX.UANominal", c.EHX.UANominal}, {"EHX.MdotHotN", c.EHX.MdotHotN}, {"EHX.MdotColdN", c.EHX.MdotColdN},
+		{"CTWPump.H0", c.CTWPump.H0}, {"CTWPump.H2", c.CTWPump.H2}, {"CTWLoopK", c.CTWLoopK},
+		{"Tower.EpsNominal", c.Tower.EpsNominal}, {"Tower.MdotNominal", c.Tower.MdotNominal},
+	} {
+		if !(t.v > 0) {
+			return t.name
+		}
+	}
+	return ""
+}
+
+// fastLoop names the first loop volume whose pumps can circulate it in
+// under one control period, with that time, or returns "". Every term of
+// a volume's energy balance is its through-flow or an ε-NTU share of
+// it, so fixed-step RK4 at the control period is stable while the flow
+// turns the volume over more slowly; a faster loop steps to NaN. The
+// largest flow takes the bank fully staged at 110 % speed against its
+// fixed loop resistance alone, and water at 1000 kg/m³.
+func (c Config) fastLoop() (field string, turnoverS float64) {
+	for _, l := range []struct {
+		field string
+		kg    float64
+		pump  hydro.PumpCurve
+		n     int
+		k     float64
+	}{
+		{"SecVolumeKg", c.SecVolumeKg, c.SecPump, 1, c.SecLoopK},
+		{"HTWVolumeKg", c.HTWVolumeKg, c.HTWPump, c.NumHTWPs, c.HTWLoopK},
+		{"CTWVolumeKg", c.CTWVolumeKg, c.CTWPump, c.NumCTWPs, c.CTWLoopK},
+	} {
+		n := float64(l.n)
+		q := math.Sqrt(1.21 * l.pump.H0 / (l.k + l.pump.H2/(n*n)))
+		if t := l.kg / (1000 * q); !(t >= c.ControlDtS) {
+			return l.field, t
+		}
+	}
+	return "", 0
 }
 
 // NonFinite names the first field of the config, nested fields dotted

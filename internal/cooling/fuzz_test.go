@@ -2,6 +2,7 @@ package cooling
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,11 +12,10 @@ import (
 // the operator's -presets file. It must never panic. A refused document
 // registers nothing; an accepted one registers exactly its entries, each
 // resolving by name to its decoded plant, which Validate accepts and
-// which builds and takes one 15 s step without panicking — plants wider
+// which builds and takes one 15 s step to finite outputs — plants wider
 // than 64 CDU loops or 256 tower cells are skipped to keep an execution
-// cheap. A preset's physics is the operator's calibration, so the step
-// may be non-finite. Every input's registrations are removed before the
-// next, so the global registry does not leak across inputs.
+// cheap. Every input's registrations are removed before the next, so the
+// global registry does not leak across inputs.
 func FuzzRegisterPresetsFromJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := PresetNames()
@@ -51,13 +51,20 @@ func FuzzRegisterPresetsFromJSON(f *testing.F) {
 			}
 			plant, err := New(cfg)
 			if err != nil {
-				continue
+				t.Fatalf("registered preset %q does not build: %v", name, err)
 			}
 			heat := make([]float64, cfg.NumCDUs)
 			for i := range heat {
 				heat[i] = 640e3
 			}
-			_ = plant.Step(15, Inputs{CDUHeatW: heat, WetBulbC: 20, ITPowerW: 640e3 * float64(cfg.NumCDUs) / 0.945})
+			if err := plant.Step(15, Inputs{CDUHeatW: heat, WetBulbC: 20, ITPowerW: 640e3 * float64(cfg.NumCDUs) / 0.945}); err != nil {
+				t.Fatalf("registered preset %q refuses a step: %v", name, err)
+			}
+			for i, v := range plant.Snapshot().Vector() {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("preset %q: output %d (%s) is %v after one step", name, i, OutputNames(cfg)[i], v)
+				}
+			}
 		}
 	})
 }

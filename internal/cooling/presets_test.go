@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -97,5 +98,44 @@ func TestRegisterPresetsFromFileAndValidation(t *testing.T) {
 	}
 	if _, ok := Preset("ok"); ok {
 		t.Fatal("partial load registered the valid half of an invalid document")
+	}
+}
+
+// TestValidateRefusesDegenerateTerms pins the refusal of a plant whose
+// loops or exchangers have a zero term: the unit-count plant with only an
+// HTW shutoff head, which stepped to NaN pressures before, and Frontier
+// with each such term zeroed in turn, refused naming the field.
+func TestValidateRefusesDegenerateTerms(t *testing.T) {
+	const unit = `{"NumCDUs":1,"NumFanChannels":1,"NumTowers":1,"CellsPerTower":1,"NumHTWPs":1,"NumCTWPs":1,"NumEHX":1,` +
+		`"SecVolumeKg":1,"HTWVolumeKg":1,"CTWVolumeKg":1,"ControlDtS":1,"HTWPump":{"H0":1}}`
+	if _, err := RegisterPresetsFromJSON([]byte(`{"unit":` + unit + `}`)); err == nil || !strings.Contains(err.Error(), "SecPump.H0") {
+		t.Fatalf("unit plant: err %v, want a refusal naming SecPump.H0", err)
+	}
+	for field, zero := range map[string]func(*Config){
+		"SecPump.H0":        func(c *Config) { c.SecPump.H0 = 0 },
+		"SecLoopK":          func(c *Config) { c.SecLoopK = 0 },
+		"CDUHex.UANominal":  func(c *Config) { c.CDUHex.UANominal = 0 },
+		"CDUHex.MdotHotN":   func(c *Config) { c.CDUHex.MdotHotN = 0 },
+		"CDUHex.MdotColdN":  func(c *Config) { c.CDUHex.MdotColdN = 0 },
+		"PrimValveDPPa":     func(c *Config) { c.PrimValveDPPa = 0 },
+		"PrimBranchQ":       func(c *Config) { c.PrimBranchQ = -1 },
+		"HTWPump.H0":        func(c *Config) { c.HTWPump.H0 = 0 },
+		"HTWLoopK":          func(c *Config) { c.HTWLoopK = 0 },
+		"EHX.UANominal":     func(c *Config) { c.EHX.UANominal = 0 },
+		"EHX.MdotHotN":      func(c *Config) { c.EHX.MdotHotN = 0 },
+		"EHX.MdotColdN":     func(c *Config) { c.EHX.MdotColdN = 0 },
+		"CTWPump.H0":        func(c *Config) { c.CTWPump.H0 = 0 },
+		"CTWLoopK":          func(c *Config) { c.CTWLoopK = 0 },
+		"Tower.EpsNominal":  func(c *Config) { c.Tower.EpsNominal = 0 },
+		"Tower.MdotNominal": func(c *Config) { c.Tower.MdotNominal = 0 },
+	} {
+		cfg := Frontier()
+		zero(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Frontier with %s zeroed: err %v, want a refusal naming it", field, err)
+		}
+	}
+	if err := Frontier().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

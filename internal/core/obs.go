@@ -11,7 +11,7 @@ import (
 // accounting (zero before any run or when cooling was disabled) —
 // shorthand for Simulation().CoolingSolverStats() that stays nil-safe.
 func (tw *Twin) CoolingSolverStats() cooling.SolverStats {
-	sim, _ := tw.currentRun()
+	sim := tw.Simulation()
 	if sim == nil {
 		return cooling.SolverStats{}
 	}

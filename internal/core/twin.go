@@ -16,7 +16,6 @@ import (
 
 	"exadigit/internal/config"
 	"exadigit/internal/cooling"
-	"exadigit/internal/fmu"
 	"exadigit/internal/job"
 	"exadigit/internal/power"
 	"exadigit/internal/raps"
@@ -168,31 +167,20 @@ type Twin struct {
 
 	compiled *CompiledSpec
 
-	// mu guards the most-recent-run artifacts below: the dashboard's viz
-	// endpoints read them from HTTP goroutines while a library caller may
-	// drive a new run on the same Twin, and the cooling names must stay
-	// paired with the simulation they label.
-	mu         sync.Mutex
-	sim        *raps.Simulation
-	lastDesign *fmu.Design // cooling design of the most recent cooled run
+	// mu guards the most recent run: the dashboard's viz endpoints read
+	// it from HTTP goroutines while a library caller may drive a new run
+	// on the same Twin.
+	mu  sync.Mutex
+	sim *raps.Simulation
 }
 
-// setRun publishes a run's artifacts as one consistent snapshot. It is
-// called once the simulation has stopped ticking (completed, failed, or
-// aborted), so viz readers never observe a live simulation's mutating
-// internals.
-func (tw *Twin) setRun(sim *raps.Simulation, design *fmu.Design) {
+// setRun publishes a run. It is called once the simulation has stopped
+// ticking (completed, failed, or aborted), so viz readers never observe
+// a live simulation's mutating internals.
+func (tw *Twin) setRun(sim *raps.Simulation) {
 	tw.mu.Lock()
-	tw.sim, tw.lastDesign = sim, design
+	tw.sim = sim
 	tw.mu.Unlock()
-}
-
-// currentRun returns the most recent run's simulation and cooling design
-// as a consistent pair.
-func (tw *Twin) currentRun() (*raps.Simulation, *fmu.Design) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	return tw.sim, tw.lastDesign
 }
 
 // NewFrontier builds a twin of Frontier.
@@ -441,7 +429,7 @@ func (tw *Twin) RunLockstep(ctx context.Context, scs []Scenario) ([]*Result, err
 	// Publish after the tick loop stops (even on error/abort): the
 	// dashboard serves the most recent settled run, and partial state of
 	// an aborted run stays inspectable via Simulation().
-	tw.setRun(sim, rcfg.CoolingDesign)
+	tw.setRun(sim)
 	if err != nil {
 		return nil, err
 	}
@@ -485,13 +473,14 @@ func (tw *Twin) wetBulbFunc(sc *Scenario) func(float64) float64 {
 // Simulation exposes the most recent run's simulation (nil before any
 // run), for white-box inspection by experiments.
 func (tw *Twin) Simulation() *raps.Simulation {
-	sim, _ := tw.currentRun()
-	return sim
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	return tw.sim
 }
 
 // Status implements viz.Source over the most recent run.
 func (tw *Twin) Status() viz.Status {
-	sim, _ := tw.currentRun()
+	sim := tw.Simulation()
 	if sim == nil {
 		return viz.Status{}
 	}
@@ -528,7 +517,7 @@ func partMW(partW []float64) []float64 {
 
 // Series implements viz.Source.
 func (tw *Twin) Series() []viz.SeriesPoint {
-	sim, _ := tw.currentRun()
+	sim := tw.Simulation()
 	if sim == nil {
 		return nil
 	}
@@ -548,11 +537,11 @@ func (tw *Twin) Series() []viz.SeriesPoint {
 
 // CoolingOutputs implements viz.Source: the named per-channel snapshot
 // of the most recent cooled run's plant (317 channels on Frontier), or
-// nil. Names come from the run's compiled design, so dashboard labels
+// nil. Names come from the coupled plant's config, so dashboard labels
 // follow SystemSpec.Cooling (or the scenario's override) instead of
 // assuming a Frontier-shaped plant.
 func (tw *Twin) CoolingOutputs() map[string]float64 {
-	sim, design := tw.currentRun()
+	sim := tw.Simulation()
 	if sim == nil {
 		return nil
 	}
@@ -561,17 +550,7 @@ func (tw *Twin) CoolingOutputs() map[string]float64 {
 		return nil
 	}
 	vec := plant.Snapshot().Vector()
-	var names []string
-	if design != nil {
-		names = design.OutputNames()
-	} else {
-		// Literal-built twin running raps directly: fall back to the
-		// plant the sim actually coupled via its config.
-		names = cooling.OutputNames(plant.Config())
-	}
-	if len(names) != len(vec) {
-		return nil
-	}
+	names := cooling.OutputNames(plant.Config())
 	out := make(map[string]float64, len(vec))
 	for i, n := range names {
 		out[n] = vec[i]

@@ -3,10 +3,10 @@
 // the paper's Dymola-exported FMU consumed through FMPy (§III-C6). The
 // same lifecycle applies: instantiate, set inputs by value reference,
 // DoStep at the 15 s communication interval, and read the 317 outputs by
-// value reference. Keeping this seam means RAPS is coupled to the cooling
-// model exactly the way the paper's Python RAPS is — through an FMI-shaped
-// boundary — so an actual Modelica FMU could be swapped in behind the
-// same interface.
+// value reference. It is the public co-simulation surface
+// (exadigit.NewCoolingFMU) for drivers outside the twin; RAPS itself
+// steps the plant directly, under the same inputs an Instance's DoStep
+// passes it.
 //
 // The description of a model (its modelDescription.xml equivalent) is
 // compiled once per cooling.Config into a Design and shared read-only by

@@ -72,10 +72,7 @@ func TestMultiPartitionHeatConservation(t *testing.T) {
 		// sample time is a coupling boundary and stepCooling ran earlier
 		// in the same tick.
 		boundaries++
-		fed := make([]float64, len(sim.heatRefs))
-		if err := sim.cool.GetReal(sim.heatRefs, fed); err != nil {
-			t.Fatal(err)
-		}
+		fed := sim.coolIn.CDUHeatW[:sim.totalCDUs]
 		var fedSum, recSum float64
 		for _, h := range fed {
 			fedSum += h
@@ -104,10 +101,7 @@ func TestMultiPartitionHeatConservation(t *testing.T) {
 			}
 			off += n
 		}
-		itBuf := make([]float64, 1)
-		if err := sim.cool.GetReal([]fmu.ValueRef{sim.itRef}, itBuf); err != nil {
-			t.Fatal(err)
-		}
+		itBuf := []float64{sim.coolIn.ITPowerW}
 		if itBuf[0] != smp.PowerW {
 			t.Fatalf("t=%v: plant it_power_w = %v, sample power = %v", smp.TimeSec, itBuf[0], smp.PowerW)
 		}
@@ -179,7 +173,7 @@ func TestMultiPartitionEventMatchesDense(t *testing.T) {
 
 // TestNewMultiRejectsUndersizedPlant pins the raps-level guard: coupling
 // more partition CDUs than the plant has loops fails at construction
-// with a missing-variable error instead of corrupting the coupling.
+// instead of corrupting the coupling.
 func TestNewMultiRejectsUndersizedPlant(t *testing.T) {
 	small := cooling.Frontier()
 	small.NumCDUs = 3 // fewer than the 4 loops the partitions couple

@@ -3,8 +3,11 @@
 // one-second ticks: arriving jobs enter the pending queue, the scheduler
 // assigns nodes, per-node power follows the CPU/GPU utilization traces
 // through the Eq. 3 component model with Eq. 1-2 conversion losses, and
-// every 15 s the aggregated per-CDU heat drives the cooling model through
-// the FMU interface. At the end of a run the §III-B5 report is produced:
+// every 15 s the aggregated per-CDU heat steps the cooling plant (the
+// paper couples the same 15 s exchange through an FMU, §III-C6; here RAPS
+// calls the plant directly, and the fmu package keeps the FMI-shaped
+// surface for outside co-simulation drivers). At the end of a run the
+// §III-B5 report is produced:
 // jobs completed, throughput, average power, energy, losses, CO₂
 // emissions (Eq. 6), and electricity cost.
 //
@@ -90,12 +93,12 @@ type Config struct {
 	// faithful speed-up because utilization traces advance at 15 s
 	// quanta anyway).
 	TickSec float64
-	// EnableCooling couples the cooling FMU (≈3× slower, §IV-3).
+	// EnableCooling couples the cooling plant (≈3× slower, §IV-3).
 	EnableCooling bool
-	// CoolingDesign, when set, supplies the precompiled FMU design to
-	// instantiate the cooling model from — sweeps compile it once per
-	// spec and share it across scenarios. nil compiles a private
-	// Frontier-plant design (the pre-existing behavior).
+	// CoolingDesign, when set, names the plant to couple by its compiled
+	// FMU design, which sweeps compile once per spec and share across
+	// scenarios; the run builds its own plant from the design's config.
+	// nil couples the Frontier plant.
 	CoolingDesign *fmu.Design
 	// Engine selects the power-evaluation strategy; the zero value is
 	// the event-driven incremental engine.
@@ -282,24 +285,23 @@ func (pt *partSim) util() float64 {
 
 // Simulation is one RAPS run in progress.
 type Simulation struct {
-	cfg    Config
-	parts  []*partSim
-	fmuGet []fmu.ValueRef
+	cfg   Config
+	parts []*partSim
 
-	cool     *fmu.Instance
-	heatRefs []fmu.ValueRef
-	wbRef    fmu.ValueRef
-	itRef    fmu.ValueRef
-	// lastCoolT is the sim time of the last cooling DoStep; coasting
-	// across quiet boundaries leaves it behind s.now until the plant is
-	// stepped across the whole gap at once. coolCoastS is the plant's
-	// coast window (0 for the fixed-step solver: every boundary steps).
+	// plant is the coupled cooling plant (nil when cooling is off) and
+	// coolIn the inputs of its most recent step. coolIn owns its CDU
+	// heat buffer: the plant keeps the last inputs it stepped under, so
+	// the buffer must not be the live heatBuf.
+	plant  *cooling.Plant
+	coolIn cooling.Inputs
+	// coolOut is the sample path's snapshot scratch.
+	coolOut cooling.Outputs
+	// lastCoolT is the sim time of the last plant step; coasting across
+	// quiet boundaries leaves it behind s.now until the plant is stepped
+	// across the whole gap at once. coolCoastS is the plant's coast
+	// window (0 for the fixed-step solver: every boundary steps).
 	lastCoolT  float64
 	coolCoastS float64
-	// Preallocated cooling-coupling scratch (refs are constant).
-	coolRefs []fmu.ValueRef
-	coolVals []float64
-	fmuOut   []float64
 
 	now     float64
 	history []Sample
@@ -419,55 +421,18 @@ func NewMulti(cfg Config, partitions []Partition) (*Simulation, error) {
 	}
 
 	if cfg.EnableCooling {
-		design := cfg.CoolingDesign
-		if design == nil {
-			design, err = fmu.NewDesign(cooling.Frontier())
-			if err != nil {
-				return nil, err
-			}
+		pcfg := cooling.Frontier()
+		if cfg.CoolingDesign != nil {
+			pcfg = cfg.CoolingDesign.Config()
 		}
-		inst, err := design.Instantiate()
-		if err != nil {
+		if pcfg.NumCDUs < s.totalCDUs {
+			return nil, fmt.Errorf("raps: partitions couple %d CDU loops, the plant has %d", s.totalCDUs, pcfg.NumCDUs)
+		}
+		if s.plant, err = cooling.New(pcfg); err != nil {
 			return nil, err
 		}
-		if err := inst.SetupExperiment(0); err != nil {
-			return nil, err
-		}
-		d := inst.Description()
-		for i := 1; i <= s.totalCDUs; i++ {
-			r, err := d.RefByName(fmt.Sprintf("cdu[%d].heat_w", i))
-			if err != nil {
-				return nil, err
-			}
-			s.heatRefs = append(s.heatRefs, r)
-		}
-		if s.wbRef, err = d.RefByName("wetbulb_temp_c"); err != nil {
-			return nil, err
-		}
-		if s.itRef, err = d.RefByName("it_power_w"); err != nil {
-			return nil, err
-		}
-		ret, err := d.RefByName("facility.return_temp_c")
-		if err != nil {
-			return nil, err
-		}
-		sup, err := d.RefByName("facility.supply_temp_c")
-		if err != nil {
-			return nil, err
-		}
-		s.fmuGet = []fmu.ValueRef{ret, sup}
-		for i := 1; i <= s.totalCDUs; i++ {
-			r, err := d.RefByName(fmt.Sprintf("cdu[%d].secondary_supply_temp_c", i))
-			if err != nil {
-				return nil, err
-			}
-			s.fmuGet = append(s.fmuGet, r)
-		}
-		s.coolRefs = append(append([]fmu.ValueRef{}, s.heatRefs...), s.wbRef, s.itRef)
-		s.coolVals = make([]float64, len(s.coolRefs))
-		s.fmuOut = make([]float64, len(s.fmuGet))
-		s.cool = inst
-		s.coolCoastS = inst.Plant().CoastWindowS()
+		s.coolIn.CDUHeatW = make([]float64, pcfg.NumCDUs)
+		s.coolCoastS = s.plant.CoastWindowS()
 	}
 	return s, nil
 }
@@ -538,21 +503,16 @@ func (s *Simulation) PerRackPowerW() []float64 {
 }
 
 // CoolingPlant exposes the coupled plant (nil when cooling is disabled).
-func (s *Simulation) CoolingPlant() *cooling.Plant {
-	if s.cool == nil {
-		return nil
-	}
-	return s.cool.Plant()
-}
+func (s *Simulation) CoolingPlant() *cooling.Plant { return s.plant }
 
 // CoolingSolverStats returns the coupled plant's thermal-solver
 // accounting — the quiescent-fraction observability for the adaptive
 // cooling fast path (zero when cooling is disabled).
 func (s *Simulation) CoolingSolverStats() cooling.SolverStats {
-	if s.cool == nil {
+	if s.plant == nil {
 		return cooling.SolverStats{}
 	}
-	return s.cool.SolverStats()
+	return s.plant.SolverStats()
 }
 
 // Run advances the simulation for the given horizon (Algorithm 1's
@@ -629,7 +589,7 @@ func (s *Simulation) Tick() error {
 	}
 
 	// Couple the cooling model every 15 s (lines 23-26).
-	if s.cool != nil && s.onBoundary(coolingDtSec) {
+	if s.plant != nil && s.onBoundary(coolingDtSec) {
 		if err := s.stepCooling(); err != nil {
 			return err
 		}
@@ -734,11 +694,11 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 			consider(t)
 		}
 	}
-	if s.cool != nil {
+	if s.plant != nil {
 		period := coolingDtSec
 		next := (math.Floor((s.now+1e-6)/period) + 1) * period
 		if s.coolCoastS > 0 {
-			if limit := s.lastCoolT + s.coolCoastS; limit > next && s.cool.Plant().CanCoast(s.cduHeat()) {
+			if limit := s.lastCoolT + s.coolCoastS; limit > next && s.plant.CanCoast(s.cduHeat()) {
 				// The plant is settled and would hold at the upcoming
 				// boundaries under the gap's (constant) heat: coast — the
 				// next cooling event is the end of the coast window,
@@ -783,13 +743,13 @@ func (s *Simulation) advanceQuiet(k int) {
 		s.views[v].add(a, s.parts, v, k, dt)
 	}
 	pue := 0.0
-	if s.cool != nil {
-		pue = s.cool.Plant().PUE()
+	if s.plant != nil {
+		pue = s.plant.PUE()
 	}
 	for i := 0; i < k; i++ {
 		s.now += dt
 		s.utilSum += util * dt
-		if s.cool != nil && pue > 0 {
+		if s.plant != nil && pue > 0 {
 			s.pueSum += pue
 			s.pueCount++
 		}
@@ -927,9 +887,9 @@ func (s *Simulation) cduHeat() []float64 {
 // stepCooling advances the plant to s.now. The common case steps one
 // coupling interval exactly (bit-identical to the pre-coasting path).
 // After a coasted gap the deferred stretch is fast-forwarded first under
-// the inputs it was quiescent under — the values of the previous SetReal
-// — and only the final coupling interval sees the fresh inputs, so a
-// coast never back-applies a new transient over held time.
+// the inputs it was quiescent under — those of the previous step — and
+// only the final coupling interval sees the fresh inputs, so a coast
+// never back-applies a new transient over held time.
 func (s *Simulation) stepCooling() error {
 	period := coolingDtSec
 	dt := s.now - s.lastCoolT
@@ -939,23 +899,18 @@ func (s *Simulation) stepCooling() error {
 	if math.Abs(dt-period) < 1e-6 {
 		dt = period
 	} else if dt > period {
-		if err := s.cool.DoStep(dt - period); err != nil {
+		if err := s.plant.Step(dt-period, s.coolIn); err != nil {
 			return err
 		}
 		dt = period
 	}
-	heat := s.cduHeat()
-	n := copy(s.coolVals, heat)
-	wb := 20.0
+	copy(s.coolIn.CDUHeatW, s.cduHeat())
+	s.coolIn.WetBulbC = 20.0
 	if s.cfg.WetBulbC != nil {
-		wb = s.cfg.WetBulbC(s.now)
+		s.coolIn.WetBulbC = s.cfg.WetBulbC(s.now)
 	}
-	s.coolVals[n] = wb
-	s.coolVals[n+1] = s.aggregate(0).totalW
-	if err := s.cool.SetReal(s.coolRefs, s.coolVals); err != nil {
-		return err
-	}
-	if err := s.cool.DoStep(dt); err != nil {
+	s.coolIn.ITPowerW = s.aggregate(0).totalW
+	if err := s.plant.Step(dt, s.coolIn); err != nil {
 		return err
 	}
 	s.lastCoolT = s.now
@@ -974,8 +929,8 @@ func (s *Simulation) accumulate(dt float64) {
 	for _, pt := range s.parts {
 		pt.utilSum += pt.util() * dt
 	}
-	if s.cool != nil {
-		if pue := s.cool.Plant().PUE(); pue > 0 {
+	if s.plant != nil {
+		if pue := s.plant.PUE(); pue > 0 {
 			s.pueSum += pue
 			s.pueCount++
 		}
@@ -1007,14 +962,15 @@ func (s *Simulation) recordSample() {
 		s.cduHeat()
 		smp.EtaCooling = s.heatSum / p
 	}
-	if s.cool != nil {
-		smp.PUE = s.cool.Plant().PUE()
-		if err := s.cool.GetReal(s.fmuGet, s.fmuOut); err == nil {
-			smp.HTWReturnC = s.fmuOut[0]
-			smp.HTWSupplyC = s.fmuOut[1]
-			for _, v := range s.fmuOut[2:] {
-				if v > smp.SecSupplyMaxC {
-					smp.SecSupplyMaxC = v
+	if s.plant != nil {
+		smp.PUE = s.plant.PUE()
+		if s.plant.Time() > 0 { // loop temperatures exist once stepped
+			s.plant.SnapshotInto(&s.coolOut)
+			smp.HTWReturnC = s.coolOut.FacilityReturnC
+			smp.HTWSupplyC = s.coolOut.FacilitySupplyC
+			for _, c := range s.coolOut.CDUs[:s.totalCDUs] {
+				if c.SecSupplyTempC > smp.SecSupplyMaxC {
+					smp.SecSupplyMaxC = c.SecSupplyTempC
 				}
 			}
 		}

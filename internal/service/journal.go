@@ -287,7 +287,8 @@ func (s *Service) adoptFinished(e *store.JournalEntry) {
 // different code version must recompute, not serve stale keys), restore
 // journal-terminal scenarios whose results the store still holds,
 // settle as failed (journaled, no attempt) any scenario the compiled
-// spec's Check refuses, and re-enqueue the rest through run() — the
+// spec's Check refuses (every scenario, when the spec itself no longer
+// validates or compiles), and re-enqueue the rest through run() — the
 // same dispatch loop a live submission uses, runner seam and all. It is
 // the one recovery path that decodes the journal's payload; a payload
 // that does not decode rejects the journal rather than resume from
@@ -314,10 +315,7 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 		scenarios[i] = reqs[i].Scenario()
 	}
 	compileStart := time.Now()
-	compiled, err := s.compiledFor(spec)
-	if err != nil {
-		return 0, 0, fmt.Errorf("spec recompile: %w", err)
-	}
+	compiled, compileErr := s.compiledFor(spec)
 
 	sw := s.recoveredShell(e, StateQueued)
 	sw.spec = spec
@@ -329,9 +327,14 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	// still checks out: same spec hash and, per scenario, the same
 	// recomputed hash. A mismatch (journal from an older build) falls
 	// back to recompute for the affected scenarios — correctness over
-	// thrift.
-	specOK := compiled.Hash() == m.SpecHash
-	if !specOK {
+	// thrift. A spec this build refuses (journaled before a bound was
+	// added) checks nothing out: every scenario settles failed below,
+	// so the sweep finishes and its journal is sealed.
+	specOK := compileErr == nil && compiled.Hash() == m.SpecHash
+	if compileErr != nil {
+		compileErr = fmt.Errorf("spec recompile: %w", compileErr)
+		s.printf("service: recover %s: %v; settling every scenario failed", sw.id, compileErr)
+	} else if !specOK {
 		sw.specHash = compiled.Hash()
 		s.printf("service: recover %s: spec hash drifted %s -> %s; recomputing all scenarios",
 			sw.id, m.SpecHash, sw.specHash)
@@ -372,7 +375,11 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 			restored = append(restored, *st)
 			continue
 		}
-		if err := compiled.Check(&scenarios[i]); err != nil {
+		err := compileErr
+		if err == nil {
+			err = compiled.Check(&scenarios[i])
+		}
+		if err != nil {
 			// A scenario no run can complete (journaled by an older
 			// build, or edited on disk) settles failed here with no
 			// attempt: requeueing it would only spend its retry budget.

@@ -24,12 +24,11 @@ import (
 )
 
 // journalRefusedSweep writes, straight into the store, the journal of
-// an incomplete Frontier sweep over scenarios, as a build that admitted
+// an incomplete sweep over spec and scenarios, as a build that admitted
 // them would have left it when killed before any finished. It returns
 // the sweep id.
-func journalRefusedSweep(t *testing.T, st *store.Store, scenarios []core.Scenario, maxAttempts int) string {
+func journalRefusedSweep(t *testing.T, st *store.Store, spec config.SystemSpec, scenarios []core.Scenario, maxAttempts int) string {
 	t.Helper()
-	spec := config.Frontier()
 	specHash, err := spec.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func TestRecoverSettlesRefusedScenario(t *testing.T) {
 	bad.Name, bad.HorizonSec = "zero-horizon", 0
 	scenarios := []core.Scenario{synthScenario(951, 900), bad, synthScenario(952, 900)}
 	scenarios[2].Name = "synth-2"
-	id := journalRefusedSweep(t, st1, scenarios, 2000000000)
+	id := journalRefusedSweep(t, st1, config.Frontier(), scenarios, 2000000000)
 
 	st2, err := store.Open(dir)
 	if err != nil {
@@ -134,6 +133,69 @@ func TestRecoverSettlesRefusedScenario(t *testing.T) {
 	}
 	if m := svc3.res.misses.Value(); m != 0 {
 		t.Fatalf("second restart ran %d attempts", m)
+	}
+}
+
+// TestRecoverSettlesRefusedSpec: an incomplete journal whose payload
+// decodes but whose spec this build refuses — a 1e308 W GPU, admitted
+// before component powers were bounded — settles every scenario failed
+// with no attempt at the first restart, naming the refused field, and
+// seals the journal, so the second restart adopts the sweep finished.
+func TestRecoverSettlesRefusedSpec(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := config.Frontier()
+	spec.Partitions[0].GPUMaxW = 1e308
+	id := journalRefusedSweep(t, st1, spec, []core.Scenario{synthScenario(961, 900), synthScenario(962, 900)}, 3)
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	stats, err := svc2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Adopted != 1 || stats.Terminal != 2 || stats.Requeued != 0 {
+		t.Fatalf("recover stats %+v, want 1 adopted with 2 terminal and none requeued", stats)
+	}
+	sw, ok := svc2.Sweep(id)
+	if !ok {
+		t.Fatalf("sweep %s not served after recovery", id)
+	}
+	final := waitSweep(t, sw)
+	if final.Failed != 2 || !final.Finished {
+		t.Fatalf("recovered sweep %+v, want finished with 2 failed", final)
+	}
+	for _, sc := range final.Scenarios {
+		if sc.State != StateFailed || sc.Attempts != 0 || !strings.Contains(sc.Error, "gpu_max_w") {
+			t.Fatalf("scenario after recovery: %+v, want failed with 0 attempts naming gpu_max_w", sc)
+		}
+	}
+	if m := svc2.res.misses.Value(); m != 0 {
+		t.Fatalf("recovery ran %d attempts", m)
+	}
+
+	st3, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc3 := New(chaosOptions(st3))
+	if stats, err := svc3.Recover(); err != nil || stats.Finished != 1 || stats.Adopted != 0 {
+		t.Fatalf("second restart: stats %+v, err %v; want the sweep recovered finished", stats, err)
+	}
+	sw3, ok := svc3.Sweep(id)
+	if !ok {
+		t.Fatalf("sweep %s not served after the second restart", id)
+	}
+	for i, sc := range sw3.Status().Scenarios {
+		if want := final.Scenarios[i]; sc.State != want.State || sc.Attempts != 0 || sc.Error != want.Error {
+			t.Fatalf("scenario %d after the second restart: %+v, want %+v", i, sc, want)
+		}
 	}
 }
 
