@@ -102,3 +102,46 @@ func TestLockstepRefusesNonSiblings(t *testing.T) {
 		t.Error("a scenario keeping its history is a lockstep candidate")
 	}
 }
+
+// BenchmarkWhatifDay times one uncooled synthetic Frontier day at a 15 s
+// tick with NoExport and NoHistory: bench/'s whatif-sweep scenarios
+// without the HTTP service around them. solo is one ac-baseline day;
+// lockstep=2 runs smart-rectifier and dc380 as one group (the pair a
+// what-if sweep dispatches after its first scenario), and lockstep=3 all
+// three modes. Compare lockstep=K with K solo days; profile in-package:
+//
+//	go test ./internal/core/ -run '^$' -bench WhatifDay/lockstep=3 -cpuprofile cpu.out
+func BenchmarkWhatifDay(b *testing.B) {
+	tw, err := NewFrontier()
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := job.DefaultGeneratorConfig()
+	gen.Seed = 3
+	base := Scenario{
+		Workload: WorkloadSynthetic, Generator: gen,
+		HorizonSec: 86400, TickSec: 15,
+		NoExport: true, NoHistory: true,
+	}
+	for _, group := range []struct {
+		name  string
+		modes []string
+	}{
+		{"solo", []string{"ac-baseline"}},
+		{"lockstep=2", []string{"smart-rectifier", "dc380"}},
+		{"lockstep=3", []string{"ac-baseline", "smart-rectifier", "dc380"}},
+	} {
+		scs := make([]Scenario, len(group.modes))
+		for i, mode := range group.modes {
+			scs[i] = base
+			scs[i].Name, scs[i].PowerMode = mode, mode
+		}
+		b.Run(group.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tw.RunLockstep(context.Background(), scs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

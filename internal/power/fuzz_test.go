@@ -31,7 +31,7 @@ func FuzzIncrementalMatchesCompute(f *testing.F) {
 		// in the property test.
 		topos := slotTopologies()[1:]
 		topo := topos[c.intn(len(topos))]
-		h := newSlotHarness(t, topo, Mode(c.intn(3)))
+		h := newSlotHarness(t, topo, frontierChain(Mode(c.intn(3))))
 		for i := 0; i < 64 && len(c) > 0; i++ {
 			h.step(&c)
 		}
@@ -40,21 +40,27 @@ func FuzzIncrementalMatchesCompute(f *testing.F) {
 }
 
 // FuzzIncrementalChainsMatchCompute is FuzzIncrementalMatchesCompute
-// for an engine evaluating one to three conversion chains in lockstep
-// (modes drawn from the input, repeats allowed): every chain must match
-// Compute under its own mode's model after the operations. The seed
-// corpus under testdata/fuzz holds recorded sequences on both small
-// machines with two and three chains, and the empty input.
+// for an engine evaluating one to four conversion chains in lockstep:
+// every chain must match Compute under its own chain's model after the
+// operations. Each chain's byte picks its mode (byte % 3, repeats
+// allowed) and its stages (variantChain(mode, byte / 3)), so chains that
+// share Frontier's stages take the shared evaluation and chains whose
+// SIVOC efficiency, rectifier curve or count differ take the per-chain
+// one. The seed corpus under testdata/fuzz holds recorded sequences on
+// both small machines with two and three Frontier-staged chains, four
+// chains with repeated modes, chains with differing stages, and the
+// empty input.
 func FuzzIncrementalChainsMatchCompute(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := byteChoices(data)
 		topos := slotTopologies()[1:]
 		topo := topos[c.intn(len(topos))]
-		modes := make([]Mode, 1+c.intn(3))
-		for k := range modes {
-			modes[k] = Mode(c.intn(3))
+		chains := make([]ConversionChain, 1+c.intn(4))
+		for k := range chains {
+			v := c.intn(256)
+			chains[k] = variantChain(Mode(v%3), v/3)
 		}
-		h := newSlotHarness(t, topo, modes...)
+		h := newSlotHarness(t, topo, chains...)
 		for i := 0; i < 64 && len(c) > 0; i++ {
 			h.step(&c)
 		}

@@ -23,13 +23,27 @@ package power
 // sums to a fixed left fold of that slot's value, so each slot memoises
 // one such chassis's result and further uniform chassis copy it.
 //
+// A chassis's "all nodes hold one slot" state is kept as a flag that
+// move clears when a node of the chassis changes slot, so a refresh
+// scans the chassis's slots only after such a move, not on every value
+// change.
+//
 // The engine can evaluate several conversion chains in lockstep over
 // the same slots (NewIncrementalChains): the slot values, dirty list,
 // node-order folds and uniform memo sums are shared, and only the
 // per-chassis conversion result, the re-aggregation and the SystemPower
-// are kept per chain. Each chain's SystemPower is bit-identical to an
-// engine built for that chain alone; NewIncremental is the one-chain
-// case.
+// are kept per chain. One chassis evaluation serves every chain
+// (evalChains): the SIVOC input, each active-rectifier count's
+// efficiency and the smart staging are computed once per chassis, unless
+// the chains' stages differ, when each chain is evaluated on its own.
+// The K results of a chassis or slot memo sit side by side
+// (chassis-major, res[c*K+k]), so a uniform chassis copies its slot's K
+// results at once. The re-aggregation folds each chain into its own
+// accumulators in Compute's order, in one pass over the chassis per
+// chain; the chain-independent sums ride on the first chain's pass, and
+// each rack's CDU comes from a table built at construction. Each chain's
+// SystemPower is bit-identical to an engine built for that chain alone;
+// NewIncremental is the one-chain case.
 //
 // A Slot returned by Assign is valid until its last node leaves it —
 // released to idle, or moved onto another slot by a later Assign — after
@@ -41,8 +55,11 @@ package power
 type Incremental struct {
 	m *Model
 	// chains are the conversion chains evaluated over the shared slots;
-	// chain k's aggregates are sp[k].
+	// chain k's aggregates are sp[k]. span is how many of them one
+	// evalChains call takes: all when they share the first's stages, else
+	// one.
 	chains []ConversionChain
+	span   int
 
 	// nodeSlot maps a node index to the slot holding its value;
 	// nodeChassis maps it to its chassis.
@@ -58,10 +75,12 @@ type Incremental struct {
 
 	chassis   []chassisCache
 	dirtyList []int
-	// res[k][c] is chassis c's conversion result under chain k, and
-	// memoRes[k][s] slot s's memo result under it.
-	res     [][]ChassisResult
-	memoRes [][]ChassisResult
+	// res[c*K+k] is chassis c's conversion result under chain k, and
+	// memoRes[s*K+k] slot s's memo result under it (K = len(chains)).
+	res     []ChassisResult
+	memoRes []ChassisResult
+	// rackCDU[r] is rack r's CDU.
+	rackCDU []int32
 
 	// chassisMark[c] == mark when chassis c is already on the chassis
 	// list of the slot being assigned.
@@ -102,10 +121,14 @@ type chassisSum struct{ out, cpuW, gpuW float64 }
 // chassis's real nodes; filler counts the idle padding entries the dense
 // loop processes for topologies whose node count is not a multiple of
 // the chassis size (the cache replicates Compute's iteration exactly).
+// uniform is set when the chassis is filler-free and all its nodes hold
+// one slot; it is current unless rescan is set.
 type chassisCache struct {
 	start, end int
 	filler     int
 	dirty      bool
+	uniform    bool
+	rescan     bool
 	chassisSum
 }
 
@@ -132,17 +155,23 @@ func (m *Model) NewIncrementalChains(chains []ConversionChain) *Incremental {
 	inc := &Incremental{
 		m:           m,
 		chains:      append([]ConversionChain(nil), chains...),
+		span:        k,
 		nodeSlot:    make([]Slot, total),
 		nodeChassis: make([]int32, total),
 		chassis:     make([]chassisCache, numChassis),
 		chassisMark: make([]uint64, numChassis),
-		res:         make([][]ChassisResult, k),
-		memoRes:     make([][]ChassisResult, k),
+		res:         make([]ChassisResult, numChassis*k),
+		memoRes:     make([]ChassisResult, k),
+		rackCDU:     make([]int32, t.NumRacks()),
 		sp:          make([]SystemPower, k),
 	}
 	for j := range chains {
-		inc.res[j] = make([]ChassisResult, numChassis)
-		inc.memoRes[j] = make([]ChassisResult, 1)
+		if !sameStages(&chains[0], &chains[j]) {
+			inc.span = 1
+		}
+	}
+	for r := range inc.rackCDU {
+		inc.rackCDU[r] = int32(t.CDUOfRack(r))
 	}
 	inc.vals = []slotValue{inc.value(0, 0)}
 	inc.slots = make([]slotState, 1)
@@ -171,6 +200,7 @@ func (m *Model) NewIncrementalChains(chains []ConversionChain) *Incremental {
 			start:  realStart,
 			end:    realEnd,
 			filler: (end - start) - (realEnd - realStart),
+			rescan: true,
 		}
 		for n := realStart; n < realEnd; n++ {
 			inc.nodeChassis[n] = int32(c)
@@ -274,9 +304,7 @@ func (inc *Incremental) alloc(v slotValue) Slot {
 		s = Slot(len(inc.slots))
 		inc.vals = append(inc.vals, slotValue{})
 		inc.slots = append(inc.slots, slotState{})
-		for k := range inc.memoRes {
-			inc.memoRes[k] = append(inc.memoRes[k], ChassisResult{})
-		}
+		inc.memoRes = append(inc.memoRes, make([]ChassisResult, len(inc.chains))...)
 	}
 	inc.vals[s] = v
 	return s
@@ -291,7 +319,8 @@ func (inc *Incremental) release(s Slot) {
 }
 
 // move puts nodes on slot s, releasing every slot its last node leaves,
-// and records on s's chassis list each chassis a node lands in.
+// records on s's chassis list each chassis a node lands in, and flags
+// those chassis for a uniform rescan.
 func (inc *Incremental) move(nodes []int, s Slot) {
 	inc.mark++
 	to := &inc.slots[s]
@@ -306,6 +335,7 @@ func (inc *Incremental) move(nodes []int, s Slot) {
 		}
 		inc.nodeSlot[n] = s
 		c := inc.nodeChassis[n]
+		inc.chassis[c].rescan = true
 		if c != lastDirty && inc.vals[from] != inc.vals[s] {
 			inc.markDirty(int(c))
 			lastDirty = c
@@ -350,30 +380,40 @@ func (inc *Incremental) ComputeDelta() *SystemPower {
 
 // refreshChassis re-evaluates one chassis. A filler-free chassis whose
 // nodes all hold one slot copies that slot's memo (filling it if empty);
-// any other chassis is folded node by node.
+// any other chassis is folded node by node. Whether the chassis is
+// uniform is rescanned only after a node of it changed slot.
 func (inc *Incremental) refreshChassis(c int) {
 	cc := &inc.chassis[c]
 	cc.dirty = false
 	nodes := inc.nodeSlot[cc.start:cc.end]
-	if cc.filler == 0 && uniform(nodes) {
-		s := nodes[0]
+	if cc.rescan {
+		cc.uniform = cc.filler == 0 && uniform(nodes)
+		cc.rescan = false
+	}
+	k := len(inc.chains)
+	res := inc.res[c*k : c*k+k]
+	if cc.uniform {
+		s := int(nodes[0])
 		sl := &inc.slots[s]
+		memo := inc.memoRes[s*k : s*k+k]
 		if !sl.memoOK {
 			sl.memo = inc.fold(nodes, 0)
-			for k := range inc.chains {
-				inc.memoRes[k][s] = inc.chains[k].Chassis(sl.memo.out)
-			}
+			inc.convert(sl.memo.out, memo)
 			sl.memoOK = true
 		}
 		cc.chassisSum = sl.memo
-		for k, memo := range inc.memoRes {
-			inc.res[k][c] = memo[s]
-		}
+		copy(res, memo)
 		return
 	}
 	cc.chassisSum = inc.fold(nodes, cc.filler)
-	for k := range inc.chains {
-		inc.res[k][c] = inc.chains[k].Chassis(cc.out)
+	inc.convert(cc.out, res)
+}
+
+// convert evaluates one chassis output under every chain into dst, one
+// evalChains call for all of them when they share stages.
+func (inc *Incremental) convert(nodeOutW float64, dst []ChassisResult) {
+	for k := 0; k < len(inc.chains); k += inc.span {
+		evalChains(inc.chains[k:k+inc.span], nodeOutW, dst[k:k+inc.span])
 	}
 }
 
@@ -410,11 +450,11 @@ func (inc *Incremental) fold(nodes []Slot, filler int) chassisSum {
 	return chassisSum{out, cpuW, gpuW}
 }
 
-// resum rebuilds every chain's aggregates from the per-chassis caches
-// in one pass, in the same rack-major order Compute uses, so each
-// chain's rack, CDU, and system totals carry identical rounding to the
-// dense sweep under that chain. The chain-independent sums (node
-// output, switches, CPU/GPU) are taken once and shared.
+// resum rebuilds every chain's aggregates from the per-chassis caches,
+// in the same rack-major order Compute uses, so each chain's rack, CDU,
+// and system totals carry identical rounding to the dense sweep under
+// that chain. The chain-independent sums (node output, switches,
+// CPU/GPU) are taken once and shared.
 func (inc *Incremental) resum() {
 	m := inc.m
 	t := m.Topo
@@ -425,27 +465,30 @@ func (inc *Incremental) resum() {
 			out.PerCDUInputW = make([]float64, t.NumCDUs)
 		}
 		out.PerCDUInputW = out.PerCDUInputW[:t.NumCDUs]
-		for i := range out.PerCDUInputW {
-			out.PerCDUInputW[i] = 0
-		}
+		clear(out.PerCDUInputW)
 		if cap(out.PerRackInputW) < numRacks {
 			out.PerRackInputW = make([]float64, numRacks)
 		}
 		out.PerRackInputW = out.PerRackInputW[:numRacks]
 	}
 
-	// Each chain sums in Compute's rack-major order, so it rounds as
-	// Compute does under that chain. The chain-independent sums ride on
-	// the first chain's pass: a pass of their own would add its own chain
-	// of dependent additions, slowing the one-chain engine.
+	// Each chain folds its own results in one pass over the chassis, with
+	// its sums in registers. A single pass folding every chain at once
+	// keeps K chains' sums live together, which the compiler spills to
+	// memory, and measured slower than K passes. The chain-independent
+	// sums ride on the first chain's pass: a pass of their own would add
+	// its own chain of dependent additions, slowing the one-chain engine.
 	sw := float64(t.SwitchesPerRack) * m.Spec.Switch
-	cpr := t.ChassisPerRack
+	pumps := float64(t.NumCDUs) * m.Spec.CDUPump
+	cpr, k := t.ChassisPerRack, len(inc.chains)
+	chassis, res, rackCDU := inc.chassis, inc.res, inc.rackCDU
 	var nodeOut, switchW, cpuW, gpuW float64
 	for j := range inc.sp {
-		out, chassis, res := &inc.sp[j], inc.chassis, inc.res[j]
+		out := &inc.sp[j]
 		var rect, sivoc, total float64
 		for rack := 0; rack < numRacks; rack++ {
-			rc, rr := chassis[rack*cpr:rack*cpr+cpr], res[rack*cpr:rack*cpr+cpr]
+			rc := chassis[rack*cpr : rack*cpr+cpr]
+			rr := res[rack*cpr*k+j : (rack*cpr+cpr)*k]
 			rackInput := 0.0
 			for c := range rc {
 				if j == 0 {
@@ -454,7 +497,7 @@ func (inc *Incremental) resum() {
 					cpuW += cc.cpuW
 					gpuW += cc.gpuW
 				}
-				r := &rr[c]
+				r := &rr[c*k]
 				rect += r.RectLossW
 				sivoc += r.SivocLossW
 				rackInput += r.InputW
@@ -464,10 +507,9 @@ func (inc *Incremental) resum() {
 				switchW += sw
 			}
 			out.PerRackInputW[rack] = rackInput
-			out.PerCDUInputW[t.CDUOfRack(rack)] += rackInput
+			out.PerCDUInputW[rackCDU[rack]] += rackInput
 			total += rackInput
 		}
-		pumps := float64(t.NumCDUs) * m.Spec.CDUPump
 		out.NodeOutW, out.SwitchW, out.CDUPumpW = nodeOut, switchW, pumps
 		out.TotalW, out.RectLossW, out.SivocLossW = total+pumps, rect, sivoc
 		out.Breakdown = Breakdown{

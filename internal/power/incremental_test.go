@@ -241,25 +241,22 @@ type slotHarness struct {
 	live, peak int
 }
 
-// newSlotHarness builds the harness for an engine evaluating one chain
-// per mode in modes, in lockstep; one mode is the plain NewIncremental
-// engine.
-func newSlotHarness(t testing.TB, topo Topology, modes ...Mode) *slotHarness {
+// newSlotHarness builds the harness for an engine evaluating chains in
+// lockstep; one chain is the plain NewIncremental engine.
+func newSlotHarness(t testing.TB, topo Topology, chains ...ConversionChain) *slotHarness {
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	var models []*Model
-	var chains []ConversionChain
-	for _, mode := range modes {
+	for _, chain := range chains {
 		m := NewFrontierModel()
 		m.Topo = topo
-		m.Chain.Mode = mode
+		m.Chain = chain
 		models = append(models, m)
-		chains = append(chains, m.Chain)
 	}
 	m := models[0]
 	inc := m.NewIncremental()
-	if len(modes) > 1 {
+	if len(chains) > 1 {
 		inc = m.NewIncrementalChains(chains)
 	}
 	n := topo.NodesTotal
@@ -513,7 +510,7 @@ func TestIncrementalSlotsMatchCompute(t *testing.T) {
 	}
 	for ti, topo := range slotTopologies() {
 		for _, mode := range []Mode{ACBaseline, SmartRectifier, DC380} {
-			h := newSlotHarness(t, topo, mode)
+			h := newSlotHarness(t, topo, frontierChain(mode))
 			c := randChoices{rand.New(rand.NewSource(int64(17*ti) + int64(mode)))}
 			for i := 0; i < steps; i++ {
 				h.step(c)
@@ -532,7 +529,8 @@ func TestIncrementalSlotsMatchCompute(t *testing.T) {
 
 // TestIncrementalChainsMatchCompute drives the same random operation
 // sequences through engines that evaluate several conversion chains in
-// lockstep — all three modes, two, and a repeated mode — and checks
+// lockstep — all three modes, two, a repeated mode, and four chains
+// whose stages differ so that each is evaluated on its own — and checks
 // every chain against Compute under its own model, as the one-chain
 // property test does.
 func TestIncrementalChainsMatchCompute(t *testing.T) {
@@ -540,14 +538,16 @@ func TestIncrementalChainsMatchCompute(t *testing.T) {
 	if testing.Short() {
 		steps = 40
 	}
-	sets := [][]Mode{
-		{ACBaseline, SmartRectifier, DC380},
-		{DC380, ACBaseline},
-		{SmartRectifier, SmartRectifier, ACBaseline},
+	sets := [][]ConversionChain{
+		modeChains(FrontierChain()),
+		{frontierChain(DC380), frontierChain(ACBaseline)},
+		{frontierChain(SmartRectifier), frontierChain(SmartRectifier), frontierChain(ACBaseline)},
+		{variantChain(SmartRectifier, 1), variantChain(SmartRectifier, 0),
+			variantChain(ACBaseline, 40), variantChain(DC380, 85)},
 	}
 	for ti, topo := range slotTopologies() {
-		for si, modes := range sets {
-			h := newSlotHarness(t, topo, modes...)
+		for si, chains := range sets {
+			h := newSlotHarness(t, topo, chains...)
 			c := randChoices{rand.New(rand.NewSource(int64(31*ti + si)))}
 			for i := 0; i < steps; i++ {
 				h.step(c)
@@ -575,14 +575,22 @@ func BenchmarkDenseCompute(b *testing.B) {
 
 // BenchmarkIncrementalDelta measures a representative event tick: one
 // 268-node job (the Table IV average) crosses a trace quantum. chains=1
-// is the engine of one power mode; chains=3 evaluates the three modes in
-// lockstep over the same slots, the case to compare with three solo
-// deltas.
+// is the ac-baseline engine of one power mode; chains=2 evaluates
+// smart-rectifier and dc380 in lockstep (the pair a what-if sweep
+// groups after its first scenario), and chains=3 the three modes, the
+// cases to compare with two and three solo deltas.
 func BenchmarkIncrementalDelta(b *testing.B) {
-	for _, k := range []int{1, 3} {
+	for _, k := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("chains=%d", k), func(b *testing.B) {
 			m := NewFrontierModel()
-			inc := m.NewIncrementalChains(modeChains(m.Chain)[:k])
+			chains := modeChains(m.Chain)
+			switch k {
+			case 1:
+				chains = chains[:1]
+			case 2:
+				chains = chains[1:]
+			}
+			inc := m.NewIncrementalChains(chains)
 			nodes := make([]int, 268)
 			for i := range nodes {
 				nodes[i] = i
@@ -606,6 +614,31 @@ func modeChains(chain ConversionChain) []ConversionChain {
 		out = append(out, chain)
 	}
 	return out
+}
+
+// frontierChain returns Frontier's chain under mode.
+func frontierChain(mode Mode) ConversionChain { return variantChain(mode, 0) }
+
+// variantChain returns Frontier's chain under mode with its stages varied
+// by v in [0, 86): v = 0 keeps Frontier's, and other values pick a SIVOC
+// efficiency, a rectifier curve and a rectifier count from small tables,
+// so that chains of different v evaluate on their own in lockstep.
+func variantChain(mode Mode, v int) ConversionChain {
+	ch := FrontierChain()
+	ch.Mode = mode
+	if v == 0 {
+		return ch
+	}
+	ch.EtaSIVOC = []float64{0.98, 0.95, 0.9}[v%3]
+	switch v / 3 % 3 {
+	case 1:
+		ch.Rect.POptW, ch.Rect.PMaxW = 4000, 9000
+	case 2:
+		ch.Rect.LowDroop, ch.Rect.HighDroop = 0.08, 0.02
+	}
+	ch.RectPerChassis = []int{4, 1, 2, 3, 6, 8, 16, 64}[v/9%8]
+	ch.EtaDCDistribution = []float64{0.993, 0.97}[v/72%2]
+	return ch
 }
 
 // BenchmarkIncrementalUpdate measures the same tick through the slot

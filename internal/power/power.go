@@ -6,7 +6,10 @@
 // rectifier staging and direct 380 V DC distribution.
 package power
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ComponentSpec holds the Table I per-component power values (watts) and
 // per-node multiplicities for a Frontier-like node.
@@ -161,49 +164,112 @@ type ChassisResult struct {
 
 // Chassis computes the power drawn from the distribution transformer by a
 // chassis whose nodes output nodeOutW watts (sum over the chassis's
-// nodes, measured at the 48 V point per Eq. 1's P_S48V).
+// nodes, measured at the 48 V point per Eq. 1's P_S48V). It is the
+// one-chain case of evalChains.
 func (c ConversionChain) Chassis(nodeOutW float64) ChassisResult {
-	var res ChassisResult
-	if nodeOutW <= 0 {
-		return res
-	}
-	sivocIn := nodeOutW / c.EtaSIVOC
-	res.SivocLossW = sivocIn - nodeOutW
-
-	switch c.Mode {
-	case DC380:
-		in := sivocIn / c.EtaDCDistribution
-		res.RectLossW = in - sivocIn
-		res.InputW = in
-		res.RectsActive = 0
-		return res
-	case SmartRectifier:
-		res.RectsActive = c.smartStage(sivocIn)
-	default:
-		res.RectsActive = c.RectPerChassis
-	}
-	perRect := sivocIn / float64(res.RectsActive)
-	eta := c.Rect.Eta(perRect)
-	in := sivocIn / eta
-	res.RectLossW = in - sivocIn
-	res.InputW = in
-	return res
+	var res [1]ChassisResult
+	evalChains([]ConversionChain{c}, nodeOutW, res[:])
+	return res[0]
 }
 
-// smartStage picks the number of active rectifiers that keeps per-unit
-// load nearest the optimum while respecting the continuous rating.
-func (c ConversionChain) smartStage(busLoadW float64) int {
-	best, bestEta := c.RectPerChassis, -1.0
+// sameStages reports whether evalChains may evaluate a and b in one
+// pass: they share the SIVOC efficiency and the rectifier group (curve
+// and count), compared bit for bit. Mode and EtaDCDistribution may
+// differ.
+func sameStages(a, b *ConversionChain) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	ra, rb := &a.Rect, &b.Rect
+	return same(a.EtaSIVOC, b.EtaSIVOC) && a.RectPerChassis == b.RectPerChassis &&
+		same(ra.EtaMax, rb.EtaMax) && same(ra.LowDroop, rb.LowDroop) &&
+		same(ra.HighDroop, rb.HighDroop) && same(ra.POptW, rb.POptW) && same(ra.PMaxW, rb.PMaxW)
+}
+
+// evalChains writes into dst[k] the conversion of one chassis whose
+// nodes output nodeOutW watts under chains[k]. Every chain shares the
+// first's stages (sameStages), so the SIVOC input is divided out once
+// and the rectifier efficiency is evaluated at most once for each
+// active-rectifier count: ac-baseline reads η at RectPerChassis,
+// smart-rectifier the staging scan's pick, and dc380 only the SIVOC
+// input. Each value is the expression a lone chain would compute, with
+// the same operands in the same order, so every chain's result is
+// bit-identical to its own evaluation.
+func evalChains(chains []ConversionChain, nodeOutW float64, dst []ChassisResult) {
+	if nodeOutW <= 0 {
+		clear(dst)
+		return
+	}
+	c := &chains[0]
+	sivocIn := nodeOutW / c.EtaSIVOC
+	sivocLoss := sivocIn - nodeOutW
+	g := rectGroup{c: c, busW: sivocIn}
+	for k := range chains {
+		r := ChassisResult{SivocLossW: sivocLoss}
+		var eta float64
+		switch chains[k].Mode {
+		case DC380:
+			in := sivocIn / chains[k].EtaDCDistribution
+			r.RectLossW, r.InputW = in-sivocIn, in
+			dst[k] = r
+			continue
+		case SmartRectifier:
+			r.RectsActive, eta = g.smart()
+		default:
+			r.RectsActive, eta = c.RectPerChassis, g.full()
+		}
+		in := sivocIn / eta
+		r.RectLossW, r.InputW = in-sivocIn, in
+		dst[k] = r
+	}
+}
+
+// rectGroup evaluates one chassis's rectifier group at bus load busW for
+// evalChains, each efficiency at most once.
+type rectGroup struct {
+	c                 *ConversionChain
+	busW              float64
+	fullEta, smartEta float64
+	smartN            int
+	haveFull, staged  bool
+}
+
+// full returns η with every rectifier active.
+func (g *rectGroup) full() float64 {
+	if !g.haveFull {
+		g.fullEta, g.haveFull = g.c.Rect.Eta(g.busW/float64(g.c.RectPerChassis)), true
+	}
+	return g.fullEta
+}
+
+// smart returns the number of active rectifiers that keeps per-unit
+// load nearest the optimum while respecting the continuous rating, and
+// η at that count. With no count within the rating it is every
+// rectifier.
+func (g *rectGroup) smart() (int, float64) {
+	if g.staged {
+		return g.smartN, g.smartEta
+	}
+	c := g.c
+	best, bestEta, found := c.RectPerChassis, -1.0, false
 	for n := 1; n <= c.RectPerChassis; n++ {
-		per := busLoadW / float64(n)
+		per := g.busW / float64(n)
 		if per > c.Rect.PMaxW {
 			continue
 		}
-		if eta := c.Rect.Eta(per); eta > bestEta {
-			best, bestEta = n, eta
+		var eta float64
+		if n == c.RectPerChassis {
+			eta = g.full()
+		} else {
+			eta = c.Rect.Eta(per)
+		}
+		if eta > bestEta {
+			best, bestEta, found = n, eta, true
 		}
 	}
-	return best
+	if !found {
+		bestEta = g.full()
+	}
+	g.smartN, g.smartEta, g.staged = best, bestEta, true
+	return best, bestEta
 }
 
 // Topology captures the structural counts of Table I.
