@@ -19,9 +19,9 @@ package power
 // starts on. Assign moves a job's nodes onto a fresh slot and records the
 // chassis they landed in; Update rewrites that one value and marks only
 // those chassis, so a trace-quantum crossing touches a job's chassis,
-// not its nodes. A filler-free chassis whose nodes all hold one slot
-// sums to a fixed left fold of that slot's value, so each slot memoises
-// one such chassis's result and further uniform chassis copy it.
+// not its nodes. A full chassis whose nodes all hold one slot sums to a
+// fixed left fold of that slot's value, so each slot memoises one such
+// chassis's result and further uniform chassis copy it.
 //
 // A chassis's "all nodes hold one slot" state is kept as a flag that
 // move clears when a node of the chassis changes slot, so a refresh
@@ -118,14 +118,12 @@ type slotState struct {
 type chassisSum struct{ out, cpuW, gpuW float64 }
 
 // chassisCache holds one chassis's cached evaluation. start/end bound the
-// chassis's real nodes; filler counts the idle padding entries the dense
-// loop processes for topologies whose node count is not a multiple of
-// the chassis size (the cache replicates Compute's iteration exactly).
-// uniform is set when the chassis is filler-free and all its nodes hold
-// one slot; it is current unless rescan is set.
+// chassis's nodes: fewer than a full chassis, or none, at the end of a
+// partition whose node count does not fill its last rack. uniform is set
+// when the chassis is full and all its nodes hold one slot; it is
+// current unless rescan is set.
 type chassisCache struct {
 	start, end int
-	filler     int
 	dirty      bool
 	uniform    bool
 	rescan     bool
@@ -176,33 +174,13 @@ func (m *Model) NewIncrementalChains(chains []ConversionChain) *Incremental {
 	inc.vals = []slotValue{inc.value(0, 0)}
 	inc.slots = make([]slotState, 1)
 
-	// Replicate Compute's slot iteration so chassis boundaries — including
-	// the padded tail when NodesTotal is not chassis-aligned — match the
-	// dense sweep exactly.
-	cur := 0
+	// Chassis c holds nodes [c·NodesPerChassis, (c+1)·NodesPerChassis),
+	// cut at NodesTotal, as in Compute's sweep.
 	for c := range inc.chassis {
-		start := cur
-		for i := 0; i < t.NodesPerChassis; i++ {
-			cur++
-			if cur > total {
-				break
-			}
-		}
-		end := cur
-		realStart, realEnd := start, end
-		if realStart > total {
-			realStart = total
-		}
-		if realEnd > total {
-			realEnd = total
-		}
-		inc.chassis[c] = chassisCache{
-			start:  realStart,
-			end:    realEnd,
-			filler: (end - start) - (realEnd - realStart),
-			rescan: true,
-		}
-		for n := realStart; n < realEnd; n++ {
+		start := min(c*t.NodesPerChassis, total)
+		end := min(start+t.NodesPerChassis, total)
+		inc.chassis[c] = chassisCache{start: start, end: end, rescan: true}
+		for n := start; n < end; n++ {
 			inc.nodeChassis[n] = int32(c)
 		}
 	}
@@ -378,8 +356,8 @@ func (inc *Incremental) ComputeDelta() *SystemPower {
 	return &inc.sp[0]
 }
 
-// refreshChassis re-evaluates one chassis. A filler-free chassis whose
-// nodes all hold one slot copies that slot's memo (filling it if empty);
+// refreshChassis re-evaluates one chassis. A full chassis whose nodes
+// all hold one slot copies that slot's memo (filling it if empty);
 // any other chassis is folded node by node. Whether the chassis is
 // uniform is rescanned only after a node of it changed slot.
 func (inc *Incremental) refreshChassis(c int) {
@@ -387,7 +365,7 @@ func (inc *Incremental) refreshChassis(c int) {
 	cc.dirty = false
 	nodes := inc.nodeSlot[cc.start:cc.end]
 	if cc.rescan {
-		cc.uniform = cc.filler == 0 && uniform(nodes)
+		cc.uniform = len(nodes) == inc.m.Topo.NodesPerChassis && uniform(nodes)
 		cc.rescan = false
 	}
 	k := len(inc.chains)
@@ -397,7 +375,7 @@ func (inc *Incremental) refreshChassis(c int) {
 		sl := &inc.slots[s]
 		memo := inc.memoRes[s*k : s*k+k]
 		if !sl.memoOK {
-			sl.memo = inc.fold(nodes, 0)
+			sl.memo = inc.fold(nodes)
 			inc.convert(sl.memo.out, memo)
 			sl.memoOK = true
 		}
@@ -405,7 +383,7 @@ func (inc *Incremental) refreshChassis(c int) {
 		copy(res, memo)
 		return
 	}
-	cc.chassisSum = inc.fold(nodes, cc.filler)
+	cc.chassisSum = inc.fold(nodes)
 	inc.convert(cc.out, res)
 }
 
@@ -430,9 +408,8 @@ func uniform(nodes []Slot) bool {
 	return true
 }
 
-// fold sums the nodes' values in node order, then filler idle values —
-// Compute's left fold.
-func (inc *Incremental) fold(nodes []Slot, filler int) chassisSum {
+// fold sums the nodes' values in node order — Compute's left fold.
+func (inc *Incremental) fold(nodes []Slot) chassisSum {
 	vals := inc.vals
 	var out, cpuW, gpuW float64
 	for _, s := range nodes {
@@ -440,12 +417,6 @@ func (inc *Incremental) fold(nodes []Slot, filler int) chassisSum {
 		out += v.p
 		cpuW += v.cpuW
 		gpuW += v.gpuW
-	}
-	idle := &vals[0]
-	for k := 0; k < filler; k++ {
-		out += idle.p
-		cpuW += idle.cpuW
-		gpuW += idle.gpuW
 	}
 	return chassisSum{out, cpuW, gpuW}
 }

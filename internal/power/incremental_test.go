@@ -131,8 +131,8 @@ func TestIncrementalNoOpDelta(t *testing.T) {
 }
 
 // TestIncrementalUnalignedTopology covers node counts that do not fill
-// the final chassis (the Setonix-style partitions), where the dense loop
-// pads with idle filler slots.
+// the final chassis (the Setonix-style partitions), where the last rack
+// holds a partial chassis and chassis with no nodes.
 func TestIncrementalUnalignedTopology(t *testing.T) {
 	m := NewFrontierModel()
 	m.Topo = Topology{
@@ -171,6 +171,46 @@ func TestIncrementalUnalignedTopology(t *testing.T) {
 	}
 }
 
+// TestIdleUnalignedPartitionCountsRealNodes: a partition that does not
+// fill its last rack draws idle power for its NodesTotal nodes only, in
+// both engines: NodeOutW is the fold of NodesTotal idle node powers (per
+// chassis, then over the chassis, Compute's order), and the RAM entry
+// counts NodesTotal nodes. A 130-node Frontier-part partition used to
+// report 8 phantom idle nodes past its last one, and SetonixLike's
+// 1,592-node CPU partition 5.
+func TestIdleUnalignedPartitionCountsRealNodes(t *testing.T) {
+	for _, topo := range []Topology{
+		{NodesTotal: 130, NodesPerRack: 128, NodesPerChassis: 16, ChassisPerRack: 8,
+			SwitchesPerRack: 32, RacksPerCDU: 3, NumCDUs: 1},
+		slotTopologies()[1],
+		slotTopologies()[2],
+	} {
+		m := NewFrontierModel()
+		m.Topo = topo
+		idle := m.Spec.NodeIdle()
+		want := 0.0
+		for start := 0; start < topo.NodesTotal; start += topo.NodesPerChassis {
+			chassis := 0.0
+			for n := start; n < min(start+topo.NodesPerChassis, topo.NodesTotal); n++ {
+				chassis += idle
+			}
+			want += chassis
+		}
+		var dense SystemPower
+		m.Compute(nil, nil, &dense)
+		inc := m.NewIncremental().Power()
+		for name, got := range map[string]*SystemPower{"Compute": &dense, "Incremental": inc} {
+			if got.NodeOutW != want {
+				t.Errorf("%d nodes: %s NodeOutW %v W, want %v W (%d idle nodes)",
+					topo.NodesTotal, name, got.NodeOutW, want, topo.NodesTotal)
+			}
+			if ram := float64(topo.NodesTotal) * m.Spec.RAM; got.Breakdown.RAM != ram {
+				t.Errorf("%d nodes: %s RAM %v W, want %v W", topo.NodesTotal, name, got.Breakdown.RAM, ram)
+			}
+		}
+	}
+}
+
 // TestSetNodesOutOfRange: indices outside the machine are ignored, not
 // panicked on (defensive parity with Compute's bounds handling).
 func TestSetNodesOutOfRange(t *testing.T) {
@@ -200,7 +240,7 @@ func (r randChoices) intn(n int) int { return r.Intn(n) }
 
 // slotTopologies are the machines the slot-engine checks run on:
 // Frontier; a chassis-aligned machine whose last rack is short, so its
-// tail chassis are all filler; and one whose last chassis is partial.
+// tail chassis hold no nodes; and one whose last chassis is partial.
 func slotTopologies() []Topology {
 	return []Topology{
 		FrontierTopology(),

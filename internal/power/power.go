@@ -421,7 +421,7 @@ func (m *Model) Compute(cpuUtil, gpuUtil []float64, out *SystemPower) {
 		rackInput := 0.0
 		for ch := 0; ch < t.ChassisPerRack; ch++ {
 			chassisOut := 0.0
-			for i := 0; i < t.NodesPerChassis; i++ {
+			for i := 0; i < t.NodesPerChassis && node < t.NodesTotal; i++ {
 				var p float64
 				if node < len(cpuUtil) && node < len(gpuUtil) {
 					cu, gu := cpuUtil[node], gpuUtil[node]
@@ -433,9 +433,6 @@ func (m *Model) Compute(cpuUtil, gpuUtil []float64, out *SystemPower) {
 				}
 				chassisOut += p
 				node++
-				if node > t.NodesTotal {
-					break
-				}
 			}
 			res := m.Chain.Chassis(chassisOut)
 			out.NodeOutW += chassisOut
