@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke replay-smoke check metrics-lint fuzz bench-test ci
+.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke replay-smoke check metrics-lint fuzz bench-test bench-smoke ci
 
 all: build vet test
 
@@ -126,4 +126,11 @@ fuzz:
 bench-test:
 	$(GO) -C bench test ./...
 
-ci: build vet test bench-test check
+# Run the power engine's and the uncooled twin day's micro-benchmarks
+# once each: go test ./... never runs a benchmark body, so this is what
+# keeps BenchmarkIncrementalDelta and BenchmarkWhatifDay (solo and in
+# lockstep) building and running. It times nothing worth reading.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'IncrementalDelta|WhatifDay' -benchtime 1x ./internal/power ./internal/core
+
+ci: build vet test bench-test bench-smoke check
