@@ -175,9 +175,9 @@ func TestIncrementalUnalignedTopology(t *testing.T) {
 // fill its last rack draws idle power for its NodesTotal nodes only, in
 // both engines: NodeOutW is the fold of NodesTotal idle node powers (per
 // chassis, then over the chassis, Compute's order), and the RAM entry
-// counts NodesTotal nodes. A 130-node Frontier-part partition used to
-// report 8 phantom idle nodes past its last one, and SetonixLike's
-// 1,592-node CPU partition 5.
+// counts NodesTotal nodes. Counting one index past the last node charges
+// a 130-node partition of Frontier racks 8 phantom idle nodes, and
+// SetonixLike's 1,592-node CPU partition 5.
 func TestIdleUnalignedPartitionCountsRealNodes(t *testing.T) {
 	for _, topo := range []Topology{
 		{NodesTotal: 130, NodesPerRack: 128, NodesPerChassis: 16, ChassisPerRack: 8,
