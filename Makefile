@@ -126,11 +126,12 @@ fuzz:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Run the power engine's and the uncooled twin day's micro-benchmarks
-# once each: go test ./... never runs a benchmark body, so this is what
-# keeps BenchmarkIncrementalDelta and BenchmarkWhatifDay (solo and in
-# lockstep) building and running. It times nothing worth reading.
+# Run the power engine's, the uncooled twin day's and the journal
+# recovery's micro-benchmarks once each: go test ./... never runs a
+# benchmark body, so this is what keeps BenchmarkIncrementalDelta,
+# BenchmarkWhatifDay (solo and in lockstep) and BenchmarkRecover
+# building and running. It times nothing worth reading.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'IncrementalDelta|WhatifDay' -benchtime 1x ./internal/power ./internal/core
+	$(GO) test -run '^$$' -bench 'IncrementalDelta|WhatifDay|Recover' -benchtime 1x ./internal/power ./internal/core ./internal/service
 
 ci: build vet test bench-test bench-smoke check

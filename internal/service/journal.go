@@ -165,12 +165,15 @@ type RecoverStats struct {
 // recovered sweep dedupes exactly as it would have before the crash.
 //
 // Call once at startup, before serving traffic. Without a store this is
-// a no-op.
+// a no-op. The pass's wall time is the exadigit_sweep_recover_seconds
+// gauge.
 func (s *Service) Recover() (RecoverStats, error) {
 	var stats RecoverStats
 	if s.store == nil {
 		return stats, nil
 	}
+	start := time.Now()
+	defer func() { s.recoverSec.Set(time.Since(start).Seconds()) }()
 	entries, err := s.store.ScanJournals()
 	if err != nil {
 		return stats, err

@@ -4,7 +4,8 @@ package service
 // served from the header alone, journals written before the split (the
 // committed testdata/parent-journals fixture) recovering finished and
 // resuming incomplete, a bad payload rejecting only the resume that
-// needs it, and the restart-cost benchmark.
+// needs it, the recovery wall-time gauge, and the restart-cost
+// benchmark.
 
 import (
 	"bytes"
@@ -289,6 +290,42 @@ func TestRecoverKeepsScenarioNames(t *testing.T) {
 		if got := scenarioNames(waitSweep(t, sw)); strings.Join(got, ",") != strings.Join(want, ",") {
 			t.Fatalf("sweep %s names %q after restart, want %q", id, got, want)
 		}
+	}
+}
+
+// TestRecoverSetsWallTimeGauge: exadigit_sweep_recover_seconds reads 0
+// until a recovery pass has run, then that pass's wall time.
+func TestRecoverSetsWallTimeGauge(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := New(chaosOptions(st1))
+	sw, err := svc1.Submit(config.Frontier(), []core.Scenario{synthScenario(631, 900)}, SweepOptions{Name: "gauge"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, sw)
+	svc1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	defer svc2.Close()
+	const gauge = "exadigit_sweep_recover_seconds"
+	if v := seriesValue(t, scrapeExposition(t, svc2.reg), gauge); v != 0 {
+		t.Fatalf("%s = %v before any recovery, want 0", gauge, v)
+	}
+	start := time.Now()
+	if stats, err := svc2.Recover(); err != nil || stats.Finished != 1 {
+		t.Fatalf("recover: %+v, %v", stats, err)
+	}
+	wall := time.Since(start).Seconds()
+	if v := seriesValue(t, scrapeExposition(t, svc2.reg), gauge); v <= 0 || v > wall {
+		t.Fatalf("%s = %v after a %v s recovery", gauge, v, wall)
 	}
 }
 

@@ -134,6 +134,7 @@ type Service struct {
 	recAdopted  *obs.Counter
 	recFinished *obs.Counter
 	requeued    *obs.Counter
+	recoverSec  *obs.Gauge   // wall time of the last Recover pass
 	scenRate    *obs.Gauge   // scenarios/sec of the most recently finished sweep
 	pending     atomic.Int64 // queued+running scenarios across all sweeps (CAS admission)
 	drain       drainRate    // completion-rate EWMA behind Retry-After
@@ -221,6 +222,8 @@ func (s *Service) registerMetrics() {
 		"Finished sweeps re-registered from the journal for status serving.")
 	s.requeued = reg.Counter("exadigit_sweep_requeued_scenarios_total",
 		"Scenarios re-enqueued by journal recovery (non-terminal at the crash).")
+	s.recoverSec = reg.Gauge("exadigit_sweep_recover_seconds",
+		"Wall time of the last journal recovery pass (scan plus adoption).")
 	s.idemHits = reg.Counter("exadigit_sweep_idempotent_hits_total",
 		"Submissions deduplicated onto an existing sweep by idempotency key.")
 	reg.GaugeFunc("exadigit_sweep_pending_scenarios",

@@ -3,20 +3,36 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzReadJournal fuzzes the journal scanner on arbitrary bytes: the
-// scan never panics; a journal whose header does not parse is
-// quarantined and left out of the scan; every record the scan keeps has
-// an index within the header's scenarios, the header's hash for that
-// index, and no other record for it; and decoding the payload of an
-// accepted journal never panics. The seed corpus lives under
-// testdata/fuzz.
+// FuzzReadJournal fuzzes the journal scanner on arbitrary bytes, with
+// the fuzzed file scanned between two valid journals so the scan runs
+// on several readers: the scan never panics; a journal whose header
+// does not parse is quarantined and left out of the scan; every record
+// the scan keeps has an index within the header's scenarios, the
+// header's hash for that index, and no other record for it; decoding
+// the payload of an accepted journal never panics; and the two valid
+// journals always come back whole, unquarantined. The seed corpus lives
+// under testdata/fuzz.
 func FuzzReadJournal(f *testing.F) {
+	var valid [2][]byte
+	for i := range valid {
+		m := sampleManifest(fmt.Sprintf("sw-f0-%d", 2*i))
+		m.SpecJSON, m.ScenariosJSON = nil, nil
+		b, err := json.Marshal(journalLine{Type: "sweep", Sweep: m})
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid[i] = append(b, "\n"+
+			`{"type":"payload","payload":{"spec":{},"scenarios":[]}}`+"\n"+
+			`{"type":"scenario","scenario":{"index":1,"hash":"`+scenB+`","state":"done"}}`+"\n"+
+			`{"type":"end","disposition":"complete"}`+"\n"...)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Open(t.TempDir())
 		if err != nil {
@@ -26,13 +42,31 @@ func FuzzReadJournal(f *testing.F) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, "sw-f0-0"+journalSuffix)
+		path := filepath.Join(dir, "sw-f0-1"+journalSuffix)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		entries, err := s.ScanJournals()
+		for i, b := range valid {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("sw-f0-%d", 2*i)+journalSuffix), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scanned, err := s.ScanJournals()
 		if err != nil {
 			t.Fatal(err)
+		}
+		var entries []JournalEntry
+		for _, e := range scanned {
+			if e.Path == path {
+				entries = append(entries, e)
+				continue
+			}
+			if len(e.Records) != 1 || e.EndDisposition != "complete" {
+				t.Fatalf("valid journal %s read as %+v", e.Path, e)
+			}
+		}
+		if len(scanned)-len(entries) != len(valid) {
+			t.Fatalf("scan returned %d of the %d valid journals", len(scanned)-len(entries), len(valid))
 		}
 		if _, perr := parseJournal(data); perr != nil {
 			if len(entries) != 0 {
@@ -41,10 +75,16 @@ func FuzzReadJournal(f *testing.F) {
 			if _, err := os.Stat(path + quarantineSuffix); err != nil {
 				t.Fatalf("unreadable header (%v) not quarantined: %v", perr, err)
 			}
+			if c := s.Stats().CorruptQuarantined; c != 1 {
+				t.Fatalf("CorruptQuarantined = %d, want 1", c)
+			}
 			return
 		}
 		if len(entries) != 1 {
 			t.Fatalf("readable journal: scan returned %d entries", len(entries))
+		}
+		if c := s.Stats().CorruptQuarantined; c != 0 {
+			t.Fatalf("CorruptQuarantined = %d with every header readable", c)
 		}
 		e := entries[0]
 		hashes := e.Manifest.ScenarioHashes

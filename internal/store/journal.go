@@ -28,7 +28,9 @@ package store
 // with per-line fsync; a crash can therefore leave at most one torn
 // trailing line, which the scan tolerates (everything before it is
 // kept). A journal without the end line is an incomplete sweep —
-// exactly the crash evidence recovery looks for.
+// exactly the crash evidence recovery looks for. ScanJournals reads and
+// parses the files on min(GOMAXPROCS, files) goroutines; its result,
+// quarantines and counts are those of reading them one by one.
 //
 // The payload — the spec and the scenario list, most of a journal's
 // bytes — sits on a line of its own so the scan can keep it as raw
@@ -386,10 +388,13 @@ func (e *JournalEntry) Payload() (spec, scenarios json.RawMessage, err error) {
 }
 
 // ScanJournals reads every journal under the store, oldest first
-// (manifest creation time). A torn trailing line — the worst a crash
-// mid-append can leave — truncates that journal's records at the tear;
-// a journal whose manifest line itself is unreadable is quarantined
-// like a corrupt result entry.
+// (manifest creation time, ties in file-name order). The files are read
+// and parsed on min(GOMAXPROCS, files) goroutines; what the scan
+// returns, quarantines and counts does not depend on that number. A
+// torn trailing line — the worst a crash mid-append can leave —
+// truncates that journal's records at the tear; a journal whose
+// manifest line itself is unreadable is quarantined like a corrupt
+// result entry.
 func (s *Store) ScanJournals() ([]JournalEntry, error) {
 	dir := filepath.Join(s.dir, journalDirName)
 	files, err := os.ReadDir(dir)
@@ -399,7 +404,7 @@ func (s *Store) ScanJournals() ([]JournalEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: journal scan: %w", err)
 	}
-	var out []JournalEntry
+	var paths []string
 	for _, f := range files {
 		name := f.Name()
 		if f.IsDir() || !strings.HasSuffix(name, journalSuffix) {
@@ -408,11 +413,17 @@ func (s *Store) ScanJournals() ([]JournalEntry, error) {
 		if !ValidSweepID(strings.TrimSuffix(name, journalSuffix)) {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		e, err := readJournal(path)
-		if err != nil {
+		paths = append(paths, filepath.Join(dir, name))
+	}
+	read := make([]*JournalEntry, len(paths)) // nil: the header did not parse
+	parallelFor(len(paths), func(i int) {
+		read[i], _ = readJournal(paths[i])
+	})
+	out := make([]JournalEntry, 0, len(paths))
+	for i, e := range read {
+		if e == nil {
 			s.mu.Lock()
-			s.quarantine(path)
+			s.quarantine(paths[i])
 			s.corrupt++
 			s.mu.Unlock()
 			continue
@@ -462,7 +473,9 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 	if len(e.Manifest.SpecJSON) == 0 && len(e.Manifest.ScenariosJSON) == 0 {
 		e.payload, rest, _ = bytes.Cut(rest, newline)
 	}
-	latest := make(map[int]int) // scenario index → position in e.Records
+	// pos[i] is one past scenario i's position in e.Records, 0 for none.
+	// Both are sized by the hashes the header decoded, so by the file.
+	var pos []int
 	for len(rest) > 0 {
 		line, rest, _ = bytes.Cut(rest, newline)
 		var l journalLine
@@ -475,12 +488,16 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 			if rec == nil || rec.Index < 0 || rec.Index >= len(hashes) || rec.Hash != hashes[rec.Index] {
 				continue
 			}
-			if pos, ok := latest[rec.Index]; ok {
-				e.Records[pos] = *rec
+			if pos == nil {
+				pos = make([]int, len(hashes))
+				e.Records = make([]ScenarioRecord, 0, len(hashes))
+			}
+			if p := pos[rec.Index]; p > 0 {
+				e.Records[p-1] = *rec
 				continue
 			}
-			latest[rec.Index] = len(e.Records)
 			e.Records = append(e.Records, *rec)
+			pos[rec.Index] = len(e.Records)
 		case "end":
 			e.EndDisposition = l.Disposition
 			if e.EndDisposition == "" {

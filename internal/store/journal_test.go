@@ -4,16 +4,19 @@ package store
 // end semantics, crash artifacts (torn trailing lines), corrupt-manifest
 // quarantine, last-record-per-index resolution, the header/payload
 // layout and pre-split journals, records that do not fit the manifest,
-// records written in the create (and a journal sealed there), and the
-// isolation invariant that the sweeps/ directory never leaks
+// records written in the create (and a journal sealed there), the
+// parallel scan against a one-by-one read, and the isolation invariant that the sweeps/ directory never leaks
 // into the result-entry scan.
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -614,5 +617,120 @@ func TestJournalRecordsInCreate(t *testing.T) {
 	}
 	if st := s.Stats(); st.JournalCreates != 1 || st.JournalAppends != 2 {
 		t.Fatalf("metrics = creates %d appends %d", st.JournalCreates, st.JournalAppends)
+	}
+}
+
+// TestScanJournalsMatchesSequentialRead: the parallel scan returns
+// exactly what reading the journals one by one in file-name order and
+// then stable-sorting by creation time returns, and quarantines and
+// counts the same unreadable headers. The 3×GOMAXPROCS+1 journals (at
+// least one of each kind) mix finished, incomplete, torn-tail and
+// pre-split ones with unreadable headers, and share creation times so
+// the sort's ties show.
+func TestScanJournalsMatchesSequentialRead(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(s.Dir(), journalDirName)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	n := max(3*runtime.GOMAXPROCS(0)+1, 5)
+	for i := 0; i < n; i++ {
+		m := sampleManifest(fmt.Sprintf("sw-%04x", i))
+		m.CreatedUnixNano = int64((n - i) % 3)
+		path := s.journalPath(m.ID)
+		switch i % 5 {
+		case 0, 1, 2: // finished, incomplete, torn tail
+			j, err := s.CreateJournal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "done", WallSec: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 0 {
+				err = j.End("complete")
+			} else {
+				j.Detach()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 2 {
+				appendRaw(t, path, `{"type":"scenario","scenario":{"index":0,"ha`)
+			}
+		case 3: // pre-split: spec and scenarios in the header
+			b, err := json.Marshal(journalLine{Type: "sweep", Sweep: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := string(b) + "\n" +
+				`{"type":"scenario","scenario":{"index":0,"hash":"` + scenA + `","state":"failed","error":"boom"}}` + "\n" +
+				`{"type":"end","disposition":"cancelled"}` + "\n"
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		case 4: // unreadable header
+			if err := os.WriteFile(path, []byte(`{"type":"sweep","sweep":`+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+journalSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []JournalEntry
+	var bad []string
+	for _, p := range paths {
+		e, err := readJournal(p)
+		if err != nil {
+			bad = append(bad, p)
+			continue
+		}
+		want = append(want, *e)
+	}
+	sort.SliceStable(want, func(i, k int) bool {
+		return want[i].Manifest.CreatedUnixNano < want[k].Manifest.CreatedUnixNano
+	})
+	if len(want) == 0 || len(bad) == 0 {
+		t.Fatalf("fixture reads %d good and %d bad journals, want both", len(want), len(bad))
+	}
+
+	got, err := s.ScanJournals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parallel scan differs from the sequential read:\n got %+v\nwant %+v", got, want)
+	}
+	if c := s.Stats().CorruptQuarantined; c != uint64(len(bad)) {
+		t.Fatalf("CorruptQuarantined = %d, want %d", c, len(bad))
+	}
+	for _, p := range bad {
+		if _, err := os.Stat(p + quarantineSuffix); err != nil {
+			t.Fatalf("unreadable journal not quarantined: %v", err)
+		}
+	}
+	if left := s.JournalCount(); left != len(want) {
+		t.Fatalf("%d journals left on disk, want %d", left, len(want))
+	}
+}
+
+// appendRaw appends text to the file at path.
+func appendRaw(t *testing.T, path, text string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(text); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

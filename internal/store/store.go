@@ -31,8 +31,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"exadigit/internal/core"
@@ -143,7 +145,16 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	now := time.Now()
+	// Walk every spec directory first and check the entries' trailers
+	// on parallel readers; then act on each file in walk order on this
+	// goroutine, so quarantines, sidecar removals and the index come out
+	// as a one-by-one walk leaves them.
+	type walked struct {
+		path, name, key string // key "" for a sidecar
+		size            int64
+		ok              bool
+	}
+	var files []walked
 	for _, sd := range specs {
 		if !sd.IsDir() || !validKey(sd.Name()) {
 			continue
@@ -157,26 +168,56 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 			if e.IsDir() {
 				continue
 			}
-			path := filepath.Join(dir, sd.Name(), name)
-			if !strings.HasSuffix(name, entrySuffix) {
-				s.sweepSidecar(path, name, now, opts)
-				continue
+			w := walked{path: filepath.Join(dir, sd.Name(), name), name: name}
+			if strings.HasSuffix(name, entrySuffix) {
+				scen := strings.TrimSuffix(name, entrySuffix)
+				if !validKey(scen) {
+					continue
+				}
+				w.key = sd.Name() + "/" + scen
 			}
-			scen := strings.TrimSuffix(name, entrySuffix)
-			if !validKey(scen) {
-				continue
-			}
-			size, ok := checkTrailer(path)
-			if !ok {
-				s.quarantine(path)
-				s.corrupt++
-				continue
-			}
-			s.index[sd.Name()+"/"+scen] = size
-			s.bytes += size
+			files = append(files, w)
+		}
+	}
+	parallelFor(len(files), func(i int) {
+		if w := &files[i]; w.key != "" {
+			w.size, w.ok = checkTrailer(w.path)
+		}
+	})
+	now := time.Now()
+	for _, w := range files {
+		switch {
+		case w.key == "":
+			s.sweepSidecar(w.path, w.name, now, opts)
+		case !w.ok:
+			s.quarantine(w.path)
+			s.corrupt++
+		default:
+			s.index[w.key] = w.size
+			s.bytes += w.size
 		}
 	}
 	return s, nil
+}
+
+// parallelFor calls fn(i) once for every i in [0, n) on min(GOMAXPROCS,
+// n) goroutines, each taking the next i from a shared counter, and
+// returns when every call has. Calls for different i run concurrently,
+// so fn may write only state that belongs to its i.
+func parallelFor(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // sweepSidecar handles the non-entry files the startup scan walks past:

@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -380,5 +382,79 @@ func TestGetSeesSiblingWrites(t *testing.T) {
 	// Keys nobody wrote are still plain misses.
 	if _, err := b.Get(specA, scenB); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
+	}
+}
+
+// TestOpenMatchesSequentialCheck: Open, which checks trailers on
+// parallel readers, indexes, sizes, quarantines and counts the entries
+// exactly as checking them one by one does, and still ages out an old
+// quarantine file beside them. The 3×GOMAXPROCS+1 entries span two spec
+// directories; every third lacks its trailer.
+func TestOpenMatchesSequentialCheck(t *testing.T) {
+	dir := t.TempDir()
+	n := 3*runtime.GOMAXPROCS(0) + 1
+	var paths []string
+	for i := 0; i < n; i++ {
+		spec := []string{specA, "dddd4444"}[i%2]
+		path := filepath.Join(dir, spec, fmt.Sprintf("%04x", i)+entrySuffix)
+		body := `{"type":"result"}` + "\n" + strings.Repeat(`{"type":"sample"}`+"\n", i)
+		if i%3 != 2 {
+			body += string(endLine) + "\n"
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	aged := filepath.Join(dir, specA, "ffff"+entrySuffix+quarantineSuffix)
+	if err := os.WriteFile(aged, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(aged, stale, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]int64{}
+	var wantBytes int64
+	var bad []string
+	for _, p := range paths {
+		size, ok := checkTrailer(p)
+		if !ok {
+			bad = append(bad, p)
+			continue
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[strings.TrimSuffix(filepath.ToSlash(rel), entrySuffix)] = size
+		wantBytes += size
+	}
+	if len(want) == 0 || len(bad) == 0 {
+		t.Fatalf("fixture checks %d good and %d bad entries, want both", len(want), len(bad))
+	}
+
+	s, err := OpenOptions(dir, Options{QuarantineTTL: 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.index, want) {
+		t.Fatalf("index %v, want %v", s.index, want)
+	}
+	m := s.Stats()
+	if m.Bytes != wantBytes || m.CorruptQuarantined != uint64(len(bad)) || m.QuarantinePurged != 1 {
+		t.Fatalf("stats %+v, want %d bytes, %d quarantined, 1 purged", m, wantBytes, len(bad))
+	}
+	for _, p := range bad {
+		if _, err := os.Stat(p + quarantineSuffix); err != nil {
+			t.Fatalf("entry without trailer not quarantined: %v", err)
+		}
+	}
+	if _, err := os.Stat(aged); !os.IsNotExist(err) {
+		t.Fatal("aged quarantine file survived")
 	}
 }
