@@ -270,11 +270,19 @@ func (s *Service) registerRecovered(sw *Sweep) error {
 // serving — no compile, no admission, no goroutines, and no payload
 // decode; scenarios without a record were cancelled (cancellations are
 // never journaled). The scan has already dropped records that do not
-// fit the manifest.
+// fit the manifest. When the scan left the records undecoded behind the
+// end line's tally, they stay so on the sweep until first demand
+// (readJournal): most retained sweeps are never asked for
+// per-scenario state.
 func (s *Service) adoptFinished(e *store.JournalEntry) {
 	sw := s.recoveredShell(e, StateCancelled)
-	for _, rec := range e.Records {
-		applyRecord(sw, rec)
+	if e.Tally != nil {
+		unread := e.WithoutPayload()
+		sw.unread = &unread
+	} else {
+		for _, rec := range e.Records() {
+			applyRecord(sw, rec)
+		}
 	}
 	sw.cancel()
 	close(sw.done)
@@ -353,7 +361,7 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 		sw.statuses[i].Hash = h
 	}
 	var restored []ScenarioStatus
-	for _, rec := range e.Records {
+	for _, rec := range e.Records() {
 		if !hashOK[rec.Index] {
 			continue
 		}

@@ -4,16 +4,23 @@ package service
 // served from the header alone, journals written before the split (the
 // committed testdata/parent-journals fixture) recovering finished and
 // resuming incomplete, a bad payload rejecting only the resume that
-// needs it, the recovery wall-time gauge, and the restart-cost
+// needs it, the recovery wall-time gauge, a torn-tail sweep finishing
+// once, finished sweeps adopted with their records unread (served as if
+// read at recovery, listed without reading them), and the restart-cost
 // benchmark.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -513,21 +520,29 @@ func TestRecoverBadPayload(t *testing.T) {
 }
 
 // BenchmarkRecover times a restart over a full sweep registry:
-// store.Open + New + Recover over 256 finished 8-scenario sweeps
-// journaled by the submit path (the default MaxSweeps retains exactly
-// that many).
+// store.Open + New + Recover over finished sweeps journaled by the
+// submit path — 256 sweeps of 8 scenarios (the default MaxSweeps
+// retains exactly that many) and 64 sweeps of 64.
 func BenchmarkRecover(b *testing.B) {
+	for _, c := range []struct{ sweeps, scenarios int }{{256, 8}, {64, 64}} {
+		b.Run(fmt.Sprintf("sweeps=%d,scenarios=%d", c.sweeps, c.scenarios), func(b *testing.B) {
+			benchmarkRecover(b, c.sweeps, c.scenarios)
+		})
+	}
+}
+
+func benchmarkRecover(b *testing.B, sweeps, perSweep int) {
 	dir := b.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
 	svc := New(Options{Workers: 2, Store: st})
-	scenarios := make([]core.Scenario, 8)
+	scenarios := make([]core.Scenario, perSweep)
 	for i := range scenarios {
 		scenarios[i] = synthScenario(int64(500+i), 900)
 	}
-	for i := 0; i < 256; i++ {
+	for i := 0; i < sweeps; i++ {
 		sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{Name: fmt.Sprintf("bench-%d", i)})
 		if err != nil {
 			b.Fatal(err)
@@ -548,11 +563,379 @@ func BenchmarkRecover(b *testing.B) {
 		}
 		svc := New(Options{Workers: 2, Store: st})
 		stats, err := svc.Recover()
-		if err != nil || stats.Finished != 256 {
+		if err != nil || stats.Finished != sweeps {
 			b.Fatalf("recover: %+v, %v", stats, err)
 		}
 		b.StopTimer()
 		svc.Close()
 		b.StartTimer()
+	}
+}
+
+// appendFragment leaves a torn fragment at the end of a sweep's
+// journal, as a kill mid-append does.
+func appendFragment(t *testing.T, dir, id string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "sweeps", id+".journal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"scenario","scenario":{"ind`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverTornTailFinishesOnce: a sweep killed with a torn fragment
+// at its journal's end resumes, finishes, and at the next restart is
+// adopted finished. Appended onto the fragment, the first resumed
+// record would fuse with it into an undecodable line, the end line
+// would go unread, and every restart would resume the sweep again.
+func TestRecoverTornTailFinishesOnce(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := New(chaosOptions(st1))
+	stuck := synthScenario(672, 900)
+	stuckHash, err := HashScenario(stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	blockScenario(svc1, stuckHash, release)
+	killed, err := svc1.Submit(config.Frontier(), []core.Scenario{synthScenario(671, 900), stuck}, SweepOptions{Name: "torn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJournalAppends(t, st1, 1)
+	killed.DetachJournal()
+	svc1.CancelAll()
+	close(release)
+	appendFragment(t, dir, killed.ID())
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	if stats, err := svc2.Recover(); err != nil || stats.Adopted != 1 {
+		t.Fatalf("first restart: stats %+v, err %v; want the torn sweep adopted", stats, err)
+	}
+	resumed, _ := svc2.Sweep(killed.ID())
+	if fs := waitSweep(t, resumed); fs.Done+fs.Cached != 2 {
+		t.Fatalf("resumed torn sweep %+v, want 2 done", fs)
+	}
+
+	st3, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc3 := New(chaosOptions(st3))
+	stats, err := svc3.Recover()
+	if err != nil || stats.Finished != 1 || stats.Adopted != 0 {
+		t.Fatalf("second restart: stats %+v, err %v; want Finished 1, Adopted 0", stats, err)
+	}
+	again, _ := svc3.Sweep(killed.ID())
+	if st := again.Status(); st.Done+st.Cached != 2 || !st.Finished {
+		t.Fatalf("torn sweep after the second restart: %+v", st)
+	}
+}
+
+// journalKinds runs, against a store in dir, one finished sweep of each
+// kind a lazily adopted journal can hold and returns their ids by kind:
+// finished (one scenario failed), cancelled, torn (killed with a torn
+// tail, then resumed to the end by a second service), pre-tally (its
+// end line's tally stripped, as a build before the tally wrote it) and
+// mismatch (a tally that fits the header but not the records).
+func journalKinds(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := New(chaosOptions(st1))
+	failing, stuck := synthScenario(683, 900), synthScenario(689, 900)
+	failHash, err := HashScenario(failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuckHash, err := HashScenario(stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	svc1.SetFaultInjector(&FaultInjector{
+		BeforeRun: func(ctx context.Context, f Fault) error {
+			switch f.ScenarioHash {
+			case failHash:
+				return errors.New("chaos: injected permanent failure")
+			case stuckHash:
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return ctx.Err()
+			}
+			return nil
+		},
+	})
+	ids := make(map[string]string)
+	submit := func(kind string, scs ...core.Scenario) *Sweep {
+		sw, err := svc1.Submit(config.Frontier(), scs, SweepOptions{Name: kind, Key: kind + "-key"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[kind] = sw.ID()
+		return sw
+	}
+	waitSweep(t, submit("finished", synthScenario(681, 900), synthScenario(682, 900), failing))
+	waitSweep(t, submit("pre-tally", synthScenario(684, 900), failing))
+	waitSweep(t, submit("mismatch", synthScenario(685, 900), synthScenario(686, 900)))
+	appends := st1.Stats().JournalAppends
+	cancelled := submit("cancelled", synthScenario(687, 900), stuck)
+	waitJournalAppends(t, st1, appends+1)
+	cancelled.Cancel()
+	waitSweep(t, cancelled)
+	appends = st1.Stats().JournalAppends
+	killed := submit("torn", synthScenario(688, 900), stuck)
+	waitJournalAppends(t, st1, appends+1)
+	killed.DetachJournal()
+	svc1.CancelAll()
+	close(release)
+	appendFragment(t, dir, ids["torn"])
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	if stats, err := svc2.Recover(); err != nil || stats.Adopted != 1 || stats.Finished != 4 {
+		t.Fatalf("resuming the torn sweep: stats %+v, err %v", stats, err)
+	}
+	resumed, _ := svc2.Sweep(ids["torn"])
+	waitSweep(t, resumed)
+	editTally(t, dir, ids["pre-tally"], "")
+	editTally(t, dir, ids["mismatch"], `{"done":0,"cached":0,"failed":1}`)
+	return ids
+}
+
+var tallyField = regexp.MustCompile(`,"tally":\{[^}]*\}`)
+
+// editTally replaces the tally on the end line of a sweep's journal
+// with tally ("" strips it); the end line must carry one.
+func editTally(t *testing.T, dir, id, tally string) {
+	t.Helper()
+	path := filepath.Join(dir, "sweeps", id+".journal")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tallyField.Match(b) {
+		t.Fatalf("journal %s has no tally", id)
+	}
+	if tally != "" {
+		tally = `,"tally":` + tally
+	}
+	if err := os.WriteFile(path, tallyField.ReplaceAllLiteral(b, []byte(tally)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyStore copies the store in src, journals and entries, to a new
+// directory.
+func copyStore(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// recovered is a service recovered over the store in dir, with what
+// it logged of its sweeps (its request log left out).
+type recovered struct {
+	svc *Service
+	mu  sync.Mutex
+	log []string
+}
+
+func recoverStore(t *testing.T, dir string) *recovered {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &recovered{svc: New(chaosOptions(st))}
+	r.svc.SetLogf(func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "service:") {
+			r.mu.Lock()
+			r.log = append(r.log, line)
+			r.mu.Unlock()
+		}
+	})
+	if stats, err := r.svc.Recover(); err != nil || stats.Adopted != 0 {
+		t.Fatalf("recover: stats %+v, err %v; want every sweep finished", stats, err)
+	}
+	return r
+}
+
+// get answers a GET on the service's handler.
+func (r *recovered) get(t *testing.T, path string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	r.svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.String()
+}
+
+// unread reports whether the sweep's journal records are still unread.
+func unread(sw *Sweep) bool {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.unread != nil
+}
+
+// TestLazyAdoptionServesAsEager: a sweep adopted with its journal's
+// records unread serves the same status, results and stream as the
+// same sweep adopted from the journal without its tally, whose records
+// recovery decodes — over finished, cancelled, torn-tail, pre-tally and
+// tally-mismatch journals, whichever of the three is asked first. A
+// tally the records disagree with is logged, and the records win.
+func TestLazyAdoptionServesAsEager(t *testing.T) {
+	dir := t.TempDir()
+	ids := journalKinds(t, dir)
+	eagerDir := copyStore(t, dir)
+	for _, id := range ids {
+		if id != ids["pre-tally"] {
+			editTally(t, eagerDir, id, "")
+		}
+	}
+	eager := recoverStore(t, eagerDir)
+	for kind, id := range ids {
+		if sw, _ := eager.svc.Sweep(id); unread(sw) {
+			t.Fatalf("%s: sweep adopted without a tally left its records unread", kind)
+		}
+	}
+	paths := func(id string) []string {
+		return []string{"/api/sweeps/" + id, "/api/sweeps/" + id + "/results", "/api/sweeps/" + id + "/stream"}
+	}
+	for first := range paths("") {
+		lazy := recoverStore(t, copyStore(t, dir))
+		for kind, id := range ids {
+			sw, _ := lazy.svc.Sweep(id)
+			if got := unread(sw); got != (kind != "pre-tally") {
+				t.Fatalf("%s: records unread %v after recovery", kind, got)
+			}
+			ps := paths(id)
+			for _, k := range append([]int{first}, 0, 1, 2) {
+				if got, want := lazy.get(t, ps[k]), eager.get(t, ps[k]); got != want {
+					t.Fatalf("%s, %s asked first: GET %s serves\n%s\nadopted eagerly it serves\n%s", kind, ps[first], ps[k], got, want)
+				}
+			}
+			if unread(sw) {
+				t.Fatalf("%s: records still unread after serving the sweep", kind)
+			}
+		}
+		lazy.mu.Lock()
+		if len(lazy.log) != 1 || !strings.Contains(lazy.log[0], ids["mismatch"]) || !strings.Contains(lazy.log[0], "tally") {
+			t.Fatalf("log %q, want one tally mismatch for %s", lazy.log, ids["mismatch"])
+		}
+		lazy.mu.Unlock()
+	}
+	eager.mu.Lock()
+	defer eager.mu.Unlock()
+	if len(eager.log) != 0 {
+		t.Fatalf("eager adoption logged %q", eager.log)
+	}
+}
+
+// TestListLeavesJournalsUnread: List over recovered sweeps decodes no
+// journal records, and each summary equals the sweep's Status without
+// its scenarios (the mismatched tally is put right first: a tally the
+// records disagree with is served until they are read). A sweep keeps
+// its unread records without the journal's payload.
+func TestListLeavesJournalsUnread(t *testing.T) {
+	dir := t.TempDir()
+	ids := journalKinds(t, dir)
+	editTally(t, dir, ids["mismatch"], `{"done":2,"cached":0,"failed":0}`)
+	r := recoverStore(t, dir)
+	list := r.svc.List()
+	if len(list) != len(ids) {
+		t.Fatalf("List returned %d sweeps, want %d", len(list), len(ids))
+	}
+	for _, sum := range list {
+		sw, _ := r.svc.Sweep(sum.ID)
+		if unread(sw) != (sum.ID != ids["pre-tally"]) {
+			t.Fatalf("sweep %s (%s): List read its journal records", sum.ID, sum.Name)
+		}
+		if sw.unread != nil {
+			if _, _, err := sw.unread.Payload(); err == nil {
+				t.Fatalf("sweep %s (%s) keeps its journal's payload", sum.ID, sum.Name)
+			}
+		}
+		st := sw.Status()
+		st.Scenarios = nil
+		if !reflect.DeepEqual(sum, st) {
+			t.Fatalf("sweep %s: List gives %+v, Status %+v", sum.ID, sum, st)
+		}
+	}
+}
+
+// TestLazyAdoptionConcurrentReaders: readers racing to be a lazily
+// adopted sweep's first demand — status, results, list — read its
+// journal records once, and every status they get is the same.
+func TestLazyAdoptionConcurrentReaders(t *testing.T) {
+	dir := t.TempDir()
+	ids := journalKinds(t, dir)
+	r := recoverStore(t, dir)
+	sw, _ := r.svc.Sweep(ids["finished"])
+	const readers = 8
+	statuses := make([]SweepStatus, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				_ = sw.Results()
+			case 1:
+				_ = r.svc.List()
+			}
+			statuses[i] = sw.Status()
+		}()
+	}
+	wg.Wait()
+	for i, st := range statuses {
+		if !reflect.DeepEqual(st, statuses[0]) {
+			t.Fatalf("reader %d got %+v, reader 0 %+v", i, st, statuses[0])
+		}
+	}
+	if st := statuses[0]; st.Done != 2 || st.Failed != 1 || len(st.Scenarios) != 3 {
+		t.Fatalf("status %+v, want 2 done and 1 failed", st)
 	}
 }

@@ -632,13 +632,12 @@ func (s *Service) Remove(id string) error {
 func (s *Service) Sweep(id string) (*Sweep, bool) { return s.sweeps.get(id) }
 
 // List snapshots every sweep in submission order (summary form, without
-// per-scenario detail).
+// per-scenario detail). A recovered sweep's journal records stay unread.
 func (s *Service) List() []SweepStatus {
 	sweeps := s.sweeps.list()
 	out := make([]SweepStatus, len(sweeps))
 	for i, sw := range sweeps {
-		out[i] = sw.Status()
-		out[i].Scenarios = nil
+		out[i] = sw.summary()
 	}
 	return out
 }

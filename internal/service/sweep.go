@@ -83,6 +83,10 @@ type Sweep struct {
 	// Guarded by lifecycle.mu.
 	statuses []ScenarioStatus
 	results  []*core.Result
+	// unread is a finished sweep's journal whose records are not yet
+	// applied to statuses (adoptFinished); until they are, its tally
+	// stands in for the statuses' counts. nil once read.
+	unread *store.JournalEntry
 }
 
 // Cache tiers a scenario span reports (obs.Span.CacheTier).
@@ -170,8 +174,26 @@ func (sw *Sweep) ScenarioHashes() []string { return append([]string(nil), sw.has
 
 // Status snapshots the sweep including per-scenario states.
 func (sw *Sweep) Status() SweepStatus {
+	sw.readJournal()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	st := sw.summaryLocked()
+	st.Scenarios = append([]ScenarioStatus(nil), sw.statuses...)
+	return st
+}
+
+// summary is Status without the per-scenario states, and without
+// reading an unread journal's records.
+func (sw *Sweep) summary() SweepStatus {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.summaryLocked()
+}
+
+// summaryLocked counts the scenarios by state — from the tally while
+// the journal is unread: what it does not count was cancelled. Callers
+// hold sw.mu.
+func (sw *Sweep) summaryLocked() SweepStatus {
 	st := SweepStatus{
 		ID:        sw.id,
 		Name:      sw.name,
@@ -180,7 +202,14 @@ func (sw *Sweep) Status() SweepStatus {
 		Total:     len(sw.statuses),
 		Recovered: sw.recovered,
 		Key:       sw.key,
-		Scenarios: append([]ScenarioStatus(nil), sw.statuses...),
+	}
+	if sw.unread != nil {
+		// Only a finished sweep is adopted unread.
+		t := sw.unread.Tally
+		st.Done, st.Cached, st.Failed = t.Done, t.Cached, t.Failed
+		st.Cancelled = st.Total - t.Done - t.Cached - t.Failed
+		st.Finished = true
+		return st
 	}
 	for _, s := range sw.statuses {
 		switch s.State {
@@ -202,6 +231,33 @@ func (sw *Sweep) Status() SweepStatus {
 	return st
 }
 
+// readJournal applies an unread journal's records to the statuses,
+// under sw.mu, once, and drops them. Should the records disagree with
+// the tally the summary was served from (a journal edited by hand), the
+// records win and the mismatch is logged.
+func (sw *Sweep) readJournal() {
+	if !sw.recovered {
+		return
+	}
+	sw.mu.Lock()
+	if sw.unread == nil {
+		sw.mu.Unlock()
+		return
+	}
+	tallied := sw.summaryLocked()
+	recs := sw.unread.Records()
+	sw.unread = nil
+	for _, rec := range recs {
+		applyRecord(sw, rec)
+	}
+	got := sw.summaryLocked()
+	sw.mu.Unlock()
+	if got.Done != tallied.Done || got.Cached != tallied.Cached || got.Failed != tallied.Failed || got.Cancelled != tallied.Cancelled {
+		sw.svc.printf("service: sweep %s: journal tally of %d done, %d cached, %d failed disagrees with its records (%d done, %d cached, %d failed, %d cancelled); serving the records",
+			sw.id, tallied.Done, tallied.Cached, tallied.Failed, got.Done, got.Cached, got.Failed, got.Cancelled)
+	}
+}
+
 // Results snapshots the per-scenario results, indexed like the submitted
 // scenarios; unfinished or failed entries are nil. Results may be served
 // from the shared cache — treat them as read-only. For a sweep recovered
@@ -209,6 +265,7 @@ func (sw *Sweep) Status() SweepStatus {
 // lazily from the durable store on first demand (recovery itself only
 // verifies they exist, so startup stays cheap).
 func (sw *Sweep) Results() []*core.Result {
+	sw.readJournal()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if sw.recovered {

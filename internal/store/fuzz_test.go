@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -17,8 +18,17 @@ import (
 // the scan keeps has an index within the header's scenarios, the
 // header's hash for that index, and no other record for it; decoding
 // the payload of an accepted journal never panics; and the two valid
-// journals always come back whole, unquarantined. The seed corpus lives
-// under testdata/fuzz.
+// journals always come back whole, unquarantined.
+//
+// It also holds the tail read to the full scan it stands in for
+// (parseEager): Records returns what that scan keeps, and a tallied
+// journal reads finished with that scan's disposition — unless a
+// middle line does not decode or is an end line of its own (a file
+// edited by hand), where it still reads finished, keeping the records
+// before that line. When a tally matches the records it counts, the
+// summary it gives (what it leaves out was cancelled) is the records'
+// count of every scenario by state. The seed corpus lives under
+// testdata/fuzz.
 func FuzzReadJournal(f *testing.F) {
 	var valid [2][]byte
 	for i := range valid {
@@ -61,7 +71,7 @@ func FuzzReadJournal(f *testing.F) {
 				entries = append(entries, e)
 				continue
 			}
-			if len(e.Records) != 1 || e.EndDisposition != "complete" {
+			if len(e.Records()) != 1 || e.EndDisposition != "complete" || e.Tally != nil {
 				t.Fatalf("valid journal %s read as %+v", e.Path, e)
 			}
 		}
@@ -88,8 +98,9 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		e := entries[0]
 		hashes := e.Manifest.ScenarioHashes
+		recs := e.Records()
 		seen := make(map[int]bool)
-		for _, rec := range e.Records {
+		for _, rec := range recs {
 			if rec.Index < 0 || rec.Index >= len(hashes) {
 				t.Fatalf("record index %d outside %d scenarios", rec.Index, len(hashes))
 			}
@@ -102,7 +113,65 @@ func FuzzReadJournal(f *testing.F) {
 			seen[rec.Index] = true
 		}
 		_, _, _ = e.Payload()
+
+		eagerRecs, eagerDisposition := parseEager(data)
+		if !reflect.DeepEqual(recs, eagerRecs) {
+			t.Fatalf("records %+v, the full scan keeps %+v", recs, eagerRecs)
+		}
+		if e.Tally == nil {
+			if e.EndDisposition != eagerDisposition {
+				t.Fatalf("disposition %q, the full scan reads %q", e.EndDisposition, eagerDisposition)
+			}
+			return
+		}
+		if e.EndDisposition == "" {
+			t.Fatal("tallied journal read incomplete")
+		}
+		if e.EndDisposition != eagerDisposition && !brokenMiddle(e.raw) {
+			t.Fatalf("disposition %q, the full scan reads %q", e.EndDisposition, eagerDisposition)
+		}
+		if tl := *e.Tally; tallyOf(recs) == tl && tl.Done+tl.Cached+tl.Failed == len(recs) {
+			n := len(hashes)
+			summary := map[string]int{"done": tl.Done, "cached": tl.Cached, "failed": tl.Failed, "cancelled": n - tl.Done - tl.Cached - tl.Failed}
+			materialized := map[string]int{"cancelled": n - len(recs)}
+			for _, rec := range recs {
+				materialized[rec.State]++
+			}
+			for state, c := range materialized {
+				if c != summary[state] {
+					t.Fatalf("summary %v, the records count %v", summary, materialized)
+				}
+			}
+		}
 	})
+}
+
+// parseEager reads an accepted journal's records and disposition with
+// the full scan, the reference the tail read is held to: every line
+// after the header and the payload decoded, none read from the tail.
+func parseEager(b []byte) ([]ScenarioRecord, string) {
+	line, rest, _ := bytes.Cut(b, newline)
+	var first journalLine
+	_ = json.Unmarshal(line, &first)
+	m := first.Sweep
+	if len(m.SpecJSON) == 0 && len(m.ScenariosJSON) == 0 {
+		_, rest, _ = bytes.Cut(rest, newline)
+	}
+	return scanRecords(rest, m.ScenarioHashes)
+}
+
+// brokenMiddle reports whether the record lines hold one the record
+// loop stops at: a line that does not decode, or an end line.
+func brokenMiddle(raw []byte) bool {
+	for len(raw) > 0 {
+		var line []byte
+		line, raw, _ = bytes.Cut(raw, newline)
+		var l journalLine
+		if json.Unmarshal(line, &l) != nil || l.Type == "end" {
+			return true
+		}
+	}
+	return false
 }
 
 // The key FuzzReadEntry asks the reader for; the seed corpus's entries

@@ -17,7 +17,7 @@ package store
 //	{"type":"sweep","sweep":{…header…}}                            // id, key, hashes, names, options
 //	{"type":"payload","payload":{"spec":{…},"scenarios":[…]}}      // what a resume needs to recompute
 //	{"type":"scenario","scenario":{"index":3,"state":"done",…}}   // 0+ lines, in the create or appended as scenarios land
-//	{"type":"end","disposition":"complete"}                        // only once every scenario is terminal
+//	{"type":"end","disposition":"complete","tally":{"done":5,"cached":2,"failed":1}} // only once every scenario is terminal
 //
 // The header and payload lines are written together with the store's
 // temp-file + fsync + atomic-rename discipline, so a journal is visible
@@ -27,7 +27,8 @@ package store
 // is sealed at create and takes no appends. Later records are appended
 // with per-line fsync; a crash can therefore leave at most one torn
 // trailing line, which the scan tolerates (everything before it is
-// kept). A journal without the end line is an incomplete sweep —
+// kept), and which OpenJournal cuts off before a resumed sweep appends
+// again. A journal without the end line is an incomplete sweep —
 // exactly the crash evidence recovery looks for. ScanJournals reads and
 // parses the files on min(GOMAXPROCS, files) goroutines; its result,
 // quarantines and counts are those of reading them one by one.
@@ -39,6 +40,14 @@ package store
 // (JournalEntry.Payload). Journals written before the split carry spec
 // and scenarios inline in the header and no names; they still read, the
 // inline fields serving as the payload.
+//
+// The end line's tally counts the records the scan keeps, by state. A
+// journal whose last line is an end line with a tally that fits its
+// header is read from the header and that line alone: the record lines
+// stay raw bytes until JournalEntry.Records decodes them, so a finished
+// sweep's summary costs no record decode. The tally is optional; a
+// journal without one (written before it, incomplete, or with a tally
+// that cannot fit) has its records decoded by the scan.
 
 import (
 	"bytes"
@@ -107,6 +116,22 @@ type ScenarioRecord struct {
 	CacheHit bool    `json:"cache_hit,omitempty"`
 }
 
+// Tally counts, by state, the records the scan keeps of a journal —
+// what its end line carries so a finished sweep's summary needs no
+// record decoded.
+type Tally struct {
+	Done   int `json:"done"`
+	Cached int `json:"cached"`
+	Failed int `json:"failed"`
+}
+
+// fits reports whether t can count the kept records of n scenarios: no
+// count below zero, and no more records than scenarios.
+func (t *Tally) fits(n int) bool {
+	return t != nil && t.Done >= 0 && t.Cached >= 0 && t.Failed >= 0 &&
+		t.Done <= n && t.Cached <= n && t.Failed <= n && t.Done+t.Cached+t.Failed <= n
+}
+
 // journalLine is the NDJSON envelope of every journal line.
 type journalLine struct {
 	Type        string          `json:"type"` // sweep | payload | scenario | end
@@ -114,6 +139,59 @@ type journalLine struct {
 	Payload     *sweepPayload   `json:"payload,omitempty"`
 	Scenario    *ScenarioRecord `json:"scenario,omitempty"`
 	Disposition string          `json:"disposition,omitempty"` // end: complete | cancelled
+	Tally       *Tally          `json:"tally,omitempty"`       // end: the kept records by state
+}
+
+// recordFits reports whether rec can describe scenario rec.Index of a
+// sweep with these hashes: the index is in range and the hash is the
+// header's for it. The scan drops every record that does not fit.
+func recordFits(rec *ScenarioRecord, hashes []string) bool {
+	return rec.Index >= 0 && rec.Index < len(hashes) && rec.Hash == hashes[rec.Index]
+}
+
+// keptStates follows, per scenario index, the state of the record the
+// scan will keep: one that fits, the last one for its index.
+type keptStates struct {
+	hashes []string
+	state  []string
+	has    []bool
+	left   int // indices without a kept record
+}
+
+func newKeptStates(hashes []string) *keptStates {
+	return &keptStates{hashes: hashes, state: make([]string, len(hashes)), has: make([]bool, len(hashes)), left: len(hashes)}
+}
+
+func (k *keptStates) add(rec *ScenarioRecord) {
+	if !recordFits(rec, k.hashes) {
+		return
+	}
+	if !k.has[rec.Index] {
+		k.has[rec.Index] = true
+		k.left--
+	}
+	k.state[rec.Index] = rec.State
+}
+
+// coversAll reports whether every scenario has a kept record.
+func (k *keptStates) coversAll() bool { return len(k.hashes) > 0 && k.left == 0 }
+
+func (k *keptStates) tally() *Tally {
+	var t Tally
+	for i, st := range k.state {
+		if !k.has[i] {
+			continue
+		}
+		switch st {
+		case "done":
+			t.Done++
+		case "cached":
+			t.Cached++
+		case "failed":
+			t.Failed++
+		}
+	}
+	return &t
 }
 
 // SweepJournal is an open, appendable journal for one live sweep. All
@@ -130,6 +208,7 @@ type SweepJournal struct {
 	f        *os.File
 	err      error
 	detached bool
+	kept     *keptStates // the records written so far, as the scan will keep them: End's tally
 }
 
 // ErrJournalSealed is returned by Append on a journal sealed at create.
@@ -181,7 +260,11 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", idOf(m))
 	}
 	path := s.journalPath(m.ID)
-	sealed := coversAll(m.ScenarioHashes, recs)
+	kept := newKeptStates(m.ScenarioHashes)
+	for i := range recs {
+		kept.add(&recs[i])
+	}
+	sealed := kept.coversAll()
 	err := writeAtomic(path, func(f *os.File) error {
 		hdr := *m
 		hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
@@ -194,7 +277,7 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 			err = enc.Encode(journalLine{Type: "scenario", Scenario: &recs[i]})
 		}
 		if sealed && err == nil {
-			err = enc.Encode(journalLine{Type: "end", Disposition: "complete"})
+			err = enc.Encode(journalLine{Type: "end", Disposition: "complete", Tally: kept.tally()})
 		}
 		return err
 	})
@@ -204,24 +287,7 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 	if sealed {
 		return &SweepJournal{s: s, path: path, sealed: true}, nil
 	}
-	return s.openJournalAppend(path)
-}
-
-// coversAll reports whether recs hold, for every scenario hash, a
-// record the scan would keep: its index and that index's hash.
-func coversAll(hashes []string, recs []ScenarioRecord) bool {
-	if len(hashes) == 0 || len(recs) < len(hashes) {
-		return false
-	}
-	seen := make([]bool, len(hashes))
-	left := len(hashes)
-	for _, r := range recs {
-		if r.Index >= 0 && r.Index < len(hashes) && r.Hash == hashes[r.Index] && !seen[r.Index] {
-			seen[r.Index] = true
-			left--
-		}
-	}
-	return left == 0
+	return s.openJournalAppend(path, kept)
 }
 
 func idOf(m *SweepManifest) string {
@@ -234,24 +300,66 @@ func idOf(m *SweepManifest) string {
 // OpenJournal reopens an existing journal for appending — how a
 // recovered sweep resumes recording terminal scenarios into the same
 // file. Duplicate records for an index are fine: the scan keeps the
-// last one.
+// last one. The records already in the file count toward End's tally,
+// and a torn trailing line is mended first (mendTail), so the next
+// record starts a line of its own.
 func (s *Store) OpenJournal(id string) (*SweepJournal, error) {
 	if !ValidSweepID(id) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", id)
 	}
 	path := s.journalPath(id)
-	if _, err := os.Stat(path); err != nil {
+	b, err := os.ReadFile(path)
+	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
-	return s.openJournalAppend(path)
+	e, err := parseJournal(b)
+	if err != nil {
+		return nil, fmt.Errorf("store: journal %s: %w", id, err)
+	}
+	if err := mendTail(path, b); err != nil {
+		return nil, fmt.Errorf("store: journal %s: %w", id, err)
+	}
+	kept := newKeptStates(e.Manifest.ScenarioHashes)
+	for _, rec := range e.Records() {
+		kept.add(&rec)
+	}
+	return s.openJournalAppend(path, kept)
 }
 
-func (s *Store) openJournalAppend(path string) (*SweepJournal, error) {
+// mendTail makes the journal at path, holding b, end with a newline.
+// A crash mid-append can leave an unterminated last line; a record
+// appended onto it would fuse with it into one undecodable line, where
+// the scan stops, losing that record, the end line and everything
+// after. A fragment that does not decode is cut off; a last line that
+// decodes — one the scan keeps — only lacks its newline, and gets it.
+// Either way the file is fsynced before anything is appended.
+func mendTail(path string, b []byte) error {
+	cut := bytes.LastIndexByte(b, '\n') + 1
+	if cut == len(b) {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	var l journalLine
+	if json.Unmarshal(b[cut:], &l) == nil {
+		_, err = f.WriteAt(newline, int64(len(b)))
+	} else {
+		err = f.Truncate(int64(cut))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
+}
+
+func (s *Store) openJournalAppend(path string, kept *keptStates) (*SweepJournal, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: journal: %w", err)
 	}
-	return &SweepJournal{s: s, path: path, f: f}, nil
+	return &SweepJournal{s: s, path: path, f: f, kept: kept}, nil
 }
 
 // Append durably records one scenario's terminal outcome. Errors are
@@ -263,30 +371,36 @@ func (j *SweepJournal) Append(rec ScenarioRecord) error {
 	if j.sealed {
 		return ErrJournalSealed
 	}
-	return j.append(journalLine{Type: "scenario", Scenario: &rec})
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.appendLocked(journalLine{Type: "scenario", Scenario: &rec})
+	if err == nil {
+		j.kept.add(&rec)
+	}
+	return err
 }
 
-// End records the sweep's disposition ("complete" or "cancelled") and
-// closes the journal. A journal without an end line is what recovery
-// re-adopts, so End must only be called once every scenario is
-// terminal. On a journal sealed at create End is a silent no-op.
+// End records the sweep's disposition ("complete" or "cancelled"),
+// with the tally of the journal's records, and closes the journal. A
+// journal without an end line is what recovery re-adopts, so End must
+// only be called once every scenario is terminal. On a journal sealed
+// at create End is a silent no-op.
 func (j *SweepJournal) End(disposition string) error {
 	if j.sealed {
 		return nil
 	}
-	err := j.append(journalLine{Type: "end", Disposition: disposition})
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.appendLocked(journalLine{Type: "end", Disposition: disposition, Tally: j.kept.tally()})
 	if j.f != nil {
 		_ = j.f.Close()
 		j.f = nil
 	}
-	j.mu.Unlock()
 	return err
 }
 
-func (j *SweepJournal) append(line journalLine) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// appendLocked writes one line and fsyncs it. Callers hold j.mu.
+func (j *SweepJournal) appendLocked(line journalLine) error {
 	if j.detached || j.err != nil || j.f == nil {
 		return j.err
 	}
@@ -351,18 +465,47 @@ func (s *Store) RemoveJournal(id string) error {
 	return nil
 }
 
-// JournalEntry is one scanned journal: the manifest, the surviving
-// records (last record per index wins; each has an index within the
-// manifest's scenarios and the manifest's hash for it), and the end
-// disposition ("" for an incomplete sweep — the ones recovery
-// re-adopts).
+// JournalEntry is one scanned journal: the manifest, its records (see
+// Records), and the end disposition ("" for an incomplete sweep — the
+// ones recovery re-adopts).
 type JournalEntry struct {
 	Manifest       SweepManifest
-	Records        []ScenarioRecord
 	EndDisposition string
-	Path           string
+	// Tally is the end line's count of the kept records by state, set
+	// only when the scan left the records undecoded (see Records).
+	Tally *Tally
+	Path  string
 
-	payload []byte // the raw payload line; nil for a pre-split journal
+	payload []byte           // the raw payload line; nil for a pre-split journal
+	records []ScenarioRecord // decoded by the scan (Tally == nil)
+	raw     []byte           // the record lines, undecoded (Tally != nil)
+}
+
+// Records returns the surviving records: last record per index wins,
+// and each has an index within the manifest's scenarios and the
+// manifest's hash for it. The scan decodes them itself, except in a
+// journal whose last line is an end line with a tally that fits the
+// header: there it keeps the record lines as raw bytes, and each call
+// decodes them. Should a middle line of such a journal not decode, or
+// be an end line of its own — a file edited by hand, or a record an
+// older build appended onto a torn fragment — the records are those
+// before it, as the full scan keeps, though the sweep reads finished.
+func (e JournalEntry) Records() []ScenarioRecord {
+	if e.Tally == nil {
+		return e.records
+	}
+	recs, _ := scanRecords(e.raw, e.Manifest.ScenarioHashes)
+	return recs
+}
+
+// WithoutPayload returns e without its payload — the payload line, a
+// slice of the scan's read of the whole file, or a pre-split header's
+// inline fields: what a caller keeps past the scan, so that it pins
+// neither that buffer nor the bulk of the journal's bytes.
+func (e JournalEntry) WithoutPayload() JournalEntry {
+	e.payload = nil
+	e.Manifest.SpecJSON, e.Manifest.ScenariosJSON = nil, nil
+	return e
 }
 
 // Payload decodes the sweep's spec and scenarios JSON: from the payload
@@ -452,13 +595,11 @@ func readJournal(path string) (*JournalEntry, error) {
 
 var newline = []byte{'\n'}
 
-// parseJournal decodes a journal's header and records, keeping the
-// payload line undecoded. Only a missing or malformed header is an
-// error; any later undecodable line is treated as the torn tail of a
-// crash and parsing stops there, keeping what came before. A record
-// whose index is outside the header's scenarios, or whose hash is not
-// the header's hash for that index, is dropped: it cannot describe this
-// sweep.
+// parseJournal decodes a journal's header, keeping the payload line
+// undecoded, then its last line. When that is an end line whose tally
+// fits the header, the record lines between are kept undecoded (cloned,
+// so they pin nothing else of b); otherwise scanRecords decodes them.
+// Only a missing or malformed header is an error.
 func parseJournal(b []byte) (*JournalEntry, error) {
 	line, rest, _ := bytes.Cut(b, newline)
 	var first journalLine
@@ -473,11 +614,32 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 	if len(e.Manifest.SpecJSON) == 0 && len(e.Manifest.ScenariosJSON) == 0 {
 		e.payload, rest, _ = bytes.Cut(rest, newline)
 	}
-	// pos[i] is one past scenario i's position in e.Records, 0 for none.
-	// Both are sized by the hashes the header decoded, so by the file.
+	body := bytes.TrimSuffix(rest, newline)
+	cut := bytes.LastIndexByte(body, '\n') + 1
+	var last journalLine
+	if json.Unmarshal(body[cut:], &last) == nil && last.Type == "end" && last.Tally.fits(len(hashes)) {
+		e.raw, e.Tally = bytes.Clone(rest[:cut]), last.Tally
+		e.EndDisposition = endDisposition(last)
+		return e, nil
+	}
+	e.records, e.EndDisposition = scanRecords(rest, hashes)
+	return e, nil
+}
+
+// scanRecords is the record loop: it decodes b line by line up to the
+// first end line, returning the records to keep and the end's
+// disposition ("" when there is no end line). The first undecodable
+// line is taken for the torn tail of a crash: the loop stops there,
+// keeping what came before. A record whose index is outside the
+// header's scenarios, or whose hash is not the header's hash for that
+// index, is dropped: it cannot describe this sweep.
+func scanRecords(b []byte, hashes []string) (recs []ScenarioRecord, disposition string) {
+	// pos[i] is one past scenario i's position in recs, 0 for none. Both
+	// are sized by the hashes the header decoded, so by the file.
 	var pos []int
-	for len(rest) > 0 {
-		line, rest, _ = bytes.Cut(rest, newline)
+	for len(b) > 0 {
+		var line []byte
+		line, b, _ = bytes.Cut(b, newline)
 		var l journalLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			break // the torn tail
@@ -485,28 +647,32 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 		switch l.Type {
 		case "scenario":
 			rec := l.Scenario
-			if rec == nil || rec.Index < 0 || rec.Index >= len(hashes) || rec.Hash != hashes[rec.Index] {
+			if rec == nil || !recordFits(rec, hashes) {
 				continue
 			}
 			if pos == nil {
 				pos = make([]int, len(hashes))
-				e.Records = make([]ScenarioRecord, 0, len(hashes))
+				recs = make([]ScenarioRecord, 0, len(hashes))
 			}
 			if p := pos[rec.Index]; p > 0 {
-				e.Records[p-1] = *rec
+				recs[p-1] = *rec
 				continue
 			}
-			e.Records = append(e.Records, *rec)
-			pos[rec.Index] = len(e.Records)
+			recs = append(recs, *rec)
+			pos[rec.Index] = len(recs)
 		case "end":
-			e.EndDisposition = l.Disposition
-			if e.EndDisposition == "" {
-				e.EndDisposition = "complete"
-			}
-			return e, nil
+			return recs, endDisposition(l)
 		}
 	}
-	return e, nil
+	return recs, ""
+}
+
+// endDisposition is an end line's disposition, "complete" when blank.
+func endDisposition(l journalLine) string {
+	if l.Disposition == "" {
+		return "complete"
+	}
+	return l.Disposition
 }
 
 // JournalCount returns the journal files currently on disk — test and

@@ -5,8 +5,9 @@ package store
 // quarantine, last-record-per-index resolution, the header/payload
 // layout and pre-split journals, records that do not fit the manifest,
 // records written in the create (and a journal sealed there), the
-// parallel scan against a one-by-one read, and the isolation invariant that the sweeps/ directory never leaks
-// into the result-entry scan.
+// parallel scan against a one-by-one read, the isolation invariant that the sweeps/ directory never leaks
+// into the result-entry scan, the end line's tally and the tail read
+// behind it, and resuming a journal with a torn tail.
 
 import (
 	"encoding/json"
@@ -84,14 +85,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	if e.EndDisposition != "complete" {
 		t.Fatalf("disposition = %q, want complete", e.EndDisposition)
 	}
-	if len(e.Records) != 2 {
-		t.Fatalf("records = %d, want 2", len(e.Records))
+	if len(e.Records()) != 2 {
+		t.Fatalf("records = %d, want 2", len(e.Records()))
 	}
-	if e.Records[0].State != "done" || e.Records[0].WallSec != 0.5 {
-		t.Fatalf("record 0 mismatch: %+v", e.Records[0])
+	if e.Records()[0].State != "done" || e.Records()[0].WallSec != 0.5 {
+		t.Fatalf("record 0 mismatch: %+v", e.Records()[0])
 	}
-	if e.Records[1].State != "failed" || e.Records[1].Error != "boom" || e.Records[1].Attempts != 3 {
-		t.Fatalf("record 1 mismatch: %+v", e.Records[1])
+	if e.Records()[1].State != "failed" || e.Records()[1].Error != "boom" || e.Records()[1].Attempts != 3 {
+		t.Fatalf("record 1 mismatch: %+v", e.Records()[1])
 	}
 	st := s.Stats()
 	if st.JournalCreates != 1 || st.JournalAppends != 3 || st.JournalErrors != 0 {
@@ -137,8 +138,8 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if e.EndDisposition != "" {
 		t.Fatalf("torn journal reported disposition %q, want incomplete", e.EndDisposition)
 	}
-	if len(e.Records) != 1 || e.Records[0].State != "done" {
-		t.Fatalf("records before the tear lost: %+v", e.Records)
+	if len(e.Records()) != 1 || e.Records()[0].State != "done" {
+		t.Fatalf("records before the tear lost: %+v", e.Records())
 	}
 	if s.Stats().CorruptQuarantined != 0 {
 		t.Fatal("torn tail must not quarantine the journal")
@@ -202,10 +203,10 @@ func TestJournalLastRecordPerIndexWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || len(entries[0].Records) != 2 {
+	if len(entries) != 1 || len(entries[0].Records()) != 2 {
 		t.Fatalf("unexpected scan result: %+v", entries)
 	}
-	r0 := entries[0].Records[0]
+	r0 := entries[0].Records()[0]
 	if r0.Index != 0 || r0.State != "done" || r0.Attempts != 2 {
 		t.Fatalf("last record for index 0 did not win: %+v", r0)
 	}
@@ -241,10 +242,10 @@ func TestJournalReopenAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || len(entries[0].Records) != 2 || entries[0].EndDisposition != "complete" {
+	if len(entries) != 1 || len(entries[0].Records()) != 2 || entries[0].EndDisposition != "complete" {
 		t.Fatalf("reopened journal lost state: %+v", entries)
 	}
-	if !entries[0].Records[1].CacheHit {
+	if !entries[0].Records()[1].CacheHit {
 		t.Fatal("cache_hit flag lost across reopen")
 	}
 	if _, err := s.OpenJournal("sw-no-such"); err == nil {
@@ -453,7 +454,7 @@ func TestJournalDropsRecordsOutsideManifest(t *testing.T) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("scan: %v, %d entries", err, len(entries))
 	}
-	recs := entries[0].Records
+	recs := entries[0].Records()
 	if len(recs) != 1 || recs[0].Index != 0 || recs[0].State != "done" {
 		t.Fatalf("records = %+v, want only index 0 done", recs)
 	}
@@ -575,8 +576,8 @@ func TestJournalSealedAtCreate(t *testing.T) {
 	if !reflect.DeepEqual(sealed.Manifest, appended.Manifest) {
 		t.Fatalf("manifest %+v, appended journal has %+v", sealed.Manifest, appended.Manifest)
 	}
-	if !reflect.DeepEqual(recordsByIndex(sealed.Records), recordsByIndex(appended.Records)) {
-		t.Fatalf("records %+v, appended journal has %+v", sealed.Records, appended.Records)
+	if !reflect.DeepEqual(recordsByIndex(sealed.Records()), recordsByIndex(appended.Records())) {
+		t.Fatalf("records %+v, appended journal has %+v", sealed.Records(), appended.Records())
 	}
 	if sealed.EndDisposition != "complete" || appended.EndDisposition != "complete" {
 		t.Fatalf("dispositions %q / %q, want complete", sealed.EndDisposition, appended.EndDisposition)
@@ -601,8 +602,8 @@ func TestJournalRecordsInCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := scanOne(t, s); e.EndDisposition != "" || len(e.Records) != 1 || e.Records[0].State != "cached" {
-		t.Fatalf("after create: disposition %q records %+v", e.EndDisposition, e.Records)
+	if e := scanOne(t, s); e.EndDisposition != "" || len(e.Records()) != 1 || e.Records()[0].State != "cached" {
+		t.Fatalf("after create: disposition %q records %+v", e.EndDisposition, e.Records())
 	}
 	if err := j.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "done", Attempts: 1}); err != nil {
 		t.Fatal(err)
@@ -611,9 +612,9 @@ func TestJournalRecordsInCreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := scanOne(t, s)
-	got := recordsByIndex(e.Records)
+	got := recordsByIndex(e.Records())
 	if e.EndDisposition != "complete" || len(got) != 2 || got[0].State != "cached" || got[1].State != "done" {
-		t.Fatalf("after end: disposition %q records %+v", e.EndDisposition, e.Records)
+		t.Fatalf("after end: disposition %q records %+v", e.EndDisposition, e.Records())
 	}
 	if st := s.Stats(); st.JournalCreates != 1 || st.JournalAppends != 2 {
 		t.Fatalf("metrics = creates %d appends %d", st.JournalCreates, st.JournalAppends)
@@ -733,4 +734,195 @@ func appendRaw(t *testing.T, path, text string) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tallyOf counts records by state as an end line's tally does.
+func tallyOf(recs []ScenarioRecord) Tally {
+	var t Tally
+	for _, r := range recs {
+		switch r.State {
+		case "done":
+			t.Done++
+		case "cached":
+			t.Cached++
+		case "failed":
+			t.Failed++
+		}
+	}
+	return t
+}
+
+// TestJournalTornTailResume: a sweep killed mid-append leaves a torn
+// fragment; reopening the journal cuts it off before appending, so the
+// resumed record starts a line of its own and the scan reads the end
+// line and both records. Appended onto the fragment, the record would
+// fuse with it into one undecodable line, and the sweep would read
+// incomplete at every restart.
+func TestJournalTornTailResume(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.CreateJournal(sampleManifest("sw-7042-0001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(ScenarioRecord{Index: 0, Hash: scenA, State: "done"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Detach()
+	path := s.journalPath("sw-7042-0001")
+	appendRaw(t, path, `{"type":"scenario","scenario":{"ind`)
+
+	j2, err := s.OpenJournal("sw-7042-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "cached", CacheHit: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.End("complete"); err != nil {
+		t.Fatal(err)
+	}
+	e := scanOne(t, s)
+	got := recordsByIndex(e.Records())
+	if e.EndDisposition != "complete" || len(got) != 2 || got[0].State != "done" || got[1].State != "cached" {
+		t.Fatalf("resumed torn journal: disposition %q records %+v", e.EndDisposition, e.Records())
+	}
+	if e.Tally == nil || *e.Tally != (Tally{Done: 1, Cached: 1}) {
+		t.Fatalf("tally %+v, want 1 done and 1 cached", e.Tally)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), `"ind{`) {
+		t.Fatalf("fragment left in the journal:\n%s", b)
+	}
+}
+
+// TestJournalReopenTerminatesWholeLastLine: a last record that lacks
+// only its newline is one the scan keeps, so reopening the journal
+// terminates it rather than cutting it off, and it survives the resume.
+func TestJournalReopenTerminatesWholeLastLine(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.CreateJournal(sampleManifest("sw-7042-0002"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Detach()
+	appendRaw(t, s.journalPath("sw-7042-0002"), `{"type":"scenario","scenario":{"index":0,"hash":"`+scenA+`","state":"failed","error":"boom"}}`)
+	if e := scanOne(t, s); len(e.Records()) != 1 {
+		t.Fatalf("unterminated record not kept by the scan: %+v", e.Records())
+	}
+	j2, err := s.OpenJournal("sw-7042-0002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "done"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.End("complete"); err != nil {
+		t.Fatal(err)
+	}
+	e := scanOne(t, s)
+	got := recordsByIndex(e.Records())
+	if e.EndDisposition != "complete" || len(got) != 2 || got[0].Error != "boom" || got[1].State != "done" {
+		t.Fatalf("disposition %q records %+v", e.EndDisposition, e.Records())
+	}
+	if e.Tally == nil || *e.Tally != (Tally{Done: 1, Failed: 1}) {
+		t.Fatalf("tally %+v, want 1 done and 1 failed", e.Tally)
+	}
+}
+
+// TestJournalTallyCountsKeptRecords: the end line's tally counts the
+// records the scan keeps — records from the create, appends, and a
+// reopen's existing lines; the last record per index; none that does
+// not fit the header — and the scan, reading it, leaves the records
+// undecoded until Records, which returns what decoding them at scan
+// time returns.
+func TestJournalTallyCountsKeptRecords(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sampleManifest("sw-7a11-0001")
+	m.ScenarioHashes = []string{scenA, scenB, "dddd4444", "eeee5555"}
+	j, err := s.CreateJournal(m,
+		ScenarioRecord{Index: 0, Hash: scenA, State: "failed", Error: "transient"},
+		ScenarioRecord{Index: 1, Hash: scenA, State: "done"}) // not index 1's hash
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "cached", CacheHit: true}); err != nil {
+		t.Fatal(err)
+	}
+	j.Detach()
+	j, err = s.OpenJournal(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []ScenarioRecord{
+		{Index: 0, Hash: scenA, State: "done", Attempts: 2}, // overrides the failure
+		{Index: 4, Hash: scenA, State: "done"},              // out of range
+		{Index: 2, Hash: "dddd4444", State: "failed", Error: "boom"},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.End("cancelled"); err != nil {
+		t.Fatal(err)
+	}
+	e := scanOne(t, s)
+	if e.Tally == nil || e.records != nil || e.raw == nil {
+		t.Fatalf("tallied journal: tally %+v, %d records decoded by the scan", e.Tally, len(e.records))
+	}
+	want := Tally{Done: 1, Cached: 1, Failed: 1}
+	if *e.Tally != want || tallyOf(e.Records()) != want || e.EndDisposition != "cancelled" {
+		t.Fatalf("tally %+v, records %+v, disposition %q; want %+v", *e.Tally, e.Records(), e.EndDisposition, want)
+	}
+	eager, disposition := parseEager(mustRead(t, e.Path))
+	if !reflect.DeepEqual(e.Records(), eager) || disposition != e.EndDisposition {
+		t.Fatalf("records %+v, decoding at scan time gives %+v (%q)", e.Records(), eager, disposition)
+	}
+}
+
+// TestJournalWithoutFittingTallyScansRecords: a journal whose last line
+// is not an end line with a tally that fits its header — no tally (a
+// journal written before it), a count below zero, more records than
+// scenarios, or an end line followed by another line — has its records
+// decoded by the scan.
+func TestJournalWithoutFittingTallyScansRecords(t *testing.T) {
+	hdr := `{"type":"sweep","sweep":{"id":"sw-1","spec_hash":"aaaa1111","scenario_hashes":["bbbb2222","cccc3333"],"names":["a","b"],"created_unix_nano":1}}` + "\n" +
+		`{"type":"payload","payload":{"spec":{},"scenarios":[]}}` + "\n" +
+		`{"type":"scenario","scenario":{"index":0,"hash":"bbbb2222","state":"done"}}` + "\n"
+	for name, tail := range map[string]string{
+		"pre_tally":     `{"type":"end","disposition":"complete"}` + "\n",
+		"negative":      `{"type":"end","disposition":"complete","tally":{"done":2,"failed":-1}}` + "\n",
+		"over_hashes":   `{"type":"end","disposition":"complete","tally":{"done":2,"cached":1}}` + "\n",
+		"end_not_last":  `{"type":"end","disposition":"complete","tally":{"done":1}}` + "\n" + `{"type":"scenario","scenario":{"index":1,"hash":"cccc3333","state":"done"}}` + "\n",
+		"huge_overflow": `{"type":"end","disposition":"complete","tally":{"done":4611686018427387904,"cached":4611686018427387904,"failed":4611686018427387904}}` + "\n",
+	} {
+		e, err := parseJournal([]byte(hdr + tail))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if e.Tally != nil || len(e.records) != 1 || e.EndDisposition != "complete" {
+			t.Fatalf("%s: tally %+v, %d records decoded by the scan, disposition %q", name, e.Tally, len(e.records), e.EndDisposition)
+		}
+	}
+}
+
+// mustRead reads the file at path.
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
