@@ -201,15 +201,16 @@ func (s *Service) Recover() (RecoverStats, error) {
 }
 
 // recoveredShell builds a journal-reconstructed sweep: identity from
-// the manifest, every scenario initialized to the given state.
-func (s *Service) recoveredShell(e *store.JournalEntry, initial ScenarioState) *Sweep {
+// the manifest, every scenario named and initialized to the given state
+// (none, when blank: see newSweep).
+func (s *Service) recoveredShell(e *store.JournalEntry, names []string, initial ScenarioState) *Sweep {
 	m := &e.Manifest
 	sw := s.newSweep(SweepOptions{
 		Name:            m.Name,
 		Key:             m.Key,
 		ScenarioTimeout: time.Duration(m.TimeoutSec * float64(time.Second)),
 		MaxAttempts:     m.MaxAttempts,
-	}, m.SpecHash, append([]string(nil), m.ScenarioHashes...), journalNames(e), initial)
+	}, m.SpecHash, append([]string(nil), m.ScenarioHashes...), names, initial)
 	sw.id = m.ID
 	sw.createdAt = time.Unix(0, m.CreatedUnixNano)
 	sw.recovered = true
@@ -271,15 +272,19 @@ func (s *Service) registerRecovered(sw *Sweep) error {
 // decode; scenarios without a record were cancelled (cancellations are
 // never journaled). The scan has already dropped records that do not
 // fit the manifest. When the scan left the records undecoded behind the
-// end line's tally, they stay so on the sweep until first demand
-// (readJournal): most retained sweeps are never asked for
-// per-scenario state.
+// end line's tally, the sweep keeps them so, and builds no per-scenario
+// state, until a request needs it (readJournal): a restart after which
+// its sweeps are not asked for per-scenario state decodes no record,
+// and one that asks pays each sweep's decode on its first request.
 func (s *Service) adoptFinished(e *store.JournalEntry) {
-	sw := s.recoveredShell(e, StateCancelled)
+	var sw *Sweep
 	if e.Tally != nil {
+		sw = s.recoveredShell(e, nil, "")
 		unread := e.WithoutPayload()
+		unread.Manifest.ScenarioHashes, unread.Manifest.Names = sw.hashes, journalNames(e)
 		sw.unread = &unread
 	} else {
+		sw = s.recoveredShell(e, journalNames(e), StateCancelled)
 		for _, rec := range e.Records() {
 			applyRecord(sw, rec)
 		}
@@ -328,7 +333,7 @@ func (s *Service) adoptIncomplete(e *store.JournalEntry) (requeued, terminal int
 	compileStart := time.Now()
 	compiled, compileErr := s.compiledFor(spec)
 
-	sw := s.recoveredShell(e, StateQueued)
+	sw := s.recoveredShell(e, journalNames(e), StateQueued)
 	sw.spec = spec
 	sw.compiled = compiled
 	sw.scenarios = scenarios

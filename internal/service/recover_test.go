@@ -6,8 +6,9 @@ package service
 // resuming incomplete, a bad payload rejecting only the resume that
 // needs it, the recovery wall-time gauge, a torn-tail sweep finishing
 // once, finished sweeps adopted with their records unread (served as if
-// read at recovery, listed without reading them), and the restart-cost
-// benchmark.
+// read at recovery, listed without reading them), a journal an older
+// build fused resuming once more and finishing whole, and the restart
+// benchmarks, without and with a request for every recovered sweep.
 
 import (
 	"bytes"
@@ -21,6 +22,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -519,12 +522,16 @@ func TestRecoverBadPayload(t *testing.T) {
 	}
 }
 
+// recoverShapes are the sweep registries the restart benchmarks
+// recover: 256 sweeps of 8 scenarios (the default MaxSweeps retains
+// exactly that many) and 64 sweeps of 64.
+var recoverShapes = []struct{ sweeps, scenarios int }{{256, 8}, {64, 64}}
+
 // BenchmarkRecover times a restart over a full sweep registry:
 // store.Open + New + Recover over finished sweeps journaled by the
-// submit path — 256 sweeps of 8 scenarios (the default MaxSweeps
-// retains exactly that many) and 64 sweeps of 64.
+// submit path, in each of recoverShapes.
 func BenchmarkRecover(b *testing.B) {
-	for _, c := range []struct{ sweeps, scenarios int }{{256, 8}, {64, 64}} {
+	for _, c := range recoverShapes {
 		b.Run(fmt.Sprintf("sweeps=%d,scenarios=%d", c.sweeps, c.scenarios), func(b *testing.B) {
 			benchmarkRecover(b, c.sweeps, c.scenarios)
 		})
@@ -532,29 +539,7 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 func benchmarkRecover(b *testing.B, sweeps, perSweep int) {
-	dir := b.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc := New(Options{Workers: 2, Store: st})
-	scenarios := make([]core.Scenario, perSweep)
-	for i := range scenarios {
-		scenarios[i] = synthScenario(int64(500+i), 900)
-	}
-	for i := 0; i < sweeps; i++ {
-		sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{Name: fmt.Sprintf("bench-%d", i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		err = sw.Wait(ctx)
-		cancel()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	svc.Close()
+	dir := journalFinishedSweeps(b, sweeps, perSweep)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := store.Open(dir)
@@ -572,15 +557,124 @@ func benchmarkRecover(b *testing.B, sweeps, perSweep int) {
 	}
 }
 
+// BenchmarkRecoverThenRead times a restart followed by a request for
+// every recovered sweep's status and then its results, in each of
+// recoverShapes: the traffic on which leaving a finished sweep's
+// journal records unread at recovery saves no decode, only moves it to
+// the sweep's first request. It reports recover_ms, the restart alone;
+// first_status_ms, every sweep's first Status together, and
+// first_status_us_p50 and _max, one sweep's; and live_KiB, the heap the
+// recovered service holds before any request.
+func BenchmarkRecoverThenRead(b *testing.B) {
+	for _, c := range recoverShapes {
+		b.Run(fmt.Sprintf("sweeps=%d,scenarios=%d", c.sweeps, c.scenarios), func(b *testing.B) {
+			benchmarkRecoverThenRead(b, c.sweeps, c.scenarios)
+		})
+	}
+}
+
+func benchmarkRecoverThenRead(b *testing.B, sweeps, perSweep int) {
+	dir := journalFinishedSweeps(b, sweeps, perSweep)
+	var recoverDur, statusDur time.Duration
+	var live int64
+	var firsts []time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		base := liveHeap()
+		b.StartTimer()
+		start := time.Now()
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		svc := New(Options{Workers: 2, Store: st})
+		stats, err := svc.Recover()
+		if err != nil || stats.Finished != sweeps {
+			b.Fatalf("recover: %+v, %v", stats, err)
+		}
+		recoverDur += time.Since(start)
+		b.StopTimer()
+		live += liveHeap() - base
+		b.StartTimer()
+		for _, sum := range svc.List() {
+			sw, _ := svc.Sweep(sum.ID)
+			t0 := time.Now()
+			status := sw.Status()
+			firsts = append(firsts, time.Since(t0))
+			statusDur += firsts[len(firsts)-1]
+			if len(status.Scenarios) != perSweep || status.Done+status.Cached != perSweep {
+				b.Fatalf("recovered sweep %s: %+v", sum.ID, status)
+			}
+			if res := sw.Results(); len(res) != perSweep || res[0] == nil || res[perSweep-1] == nil {
+				b.Fatalf("recovered sweep %s: results not served", sum.ID)
+			}
+		}
+		b.StopTimer()
+		svc.Close()
+		b.StartTimer()
+	}
+	slices.Sort(firsts)
+	b.ReportMetric(float64(recoverDur.Microseconds())/1e3/float64(b.N), "recover_ms")
+	b.ReportMetric(float64(statusDur.Microseconds())/1e3/float64(b.N), "first_status_ms")
+	b.ReportMetric(float64(firsts[len(firsts)/2].Nanoseconds())/1e3, "first_status_us_p50")
+	b.ReportMetric(float64(firsts[len(firsts)-1].Nanoseconds())/1e3, "first_status_us_max")
+	b.ReportMetric(float64(live)/1024/float64(b.N), "live_KiB")
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// journalFinishedSweeps runs sweeps sweeps of perSweep scenarios to the
+// end against a new store and returns its directory.
+func journalFinishedSweeps(b *testing.B, sweeps, perSweep int) string {
+	b.Helper()
+	dir := b.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := New(Options{Workers: 2, Store: st})
+	defer svc.Close()
+	scenarios := make([]core.Scenario, perSweep)
+	for i := range scenarios {
+		scenarios[i] = synthScenario(int64(500+i), 900)
+	}
+	for i := 0; i < sweeps; i++ {
+		sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{Name: fmt.Sprintf("bench-%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err = sw.Wait(ctx)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // appendFragment leaves a torn fragment at the end of a sweep's
 // journal, as a kill mid-append does.
 func appendFragment(t *testing.T, dir, id string) {
+	t.Helper()
+	appendRawJournal(t, dir, id, `{"type":"scenario","scenario":{"ind`)
+}
+
+// appendRawJournal appends text to a sweep's journal.
+func appendRawJournal(t *testing.T, dir, id, text string) {
 	t.Helper()
 	f, err := os.OpenFile(filepath.Join(dir, "sweeps", id+".journal"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"scenario","scenario":{"ind`); err != nil {
+	if _, err := f.WriteString(text); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -642,6 +736,75 @@ func TestRecoverTornTailFinishesOnce(t *testing.T) {
 	again, _ := svc3.Sweep(killed.ID())
 	if st := again.Status(); st.Done+st.Cached != 2 || !st.Finished {
 		t.Fatalf("torn sweep after the second restart: %+v", st)
+	}
+}
+
+// TestRecoverFusedJournalFinishesWhole: a journal an older build fused
+// — resuming a sweep killed with a torn tail, it appended the resumed
+// record onto the fragment and then an end line without a tally — is
+// read up to the fused line, so the sweep resumes once more. Its
+// journal is cut back to the lines the scan reads, so once the sweep
+// finishes, the next restart adopts it finished with its records
+// unread, and its summary is the same before they are read as after,
+// with no tally mismatch logged.
+func TestRecoverFusedJournalFinishesWhole(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := New(chaosOptions(st1))
+	stuck := synthScenario(692, 900)
+	stuckHash, err := HashScenario(stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	blockScenario(svc1, stuckHash, release)
+	killed, err := svc1.Submit(config.Frontier(), []core.Scenario{synthScenario(691, 900), stuck}, SweepOptions{Name: "fused"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJournalAppends(t, st1, 1)
+	killed.DetachJournal()
+	svc1.CancelAll()
+	close(release)
+	appendFragment(t, dir, killed.ID())
+	appendRawJournal(t, dir, killed.ID(),
+		`{"type":"scenario","scenario":{"index":1,"hash":"`+stuckHash+`","state":"done","attempts":1}}`+"\n"+
+			`{"type":"end","disposition":"complete"}`+"\n")
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(chaosOptions(st2))
+	if stats, err := svc2.Recover(); err != nil || stats.Adopted != 1 {
+		t.Fatalf("first restart: stats %+v, err %v; want the fused sweep adopted", stats, err)
+	}
+	resumed, _ := svc2.Sweep(killed.ID())
+	if fs := waitSweep(t, resumed); fs.Done+fs.Cached != 2 {
+		t.Fatalf("resumed fused sweep %+v, want 2 done", fs)
+	}
+
+	r := recoverStore(t, dir)
+	sw, _ := r.svc.Sweep(killed.ID())
+	if !unread(sw) {
+		t.Fatal("finished sweep adopted with its records read")
+	}
+	list := r.svc.List()
+	st := sw.Status()
+	if st.Done+st.Cached != 2 || st.Cancelled != 0 || !st.Finished {
+		t.Fatalf("fused sweep after the second restart: %+v", st)
+	}
+	st.Scenarios = nil
+	if len(list) != 1 || !reflect.DeepEqual(list[0], st) {
+		t.Fatalf("summary before the records were read %+v, after %+v", list, st)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.log) != 0 {
+		t.Fatalf("logged %q", r.log)
 	}
 }
 
@@ -877,7 +1040,8 @@ func TestLazyAdoptionServesAsEager(t *testing.T) {
 // journal records, and each summary equals the sweep's Status without
 // its scenarios (the mismatched tally is put right first: a tally the
 // records disagree with is served until they are read). A sweep keeps
-// its unread records without the journal's payload.
+// its unread records without the journal's payload, and builds no
+// per-scenario state until they are read.
 func TestListLeavesJournalsUnread(t *testing.T) {
 	dir := t.TempDir()
 	ids := journalKinds(t, dir)
@@ -895,6 +1059,9 @@ func TestListLeavesJournalsUnread(t *testing.T) {
 		if sw.unread != nil {
 			if _, _, err := sw.unread.Payload(); err == nil {
 				t.Fatalf("sweep %s (%s) keeps its journal's payload", sum.ID, sum.Name)
+			}
+			if sw.statuses != nil || sw.results != nil {
+				t.Fatalf("sweep %s (%s) built per-scenario state with its journal unread", sum.ID, sum.Name)
 			}
 		}
 		st := sw.Status()

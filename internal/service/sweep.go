@@ -84,8 +84,9 @@ type Sweep struct {
 	statuses []ScenarioStatus
 	results  []*core.Result
 	// unread is a finished sweep's journal whose records are not yet
-	// applied to statuses (adoptFinished); until they are, its tally
-	// stands in for the statuses' counts. nil once read.
+	// applied (adoptFinished): until they are, statuses and results are
+	// nil, its tally stands in for the statuses' counts, and its names
+	// are the scenarios'. nil once read.
 	unread *store.JournalEntry
 }
 
@@ -104,7 +105,9 @@ const (
 // newSweep builds a sweep's bookkeeping — the one construction shared
 // by live submission and journal recovery: every per-scenario slice
 // sized, each status initialized to state, and the attempt deadline and
-// retry budget defaulted from the service.
+// retry budget defaulted from the service. A blank state leaves the
+// per-scenario slices to the first read of an unread journal
+// (readJournal).
 func (s *Service) newSweep(opts SweepOptions, specHash string, hashes, names []string, state ScenarioState) *Sweep {
 	if opts.ScenarioTimeout <= 0 {
 		opts.ScenarioTimeout = s.scenarioTimeout
@@ -124,16 +127,23 @@ func (s *Service) newSweep(opts SweepOptions, specHash string, hashes, names []s
 			timeout:     opts.ScenarioTimeout,
 			maxAttempts: opts.MaxAttempts,
 		},
-		svc:      s,
-		key:      opts.Key,
-		statuses: make([]ScenarioStatus, len(hashes)),
-		results:  make([]*core.Result, len(hashes)),
+		svc: s,
+		key: opts.Key,
 	}
 	sw.onRunning, sw.onSettled = sw.running, sw.record
-	for i := range sw.statuses {
-		sw.statuses[i] = ScenarioStatus{Index: i, Name: names[i], Hash: hashes[i], State: state}
+	if state != "" {
+		sw.initScenarios(names, state)
 	}
 	return sw
+}
+
+// initScenarios sizes the per-scenario slices, each status in state.
+func (sw *Sweep) initScenarios(names []string, state ScenarioState) {
+	sw.statuses = make([]ScenarioStatus, len(sw.hashes))
+	sw.results = make([]*core.Result, len(sw.hashes))
+	for i := range sw.statuses {
+		sw.statuses[i] = ScenarioStatus{Index: i, Name: names[i], Hash: sw.hashes[i], State: state}
+	}
 }
 
 // emitSpan publishes a terminal scenario's lifecycle span to the service
@@ -199,7 +209,7 @@ func (sw *Sweep) summaryLocked() SweepStatus {
 		Name:      sw.name,
 		SpecHash:  sw.specHash,
 		CreatedAt: sw.createdAt,
-		Total:     len(sw.statuses),
+		Total:     len(sw.hashes),
 		Recovered: sw.recovered,
 		Key:       sw.key,
 	}
@@ -231,9 +241,10 @@ func (sw *Sweep) summaryLocked() SweepStatus {
 	return st
 }
 
-// readJournal applies an unread journal's records to the statuses,
-// under sw.mu, once, and drops them. Should the records disagree with
-// the tally the summary was served from (a journal edited by hand), the
+// readJournal builds an unread journal's statuses — every scenario
+// cancelled, then its records applied — under sw.mu, once, and drops
+// the journal. Should the records disagree with the tally the summary
+// was served from (a journal edited by hand or damaged on disk), the
 // records win and the mismatch is logged.
 func (sw *Sweep) readJournal() {
 	if !sw.recovered {
@@ -245,9 +256,10 @@ func (sw *Sweep) readJournal() {
 		return
 	}
 	tallied := sw.summaryLocked()
-	recs := sw.unread.Records()
+	u := sw.unread
 	sw.unread = nil
-	for _, rec := range recs {
+	sw.initScenarios(u.Manifest.Names, StateCancelled)
+	for _, rec := range u.Records() {
 		applyRecord(sw, rec)
 	}
 	got := sw.summaryLocked()

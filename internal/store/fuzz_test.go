@@ -27,7 +27,10 @@ import (
 // edited by hand), where it still reads finished, keeping the records
 // before that line. When a tally matches the records it counts, the
 // summary it gives (what it leaves out was cancelled) is the records'
-// count of every scenario by state. The seed corpus lives under
+// count of every scenario by state. Reopened and ended, as a resumed
+// sweep's journal is, an accepted journal whose payload decodes (one
+// recovery would resume) reads complete with the records the full scan
+// kept and a tally that counts them. The seed corpus lives under
 // testdata/fuzz.
 func FuzzReadJournal(f *testing.F) {
 	var valid [2][]byte
@@ -112,38 +115,92 @@ func FuzzReadJournal(f *testing.F) {
 			}
 			seen[rec.Index] = true
 		}
-		_, _, _ = e.Payload()
+		_, _, payloadErr := e.Payload()
 
 		eagerRecs, eagerDisposition := parseEager(data)
 		if !reflect.DeepEqual(recs, eagerRecs) {
 			t.Fatalf("records %+v, the full scan keeps %+v", recs, eagerRecs)
 		}
-		if e.Tally == nil {
-			if e.EndDisposition != eagerDisposition {
-				t.Fatalf("disposition %q, the full scan reads %q", e.EndDisposition, eagerDisposition)
-			}
-			return
-		}
-		if e.EndDisposition == "" {
-			t.Fatal("tallied journal read incomplete")
-		}
-		if e.EndDisposition != eagerDisposition && !brokenMiddle(e.raw) {
+		if e.Tally == nil && e.EndDisposition != eagerDisposition {
 			t.Fatalf("disposition %q, the full scan reads %q", e.EndDisposition, eagerDisposition)
 		}
-		if tl := *e.Tally; tallyOf(recs) == tl && tl.Done+tl.Cached+tl.Failed == len(recs) {
-			n := len(hashes)
-			summary := map[string]int{"done": tl.Done, "cached": tl.Cached, "failed": tl.Failed, "cancelled": n - tl.Done - tl.Cached - tl.Failed}
-			materialized := map[string]int{"cancelled": n - len(recs)}
-			for _, rec := range recs {
-				materialized[rec.State]++
-			}
-			for state, c := range materialized {
-				if c != summary[state] {
-					t.Fatalf("summary %v, the records count %v", summary, materialized)
-				}
-			}
+		if e.Tally != nil {
+			checkTallied(t, &e, eagerDisposition)
+		}
+		if payloadErr == nil {
+			checkResumed(t, s, path, eagerRecs)
 		}
 	})
+}
+
+// checkTallied holds a tallied journal's tail read to the full scan's
+// disposition, and the summary its tally gives to the records' count.
+func checkTallied(t *testing.T, e *JournalEntry, eagerDisposition string) {
+	t.Helper()
+	if e.EndDisposition == "" {
+		t.Fatal("tallied journal read incomplete")
+	}
+	if e.EndDisposition != eagerDisposition && !brokenMiddle(e.raw) {
+		t.Fatalf("disposition %q, the full scan reads %q", e.EndDisposition, eagerDisposition)
+	}
+	recs := e.Records()
+	if tl := *e.Tally; tallyOf(recs) == tl && tl.Done+tl.Cached+tl.Failed == len(recs) {
+		n := len(e.Manifest.ScenarioHashes)
+		summary := map[string]int{"done": tl.Done, "cached": tl.Cached, "failed": tl.Failed, "cancelled": n - tl.Done - tl.Cached - tl.Failed}
+		materialized := map[string]int{"cancelled": n - len(recs)}
+		for _, rec := range recs {
+			materialized[rec.State]++
+		}
+		for state, c := range materialized {
+			if c != summary[state] {
+				t.Fatalf("summary %v, the records count %v", summary, materialized)
+			}
+		}
+	}
+}
+
+// checkResumed reopens the journal at path, as a resumed sweep does,
+// records scenario 0 failed, if there is one, and ends it: it then
+// reads complete, with the records the full scan kept before plus the
+// new one, and a tally that counts them.
+func checkResumed(t *testing.T, s *Store, path string, kept []ScenarioRecord) {
+	t.Helper()
+	j, err := s.OpenJournal("sw-f0-1")
+	if err != nil {
+		t.Fatalf("reopening an accepted journal: %v", err)
+	}
+	want := append([]ScenarioRecord(nil), kept...)
+	if hashes := j.kept.hashes; len(hashes) > 0 {
+		rec := ScenarioRecord{Index: 0, Hash: hashes[0], State: "failed", Error: "resumed"}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for i < len(want) && want[i].Index != 0 {
+			i++
+		}
+		if i == len(want) {
+			want = append(want, rec)
+		}
+		want[i] = rec
+	}
+	if err := j.End("complete"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := parseJournal(b)
+	if err != nil {
+		t.Fatalf("resumed journal: %v", err)
+	}
+	if e.EndDisposition != "complete" || e.Tally == nil {
+		t.Fatalf("resumed journal read %q with tally %+v", e.EndDisposition, e.Tally)
+	}
+	if got := e.Records(); !reflect.DeepEqual(got, want) || tallyOf(got) != *e.Tally {
+		t.Fatalf("resumed journal: records %+v, tally %+v; before the resume the scan kept %+v", got, *e.Tally, want)
+	}
 }
 
 // parseEager reads an accepted journal's records and disposition with
@@ -157,7 +214,8 @@ func parseEager(b []byte) ([]ScenarioRecord, string) {
 	if len(m.SpecJSON) == 0 && len(m.ScenariosJSON) == 0 {
 		_, rest, _ = bytes.Cut(rest, newline)
 	}
-	return scanRecords(rest, m.ScenarioHashes)
+	recs, disposition, _ := scanRecords(rest, m.ScenarioHashes)
+	return recs, disposition
 }
 
 // brokenMiddle reports whether the record lines hold one the record

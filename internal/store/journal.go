@@ -27,8 +27,11 @@ package store
 // is sealed at create and takes no appends. Later records are appended
 // with per-line fsync; a crash can therefore leave at most one torn
 // trailing line, which the scan tolerates (everything before it is
-// kept), and which OpenJournal cuts off before a resumed sweep appends
-// again. A journal without the end line is an incomplete sweep —
+// kept). OpenJournal cuts the file back to the record lines the scan
+// reads before a resumed sweep appends again — so a torn line, or one
+// an older build fused by appending onto a torn line, goes with
+// whatever follows it — and the appended records are read and tallied
+// alike. A journal without the end line is an incomplete sweep —
 // exactly the crash evidence recovery looks for. ScanJournals reads and
 // parses the files on min(GOMAXPROCS, files) goroutines; its result,
 // quarantines and counts are those of reading them one by one.
@@ -300,9 +303,8 @@ func idOf(m *SweepManifest) string {
 // OpenJournal reopens an existing journal for appending — how a
 // recovered sweep resumes recording terminal scenarios into the same
 // file. Duplicate records for an index are fine: the scan keeps the
-// last one. The records already in the file count toward End's tally,
-// and a torn trailing line is mended first (mendTail), so the next
-// record starts a line of its own.
+// last one. The file is first cut back to the record lines the scan
+// reads (mendJournal), and their records count toward End's tally.
 func (s *Store) OpenJournal(id string) (*SweepJournal, error) {
 	if !ValidSweepID(id) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", id)
@@ -312,41 +314,45 @@ func (s *Store) OpenJournal(id string) (*SweepJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
-	e, err := parseJournal(b)
+	e, rest, err := parseHeader(b)
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
-	if err := mendTail(path, b); err != nil {
+	recs, _, n := scanRecords(rest, e.Manifest.ScenarioHashes)
+	if err := mendJournal(path, b, len(b)-len(rest)+n); err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
 	kept := newKeptStates(e.Manifest.ScenarioHashes)
-	for _, rec := range e.Records() {
-		kept.add(&rec)
+	for i := range recs {
+		kept.add(&recs[i])
 	}
 	return s.openJournalAppend(path, kept)
 }
 
-// mendTail makes the journal at path, holding b, end with a newline.
-// A crash mid-append can leave an unterminated last line; a record
-// appended onto it would fuse with it into one undecodable line, where
-// the scan stops, losing that record, the end line and everything
-// after. A fragment that does not decode is cut off; a last line that
-// decodes — one the scan keeps — only lacks its newline, and gets it.
-// Either way the file is fsynced before anything is appended.
-func mendTail(path string, b []byte) error {
-	cut := bytes.LastIndexByte(b, '\n') + 1
-	if cut == len(b) {
+// mendJournal cuts the journal at path, holding b, back to its first
+// size bytes — the header, the payload and the record lines the scan
+// reads — and ends it with a newline, fsynced, before anything is
+// appended. The cut drops the line the scan stops at and all after it:
+// a torn fragment a crash mid-append left, a line an older build made
+// by appending a record onto such a fragment, or an end line, which a
+// resumed sweep will write anew. Appended onto a fragment, the next
+// record would fuse with it into one undecodable line; appended after
+// a line the scan stops at, records would count in End's tally but
+// never be read. A last record line the scan reads that lacks only its
+// newline gets one.
+func mendJournal(path string, b []byte, size int) error {
+	if size == len(b) && bytes.HasSuffix(b, newline) {
 		return nil
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return err
 	}
-	var l journalLine
-	if json.Unmarshal(b[cut:], &l) == nil {
-		_, err = f.WriteAt(newline, int64(len(b)))
-	} else {
-		err = f.Truncate(int64(cut))
+	if size < len(b) {
+		err = f.Truncate(int64(size))
+	}
+	if err == nil && !bytes.HasSuffix(b[:size], newline) {
+		_, err = f.WriteAt(newline, int64(size))
 	}
 	if err == nil {
 		err = f.Sync()
@@ -487,14 +493,17 @@ type JournalEntry struct {
 // journal whose last line is an end line with a tally that fits the
 // header: there it keeps the record lines as raw bytes, and each call
 // decodes them. Should a middle line of such a journal not decode, or
-// be an end line of its own — a file edited by hand, or a record an
-// older build appended onto a torn fragment — the records are those
-// before it, as the full scan keeps, though the sweep reads finished.
+// be an end line of its own — a file edited by hand or damaged on disk
+// — the records are those before it, as the full scan keeps, though the
+// sweep reads finished. A line an older build fused onto a torn
+// fragment never comes before a tally: the journal is read in full
+// when its sweep resumes, and OpenJournal cuts that line and all after
+// it before the resumed sweep appends.
 func (e JournalEntry) Records() []ScenarioRecord {
 	if e.Tally == nil {
 		return e.records
 	}
-	recs, _ := scanRecords(e.raw, e.Manifest.ScenarioHashes)
+	recs, _, _ := scanRecords(e.raw, e.Manifest.ScenarioHashes)
 	return recs
 }
 
@@ -601,19 +610,11 @@ var newline = []byte{'\n'}
 // so they pin nothing else of b); otherwise scanRecords decodes them.
 // Only a missing or malformed header is an error.
 func parseJournal(b []byte) (*JournalEntry, error) {
-	line, rest, _ := bytes.Cut(b, newline)
-	var first journalLine
-	if err := json.Unmarshal(line, &first); err != nil {
-		return nil, fmt.Errorf("manifest line: %w", err)
+	e, rest, err := parseHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	if first.Type != "sweep" || first.Sweep == nil {
-		return nil, fmt.Errorf("manifest line: type %q", first.Type)
-	}
-	e := &JournalEntry{Manifest: *first.Sweep}
 	hashes := e.Manifest.ScenarioHashes
-	if len(e.Manifest.SpecJSON) == 0 && len(e.Manifest.ScenariosJSON) == 0 {
-		e.payload, rest, _ = bytes.Cut(rest, newline)
-	}
 	body := bytes.TrimSuffix(rest, newline)
 	cut := bytes.LastIndexByte(body, '\n') + 1
 	var last journalLine
@@ -622,24 +623,44 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 		e.EndDisposition = endDisposition(last)
 		return e, nil
 	}
-	e.records, e.EndDisposition = scanRecords(rest, hashes)
+	e.records, e.EndDisposition, _ = scanRecords(rest, hashes)
 	return e, nil
 }
 
+// parseHeader decodes a journal's header line and sets its payload line
+// aside undecoded, returning the entry and the record lines after them.
+// Only a missing or malformed header is an error.
+func parseHeader(b []byte) (*JournalEntry, []byte, error) {
+	line, rest, _ := bytes.Cut(b, newline)
+	var first journalLine
+	if err := json.Unmarshal(line, &first); err != nil {
+		return nil, nil, fmt.Errorf("manifest line: %w", err)
+	}
+	if first.Type != "sweep" || first.Sweep == nil {
+		return nil, nil, fmt.Errorf("manifest line: type %q", first.Type)
+	}
+	e := &JournalEntry{Manifest: *first.Sweep}
+	if len(e.Manifest.SpecJSON) == 0 && len(e.Manifest.ScenariosJSON) == 0 {
+		e.payload, rest, _ = bytes.Cut(rest, newline)
+	}
+	return e, rest, nil
+}
+
 // scanRecords is the record loop: it decodes b line by line up to the
-// first end line, returning the records to keep and the end's
-// disposition ("" when there is no end line). The first undecodable
-// line is taken for the torn tail of a crash: the loop stops there,
-// keeping what came before. A record whose index is outside the
-// header's scenarios, or whose hash is not the header's hash for that
-// index, is dropped: it cannot describe this sweep.
-func scanRecords(b []byte, hashes []string) (recs []ScenarioRecord, disposition string) {
+// first end line, returning the records to keep, the end's disposition
+// ("" when there is no end line) and n, the length of the record lines
+// it read: b up to the line it stopped at, all of b if none. The first
+// undecodable line is taken for the torn tail of a crash: the loop
+// stops there, keeping what came before. A record whose index is
+// outside the header's scenarios, or whose hash is not the header's
+// hash for that index, is dropped: it cannot describe this sweep.
+func scanRecords(b []byte, hashes []string) (recs []ScenarioRecord, disposition string, n int) {
 	// pos[i] is one past scenario i's position in recs, 0 for none. Both
 	// are sized by the hashes the header decoded, so by the file.
 	var pos []int
-	for len(b) > 0 {
+	for rest := b; len(rest) > 0; n = len(b) - len(rest) {
 		var line []byte
-		line, b, _ = bytes.Cut(b, newline)
+		line, rest, _ = bytes.Cut(rest, newline)
 		var l journalLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			break // the torn tail
@@ -661,10 +682,10 @@ func scanRecords(b []byte, hashes []string) (recs []ScenarioRecord, disposition 
 			recs = append(recs, *rec)
 			pos[rec.Index] = len(recs)
 		case "end":
-			return recs, endDisposition(l)
+			return recs, endDisposition(l), n
 		}
 	}
-	return recs, ""
+	return recs, "", n
 }
 
 // endDisposition is an end line's disposition, "complete" when blank.

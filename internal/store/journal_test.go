@@ -7,7 +7,8 @@ package store
 // records written in the create (and a journal sealed there), the
 // parallel scan against a one-by-one read, the isolation invariant that the sweeps/ directory never leaks
 // into the result-entry scan, the end line's tally and the tail read
-// behind it, and resuming a journal with a torn tail.
+// behind it, and resuming a journal with a torn tail or a line an older
+// build fused onto one.
 
 import (
 	"encoding/json"
@@ -835,6 +836,66 @@ func TestJournalReopenTerminatesWholeLastLine(t *testing.T) {
 	}
 	if e.Tally == nil || *e.Tally != (Tally{Done: 1, Failed: 1}) {
 		t.Fatalf("tally %+v, want 1 done and 1 failed", e.Tally)
+	}
+}
+
+// TestJournalReopenCutsFusedLine: in a journal an older build fused —
+// it appended a resumed record onto a torn fragment, then another
+// record and an end line without a tally — the scan stops at the fused
+// line. Reopening the journal cuts that line and everything after it,
+// so the records a resume appends, and the tally End writes, are the
+// ones the next scan reads.
+func TestJournalReopenCutsFusedLine(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sampleManifest("sw-7042-0003")
+	m.ScenarioHashes = []string{scenA, scenB, "dddd4444"}
+	j, err := s.CreateJournal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(ScenarioRecord{Index: 0, Hash: scenA, State: "done"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Detach()
+	path := s.journalPath(m.ID)
+	kept := mustRead(t, path)
+	appendRaw(t, path, `{"type":"scenario","scenario":{"ind`+
+		`{"type":"scenario","scenario":{"index":1,"hash":"`+scenB+`","state":"done"}}`+"\n"+
+		`{"type":"scenario","scenario":{"index":2,"hash":"dddd4444","state":"done"}}`+"\n"+
+		`{"type":"end","disposition":"complete"}`+"\n")
+	if e := scanOne(t, s); e.EndDisposition != "" || len(e.Records()) != 1 {
+		t.Fatalf("fused journal read %q with records %+v, want incomplete with index 0's", e.EndDisposition, e.Records())
+	}
+
+	j2, err := s.OpenJournal(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := mustRead(t, path); string(b) != string(kept) {
+		t.Fatalf("reopened journal holds\n%s\nwant the lines before the fused one\n%s", b, kept)
+	}
+	for _, rec := range []ScenarioRecord{
+		{Index: 1, Hash: scenB, State: "cached", CacheHit: true},
+		{Index: 2, Hash: "dddd4444", State: "failed", Error: "boom"},
+	} {
+		if err := j2.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j2.End("complete"); err != nil {
+		t.Fatal(err)
+	}
+	e := scanOne(t, s)
+	want := Tally{Done: 1, Cached: 1, Failed: 1}
+	if e.EndDisposition != "complete" || e.Tally == nil || *e.Tally != want || len(e.Records()) != 3 || tallyOf(e.Records()) != want {
+		t.Fatalf("resumed fused journal: disposition %q, tally %+v, records %+v; want %+v", e.EndDisposition, e.Tally, e.Records(), want)
+	}
+	eager, disposition := parseEager(mustRead(t, path))
+	if !reflect.DeepEqual(e.Records(), eager) || disposition != "complete" {
+		t.Fatalf("records %+v, decoding at scan time gives %+v (%q)", e.Records(), eager, disposition)
 	}
 }
 
