@@ -82,6 +82,8 @@ check: vet metrics-lint
 #     with one conversion chain and with several in lockstep;
 #   - the sweep-journal scanner: no panic, an unreadable header is
 #     quarantined, and every kept record fits its manifest;
+#   - the journal's line decoder: a line its fast path takes decodes
+#     to what json.Unmarshal makes of it;
 #   - the result-entry reader: no panic, and an accepted entry starts
 #     with its result header, carries the requested key and ends with
 #     the trailer;
@@ -104,13 +106,17 @@ check: vet metrics-lint
 #     a result only from a done or cached line.
 # The seed corpora live under
 # internal/{obs,surrogate,service,power,store,telemetry,optimize,autocsm,core,cooling,cluster}/testdata/fuzz.
+# The two journal targets bound minimizing a new input to 10 runs: left
+# unbounded, FuzzReadJournal spent nearly all of its 15 s minimizing
+# (100-138 execs, against ~11,000 with the bound).
 fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 15s
 	$(GO) test ./internal/surrogate/ -run '^$$' -fuzz '^FuzzModelUnmarshal$$' -fuzztime 15s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzScenarioRequestRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalMatchesCompute$$' -fuzztime 15s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz '^FuzzIncrementalChainsMatchCompute$$' -fuzztime 15s
-	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 15s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 15s -fuzzminimizetime 10x
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzDecodeLine$$' -fuzztime 15s -fuzzminimizetime 10x
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 15s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzReadLease$$' -fuzztime 15s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 15s

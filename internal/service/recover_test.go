@@ -540,6 +540,7 @@ func BenchmarkRecover(b *testing.B) {
 
 func benchmarkRecover(b *testing.B, sweeps, perSweep int) {
 	dir := journalFinishedSweeps(b, sweeps, perSweep)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := store.Open(dir)

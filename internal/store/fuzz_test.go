@@ -232,6 +232,72 @@ func brokenMiddle(raw []byte) bool {
 	return false
 }
 
+// FuzzDecodeLine holds the journal's line decoder to json.Unmarshal on
+// arbitrary bytes: when the fast path takes a line, json.Unmarshal
+// accepts it too and decodes it to the same value; and decodeLine, fast
+// path or not, returns what json.Unmarshal returns. The seeds are a
+// header, a record and an end line as the journal writes them, plain
+// and otherwise, and lines at the edges of the fast path's layout.
+func FuzzDecodeLine(f *testing.F) {
+	m := sampleManifest("sw-f00d")
+	m.SpecJSON, m.ScenariosJSON = nil, nil
+	m.Names = []string{"a", "b"}
+	for _, l := range []journalLine{
+		{Type: "sweep", Sweep: m},
+		{Type: "sweep", Sweep: sampleManifest("sw-f00d")},
+		{Type: "scenario", Scenario: &ScenarioRecord{Index: 1, Hash: scenB, State: "failed", Error: "boom", Attempts: 3, WallSec: 1.5e-7, CacheHit: true}},
+		{Type: "scenario", Scenario: &ScenarioRecord{Index: 0, Hash: scenA, State: "done", Error: "<\"é\">"}},
+		{Type: "end", Disposition: "complete", Tally: &Tally{Done: 5, Cached: 2, Failed: 1}},
+		{Type: "end", Disposition: "cancelled"},
+	} {
+		b, err := json.Marshal(l)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, line := range []string{
+		`{"type":"scenario","scenario":{"index":01,"hash":"h","state":"done"}}`,
+		`{"type":"scenario","scenario":{"index":-0,"attempts":99999999999999999999}}`,
+		`{"type":"scenario","scenario":{"index":1.0}}`,
+		`{"type":"scenario","scenario":{"index":1,"wall_sec":1e400}}`,
+		`{"type":"scenario","scenario":{"index":1,"wall_sec":1.}}`,
+		`{"type":"scenario","scenario":{"wall_sec":-0.5E+3,"cache_hit":false}}`,
+		`{"type":"scenario","scenario":{"index":1,"hash":"h","cache_hit":true},"scenario":null}`,
+		`{"type":"scenario","scenario":{"hash":"h","index":1}}`,
+		`{"type":"scenario","scenario":{"Index":1,"HASH":"h"}}`,
+		`{"type":"scenario","scenario":{"index":1,"retries":2}}`,
+		`{"type":"scenario", "scenario":{"index":1}}`,
+		`{"type":"end","tally":null}`,
+		`{"type":"end","disposition":"complete","tally":{"done":1,"cached":0,"failed":0}} `,
+		`{"type":"end","disposition":"complete"}x`,
+		`{"type":"end","disposition":"\u0063omplete"}`,
+		`{"type":"sweep","sweep":{"id":"sw-1","spec_hash":"s","scenario_hashes":null}}`,
+		`{"type":"sweep","sweep":{"id":"sw-1","scenario_hashes":[],"names":["","a"]}}`,
+		`{"type":"sweep","sweep":{"id":"sw-1","scenario_hashes":["a",]}}`,
+		`{"type":"sweep","sweep":{"id":"sw-1","scenario_hashes":["a"],"spec":{},"scenarios":[]}}`,
+		`{"type":"sweep","sweep":{"id":"sw-1","created_unix_nano":-9223372036854775808}}`,
+		`{"type":"payload","payload":{"spec":{},"scenarios":[]}}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fast, ref, got journalLine
+		refErr := json.Unmarshal(data, &ref)
+		if fastLine(data, &fast) {
+			if refErr != nil {
+				t.Fatalf("fast path took %q, json.Unmarshal refuses it: %v", data, refErr)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("fast path decoded %q to %+v, json.Unmarshal to %+v", data, fast, ref)
+			}
+		}
+		if err := decodeLine(data, &got); (err == nil) != (refErr == nil) || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("decodeLine(%q) = %+v, %v; json.Unmarshal gives %+v, %v", data, got, err, ref, refErr)
+		}
+	})
+}
+
 // The key FuzzReadEntry asks the reader for; the seed corpus's entries
 // are keyed by it, or deliberately not.
 const (

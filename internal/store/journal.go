@@ -51,8 +51,19 @@ package store
 // sweep's summary costs no record decode. The tally is optional; a
 // journal without one (written before it, incomplete, or with a tally
 // that cannot fit) has its records decoded by the scan.
+//
+// The scan's header, end-line and record decodes go through decodeLine
+// (journal_decode.go). A header, record or end line laid out exactly as
+// encoding/json writes it — field order, no whitespace, ASCII strings
+// without escapes, plain numbers — takes a fast path without
+// reflection; any other line, a pre-split header or one with escapes
+// among them, goes to json.Unmarshal. json.Unmarshal remains the
+// fallback and the reference: the fast path decodes every line it
+// takes to the value json.Unmarshal gives, so what the scan keeps does
+// not depend on which path read a line.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -271,7 +282,8 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 	err := writeAtomic(path, func(f *os.File) error {
 		hdr := *m
 		hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
-		enc := json.NewEncoder(f)
+		bw := bufio.NewWriter(f)
+		enc := json.NewEncoder(bw)
 		err := enc.Encode(journalLine{Type: "sweep", Sweep: &hdr})
 		if err == nil {
 			err = enc.Encode(journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
@@ -281,6 +293,9 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 		}
 		if sealed && err == nil {
 			err = enc.Encode(journalLine{Type: "end", Disposition: "complete", Tally: kept.tally()})
+		}
+		if err == nil {
+			err = bw.Flush()
 		}
 		return err
 	})
@@ -542,7 +557,10 @@ func (e *JournalEntry) Payload() (spec, scenarios json.RawMessage, err error) {
 // ScanJournals reads every journal under the store, oldest first
 // (manifest creation time, ties in file-name order). The files are read
 // and parsed on min(GOMAXPROCS, files) goroutines; what the scan
-// returns, quarantines and counts does not depend on that number. A
+// returns, quarantines and counts does not depend on that number. The
+// header, end and record lines that encoding/json wrote with plain
+// ASCII strings decode on decodeLine's fast path, every other line
+// through json.Unmarshal, the reference both paths agree with. A
 // torn trailing line — the worst a crash mid-append can leave —
 // truncates that journal's records at the tear; a journal whose
 // manifest line itself is unreadable is quarantined like a corrupt
@@ -618,7 +636,7 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 	body := bytes.TrimSuffix(rest, newline)
 	cut := bytes.LastIndexByte(body, '\n') + 1
 	var last journalLine
-	if json.Unmarshal(body[cut:], &last) == nil && last.Type == "end" && last.Tally.fits(len(hashes)) {
+	if decodeLine(body[cut:], &last) == nil && last.Type == "end" && last.Tally.fits(len(hashes)) {
 		e.raw, e.Tally = bytes.Clone(rest[:cut]), last.Tally
 		e.EndDisposition = endDisposition(last)
 		return e, nil
@@ -633,7 +651,7 @@ func parseJournal(b []byte) (*JournalEntry, error) {
 func parseHeader(b []byte) (*JournalEntry, []byte, error) {
 	line, rest, _ := bytes.Cut(b, newline)
 	var first journalLine
-	if err := json.Unmarshal(line, &first); err != nil {
+	if err := decodeLine(line, &first); err != nil {
 		return nil, nil, fmt.Errorf("manifest line: %w", err)
 	}
 	if first.Type != "sweep" || first.Sweep == nil {
@@ -662,7 +680,7 @@ func scanRecords(b []byte, hashes []string) (recs []ScenarioRecord, disposition 
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, newline)
 		var l journalLine
-		if err := json.Unmarshal(line, &l); err != nil {
+		if err := decodeLine(line, &l); err != nil {
 			break // the torn tail
 		}
 		switch l.Type {
