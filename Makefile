@@ -80,8 +80,10 @@ check: vet metrics-lint
 #     a scenario's wire form decodes back to the same content hash;
 #   - the power engine: any slot-operation sequence matches Compute,
 #     with one conversion chain and with several in lockstep;
-#   - the sweep-journal scanner: no panic, an unreadable header is
-#     quarantined, and every kept record fits its manifest;
+#   - the sweep log's scan, in memory: no panic, a torn last line is
+#     not read, each sweep reads as its lines split by id read on their
+#     own, and every kept record fits its manifest; and a per-file
+#     journal of an earlier build reads the same once moved into the log;
 #   - the journal's line decoder: a line its fast path takes decodes
 #     to what json.Unmarshal makes of it;
 #   - the result-entry reader: no panic, and an accepted entry starts
@@ -132,12 +134,15 @@ fuzz:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Run the power engine's, the uncooled twin day's and the journal
-# recovery's micro-benchmarks once each: go test ./... never runs a
-# benchmark body, so this is what keeps BenchmarkIncrementalDelta,
-# BenchmarkWhatifDay (solo and in lockstep) and BenchmarkRecover
-# building and running. It times nothing worth reading.
+# Run the power engine's, the uncooled twin day's, the journal
+# recovery's and the cached submit path's micro-benchmarks once each:
+# go test ./... never runs a benchmark body, so this is what keeps
+# BenchmarkIncrementalDelta, BenchmarkWhatifDay (solo and in lockstep),
+# BenchmarkRecover, BenchmarkRecoverThenRead and
+# BenchmarkCachedSweepSubmit (one and two submitters, with the sweep
+# log's journal_syncs/op) building and running. It times nothing worth
+# reading.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'IncrementalDelta|WhatifDay|Recover' -benchtime 1x ./internal/power ./internal/core ./internal/service
+	$(GO) test -run '^$$' -bench 'IncrementalDelta|WhatifDay|Recover|CachedSweepSubmit' -benchtime 1x ./internal/power ./internal/core ./internal/service
 
 ci: build vet test bench-test bench-smoke check

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -382,6 +383,68 @@ func smallSubmit(name string, seeds ...int64) SubmitRequest {
 		})
 	}
 	return req
+}
+
+// TestSubmitPathLeavesOneLog: submitting ten times MaxSweeps sweeps,
+// the registry pruning one per submit once full, creates, renames and
+// unlinks no file per sweep: the sweeps directory holds the log alone
+// (or a rewrite's temp file besides), the log stays within twice its
+// live sweeps' bytes plus the rewrite floor (64 KiB) — it was rewritten
+// on the way — and a restart recovers exactly the retained sweeps.
+func TestSubmitPathLeavesOneLog(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxSweeps = 4
+	svc := New(Options{Workers: 2, Store: st, MaxSweeps: maxSweeps})
+	scenarios := []core.Scenario{synthScenario(811, 900), synthScenario(812, 900)}
+	for i := 0; i < 10*maxSweeps; i++ {
+		waitSweep(t, mustSubmit(t, svc, scenarios, SweepOptions{Name: fmt.Sprintf("s-%d", i)}))
+	}
+	files, err := os.ReadDir(filepath.Join(dir, "sweeps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		if f.Name() != "journal.log" && !strings.HasPrefix(f.Name(), ".journal.log.tmp-") {
+			t.Fatalf("sweeps directory holds %s", f.Name())
+		}
+		names = append(names, f.Name())
+	}
+	if len(names) == 0 || len(names) > 2 {
+		t.Fatalf("sweeps directory holds %v, want the log and at most a rewrite's temp file", names)
+	}
+	live := make(map[string]bool)
+	for _, sum := range svc.List() {
+		live[sum.ID] = true
+	}
+	b, err := os.ReadFile(journalLog(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveBytes := 0
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if id, _, _ := strings.Cut(line, " "); live[id] {
+			liveBytes += len(line)
+		}
+	}
+	if len(b) > 2*liveBytes+64<<10 {
+		t.Fatalf("log of %d bytes holds %d live", len(b), liveBytes)
+	}
+	if m := st.Stats(); m.JournalRewrites == 0 || m.JournalErrors != 0 {
+		t.Fatalf("%d rewrites, %d journal errors; want at least one rewrite and no error", m.JournalRewrites, m.JournalErrors)
+	}
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := New(Options{Workers: 2, Store: st2, MaxSweeps: maxSweeps}).Recover()
+	if err != nil || stats.Finished != maxSweeps || stats.Adopted != 0 {
+		t.Fatalf("restart: %+v, %v; want the %d retained sweeps finished", stats, err, maxSweeps)
+	}
 }
 
 // TestHTTPIdempotencyKeyDedupes: the first submission with a key is a

@@ -228,7 +228,7 @@ func TestExpositionCarriesServiceCounters(t *testing.T) {
 	for op, want := range map[string]float64{
 		"hit": 0, "miss": 4, "put": 4, "put_error": 0, "corrupt_quarantined": 0,
 		"quarantine_purged": 0, "lease_acquired": 0, "lease_wait": 0, "lease_steal": 0,
-		"journal_create": 1, "journal_error": 0,
+		"journal_create": 1, "journal_rewrite": 0, "journal_error": 0,
 	} {
 		id := obs.ExpoSeries{Name: "exadigit_store_ops_total",
 			Labels: map[string]string{"op": op}}.ID()

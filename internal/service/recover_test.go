@@ -434,22 +434,73 @@ func TestRecoverParentFormatJournals(t *testing.T) {
 	}
 }
 
-// corruptPayload garbles the payload line of a sweep's journal.
-func corruptPayload(t *testing.T, dir, id string) {
+// journalLog is the sweep log of the store in dir.
+func journalLog(dir string) string { return filepath.Join(dir, "sweeps", "journal.log") }
+
+// journalOf returns a sweep's journal from the log of the store in dir:
+// the journal lines the log holds for it after its last tombstone,
+// without their id.
+func journalOf(t *testing.T, dir, id string) []byte {
 	t.Helper()
-	path := filepath.Join(dir, "sweeps", id+".journal")
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(journalLog(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(b, []byte("\n"))
-	if len(lines) < 2 || !bytes.HasPrefix(lines[1], []byte(`{"type":"payload",`)) {
-		t.Fatalf("journal %s has no payload line", id)
+	var out []byte
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		body, ok := bytes.CutPrefix(line, []byte(id+" "))
+		switch {
+		case !ok:
+		case string(body) == `{"type":"removed"}`+"\n":
+			out = nil
+		default:
+			out = append(out, body...)
+		}
 	}
-	lines[1] = []byte("{\"type\":\"payload\",\"payload\":{\"spec\":{\"na\n")
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+	if out == nil {
+		t.Fatalf("the log holds no journal of %s", id)
+	}
+	return out
+}
+
+// editJournal replaces a sweep's journal in the log of the store in dir
+// with edit's result, in place of its first line.
+func editJournal(t *testing.T, dir, id string, edit func([]byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(journalLog(dir))
+	if err != nil {
 		t.Fatal(err)
 	}
+	edited := edit(journalOf(t, dir, id))
+	var out []byte
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(id+" ")) {
+			out = append(out, line...)
+			continue
+		}
+		for _, l := range bytes.SplitAfter(edited, []byte("\n")) {
+			if len(l) > 0 {
+				out = append(append(out, id+" "...), l...)
+			}
+		}
+		edited = nil
+	}
+	if err := os.WriteFile(journalLog(dir), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptPayload garbles the payload line of a sweep's journal.
+func corruptPayload(t *testing.T, dir, id string) {
+	t.Helper()
+	editJournal(t, dir, id, func(b []byte) []byte {
+		lines := bytes.SplitAfter(b, []byte("\n"))
+		if len(lines) < 2 || !bytes.HasPrefix(lines[1], []byte(`{"type":"payload",`)) {
+			t.Fatalf("journal %s has no payload line", id)
+		}
+		lines[1] = []byte("{\"type\":\"payload\",\"payload\":{\"spec\":{\"na\n")
+		return bytes.Join(lines, nil)
+	})
 }
 
 // TestRecoverBadPayload: a payload line that does not decode fails the
@@ -512,9 +563,7 @@ func TestRecoverBadPayload(t *testing.T) {
 	if _, ok := svc2.Sweep(killed.ID()); ok {
 		t.Fatal("sweep with a bad payload resumed")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "sweeps", killed.ID()+".journal")); err != nil {
-		t.Fatalf("rejected journal not left in place: %v", err)
-	}
+	journalOf(t, dir, killed.ID()) // the rejected journal is left in place
 	mu.Lock()
 	defer mu.Unlock()
 	if len(logs) != 1 || !strings.Contains(logs[0], killed.ID()) || !strings.Contains(logs[0], "payload") {
@@ -668,14 +717,22 @@ func appendFragment(t *testing.T, dir, id string) {
 	appendRawJournal(t, dir, id, `{"type":"scenario","scenario":{"ind`)
 }
 
-// appendRawJournal appends text to a sweep's journal.
+// appendRawJournal appends text to a sweep's journal: each of its
+// lines, the last one torn when it has no newline, goes to the end of
+// the store's log after the sweep's id.
 func appendRawJournal(t *testing.T, dir, id, text string) {
 	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, "sweeps", id+".journal"), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(journalLog(dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(text); err != nil {
+	var lines strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if line != "" {
+			lines.WriteString(id + " " + line)
+		}
+	}
+	if _, err := f.WriteString(lines.String()); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -893,20 +950,15 @@ var tallyField = regexp.MustCompile(`,"tally":\{[^}]*\}`)
 // with tally ("" strips it); the end line must carry one.
 func editTally(t *testing.T, dir, id, tally string) {
 	t.Helper()
-	path := filepath.Join(dir, "sweeps", id+".journal")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tallyField.Match(b) {
-		t.Fatalf("journal %s has no tally", id)
-	}
 	if tally != "" {
 		tally = `,"tally":` + tally
 	}
-	if err := os.WriteFile(path, tallyField.ReplaceAllLiteral(b, []byte(tally)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	editJournal(t, dir, id, func(b []byte) []byte {
+		if !tallyField.Match(b) {
+			t.Fatalf("journal %s has no tally", id)
+		}
+		return tallyField.ReplaceAllLiteral(b, []byte(tally))
+	})
 }
 
 // copyStore copies the store in src, journals and entries, to a new

@@ -258,6 +258,8 @@ func (s *Service) registerMetrics() {
 				emit([]string{"lease_steal"}, float64(m.LeaseSteals))
 				emit([]string{"journal_create"}, float64(m.JournalCreates))
 				emit([]string{"journal_append"}, float64(m.JournalAppends))
+				emit([]string{"journal_sync"}, float64(m.JournalSyncs))
+				emit([]string{"journal_rewrite"}, float64(m.JournalRewrites))
 				emit([]string{"journal_error"}, float64(m.JournalErrors))
 			})
 		reg.GaugeFunc("exadigit_store_entries",
@@ -454,14 +456,18 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	return sw, false, nil
 }
 
-// dropJournals deletes the journals of sweeps dropped from the registry,
-// so a pruned or removed sweep is not re-adopted at the next restart.
-// It is file I/O, so callers hold no lock.
+// dropJournals drops the journals of sweeps dropped from the registry,
+// so a pruned or removed sweep is not re-adopted at the next restart. A
+// sweep never journaled (ephemeral, or its create failed) has nothing
+// to drop. It is file I/O, so callers hold no lock.
 func (s *Service) dropJournals(sweeps []*Sweep) {
 	if s.store == nil {
 		return
 	}
 	for _, sw := range sweeps {
+		if sw.journal == nil && !sw.recovered {
+			continue
+		}
 		if err := s.store.RemoveJournal(sw.id); err != nil {
 			s.printf("service: sweep %s journal remove: %v", sw.id, err)
 		}

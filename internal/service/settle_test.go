@@ -11,8 +11,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,10 +36,7 @@ func storeOps(t *testing.T, reg *obs.Registry, op string) float64 {
 // journalLineTypes lists the "type" of every line of a sweep's journal.
 func journalLineTypes(t *testing.T, dir, id string) []string {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join(dir, "sweeps", id+".journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := journalOf(t, dir, id)
 	var types []string
 	for _, line := range bytes.Split(bytes.TrimSuffix(b, []byte{'\n'}), []byte{'\n'}) {
 		var l struct {
@@ -303,38 +300,65 @@ func mustSubmit(t testing.TB, svc *Service, scenarios []core.Scenario, opts Swee
 
 // BenchmarkCachedSweepSubmit times the cached-read path a warm service
 // serves most: submitting an 8-scenario sweep whose results are all in
-// the memory tier, through to the sweep being done, over a disk store.
-// journal_fsyncs/op counts the journal's creates plus appends per sweep.
+// the memory tier, through to the sweep being done, over a disk store —
+// from one submitter, and from two at once. journal_syncs/op counts the
+// sweep log's fsyncs per sweep: one sealed create each alone, fewer
+// when two submitters' creates share a group commit.
 func BenchmarkCachedSweepSubmit(b *testing.B) {
+	for _, submitters := range []int{1, 2} {
+		b.Run(fmt.Sprintf("submitters=%d", submitters), func(b *testing.B) {
+			benchmarkCachedSweepSubmit(b, submitters)
+		})
+	}
+}
+
+func benchmarkCachedSweepSubmit(b *testing.B, submitters int) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	svc := New(Options{Workers: 2, Store: st})
+	defer svc.Close()
 	scenarios := make([]core.Scenario, 8)
 	for i := range scenarios {
 		scenarios[i] = synthScenario(int64(730+i), 900)
 	}
-	wait := func() {
-		sw := mustSubmit(b, svc, scenarios, SweepOptions{})
+	sweep := func() error {
+		sw, err := svc.Submit(config.Frontier(), scenarios, SweepOptions{})
+		if err != nil {
+			return err
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		if err := sw.Wait(ctx); err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if st := sw.Status(); st.Done+st.Cached != len(scenarios) {
-			b.Fatalf("sweep status %+v", st)
+			return fmt.Errorf("sweep status %+v", st)
+		}
+		return nil
+	}
+	if err := sweep(); err != nil { // computes and caches every scenario
+		b.Fatal(err)
+	}
+	before := st.Stats().JournalSyncs
+	b.ResetTimer()
+	var next atomic.Int64
+	errs := make(chan error, submitters)
+	for range submitters {
+		go func() {
+			var err error
+			for err == nil && next.Add(1) <= int64(b.N) {
+				err = sweep()
+			}
+			errs <- err
+		}()
+	}
+	for range submitters {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
 		}
 	}
-	wait() // computes and caches every scenario
-	before := st.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wait()
-	}
 	b.StopTimer()
-	after := st.Stats()
-	fsyncs := (after.JournalCreates - before.JournalCreates) + (after.JournalAppends - before.JournalAppends)
-	b.ReportMetric(float64(fsyncs)/float64(b.N), "journal_fsyncs/op")
-	svc.Close()
+	b.ReportMetric(float64(st.Stats().JournalSyncs-before)/float64(b.N), "journal_syncs/op")
 }

@@ -5,101 +5,181 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
-// FuzzReadJournal fuzzes the journal scanner on arbitrary bytes, with
-// the fuzzed file scanned between two valid journals so the scan runs
-// on several readers: the scan never panics; a journal whose header
-// does not parse is quarantined and left out of the scan; every record
-// the scan keeps has an index within the header's scenarios, the
-// header's hash for that index, and no other record for it; decoding
-// the payload of an accepted journal never panics; and the two valid
-// journals always come back whole, unquarantined.
-//
-// It also holds the tail read to the full scan it stands in for
-// (parseEager): Records returns what that scan keeps, and a tallied
-// journal reads finished with that scan's disposition — unless a
+// FuzzReadJournal fuzzes the sweep log's scan, a function of bytes, in
+// memory: on arbitrary bytes read as a log — in the scan's pieces, and
+// in pieces of a few bytes, so lines straddle them — scanChunks never
+// panics, reads
+// nothing of a torn last line (no newline), and returns, sweep by
+// sweep, what parseJournal makes of that sweep's lines after splitting
+// the log by id (refScan): the entries, oldest first, and the sweeps
+// whose header does not parse. Every byte before the torn tail is a
+// sweep's or dead. Every record the scan keeps has an index within the
+// header's scenarios, the header's hash for that index, and no other
+// record for it; decoding the payload of an accepted journal never
+// panics; and a tallied journal's tail read holds to the full scan it
+// stands in for (parseEager): Records returns what that scan keeps, and
+// the journal reads finished with that scan's disposition — unless a
 // middle line does not decode or is an end line of its own (a file
 // edited by hand), where it still reads finished, keeping the records
 // before that line. When a tally matches the records it counts, the
 // summary it gives (what it leaves out was cancelled) is the records'
-// count of every scenario by state. Reopened and ended, as a resumed
-// sweep's journal is, an accepted journal whose payload decodes (one
-// recovery would resume) reads complete with the records the full scan
-// kept and a tally that counts them. The seed corpus lives under
-// testdata/fuzz.
+// count of every scenario by state.
+//
+// The same bytes, read as a per-file journal of an earlier build, hold
+// the move into the log (movedLines) to the file's own scan: the lines
+// that move read as the file did (checkMoved).
+//
+// The seed corpus under testdata/fuzz holds per-file journals; the
+// seeds added here are logs. TestLogSeedsReopenAppendRewrite runs the
+// file-backed half of the check — reopen, append, rewrite, reopen — on
+// every seed.
 func FuzzReadJournal(f *testing.F) {
-	var valid [2][]byte
-	for i := range valid {
-		m := sampleManifest(fmt.Sprintf("sw-f0-%d", 2*i))
-		m.SpecJSON, m.ScenariosJSON = nil, nil
-		b, err := json.Marshal(journalLine{Type: "sweep", Sweep: m})
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid[i] = append(b, "\n"+
-			`{"type":"payload","payload":{"spec":{},"scenarios":[]}}`+"\n"+
-			`{"type":"scenario","scenario":{"index":1,"hash":"`+scenB+`","state":"done"}}`+"\n"+
-			`{"type":"end","disposition":"complete"}`+"\n"...)
+	for _, seed := range logSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Open(t.TempDir())
+		checkScan(t, data)
+		checkMoved(t, data)
+	})
+}
+
+// logSeeds are logs of two to four sweeps: interleaved, finished and
+// incomplete; a sweep tombstoned and written again; a torn last line; a
+// header that does not decode and a line without an id; a fused record
+// line; a tallied journal sealed at create.
+func logSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	journal := func(id string, tail ...string) []string {
+		m := sampleManifest(id)
+		m.SpecJSON, m.ScenariosJSON = nil, nil
+		m.Names = []string{"a", "b"}
+		b, err := json.Marshal(journalLine{Type: "sweep", Sweep: m})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		dir := filepath.Join(s.Dir(), journalDirName)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
+		return append([]string{string(b), `{"type":"payload","payload":{"spec":{},"scenarios":[]}}`}, tail...)
+	}
+	rec := func(i int, state string) string {
+		return fmt.Sprintf(`{"type":"scenario","scenario":{"index":%d,"hash":"%s","state":"%s"}}`, i, []string{scenA, scenB}[i], state)
+	}
+	const end = `{"type":"end","disposition":"complete"}`
+	tallied := `{"type":"end","disposition":"complete","tally":{"done":1,"cached":1,"failed":0}}`
+	log := func(lines ...string) []byte { return []byte(strings.Join(lines, "")) }
+	line := func(id, l string) string { return id + " " + l + "\n" }
+	each := func(id string, ls []string) string {
+		var b strings.Builder
+		for _, l := range ls {
+			b.WriteString(line(id, l))
 		}
-		path := filepath.Join(dir, "sw-f0-1"+journalSuffix)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		return b.String()
+	}
+	a, b := journal("sw-a0"), journal("sw-b0")
+	return [][]byte{
+		log(line("sw-a0", a[0]), line("sw-b0", b[0]), line("sw-a0", a[1]), line("sw-b0", b[1]),
+			line("sw-a0", rec(0, "done")), line("sw-b0", rec(1, "failed")), line("sw-a0", rec(1, "cached")), line("sw-a0", end)),
+		log(each("sw-a0", journal("sw-a0", rec(0, "done"), end)), line("sw-a0", string(tombstone)),
+			each("sw-b0", journal("sw-b0", rec(1, "done"))), each("sw-a0", journal("sw-a0", rec(1, "failed")))),
+		log(each("sw-a0", journal("sw-a0", rec(0, "done"))), `sw-a0 {"type":"scenario","scenario":{"ind`),
+		log(line("sw-c0", "not json at all"), line("sw-c0", rec(0, "done")), "no id on this line\n",
+			line("sw-A0", a[0]), each("sw-b0", journal("sw-b0", rec(0, "done"), end))),
+		log(each("sw-a0", journal("sw-a0", rec(0, "done"))),
+			line("sw-a0", `{"type":"scenario","scenario":{"ind`+rec(1, "done")), line("sw-a0", end)),
+		log(each("sw-a0", journal("sw-a0", rec(0, "done"), rec(1, "cached"), tallied)),
+			each("sw-b0", journal("sw-b0", rec(1, "cached"), rec(0, "done"), tallied))),
+	}
+}
+
+// refScan is the reference the log scan is held to: the log's lines,
+// up to its last newline, are split by the id before their first space
+// (lines without a valid one dropped), a tombstone drops its sweep's
+// lines so far, and each sweep's lines, without their ids, go through
+// parseJournal one by one; the entries are then stable-sorted by
+// creation time. It returns each entry's journal alongside it, and the
+// sweeps whose header does not parse.
+func refScan(b []byte) (entries []JournalEntry, journals [][]byte, corrupt []string) {
+	var order []string
+	byID := make(map[string][]byte)
+	for _, line := range bytes.SplitAfter(b, newline) {
+		if !bytes.HasSuffix(line, newline) {
+			break
 		}
-		for i, b := range valid {
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("sw-f0-%d", 2*i)+journalSuffix), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		id, body, ok := strings.Cut(string(line[:len(line)-1]), " ")
+		if !ok || !ValidSweepID(id) {
+			continue
 		}
-		scanned, err := s.ScanJournals()
+		if body == string(tombstone) {
+			delete(byID, id)
+			order = slices.DeleteFunc(order, func(o string) bool { return o == id })
+			continue
+		}
+		if _, seen := byID[id]; !seen {
+			order = append(order, id)
+		}
+		byID[id] = append(byID[id], body+"\n"...)
+	}
+	for _, id := range order {
+		e, err := parseJournal(byID[id])
 		if err != nil {
+			corrupt = append(corrupt, id)
+			continue
+		}
+		entries = append(entries, *e)
+		journals = append(journals, byID[id])
+	}
+	idx := make([]int, len(entries))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, k int) bool {
+		return entries[idx[i]].Manifest.CreatedUnixNano < entries[idx[k]].Manifest.CreatedUnixNano
+	})
+	sorted := make([]JournalEntry, len(idx))
+	sortedJournals := make([][]byte, len(idx))
+	for i, k := range idx {
+		sorted[i], sortedJournals[i] = entries[k], journals[k]
+	}
+	return sorted, sortedJournals, corrupt
+}
+
+// checkScan holds scanLog on data to refScan and the scan's invariants.
+func checkScan(t *testing.T, data []byte) {
+	t.Helper()
+	want, journals, corrupt := refScan(data)
+	if len(want) == 0 {
+		want = nil
+	}
+	var sc logScan
+	for _, chunk := range []int{scanReadChunk, 1 + len(data)%29} {
+		var err error
+		if sc, err = scanChunks(bytes.NewReader(data), int64(len(data)), chunk); err != nil {
 			t.Fatal(err)
 		}
-		var entries []JournalEntry
-		for _, e := range scanned {
-			if e.Path == path {
-				entries = append(entries, e)
-				continue
-			}
-			if len(e.Records()) != 1 || e.EndDisposition != "complete" || e.Tally != nil {
-				t.Fatalf("valid journal %s read as %+v", e.Path, e)
-			}
+		if len(sc.entries) == 0 {
+			sc.entries = nil
 		}
-		if len(scanned)-len(entries) != len(valid) {
-			t.Fatalf("scan returned %d of the %d valid journals", len(scanned)-len(entries), len(valid))
+		if !reflect.DeepEqual(sc.entries, want) {
+			t.Fatalf("scan in pieces of %d bytes read\n%+v\nsplitting by id and parsing each journal reads\n%+v", chunk, sc.entries, want)
 		}
-		if _, perr := parseJournal(data); perr != nil {
-			if len(entries) != 0 {
-				t.Fatalf("unreadable header (%v) surfaced in the scan", perr)
-			}
-			if _, err := os.Stat(path + quarantineSuffix); err != nil {
-				t.Fatalf("unreadable header (%v) not quarantined: %v", perr, err)
-			}
-			if c := s.Stats().CorruptQuarantined; c != 1 {
-				t.Fatalf("CorruptQuarantined = %d, want 1", c)
-			}
-			return
-		}
-		if len(entries) != 1 {
-			t.Fatalf("readable journal: scan returned %d entries", len(entries))
-		}
-		if c := s.Stats().CorruptQuarantined; c != 0 {
-			t.Fatalf("CorruptQuarantined = %d with every header readable", c)
-		}
-		e := entries[0]
+	}
+	if !slices.Equal(sc.corrupt, corrupt) {
+		t.Fatalf("corrupt headers %q, want %q", sc.corrupt, corrupt)
+	}
+	var live int64
+	for _, n := range sc.sizes {
+		live += n
+	}
+	if read := int64(bytes.LastIndexByte(data, '\n') + 1); live+sc.dead != read {
+		t.Fatalf("%d live and %d dead bytes of the %d before the torn tail", live, sc.dead, read)
+	}
+	for i := range sc.entries {
+		e := &sc.entries[i]
 		hashes := e.Manifest.ScenarioHashes
 		recs := e.Records()
 		seen := make(map[int]bool)
@@ -115,9 +195,8 @@ func FuzzReadJournal(f *testing.F) {
 			}
 			seen[rec.Index] = true
 		}
-		_, _, payloadErr := e.Payload()
-
-		eagerRecs, eagerDisposition := parseEager(data)
+		_, _, _ = e.Payload()
+		eagerRecs, eagerDisposition := parseEager(journals[i])
 		if !reflect.DeepEqual(recs, eagerRecs) {
 			t.Fatalf("records %+v, the full scan keeps %+v", recs, eagerRecs)
 		}
@@ -125,12 +204,48 @@ func FuzzReadJournal(f *testing.F) {
 			t.Fatalf("disposition %q, the full scan reads %q", e.EndDisposition, eagerDisposition)
 		}
 		if e.Tally != nil {
-			checkTallied(t, &e, eagerDisposition)
+			checkTallied(t, e, eagerDisposition)
 		}
-		if payloadErr == nil {
-			checkResumed(t, s, path, eagerRecs)
-		}
-	})
+	}
+}
+
+// checkMoved reads data as a per-file journal: movedLines fails exactly
+// when parseJournal does, and the lines it moves parse to the file's
+// manifest, payload, records, disposition and tally.
+func checkMoved(t *testing.T, data []byte) {
+	t.Helper()
+	orig, perr := parseJournal(data)
+	moved, err := movedLines(data)
+	if (err == nil) != (perr == nil) {
+		t.Fatalf("movedLines: %v; the file's scan: %v", err, perr)
+	}
+	if err != nil {
+		return
+	}
+	if len(moved) > 0 && moved[len(moved)-1] != '\n' {
+		t.Fatalf("moved lines %q do not end with a newline", moved)
+	}
+	got, err := parseJournal(moved)
+	if err != nil {
+		t.Fatalf("moved lines %q: %v", moved, err)
+	}
+	sameJournal(t, got, orig)
+}
+
+// sameJournal fails unless got reads as want does: the same manifest,
+// disposition, tally, records and payload.
+func sameJournal(t *testing.T, got, want *JournalEntry) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Manifest, want.Manifest) || got.EndDisposition != want.EndDisposition ||
+		!reflect.DeepEqual(got.Tally, want.Tally) || !reflect.DeepEqual(got.Records(), want.Records()) {
+		t.Fatalf("read %+v %q %+v %+v, want %+v %q %+v %+v", got.Manifest, got.EndDisposition, got.Tally, got.Records(),
+			want.Manifest, want.EndDisposition, want.Tally, want.Records())
+	}
+	gs, gc, gerr := got.Payload()
+	ws, wc, werr := want.Payload()
+	if (gerr == nil) != (werr == nil) || !bytes.Equal(gs, ws) || !bytes.Equal(gc, wc) {
+		t.Fatalf("payload %s %s (%v), want %s %s (%v)", gs, gc, gerr, ws, wc, werr)
+	}
 }
 
 // checkTallied holds a tallied journal's tail read to the full scan's
@@ -156,50 +271,6 @@ func checkTallied(t *testing.T, e *JournalEntry, eagerDisposition string) {
 				t.Fatalf("summary %v, the records count %v", summary, materialized)
 			}
 		}
-	}
-}
-
-// checkResumed reopens the journal at path, as a resumed sweep does,
-// records scenario 0 failed, if there is one, and ends it: it then
-// reads complete, with the records the full scan kept before plus the
-// new one, and a tally that counts them.
-func checkResumed(t *testing.T, s *Store, path string, kept []ScenarioRecord) {
-	t.Helper()
-	j, err := s.OpenJournal("sw-f0-1")
-	if err != nil {
-		t.Fatalf("reopening an accepted journal: %v", err)
-	}
-	want := append([]ScenarioRecord(nil), kept...)
-	if hashes := j.kept.hashes; len(hashes) > 0 {
-		rec := ScenarioRecord{Index: 0, Hash: hashes[0], State: "failed", Error: "resumed"}
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for i < len(want) && want[i].Index != 0 {
-			i++
-		}
-		if i == len(want) {
-			want = append(want, rec)
-		}
-		want[i] = rec
-	}
-	if err := j.End("complete"); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := parseJournal(b)
-	if err != nil {
-		t.Fatalf("resumed journal: %v", err)
-	}
-	if e.EndDisposition != "complete" || e.Tally == nil {
-		t.Fatalf("resumed journal read %q with tally %+v", e.EndDisposition, e.Tally)
-	}
-	if got := e.Records(); !reflect.DeepEqual(got, want) || tallyOf(got) != *e.Tally {
-		t.Fatalf("resumed journal: records %+v, tally %+v; before the resume the scan kept %+v", got, *e.Tally, want)
 	}
 }
 

@@ -10,31 +10,32 @@ package store
 // store mark what is already terminal, and only the remainder is
 // recomputed.
 //
-// Journals live under dir/sweeps/<sweep-id>.journal — the "sweeps"
-// directory name is not a hex hash, so the result-entry startup scan
-// never confuses it for a spec directory. Each journal is NDJSON:
+// Every sweep's journal lives in the store's one sweep log,
+// dir/sweeps/journal.log (journal_log.go), each of its lines there
+// prefixed by the sweep id — the "sweeps" directory name is not a hex
+// hash, so the result-entry startup scan never confuses it for a spec
+// directory. A journal is NDJSON:
 //
 //	{"type":"sweep","sweep":{…header…}}                            // id, key, hashes, names, options
 //	{"type":"payload","payload":{"spec":{…},"scenarios":[…]}}      // what a resume needs to recompute
 //	{"type":"scenario","scenario":{"index":3,"state":"done",…}}   // 0+ lines, in the create or appended as scenarios land
 //	{"type":"end","disposition":"complete","tally":{"done":5,"cached":2,"failed":1}} // only once every scenario is terminal
 //
-// The header and payload lines are written together with the store's
-// temp-file + fsync + atomic-rename discipline, so a journal is visible
-// with both complete or not at all. Records of scenarios already final
-// at submission (memory-cache hits) may come in that same create, and
-// when they cover every scenario so does the end line: such a journal
-// is sealed at create and takes no appends. Later records are appended
-// with per-line fsync; a crash can therefore leave at most one torn
-// trailing line, which the scan tolerates (everything before it is
-// kept). OpenJournal cuts the file back to the record lines the scan
-// reads before a resumed sweep appends again — so a torn line, or one
-// an older build fused by appending onto a torn line, goes with
-// whatever follows it — and the appended records are read and tallied
-// alike. A journal without the end line is an incomplete sweep —
-// exactly the crash evidence recovery looks for. ScanJournals reads and
-// parses the files on min(GOMAXPROCS, files) goroutines; its result,
-// quarantines and counts are those of reading them one by one.
+// The header and payload lines are written together in one batch of the
+// log's group commit, and CreateJournal returns once a sync covers them.
+// Records of scenarios already final at submission (memory-cache hits)
+// may come in that same create, and when they cover every scenario so
+// does the end line: such a journal is sealed at create and takes no
+// appends. Later records are appended one call each, each returning once
+// a sync covers it. A torn last line of the log is cut off before
+// anything is appended, so a record never fuses with a fragment.
+// OpenJournal re-homes a journal holding a line the scan stops at before
+// a resumed sweep appends again, so the appended records are read and
+// tallied alike. A journal without the end line is an incomplete sweep —
+// exactly the crash evidence recovery looks for. ScanJournals reads the
+// log once and parses the journals on min(GOMAXPROCS, sweeps)
+// goroutines; its result, quarantines and counts are those of parsing
+// them one by one.
 //
 // The payload — the spec and the scenario list, most of a journal's
 // bytes — sits on a line of its own so the scan can keep it as raw
@@ -63,21 +64,17 @@ package store
 // not depend on which path read a line.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 )
 
 const (
 	journalDirName = "sweeps"
-	journalSuffix  = ".journal"
+	journalSuffix  = ".journal" // a per-file journal of an earlier build
 )
 
 // SweepManifest is a sweep's durable identity, written once at
@@ -215,14 +212,13 @@ func (k *keptStates) tally() *Tally {
 // would have succeeded in memory.
 type SweepJournal struct {
 	s      *Store
-	path   string
-	sealed bool // the end line came in the create: no file is held open
+	id     string
+	sealed bool // the end line came in the create
 
-	mu       sync.Mutex
-	f        *os.File
-	err      error
-	detached bool
-	kept     *keptStates // the records written so far, as the scan will keep them: End's tally
+	mu     sync.Mutex
+	err    error
+	closed bool        // ended or detached: later calls write nothing
+	kept   *keptStates // the records written so far, as the scan will keep them: End's tally
 }
 
 // ErrJournalSealed is returned by Append on a journal sealed at create.
@@ -230,33 +226,28 @@ var ErrJournalSealed = errors.New("store: journal sealed at create")
 
 // ValidSweepID accepts the journal's id alphabet: the "sw-" prefix
 // followed by lowercase hex and dashes. Everything else (path
-// separators, dots, uppercase) is rejected before touching the
+// separators, dots, uppercase, spaces) is rejected before touching the
 // filesystem.
-func ValidSweepID(id string) bool {
-	rest, ok := strings.CutPrefix(id, "sw-")
-	if !ok || rest == "" || len(id) > 80 {
+func ValidSweepID(id string) bool { return validSweepID(id) }
+
+func validSweepID[T string | []byte](id T) bool {
+	if len(id) <= 3 || len(id) > 80 || string(id[:3]) != "sw-" {
 		return false
 	}
-	for _, c := range rest {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') && c != '-' {
+	for i := 3; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') && c != '-' {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *Store) journalPath(id string) string {
-	return filepath.Join(s.dir, journalDirName, id+journalSuffix)
-}
-
 // CreateJournal durably writes the sweep's header and payload lines,
 // then recs — outcomes already final at submission — and returns the
-// open journal for later record appends. Everything is written to a
-// temp file, fsynced, and renamed into place — a journal is never
-// visible half-written — and only then reopened for appending. When recs
+// open journal for later record appends. The lines go to the log in one
+// write, and CreateJournal returns once a sync covers them. When recs
 // cover every scenario the create also writes the "complete" end line:
-// the journal is sealed, nothing is reopened, Append refuses and End is
-// a no-op.
+// the journal is sealed, Append refuses and End is a no-op.
 func (s *Store) CreateJournal(m *SweepManifest, recs ...ScenarioRecord) (*SweepJournal, error) {
 	j, err := s.createJournal(m, recs)
 	s.mu.Lock()
@@ -273,39 +264,34 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 	if m == nil || !ValidSweepID(m.ID) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", idOf(m))
 	}
-	path := s.journalPath(m.ID)
 	kept := newKeptStates(m.ScenarioHashes)
 	for i := range recs {
 		kept.add(&recs[i])
 	}
 	sealed := kept.coversAll()
-	err := writeAtomic(path, func(f *os.File) error {
-		hdr := *m
-		hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
-		bw := bufio.NewWriter(f)
-		enc := json.NewEncoder(bw)
-		err := enc.Encode(journalLine{Type: "sweep", Sweep: &hdr})
-		if err == nil {
-			err = enc.Encode(journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
-		}
-		for i := 0; i < len(recs) && err == nil; i++ {
-			err = enc.Encode(journalLine{Type: "scenario", Scenario: &recs[i]})
-		}
-		if sealed && err == nil {
-			err = enc.Encode(journalLine{Type: "end", Disposition: "complete", Tally: kept.tally()})
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
+	hdr := *m
+	hdr.SpecJSON, hdr.ScenariosJSON = nil, nil
+	lines := make([]journalLine, 0, 3+len(recs))
+	lines = append(lines, journalLine{Type: "sweep", Sweep: &hdr},
+		journalLine{Type: "payload", Payload: &sweepPayload{Spec: m.SpecJSON, Scenarios: m.ScenariosJSON}})
+	for i := range recs {
+		lines = append(lines, journalLine{Type: "scenario", Scenario: &recs[i]})
 	}
 	if sealed {
-		return &SweepJournal{s: s, path: path, sealed: true}, nil
+		lines = append(lines, journalLine{Type: "end", Disposition: "complete", Tally: kept.tally()})
 	}
-	return s.openJournalAppend(path, kept)
+	var buf []byte
+	for _, l := range lines {
+		b, err := json.Marshal(l)
+		if err != nil {
+			return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
+		}
+		buf = appendLogLine(buf, m.ID, b)
+	}
+	if err := s.log.commit(buf, []logItem{{id: m.ID, n: len(buf)}}, true); err != nil {
+		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
+	}
+	return &SweepJournal{s: s, id: m.ID, sealed: sealed, closed: sealed, kept: kept}, nil
 }
 
 func idOf(m *SweepManifest) string {
@@ -316,71 +302,48 @@ func idOf(m *SweepManifest) string {
 }
 
 // OpenJournal reopens an existing journal for appending — how a
-// recovered sweep resumes recording terminal scenarios into the same
-// file. Duplicate records for an index are fine: the scan keeps the
-// last one. The file is first cut back to the record lines the scan
-// reads (mendJournal), and their records count toward End's tally.
+// recovered sweep resumes recording terminal scenarios into it.
+// Duplicate records for an index are fine: the scan keeps the last one.
+// The records the scan reads count toward End's tally. When the
+// journal holds a line the scan stops at — one that does not decode,
+// which a per-file journal fused by an older build may have brought
+// into the log, or an end line — its lines are first replaced, after a
+// tombstone, by the header, the payload and the record lines the scan
+// reads, so that every record appended from here on is read too.
 func (s *Store) OpenJournal(id string) (*SweepJournal, error) {
 	if !ValidSweepID(id) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", id)
 	}
-	path := s.journalPath(id)
-	b, err := os.ReadFile(path)
+	jb, err := s.log.journal(id)
+	if err == nil && jb == nil {
+		err = os.ErrNotExist
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
-	e, rest, err := parseHeader(b)
+	e, rest, err := parseHeader(jb)
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
 	recs, _, n := scanRecords(rest, e.Manifest.ScenarioHashes)
-	if err := mendJournal(path, b, len(b)-len(rest)+n); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", id, err)
+	if n < len(rest) {
+		buf := appendLogLine(nil, id, tombstone)
+		items := []logItem{{id: id, n: len(buf), tomb: true}}
+		for keep := jb[:len(jb)-len(rest)+n]; len(keep) > 0; {
+			var line []byte
+			line, keep, _ = bytes.Cut(keep, newline)
+			buf = appendLogLine(buf, id, line)
+		}
+		items = append(items, logItem{id: id, n: len(buf) - items[0].n})
+		if err := s.log.commit(buf, items, true); err != nil {
+			return nil, fmt.Errorf("store: journal %s: %w", id, err)
+		}
 	}
 	kept := newKeptStates(e.Manifest.ScenarioHashes)
 	for i := range recs {
 		kept.add(&recs[i])
 	}
-	return s.openJournalAppend(path, kept)
-}
-
-// mendJournal cuts the journal at path, holding b, back to its first
-// size bytes — the header, the payload and the record lines the scan
-// reads — and ends it with a newline, fsynced, before anything is
-// appended. The cut drops the line the scan stops at and all after it:
-// a torn fragment a crash mid-append left, a line an older build made
-// by appending a record onto such a fragment, or an end line, which a
-// resumed sweep will write anew. Appended onto a fragment, the next
-// record would fuse with it into one undecodable line; appended after
-// a line the scan stops at, records would count in End's tally but
-// never be read. A last record line the scan reads that lacks only its
-// newline gets one.
-func mendJournal(path string, b []byte, size int) error {
-	if size == len(b) && bytes.HasSuffix(b, newline) {
-		return nil
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	if size < len(b) {
-		err = f.Truncate(int64(size))
-	}
-	if err == nil && !bytes.HasSuffix(b[:size], newline) {
-		_, err = f.WriteAt(newline, int64(size))
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	return errors.Join(err, f.Close())
-}
-
-func (s *Store) openJournalAppend(path string, kept *keptStates) (*SweepJournal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: journal: %w", err)
-	}
-	return &SweepJournal{s: s, path: path, f: f, kept: kept}, nil
+	return &SweepJournal{s: s, id: id, kept: kept}, nil
 }
 
 // Append durably records one scenario's terminal outcome. Errors are
@@ -413,32 +376,26 @@ func (j *SweepJournal) End(disposition string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	err := j.appendLocked(journalLine{Type: "end", Disposition: disposition, Tally: j.kept.tally()})
-	if j.f != nil {
-		_ = j.f.Close()
-		j.f = nil
-	}
+	j.closed = true
 	return err
 }
 
-// appendLocked writes one line and fsyncs it. Callers hold j.mu.
+// appendLocked writes one line and returns once a sync covers it.
+// Callers hold j.mu.
 func (j *SweepJournal) appendLocked(line journalLine) error {
-	if j.detached || j.err != nil || j.f == nil {
+	if j.closed || j.err != nil {
 		return j.err
 	}
 	b, err := json.Marshal(line)
 	if err == nil {
-		_, err = j.f.Write(append(b, '\n'))
-		if err == nil {
-			err = j.f.Sync()
-		}
+		buf := appendLogLine(nil, j.id, b)
+		err = j.s.log.commit(buf, []logItem{{id: j.id, n: len(buf)}}, true)
 	}
 	if err != nil {
-		// Sticky degradation: close, remember the error, count it. The
-		// on-disk journal keeps everything up to the last good line —
-		// recovery tolerates the torn tail this may leave.
+		// Sticky degradation: remember the error, count it. The log keeps
+		// everything up to the last good line.
 		j.err = err
-		_ = j.f.Close()
-		j.f = nil
+		j.closed = true
 		j.s.mu.Lock()
 		j.s.journalErrs++
 		j.s.mu.Unlock()
@@ -451,18 +408,13 @@ func (j *SweepJournal) appendLocked(line journalLine) error {
 }
 
 // Detach severs the journal from the process without writing an end
-// line: the file on disk stays exactly as a kill -9 at this instant
-// would have left it, and every later Append/End is a silent no-op.
-// Crash-recovery tests use this to fabricate a mid-sweep kill inside
-// one process.
+// line: the log stays exactly as a kill -9 at this instant would have
+// left it, and every later Append/End is a silent no-op. Crash-recovery
+// tests use this to fabricate a mid-sweep kill inside one process.
 func (j *SweepJournal) Detach() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.detached = true
-	if j.f != nil {
-		_ = j.f.Close()
-		j.f = nil
-	}
+	j.closed = true
 }
 
 // Err returns the sticky I/O error, if any.
@@ -472,15 +424,18 @@ func (j *SweepJournal) Err() error {
 	return j.err
 }
 
-// RemoveJournal deletes a sweep's journal file — called when the sweep
-// is pruned or removed from the registry, so the journal directory
-// stays bounded by sweep retention. Removing a missing journal is not
-// an error.
+// RemoveJournal drops a sweep's journal — called when the sweep is
+// pruned or removed from the registry, so the log stays bounded by
+// sweep retention. It appends a tombstone and returns once that is
+// written, without waiting for a sync: like the unlink it replaces, it
+// survives the process being killed, and the next sync makes it
+// durable. Removing a missing journal is not an error.
 func (s *Store) RemoveJournal(id string) error {
 	if !ValidSweepID(id) {
 		return fmt.Errorf("store: journal: invalid sweep id %q", id)
 	}
-	if err := os.Remove(s.journalPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	buf := appendLogLine(nil, id, tombstone)
+	if err := s.log.commit(buf, []logItem{{id: id, n: len(buf), tomb: true}}, false); err != nil {
 		return fmt.Errorf("store: journal %s: %w", id, err)
 	}
 	return nil
@@ -495,7 +450,6 @@ type JournalEntry struct {
 	// Tally is the end line's count of the kept records by state, set
 	// only when the scan left the records undecoded (see Records).
 	Tally *Tally
-	Path  string
 
 	payload []byte           // the raw payload line; nil for a pre-split journal
 	records []ScenarioRecord // decoded by the scan (Tally == nil)
@@ -512,8 +466,8 @@ type JournalEntry struct {
 // — the records are those before it, as the full scan keeps, though the
 // sweep reads finished. A line an older build fused onto a torn
 // fragment never comes before a tally: the journal is read in full
-// when its sweep resumes, and OpenJournal cuts that line and all after
-// it before the resumed sweep appends.
+// when its sweep resumes, and OpenJournal re-homes the journal without
+// that line and all after it before the resumed sweep appends.
 func (e JournalEntry) Records() []ScenarioRecord {
 	if e.Tally == nil {
 		return e.records
@@ -523,7 +477,7 @@ func (e JournalEntry) Records() []ScenarioRecord {
 }
 
 // WithoutPayload returns e without its payload — the payload line, a
-// slice of the scan's read of the whole file, or a pre-split header's
+// slice of the scan's read of the whole log, or a pre-split header's
 // inline fields: what a caller keeps past the scan, so that it pins
 // neither that buffer nor the bulk of the journal's bytes.
 func (e JournalEntry) WithoutPayload() JournalEntry {
@@ -554,70 +508,40 @@ func (e *JournalEntry) Payload() (spec, scenarios json.RawMessage, err error) {
 	return line.Payload.Spec, line.Payload.Scenarios, nil
 }
 
-// ScanJournals reads every journal under the store, oldest first
-// (manifest creation time, ties in file-name order). The files are read
-// and parsed on min(GOMAXPROCS, files) goroutines; what the scan
-// returns, quarantines and counts does not depend on that number. The
-// header, end and record lines that encoding/json wrote with plain
-// ASCII strings decode on decodeLine's fast path, every other line
-// through json.Unmarshal, the reference both paths agree with. A
-// torn trailing line — the worst a crash mid-append can leave —
-// truncates that journal's records at the tear; a journal whose
-// manifest line itself is unreadable is quarantined like a corrupt
-// result entry.
+// ScanJournals reads every sweep's journal from the log, oldest first
+// (manifest creation time, ties in log order), from one file (scanLog):
+// one pass indexes its lines by sweep id, then each live sweep's lines
+// are read and parsed on min(GOMAXPROCS, sweeps) goroutines; what the scan returns, quarantines and counts does not
+// depend on that number. The header, end and record lines that
+// encoding/json wrote with plain ASCII strings decode on decodeLine's
+// fast path, every other line through json.Unmarshal, the reference
+// both paths agree with. A torn last line of the log is not read; a
+// line a journal's record loop stops at truncates that journal's
+// records there. A sweep whose header line is unreadable is left out,
+// counted as a corrupt quarantined entry and tombstoned, so it is
+// counted once.
 func (s *Store) ScanJournals() ([]JournalEntry, error) {
-	dir := filepath.Join(s.dir, journalDirName)
-	files, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+	var sc logScan
+	var fi os.FileInfo
+	ok, err := s.log.shared(func(f *os.File, info os.FileInfo) (err error) {
+		fi = info
+		sc, err = scanLog(f, fi.Size())
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("store: journal scan: %w", err)
 	}
-	var paths []string
-	for _, f := range files {
-		name := f.Name()
-		if f.IsDir() || !strings.HasSuffix(name, journalSuffix) {
-			continue
-		}
-		if !ValidSweepID(strings.TrimSuffix(name, journalSuffix)) {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, name))
+	if !ok {
+		return nil, nil
 	}
-	read := make([]*JournalEntry, len(paths)) // nil: the header did not parse
-	parallelFor(len(paths), func(i int) {
-		read[i], _ = readJournal(paths[i])
-	})
-	out := make([]JournalEntry, 0, len(paths))
-	for i, e := range read {
-		if e == nil {
-			s.mu.Lock()
-			s.quarantine(paths[i])
-			s.corrupt++
-			s.mu.Unlock()
-			continue
-		}
-		out = append(out, *e)
+	s.log.adopt(fi, fi.Size(), sc.sizes, sc.dead)
+	for _, id := range sc.corrupt {
+		s.mu.Lock()
+		s.corrupt++
+		s.mu.Unlock()
+		_ = s.RemoveJournal(id)
 	}
-	sort.SliceStable(out, func(i, k int) bool {
-		return out[i].Manifest.CreatedUnixNano < out[k].Manifest.CreatedUnixNano
-	})
-	return out, nil
-}
-
-// readJournal reads one journal file in a single read and parses it.
-func readJournal(path string) (*JournalEntry, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	e, err := parseJournal(b)
-	if err != nil {
-		return nil, err
-	}
-	e.Path = path
-	return e, nil
+	return sc.entries, nil
 }
 
 var newline = []byte{'\n'}
@@ -714,19 +638,14 @@ func endDisposition(l journalLine) string {
 	return l.Disposition
 }
 
-// JournalCount returns the journal files currently on disk — test and
-// operator introspection, not a hot path.
+// JournalCount returns how many sweeps' journals the log holds — test
+// and operator introspection, not a hot path.
 func (s *Store) JournalCount() int {
-	files, err := os.ReadDir(filepath.Join(s.dir, journalDirName))
-	if err != nil {
-		return 0
-	}
 	n := 0
-	for _, f := range files {
-		if !f.IsDir() && strings.HasSuffix(f.Name(), journalSuffix) {
-			n++
-		}
-	}
+	_ = s.log.groups(func(_ *os.File, groups []*logGroup) error {
+		n = len(groups)
+		return nil
+	})
 	return n
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -246,10 +245,7 @@ func TestDecodeLineMatchesUnmarshal(t *testing.T) {
 		if err := j.End("complete"); err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(s.journalPath(m.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := journalBytes(t, s, m.ID)
 		for _, line := range bytes.Split(bytes.TrimSuffix(b, newline), newline) {
 			var l journalLine
 			if err := json.Unmarshal(line, &l); err != nil {
@@ -262,10 +258,10 @@ func TestDecodeLineMatchesUnmarshal(t *testing.T) {
 	}
 }
 
-// TestCreateJournalBytes pins the create's buffered write to the bytes
-// json.Encoder writes for its lines unbuffered: header, payload, the
-// records and, when they cover every scenario, the end line — for
-// journals smaller and larger than the write buffer.
+// TestCreateJournalBytes pins the create's log lines to the sweep id,
+// a space and the bytes json.Encoder writes for each of its lines:
+// header, payload, the records and, when they cover every scenario, the
+// end line — for journals smaller and larger than a 4 KiB page.
 func TestCreateJournalBytes(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -301,9 +297,15 @@ func TestCreateJournalBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		j.Detach()
-		got, err := os.ReadFile(s.journalPath(c.m.ID))
-		if err != nil {
-			t.Fatal(err)
+		var got []byte
+		b := logBytes(t, s)
+		groups, _ := splitLog(b)
+		for _, g := range groups {
+			for _, ln := range g.lines {
+				if g.id == c.m.ID {
+					got = append(got, b[ln.start:ln.end]...)
+				}
+			}
 		}
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
@@ -322,10 +324,16 @@ func TestCreateJournalBytes(t *testing.T) {
 			}
 		}
 		if i == len(cases)-1 && want.Len() < 4096 {
-			t.Fatalf("widest journal is %d bytes: it must overflow the write buffer", want.Len())
+			t.Fatalf("widest journal is %d bytes: it must be larger than a page", want.Len())
 		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("case %d: created journal differs from the unbuffered encoding:\n got %s\nwant %s", i, got, want.Bytes())
+		var wantLog []byte
+		for _, line := range bytes.SplitAfter(want.Bytes(), newline) {
+			if len(line) > 0 {
+				wantLog = append(append(append(wantLog, c.m.ID...), ' '), line...)
+			}
+		}
+		if !bytes.Equal(got, wantLog) {
+			t.Fatalf("case %d: created log lines differ from the encoding:\n got %s\nwant %s", i, got, wantLog)
 		}
 	}
 }

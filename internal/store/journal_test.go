@@ -5,12 +5,15 @@ package store
 // quarantine, last-record-per-index resolution, the header/payload
 // layout and pre-split journals, records that do not fit the manifest,
 // records written in the create (and a journal sealed there), the
-// parallel scan against a one-by-one read, the isolation invariant that the sweeps/ directory never leaks
-// into the result-entry scan, the end line's tally and the tail read
-// behind it, and resuming a journal with a torn tail or a line an older
-// build fused onto one.
+// parallel scan against a one-by-one read, the isolation invariant that
+// the sweeps/ directory never leaks into the result-entry scan, the end
+// line's tally and the tail read behind it, and resuming a journal with
+// a torn tail or a line an older build fused onto one. The sweep log
+// itself — group commit, tombstones, rewrites, shared directories and
+// the move of per-file journals — is tested in journal_log_test.go.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +21,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -116,17 +118,8 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err := j.Append(ScenarioRecord{Index: 0, Hash: scenA, State: "done"}); err != nil {
 		t.Fatal(err)
 	}
-	j.Detach() // the file stays as a kill -9 would leave it
-
-	path := s.journalPath("sw-dead-beef")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"type":"scenario","scenario":{"ind`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	j.Detach() // the log stays as a kill -9 would leave it
+	appendLog(t, s, `sw-dead-beef {"type":"scenario","scenario":{"ind`)
 
 	entries, err := s.ScanJournals()
 	if err != nil {
@@ -148,33 +141,34 @@ func TestJournalTornTailTolerated(t *testing.T) {
 }
 
 // TestJournalCorruptManifestQuarantined: a journal whose first line is
-// unreadable is renamed aside like a corrupt result entry, counted, and
-// excluded from the scan.
+// unreadable is excluded from the scan, counted like a corrupt result
+// entry, and tombstoned, so a second scan neither reads nor counts it
+// again.
 func TestJournalCorruptManifestQuarantined(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(s.Dir(), journalDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "sw-bad-0"+journalSuffix)
-	if err := os.WriteFile(bad, []byte("not json at all\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := s.ScanJournals()
+	j, err := s.CreateJournal(sampleManifest("sw-900d-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("corrupt journal surfaced in scan: %+v", entries)
+	j.Detach()
+	appendLog(t, s, "sw-bad-0 not json at all\n")
+	for scan := 0; scan < 2; scan++ {
+		entries, err := s.ScanJournals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Manifest.ID != "sw-900d-0" {
+			t.Fatalf("scan %d: corrupt journal surfaced, or the good one went: %+v", scan, entries)
+		}
+		if s.Stats().CorruptQuarantined != 1 {
+			t.Fatalf("scan %d: CorruptQuarantined = %d, want 1", scan, s.Stats().CorruptQuarantined)
+		}
 	}
-	if _, err := os.Stat(bad + quarantineSuffix); err != nil {
-		t.Fatalf("corrupt journal not quarantined: %v", err)
-	}
-	if s.Stats().CorruptQuarantined != 1 {
-		t.Fatalf("CorruptQuarantined = %d, want 1", s.Stats().CorruptQuarantined)
+	if n := s.JournalCount(); n != 1 {
+		t.Fatalf("JournalCount = %d after the quarantine, want 1", n)
 	}
 }
 
@@ -362,7 +356,7 @@ func TestValidSweepID(t *testing.T) {
 			t.Errorf("ValidSweepID(%q) = false, want true", id)
 		}
 	}
-	bad := []string{"", "sw-", "sw", "sweep-12", "sw-XYZ", "sw-12/..", "sw-12.journal",
+	bad := []string{"", "sw-", "sw", "sweep-12", "sw-XYZ", "sw-12/..", "sw-12.journal", "sw-1 2",
 		"sw-" + strings.Repeat("a", 80)}
 	for _, id := range bad {
 		if ValidSweepID(id) {
@@ -386,10 +380,7 @@ func TestJournalHeaderCarriesNoPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Detach()
-	b, err := os.ReadFile(s.journalPath(m.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := journalBytes(t, s, m.ID)
 	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("journal has %d lines, want header + payload:\n%s", len(lines), b)
@@ -544,10 +535,7 @@ func TestJournalSealedAtCreate(t *testing.T) {
 	if err := j.End("cancelled"); err != nil {
 		t.Fatalf("End on a sealed journal: %v", err)
 	}
-	b, err := os.ReadFile(sealedStore.journalPath(m.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := journalBytes(t, sealedStore, m.ID)
 	if lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n"); len(lines) != 5 ||
 		!strings.Contains(lines[4], `"disposition":"complete"`) {
 		t.Fatalf("sealed journal lines:\n%s", b)
@@ -623,85 +611,71 @@ func TestJournalRecordsInCreate(t *testing.T) {
 }
 
 // TestScanJournalsMatchesSequentialRead: the parallel scan returns
-// exactly what reading the journals one by one in file-name order and
-// then stable-sorting by creation time returns, and quarantines and
-// counts the same unreadable headers. The 3×GOMAXPROCS+1 journals (at
-// least one of each kind) mix finished, incomplete, torn-tail and
-// pre-split ones with unreadable headers, and share creation times so
-// the sort's ties show.
+// exactly what splitting the log by sweep id and parsing the journals
+// one by one, then stable-sorting them by creation time, returns
+// (refScan), and counts and tombstones the same unreadable headers. The
+// 3×GOMAXPROCS+1 journals (at least one of each kind) mix finished,
+// incomplete, torn-tail and pre-split ones with unreadable headers,
+// interleave in the log with a sweep tombstoned between, and share
+// creation times so the sort's ties show.
 func TestScanJournalsMatchesSequentialRead(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(s.Dir(), journalDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	n := max(3*runtime.GOMAXPROCS(0)+1, 5)
+	var open []*SweepJournal
 	for i := 0; i < n; i++ {
 		m := sampleManifest(fmt.Sprintf("sw-%04x", i))
 		m.CreatedUnixNano = int64((n - i) % 3)
-		path := s.journalPath(m.ID)
 		switch i % 5 {
 		case 0, 1, 2: // finished, incomplete, torn tail
 			j, err := s.CreateJournal(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "done", WallSec: float64(i)}); err != nil {
-				t.Fatal(err)
-			}
-			if i%5 == 0 {
-				err = j.End("complete")
-			} else {
-				j.Detach()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			open = append(open, j)
 			if i%5 == 2 {
-				appendRaw(t, path, `{"type":"scenario","scenario":{"index":0,"ha`)
+				appendLog(t, s, m.ID+` {"type":"scenario","scenario":{"index":0,"ha`+"\n")
 			}
 		case 3: // pre-split: spec and scenarios in the header
 			b, err := json.Marshal(journalLine{Type: "sweep", Sweep: m})
 			if err != nil {
 				t.Fatal(err)
 			}
-			body := string(b) + "\n" +
-				`{"type":"scenario","scenario":{"index":0,"hash":"` + scenA + `","state":"failed","error":"boom"}}` + "\n" +
-				`{"type":"end","disposition":"cancelled"}` + "\n"
-			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			appendLog(t, s, m.ID+" "+string(b)+"\n"+
+				m.ID+` {"type":"scenario","scenario":{"index":0,"hash":"`+scenA+`","state":"failed","error":"boom"}}`+"\n"+
+				m.ID+` {"type":"end","disposition":"cancelled"}`+"\n")
 		case 4: // unreadable header
-			if err := os.WriteFile(path, []byte(`{"type":"sweep","sweep":`+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			appendLog(t, s, m.ID+` {"type":"sweep","sweep":`+"\n")
 		}
 	}
-
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+journalSuffix))
+	gone, err := s.CreateJournal(sampleManifest("sw-90e"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []JournalEntry
-	var bad []string
-	for _, p := range paths {
-		e, err := readJournal(p)
-		if err != nil {
-			bad = append(bad, p)
-			continue
+	gone.Detach()
+	for k, j := range open {
+		if err := j.Append(ScenarioRecord{Index: 1, Hash: scenB, State: "done", WallSec: float64(k)}); err != nil {
+			t.Fatal(err)
 		}
-		want = append(want, *e)
+		if k%3 == 0 {
+			err = j.End("complete")
+		} else {
+			j.Detach()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	sort.SliceStable(want, func(i, k int) bool {
-		return want[i].Manifest.CreatedUnixNano < want[k].Manifest.CreatedUnixNano
-	})
+	if err := s.RemoveJournal("sw-90e"); err != nil {
+		t.Fatal(err)
+	}
+
+	want, _, bad := refScan(logBytes(t, s))
 	if len(want) == 0 || len(bad) == 0 {
 		t.Fatalf("fixture reads %d good and %d bad journals, want both", len(want), len(bad))
 	}
-
 	got, err := s.ScanJournals()
 	if err != nil {
 		t.Fatal(err)
@@ -712,14 +686,65 @@ func TestScanJournalsMatchesSequentialRead(t *testing.T) {
 	if c := s.Stats().CorruptQuarantined; c != uint64(len(bad)) {
 		t.Fatalf("CorruptQuarantined = %d, want %d", c, len(bad))
 	}
-	for _, p := range bad {
-		if _, err := os.Stat(p + quarantineSuffix); err != nil {
-			t.Fatalf("unreadable journal not quarantined: %v", err)
+	if left := s.JournalCount(); left != len(want) {
+		t.Fatalf("%d journals left in the log, want %d", left, len(want))
+	}
+}
+
+// logBytes reads the store's whole log.
+func logBytes(t *testing.T, s *Store) []byte {
+	t.Helper()
+	b, err := os.ReadFile(s.log.path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// splitLog indexes a log held in memory by sweep id (indexGroups).
+func splitLog(b []byte) ([]*logGroup, int64) {
+	groups, dead, _ := indexGroups(bytes.NewReader(b), int64(len(b)))
+	return groups, dead
+}
+
+// journalBytes returns a sweep's journal as the scan reads it: its log
+// lines after its last tombstone, without their ids.
+func journalBytes(t *testing.T, s *Store, id string) []byte {
+	t.Helper()
+	b := logBytes(t, s)
+	groups, _ := splitLog(b)
+	for _, g := range groups {
+		if g.id == id {
+			jb, err := g.load(bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jb
 		}
 	}
-	if left := s.JournalCount(); left != len(want) {
-		t.Fatalf("%d journals left on disk, want %d", left, len(want))
+	t.Fatalf("the log holds no journal of %s", id)
+	return nil
+}
+
+// appendLog appends text, as it is, to the store's log.
+func appendLog(t *testing.T, s *Store, text string) {
+	t.Helper()
+	appendRaw(t, s.log.path, text)
+}
+
+// writeJournalFile writes a per-file journal, as an earlier build left
+// it, into the sweeps directory under dir.
+func writeJournalFile(t *testing.T, dir, id, body string) string {
+	t.Helper()
+	sweeps := filepath.Join(dir, journalDirName)
+	if err := os.MkdirAll(sweeps, 0o755); err != nil {
+		t.Fatal(err)
 	}
+	path := filepath.Join(sweeps, id+journalSuffix)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // appendRaw appends text to the file at path.
@@ -754,7 +779,7 @@ func tallyOf(recs []ScenarioRecord) Tally {
 }
 
 // TestJournalTornTailResume: a sweep killed mid-append leaves a torn
-// fragment; reopening the journal cuts it off before appending, so the
+// fragment at the log's end; the next write cuts it off first, so the
 // resumed record starts a line of its own and the scan reads the end
 // line and both records. Appended onto the fragment, the record would
 // fuse with it into one undecodable line, and the sweep would read
@@ -772,8 +797,7 @@ func TestJournalTornTailResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Detach()
-	path := s.journalPath("sw-7042-0001")
-	appendRaw(t, path, `{"type":"scenario","scenario":{"ind`)
+	appendLog(t, s, `sw-7042-0001 {"type":"scenario","scenario":{"ind`)
 
 	j2, err := s.OpenJournal("sw-7042-0001")
 	if err != nil {
@@ -793,33 +817,32 @@ func TestJournalTornTailResume(t *testing.T) {
 	if e.Tally == nil || *e.Tally != (Tally{Done: 1, Cached: 1}) {
 		t.Fatalf("tally %+v, want 1 done and 1 cached", e.Tally)
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), `"ind{`) {
-		t.Fatalf("fragment left in the journal:\n%s", b)
+	if b := logBytes(t, s); strings.Contains(string(b)+"\n", `{"ind`+"\n") {
+		t.Fatalf("fragment left in the log:\n%s", b)
 	}
 }
 
-// TestJournalReopenTerminatesWholeLastLine: a last record that lacks
-// only its newline is one the scan keeps, so reopening the journal
-// terminates it rather than cutting it off, and it survives the resume.
+// TestJournalReopenTerminatesWholeLastLine: a per-file journal of an
+// earlier build whose last record lacks only its newline is one its
+// scan kept, so moving it into the log terminates that line rather
+// than dropping it, and it survives the resume.
 func TestJournalReopenTerminatesWholeLastLine(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	m := sampleManifest("sw-7042-0002")
+	hdr, err := json.Marshal(journalLine{Type: "sweep", Sweep: &SweepManifest{ID: m.ID, SpecHash: m.SpecHash, ScenarioHashes: m.ScenarioHashes}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.CreateJournal(sampleManifest("sw-7042-0002"))
+	writeJournalFile(t, dir, m.ID, string(hdr)+"\n"+`{"type":"payload","payload":{"spec":{},"scenarios":[]}}`+"\n"+
+		`{"type":"scenario","scenario":{"index":0,"hash":"`+scenA+`","state":"failed","error":"boom"}}`)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Detach()
-	appendRaw(t, s.journalPath("sw-7042-0002"), `{"type":"scenario","scenario":{"index":0,"hash":"`+scenA+`","state":"failed","error":"boom"}}`)
 	if e := scanOne(t, s); len(e.Records()) != 1 {
 		t.Fatalf("unterminated record not kept by the scan: %+v", e.Records())
 	}
-	j2, err := s.OpenJournal("sw-7042-0002")
+	j2, err := s.OpenJournal(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -842,60 +865,79 @@ func TestJournalReopenTerminatesWholeLastLine(t *testing.T) {
 // TestJournalReopenCutsFusedLine: in a journal an older build fused —
 // it appended a resumed record onto a torn fragment, then another
 // record and an end line without a tally — the scan stops at the fused
-// line. Reopening the journal cuts that line and everything after it,
-// so the records a resume appends, and the tally End writes, are the
-// ones the next scan reads.
+// line. Whether the journal reaches the log as a per-file journal moved
+// at Open (which moves only the lines before the fused one) or has the
+// fused line in the log itself, reopening it leaves its journal at the
+// lines before the fused one, so the records a resume appends, and the
+// tally End writes, are the ones the next scan reads.
 func TestJournalReopenCutsFusedLine(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := sampleManifest("sw-7042-0003")
 	m.ScenarioHashes = []string{scenA, scenB, "dddd4444"}
-	j, err := s.CreateJournal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(ScenarioRecord{Index: 0, Hash: scenA, State: "done"}); err != nil {
-		t.Fatal(err)
-	}
-	j.Detach()
-	path := s.journalPath(m.ID)
-	kept := mustRead(t, path)
-	appendRaw(t, path, `{"type":"scenario","scenario":{"ind`+
-		`{"type":"scenario","scenario":{"index":1,"hash":"`+scenB+`","state":"done"}}`+"\n"+
-		`{"type":"scenario","scenario":{"index":2,"hash":"dddd4444","state":"done"}}`+"\n"+
-		`{"type":"end","disposition":"complete"}`+"\n")
-	if e := scanOne(t, s); e.EndDisposition != "" || len(e.Records()) != 1 {
-		t.Fatalf("fused journal read %q with records %+v, want incomplete with index 0's", e.EndDisposition, e.Records())
-	}
-
-	j2, err := s.OpenJournal(m.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := mustRead(t, path); string(b) != string(kept) {
-		t.Fatalf("reopened journal holds\n%s\nwant the lines before the fused one\n%s", b, kept)
-	}
-	for _, rec := range []ScenarioRecord{
-		{Index: 1, Hash: scenB, State: "cached", CacheHit: true},
-		{Index: 2, Hash: "dddd4444", State: "failed", Error: "boom"},
-	} {
-		if err := j2.Append(rec); err != nil {
+	fused := `{"type":"scenario","scenario":{"ind` +
+		`{"type":"scenario","scenario":{"index":1,"hash":"` + scenB + `","state":"done"}}` + "\n" +
+		`{"type":"scenario","scenario":{"index":2,"hash":"dddd4444","state":"done"}}` + "\n" +
+		`{"type":"end","disposition":"complete"}` + "\n"
+	for _, inLog := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j2.End("complete"); err != nil {
-		t.Fatal(err)
-	}
-	e := scanOne(t, s)
-	want := Tally{Done: 1, Cached: 1, Failed: 1}
-	if e.EndDisposition != "complete" || e.Tally == nil || *e.Tally != want || len(e.Records()) != 3 || tallyOf(e.Records()) != want {
-		t.Fatalf("resumed fused journal: disposition %q, tally %+v, records %+v; want %+v", e.EndDisposition, e.Tally, e.Records(), want)
-	}
-	eager, disposition := parseEager(mustRead(t, path))
-	if !reflect.DeepEqual(e.Records(), eager) || disposition != "complete" {
-		t.Fatalf("records %+v, decoding at scan time gives %+v (%q)", e.Records(), eager, disposition)
+		j, err := s.CreateJournal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(ScenarioRecord{Index: 0, Hash: scenA, State: "done"}); err != nil {
+			t.Fatal(err)
+		}
+		j.Detach()
+		kept := journalBytes(t, s, m.ID)
+		if inLog {
+			for _, line := range strings.SplitAfter(fused, "\n") {
+				if line != "" {
+					appendLog(t, s, m.ID+" "+line)
+				}
+			}
+		} else {
+			if err := os.Remove(s.log.path); err != nil {
+				t.Fatal(err)
+			}
+			writeJournalFile(t, dir, m.ID, string(kept)+fused)
+			if s, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e := scanOne(t, s); e.EndDisposition != "" || len(e.Records()) != 1 {
+			t.Fatalf("in log %v: fused journal read %q with records %+v, want incomplete with index 0's", inLog, e.EndDisposition, e.Records())
+		}
+
+		j2, err := s.OpenJournal(m.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := journalBytes(t, s, m.ID); string(b) != string(kept) {
+			t.Fatalf("in log %v: reopened journal holds\n%s\nwant the lines before the fused one\n%s", inLog, b, kept)
+		}
+		for _, rec := range []ScenarioRecord{
+			{Index: 1, Hash: scenB, State: "cached", CacheHit: true},
+			{Index: 2, Hash: "dddd4444", State: "failed", Error: "boom"},
+		} {
+			if err := j2.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j2.End("complete"); err != nil {
+			t.Fatal(err)
+		}
+		e := scanOne(t, s)
+		want := Tally{Done: 1, Cached: 1, Failed: 1}
+		if e.EndDisposition != "complete" || e.Tally == nil || *e.Tally != want || len(e.Records()) != 3 || tallyOf(e.Records()) != want {
+			t.Fatalf("in log %v: resumed fused journal: disposition %q, tally %+v, records %+v; want %+v", inLog, e.EndDisposition, e.Tally, e.Records(), want)
+		}
+		eager, disposition := parseEager(journalBytes(t, s, m.ID))
+		if !reflect.DeepEqual(e.Records(), eager) || disposition != "complete" {
+			t.Fatalf("in log %v: records %+v, decoding at scan time gives %+v (%q)", inLog, e.Records(), eager, disposition)
+		}
 	}
 }
 
@@ -946,7 +988,7 @@ func TestJournalTallyCountsKeptRecords(t *testing.T) {
 	if *e.Tally != want || tallyOf(e.Records()) != want || e.EndDisposition != "cancelled" {
 		t.Fatalf("tally %+v, records %+v, disposition %q; want %+v", *e.Tally, e.Records(), e.EndDisposition, want)
 	}
-	eager, disposition := parseEager(mustRead(t, e.Path))
+	eager, disposition := parseEager(journalBytes(t, s, m.ID))
 	if !reflect.DeepEqual(e.Records(), eager) || disposition != e.EndDisposition {
 		t.Fatalf("records %+v, decoding at scan time gives %+v (%q)", e.Records(), eager, disposition)
 	}
@@ -976,14 +1018,4 @@ func TestJournalWithoutFittingTallyScansRecords(t *testing.T) {
 			t.Fatalf("%s: tally %+v, %d records decoded by the scan, disposition %q", name, e.Tally, len(e.records), e.EndDisposition)
 		}
 	}
-}
-
-// mustRead reads the file at path.
-func mustRead(t *testing.T, path string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

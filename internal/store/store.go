@@ -92,6 +92,8 @@ type Store struct {
 	journalCreates uint64 // manifests durably written
 	journalAppends uint64 // scenario/end records durably appended
 	journalErrs    uint64 // journal I/O failures (degraded to in-memory)
+
+	log *sweepLog // every sweep's journal (journal_log.go)
 }
 
 // Options configures Open behavior beyond the directory itself.
@@ -123,14 +125,22 @@ type Metrics struct {
 	JournalCreates uint64 `json:"journal_creates"`
 	JournalAppends uint64 `json:"journal_appends"`
 	JournalErrors  uint64 `json:"journal_errors"`
-	Entries        int    `json:"entries"`
-	Bytes          int64  `json:"bytes"`
+	// JournalSyncs counts the sweep log's group commits that were
+	// fsynced, each covering every journal line queued while the one
+	// before it synced; JournalRewrites counts the log rewritten to its
+	// live sweeps.
+	JournalSyncs    uint64 `json:"journal_syncs"`
+	JournalRewrites uint64 `json:"journal_rewrites"`
+	Entries         int    `json:"entries"`
+	Bytes           int64  `json:"bytes"`
 }
 
 // Open roots a store at dir (created if missing) and rebuilds the index
 // by scanning existing entries. Entries without the integrity trailer —
 // e.g. a process killed mid-write before the atomic rename, or a file
-// truncated by the filesystem — are quarantined, not served.
+// truncated by the filesystem — are quarantined, not served. Open also
+// readies the sweep log (Store.openLog): a torn last line is cut, and
+// per-file journals of an earlier build move into the log.
 func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
 
 // OpenOptions is Open with startup-sweep configuration: quarantined
@@ -140,7 +150,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := &Store{dir: dir, index: make(map[string]int64)}
+	s := &Store{dir: dir, index: make(map[string]int64), log: newSweepLog(dir)}
 	specs, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
@@ -196,6 +206,9 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 			s.index[w.key] = w.size
 			s.bytes += w.size
 		}
+	}
+	if err := s.openLog(); err != nil {
+		return nil, fmt.Errorf("store: open: journal log: %w", err)
 	}
 	return s, nil
 }
@@ -271,6 +284,9 @@ func (s *Store) Len() int {
 
 // Stats returns a point-in-time metrics snapshot.
 func (s *Store) Stats() Metrics {
+	s.log.mu.Lock()
+	syncs, rewrites := s.log.syncs, s.log.rewrites
+	s.log.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Metrics{
@@ -286,6 +302,8 @@ func (s *Store) Stats() Metrics {
 		JournalCreates:     s.journalCreates,
 		JournalAppends:     s.journalAppends,
 		JournalErrors:      s.journalErrs,
+		JournalSyncs:       syncs,
+		JournalRewrites:    rewrites,
 		Entries:            len(s.index),
 		Bytes:              s.bytes,
 	}
