@@ -148,7 +148,7 @@ func refScan(b []byte) (entries []JournalEntry, journals [][]byte, corrupt []str
 	return sorted, sortedJournals, corrupt
 }
 
-// checkScan holds scanLog on data to refScan and the scan's invariants.
+// checkScan holds scanChunks on data to refScan and the scan's invariants.
 func checkScan(t *testing.T, data []byte) {
 	t.Helper()
 	want, journals, corrupt := refScan(data)

@@ -291,7 +291,7 @@ func (s *Store) createJournal(m *SweepManifest, recs []ScenarioRecord) (*SweepJo
 	if err := s.log.commit(buf, []logItem{{id: m.ID, n: len(buf)}}, true); err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
 	}
-	return &SweepJournal{s: s, id: m.ID, sealed: sealed, closed: sealed, kept: kept}, nil
+	return &SweepJournal{s: s, id: m.ID, sealed: sealed, kept: kept}, nil
 }
 
 func idOf(m *SweepManifest) string {
@@ -509,7 +509,7 @@ func (e *JournalEntry) Payload() (spec, scenarios json.RawMessage, err error) {
 }
 
 // ScanJournals reads every sweep's journal from the log, oldest first
-// (manifest creation time, ties in log order), from one file (scanLog):
+// (manifest creation time, ties in log order), from one file (scanChunks):
 // one pass indexes its lines by sweep id, then each live sweep's lines
 // are read and parsed on min(GOMAXPROCS, sweeps) goroutines; what the scan returns, quarantines and counts does not
 // depend on that number. The header, end and record lines that
@@ -525,7 +525,7 @@ func (s *Store) ScanJournals() ([]JournalEntry, error) {
 	var fi os.FileInfo
 	ok, err := s.log.shared(func(f *os.File, info os.FileInfo) (err error) {
 		fi = info
-		sc, err = scanLog(f, fi.Size())
+		sc, err = scanChunks(f, fi.Size(), scanReadChunk)
 		return err
 	})
 	if err != nil {

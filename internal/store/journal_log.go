@@ -664,7 +664,7 @@ func (c chunks) journal(g *logGroup) []byte {
 	return compact(b, lines)
 }
 
-// logScan is what scanLog reads of a log.
+// logScan is what scanChunks reads of a log.
 type logScan struct {
 	entries []JournalEntry   // sweeps whose header decodes, oldest first
 	corrupt []string         // sweeps whose header does not
@@ -675,11 +675,6 @@ type logScan struct {
 // scanReadChunk is how much of the log one goroutine of the scan reads
 // and splits into lines at a time.
 const scanReadChunk = 256 << 10
-
-// scanLog reads the sweeps of the log in r's size bytes (scanChunks).
-func scanLog(r io.ReaderAt, size int64) (logScan, error) {
-	return scanChunks(r, size, scanReadChunk)
-}
 
 // scanChunks reads the sweeps of the log in r's size bytes, in one pass
 // over pieces of chunk bytes: the pieces are read and split into lines,
