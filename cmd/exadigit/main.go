@@ -390,6 +390,9 @@ func serve(args []string) {
 		_ = traceSink.Close()
 	}
 	if st := svc.Store(); st != nil {
+		if err := st.Close(); err != nil {
+			log.Printf("store close: %v", err)
+		}
 		sm := st.Stats()
 		log.Printf("store: hits=%d misses=%d puts=%d put_errors=%d corrupt=%d entries=%d bytes=%d",
 			sm.Hits, sm.Misses, sm.Puts, sm.PutErrors, sm.CorruptQuarantined, sm.Entries, sm.Bytes)

@@ -174,6 +174,9 @@ func (s *Service) Recover() (RecoverStats, error) {
 	}
 	start := time.Now()
 	defer func() { s.recoverSec.Set(time.Since(start).Seconds()) }()
+	if err := s.store.LogOpenErr(); err != nil {
+		s.printf("service: recover: %v (journaling degraded)", err)
+	}
 	entries, err := s.store.ScanJournals()
 	if err != nil {
 		return stats, err

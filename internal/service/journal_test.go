@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -403,6 +404,9 @@ func TestSubmitPathLeavesOneLog(t *testing.T) {
 	for i := 0; i < 10*maxSweeps; i++ {
 		waitSweep(t, mustSubmit(t, svc, scenarios, SweepOptions{Name: fmt.Sprintf("s-%d", i)}))
 	}
+	if err := st.Close(); err != nil { // waits for a rewrite running in the background
+		t.Fatal(err)
+	}
 	files, err := os.ReadDir(filepath.Join(dir, "sweeps"))
 	if err != nil {
 		t.Fatal(err)
@@ -444,6 +448,69 @@ func TestSubmitPathLeavesOneLog(t *testing.T) {
 	stats, err := New(Options{Workers: 2, Store: st2, MaxSweeps: maxSweeps}).Recover()
 	if err != nil || stats.Finished != maxSweeps || stats.Adopted != 0 {
 		t.Fatalf("restart: %+v, %v; want the %d retained sweeps finished", stats, err, maxSweeps)
+	}
+}
+
+// TestRemoveWaitsForCachedCreate: a sweep settled in full from the
+// memory tier reads finished at once, but is not done, and so cannot be
+// removed or pruned, until its journal is created. With the log's lock
+// held from outside, the create waits and a removal is refused; once
+// the create goes through, the sweep is removed, and a restart adopts
+// the warm-up sweep alone.
+func TestRemoveWaitsForCachedCreate(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{Workers: 2, Store: st})
+	scenarios := []core.Scenario{synthScenario(821, 900), synthScenario(822, 900)}
+	waitSweep(t, mustSubmit(t, svc, scenarios, SweepOptions{Name: "warm"}))
+	lock, err := os.Open(journalLog(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Close()
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX); err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(chan *Sweep, 1)
+	go func() { submitted <- mustSubmit(t, svc, scenarios, SweepOptions{Name: "a"}) }()
+	var id string
+	for deadline := time.Now().Add(10 * time.Second); id == ""; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep a never settled from the memory tier")
+		}
+		for _, sum := range svc.List() {
+			if sum.Name == "a" && sum.Finished {
+				id = sum.ID
+			}
+		}
+	}
+	if err := svc.Remove(id); err == nil {
+		t.Fatal("sweep a removed before its journal was created")
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_UN); err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, <-submitted)
+	if err := svc.Remove(id); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(Options{Workers: 2, Store: st2})
+	if _, err := svc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sum := range svc2.List() {
+		names = append(names, sum.Name)
+	}
+	if len(names) != 1 || names[0] != "warm" {
+		t.Fatalf("restart recovered %q, want [warm]", names)
 	}
 }
 

@@ -459,7 +459,11 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 // dropJournals drops the journals of sweeps dropped from the registry,
 // so a pruned or removed sweep is not re-adopted at the next restart. A
 // sweep never journaled (ephemeral, or its create failed) has nothing
-// to drop. It is file I/O, so callers hold no lock.
+// to drop. The registry drops only finished sweeps, and a sweep is
+// finished once run closes its done channel: run starts after
+// journalSweep has set sw.journal, even for a sweep settled in full at
+// submit, so the read here comes after the create. It is file I/O, so
+// callers hold no lock.
 func (s *Service) dropJournals(sweeps []*Sweep) {
 	if s.store == nil {
 		return

@@ -317,6 +317,11 @@ func benchmarkCachedSweepSubmit(b *testing.B, submitters int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { // before the directory's removal: a log rewrite may run
+		if err := st.Close(); err != nil {
+			b.Error(err)
+		}
+	})
 	svc := New(Options{Workers: 2, Store: st})
 	defer svc.Close()
 	scenarios := make([]core.Scenario, 8)

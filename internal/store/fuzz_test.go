@@ -14,12 +14,13 @@ import (
 
 // FuzzReadJournal fuzzes the sweep log's scan, a function of bytes, in
 // memory: on arbitrary bytes read as a log — in the scan's pieces, and
-// in pieces of a few bytes, so lines straddle them — scanChunks never
-// panics, reads
-// nothing of a torn last line (no newline), and returns, sweep by
-// sweep, what parseJournal makes of that sweep's lines after splitting
-// the log by id (refScan): the entries, oldest first, and the sweeps
-// whose header does not parse. Every byte before the torn tail is a
+// in pieces of a few bytes, so lines straddle them — scanLog never
+// panics, reads nothing of a torn last line (no newline), and returns,
+// sweep by sweep, what parseJournal makes of that sweep's lines after
+// splitting the log by id (refScan): the entries, oldest first, and the
+// sweeps whose header does not parse. The streaming index (indexLog),
+// through a window of a few bytes, finds the lines one window over the
+// whole log does. Every byte before the torn tail is a
 // sweep's or dead. Every record the scan keeps has an index within the
 // header's scenarios, the header's hash for that index, and no other
 // record for it; decoding the payload of an accepted journal never
@@ -148,7 +149,7 @@ func refScan(b []byte) (entries []JournalEntry, journals [][]byte, corrupt []str
 	return sorted, sortedJournals, corrupt
 }
 
-// checkScan holds scanChunks on data to refScan and the scan's invariants.
+// checkScan holds scanLog on data to refScan and the scan's invariants.
 func checkScan(t *testing.T, data []byte) {
 	t.Helper()
 	want, journals, corrupt := refScan(data)
@@ -156,17 +157,24 @@ func checkScan(t *testing.T, data []byte) {
 		want = nil
 	}
 	var sc logScan
-	for _, chunk := range []int{scanReadChunk, 1 + len(data)%29} {
+	for _, piece := range []int{scanPiece, 1 + len(data)%29} {
 		var err error
-		if sc, err = scanChunks(bytes.NewReader(data), int64(len(data)), chunk); err != nil {
+		if sc, err = scanLog(bytes.NewReader(data), int64(len(data)), piece); err != nil {
 			t.Fatal(err)
 		}
 		if len(sc.entries) == 0 {
 			sc.entries = nil
 		}
 		if !reflect.DeepEqual(sc.entries, want) {
-			t.Fatalf("scan in pieces of %d bytes read\n%+v\nsplitting by id and parsing each journal reads\n%+v", chunk, sc.entries, want)
+			t.Fatalf("scan in pieces of %d bytes read\n%+v\nsplitting by id and parsing each journal reads\n%+v", piece, sc.entries, want)
 		}
+	}
+	whole, err := indexLog(bytes.NewReader(data), int64(len(data)), len(data)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines, err := indexLog(bytes.NewReader(data), int64(len(data)), 1+len(data)%13); err != nil || !slices.Equal(lines, whole) {
+		t.Fatalf("indexed through a window of %d bytes: %+v (%v), in one: %+v", 1+len(data)%13, lines, err, whole)
 	}
 	if !slices.Equal(sc.corrupt, corrupt) {
 		t.Fatalf("corrupt headers %q, want %q", sc.corrupt, corrupt)

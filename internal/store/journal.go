@@ -509,23 +509,24 @@ func (e *JournalEntry) Payload() (spec, scenarios json.RawMessage, err error) {
 }
 
 // ScanJournals reads every sweep's journal from the log, oldest first
-// (manifest creation time, ties in log order), from one file (scanChunks):
-// one pass indexes its lines by sweep id, then each live sweep's lines
-// are read and parsed on min(GOMAXPROCS, sweeps) goroutines; what the scan returns, quarantines and counts does not
-// depend on that number. The header, end and record lines that
-// encoding/json wrote with plain ASCII strings decode on decodeLine's
-// fast path, every other line through json.Unmarshal, the reference
-// both paths agree with. A torn last line of the log is not read; a
-// line a journal's record loop stops at truncates that journal's
-// records there. A sweep whose header line is unreadable is left out,
-// counted as a corrupt quarantined entry and tombstoned, so it is
-// counted once.
+// (manifest creation time, ties in log order), from one file (scanLog):
+// the log is read and split into lines in pieces, the lines grouped by
+// sweep id, and each live sweep's journal parsed, the reads, splits
+// and parses on parallel goroutines; what the scan returns, quarantines
+// and counts does not depend on their number. The header, end and
+// record lines that encoding/json wrote with plain ASCII strings decode
+// on decodeLine's fast path, every other line through json.Unmarshal,
+// the reference both paths agree with. A torn last line of the log is
+// not read; a line a journal's record loop stops at truncates that
+// journal's records there. A sweep whose header line is unreadable is
+// left out, counted as a corrupt quarantined entry and tombstoned, so
+// it is counted once.
 func (s *Store) ScanJournals() ([]JournalEntry, error) {
 	var sc logScan
 	var fi os.FileInfo
 	ok, err := s.log.shared(func(f *os.File, info os.FileInfo) (err error) {
 		fi = info
-		sc, err = scanChunks(f, fi.Size(), scanReadChunk)
+		sc, err = scanLog(f, fi.Size(), scanPiece)
 		return err
 	})
 	if err != nil {

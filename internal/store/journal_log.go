@@ -11,7 +11,7 @@ package store
 //	sw-18f2…-7777 {"type":"removed"}                   // tombstone
 //
 // A sweep's journal is its lines after its last tombstone, in log order,
-// without their ids: splitLog recovers it, and parseJournal reads it as
+// without their ids: indexGroups finds them, and parseJournal reads it as
 // it read a journal file of its own.
 //
 // Writes are group-committed (sweepLog.commit): the lines a call queues
@@ -19,18 +19,19 @@ package store
 // while the previous batch synced, and a call that waits returns only
 // once a sync covers its lines. A batch that fails to write or sync is
 // cut back off the log, and every call in it gets the error. Each batch
-// and each rewrite takes an exclusive flock on the log for its own
-// duration, so Stores that share a directory — other processes, or a
-// Store abandoned without being closed — interleave whole batches; a
-// writer that finds the file at the path replaced (a rewrite renames a
-// new one over it) reopens it. A torn last line — a write cut short by a
-// crash — is cut off at Open and before every batch, so a line is never
-// appended onto a fragment.
+// takes an exclusive flock on the log for its own duration, so Stores
+// that share a directory — other processes, or a Store abandoned
+// without being closed — interleave whole batches; a writer that finds
+// the file at the path replaced (a rewrite renames a new one over it)
+// reopens it. A torn last line — a write cut short by a crash — is cut
+// off at Open and before every batch, so a line is never appended onto
+// a fragment.
 //
 // RemoveJournal appends a tombstone. Its bytes and the lines before it
 // are dead, and once the log's dead bytes exceed its live bytes plus
-// logRewriteFloor, the log is rewritten to its live lines (temp file,
-// fsync, rename, directory fsync), in log order.
+// logRewriteFloor, a goroutine of its own rewrites the log to its live
+// lines, in log order (sweepLog.rewrite: temp file, fsync, rename,
+// directory fsync), holding the lock only for its last step.
 //
 // Per-file journals an earlier build wrote (dir/sweeps/<id>.journal)
 // move into the log at Open (Store.openLog), then are removed.
@@ -38,6 +39,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"io"
@@ -97,17 +99,42 @@ type logAcct struct {
 	sizes      map[string]int64
 }
 
+// add counts n bytes of lines of sweep id appended to the file: the
+// sweep's own lines, a tombstone (dead, with the sweep's lines before
+// it), or, for an id of "", lines of no sweep (dead).
+func (a *logAcct) add(id string, n int64, tomb bool) {
+	a.size += n
+	switch {
+	case id == "":
+		a.dead += n
+	case tomb:
+		d := a.sizes[id]
+		delete(a.sizes, id)
+		a.live -= d
+		a.dead += d + n
+	default:
+		a.sizes[id] += n
+		a.live += n
+	}
+}
+
+// due reports whether the file is due a rewrite: its dead bytes exceed
+// its live bytes plus logRewriteFloor.
+func (a *logAcct) due() bool { return a.dead > a.live+logRewriteFloor }
+
 // sweepLog is a Store's writer of the log. At most one goroutine at a
-// time is busy writing a batch or rewriting; f and acct are that
-// goroutine's.
+// time is busy writing a batch; f, fi and acct are that goroutine's. A
+// rewrite runs on a goroutine of its own, beside the batches.
 type sweepLog struct {
 	dir, path string
 
-	mu      sync.Mutex
-	cond    sync.Cond
-	open    *logBatch
-	busy    bool
-	scanned *logAcct // the last scan's counts, for the next batch to adopt
+	mu        sync.Mutex
+	cond      sync.Cond
+	open      *logBatch
+	busy      bool
+	rewriting bool     // a rewrite runs (rewriteDue)
+	counted   *logAcct // counts of a file the last scan read or a rewrite wrote, for the next batch to adopt
+	recount   bool     // a rewrite failed: the next batch counts the file afresh
 
 	f    *os.File
 	fi   os.FileInfo // f's, as of its last lock
@@ -147,29 +174,25 @@ func (l *sweepLog) commit(buf []byte, items []logItem, wait bool) error {
 	return b.err
 }
 
-// lead writes the open batch, rewrites the log when the batch leaves it
-// due, and goes on with the next batch while no call waits to lead it.
-// Called with l.mu held and no goroutine busy.
+// lead writes the open batch, starts a rewrite when the batch leaves the
+// log due and none runs, and goes on with the next batch while no call
+// waits to lead it. Called with l.mu held and no goroutine busy.
 func (l *sweepLog) lead() {
 	l.busy = true
 	for {
-		b, scanned := l.open, l.scanned
-		l.open, l.scanned = &logBatch{}, nil
+		b := l.open
+		l.open = &logBatch{}
 		l.mu.Unlock()
-		due, err := l.write(b, scanned)
+		due, err := l.write(b)
 		l.mu.Lock()
 		if err == nil && b.sync {
 			l.syncs++
 		}
 		b.done, b.err = true, err
 		l.cond.Broadcast()
-		if due {
-			l.mu.Unlock()
-			err := l.rewrite()
-			l.mu.Lock()
-			if err == nil {
-				l.rewrites++
-			}
+		if due && !l.rewriting {
+			l.rewriting = true
+			go l.rewriteDue()
 		}
 		if len(l.open.items) == 0 || l.open.sync {
 			break
@@ -179,16 +202,45 @@ func (l *sweepLog) lead() {
 	l.cond.Broadcast()
 }
 
+// rewriteDue rewrites the log, again while the file it wrote is due: a
+// rewrite runs off the path of the calls whose batch left the log due,
+// and holds up batches only for its last step (rewrite). Close waits
+// for it.
+func (l *sweepLog) rewriteDue() {
+	for {
+		acct, err := l.rewrite()
+		l.mu.Lock()
+		if err != nil {
+			l.recount = true // the next rewrite waits for as many dead bytes again
+		}
+		if err != nil || !acct.due() {
+			l.rewriting = false
+			l.cond.Broadcast()
+			l.mu.Unlock()
+			return
+		}
+		l.mu.Unlock()
+	}
+}
+
+// idle waits, with l.mu held, until no batch is being written and no
+// rewrite runs.
+func (l *sweepLog) idle() {
+	for l.busy || l.rewriting {
+		l.cond.Wait()
+	}
+}
+
 // write appends one batch to the log under its lock, fsynced when a
 // call waits for it, and reports whether the log is due a rewrite. A
 // write or sync that fails is cut back off the log.
-func (l *sweepLog) write(b *logBatch, scanned *logAcct) (due bool, err error) {
+func (l *sweepLog) write(b *logBatch) (due bool, err error) {
 	size, err := l.lock(true)
 	if err != nil {
 		return false, err
 	}
 	defer l.unlock()
-	l.count(size, scanned)
+	l.count(size)
 	_, err = l.f.WriteAt(b.buf, size)
 	if err == nil && b.sync {
 		err = l.f.Sync()
@@ -198,34 +250,27 @@ func (l *sweepLog) write(b *logBatch, scanned *logAcct) (due bool, err error) {
 		l.acct.fi = nil
 		return false, err
 	}
-	a := &l.acct
-	a.size += int64(len(b.buf))
 	for _, it := range b.items {
-		n := int64(it.n)
-		if it.tomb {
-			d := a.sizes[it.id]
-			delete(a.sizes, it.id)
-			a.live -= d
-			a.dead += d + n
-		} else {
-			a.sizes[it.id] += n
-			a.live += n
-		}
+		l.acct.add(it.id, int64(it.n), it.tomb)
 	}
-	return a.dead > a.live+logRewriteFloor, nil
+	return l.acct.due(), nil
 }
 
 // count brings the accounting to the locked file of size bytes: it
-// adopts the last scan's counts when they are of this file, counts
-// bytes another Store appended as live, and starts afresh, with every
-// byte live, on a file it has no counts of.
-func (l *sweepLog) count(size int64, scanned *logAcct) {
+// adopts counts a scan or a rewrite left of this file, counts bytes
+// another Store appended as live, and starts afresh, with every byte
+// live, on a file it has no counts of or after a failed rewrite.
+func (l *sweepLog) count(size int64) {
+	l.mu.Lock()
+	counted, recount := l.counted, l.recount
+	l.counted, l.recount = nil, false
+	l.mu.Unlock()
 	fi, a := l.fi, &l.acct
-	if scanned != nil && os.SameFile(scanned.fi, fi) && scanned.size <= size {
-		*a = *scanned
+	if counted != nil && os.SameFile(counted.fi, fi) && counted.size <= size {
+		*a = *counted
 	}
 	switch {
-	case a.fi == nil || !os.SameFile(a.fi, fi) || size < a.size:
+	case recount || a.fi == nil || !os.SameFile(a.fi, fi) || size < a.size:
 		*a = logAcct{fi: fi, size: size, live: size, sizes: make(map[string]int64)}
 	case size > a.size:
 		a.live += size - a.size
@@ -246,17 +291,12 @@ func (l *sweepLog) lock(create bool) (int64, error) {
 			}
 			l.f = f
 		}
-		if err := flock(l.f, syscall.LOCK_EX); err != nil {
-			return 0, err
-		}
-		fi, err := l.f.Stat()
-		if err != nil {
-			l.unlock()
-			return 0, err
-		}
-		cur, err := os.Stat(l.path)
-		if err == nil && os.SameFile(fi, cur) {
-			size, err := cutTorn(l.f, fi.Size())
+		fi, ok, err := lockCurrent(l.f, l.path, syscall.LOCK_EX)
+		if ok {
+			size, err := wholeLines(l.f, fi.Size())
+			if err == nil && size < fi.Size() {
+				err = l.f.Truncate(size)
+			}
 			if err != nil {
 				l.unlock()
 				return 0, err
@@ -264,17 +304,36 @@ func (l *sweepLog) lock(create bool) (int64, error) {
 			l.fi = fi
 			return size, nil
 		}
-		// Replaced by a rewrite, or removed: open what is at the path now.
-		l.unlock()
-		_ = l.f.Close()
-		l.f = nil
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err != nil {
 			return 0, err
 		}
+		// Replaced by a rewrite, or removed: open what is at the path now.
+		_ = l.f.Close()
+		l.f = nil
 	}
 }
 
 func (l *sweepLog) unlock() { _ = flock(l.f, syscall.LOCK_UN) }
+
+// lockCurrent takes f's lock (how) and reports, with f's FileInfo,
+// whether f is still the file at path. f is left locked only when it is.
+func lockCurrent(f *os.File, path string, how int) (os.FileInfo, bool, error) {
+	if err := flock(f, how); err != nil {
+		return nil, false, err
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		var cur os.FileInfo
+		if cur, err = os.Stat(path); err == nil && os.SameFile(fi, cur) {
+			return fi, true, nil
+		}
+		if errors.Is(err, os.ErrNotExist) {
+			err = nil
+		}
+	}
+	_ = flock(f, syscall.LOCK_UN)
+	return nil, false, err
+}
 
 // openFile opens the log for reading and writing. A log it creates has
 // its directory entry fsynced, and so has the sweeps directory when it
@@ -302,9 +361,9 @@ func (l *sweepLog) openFile(create bool) (*os.File, error) {
 	return f, nil
 }
 
-// cutTorn cuts a log of size bytes back to its last newline, dropping a
-// line a crash tore, and returns the size left.
-func cutTorn(f *os.File, size int64) (int64, error) {
+// wholeLines returns the size of a log of size bytes up to its last
+// newline: what is left when a line a crash tore is cut off.
+func wholeLines(f *os.File, size int64) (int64, error) {
 	var buf [4096]byte
 	for end := size; end > 0; {
 		n := min(end, int64(len(buf)))
@@ -316,54 +375,61 @@ func cutTorn(f *os.File, size int64) (int64, error) {
 			return size, err
 		}
 		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
-			cut := end - n + int64(i) + 1
-			if cut == size {
-				return size, nil
-			}
-			return cut, f.Truncate(cut)
+			return end - n + int64(i) + 1, nil
 		}
 		end -= n
 	}
-	if size == 0 {
-		return 0, nil
-	}
-	return 0, f.Truncate(0)
+	return 0, nil
 }
 
-// rewrite replaces the log with its live lines, in log order, under
-// the old file's lock: a temp file is written, fsynced and renamed over
-// the log, and the directory fsynced. Lines of other Stores are live
-// like this one's. The log is indexed (indexGroups) and its live lines
-// copied run by run, so no more of it is held than a buffer.
-func (l *sweepLog) rewrite() error {
-	size, err := l.lock(false)
+// rewrite replaces the log with its live lines, in log order, holding
+// up batches only for its last step. Without the log's lock, it indexes
+// the log's whole lines as of its start (indexGroups), copies the live
+// ones run by run to a temp file and fsyncs it; then, under the lock, it
+// copies after them the lines batches appended meanwhile (a tombstone
+// among them still follows the lines it drops), fsyncs the temp file
+// again, renames it over the log and fsyncs the directory. Lines of
+// other Stores are live like this one's. It leaves the counts of the
+// file it wrote for the next batch, and returns them. A log another
+// Store replaced meanwhile is left as that Store wrote it. No more of
+// the log is held than a buffer.
+func (l *sweepLog) rewrite() (logAcct, error) {
+	old, err := os.Open(l.path)
 	if err != nil {
-		return err
+		return logAcct{}, err
 	}
-	old := l.f
-	defer func() {
-		_ = flock(old, syscall.LOCK_UN)
-		if l.f != old {
-			_ = old.Close()
-		}
-	}()
-	groups, _, err := indexGroups(old, size)
+	defer old.Close() // releases its lock
+	fi, ok, err := lockCurrent(old, l.path, syscall.LOCK_SH)
+	if !ok {
+		return logAcct{}, err
+	}
+	end, err := wholeLines(old, fi.Size())
+	_ = flock(old, syscall.LOCK_UN)
 	if err != nil {
-		return err
+		return logAcct{}, err
 	}
+	groups, _, err := indexGroups(old, end)
+	if err != nil {
+		return logAcct{}, err
+	}
+	acct := logAcct{sizes: make(map[string]int64, len(groups))}
 	var lines []logLine
-	sizes := make(map[string]int64, len(groups))
-	var live int64
 	for _, g := range groups {
 		lines = append(lines, g.lines...)
-		sizes[g.id] = g.size
-		live += g.size
+		acct.add(g.id, g.size, false)
 	}
 	slices.SortFunc(lines, func(a, b logLine) int { return a.start - b.start })
 	tmp, err := os.CreateTemp(l.dir, "."+logName+".tmp-*")
 	if err != nil {
-		return err
+		return logAcct{}, err
 	}
+	renamed := false
+	defer func() {
+		_ = tmp.Close()
+		if !renamed {
+			_ = os.Remove(tmp.Name())
+		}
+	}()
 	bw := bufio.NewWriterSize(tmp, 64<<10)
 	for k := 0; k < len(lines) && err == nil; {
 		lo := lines[k].start
@@ -377,63 +443,154 @@ func (l *sweepLog) rewrite() error {
 	if err == nil {
 		err = tmp.Sync()
 	}
+	if err != nil {
+		return logAcct{}, err
+	}
+
+	if fi, ok, err = lockCurrent(old, l.path, syscall.LOCK_EX); !ok {
+		return logAcct{}, err
+	}
+	tailEnd, err := wholeLines(old, fi.Size())
+	var tail []rawLine
 	if err == nil {
-		err = os.Rename(tmp.Name(), l.path)
+		tail, err = indexLog(io.NewSectionReader(old, end, tailEnd-end), tailEnd-end, logWindow)
+	}
+	if err == nil {
+		_, err = io.Copy(bw, io.NewSectionReader(old, end, tailEnd-end))
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		acct.fi, err = tmp.Stat()
 	}
 	if err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		l.acct.fi = nil // count afresh: the next rewrite waits for as many dead bytes again
-		return err
+		return logAcct{}, err
 	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		fi = nil
+	for _, ln := range tail {
+		acct.add(ln.id, int64(ln.n), ln.tomb)
 	}
-	l.f = tmp
-	l.acct = logAcct{fi: fi, size: live, live: live, sizes: sizes}
-	return syncDir(l.dir)
+	if err := os.Rename(tmp.Name(), l.path); err != nil {
+		return logAcct{}, err
+	}
+	renamed = true
+	l.mu.Lock()
+	l.counted = &acct
+	l.rewrites++
+	l.mu.Unlock()
+	return acct, syncDir(l.dir)
 }
 
 // rawLine is a line of a log: its offset and length, its sweep id (""
-// when it has no valid one) and whether it is a tombstone.
+// when it has no valid one), whether it is a tombstone, and the piece
+// the scan read it in (scanLog).
 type rawLine struct {
 	off, n int
 	id     string
 	tomb   bool
+	piece  int
 }
 
-// indexLog streams r's size bytes through a 64 KiB buffer and returns
-// their lines. A torn last line (no newline) is left out.
-func indexLog(r io.ReaderAt, size int64) ([]rawLine, error) {
-	br := bufio.NewReaderSize(io.NewSectionReader(r, 0, size), 64<<10)
+// logPiece is whole lines of a log in memory: b holds the log's bytes
+// from off.
+type logPiece struct {
+	off int
+	b   []byte
+}
+
+// readPiece reads the lines of r's size bytes that start in [lo, hi):
+// from the first line that starts at or after lo (lo-1 is read to tell)
+// through the newline of the last one, read on past hi as far as it
+// runs. A torn last line (no newline) is left out. It reads into buf
+// when buf has room, and returns the buffer it read into.
+func readPiece(r io.ReaderAt, size int64, lo, hi int, buf []byte) (logPiece, []byte, error) {
+	from := max(lo-1, 0)
+	if n := hi - from; cap(buf) < n+min(n, 4<<10) {
+		buf = make([]byte, n, n+min(n, 4<<10)) // room to read on to a line's end
+	}
+	b := buf[:hi-from]
+	if err := readAt(r, b, from); err != nil {
+		return logPiece{}, buf, err
+	}
+	start := 0
+	if lo > 0 {
+		if start = bytes.IndexByte(b, '\n') + 1; start == 0 {
+			start = len(b) // the piece is all inside a line that started before it
+		}
+	}
+	for step := 4 << 10; start < len(b) && b[len(b)-1] != '\n'; step *= 2 {
+		end := from + len(b)
+		if int64(end) == size { // a torn last line
+			b = b[:bytes.LastIndexByte(b, '\n')+1]
+			break
+		}
+		n := int(min(int64(step), size-int64(end)))
+		b = slices.Grow(b, n)[:len(b)+n]
+		if err := readAt(r, b[len(b)-n:], end); err != nil {
+			return logPiece{}, b, err
+		}
+		if k := bytes.IndexByte(b[len(b)-n:], '\n'); k >= 0 {
+			b = b[:len(b)-n+k+1]
+		}
+	}
+	start = min(start, len(b))
+	return logPiece{off: from + start, b: b[start:]}, b, nil
+}
+
+// readAt fills b from r at off.
+func readAt(r io.ReaderAt, b []byte, off int) error {
+	if n, err := r.ReadAt(b, int64(off)); n < len(b) {
+		return cmp.Or(err, io.ErrUnexpectedEOF)
+	}
+	return nil
+}
+
+// lines splits p into its lines, each of piece i.
+func (p logPiece) lines(i int) []rawLine {
 	var lines []rawLine
 	var prev string
-	for off := 0; ; off += lines[len(lines)-1].n {
-		head, err := br.ReadSlice('\n')
-		ln := rawLine{off: off, n: len(head)}
-		ln.id, ln.tomb = parseLogLine(head, err == nil, prev)
-		if ln.id != "" {
+	for off := 0; off < len(p.b); {
+		n := bytes.IndexByte(p.b[off:], '\n') + 1
+		ln := rawLine{off: p.off + off, n: n, piece: i}
+		if ln.id, ln.tomb = parseLogLine(p.b[off:off+n], prev); ln.id != "" {
 			prev = ln.id
 		}
-		for err == bufio.ErrBufferFull { // head is stale from here on
-			var more []byte
-			more, err = br.ReadSlice('\n')
-			ln.n += len(more)
-		}
-		if err == io.EOF {
-			return lines, nil
-		}
-		if err != nil {
-			return nil, err
-		}
 		lines = append(lines, ln)
+		off += n
 	}
+	return lines
+}
+
+// logWindow is how much of the log indexLog holds at a time, unless a
+// line is longer.
+const logWindow = 64 << 10
+
+// indexLog returns the lines of r's size bytes, read a window of window
+// bytes (readPiece) at a time into one buffer. A torn last line is left
+// out.
+func indexLog(r io.ReaderAt, size int64, window int) ([]rawLine, error) {
+	var lines []rawLine
+	var buf []byte
+	for off := 0; int64(off) < size; {
+		var p logPiece
+		var err error
+		p, buf, err = readPiece(r, size, off, int(min(int64(off+window), size)), buf)
+		if err != nil || len(p.b) == 0 {
+			return lines, err
+		}
+		lines = append(lines, p.lines(0)...)
+		off = p.off + len(p.b)
+	}
+	return lines, nil
 }
 
 // logLine is one log line: the offsets of its start, of its journal
-// line (past the id and the space) and of its end (past the newline).
-type logLine struct{ start, body, end int }
+// line (past the id and the space) and of its end (past the newline),
+// and the piece the scan read it in.
+type logLine struct{ start, body, end, piece int }
 
 // logGroup is one sweep's lines in a log: those after its last
 // tombstone.
@@ -445,9 +602,9 @@ type logGroup struct {
 }
 
 // indexGroups indexes r's size bytes by sweep id (indexLog,
-// groupLines), holding no more of the log than a buffer.
+// groupLines), holding no more of the log than a window of it.
 func indexGroups(r io.ReaderAt, size int64) (groups []*logGroup, dead int64, err error) {
-	lines, err := indexLog(r, size)
+	lines, err := indexLog(r, size, logWindow)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -487,7 +644,7 @@ func groupLines(ranges [][]rawLine) (groups []*logGroup, dead int64) {
 					groups = append(groups, g)
 					n++
 				}
-				g.lines = append(g.lines, logLine{start: ln.off, body: ln.off + len(ln.id) + 1, end: ln.off + ln.n})
+				g.lines = append(g.lines, logLine{ln.off, ln.off + len(ln.id) + 1, ln.off + ln.n, ln.piece})
 				g.size += int64(ln.n)
 			}
 		}
@@ -501,25 +658,44 @@ func groupLines(ranges [][]rawLine) (groups []*logGroup, dead int64) {
 	return live, dead
 }
 
-// parseLogLine reads a log line's head — the line, or at least its
-// first maxLogHead bytes — for its sweep id and whether it is a
-// tombstone, the line being whole.
-func parseLogLine(head []byte, whole bool, prev string) (id string, tomb bool) {
-	idb, body, ok := bytes.Cut(head, space)
+// parseLogLine reads a log line, newline included, for its sweep id
+// and whether it is a tombstone. prev is the id of a line before it,
+// returned in place of an equal new string.
+func parseLogLine(line []byte, prev string) (id string, tomb bool) {
+	idb, body, ok := bytes.Cut(line, space)
 	if !ok || !validSweepID(idb) {
 		return "", false
 	}
 	if id = prev; id != string(idb) {
 		id = string(idb)
 	}
-	return id, whole && len(body) == len(tombstone)+1 && bytes.HasPrefix(body, tombstone)
+	return id, len(body) == len(tombstone)+1 && bytes.HasPrefix(body, tombstone)
 }
 
-// maxLogHead is the longest head parseLogLine needs: an id of up to 80
-// bytes, a space, and a tombstone with its newline.
-const maxLogHead = 80 + 1 + len(`{"type":"removed"}`) + 1
-
 var space = []byte{' '}
+
+// journal returns g's journal from the pieces of the log that hold its
+// lines: compacted in place in its piece when its lines follow one
+// another there (no other sweep's line comes between them), else copied
+// out.
+func (g *logGroup) journal(pieces []logPiece) []byte {
+	first, last := g.lines[0], g.lines[len(g.lines)-1]
+	if p := pieces[first.piece]; last.piece == first.piece && int64(last.end-first.start) == g.size {
+		lines := make([]logLine, len(g.lines))
+		for k, ln := range g.lines {
+			lines[k] = logLine{ln.start - first.start, ln.body - first.start, ln.end - first.start, 0}
+		}
+		return compact(p.b[first.start-p.off:last.end-p.off], lines)
+	}
+	b := make([]byte, 0, g.size)
+	lines := make([]logLine, len(g.lines)) // g's lines, at their place in b
+	for k, ln := range g.lines {
+		p := pieces[ln.piece]
+		lines[k] = logLine{len(b), len(b) + ln.body - ln.start, len(b) + ln.end - ln.start, 0}
+		b = append(b, p.b[ln.start-p.off:ln.end-p.off]...)
+	}
+	return compact(b, lines)
+}
 
 // load reads g's lines from r into one buffer and returns g's journal
 // (compact).
@@ -536,7 +712,7 @@ func (g *logGroup) load(r io.ReaderAt) ([]byte, error) {
 			return nil, err
 		}
 		for _, ln := range g.lines[run:k] {
-			lines = append(lines, logLine{ln.start - lo + w, ln.body - lo + w, ln.end - lo + w})
+			lines = append(lines, logLine{ln.start - lo + w, ln.body - lo + w, ln.end - lo + w, 0})
 		}
 		w += hi - lo
 	}
@@ -568,103 +744,7 @@ func compact(b []byte, lines []logLine) []byte {
 	return b[start:end:end]
 }
 
-// chunks is a log held in memory as consecutive pieces of chunk bytes
-// each (the last one shorter), read on parallel goroutines.
-type chunks struct {
-	bufs  [][]byte
-	chunk int
-}
-
-// readChunks reads r's size bytes in pieces of chunk bytes, each
-// allocated and read on one of min(GOMAXPROCS, pieces) goroutines.
-func readChunks(r io.ReaderAt, size int64, chunk int) (chunks, error) {
-	c := chunks{bufs: make([][]byte, (int(size)+chunk-1)/chunk), chunk: chunk}
-	errs := make([]error, len(c.bufs))
-	parallelFor(len(c.bufs), func(i int) {
-		lo := i * chunk
-		c.bufs[i] = make([]byte, min(chunk, int(size)-lo))
-		_, errs[i] = r.ReadAt(c.bufs[i], int64(lo))
-	})
-	return c, errors.Join(errs...)
-}
-
-// nextNewline returns the offset past the first newline at or after
-// off, or -1 when there is none.
-func (c chunks) nextNewline(off int) int {
-	for i := off / c.chunk; i < len(c.bufs); i++ {
-		from := max(off-i*c.chunk, 0)
-		if k := bytes.IndexByte(c.bufs[i][from:], '\n'); k >= 0 {
-			return i*c.chunk + from + k + 1
-		}
-	}
-	return -1
-}
-
-// copyAt copies c's bytes from off into dst.
-func (c chunks) copyAt(dst []byte, off int) {
-	for len(dst) > 0 {
-		i, at := off/c.chunk, off%c.chunk
-		n := copy(dst, c.bufs[i][at:])
-		dst, off = dst[n:], off+n
-	}
-}
-
-// lines returns the complete lines of c that start in piece i. A torn
-// last line (no newline) is left out.
-func (c chunks) lines(i int) []rawLine {
-	base := i * c.chunk
-	off := base
-	if i > 0 && c.bufs[i-1][c.chunk-1] != '\n' {
-		if off = c.nextNewline(base); off < 0 {
-			return nil
-		}
-	}
-	var out []rawLine
-	var prev string
-	var head [maxLogHead]byte
-	for off < base+len(c.bufs[i]) {
-		end := c.nextNewline(off)
-		if end < 0 {
-			break
-		}
-		ln := rawLine{off: off, n: end - off}
-		h := head[:min(ln.n, maxLogHead)]
-		c.copyAt(h, off)
-		if ln.id, ln.tomb = parseLogLine(h, ln.n <= maxLogHead, prev); ln.id != "" {
-			prev = ln.id
-		}
-		out = append(out, ln)
-		off = end
-	}
-	return out
-}
-
-// journal returns g's journal (compact). When g's lines follow one
-// another within one piece it is compacted in place there, a slice of
-// that piece; otherwise its lines are copied out first.
-func (c chunks) journal(g *logGroup) []byte {
-	first, last := g.lines[0], g.lines[len(g.lines)-1]
-	i := first.start / c.chunk
-	if (last.end-1)/c.chunk == i && int64(last.end-first.start) == g.size {
-		base := i * c.chunk
-		lines := make([]logLine, len(g.lines))
-		for k, ln := range g.lines {
-			lines[k] = logLine{ln.start - base, ln.body - base, ln.end - base}
-		}
-		return compact(c.bufs[i], lines)
-	}
-	b := make([]byte, g.size)
-	lines := make([]logLine, len(g.lines))
-	w := 0
-	for k, ln := range g.lines {
-		c.copyAt(b[w:w+ln.end-ln.start], ln.start)
-		lines[k] = logLine{w, w + ln.body - ln.start, w + ln.end - ln.start}
-		w += ln.end - ln.start
-	}
-	return compact(b, lines)
-}
-
-// logScan is what scanChunks reads of a log.
+// logScan is what scanLog reads of a log.
 type logScan struct {
 	entries []JournalEntry   // sweeps whose header decodes, oldest first
 	corrupt []string         // sweeps whose header does not
@@ -672,30 +752,38 @@ type logScan struct {
 	dead    int64
 }
 
-// scanReadChunk is how much of the log one goroutine of the scan reads
-// and splits into lines at a time.
-const scanReadChunk = 256 << 10
+// scanPiece is how much of the log one goroutine of the scan reads and
+// splits into lines.
+const scanPiece = 256 << 10
 
-// scanChunks reads the sweeps of the log in r's size bytes, in one pass
-// over pieces of chunk bytes: the pieces are read and split into lines,
-// the lines grouped by sweep id (groupLines), and each sweep's journal
-// (chunks.journal) handed to parseJournal, every step but the grouping
-// on min(GOMAXPROCS, pieces or sweeps) goroutines. A sweep's lines are
-// compacted in place in the piece that holds them, so the scan holds
-// the log once and not per-sweep copies of it besides; the entries'
-// payloads are slices of it. The entries come oldest first (manifest
-// creation time, ties in log order).
-func scanChunks(r io.ReaderAt, size int64, chunk int) (logScan, error) {
-	c, err := readChunks(r, size, chunk)
-	if err != nil {
+// scanLog reads the sweeps of the log in r's size bytes. It reads the
+// log in pieces of about piece bytes, each cut at line ends (readPiece),
+// and splits them into lines on min(GOMAXPROCS, pieces) goroutines;
+// groups the lines by sweep id (groupLines); then hands each live
+// sweep's journal (logGroup.journal) to parseJournal on
+// min(GOMAXPROCS, sweeps) goroutines. A sweep's journal is compacted in
+// place in its piece when its lines follow one another there, and
+// copied out only when other sweeps' lines, or a piece's end, come
+// between them, so the scan holds little more than the log; the
+// entries' payloads are slices of it. The entries come oldest first
+// (manifest creation time, ties in log order).
+func scanLog(r io.ReaderAt, size int64, piece int) (logScan, error) {
+	pieces := make([]logPiece, (size+int64(piece)-1)/int64(piece))
+	ranges := make([][]rawLine, len(pieces))
+	errs := make([]error, len(pieces))
+	parallelFor(len(pieces), func(i int) {
+		lo := i * piece
+		if pieces[i], _, errs[i] = readPiece(r, size, lo, int(min(int64(lo+piece), size)), nil); errs[i] == nil {
+			ranges[i] = pieces[i].lines(i)
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
 		return logScan{}, err
 	}
-	ranges := make([][]rawLine, len(c.bufs))
-	parallelFor(len(c.bufs), func(i int) { ranges[i] = c.lines(i) })
 	groups, dead := groupLines(ranges)
 	read := make([]*JournalEntry, len(groups)) // nil: the header did not parse
 	parallelFor(len(groups), func(i int) {
-		read[i], _ = parseJournal(c.journal(groups[i]))
+		read[i], _ = parseJournal(groups[i].journal(pieces))
 	})
 	sc := logScan{entries: make([]JournalEntry, 0, len(groups)), sizes: make(map[string]int64, len(groups)), dead: dead}
 	for i, g := range groups {
@@ -774,7 +862,7 @@ func (l *sweepLog) journal(id string) (b []byte, err error) {
 // next batch.
 func (l *sweepLog) adopt(fi os.FileInfo, size int64, sizes map[string]int64, dead int64) {
 	l.mu.Lock()
-	l.scanned = &logAcct{fi: fi, size: size, live: size - dead, dead: dead, sizes: sizes}
+	l.counted = &logAcct{fi: fi, size: size, live: size - dead, dead: dead, sizes: sizes}
 	l.mu.Unlock()
 }
 
@@ -799,7 +887,9 @@ func syncDir(dir string) error {
 // openLog readies the log at Open. It cuts a torn last line off an
 // existing log, and moves the per-file journals an earlier build wrote
 // into the log (migrateJournals). A directory without either is left
-// untouched: no file is created and nothing fsynced.
+// untouched: no file is created and nothing fsynced. Open does not fail
+// on its error: journaling degrades as on any failed journal write, and
+// a per-file journal not moved stays in place for the next Open.
 func (s *Store) openLog() error {
 	l := s.log
 	files, err := os.ReadDir(l.dir)
@@ -845,7 +935,8 @@ func (s *Store) openLog() error {
 // Only the lines the file's scan read move (movedLines); a journal whose
 // header does not decode is quarantined as before. A journal whose
 // sweep the log already holds — moved before a crash cut the move
-// short — is only removed.
+// short — is only removed. A journal that cannot be read stays in
+// place, and the others move.
 func (s *Store) migrateJournals(size int64, names []string) error {
 	l := s.log
 	groups, _, err := indexGroups(l.f, size)
@@ -857,9 +948,12 @@ func (s *Store) migrateJournals(size int64, names []string) error {
 		held[g.id] = true
 	}
 	var buf []byte
+	var errs []error
+	done := names[:0:0] // the journals moved, held or quarantined
 	for _, name := range names {
 		id, path := strings.TrimSuffix(name, journalSuffix), filepath.Join(l.dir, name)
 		if held[id] {
+			done = append(done, name)
 			continue
 		}
 		b, err := os.ReadFile(path)
@@ -867,7 +961,8 @@ func (s *Store) migrateJournals(size int64, names []string) error {
 			continue
 		}
 		if err != nil {
-			return err
+			errs = append(errs, err)
+			continue
 		}
 		moved, err := movedLines(b)
 		if err != nil {
@@ -882,22 +977,24 @@ func (s *Store) migrateJournals(size int64, names []string) error {
 			line, moved, _ = bytes.Cut(moved, newline)
 			buf = appendLogLine(buf, id, line)
 		}
+		done = append(done, name)
 	}
 	if len(buf) > 0 {
-		if _, err := l.f.WriteAt(buf, size); err != nil {
+		_, err := l.f.WriteAt(buf, size)
+		if err == nil {
+			err = l.f.Sync()
+		}
+		if err != nil {
 			_ = l.f.Truncate(size)
-			return err
-		}
-		if err := l.f.Sync(); err != nil {
-			return err
+			return errors.Join(append(errs, err)...)
 		}
 	}
-	for _, name := range names {
+	for _, name := range done {
 		if err := os.Remove(filepath.Join(l.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	return syncDir(l.dir)
+	return errors.Join(append(errs, syncDir(l.dir))...)
 }
 
 // movedLines returns the lines of a per-file journal that its scan

@@ -22,24 +22,22 @@ import (
 	"time"
 )
 
-// forceRewrite rewrites s's log now, as a batch that left it due would.
+// forceRewrite rewrites s's log now, as a batch that left it due would
+// have had it rewritten, once no batch or rewrite runs.
 func forceRewrite(t *testing.T, s *Store) {
 	t.Helper()
-	l := s.log
-	l.mu.Lock()
-	for l.busy {
-		l.cond.Wait()
-	}
-	l.busy = true
-	l.mu.Unlock()
-	err := l.rewrite()
-	l.mu.Lock()
-	l.busy = false
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	if err != nil {
+	waitIdle(s)
+	if _, err := s.log.rewrite(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// waitIdle waits until no batch of s's log is being written and no
+// rewrite runs.
+func waitIdle(s *Store) {
+	s.log.mu.Lock()
+	s.log.idle()
+	s.log.mu.Unlock()
 }
 
 // TestLogGroupCommit: eight CreateJournal calls that queue while a
@@ -283,8 +281,9 @@ func TestLogRewrite(t *testing.T) {
 }
 
 // TestLogRewriteRule: pruning a sweep per create keeps the log within
-// twice its live bytes plus the floor, rewriting it when its dead bytes
-// pass its live bytes plus the floor.
+// twice its live bytes plus the floor once the rewrites it sets off in
+// the background are done (waitIdle), rewriting it when its dead bytes pass its
+// live bytes plus the floor.
 func TestLogRewriteRule(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -305,6 +304,7 @@ func TestLogRewriteRule(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		waitIdle(s)
 		b := logBytes(t, s)
 		groups, _ := splitLog(b)
 		var live int64
@@ -325,8 +325,9 @@ func TestLogRewriteRule(t *testing.T) {
 
 // TestLogSharedDirectory: two Stores open on one directory append at
 // once; every line of each reads back, and a rewrite by one keeps every
-// line the other wrote, before and after it — the other reopens the
-// replaced file.
+// line the other wrote, before, during and after it — the other reopens
+// the replaced file. In the middle round, rewrites by the first Store
+// run over and over while both append.
 func TestLogSharedDirectory(t *testing.T) {
 	dir := t.TempDir()
 	stores := make([]*Store, 2)
@@ -368,7 +369,28 @@ func TestLogSharedDirectory(t *testing.T) {
 	}
 	run(0)
 	forceRewrite(t, stores[0])
+	stop := make(chan struct{})
+	rewrote := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				rewrote <- n
+				return
+			default:
+			}
+			if _, err := stores[0].log.rewrite(); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
 	run(1)
+	close(stop)
+	if n := <-rewrote; n == 0 {
+		t.Fatal("no rewrite ran while the Stores appended")
+	}
 	forceRewrite(t, stores[1])
 	run(2)
 	entries, err := stores[0].ScanJournals()
@@ -484,6 +506,51 @@ func TestOpenMovesPerFileJournals(t *testing.T) {
 	check(s2)
 	if n := s2.JournalCount(); n != len(want) {
 		t.Fatalf("JournalCount = %d after a second Open, want %d", n, len(want))
+	}
+}
+
+// TestOpenDegradesOnUnmovableJournal: a per-file journal that cannot be
+// read (here a name that resolves to a directory) does not fail Open.
+// The error is kept (LogOpenErr) and counted in journal_errors, the
+// other journals move, the unreadable one stays in place, and the log
+// takes appends as before.
+func TestOpenDegradesOnUnmovableJournal(t *testing.T) {
+	dir := t.TempDir()
+	m := sampleManifest("sw-f1")
+	hdr, err := json.Marshal(journalLine{Type: "sweep", Sweep: &SweepManifest{ID: m.ID, SpecHash: m.SpecHash, ScenarioHashes: m.ScenarioHashes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournalFile(t, dir, "sw-f1", string(hdr)+"\n"+`{"type":"payload","payload":{"spec":{},"scenarios":[]}}`+"\n")
+	bad := filepath.Join(dir, journalDirName, "sw-f2"+journalSuffix)
+	if err := os.Symlink(t.TempDir(), bad); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open failed on an unreadable per-file journal: %v", err)
+	}
+	if s.LogOpenErr() == nil || s.Stats().JournalErrors != 1 {
+		t.Fatalf("LogOpenErr %v, %d journal errors; want the read error, counted once", s.LogOpenErr(), s.Stats().JournalErrors)
+	}
+	if _, err := os.Lstat(bad); err != nil {
+		t.Fatalf("unreadable journal not left in place: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, journalDirName, "sw-f1"+journalSuffix)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("readable journal not moved: %v", err)
+	}
+	if _, err := s.CreateJournal(sampleManifest("sw-f3")); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := s.ScanJournals()
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("scan read %d sweeps (%v), want sw-f1 and sw-f3", len(entries), err)
+	}
+	if err := os.Remove(bad); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := Open(dir); err != nil || s2.LogOpenErr() != nil || s2.Stats().JournalErrors != 0 {
+		t.Fatalf("reopen: %v, %v", err, s2.LogOpenErr())
 	}
 }
 

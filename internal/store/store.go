@@ -93,7 +93,8 @@ type Store struct {
 	journalAppends uint64 // scenario/end records durably appended
 	journalErrs    uint64 // journal I/O failures (degraded to in-memory)
 
-	log *sweepLog // every sweep's journal (journal_log.go)
+	log    *sweepLog // every sweep's journal (journal_log.go)
+	logErr error     // what went wrong readying log at Open, if anything
 }
 
 // Options configures Open behavior beyond the directory itself.
@@ -140,7 +141,8 @@ type Metrics struct {
 // e.g. a process killed mid-write before the atomic rename, or a file
 // truncated by the filesystem — are quarantined, not served. Open also
 // readies the sweep log (Store.openLog): a torn last line is cut, and
-// per-file journals of an earlier build move into the log.
+// per-file journals of an earlier build move into the log. A failure
+// there does not fail Open; it degrades journaling (LogOpenErr).
 func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
 
 // OpenOptions is Open with startup-sweep configuration: quarantined
@@ -208,7 +210,8 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		}
 	}
 	if err := s.openLog(); err != nil {
-		return nil, fmt.Errorf("store: open: journal log: %w", err)
+		s.logErr = fmt.Errorf("store: open: journal log: %w", err)
+		s.journalErrs++
 	}
 	return s, nil
 }
@@ -271,6 +274,31 @@ func (s *Store) sweepSidecar(path, name string, now time.Time, opts Options) {
 
 // specDirOf returns the per-spec subdirectory for a spec hash.
 func specDirOf(dir, specHash string) string { return filepath.Join(dir, specHash) }
+
+// Close waits for a rewrite of the sweep log that runs in the background
+// to finish, then closes the log. Calls made after it open the log
+// again. A Store abandoned without Close leaves every journal call that
+// returned durable, and a rewrite it leaves running finishes, or gives
+// way to another Store's, as that Store's would.
+func (s *Store) Close() error {
+	l := s.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.idle()
+	if l.f == nil {
+		return nil
+	}
+	err := l.f.Close()
+	l.f = nil
+	return err
+}
+
+// LogOpenErr returns what went wrong readying the sweep log at Open —
+// cutting a torn line, moving per-file journals into it — or nil. Open
+// does not fail on it: it is counted in journal_errors, journaling
+// degrades as on any failed journal write, and a per-file journal not
+// moved stays in place for the next Open to move.
+func (s *Store) LogOpenErr() error { return s.logErr }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
